@@ -1,12 +1,12 @@
 GO ?= go
 
 # Packages with concurrency-sensitive paths (shared catalog, prepared-join
-# caches, shared compiled physical plans, parallel TupleTreePattern workers)
-# plus the unsafe-aliasing ingest scanner and the parallel corpus layer get a
-# dedicated -race run.
-RACE_PKGS = ./internal/collection ./internal/exec ./internal/join ./internal/physical ./internal/server ./internal/xmlstore
+# caches and the LRU under them, shared compiled physical plans, parallel
+# TupleTreePattern workers) plus the unsafe-aliasing ingest scanner and the
+# parallel corpus layer get a dedicated -race run.
+RACE_PKGS = ./internal/collection ./internal/exec ./internal/join ./internal/lru ./internal/physical ./internal/server ./internal/xmlstore
 
-.PHONY: all build vet test race check bench serve run-server bench-compare bench-smoke fuzz-smoke clean
+.PHONY: all build vet test race check bench serve run-server bench-compare bench-smoke bench-check fuzz-smoke clean
 
 all: check
 
@@ -67,6 +67,19 @@ bench-smoke:
 	-$(GO) run ./cmd/benchdiff BENCH_optimizer_quick.json /tmp/bench_optimizer_quick.json
 	$(GO) run ./cmd/treebench -exp snapshot -quick -json /tmp/bench_snapshot_quick.json
 	-$(GO) run ./cmd/benchdiff BENCH_snapshot_quick.json /tmp/bench_snapshot_quick.json
+
+# The benchmark is a module of its own, outside `go test ./...`: vet and test
+# it against this checkout's API, then run each workload briefly on small
+# inputs. A run exits non-zero when an operation failed its oracle; timing
+# spread is not judged here.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	@for w in serve_twig serve_corpus compile_adhoc store_cycle; do \
+		echo "benchmark/run.sh --workload $$w --short --seconds 2"; \
+		out=$$(bash benchmark/run.sh --workload $$w --short --seconds 2) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | tail -n 1 | grep -q '"failed": *0[,}]' || \
+			{ echo "$$w: operations failed:"; echo "$$out" | tail -n 1; exit 1; }; \
+	done
 
 # Short differential fuzz of the ingest scanner against the encoding/xml
 # oracle, and of the snapshot reader against corrupted/truncated bytes (the

@@ -168,19 +168,19 @@ func TestPreCanceledContext(t *testing.T) {
 	q := MustPrepare(`$input//person/name`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := q.RunCtx(ctx, doc, Staircase); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx on canceled context: %v", err)
+	if _, _, err := q.RunWith(ctx, doc, Staircase, RunOptions{}); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Query.RunWith on canceled context: %v", err)
 	}
-	if _, err := corpus.RunParallelCtx(ctx, q, Staircase, 4); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("RunParallelCtx on canceled context: %v", err)
+	if _, _, err := corpus.RunWith(ctx, q, Staircase, RunOptions{Workers: 4}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Corpus.RunWith on canceled context: %v", err)
 	}
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancel2()
-	if _, err := q.RunCtx(expired, doc, Twig); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RunCtx on expired deadline: %v", err)
+	if _, _, err := q.RunWith(expired, doc, Twig, RunOptions{}); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Query.RunWith on expired deadline: %v", err)
 	}
 	var re *RunError
-	_, err := q.RunCtx(ctx, doc, NestedLoop)
+	_, _, err := q.RunWith(ctx, doc, NestedLoop, RunOptions{})
 	if !errors.As(err, &re) {
 		t.Fatalf("canceled run error is not a *RunError: %v", err)
 	}
@@ -370,10 +370,13 @@ func TestNormalizeWorkers(t *testing.T) {
 	}
 }
 
-// RunCtx with a background context is exactly Run, for every algorithm.
-func TestRunCtxBackgroundEqualsRun(t *testing.T) {
+// RunWith under a live, never-canceled context (the kernels poll it) returns
+// exactly what Run returns, for every algorithm.
+func TestRunWithLiveContextEqualsRun(t *testing.T) {
 	corpus := cancelTestCorpus(t)
 	doc := corpus.DocumentAt(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, pq := range corpusDiffQueries() {
 		q, err := Prepare(pq.Query)
 		if err != nil {
@@ -384,12 +387,12 @@ func TestRunCtxBackgroundEqualsRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", pq.Name, alg, err)
 			}
-			got, err := q.RunCtx(context.Background(), doc, alg)
+			got, _, err := q.RunWith(ctx, doc, alg, RunOptions{})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", pq.Name, alg, err)
 			}
 			if err := sameItems(want, got); err != nil {
-				t.Errorf("%s/%v: RunCtx differs from Run: %v", pq.Name, alg, err)
+				t.Errorf("%s/%v: RunWith differs from Run: %v", pq.Name, alg, err)
 			}
 		}
 	}

@@ -22,10 +22,10 @@ func choiceFor(t *testing.T, q *Query, d *Document) string {
 	if len(pats) == 0 {
 		return "none"
 	}
-	root := d.tree.RootNode()
+	index, root := d.member().Index, d.Root()
 	parts := make([]string, len(pats))
 	for i, pat := range pats {
-		est := join.ChooseEstimate(d.index, root, pat)
+		est := join.ChooseEstimate(index, root, pat)
 		if est.Empty {
 			parts[i] = "skip(empty)"
 		} else {

@@ -2,14 +2,9 @@ package xqtp
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"os"
-	"sync/atomic"
 
 	"xqtp/internal/collection"
-	"xqtp/internal/execctx"
-	"xqtp/internal/physical"
 	"xqtp/internal/xdm"
 )
 
@@ -88,17 +83,10 @@ func OpenCorpusSnapshot(data []byte) (*Corpus, error) {
 // only the header, offset table and corpus name table are read at open, so
 // the cost is O(open) regardless of corpus size, and member pages fault in
 // as queries touch them — a corpus larger than RAM stays queryable. The
-// corpus owns the mapping; call Close to release it. Setting the
-// XQTP_SNAPSHOT_READALL environment variable (any non-empty value) forces
-// the old read-everything path instead, which needs no Close.
+// corpus owns the mapping; call Close to release it. (Reading the file and
+// handing the bytes to OpenCorpusSnapshot is the read-everything
+// alternative, which needs no Close.)
 func OpenCorpusFile(path string) (*Corpus, error) {
-	if os.Getenv("XQTP_SNAPSHOT_READALL") != "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return OpenCorpusSnapshot(data)
-	}
 	c, err := collection.OpenSnapshotFile(path)
 	if err != nil {
 		return nil, err
@@ -117,10 +105,7 @@ func (c *Corpus) Closed() bool { return c.c.Closed() }
 
 // Mapped reports whether the corpus is backed by a live file mapping (true
 // only for OpenCorpusFile corpora on mmap-capable builds, before Close).
-func (c *Corpus) Mapped() bool {
-	m := c.c.Mapping()
-	return m != nil && m.Mapped()
-}
+func (c *Corpus) Mapped() bool { return c.c.Mapped() }
 
 // SnapshotResident returns the number of bytes of the snapshot mapping
 // currently resident in physical memory (ok=false when the corpus is not
@@ -162,30 +147,21 @@ func (c *Corpus) URIs() []string {
 	return out
 }
 
-// Document returns the member with the given URI as a standalone Document
-// sharing the corpus's catalog (so its indexes are never rebuilt).
+// Document returns the member with the given URI as a Document: a view
+// borrowing the corpus, so it shares the corpus's indexes, resolves
+// fn:doc/fn:collection corpus-wide, and is closed by the corpus's Close.
 func (c *Corpus) Document(uri string) (*Document, bool) {
-	d, ok := c.c.ByURI(uri)
+	i, ok := c.c.IndexOf(uri)
 	if !ok {
 		return nil, false
 	}
-	return c.wrap(d), true
+	return c.DocumentAt(i), true
 }
 
-// DocumentAt returns member i (in corpus order) as a standalone Document.
+// DocumentAt returns member i (in corpus order) as a Document view. The
+// member is not loaded until something reads it.
 func (c *Corpus) DocumentAt(i int) *Document {
-	return c.wrap(c.c.Doc(i))
-}
-
-func (c *Corpus) wrap(d *collection.Doc) *Document {
-	return &Document{
-		tree:    d.Tree(),
-		index:   d.Index,
-		catalog: c.c.Catalog(),
-		rootSeq: xdm.Singleton(d.Root()),
-		uri:     d.URI,
-		docs:    c.c,
-	}
+	return &Document{c: c.c, i: i}
 }
 
 // NumNodes returns the total node count across members.
@@ -195,33 +171,16 @@ func (c *Corpus) NumNodes() int { return c.c.NumNodes() }
 func (c *Corpus) SizeBytes() int { return c.c.SizeBytes() }
 
 // Run evaluates the query against every member and returns the merged
-// results in corpus order (which is cross-document document order). See
-// RunParallel for the evaluation strategy; Run is its workers=1 form.
+// results in corpus order (which is cross-document document order): RunWith
+// with one worker.
 func (c *Corpus) Run(q *Query, alg Algorithm) (Sequence, error) {
 	return c.RunParallel(q, alg, 1)
 }
 
-// RunParallel evaluates the query against the corpus with up to workers
-// goroutines, in one of two shapes chosen by the plan itself:
-//
-// Root-bound plans (no fn:doc/fn:collection) fan out one evaluation per
-// member — the context item and every free variable bound to the member's
-// document node, exactly as Query.Run binds a single Document — and the
-// per-document results merge in corpus order, so the output is byte-identical
-// at any worker count. Members where some required step of the plan
-// (physical.RequiredSteps over the conjunctive patterns) has an empty rank
-// stream — the name absent entirely, or present only as the wrong node kind
-// — are skipped without evaluation; the members that do run pick their
-// algorithm per member through the cost model when alg is Auto.
-//
-// Plans that call fn:doc or fn:collection see the whole corpus at once: they
-// evaluate once with the corpus bound as the document resolver, and workers
-// instead caps the pattern operators' per-context-node parallelism (a
-// fn:collection()-rooted pattern's context nodes are the member roots, so
-// cross-document parallelism falls out of the existing fan-out). Both shapes
-// reuse the query's plan and preparation caches, keyed per member document.
+// RunParallel is RunWith with up to workers goroutines (<= 0: one per
+// available CPU) and no context, budget or sink.
 func (c *Corpus) RunParallel(q *Query, alg Algorithm, workers int) (Sequence, error) {
-	seq, _, err := c.RunParallelStats(q, alg, workers)
+	seq, _, err := c.RunWith(context.Background(), q, alg, RunOptions{Workers: workers})
 	return seq, err
 }
 
@@ -234,133 +193,8 @@ type RunStats struct {
 // RunParallelStats is RunParallel, additionally reporting how many members
 // the count-based emptiness proof skipped.
 func (c *Corpus) RunParallelStats(q *Query, alg Algorithm, workers int) (Sequence, RunStats, error) {
-	var col execctx.Collector
-	stats, err := c.runCore(nil, q, alg, workers, &col)
-	if err != nil {
-		return nil, stats, err
-	}
-	return col.Seq, stats, nil
-}
-
-// RunParallelCtx is RunParallel under a context: the fan-out stops admitting
-// members and the kernels cut in-flight evaluations short once ctx is done,
-// returning ErrCanceled. workers <= 0 means one worker per available CPU.
-func (c *Corpus) RunParallelCtx(ctx context.Context, q *Query, alg Algorithm, workers int) (Sequence, error) {
-	seq, _, err := c.RunWith(ctx, q, alg, RunOptions{Workers: workers})
-	return seq, err
-}
-
-// RunWith evaluates the query against the corpus under a context with
-// deadlines, budgets, and streaming delivery. Member results flow to
-// opts.Sink in corpus order as the merge admits them (a nil Sink collects
-// into the returned Sequence). Budgets are charged at the merge point, so a
-// stopped run's delivered items are exactly the first rows of the full
-// corpus-order result; in-flight member evaluations past the stop are cut
-// short and discarded. opts.Workers <= 0 means one worker per available CPU.
-func (c *Corpus) RunWith(ctx context.Context, q *Query, alg Algorithm, opts RunOptions) (Sequence, RunInfo, error) {
-	ctx, cancel := opts.context(ctx)
-	defer cancel()
-	ec := execctx.From(ctx, opts.MaxRows, opts.MaxBytes)
-	sink := opts.Sink
-	var col *execctx.Collector
-	if sink == nil {
-		col = &execctx.Collector{}
-		sink = col
-	}
-	stats, err := c.runCore(ec, q, alg, opts.Workers, sink)
-	info := RunInfo{
-		Rows:    ec.Rows(),
-		Bytes:   ec.Bytes(),
-		Members: stats.Members,
-		Skipped: stats.Skipped,
-	}
-	var seq Sequence
-	if col != nil {
-		seq = col.Seq
-	}
-	return seq, info, err
-}
-
-// runCore is the single evaluation path behind every corpus run shape: it
-// compiles the plan, picks the corpus-wide or fan-out strategy, and streams
-// result items to sink under the execution context. Member evaluations run
-// under a cancel-only view of ec — they observe the stop but never charge
-// the budgets; the merge charges each delivered item in corpus order, so
-// budget cutoffs land on the exact corpus-order prefix regardless of how
-// the worker pool interleaved.
-func (c *Corpus) runCore(ec *execctx.Ctx, q *Query, alg Algorithm, workers int, sink execctx.Sink) (RunStats, error) {
-	workers = normalizeWorkers(workers)
-	stats := RunStats{Members: c.c.Len()}
-	p, err := q.physicalPlan(alg)
-	if err != nil {
-		return stats, err
-	}
-	if p.UsesDocAccess() {
-		rt := &physical.Runtime{
-			Catalog:  c.c.Catalog(),
-			Preps:    q.preps,
-			Parallel: workers,
-			Docs:     c.c,
-			EC:       ec,
-		}
-		return stats, p.RunSink(rt, sink)
-	}
-	var skip func(int) bool
-	var skipped atomic.Int64
-	if required := p.RequiredSteps(); len(required) > 0 {
-		// Hoist the name-table lookups: one symbol column per required
-		// step, then the per-member test is an array index plus a stream
-		// length — no string hashing anywhere in the fan-out.
-		nt := c.c.Names()
-		cols := make([][]xdm.Sym, len(required))
-		for k, r := range required {
-			cols[k] = nt.SymColumn(r.Name)
-		}
-		docs := c.c.Docs()
-		skip = func(i int) bool {
-			ix := docs[i].Index
-			for k, r := range required {
-				col := cols[k]
-				if col == nil || col[i] == xdm.NoSym {
-					skipped.Add(1)
-					return true
-				}
-				// StreamLen answers from the loaded index or, for a deferred
-				// member, from its section directory — a definite count either
-				// way, without paging in the member's data. ok=false means the
-				// directory itself is unreadable: admit the member so its load
-				// error surfaces as a query error instead of a silent skip.
-				if n, ok := ix.StreamLen(col[i], r.Attr); ok && n == 0 {
-					skipped.Add(1)
-					return true
-				}
-			}
-			// The member will run: hint the kernel to page its region in
-			// ahead of the parse (no-op once loaded or unmapped).
-			ix.Prefetch()
-			return false
-		}
-	}
-	memberEC := ec.CancelOnly()
-	err = c.c.RunAllCtx(ec, workers, skip, func(d *collection.Doc) (Sequence, error) {
-		// A deferred member parses and validates here, on the worker that
-		// evaluates it; a corrupt member becomes this member's query error.
-		if err := d.Ensure(); err != nil {
-			return nil, err
-		}
-		rt := &physical.Runtime{
-			Catalog: c.c.Catalog(),
-			Preps:   q.preps,
-			Docs:    c.c,
-			Root:    xdm.Singleton(d.Root()),
-			EC:      memberEC,
-		}
-		return p.Run(rt)
-	}, func(seq Sequence) error {
-		return execctx.Deliver(ec, sink, seq)
-	})
-	stats.Skipped = int(skipped.Load())
-	return stats, err
+	seq, info, err := c.RunWith(context.Background(), q, alg, RunOptions{Workers: workers})
+	return seq, RunStats{Members: info.Members, Skipped: info.Skipped}, err
 }
 
 // URIOf attributes a result item back to the member document holding it
@@ -375,13 +209,4 @@ func (c *Corpus) URIOf(it Item) (string, bool) {
 		return "", false
 	}
 	return d.URI, true
-}
-
-// RunURI evaluates the query against a single member, bound like Query.Run.
-func (c *Corpus) RunURI(q *Query, alg Algorithm, uri string) (Sequence, error) {
-	d, ok := c.Document(uri)
-	if !ok {
-		return nil, fmt.Errorf("corpus: no document %q", uri)
-	}
-	return q.Run(d, alg)
 }

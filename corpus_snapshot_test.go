@@ -2,11 +2,14 @@ package xqtp
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"xqtp/internal/xdm"
@@ -255,9 +258,11 @@ func TestCorpusFileQueryDifferential(t *testing.T) {
 	}
 }
 
-// XQTP_SNAPSHOT_READALL forces the old read-everything open; results must
-// not change, only the backing storage.
-func TestCorpusFileReadAllFallback(t *testing.T) {
+// The two ways to open a snapshot file — OpenCorpusFile (mapped, deferred
+// members) and os.ReadFile + OpenCorpusSnapshot (everything read and loaded
+// up front) — differ only in backing storage: both answer like the fresh
+// corpus.
+func TestCorpusFileMappedVsReadAll(t *testing.T) {
 	fresh, err := LoadCorpus(genCorpusSources(6, 3), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -270,13 +275,21 @@ func TestCorpusFileReadAllFallback(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Setenv("XQTP_SNAPSHOT_READALL", "1")
-	loaded, err := OpenCorpusFile(path)
+	mapped, err := OpenCorpusFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Mapped() {
-		t.Fatal("read-all fallback reported a live mapping")
+	defer mapped.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readAll, err := OpenCorpusSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readAll.Mapped() {
+		t.Fatal("corpus opened from bytes reported a live mapping")
 	}
 	q, err := Prepare(`$input//doc`)
 	if err != nil {
@@ -286,12 +299,161 @@ func TestCorpusFileReadAllFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.RunParallel(q, Auto, 2)
+	for name, loaded := range map[string]*Corpus{"mapped": mapped, "read-all": readAll} {
+		got, err := loaded.RunParallel(q, Auto, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := equivItems(want, got, fresh.URIOf, loaded.URIOf); err != nil {
+			t.Fatalf("%s corpus differs from fresh: %v", name, err)
+		}
+	}
+}
+
+// snapshotFile writes a corpus of n generated members to a snapshot file.
+func snapshotFile(t *testing.T, n int) string {
+	t.Helper()
+	fresh, err := LoadCorpus(genCorpusSources(n, 5), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := equivItems(want, got, fresh.URIOf, loaded.URIOf); err != nil {
-		t.Fatalf("read-all corpus differs from fresh: %v", err)
+	path := filepath.Join(t.TempDir(), "corpus.xqts")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.SaveSnapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// A member view shares its corpus's closed flag, so no ordering of Close and
+// a run reaches unmapped memory: each of these faulted (SIGSEGV) when the
+// view carried a flag of its own.
+func TestUseAfterCloseIsErrClosed(t *testing.T) {
+	q := MustPrepare(`$input//doc`)
+	t.Run("warm member view", func(t *testing.T) {
+		c, err := OpenCorpusFile(snapshotFile(t, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := c.DocumentAt(0)
+		if _, err := q.Run(d, Auto); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.Run(d, Staircase); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Run on a member view after Corpus.Close = %v, want ErrClosed", err)
+		}
+		if !d.Closed() {
+			t.Fatal("member view does not report its corpus closed")
+		}
+	})
+	t.Run("never-loaded member view", func(t *testing.T) {
+		c, err := OpenCorpusFile(snapshotFile(t, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := c.DocumentAt(2)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.Run(d, Staircase); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Run on an unloaded member view after Corpus.Close = %v, want ErrClosed", err)
+		}
+	})
+	t.Run("single member by URI", func(t *testing.T) {
+		c, err := OpenCorpusFile(snapshotFile(t, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The corpus's own URI strings alias the mapping; look up by a copy.
+		uri := strings.Clone(c.URIs()[1])
+		d, ok := c.Document(uri)
+		if !ok {
+			t.Fatalf("no member %q", uri)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := q.RunWith(context.Background(), d, Twig, RunOptions{}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("single-member run by URI after Corpus.Close = %v, want ErrClosed", err)
+		}
+		if _, ok := c.Document(uri); ok {
+			t.Fatal("a closed corpus still resolves members by URI")
+		}
+	})
+	t.Run("member view methods after corpus close", func(t *testing.T) {
+		c, err := OpenCorpusFile(snapshotFile(t, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := c.DocumentAt(0)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// The member's URI aliases the released mapping: none of these may
+		// read it (or the tree) on the way to their error.
+		if err := d.Close(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("view.Close after Corpus.Close = %v, want ErrClosed", err)
+		}
+		if err := d.WriteXML(io.Discard); !errors.Is(err, ErrClosed) {
+			t.Fatalf("view.WriteXML after Corpus.Close = %v, want ErrClosed", err)
+		}
+		if err := d.SaveSnapshot(io.Discard); !errors.Is(err, ErrClosed) {
+			t.Fatalf("view.SaveSnapshot after Corpus.Close = %v, want ErrClosed", err)
+		}
+		if _, err := c.Extend(genCorpusSources(1, 9), 1); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Corpus.Extend after Close = %v, want ErrClosed", err)
+		}
+	})
+	t.Run("explain after document close", func(t *testing.T) {
+		doc, err := OpenSnapshotFile(snapshotFile(t, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.ExplainPhysical(Auto, doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := doc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.ExplainPhysical(Auto, doc); !errors.Is(err, ErrClosed) {
+			t.Fatalf("ExplainPhysical after Close = %v, want ErrClosed", err)
+		}
+	})
+}
+
+// Close on a member view of a multi-member corpus must not release the
+// mapping under its siblings: it reports an error and the corpus, the view
+// and its siblings keep answering.
+func TestMemberViewCloseLeavesCorpusOpen(t *testing.T) {
+	c, err := OpenCorpusFile(snapshotFile(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	q := MustPrepare(`$input//doc`)
+	d := c.DocumentAt(0)
+	if err := d.Close(); err == nil || errors.Is(err, ErrClosed) {
+		t.Fatalf("Close on a member view = %v, want a refusal", err)
+	}
+	if d.Closed() || c.Closed() {
+		t.Fatal("Close on a member view closed the corpus")
+	}
+	for i := 0; i < c.Len(); i++ {
+		if _, err := q.Run(c.DocumentAt(i), Staircase); err != nil {
+			t.Fatalf("member %d after a sibling view's Close: %v", i, err)
+		}
+	}
+	if _, err := c.Run(q, Auto); err != nil {
+		t.Fatalf("corpus run after a member view's Close: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package xqtp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -279,5 +280,117 @@ func TestCorpusConcurrentExtend(t *testing.T) {
 	}
 	if !strings.HasPrefix(grown.URIs()[8], "mem://extend-") {
 		t.Errorf("extended members should follow the base members, got %q at position 8", grown.URIs()[8])
+	}
+}
+
+// Every convenience entry point is RunWith under fixed options: each returns
+// item for item what its RunWith spelling returns, on the 12-member
+// MemBeR+XMark corpus under every set-at-a-time algorithm, the chooser and
+// the streaming automaton.
+func TestRunWrappersEqualRunWith(t *testing.T) {
+	corpus, err := LoadCorpus(genCorpusSources(12, 42), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	doc := corpus.DocumentAt(3)
+	root := Sequence{doc.Root()}
+	for _, pq := range corpusDiffQueries() {
+		q := MustPrepare(pq.Query)
+		for _, alg := range []Algorithm{Staircase, Twig, Auto, Streaming} {
+			docWant, docInfo, err := q.RunWith(ctx, doc, alg, RunOptions{})
+			if err != nil {
+				t.Fatalf("%s/%v: Query.RunWith: %v", pq.Name, alg, err)
+			}
+			// A Document run is a one-member corpus run.
+			if docInfo.Members != 1 || docInfo.Skipped != 0 {
+				t.Errorf("%s/%v: Document run reports %d members, %d skipped; want 1, 0",
+					pq.Name, alg, docInfo.Members, docInfo.Skipped)
+			}
+			corpusWant, corpusInfo, err := corpus.RunWith(ctx, q, alg, RunOptions{Workers: 1})
+			if err != nil {
+				t.Fatalf("%s/%v: Corpus.RunWith: %v", pq.Name, alg, err)
+			}
+			wrappers := []struct {
+				name string
+				want Sequence
+				run  func() (Sequence, error)
+			}{
+				{"Query.Run", docWant, func() (Sequence, error) { return q.Run(doc, alg) }},
+				{"Query.RunParallel", docWant, func() (Sequence, error) { return q.RunParallel(doc, alg, 4) }},
+				{"Query.RunWithVars", docWant, func() (Sequence, error) {
+					return q.RunWithVars(doc, alg, map[string]Sequence{"input": root, "dot": root})
+				}},
+				{"Corpus.Run", corpusWant, func() (Sequence, error) { return corpus.Run(q, alg) }},
+				{"Corpus.RunParallel", corpusWant, func() (Sequence, error) { return corpus.RunParallel(q, alg, 8) }},
+				{"Corpus.RunParallelStats", corpusWant, func() (Sequence, error) {
+					seq, stats, err := corpus.RunParallelStats(q, alg, 8)
+					if stats.Members != corpusInfo.Members || stats.Skipped != corpusInfo.Skipped {
+						t.Errorf("%s/%v: RunParallelStats reports %+v, RunWith %d members, %d skipped",
+							pq.Name, alg, stats, corpusInfo.Members, corpusInfo.Skipped)
+					}
+					return seq, err
+				}},
+			}
+			for _, w := range wrappers {
+				got, err := w.run()
+				if err != nil {
+					t.Fatalf("%s/%v: %s: %v", pq.Name, alg, w.name, err)
+				}
+				if err := sameItems(w.want, got); err != nil {
+					t.Errorf("%s/%v: %s differs from RunWith: %v", pq.Name, alg, w.name, err)
+				}
+			}
+		}
+	}
+}
+
+// A standalone document is a one-member corpus: the same bytes loaded through
+// LoadXMLString and through LoadCorpus answer fn:doc and fn:collection()
+// queries alike, whether the corpus is run as a whole or through its member
+// view.
+func TestStandaloneDocumentIsOneMemberCorpus(t *testing.T) {
+	const xml, uri = `<doc><a>x</a><b><a>y</a></b></doc>`, "mem://solo.xml"
+	solo, err := LoadXMLString(xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo.SetURI(uri)
+	corpus, err := LoadCorpus([]CorpusSource{{URI: uri, Data: []byte(xml)}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(Item) (string, bool) { return "", true }
+	for _, src := range []string{
+		`fn:doc("mem://solo.xml")//a`,
+		`fn:collection()//a`,
+		`for $d in fn:collection() return $d//b/a`,
+		`count(fn:collection())`,
+	} {
+		q := MustPrepare(src)
+		want, err := q.Run(solo, Staircase)
+		if err != nil {
+			t.Fatalf("%s: standalone: %v", src, err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: standalone document returned nothing", src)
+		}
+		whole, err := corpus.Run(q, Staircase)
+		if err != nil {
+			t.Fatalf("%s: corpus: %v", src, err)
+		}
+		if err := equivItems(want, whole, same, same); err != nil {
+			t.Errorf("%s: one-member corpus differs from standalone document: %v", src, err)
+		}
+		view, err := q.Run(corpus.DocumentAt(0), Staircase)
+		if err != nil {
+			t.Fatalf("%s: member view: %v", src, err)
+		}
+		if err := equivItems(want, view, same, same); err != nil {
+			t.Errorf("%s: member view differs from standalone document: %v", src, err)
+		}
+	}
+	if _, err := MustPrepare(`fn:doc("mem://other.xml")//a`).Run(solo, Staircase); err == nil {
+		t.Error("fn:doc of a URI the standalone document does not carry should fail")
 	}
 }

@@ -67,15 +67,15 @@ func optimizerStepRows(q *Query, d *Document, name, docLabel string) ([]Optimize
 	if err != nil {
 		return nil, err
 	}
-	root := d.tree.RootNode()
+	index, root := d.member().Index, d.Root()
 	rootBound := p.RootBoundPatterns()
 	var out []OptimizerCell
 	for pi, pat := range p.Patterns() {
 		if !rootBound[pi] {
 			continue
 		}
-		est := join.ChooseEstimate(d.index, root, pat)
-		acts := join.StepActuals(d.index, root, pat)
+		est := join.ChooseEstimate(index, root, pat)
+		acts := join.StepActuals(index, root, pat)
 		for i, se := range est.Steps {
 			act := -1
 			if i < len(acts) {

@@ -16,7 +16,6 @@ package collection
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -34,6 +33,9 @@ var ErrClosed = xmlstore.ErrSnapshotClosed
 type Doc struct {
 	URI   string
 	Index *xmlstore.Index
+
+	rootOnce sync.Once
+	rootSeq  xdm.Sequence
 }
 
 // Tree returns the member's document tree.
@@ -42,6 +44,13 @@ func (d *Doc) Tree() *xdm.Tree { return d.Index.Tree }
 // Root returns the member's document node, materializing a snapshot-loaded
 // member's pointer data model on first use.
 func (d *Doc) Root() *xdm.Node { return d.Index.Tree.RootNode() }
+
+// RootSeq returns the document node as a singleton sequence, allocated once:
+// the uniform binding a run hands to every free variable.
+func (d *Doc) RootSeq() xdm.Sequence {
+	d.rootOnce.Do(func() { d.rootSeq = xdm.Singleton(d.Root()) })
+	return d.rootSeq
+}
 
 // Ensure forces a deferred snapshot member's parse + validation (no-op for
 // ingested members and already-loaded ones). The error-returning twin of
@@ -61,7 +70,11 @@ type Corpus struct {
 	// catalog registers every member index so any engine run against the
 	// corpus resolves indexes without rebuilding them.
 	catalog *xmlstore.Catalog
-	names   *NameTable
+	// names is the corpus name table: decoded from a snapshot, grown from the
+	// parent's by Extend, or else built by the first Names call — so a
+	// one-member corpus behind a standalone document never pays for it.
+	names     *NameTable
+	namesOnce sync.Once
 	// epoch counts the Extend steps behind this snapshot: a freshly ingested
 	// or snapshot-loaded corpus is epoch 0, and each Extend returns a corpus
 	// one epoch later. The pair (corpus name, epoch) is what result caches
@@ -106,6 +119,10 @@ func (c *Corpus) Closed() bool { return c.closed.Load() }
 // with OpenSnapshotFile).
 func (c *Corpus) Mapping() *xmlstore.Mapping { return c.mapping }
 
+// Mapped reports whether the corpus is backed by a live file mapping (true
+// only for OpenSnapshotFile corpora on mmap-capable builds, before Close).
+func (c *Corpus) Mapped() bool { return c.mapping != nil && c.mapping.Mapped() }
+
 // closedErr is the entry-point check used by every run/resolve path.
 func (c *Corpus) closedErr() error {
 	if c.closed.Load() {
@@ -114,33 +131,38 @@ func (c *Corpus) closedErr() error {
 	return nil
 }
 
-// New builds a corpus from already-ingested members. Members are sorted by
-// tree ID (load order) to establish the corpus-order invariant; duplicate
-// URIs are rejected. The given slice is not retained.
-func New(docs []*Doc) (*Corpus, error) {
-	members := make([]*Doc, len(docs))
-	copy(members, docs)
-	sort.SliceStable(members, func(i, j int) bool {
-		return members[i].Tree().ID < members[j].Tree().ID
-	})
-	return assemble(members)
+// Single wraps one loaded document as a one-member corpus: the shape behind
+// every standalone document, so a document and a corpus run, resolve
+// fn:doc/fn:collection and close through the same code.
+func Single(uri string, ix *xmlstore.Index) *Corpus {
+	c, err := assemble([]*Doc{{URI: uri, Index: ix}}, nil)
+	if err != nil {
+		panic(err) // one indexed member: neither assemble error can occur
+	}
+	return c
+}
+
+// SetURI renames member i. It exists for the standalone document, which is
+// loaded before it is named; like every mutation it must happen before the
+// corpus is shared across goroutines.
+func (c *Corpus) SetURI(i int, uri string) {
+	delete(c.byURI, c.docs[i].URI)
+	c.docs[i].URI = uri
+	c.byURI[uri] = i
 }
 
 // assemble builds the corpus structures over a member slice already in
-// ascending tree-ID order, deriving the name table from scratch.
-func assemble(members []*Doc) (*Corpus, error) {
-	return assembleWith(members, nil)
-}
-
-// assembleWith is assemble with an already-built name table (Extend grows
-// the previous corpus's table incrementally; the snapshot loader decodes a
-// stored one). names nil falls back to a full build.
-func assembleWith(members []*Doc, names *NameTable) (*Corpus, error) {
+// ascending tree-ID order. names is an already-built name table (Extend
+// grows the previous corpus's table incrementally; the snapshot loader
+// decodes a stored one) or nil, which defers the build to the first Names
+// call.
+func assemble(members []*Doc, names *NameTable) (*Corpus, error) {
 	c := &Corpus{
 		docs:    members,
 		byURI:   make(map[string]int, len(members)),
 		byTree:  make(map[*xdm.Tree]int, len(members)),
 		catalog: xmlstore.NewCatalog(),
+		names:   names,
 	}
 	for i, d := range members {
 		if d.Index == nil {
@@ -153,10 +175,6 @@ func assembleWith(members []*Doc, names *NameTable) (*Corpus, error) {
 		c.byTree[d.Tree()] = i
 		c.catalog.Register(d.Index)
 	}
-	if names == nil {
-		names = buildNameTable(members)
-	}
-	c.names = names
 	return c, nil
 }
 
@@ -170,13 +188,15 @@ func (c *Corpus) Doc(i int) *Doc { return c.docs[i] }
 // must not modify it.
 func (c *Corpus) Docs() []*Doc { return c.docs }
 
-// ByURI resolves a member by URI.
-func (c *Corpus) ByURI(uri string) (*Doc, bool) {
-	i, ok := c.byURI[uri]
-	if !ok {
-		return nil, false
+// IndexOf resolves a member URI to its corpus position. A closed corpus
+// resolves nothing: the URIs of a file-mapped corpus alias the released
+// mapping, so even comparing against them would fault.
+func (c *Corpus) IndexOf(uri string) (int, bool) {
+	if c.closed.Load() {
+		return 0, false
 	}
-	return c.docs[i], true
+	i, ok := c.byURI[uri]
+	return i, ok
 }
 
 // ByTree resolves the member holding the given tree (attributing a result
@@ -193,22 +213,40 @@ func (c *Corpus) ByTree(t *xdm.Tree) (*Doc, bool) {
 func (c *Corpus) Catalog() *xmlstore.Catalog { return c.catalog }
 
 // Names returns the corpus-level name table.
-func (c *Corpus) Names() *NameTable { return c.names }
+func (c *Corpus) Names() *NameTable {
+	c.namesOnce.Do(func() {
+		if c.names == nil {
+			c.names = buildNameTable(c.docs)
+		}
+	})
+	return c.names
+}
 
 // Epoch returns the corpus's extension epoch: 0 for a freshly built or
 // loaded corpus, the parent's epoch plus one for an Extend result.
 func (c *Corpus) Epoch() uint64 { return c.epoch }
+
+// Loaded returns member i ready for evaluation: ErrClosed once the corpus is
+// closed, the member's sticky load error when its deferred parse fails.
+func (c *Corpus) Loaded(i int) (*Doc, error) {
+	if err := c.closedErr(); err != nil {
+		return nil, err
+	}
+	d := c.docs[i]
+	return d, d.Ensure()
+}
 
 // ResolveDoc implements xdm.DocResolver: fn:doc($uri).
 func (c *Corpus) ResolveDoc(uri string) (*xdm.Node, error) {
 	if err := c.closedErr(); err != nil {
 		return nil, err
 	}
-	d, ok := c.ByURI(uri)
+	i, ok := c.byURI[uri]
 	if !ok {
 		return nil, fmt.Errorf("doc(%q): no such document in the collection", uri)
 	}
-	if err := d.Ensure(); err != nil {
+	d, err := c.Loaded(i)
+	if err != nil {
 		return nil, err
 	}
 	return d.Root(), nil

@@ -148,17 +148,27 @@ func perDocSeq(d *Doc) (xdm.Sequence, error) {
 	return xdm.Sequence{xdm.String(d.URI)}, nil
 }
 
+// runAll collects what RunAllCtx emits, without an execution context.
+func runAll(c *Corpus, workers int, skip func(int) bool, eval func(*Doc) (xdm.Sequence, error)) (xdm.Sequence, error) {
+	var out xdm.Sequence
+	err := c.RunAllCtx(nil, workers, skip, eval, func(seq xdm.Sequence) error {
+		out = append(out, seq...)
+		return nil
+	})
+	return out, err
+}
+
 func TestRunAllMergeOrder(t *testing.T) {
 	c, err := Ingest(genSources(40), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.RunAll(1, nil, perDocSeq)
+	want, err := runAll(c, 1, nil, perDocSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8, 64} {
-		got, err := c.RunAll(workers, nil, perDocSeq)
+		got, err := runAll(c, workers, nil, perDocSeq)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -180,7 +190,7 @@ func TestRunAllSkip(t *testing.T) {
 	}
 	skip := func(doc int) bool { return doc%2 == 1 }
 	for _, workers := range []int{1, 4} {
-		got, err := c.RunAll(workers, skip, perDocSeq)
+		got, err := runAll(c, workers, skip, perDocSeq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +217,7 @@ func TestRunAllError(t *testing.T) {
 		return perDocSeq(d)
 	}
 	for _, workers := range []int{1, 8} {
-		if _, err := c.RunAll(workers, nil, evalErr); err == nil {
+		if _, err := runAll(c, workers, nil, evalErr); err == nil {
 			t.Fatalf("workers=%d: poisoned member should fail the run", workers)
 		} else if !strings.Contains(err.Error(), "doc-011") {
 			t.Fatalf("workers=%d: error should name the member, got: %v", workers, err)
@@ -235,7 +245,7 @@ func TestExtendSnapshotUnderQueries(t *testing.T) {
 					return
 				default:
 				}
-				got, err := base.RunAll(3, nil, perDocSeq)
+				got, err := runAll(base, 3, nil, perDocSeq)
 				if err != nil {
 					t.Errorf("query during Extend: %v", err)
 					return

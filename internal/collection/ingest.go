@@ -38,7 +38,7 @@ func Ingest(sources []Source, workers int) (*Corpus, error) {
 		return nil, err
 	}
 	xdm.AssignTreeIDs(trees(docs))
-	return assemble(docs)
+	return assemble(docs, nil)
 }
 
 // Extend ingests additional sources and returns a new corpus holding the
@@ -52,6 +52,9 @@ func Ingest(sources []Source, workers int) (*Corpus, error) {
 // the documents added, not in the corpus size — repeated Extends are O(n),
 // not O(n²).
 func (c *Corpus) Extend(sources []Source, workers int) (*Corpus, error) {
+	if err := c.closedErr(); err != nil {
+		return nil, err
+	}
 	docs, err := ingestDocs(sources, workers)
 	if err != nil {
 		return nil, err
@@ -60,7 +63,7 @@ func (c *Corpus) Extend(sources []Source, workers int) (*Corpus, error) {
 	members := make([]*Doc, 0, len(c.docs)+len(docs))
 	members = append(members, c.docs...)
 	members = append(members, docs...)
-	grown, err := assembleWith(members, c.names.extend(docs))
+	grown, err := assemble(members, c.Names().extend(docs))
 	if err != nil {
 		return nil, err
 	}

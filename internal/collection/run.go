@@ -9,26 +9,10 @@ import (
 	"xqtp/internal/xdm"
 )
 
-// RunAll evaluates eval against every member on a pool of workers and
-// returns the concatenation of the per-document results in corpus order.
-// skip, when non-nil, elides members without evaluating them (the caller's
-// name-table pruning hook); a skipped member contributes the empty sequence.
-// RunAll is RunAllCtx without an execution context, collecting the emitted
-// sequences.
-func (c *Corpus) RunAll(workers int, skip func(doc int) bool, eval func(d *Doc) (xdm.Sequence, error)) (xdm.Sequence, error) {
-	var out xdm.Sequence
-	err := c.RunAllCtx(nil, workers, skip, eval, func(seq xdm.Sequence) error {
-		out = append(out, seq...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // RunAllCtx evaluates eval against every member on a pool of workers,
-// handing each member's result to emit in corpus order.
+// handing each member's result to emit in corpus order. skip, when non-nil,
+// elides members without evaluating them (the caller's name-table pruning
+// hook); a skipped member contributes nothing.
 //
 // Results stream back through a channel bounded at the worker count, and the
 // merger holds out-of-order arrivals in a pending buffer until their corpus

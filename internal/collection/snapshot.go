@@ -21,10 +21,11 @@ func (c *Corpus) WriteSnapshot(w io.Writer) error {
 		uris[i] = d.URI
 		ixs[i] = d.Index
 	}
-	names := c.names.Names()
+	nt := c.Names()
+	names := nt.Names()
 	cells := make([]xdm.Sym, len(names)*len(c.docs))
 	for i, name := range names {
-		col := c.names.byName[name]
+		col := nt.byName[name]
 		copy(cells[i*len(c.docs):], col)
 	}
 	return xmlstore.WriteCorpus(w, &xmlstore.CorpusSnapshot{
@@ -43,16 +44,6 @@ func (c *Corpus) WriteSnapshot(w io.Writer) error {
 // comes from the snapshot, so no member symbol table is re-walked.
 func OpenSnapshot(data []byte) (*Corpus, error) {
 	s, err := xmlstore.OpenCorpus(data)
-	if err != nil {
-		return nil, err
-	}
-	return fromSnapshot(s)
-}
-
-// OpenSnapshotDeferred is OpenSnapshot without the member loads: members
-// parse and validate themselves the first time a query touches them.
-func OpenSnapshotDeferred(data []byte) (*Corpus, error) {
-	s, err := xmlstore.OpenCorpusDeferred(data)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +79,7 @@ func fromSnapshot(s *xmlstore.CorpusSnapshot) (*Corpus, error) {
 		docs[i] = &Doc{URI: s.URIs[i], Index: ix}
 	}
 	xdm.AssignTreeIDs(trees(docs))
-	return assembleWith(docs, nameTableFromSnapshot(s))
+	return assemble(docs, nameTableFromSnapshot(s))
 }
 
 // nameTableFromSnapshot decodes the flat row-major name-table cells back

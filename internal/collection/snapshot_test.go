@@ -54,7 +54,7 @@ func TestCorpusSnapshotRoundTrip(t *testing.T) {
 		}
 		prevID = tb.ID
 		// Members resolve through the loaded corpus maps and catalog.
-		if d, ok := c2.ByURI(a.URI); !ok || d != b {
+		if pos, ok := c2.IndexOf(a.URI); !ok || c2.Doc(pos) != b {
 			t.Fatalf("member %d not resolvable by URI %q", i, a.URI)
 		}
 		if d, ok := c2.ByTree(tb); !ok || d != b {
@@ -159,7 +159,7 @@ func TestOpenSnapshotRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage should not load")
 	}
 	var buf bytes.Buffer
-	c, err := New(nil)
+	c, err := Ingest(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestOpenSnapshotFile(t *testing.T) {
 	}
 	// Evaluation touches every member; the results must match the ingested
 	// corpus member for member.
-	seq, err := c2.RunAll(4, nil, func(d *Doc) (xdm.Sequence, error) {
+	seq, err := runAll(c2, 4, nil, func(d *Doc) (xdm.Sequence, error) {
 		if err := d.Ensure(); err != nil {
 			return nil, err
 		}

@@ -1,10 +1,11 @@
+// Package exec holds the prepared-join cache a compiled query threads into
+// every run: PrepCache memoizes join.Prepare per (pattern, document,
+// algorithm) behind the physical.PrepSource interface.
 package exec
 
 import (
-	"container/list"
-	"sync"
-
 	"xqtp/internal/join"
+	"xqtp/internal/lru"
 	"xqtp/internal/pattern"
 	"xqtp/internal/xdm"
 	"xqtp/internal/xmlstore"
@@ -20,30 +21,19 @@ const DefaultPrepCacheSize = 4096
 
 // PrepCache memoizes join.Prepare results per (pattern, document,
 // algorithm): the compile-once piece of the serving path. A cache owned by a
-// compiled query and threaded into every engine that runs it makes repeated
-// Run calls skip pattern validation and stream resolution entirely.
-//
-// The cache is a bounded LRU: least-recently-used preparations are evicted
-// once the cap is exceeded (re-preparing is cheap and idempotent, so
-// eviction only costs time). All methods are safe for concurrent use.
+// compiled query and threaded into every run makes repeated Run calls skip
+// pattern validation and stream resolution entirely. Least-recently-used
+// preparations are evicted once the cap is exceeded (re-preparing is cheap
+// and idempotent, so eviction only costs time). All methods are safe for
+// concurrent use.
 type PrepCache struct {
-	mu      sync.Mutex
-	max     int
-	lru     *list.List // front = most recently used; values are *prepEntry
-	entries map[prepKey]*list.Element
-
-	hits, misses, evictions uint64
+	lru *lru.Cache[prepKey, *join.Prepared]
 }
 
 type prepKey struct {
 	pat  *pattern.Pattern
 	tree *xdm.Tree
 	alg  join.Algorithm
-}
-
-type prepEntry struct {
-	key prepKey
-	p   *join.Prepared
 }
 
 // NewPrepCache returns an empty cache with the default bound.
@@ -55,50 +45,24 @@ func NewPrepCacheSize(size int) *PrepCache {
 	if size <= 0 {
 		size = DefaultPrepCacheSize
 	}
-	return &PrepCache{
-		max:     size,
-		lru:     list.New(),
-		entries: make(map[prepKey]*list.Element, min(size, 64)),
-	}
+	return &PrepCache{lru: lru.New[prepKey, *join.Prepared](size)}
 }
 
 // Prepared returns the cached prepared pattern, building and caching it on
 // first use (it implements physical.PrepSource). The preparation itself runs
-// outside the lock, so a large document's stream resolution never blocks
-// hits; concurrent misses on the same key may prepare twice, and the first
-// stored entry wins.
+// outside the cache lock, so a large document's stream resolution never
+// blocks hits; concurrent misses on the same key may prepare twice, and the
+// first stored entry wins.
 func (pc *PrepCache) Prepared(alg join.Algorithm, ix *xmlstore.Index, pat *pattern.Pattern) (*join.Prepared, error) {
 	key := prepKey{pat: pat, tree: ix.Tree, alg: alg}
-	pc.mu.Lock()
-	if el, ok := pc.entries[key]; ok {
-		pc.lru.MoveToFront(el)
-		pc.hits++
-		p := el.Value.(*prepEntry).p
-		pc.mu.Unlock()
+	if p, ok := pc.lru.Get(key); ok {
 		return p, nil
 	}
-	pc.misses++
-	pc.mu.Unlock()
-
 	p, err := join.Prepare(alg, ix, pat)
 	if err != nil {
 		return nil, err
 	}
-
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if el, ok := pc.entries[key]; ok {
-		pc.lru.MoveToFront(el)
-		return el.Value.(*prepEntry).p, nil
-	}
-	pc.entries[key] = pc.lru.PushFront(&prepEntry{key: key, p: p})
-	for pc.lru.Len() > pc.max {
-		oldest := pc.lru.Back()
-		pc.lru.Remove(oldest)
-		delete(pc.entries, oldest.Value.(*prepEntry).key)
-		pc.evictions++
-	}
-	return p, nil
+	return pc.lru.Add(key, p), nil
 }
 
 // PrepCacheStats is a snapshot of cache activity.
@@ -112,13 +76,6 @@ type PrepCacheStats struct {
 
 // Stats returns a snapshot of the cache counters.
 func (pc *PrepCache) Stats() PrepCacheStats {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return PrepCacheStats{
-		Size:      pc.lru.Len(),
-		Capacity:  pc.max,
-		Hits:      pc.hits,
-		Misses:    pc.misses,
-		Evictions: pc.evictions,
-	}
+	st := pc.lru.Stats()
+	return PrepCacheStats{Size: st.Size, Capacity: st.Capacity, Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions}
 }

@@ -90,13 +90,16 @@ func From(ctx context.Context, maxRows, maxBytes int64) *Ctx {
 		maxBytes = 0
 	}
 	var done <-chan struct{}
-	ctxErr := func() error { return nil }
 	if ctx != nil {
 		done = ctx.Done()
-		ctxErr = ctx.Err
 	}
 	if done == nil && maxRows == 0 && maxBytes == 0 {
 		return nil
+	}
+	// Bound only past the nil return: the method value is an allocation.
+	ctxErr := func() error { return nil }
+	if ctx != nil {
+		ctxErr = ctx.Err
 	}
 	return &Ctx{done: done, ctxErr: ctxErr, maxRows: maxRows, maxBytes: maxBytes, st: &state{}}
 }

@@ -1,4 +1,4 @@
-package exec
+package physical
 
 import (
 	"math/rand"
@@ -7,6 +7,7 @@ import (
 	"xqtp/internal/algebra"
 	"xqtp/internal/compile"
 	"xqtp/internal/core"
+	"xqtp/internal/exec"
 	"xqtp/internal/join"
 	"xqtp/internal/optimize"
 	"xqtp/internal/parser"
@@ -14,8 +15,6 @@ import (
 	"xqtp/internal/xdm"
 	"xqtp/internal/xmlstore"
 )
-
-var singles = map[string]bool{"d": true, "input": true, "dot": true}
 
 // pipeline runs the full compilation chain.
 func pipeline(t *testing.T, q string, optimized bool) algebra.Expr {
@@ -63,6 +62,22 @@ func engineVars(tr *xdm.Tree) map[string]xdm.Sequence {
 		"d":     xdm.Singleton(tr.Root),
 		"input": xdm.Singleton(tr.Root),
 	}
+}
+
+// evalPlan lowers plan for alg and runs it with the test queries' free
+// variables bound to tr's root, over a private catalog and prepared-join
+// cache; parallel caps the pattern operators' per-context-node workers.
+func evalPlan(plan algebra.Expr, alg join.Algorithm, tr *xdm.Tree, parallel int) (xdm.Sequence, error) {
+	p, err := Compile(plan, alg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(&Runtime{
+		Catalog:  xmlstore.NewCatalog(),
+		Preps:    exec.NewPrepCache(),
+		Parallel: parallel,
+		Vars:     p.BindVars(engineVars(tr)),
+	})
 }
 
 func seqEqual(a, b xdm.Sequence) bool {
@@ -168,7 +183,7 @@ func TestPlansMatchOracle(t *testing.T) {
 			tr := randomDoc(rng, 4+rng.Intn(70))
 			want, werr := oracle(t, q, tr)
 			// Unoptimized plan, NL only (no patterns to dispatch).
-			got, gerr := NewEngine(join.NestedLoop, engineVars(tr)).Run(rawPlan)
+			got, gerr := evalPlan(rawPlan, join.NestedLoop, tr, 0)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("%s seed %d (raw): error mismatch %v vs %v", q, seed, werr, gerr)
 			}
@@ -177,7 +192,7 @@ func TestPlansMatchOracle(t *testing.T) {
 					q, seed, want, got, algebra.String(rawPlan))
 			}
 			for _, alg := range algs {
-				got, gerr := NewEngine(alg, engineVars(tr)).Run(optPlan)
+				got, gerr := evalPlan(optPlan, alg, tr, 0)
 				if (werr == nil) != (gerr == nil) {
 					t.Fatalf("%s seed %d (%v): error mismatch %v vs %v", q, seed, alg, werr, gerr)
 				}
@@ -194,26 +209,28 @@ func TestPlansMatchOracle(t *testing.T) {
 	}
 }
 
-func TestEngineErrors(t *testing.T) {
+func TestEvalErrors(t *testing.T) {
 	tr, _ := xmlstore.ParseString(`<a><b/></a>`)
-	en := NewEngine(join.NestedLoop, engineVars(tr))
+	run := func(plan algebra.Expr) (xdm.Sequence, error) {
+		return evalPlan(plan, join.NestedLoop, tr, 0)
+	}
 	// Unbound variable.
-	if _, err := en.Run(&algebra.VarRef{Name: "nope"}); err == nil {
+	if _, err := run(&algebra.VarRef{Name: "nope"}); err == nil {
 		t.Error("unbound variable should fail")
 	}
 	// Field outside a tuple context.
-	if _, err := en.Run(&algebra.Field{Name: "dot"}); err == nil {
+	if _, err := run(&algebra.Field{Name: "dot"}); err == nil {
 		t.Error("unbound field should fail")
 	}
 	// Tuples where items expected.
 	p := &algebra.MapFromItem{Bind: "x", Input: &algebra.VarRef{Name: "d"}}
-	if _, err := en.Run(p); err == nil {
+	if _, err := run(p); err == nil {
 		t.Error("tuple result at top level should fail")
 	}
 	// TreeJoin over atomics.
 	tj := &algebra.TreeJoin{Axis: xdm.AxisChild, Test: xdm.NameTest("b"),
 		Input: &algebra.Const{Item: xdm.String("zap")}}
-	if _, err := en.Run(tj); err == nil {
+	if _, err := run(tj); err == nil {
 		t.Error("TreeJoin over atomic should fail")
 	}
 }
@@ -232,7 +249,7 @@ func TestHeadEarlyExitMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []join.Algorithm{join.NestedLoop, join.Staircase, join.Twig} {
-		got, err := NewEngine(alg, engineVars(tr)).Run(plan)
+		got, err := evalPlan(plan, alg, tr, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}

@@ -1,12 +1,14 @@
-package exec
+package physical
 
 import (
 	"math/rand"
 	"sync"
 	"testing"
 
+	"xqtp/internal/exec"
 	"xqtp/internal/join"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xmlstore"
 )
 
 // Parallel TupleTreePattern evaluation is deterministic and identical to
@@ -24,11 +26,8 @@ func TestParallelTTPMatchesSequential(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			tr := randomDoc(rng, 100+rng.Intn(200))
 			for _, alg := range []join.Algorithm{join.NestedLoop, join.Staircase, join.Twig} {
-				seqEngine := NewEngine(alg, engineVars(tr))
-				want, err1 := seqEngine.Run(plan)
-				parEngine := NewEngine(alg, engineVars(tr))
-				parEngine.Parallel = 4
-				got, err2 := parEngine.Run(plan)
+				want, err1 := evalPlan(plan, alg, tr, 0)
+				got, err2 := evalPlan(plan, alg, tr, 4)
 				if (err1 == nil) != (err2 == nil) {
 					t.Fatalf("%s/%v seed %d: error mismatch %v vs %v", q, alg, seed, err1, err2)
 				}
@@ -40,11 +39,11 @@ func TestParallelTTPMatchesSequential(t *testing.T) {
 	}
 }
 
-// One engine, many concurrent Run calls: the serving pattern. The shared
-// catalog builds each index once and the prepared-pattern cache is hit from
-// every goroutine; results must match the single-threaded run (run with
-// -race to validate the synchronization).
-func TestConcurrentRunsShareEngine(t *testing.T) {
+// One compiled plan and one runtime, many concurrent Run calls: the serving
+// pattern. The shared catalog builds each index once and the prepared-pattern
+// cache is hit from every goroutine; results must match the single-threaded
+// run (run with -race to validate the synchronization).
+func TestConcurrentRunsSharePlan(t *testing.T) {
 	queries := []string{
 		`$d//person[emailaddress]/name`,
 		`for $x in $d//person[emailaddress] return $x/name`,
@@ -54,10 +53,17 @@ func TestConcurrentRunsShareEngine(t *testing.T) {
 	trees := []*xdm.Tree{randomDoc(rng, 150), randomDoc(rng, 250)}
 	for _, alg := range []join.Algorithm{join.NestedLoop, join.Staircase, join.Twig, join.Auto} {
 		for _, q := range queries {
-			plan := pipeline(t, q, true)
+			p, err := Compile(pipeline(t, q, true), alg)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", q, alg, err)
+			}
 			for _, tr := range trees {
-				en := NewEngine(alg, engineVars(tr))
-				want, werr := en.Run(plan)
+				rt := &Runtime{
+					Catalog: xmlstore.NewCatalog(),
+					Preps:   exec.NewPrepCache(),
+					Vars:    p.BindVars(engineVars(tr)),
+				}
+				want, werr := p.Run(rt)
 				const goroutines = 8
 				outs := make([]xdm.Sequence, goroutines)
 				errs := make([]error, goroutines)
@@ -66,7 +72,7 @@ func TestConcurrentRunsShareEngine(t *testing.T) {
 					wg.Add(1)
 					go func(g int) {
 						defer wg.Done()
-						outs[g], errs[g] = en.Run(plan)
+						outs[g], errs[g] = p.Run(rt)
 					}(g)
 				}
 				wg.Wait()

@@ -77,7 +77,7 @@ type Runtime struct {
 	// falls back to building an index per pattern evaluation.
 	Catalog *xmlstore.Catalog
 	// Preps caches prepared joins across plans and documents. Nil falls back
-	// to the plan's private per-operator cache plus one-shot preparation.
+	// to one-shot preparation per pattern evaluation.
 	Preps PrepSource
 	// Parallel caps the goroutines evaluating one TupleTreePattern's context
 	// nodes concurrently (<=1: sequential).

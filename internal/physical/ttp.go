@@ -20,8 +20,7 @@ import (
 // pattern, the input and output slots, and the algorithm annotation (a
 // fixed algorithm, or Auto for the per-context cost-model choice inside
 // join.Prepared) — so evaluation resolves only the per-document prepared
-// join, through a single-entry cache sized for the one-document serving
-// path.
+// join, from the runtime's prepared-join cache.
 type opTTP struct {
 	p      *Plan
 	input  op
@@ -39,11 +38,6 @@ type opTTP struct {
 	// lowering time (explain annotation only).
 	minimized bool
 
-	// cache is the last (document, prepared join) this operator resolved;
-	// with one document — the serving case — every run after the first is a
-	// single pointer compare.
-	cache atomic.Pointer[ttpEntry]
-
 	// Actual-cardinality counters, maintained only when the Runtime sets
 	// CountCards: evaluations (context nodes evaluated), rows emitted, and
 	// evaluations skipped by the emptiness proof. They make the cost model's
@@ -53,35 +47,20 @@ type opTTP struct {
 	actSkips atomic.Int64
 }
 
-type ttpEntry struct {
-	tree *xdm.Tree
-	prep *join.Prepared
-}
-
-// prepFor resolves the prepared join for one document, consulting the
-// operator's last-document cache, then the runtime's shared prep cache.
+// prepFor resolves the prepared join for one document through the runtime's
+// catalog and prepared-join cache (one-shot index build and preparation when
+// the runtime carries neither).
 func (o *opTTP) prepFor(rt *Runtime, t *xdm.Tree) (*join.Prepared, error) {
-	if e := o.cache.Load(); e != nil && e.tree == t {
-		return e.prep, nil
-	}
 	var ix *xmlstore.Index
 	if rt.Catalog != nil {
 		ix = rt.Catalog.Index(t)
 	} else {
 		ix = xmlstore.BuildIndex(t)
 	}
-	var p *join.Prepared
-	var err error
 	if rt.Preps != nil {
-		p, err = rt.Preps.Prepared(o.alg, ix, o.pat)
-	} else {
-		p, err = join.Prepare(o.alg, ix, o.pat)
+		return rt.Preps.Prepared(o.alg, ix, o.pat)
 	}
-	if err != nil {
-		return nil, err
-	}
-	o.cache.Store(&ttpEntry{tree: t, prep: p})
-	return p, nil
+	return join.Prepare(o.alg, ix, o.pat)
 }
 
 // row pairs an input frame with one pattern binding.

@@ -12,10 +12,15 @@ import (
 // structurally identical expressions and compile to identical plans.
 // Free variables keep their names.
 func Canonicalize(e core.Expr) core.Expr {
-	used := map[string]bool{}
-	freeVars(e, map[string]bool{}, used)
-	c := &canonizer{used: used, rename: map[string]string{}}
+	c := &canonizer{used: FreeVars(e), rename: map[string]string{}}
 	return c.rw(e)
+}
+
+// FreeVars returns the set of variable names that occur free in e.
+func FreeVars(e core.Expr) map[string]bool {
+	out := map[string]bool{}
+	freeVars(e, map[string]bool{}, out)
+	return out
 }
 
 // freeVars collects variable names that occur free in e (canonical names

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"container/list"
-	"sync"
-
 	"xqtp"
+	"xqtp/internal/lru"
 )
 
 // cacheKey identifies one cacheable response: everything that determines the
@@ -42,28 +40,16 @@ type cacheEntry struct {
 // cap are never stored: one huge result must not evict the whole working set
 // of small hot answers.
 type resultCache struct {
-	mu       sync.Mutex
-	maxN     int
-	maxBytes int64
+	lru      *lru.Cache[cacheKey, *cacheEntry]
 	perEntry int64
-	lru      *list.List // front = most recently used; values are *cacheEntry
-	entries  map[cacheKey]*list.Element
-	bytes    int64
-
-	hits, misses, evictions uint64
 }
 
 func newResultCache(maxN int, maxBytes int64) *resultCache {
-	perEntry := maxBytes / 8
-	if perEntry < 1 {
-		perEntry = 1
-	}
 	return &resultCache{
-		maxN:     maxN,
-		maxBytes: maxBytes,
-		perEntry: perEntry,
-		lru:      list.New(),
-		entries:  make(map[cacheKey]*list.Element, min(maxN, 64)),
+		lru: lru.NewWeighted[cacheKey](maxN, maxBytes, func(e *cacheEntry) int64 {
+			return int64(len(e.body))
+		}),
+		perEntry: max(maxBytes/8, 1),
 	}
 }
 
@@ -72,46 +58,17 @@ func (rc *resultCache) get(key cacheKey) (*cacheEntry, bool) {
 	if rc == nil {
 		return nil, false
 	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	el, ok := rc.entries[key]
-	if !ok {
-		rc.misses++
-		return nil, false
-	}
-	rc.hits++
-	rc.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry), true
+	return rc.lru.Get(key)
 }
 
 // put stores a completed response, evicting from the LRU tail until both
-// bounds hold. Oversized bodies are dropped silently.
+// bounds hold. Oversized bodies are dropped silently; of two concurrent
+// misses on one key the first stored stays (same key, same bytes).
 func (rc *resultCache) put(e *cacheEntry) {
 	if rc == nil || int64(len(e.body)) > rc.perEntry {
 		return
 	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if el, ok := rc.entries[e.key]; ok {
-		// Same key stored twice (concurrent misses): keep the fresher body.
-		rc.bytes += int64(len(e.body)) - int64(len(el.Value.(*cacheEntry).body))
-		el.Value = e
-		rc.lru.MoveToFront(el)
-	} else {
-		rc.entries[e.key] = rc.lru.PushFront(e)
-		rc.bytes += int64(len(e.body))
-	}
-	for rc.lru.Len() > rc.maxN || rc.bytes > rc.maxBytes {
-		oldest := rc.lru.Back()
-		if oldest == nil {
-			break
-		}
-		ev := oldest.Value.(*cacheEntry)
-		rc.lru.Remove(oldest)
-		delete(rc.entries, ev.key)
-		rc.bytes -= int64(len(ev.body))
-		rc.evictions++
-	}
+	rc.lru.Add(e.key, e)
 }
 
 // invalidateCorpus drops every entry of the named corpus. The epoch key
@@ -122,18 +79,7 @@ func (rc *resultCache) invalidateCorpus(name string) {
 	if rc == nil {
 		return
 	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	for el := rc.lru.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*cacheEntry); e.key.corpus == name {
-			rc.lru.Remove(el)
-			delete(rc.entries, e.key)
-			rc.bytes -= int64(len(e.body))
-			rc.evictions++
-		}
-		el = next
-	}
+	rc.lru.RemoveIf(func(k cacheKey, _ *cacheEntry) bool { return k.corpus == name })
 }
 
 // CacheStats is a snapshot of the result cache counters, exported on
@@ -152,15 +98,9 @@ func (rc *resultCache) stats() CacheStats {
 	if rc == nil {
 		return CacheStats{}
 	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
+	st := rc.lru.Stats()
 	return CacheStats{
-		Entries:   rc.lru.Len(),
-		Bytes:     rc.bytes,
-		Capacity:  rc.maxN,
-		MaxBytes:  rc.maxBytes,
-		Hits:      rc.hits,
-		Misses:    rc.misses,
-		Evictions: rc.evictions,
+		Entries: st.Size, Bytes: st.Weight, Capacity: st.Capacity, MaxBytes: st.MaxWeight,
+		Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
 	}
 }

@@ -1,9 +1,6 @@
 package xqtp
 
-import (
-	"container/list"
-	"sync"
-)
+import "xqtp/internal/lru"
 
 // DefaultPlanCacheSize is the capacity of the package-level plan cache used
 // by PrepareCached.
@@ -19,22 +16,12 @@ const DefaultPlanCacheSize = 256
 // between callers; they are immutable after compilation and safe to Run
 // from many goroutines.
 type PlanCache struct {
-	mu      sync.Mutex
-	max     int
-	lru     *list.List // front = most recently used; values are *planEntry
-	entries map[planKey]*list.Element
-
-	hits, misses, evictions uint64
+	lru *lru.Cache[planKey, *Query]
 }
 
 type planKey struct {
 	query string
 	opts  CompileOptions
-}
-
-type planEntry struct {
-	key planKey
-	q   *Query
 }
 
 // NewPlanCache builds a cache holding at most size compiled queries
@@ -43,11 +30,7 @@ func NewPlanCache(size int) *PlanCache {
 	if size <= 0 {
 		size = DefaultPlanCacheSize
 	}
-	return &PlanCache{
-		max:     size,
-		lru:     list.New(),
-		entries: make(map[planKey]*list.Element, size),
-	}
+	return &PlanCache{lru: lru.New[planKey, *Query](size)}
 }
 
 // Prepare returns the cached compilation of query under DefaultOptions,
@@ -60,45 +43,21 @@ func (c *PlanCache) Prepare(query string) (*Query, error) {
 // compiling and caching it on a miss. The compile itself runs outside the
 // cache lock, so a slow compilation never blocks cache hits; concurrent
 // misses on the same key may compile twice, and the first stored entry
-// wins.
+// wins, so every caller shares one Query (and one prepared-pattern cache).
 func (c *PlanCache) PrepareWithOptions(query string, opts CompileOptions) (*Query, error) {
 	if opts.ContextVar == "" {
 		// Normalize so "" and the explicit default share one entry.
 		opts.ContextVar = "dot"
 	}
 	key := planKey{query: query, opts: opts}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		q := el.Value.(*planEntry).q
-		c.mu.Unlock()
+	if q, ok := c.lru.Get(key); ok {
 		return q, nil
 	}
-	c.misses++
-	c.mu.Unlock()
-
 	q, err := PrepareWithOptions(query, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		// Lost the race: keep the first entry so every caller shares one
-		// Query (and one prepared-pattern cache).
-		c.lru.MoveToFront(el)
-		return el.Value.(*planEntry).q, nil
-	}
-	c.entries[key] = c.lru.PushFront(&planEntry{key: key, q: q})
-	for c.lru.Len() > c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*planEntry).key)
-		c.evictions++
-	}
-	return q, nil
+	return c.lru.Add(key, q), nil
 }
 
 // PlanCacheStats is a snapshot of cache activity.
@@ -112,25 +71,12 @@ type PlanCacheStats struct {
 
 // Stats returns a snapshot of the cache counters.
 func (c *PlanCache) Stats() PlanCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return PlanCacheStats{
-		Size:      c.lru.Len(),
-		Capacity:  c.max,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-	}
+	st := c.lru.Stats()
+	return PlanCacheStats{Size: st.Size, Capacity: st.Capacity, Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions}
 }
 
 // Reset empties the cache and zeroes its counters.
-func (c *PlanCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lru.Init()
-	c.entries = make(map[planKey]*list.Element, c.max)
-	c.hits, c.misses, c.evictions = 0, 0, 0
-}
+func (c *PlanCache) Reset() { c.lru.Reset() }
 
 // defaultPlanCache backs PrepareCached / PrepareCachedWithOptions.
 var defaultPlanCache = NewPlanCache(DefaultPlanCacheSize)

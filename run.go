@@ -3,9 +3,13 @@ package xqtp
 import (
 	"context"
 	"runtime"
+	"sync/atomic"
 	"time"
 
+	"xqtp/internal/collection"
 	"xqtp/internal/execctx"
+	"xqtp/internal/physical"
+	"xqtp/internal/xdm"
 )
 
 // ErrCanceled reports a run cut short by its context: cancellation or an
@@ -77,8 +81,11 @@ type RunInfo struct {
 	// Rows and Bytes count the delivered result items and their estimated
 	// size (the quantities the budgets meter).
 	Rows, Bytes int64
-	// Members and Skipped mirror RunStats for corpus runs (zero for
-	// single-document runs).
+	// Members is the number of corpus members the run addressed — the corpus
+	// size for a Corpus run, 1 for a Document run (a document is a one-member
+	// corpus) — and Skipped how many of them the emptiness proof elided
+	// without evaluation (always 0 for a Document run, which has no skip
+	// test).
 	Members, Skipped int
 }
 
@@ -91,46 +98,72 @@ func normalizeWorkers(workers int) int {
 	return workers
 }
 
-// RunCtx is Run under a context: the evaluation polls ctx at bounded
-// intervals and aborts with ErrCanceled (wrapping the context's cause) once
-// it is done. With a background context it is exactly Run.
-func (q *Query) RunCtx(ctx context.Context, doc *Document, alg Algorithm) (Sequence, error) {
-	if err := doc.closedErr(); err != nil {
-		return nil, err
-	}
-	p, err := q.physicalPlan(alg)
-	if err != nil {
-		return nil, err
-	}
-	rt := q.runtime(doc, 0)
-	rt.EC = execctx.From(ctx, 0, 0)
-	return p.Run(rt)
-}
-
-// RunParallelCtx is RunParallel under a context; workers <= 0 means one
-// worker per available CPU.
-func (q *Query) RunParallelCtx(ctx context.Context, doc *Document, alg Algorithm, workers int) (Sequence, error) {
-	if err := doc.closedErr(); err != nil {
-		return nil, err
-	}
-	p, err := q.physicalPlan(alg)
-	if err != nil {
-		return nil, err
-	}
-	rt := q.runtime(doc, normalizeWorkers(workers))
-	rt.EC = execctx.From(ctx, 0, 0)
-	return p.Run(rt)
-}
-
-// RunWith evaluates the query under a context with deadlines, budgets, and
-// streaming delivery. Result items flow to opts.Sink as they are produced
-// (a nil Sink collects them into the returned Sequence). On cancellation or
-// a spent budget the delivered items are a prefix of the full result in
-// document order, the returned Sequence (nil-Sink case) holds that prefix,
-// and the error matches ErrCanceled or ErrBudgetExceeded.
+// RunWith evaluates the query against a document under a context with
+// deadlines, budgets, and streaming delivery. Result items flow to opts.Sink
+// as they are produced (a nil Sink collects them into the returned
+// Sequence). On cancellation or a spent budget the delivered items are a
+// prefix of the full result in document order, the returned Sequence
+// (nil-Sink case) holds that prefix, and the error matches ErrCanceled or
+// ErrBudgetExceeded. A member view of a Corpus resolves fn:doc and
+// fn:collection corpus-wide.
 func (q *Query) RunWith(ctx context.Context, doc *Document, alg Algorithm, opts RunOptions) (Sequence, RunInfo, error) {
-	if err := doc.closedErr(); err != nil {
-		return nil, RunInfo{}, err
+	return run(ctx, q, doc.c, doc.i, alg, opts, rootBound)
+}
+
+// RunWith evaluates the query against the corpus, in one of two shapes
+// chosen by the plan itself:
+//
+// Root-bound plans (no fn:doc/fn:collection) fan out one evaluation per
+// member on up to opts.Workers goroutines — the context item and every free
+// variable bound to the member's document node, exactly as Query.RunWith
+// binds a single Document — and the per-document results merge in corpus
+// order, so the output is byte-identical at any worker count. Members where
+// some required step of the plan (physical.RequiredSteps over the
+// conjunctive patterns) has an empty rank stream — the name absent entirely,
+// or present only as the wrong node kind — are skipped without evaluation;
+// the members that do run pick their algorithm per member through the cost
+// model when alg is Auto.
+//
+// Plans that call fn:doc or fn:collection see the whole corpus at once: they
+// evaluate once with the corpus bound as the document resolver, and
+// opts.Workers instead caps the pattern operators' per-context-node
+// parallelism (a fn:collection()-rooted pattern's context nodes are the
+// member roots, so cross-document parallelism falls out of the existing
+// fan-out).
+//
+// Results flow to opts.Sink in corpus order as the merge admits them (a nil
+// Sink collects into the returned Sequence). Budgets are charged at the
+// merge point, so a stopped run's delivered items are exactly the first rows
+// of the full corpus-order result; in-flight member evaluations past the
+// stop are cut short and discarded. opts.Workers <= 0 means one worker per
+// available CPU.
+func (c *Corpus) RunWith(ctx context.Context, q *Query, alg Algorithm, opts RunOptions) (Sequence, RunInfo, error) {
+	opts.Workers = normalizeWorkers(opts.Workers)
+	return run(ctx, q, c.c, allMembers, alg, opts, rootBound)
+}
+
+// allMembers is run's member argument for a whole-corpus evaluation.
+const allMembers = -1
+
+// rootBound is run's default variable binding: none explicit, so the context
+// item and every free variable are the evaluated member's document node.
+func rootBound(*physical.Plan) []*xdm.Sequence { return nil }
+
+// run is the one evaluation path behind every public Run*: closed check,
+// physical plan, execution context, runtime, then one of three shapes.
+// member selects one member of c or allMembers; bind resolves the explicit
+// variable bindings against the plan's slots (rootBound, or RunWithVars's).
+//
+// A single member, and any plan that reaches documents through
+// fn:doc/fn:collection, evaluates once, streaming to the sink under the full
+// execution context. Otherwise the plan fans out: member evaluations run
+// under a cancel-only view of ec — they observe the stop but never charge
+// the budgets — and the merge charges each delivered item in corpus order,
+// so budget cutoffs land on the exact corpus-order prefix regardless of how
+// the worker pool interleaved.
+func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Algorithm, opts RunOptions, bind func(*physical.Plan) []*xdm.Sequence) (Sequence, RunInfo, error) {
+	if c.Closed() {
+		return nil, RunInfo{}, ErrClosed
 	}
 	p, err := q.physicalPlan(alg)
 	if err != nil {
@@ -139,18 +172,95 @@ func (q *Query) RunWith(ctx context.Context, doc *Document, alg Algorithm, opts 
 	ctx, cancel := opts.context(ctx)
 	defer cancel()
 	ec := execctx.From(ctx, opts.MaxRows, opts.MaxBytes)
-	rt := q.runtime(doc, opts.Workers)
-	rt.EC = ec
+	// The runtime and the default sink share one allocation, so a plain
+	// Query.Run allocates nothing for collecting its result.
+	var st struct {
+		rt  physical.Runtime
+		col execctx.Collector
+	}
+	st.rt = physical.Runtime{
+		Catalog:  c.Catalog(),
+		Preps:    q.preps,
+		Parallel: opts.Workers,
+		Docs:     c,
+		Vars:     bind(p),
+		EC:       ec,
+	}
+	rt := &st.rt
 	sink := opts.Sink
-	var col *execctx.Collector
 	if sink == nil {
-		col = &execctx.Collector{}
-		sink = col
+		sink = &st.col
 	}
-	err = p.RunSink(rt, sink)
-	info := RunInfo{Rows: ec.Rows(), Bytes: ec.Bytes()}
-	if col != nil {
-		return col.Seq, info, err
+	info := RunInfo{Members: c.Len()}
+	switch {
+	case member != allMembers:
+		info.Members = 1
+		var d *collection.Doc
+		if d, err = c.Loaded(member); err == nil {
+			rt.Root = d.RootSeq()
+			err = p.RunSink(rt, sink)
+		}
+	case p.UsesDocAccess():
+		err = p.RunSink(rt, sink)
+	default:
+		skip, skipped := memberSkipTest(c, p.RequiredSteps())
+		rt.Parallel, rt.EC = 0, ec.CancelOnly()
+		err = c.RunAllCtx(ec, opts.Workers, skip, func(d *collection.Doc) (Sequence, error) {
+			// A deferred member parses and validates here, on the worker that
+			// evaluates it; a corrupt member becomes this member's query error.
+			if err := d.Ensure(); err != nil {
+				return nil, err
+			}
+			mrt := *rt
+			mrt.Root = d.RootSeq()
+			return p.Run(&mrt)
+		}, func(seq Sequence) error {
+			return execctx.Deliver(ec, sink, seq)
+		})
+		info.Skipped = int(skipped.Load())
 	}
-	return nil, info, err
+	info.Rows, info.Bytes = ec.Rows(), ec.Bytes()
+	return st.col.Seq, info, err
+}
+
+// memberSkipTest builds the fan-out's per-member emptiness proof: member i
+// is skipped when some required step's rank stream is empty there. It
+// returns a nil test when the plan requires nothing.
+func memberSkipTest(c *collection.Corpus, required []physical.RequiredStep) (func(int) bool, *atomic.Int64) {
+	skipped := new(atomic.Int64)
+	if len(required) == 0 {
+		return nil, skipped
+	}
+	// Hoist the name-table lookups: one symbol column per required step, then
+	// the per-member test is an array index plus a stream length — no string
+	// hashing anywhere in the fan-out.
+	nt := c.Names()
+	cols := make([][]xdm.Sym, len(required))
+	for k, r := range required {
+		cols[k] = nt.SymColumn(r.Name)
+	}
+	docs := c.Docs()
+	return func(i int) bool {
+		ix := docs[i].Index
+		for k, r := range required {
+			col := cols[k]
+			if col == nil || col[i] == xdm.NoSym {
+				skipped.Add(1)
+				return true
+			}
+			// StreamLen answers from the loaded index or, for a deferred
+			// member, from its section directory — a definite count either
+			// way, without paging in the member's data. ok=false means the
+			// directory itself is unreadable: admit the member so its load
+			// error surfaces as a query error instead of a silent skip.
+			if n, ok := ix.StreamLen(col[i], r.Attr); ok && n == 0 {
+				skipped.Add(1)
+				return true
+			}
+		}
+		// The member will run: hint the kernel to page its region in ahead of
+		// the parse (no-op once loaded or unmapped).
+		ix.Prefetch()
+		return false
+	}, skipped
 }

@@ -15,17 +15,15 @@ func (q *Query) PrepStats() PrepCacheStats { return q.preps.Stats() }
 // PrepStats. Size and Capacity sum too, so the ratio Size/Capacity keeps its
 // "how full" meaning across the fleet of per-query caches.
 func (c *PlanCache) PrepStats() PrepCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var total PrepCacheStats
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		s := el.Value.(*planEntry).q.preps.Stats()
+	c.lru.Each(func(_ planKey, q *Query) {
+		s := q.preps.Stats()
 		total.Size += s.Size
 		total.Capacity += s.Capacity
 		total.Hits += s.Hits
 		total.Misses += s.Misses
 		total.Evictions += s.Evictions
-	}
+	})
 	return total
 }
 

@@ -5,12 +5,7 @@ import (
 	"strings"
 
 	"xqtp/internal/algebra"
-	"xqtp/internal/compile"
 	"xqtp/internal/core"
-	"xqtp/internal/exec"
-	"xqtp/internal/optimize"
-	"xqtp/internal/parser"
-	"xqtp/internal/rewrite"
 )
 
 // TraceStep is one intermediate state of the compilation pipeline.
@@ -34,51 +29,20 @@ type Trace struct {
 // intermediate rewriting state.
 func PrepareTraced(query string) (*Query, *Trace, error) {
 	tr := &Trace{Source: query}
-	surface, err := parser.Parse(query)
+	q, err := prepare(query, DefaultOptions, tr)
 	if err != nil {
 		return nil, nil, err
-	}
-	normalized, err := core.Normalize(surface, "dot")
-	if err != nil {
-		return nil, nil, err
-	}
-	tr.Core = core.String(normalized)
-	free := freeVariables(normalized)
-	singletons := map[string]bool{}
-	for _, v := range free {
-		singletons[v] = true
-	}
-	rewritten := rewrite.Rewrite(normalized, rewrite.Options{
-		SingletonVars: singletons,
-		Trace: func(phase string, e core.Expr) {
-			tr.CoreSteps = append(tr.CoreSteps, TraceStep{Phase: phase, Repr: core.String(e)})
-		},
-	})
-	plan, err := compile.Compile(rewritten)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr.Plan = algebra.String(plan)
-	optimized := optimize.Optimize(plan, optimize.Options{
-		SingletonVars: singletons,
-		Trace: func(step int, p algebra.Expr) {
-			tr.PlanSteps = append(tr.PlanSteps, TraceStep{
-				Phase: fmt.Sprintf("rule %d", step),
-				Repr:  algebra.String(p),
-			})
-		},
-	})
-	q := &Query{
-		Source:    query,
-		surface:   surface,
-		coreExpr:  normalized,
-		rewritten: rewritten,
-		plan:      plan,
-		optimized: optimized,
-		freeVars:  free,
-		preps:     exec.NewPrepCache(),
 	}
 	return q, tr, nil
+}
+
+// coreStep and planStep are the rewriter's and the optimizer's trace hooks.
+func (tr *Trace) coreStep(phase string, e core.Expr) {
+	tr.CoreSteps = append(tr.CoreSteps, TraceStep{Phase: phase, Repr: core.String(e)})
+}
+
+func (tr *Trace) planStep(step int, p algebra.Expr) {
+	tr.PlanSteps = append(tr.PlanSteps, TraceStep{Phase: fmt.Sprintf("rule %d", step), Repr: algebra.String(p)})
 }
 
 // String renders the trace, skipping consecutive identical states.

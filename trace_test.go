@@ -45,3 +45,26 @@ func TestPrepareTraced(t *testing.T) {
 		t.Errorf("traced query run: %d items, %v", len(items), err)
 	}
 }
+
+// PrepareTraced and Prepare share one compile pipeline: tracing never changes
+// the plan, and the trace ends on it.
+func TestPrepareTracedPlanEqualsPrepare(t *testing.T) {
+	for _, list := range [][]PaperQuery{Figure1Queries, QEQueries, XMarkQueries} {
+		for _, pq := range list {
+			q, err := Prepare(pq.Query)
+			if err != nil {
+				t.Fatalf("%s: %v", pq.Name, err)
+			}
+			traced, tr, err := PrepareTraced(pq.Query)
+			if err != nil {
+				t.Fatalf("%s: traced: %v", pq.Name, err)
+			}
+			if traced.Plan() != q.Plan() {
+				t.Errorf("%s: traced plan differs:\n  %s\n  %s", pq.Name, traced.Plan(), q.Plan())
+			}
+			if tr.Plan != q.UnoptimizedPlan() {
+				t.Errorf("%s: trace's compiled plan differs:\n  %s\n  %s", pq.Name, tr.Plan, q.UnoptimizedPlan())
+			}
+		}
+	}
+}

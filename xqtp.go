@@ -21,13 +21,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"xqtp/internal/algebra"
 	"xqtp/internal/ast"
+	"xqtp/internal/collection"
 	"xqtp/internal/compile"
 	"xqtp/internal/core"
 	"xqtp/internal/exec"
@@ -86,131 +85,104 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 	return join.ParseAlgorithm(name)
 }
 
-// Document is a loaded XML document with its index structures. A Document
-// is immutable after load and safe for concurrent Run calls; its catalog
-// hands every engine the same prebuilt index.
+// Document is a loaded XML document with its index structures: a view of
+// one member of a corpus. A standalone document (LoadXML*, LoadSnapshot,
+// OpenSnapshotFile, the generators) is the only member of a private
+// one-member corpus, which it owns; Corpus.Document and Corpus.DocumentAt
+// return views that borrow the corpus. Either way the document runs,
+// resolves fn:doc/fn:collection and reports ErrClosed through the corpus, so
+// the two shapes cannot drift apart. A Document is immutable after load and
+// safe for concurrent Run calls.
 type Document struct {
-	tree    *xdm.Tree
-	index   *xmlstore.Index
-	catalog *xmlstore.Catalog
-	// rootSeq is the document node as a singleton sequence, allocated once:
-	// the uniform binding Run hands to every free variable.
-	rootSeq xdm.Sequence
-	// uri names the document for fn:doc resolution ("" when loaded from a
-	// reader or string without a name).
-	uri string
-	// docs, when the document is a corpus member, resolves fn:doc and
-	// fn:collection against the whole corpus; nil documents resolve against
-	// themselves (the degenerate one-document collection).
-	docs xdm.DocResolver
-	// mapping is the file mapping behind a document opened with
-	// OpenSnapshotFile; nil otherwise. Close releases it.
-	mapping *xmlstore.Mapping
-	closed  atomic.Bool
+	c *collection.Corpus
+	i int // member position in c
+	// owned marks a standalone document: Close closes c, SetURI names the
+	// member. A borrowed view leaves both to the Corpus it came from.
+	owned bool
 }
 
 // LoadXML parses an XML document through the fused ingest path: one pass
 // over the input builds the tree, its columns, and the tag-stream index
 // together (no separate finalize or index walk).
 func LoadXML(r io.Reader) (*Document, error) {
-	ix, err := xmlstore.IngestReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return newDocumentIndexed(ix), nil
+	return newDocument(xmlstore.IngestReader(r))
 }
 
 // LoadXMLBytes ingests an XML document held in a byte slice. It takes
 // ownership of data: the document's text values alias the buffer, so the
 // caller must not modify it afterwards.
 func LoadXMLBytes(data []byte) (*Document, error) {
-	ix, err := xmlstore.Ingest(data)
-	if err != nil {
-		return nil, err
-	}
-	return newDocumentIndexed(ix), nil
+	return newDocument(xmlstore.Ingest(data))
 }
 
 // LoadXMLString ingests an XML document held in a string.
 func LoadXMLString(s string) (*Document, error) {
-	ix, err := xmlstore.IngestString(s)
+	return newDocument(xmlstore.IngestString(s))
+}
+
+// newDocument wraps a loader's result as a standalone document: the only
+// member of a one-member corpus it owns.
+func newDocument(ix *xmlstore.Index, err error) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newDocumentIndexed(ix), nil
+	return &Document{c: collection.Single("", ix), owned: true}, nil
 }
 
-// newDocument wraps an already-built tree (used by the generators and the
-// benchmark harness).
-func newDocument(t *xdm.Tree) *Document {
-	cat := xmlstore.NewCatalog()
-	return &Document{tree: t, index: cat.Index(t), catalog: cat, rootSeq: xdm.Singleton(t.RootNode())}
-}
-
-// newDocumentIndexed wraps a fused ingest result, registering its
-// already-built index in the catalog so no engine ever rebuilds it.
-func newDocumentIndexed(ix *xmlstore.Index) *Document {
-	cat := xmlstore.NewCatalog()
-	cat.Register(ix)
-	return &Document{tree: ix.Tree, index: ix, catalog: cat, rootSeq: xdm.Singleton(ix.Tree.RootNode())}
-}
+// member returns the document's corpus member.
+func (d *Document) member() *collection.Doc { return d.c.Doc(d.i) }
 
 // Root returns the document node.
-func (d *Document) Root() *Node { return d.tree.Root }
+func (d *Document) Root() *Node { return d.member().Root() }
 
 // URI returns the document's name for fn:doc resolution ("" when loaded
 // without one).
-func (d *Document) URI() string { return d.uri }
+func (d *Document) URI() string { return d.member().URI }
 
-// SetURI names the document for fn:doc resolution. Call before sharing the
-// document across goroutines.
-func (d *Document) SetURI(uri string) { d.uri = uri }
-
-// ResolveDoc implements xdm.DocResolver for a standalone document — the
-// degenerate one-document collection: only the document's own URI resolves.
-func (d *Document) ResolveDoc(uri string) (*xdm.Node, error) {
-	if d.uri != "" && uri == d.uri {
-		return d.tree.Root, nil
+// SetURI names a standalone document for fn:doc resolution. Call before
+// sharing the document across goroutines. On a member view of a Corpus it
+// does nothing: the corpus names its members.
+func (d *Document) SetURI(uri string) {
+	if d.owned {
+		d.c.SetURI(d.i, uri)
 	}
-	return nil, fmt.Errorf("doc(%q): no such document", uri)
-}
-
-// ResolveCollection implements xdm.DocResolver for a standalone document:
-// the default collection is the document itself.
-func (d *Document) ResolveCollection(name string) (xdm.Sequence, error) {
-	if name != "" {
-		return nil, fmt.Errorf("collection(%q): no such collection (only the default collection is defined)", name)
-	}
-	return d.rootSeq, nil
 }
 
 // NumNodes returns the number of nodes in the document (including the
 // document node and attributes).
-func (d *Document) NumNodes() int { return d.tree.CountNodes() }
+func (d *Document) NumNodes() int { return d.member().Index.NumNodes() }
 
 // SizeBytes returns the serialized size of the document.
 func (d *Document) SizeBytes() int {
-	return len(xmlstore.AppendXML(nil, d.tree.Root))
+	return len(xmlstore.AppendXML(nil, d.Root()))
 }
 
 // XML serializes the document.
-func (d *Document) XML() string { return xmlstore.SerializeString(d.tree.Root) }
+func (d *Document) XML() string { return xmlstore.SerializeString(d.Root()) }
 
 // WriteXML serializes the document to w without materializing the whole
 // document as a string first.
 func (d *Document) WriteXML(w io.Writer) error {
-	return xmlstore.Serialize(w, d.tree.Root)
+	m, err := d.c.Loaded(d.i)
+	if err != nil {
+		return err
+	}
+	return xmlstore.Serialize(w, m.Root())
 }
 
 // SaveSnapshot writes the document in the columnar binary snapshot format:
 // the region columns and index streams go out as-is, so loading skips both
 // the parse and the index build.
 func (d *Document) SaveSnapshot(w io.Writer) error {
+	m, err := d.c.Loaded(d.i)
+	if err != nil {
+		return err
+	}
 	// A one-member corpus snapshot carrying the document's URI, so a
 	// file-mapped reopen (OpenSnapshotFile) restores fn:doc resolution.
 	return xmlstore.WriteCorpus(w, &xmlstore.CorpusSnapshot{
-		URIs:    []string{d.uri},
-		Indexes: []*xmlstore.Index{d.index},
+		URIs:    []string{m.URI},
+		Indexes: []*xmlstore.Index{m.Index},
 	})
 }
 
@@ -218,77 +190,53 @@ func (d *Document) SaveSnapshot(w io.Writer) error {
 // tag-stream index come straight from the stored columns — no region
 // encoding or index rebuild.
 func LoadSnapshot(r io.Reader) (*Document, error) {
-	ix, err := xmlstore.ReadSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	return newDocumentIndexed(ix), nil
+	return newDocument(xmlstore.ReadSnapshot(r))
 }
 
 // OpenSnapshotFile opens a single-document snapshot by memory-mapping the
 // file: the columns, symbol table and rank streams alias the mapping
 // directly, so no copy of the document is made and cold pages load on
 // demand. The document owns the mapping — call Close to release it; after
-// Close the Run entry points return ErrClosed. Unlike the deferred corpus
-// open, the single member is validated here (the open reports corruption
-// immediately rather than at first query).
+// Close every entry point that can return an error returns ErrClosed. Unlike
+// the deferred corpus open, the single member is validated here (the open
+// reports corruption immediately rather than at first query).
 func OpenSnapshotFile(path string) (*Document, error) {
-	m, err := xmlstore.MapFile(path)
+	c, err := collection.OpenSnapshotFile(path)
 	if err != nil {
 		return nil, err
 	}
-	s, err := xmlstore.OpenCorpusMapping(m)
-	if err != nil {
-		m.Close()
+	if c.Len() != 1 {
+		c.Close()
+		return nil, fmt.Errorf("xqtp: snapshot holds %d members; use OpenCorpusFile for corpora", c.Len())
+	}
+	if _, err := c.Loaded(0); err != nil {
+		c.Close()
 		return nil, err
 	}
-	if len(s.Indexes) != 1 {
-		m.Close()
-		return nil, fmt.Errorf("xqtp: snapshot holds %d members; use OpenCorpusFile for corpora", len(s.Indexes))
-	}
-	if err := s.Indexes[0].Ensure(); err != nil {
-		m.Close()
-		return nil, err
-	}
-	d := newDocumentIndexed(s.Indexes[0])
-	d.mapping = m
-	if len(s.URIs) == 1 {
-		d.uri = s.URIs[0]
-	}
-	return d, nil
+	return &Document{c: c, owned: true}, nil
 }
 
-// Close poisons the document and releases its snapshot file mapping (if
-// any). After Close the Run entry points return ErrClosed; so does a second
-// Close. Closing while queries are in flight is a caller bug, exactly as
-// with os.File. Close on a parsed (non-mapped) document only poisons it.
+// Close closes a standalone document: it poisons the document and releases
+// its snapshot file mapping (if any), after which every entry point that can
+// return an error returns ErrClosed; so does a second Close. Closing while
+// queries are in flight is a caller bug, exactly as with os.File. A member
+// view borrowed from a Corpus cannot close it under its siblings: Close
+// returns an error and changes nothing (ErrClosed once the Corpus is closed).
 func (d *Document) Close() error {
-	if !d.closed.CompareAndSwap(false, true) {
-		return ErrClosed
+	if d.owned || d.c.Closed() {
+		return d.c.Close()
 	}
-	if d.mapping != nil {
-		return d.mapping.Close()
-	}
-	return nil
+	// Name the member by position: its URI may alias the corpus's mapping.
+	return fmt.Errorf("xqtp: Close on corpus member view %d: close the Corpus", d.i)
 }
 
-// Closed reports whether Close has been called.
-func (d *Document) Closed() bool { return d.closed.Load() }
+// Closed reports whether the document's corpus has been closed.
+func (d *Document) Closed() bool { return d.c.Closed() }
 
 // Mapped reports whether the document is backed by a live file mapping
-// (true only for OpenSnapshotFile documents on mmap-capable builds, before
-// Close).
-func (d *Document) Mapped() bool {
-	return d.mapping != nil && d.mapping.Mapped()
-}
-
-// closedErr is the entry-point check used by the Run paths.
-func (d *Document) closedErr() error {
-	if d.closed.Load() {
-		return ErrClosed
-	}
-	return nil
-}
+// (OpenSnapshotFile documents and members of OpenCorpusFile corpora on
+// mmap-capable builds, before Close).
+func (d *Document) Mapped() bool { return d.c.Mapped() }
 
 // CompileOptions configures query preparation.
 type CompileOptions struct {
@@ -327,7 +275,6 @@ type Query struct {
 	rewritten core.Expr // TPNF′
 	plan      algebra.Expr
 	optimized algebra.Expr
-	freeVars  []string
 
 	// preps caches (pattern, document, algorithm) join preparations across
 	// runs of this query, so serving workloads resolve each pattern's tag
@@ -346,6 +293,13 @@ func Prepare(query string) (*Query, error) {
 
 // PrepareWithOptions compiles a query through all phases of Fig. 2.
 func PrepareWithOptions(query string, opts CompileOptions) (*Query, error) {
+	return prepare(query, opts, nil)
+}
+
+// prepare is the one compile pipeline: parse → normalize → TPNF′ rewrite →
+// compile → algebraic optimize. A non-nil tr records every intermediate
+// state (PrepareTraced); a nil tr leaves the passes' trace hooks unset.
+func prepare(query string, opts CompileOptions, tr *Trace) (*Query, error) {
 	if opts.ContextVar == "" {
 		opts.ContextVar = "dot"
 	}
@@ -357,20 +311,29 @@ func PrepareWithOptions(query string, opts CompileOptions) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	free := freeVariables(normalized)
-	singletons := map[string]bool{}
-	for _, v := range free {
-		// Run binds every free variable to a single node, so the
-		// rewriter's singleton assumption is discharged by construction.
-		singletons[v] = true
+	// Run binds every free variable to a single node, so the rewriter's
+	// singleton assumption is discharged by construction.
+	singletons := rewrite.FreeVars(normalized)
+	ropts := rewrite.Options{SingletonVars: singletons}
+	oopts := optimize.Options{
+		SingletonVars:          singletons,
+		DisablePositionalFirst: opts.DisablePositionalFirst,
+		DisableBulkConversion:  opts.DisableBulkConversion,
+	}
+	if tr != nil {
+		tr.Core = core.String(normalized)
+		ropts.Trace, oopts.Trace = tr.coreStep, tr.planStep
 	}
 	rewritten := normalized
 	if opts.Rewrites {
-		rewritten = rewrite.Rewrite(normalized, rewrite.Options{SingletonVars: singletons})
+		rewritten = rewrite.Rewrite(normalized, ropts)
 	}
 	plan, err := compile.Compile(rewritten)
 	if err != nil {
 		return nil, err
+	}
+	if tr != nil {
+		tr.Plan = algebra.String(plan)
 	}
 	q := &Query{
 		Source:    query,
@@ -379,15 +342,10 @@ func PrepareWithOptions(query string, opts CompileOptions) (*Query, error) {
 		rewritten: rewritten,
 		plan:      plan,
 		optimized: plan,
-		freeVars:  free,
 		preps:     exec.NewPrepCache(),
 	}
 	if opts.TreePatterns {
-		q.optimized = optimize.Optimize(plan, optimize.Options{
-			SingletonVars:          singletons,
-			DisablePositionalFirst: opts.DisablePositionalFirst,
-			DisableBulkConversion:  opts.DisableBulkConversion,
-		})
+		q.optimized = optimize.Optimize(plan, oopts)
 	}
 	return q, nil
 }
@@ -416,67 +374,29 @@ func (q *Query) physicalPlan(alg Algorithm) (*physical.Plan, error) {
 	return v.(*physical.Plan), nil
 }
 
-// runtime builds the per-call runtime: the document's catalog, the query's
-// prepared-pattern cache, and the variable environment. Free-variable slot
-// resolution happened at plan compile time, so the uniform document binding
-// is a single field store, not a map.
-func (q *Query) runtime(doc *Document, workers int) *physical.Runtime {
-	docs := xdm.DocResolver(doc)
-	if doc.docs != nil {
-		// A corpus member resolves fn:doc/fn:collection corpus-wide.
-		docs = doc.docs
-	}
-	return &physical.Runtime{
-		Catalog:  doc.catalog,
-		Preps:    q.preps,
-		Parallel: workers,
-		Docs:     docs,
-		Root:     doc.rootSeq,
-	}
-}
-
 // Run evaluates the query against a document with the given algorithm.
 // Every free variable of the query ($d, $input, …) and the context item are
 // bound to the document node. Run is safe to call concurrently from many
 // goroutines on the same Query and Document.
 func (q *Query) Run(doc *Document, alg Algorithm) (Sequence, error) {
-	if err := doc.closedErr(); err != nil {
-		return nil, err
-	}
-	p, err := q.physicalPlan(alg)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(q.runtime(doc, 0))
+	seq, _, err := q.RunWith(context.Background(), doc, alg, RunOptions{})
+	return seq, err
 }
 
 // RunParallel evaluates like Run but allows the TupleTreePattern operator
 // to match its context nodes on up to workers goroutines (<= 0: one worker
 // per available CPU). Results are identical to the sequential evaluation.
 func (q *Query) RunParallel(doc *Document, alg Algorithm, workers int) (Sequence, error) {
-	if err := doc.closedErr(); err != nil {
-		return nil, err
-	}
-	p, err := q.physicalPlan(alg)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(q.runtime(doc, normalizeWorkers(workers)))
+	seq, _, err := q.RunWith(context.Background(), doc, alg, RunOptions{Workers: normalizeWorkers(workers)})
+	return seq, err
 }
 
-// RunWithVars evaluates the query with explicit variable bindings.
+// RunWithVars evaluates the query with explicit variable bindings; a
+// variable vars leaves out is unbound.
 func (q *Query) RunWithVars(doc *Document, alg Algorithm, vars map[string]Sequence) (Sequence, error) {
-	if err := doc.closedErr(); err != nil {
-		return nil, err
-	}
-	p, err := q.physicalPlan(alg)
-	if err != nil {
-		return nil, err
-	}
-	rt := q.runtime(doc, 0)
-	rt.Root = nil
-	rt.Vars = p.BindVars(vars)
-	return p.Run(rt)
+	bind := func(p *physical.Plan) []*xdm.Sequence { return p.BindVars(vars) }
+	seq, _, err := run(context.Background(), q, doc.c, doc.i, alg, RunOptions{}, bind)
+	return seq, err
 }
 
 // Plan returns the optimized plan in the paper's functional notation.
@@ -545,6 +465,11 @@ func (q *Query) ExplainPhysicalCtx(ctx context.Context, alg Algorithm, doc *Docu
 	if doc == nil || alg != Auto {
 		return p.Explain(), nil
 	}
+	m, err := doc.c.Loaded(doc.i)
+	if err != nil {
+		return "", err
+	}
+	index, root := m.Index, m.Root()
 	ec := execctx.From(ctx, 0, 0)
 	// Document-rooted annotations only make sense for pattern operators fed
 	// directly by the root binding; downstream operators (after a positional
@@ -561,7 +486,7 @@ func (q *Query) ExplainPhysicalCtx(ctx context.Context, alg Algorithm, doc *Docu
 		if !rootBound[pat] {
 			return ""
 		}
-		est := join.ChooseEstimate(doc.index, doc.tree.Root, pat)
+		est := join.ChooseEstimate(index, root, pat)
 		if est.Empty {
 			return "skip(empty)"
 		}
@@ -574,8 +499,8 @@ func (q *Query) ExplainPhysicalCtx(ctx context.Context, alg Algorithm, doc *Docu
 		if !rootBound[pat] {
 			return nil
 		}
-		est := join.ChooseEstimate(doc.index, doc.tree.Root, pat)
-		acts := join.StepActualsCtx(ec, doc.index, doc.tree.Root, pat)
+		est := join.ChooseEstimate(index, root, pat)
+		acts := join.StepActualsCtx(ec, index, root, pat)
 		lines := make([]string, 0, len(est.Steps))
 		for i, se := range est.Steps {
 			act := -1
@@ -612,64 +537,6 @@ func indentLines(s string) string {
 		lines[i] = "  " + l
 	}
 	return strings.Join(lines, "\n")
-}
-
-// freeVariables collects the free variables of a core expression in sorted
-// order.
-func freeVariables(e core.Expr) []string {
-	set := map[string]bool{}
-	var walk func(core.Expr, map[string]bool)
-	walk = func(e core.Expr, bound map[string]bool) {
-		switch x := e.(type) {
-		case *core.Var:
-			if !bound[x.Name] {
-				set[x.Name] = true
-			}
-			return
-		case *core.For:
-			walk(x.In, bound)
-			b2 := withNames(bound, x.Var, x.Pos)
-			if x.Where != nil {
-				walk(x.Where, b2)
-			}
-			walk(x.Return, b2)
-			return
-		case *core.Let:
-			walk(x.In, bound)
-			walk(x.Return, withNames(bound, x.Var))
-			return
-		case *core.TypeSwitch:
-			walk(x.Input, bound)
-			for _, c := range x.Cases {
-				walk(c.Body, withNames(bound, c.Var))
-			}
-			walk(x.Default, withNames(bound, x.DefVar))
-			return
-		}
-		for _, c := range core.Children(e) {
-			walk(c, bound)
-		}
-	}
-	walk(e, map[string]bool{})
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func withNames(bound map[string]bool, names ...string) map[string]bool {
-	out := make(map[string]bool, len(bound)+len(names))
-	for k := range bound {
-		out[k] = true
-	}
-	for _, n := range names {
-		if n != "" {
-			out[n] = true
-		}
-	}
-	return out
 }
 
 // ItemString renders an item for display.
