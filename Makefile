@@ -2,9 +2,10 @@ GO ?= go
 
 # Packages with concurrency-sensitive paths (shared catalog, prepared-join
 # caches and the LRU under them, shared compiled physical plans, parallel
-# TupleTreePattern workers) plus the unsafe-aliasing ingest scanner and the
-# parallel corpus layer get a dedicated -race run.
-RACE_PKGS = ./internal/collection ./internal/exec ./internal/join ./internal/lru ./internal/physical ./internal/server ./internal/xmlstore
+# TupleTreePattern workers, first-touch node materialization) plus the
+# unsafe-aliasing ingest scanner and the parallel corpus layer get a
+# dedicated -race run.
+RACE_PKGS = ./internal/collection ./internal/exec ./internal/join ./internal/lru ./internal/physical ./internal/server ./internal/xdm ./internal/xmlstore
 
 .PHONY: all build vet test race check bench serve run-server bench-compare bench-smoke bench-check fuzz-smoke clean
 

@@ -522,3 +522,153 @@ func TestDocumentOpenSnapshotFile(t *testing.T) {
 		t.Fatal("open of a truncated document snapshot should fail")
 	}
 }
+
+// A saved document keeps its URI through both single-document opens, so
+// fn:doc on its own name resolves after a reload. (LoadSnapshot used to drop
+// it: its reader returned the member index without the snapshot's URI table.)
+func TestDocumentSnapshotKeepsURI(t *testing.T) {
+	doc, err := LoadXMLString(`<a><b>x</b><b/></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.SetURI("a.xml")
+	var buf bytes.Buffer
+	if err := doc.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "a.xqts")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	q, err := Prepare(`fn:doc("a.xml")//b`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*Document{"LoadSnapshot": loaded, "OpenSnapshotFile": mapped} {
+		if d.URI() != "a.xml" {
+			t.Errorf("%s: URI = %q, want a.xml", name, d.URI())
+		}
+		got, err := q.Run(d, Auto)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if len(got) != 2 {
+			t.Errorf("%s: fn:doc(\"a.xml\")//b gave %d items, want 2", name, len(got))
+		}
+	}
+}
+
+// Corpus bytes are not a document: LoadSnapshot refuses them and says which
+// function opens them.
+func TestLoadSnapshotRejectsCorpus(t *testing.T) {
+	c, err := LoadCorpus(genCorpusSources(3, 5), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := c.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadSnapshot(&buf)
+	if err == nil || !strings.Contains(err.Error(), "OpenCorpusSnapshot") {
+		t.Fatalf("LoadSnapshot on 3-member bytes = %v, want an error naming OpenCorpusSnapshot", err)
+	}
+}
+
+// The snapshot writer reads columns, streams and stored text values, never
+// nodes: a corpus saved before any member was queried and the same corpus
+// saved after every member was queried (and so built its nodes) write the
+// same bytes, and both reopen to the same answers.
+func TestSnapshotSameBeforeAndAfterQueries(t *testing.T) {
+	c, err := LoadCorpus(genCorpusSources(6, 11), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var untouched, touched bytes.Buffer
+	if err := c.SaveSnapshot(&untouched); err != nil {
+		t.Fatal(err)
+	}
+	q, err := Prepare(`$input//*`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Run(q, Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SaveSnapshot(&touched); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(untouched.Bytes(), touched.Bytes()) {
+		t.Fatalf("snapshot bytes differ once the members were queried (%d vs %d bytes)", untouched.Len(), touched.Len())
+	}
+	for name, data := range map[string][]byte{"untouched": untouched.Bytes(), "touched": touched.Bytes()} {
+		c2, err := OpenCorpusSnapshot(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := c2.Run(q, Auto)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := equivItems(want, got, c.URIOf, c2.URIOf); err != nil {
+			t.Errorf("%s: reopened corpus differs: %v", name, err)
+		}
+	}
+}
+
+// testdata/corpus_v3_pr14.snap was written by the commit before the columns
+// became the only thing a loader builds (three members a.xml, b.xml, c.xml):
+// the byte format is unchanged, so it must open — from memory and mapped —
+// and re-save to the very same bytes.
+func TestOpensParentWrittenSnapshot(t *testing.T) {
+	const path = "testdata/corpus_v3_pr14.snap"
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inMem, err := OpenCorpusSnapshot(bytes.Clone(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenCorpusFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	q, err := Prepare(`fn:doc("b.xml")//person[emailaddress]/name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Corpus{"memory": inMem, "mapped": mapped} {
+		if got := c.URIs(); !reflect.DeepEqual(got, []string{"a.xml", "b.xml", "c.xml"}) {
+			t.Fatalf("%s: URIs = %v", name, got)
+		}
+		got, err := c.Run(q, Auto)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != 1 || got[0].(*xdm.Node).StringValue() != "Ann" {
+			t.Errorf("%s: got %v", name, got)
+		}
+		d, _ := c.Document("b.xml")
+		if !strings.Contains(d.XML(), "<name>Bob &amp; co</name>") {
+			t.Errorf("%s: b.xml serializes to %s", name, d.XML())
+		}
+		var buf bytes.Buffer
+		if err := c.SaveSnapshot(&buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Errorf("%s: re-saved snapshot differs from the parent-written bytes", name)
+		}
+	}
+}

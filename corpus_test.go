@@ -9,6 +9,7 @@ import (
 
 	"xqtp/internal/gen"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xmlstore"
 )
 
 // genCorpusSources builds a mixed corpus: MemBeR-style and XMark-like
@@ -27,7 +28,7 @@ func genCorpusSources(n int, seed int64) []CorpusSource {
 		}
 		out[i] = CorpusSource{
 			URI:  fmt.Sprintf("mem://corpus-%03d.xml", i),
-			Data: generatedXML(root, 0),
+			Data: xmlstore.AppendXML(nil, root),
 		}
 	}
 	return out

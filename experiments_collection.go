@@ -10,10 +10,11 @@ import (
 
 	"xqtp/internal/gen"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xmlstore"
 )
 
 // The collection experiment measures the corpus layer: parallel ingest
-// throughput (MB/s, one bounded worker pool over the fused scanner) and
+// throughput (MB/s, one bounded worker pool over the scanner) and
 // fan-out query throughput (corpus queries per second) as the corpus grows,
 // each at one worker and at one worker per CPU.
 
@@ -78,7 +79,7 @@ func collectionSources(n int, seed int64) []CorpusSource {
 		}
 		out[i] = CorpusSource{
 			URI:  fmt.Sprintf("mem://corpus-%05d.xml", i),
-			Data: generatedXML(root, 0),
+			Data: xmlstore.AppendXML(nil, root),
 		}
 	}
 	return out

@@ -11,15 +11,14 @@ import (
 	"time"
 
 	"xqtp/internal/gen"
-	"xqtp/internal/xdm"
 	"xqtp/internal/xmlstore"
 )
 
-// The ingest experiment measures document loading throughput: the fused
-// zero-copy scanner (Ingest: one pass producing tree, columns, and index)
-// against the encoding/xml reference path (ParseStd + BuildIndex — the
-// serving path before the fast scanner existed). Both sides are measured
-// end to end from the same document bytes to a ready-to-query index.
+// The ingest experiment measures document loading throughput: the zero-copy
+// scanner (Ingest: one scan producing the columns, then the index) against
+// the encoding/xml reference path (ParseStd + BuildIndex — the serving path
+// before the fast scanner existed). Both sides are measured end to end from
+// the same document bytes to a ready-to-query index.
 
 // IngestCell is one parser measurement over one document.
 type IngestCell struct {
@@ -49,17 +48,6 @@ type ingestDoc struct {
 	data []byte
 }
 
-// generatedXML streams a generated document skeleton through the
-// serializer into an IngestWriter and returns the accumulated bytes — the
-// generator-to-scanner path with no intermediate full-document string.
-func generatedXML(root *xdm.Node, sizeHint int) []byte {
-	w := xmlstore.NewIngestWriter(sizeHint)
-	if err := xmlstore.Serialize(w, root); err != nil {
-		panic(err) // IngestWriter.Write cannot fail
-	}
-	return w.Bytes()
-}
-
 // ingestDocuments builds the benchmark corpus: MemBeR documents at the
 // Table 1 sizes plus an XMark document calibrated to ≈1.0 MB (≈250 KB in
 // quick runs), the acceptance-gate row.
@@ -71,7 +59,7 @@ func ingestDocuments(opts ExperimentOptions) []ingestDoc {
 		})
 		docs = append(docs, ingestDoc{
 			name: fmt.Sprintf("member-%.1fMB", float64(sz)/1e6),
-			data: generatedXML(root, sz+sz/8),
+			data: xmlstore.AppendXML(make([]byte, 0, sz+sz/8), root),
 		})
 	}
 	xmarkTarget := 1_000_000
@@ -81,14 +69,14 @@ func ingestDocuments(opts ExperimentOptions) []ingestDoc {
 	// Calibrate the people count against a probe document, then regenerate
 	// at the scaled size.
 	probePeople := 200
-	probe := generatedXML(gen.XMarkRoot(gen.XMarkConfig{Seed: opts.Seed, People: probePeople}), 0)
+	probe := xmlstore.AppendXML(nil, gen.XMarkRoot(gen.XMarkConfig{Seed: opts.Seed, People: probePeople}))
 	people := probePeople * xmarkTarget / len(probe)
 	if people < 1 {
 		people = 1
 	}
 	docs = append(docs, ingestDoc{
 		name: fmt.Sprintf("xmark-%.1fMB", float64(xmarkTarget)/1e6),
-		data: generatedXML(gen.XMarkRoot(gen.XMarkConfig{Seed: opts.Seed, People: people}), xmarkTarget+xmarkTarget/8),
+		data: xmlstore.AppendXML(make([]byte, 0, xmarkTarget+xmarkTarget/8), gen.XMarkRoot(gen.XMarkConfig{Seed: opts.Seed, People: people})),
 	})
 	return docs
 }

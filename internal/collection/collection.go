@@ -1,7 +1,7 @@
 // Package collection is the corpus layer: a sharded store of many XML
 // documents behind one query surface. A Corpus ingests documents
-// concurrently (bounded worker pool over the fused xmlstore scanner, each
-// member's index and symbol table built during its parse), assigns the
+// concurrently (bounded worker pool over the xmlstore scanner, each
+// member's columns, symbol table and index built by its worker), assigns the
 // members a contiguous block of tree IDs in corpus order so cross-document
 // ordering is deterministic regardless of ingest scheduling, interns every
 // member tag into a corpus-level name table (query symbol → per-document
@@ -41,8 +41,8 @@ type Doc struct {
 // Tree returns the member's document tree.
 func (d *Doc) Tree() *xdm.Tree { return d.Index.Tree }
 
-// Root returns the member's document node, materializing a snapshot-loaded
-// member's pointer data model on first use.
+// Root returns the member's document node, building the member's pointer
+// data model from its columns on first use.
 func (d *Doc) Root() *xdm.Node { return d.Index.Tree.RootNode() }
 
 // RootSeq returns the document node as a singleton sequence, allocated once:

@@ -26,9 +26,9 @@ func FileSources(paths []string) []Source {
 	return out
 }
 
-// Ingest parses every source on a bounded worker pool — each worker runs the
-// fused xmlstore scanner, so a member's columns, symbols and rank streams are
-// built during its one parse pass — and assembles the corpus. Tree IDs are
+// Ingest parses every source on a bounded worker pool — each worker runs
+// xmlstore.Ingest, which builds a member's columns, symbols and rank streams
+// and no node — and assembles the corpus. Tree IDs are
 // reassigned in source order after the last parse lands (xdm.AssignTreeIDs),
 // so the corpus order, and with it every query result, is independent of how
 // the pool scheduled the parses. workers <= 0 means one worker per source.

@@ -36,35 +36,39 @@ func (c *Corpus) WriteSnapshot(w io.Writer) error {
 	})
 }
 
-// OpenSnapshot deserializes a corpus written by WriteSnapshot. It takes
-// ownership of data: the members' strings, columns and streams alias the
-// buffer, so the caller must not modify it afterwards. The members get a
-// fresh contiguous tree-ID block in stored order, re-establishing the
-// corpus-order invariant exactly as parallel ingest does; the name table
-// comes from the snapshot, so no member symbol table is re-walked.
+// OpenSnapshot opens a corpus written by WriteSnapshot from bytes in memory
+// and loads every member, so corruption anywhere in the buffer is reported
+// here rather than at a first query. It takes ownership of data: the
+// members' strings, columns and streams alias the buffer, so the caller
+// must not modify it afterwards.
 func OpenSnapshot(data []byte) (*Corpus, error) {
-	s, err := xmlstore.OpenCorpus(data)
+	c, err := openSnapshot(data, nil)
 	if err != nil {
 		return nil, err
 	}
-	return fromSnapshot(s)
+	for _, d := range c.docs {
+		if err := d.Ensure(); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
-// OpenSnapshotFile maps the snapshot file and opens it deferred: the O(open)
-// path. Only the header, offset table and corpus tables are read; member
-// pages fault in as queries touch them, so a corpus larger than RAM stays
-// queryable. The corpus owns the mapping — Close releases it.
+// OpenSnapshotFile maps the snapshot file and leaves every member deferred:
+// the O(open) path. Only the header, offset table and corpus tables are
+// read; member pages fault in as queries touch them, so a corpus larger than
+// RAM stays queryable. The corpus owns the mapping — Close releases it.
 func OpenSnapshotFile(path string) (*Corpus, error) {
 	m, err := xmlstore.MapFile(path)
 	if err != nil {
 		return nil, err
 	}
-	s, err := xmlstore.OpenCorpusMapping(m)
+	data, err := m.Bytes()
 	if err != nil {
 		m.Close()
 		return nil, err
 	}
-	c, err := fromSnapshot(s)
+	c, err := openSnapshot(data, m)
 	if err != nil {
 		m.Close()
 		return nil, err
@@ -73,7 +77,16 @@ func OpenSnapshotFile(path string) (*Corpus, error) {
 	return c, nil
 }
 
-func fromSnapshot(s *xmlstore.CorpusSnapshot) (*Corpus, error) {
+// openSnapshot is the one open: deferred members over a byte slice, wherever
+// the bytes came from. The members get a fresh contiguous tree-ID block in
+// stored order, re-establishing the corpus-order invariant exactly as
+// parallel ingest does; the name table comes from the snapshot, so no member
+// symbol table is re-walked.
+func openSnapshot(data []byte, m *xmlstore.Mapping) (*Corpus, error) {
+	s, err := xmlstore.OpenCorpus(data, m)
+	if err != nil {
+		return nil, err
+	}
 	docs := make([]*Doc, len(s.Indexes))
 	for i, ix := range s.Indexes {
 		docs[i] = &Doc{URI: s.URIs[i], Index: ix}

@@ -38,11 +38,11 @@ func TestCorpusSnapshotRoundTrip(t *testing.T) {
 		// Force the loaded member's lazy pointer model so the node-for-node
 		// comparison below sees it.
 		tb.RootNode()
-		if len(ta.Nodes) != len(tb.Nodes) {
-			t.Fatalf("member %d: %d nodes, want %d", i, len(tb.Nodes), len(ta.Nodes))
+		if len(ta.Nodes()) != len(tb.Nodes()) {
+			t.Fatalf("member %d: %d nodes, want %d", i, len(tb.Nodes()), len(ta.Nodes()))
 		}
-		for j := range ta.Nodes {
-			x, y := ta.Nodes[j], tb.Nodes[j]
+		for j := range ta.Nodes() {
+			x, y := ta.Nodes()[j], tb.Nodes()[j]
 			if x.Kind != y.Kind || x.Name != y.Name || x.Text != y.Text ||
 				x.Pre != y.Pre || x.Post != y.Post || x.Size != y.Size || x.Level != y.Level {
 				t.Fatalf("member %d node %d differs: %+v vs %+v", i, j, x, y)
@@ -237,8 +237,8 @@ func TestOpenSnapshotFile(t *testing.T) {
 		}
 		ta, tb := a.Tree(), b.Tree()
 		tb.RootNode()
-		if len(ta.Nodes) != len(tb.Nodes) {
-			t.Fatalf("member %d: %d nodes, want %d", i, len(tb.Nodes), len(ta.Nodes))
+		if len(ta.Nodes()) != len(tb.Nodes()) {
+			t.Fatalf("member %d: %d nodes, want %d", i, len(tb.Nodes()), len(ta.Nodes()))
 		}
 	}
 

@@ -37,9 +37,9 @@ func evalQuery(t *testing.T, q, doc string) xdm.Sequence {
 		t.Fatalf("normalize %s: %v", q, err)
 	}
 	env := (*Env)(nil).
-		Bind("dot", xdm.Singleton(tr.Root)).
-		Bind("d", xdm.Singleton(tr.Root)).
-		Bind("input", xdm.Singleton(tr.Root))
+		Bind("dot", xdm.Singleton(tr.RootNode())).
+		Bind("d", xdm.Singleton(tr.RootNode())).
+		Bind("input", xdm.Singleton(tr.RootNode()))
 	out, err := Eval(c, env)
 	if err != nil {
 		t.Fatalf("eval %s: %v", q, err)
@@ -210,7 +210,7 @@ func TestUsageAndSubst(t *testing.T) {
 
 func TestEvalErrors(t *testing.T) {
 	tr, _ := xmlstore.ParseString(`<a><b/></a>`)
-	env := (*Env)(nil).Bind("d", xdm.Singleton(tr.Root))
+	env := (*Env)(nil).Bind("d", xdm.Singleton(tr.RootNode()))
 	for _, q := range []string{
 		`$nope`,        // unbound variable
 		`"x"/child::b`, // step on atomic

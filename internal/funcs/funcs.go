@@ -257,7 +257,7 @@ func invokeRoot(arg xdm.Sequence) (xdm.Sequence, error) {
 	if !ok {
 		return nil, fmt.Errorf("root() applied to atomic value")
 	}
-	return xdm.Singleton(n.Doc.Root), nil
+	return xdm.Singleton(n.Doc.RootNode()), nil
 }
 
 // stringValue implements fn:string on a sequence of at most one item.

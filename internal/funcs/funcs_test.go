@@ -133,7 +133,7 @@ func TestDataAndRoot(t *testing.T) {
 	if out[0] != xdm.String("x") || out[1] != xdm.Integer(3) {
 		t.Errorf("data = %v", out)
 	}
-	if v := one(t, "root", seq(b)); v != xdm.Item(tr.Root) {
+	if v := one(t, "root", seq(b)); v != xdm.Item(tr.RootNode()) {
 		t.Errorf("root = %v", v)
 	}
 	if out, err := Invoke("root", []xdm.Sequence{seq()}); err != nil || len(out) != 0 {

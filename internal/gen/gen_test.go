@@ -21,7 +21,7 @@ func TestMemberShape(t *testing.T) {
 	tr := Member(MemberConfig{Seed: 42, Depth: 4, NumTags: 100, NumNodes: 5000})
 	elems := 0
 	tags := map[string]bool{}
-	for _, n := range tr.Nodes {
+	for _, n := range tr.Nodes() {
 		if n.Kind == xdm.ElementNode {
 			elems++
 			tags[n.Name] = true
@@ -47,7 +47,7 @@ func TestMemberShape(t *testing.T) {
 func TestMemberForSize(t *testing.T) {
 	target := 200_000
 	tr := MemberForSize(7, target)
-	got := len(xmlstore.SerializeString(tr.Root))
+	got := len(xmlstore.SerializeString(tr.RootNode()))
 	if got < target/2 || got > target*2 {
 		t.Errorf("serialized size = %d, target %d (off by more than 2x)", got, target)
 	}
@@ -56,7 +56,7 @@ func TestMemberForSize(t *testing.T) {
 func TestDeepShape(t *testing.T) {
 	tr := Deep(1, 5000, 15, "t1")
 	elems := 0
-	for _, n := range tr.Nodes {
+	for _, n := range tr.Nodes() {
 		if n.Kind == xdm.ElementNode {
 			elems++
 			if n.Name != "t1" {

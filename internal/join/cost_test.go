@@ -15,7 +15,7 @@ func TestAutoAgreesWithFixedAlgorithms(t *testing.T) {
 		tr := randomTree(rng, 3+rng.Intn(60))
 		ix := xmlstore.BuildIndex(tr)
 		pat := randomPattern(rng)
-		ref, err := Eval(NestedLoop, ix, tr.Root, pat)
+		ref, err := Eval(NestedLoop, ix, tr.RootNode(), pat)
 		if err != nil {
 			return false
 		}
@@ -23,7 +23,7 @@ func TestAutoAgreesWithFixedAlgorithms(t *testing.T) {
 		for _, b := range ref {
 			refSet[b[0]] = true
 		}
-		got, err := Eval(Auto, ix, tr.Root, pat)
+		got, err := Eval(Auto, ix, tr.RootNode(), pat)
 		if err != nil {
 			return false
 		}
@@ -48,18 +48,18 @@ func TestChooseHeuristics(t *testing.T) {
 	tr := randomTree(rng, 4000)
 	ix := xmlstore.BuildIndex(tr)
 	bulk := chain("dot", st(xdm.AxisDescendant, "b"))
-	if alg := Choose(ix, tr.Root, bulk); alg == NestedLoop {
+	if alg := Choose(ix, tr.RootNode(), bulk); alg == NestedLoop {
 		t.Errorf("Choose picked NLJoin for a bulk rooted path")
 	}
 	// Patterns outside the set-at-a-time fragment fall back to the fully
 	// general nested loop.
 	rev := chain("dot", st(xdm.AxisDescendant, "b"), st(xdm.AxisParent, "a"))
-	if alg := Choose(ix, tr.Root, rev); alg != NestedLoop {
+	if alg := Choose(ix, tr.RootNode(), rev); alg != NestedLoop {
 		t.Errorf("Choose picked %v for a reverse-axis pattern, want NLJoin", alg)
 	}
 	// First-match over a child spine: Auto takes the NL early exit.
 	p := chain("dot", st(xdm.AxisChild, "a"), st(xdm.AxisChild, "b"))
-	if _, _, err := EvalFirst(Auto, ix, tr.Root, p); err != nil {
+	if _, _, err := EvalFirst(Auto, ix, tr.RootNode(), p); err != nil {
 		t.Fatal(err)
 	}
 }

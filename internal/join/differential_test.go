@@ -110,8 +110,8 @@ func TestDifferentialCorpus(t *testing.T) {
 		for pi, pat := range corpusPatterns() {
 			label := "doc" + string(rune('0'+di)) + "/pat" + string(rune('0'+pi))
 			// From the document node and from every element.
-			checkKernels(t, label, ix, ix.Tree.Root, pat.Clone())
-			for _, n := range ix.Tree.Nodes {
+			checkKernels(t, label, ix, ix.Tree.RootNode(), pat.Clone())
+			for _, n := range ix.Tree.Nodes() {
 				if n.Kind == xdm.ElementNode {
 					checkKernels(t, label, ix, n, pat.Clone())
 				}
@@ -128,9 +128,9 @@ func TestDifferentialRandomTrees(t *testing.T) {
 		tr := randomTree(rng, 3+rng.Intn(100))
 		ix := xmlstore.BuildIndex(tr)
 		pat := randomPattern(rng)
-		ctx := tr.Nodes[rng.Intn(len(tr.Nodes))]
+		ctx := tr.Nodes()[rng.Intn(len(tr.Nodes()))]
 		if ctx.Kind != xdm.ElementNode && ctx.Kind != xdm.DocumentNode {
-			ctx = tr.Root
+			ctx = tr.RootNode()
 		}
 		checkKernels(t, "random", ix, ctx, pat)
 	}
@@ -173,9 +173,9 @@ func TestDifferentialXMarkFragments(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 150; trial++ {
 		pat := randomXMarkPattern(rng)
-		ctx := tr.Nodes[rng.Intn(len(tr.Nodes))]
+		ctx := tr.Nodes()[rng.Intn(len(tr.Nodes()))]
 		if ctx.Kind != xdm.ElementNode {
-			ctx = tr.Root
+			ctx = tr.RootNode()
 		}
 		checkKernels(t, "xmark", ix, ctx, pat)
 	}

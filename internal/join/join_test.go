@@ -58,7 +58,7 @@ func evalNodes(t *testing.T, alg Algorithm, ix *xmlstore.Index, ctx *xdm.Node, p
 
 func TestAlgorithmsOnFixedPatterns(t *testing.T) {
 	ix := mustIndex(t, twigDoc)
-	ctx := ix.Tree.Root
+	ctx := ix.Tree.RootNode()
 	cases := []struct {
 		name string
 		pat  *pattern.Pattern
@@ -107,7 +107,7 @@ func TestAlgorithmsOnFixedPatterns(t *testing.T) {
 
 func TestPredicateBranches(t *testing.T) {
 	ix := mustIndex(t, twigDoc)
-	ctx := ix.Tree.Root
+	ctx := ix.Tree.RootNode()
 	// descendant::b[child::c[child::d]] — twig with nested branch.
 	p := chain("dot", st(xdm.AxisDescendant, "b"))
 	inner := st(xdm.AxisChild, "c")
@@ -132,7 +132,7 @@ func TestPredicateBranches(t *testing.T) {
 
 func TestEvalFirst(t *testing.T) {
 	ix := mustIndex(t, twigDoc)
-	ctx := ix.Tree.Root
+	ctx := ix.Tree.RootNode()
 	p := chain("dot", st(xdm.AxisChild, "a"), st(xdm.AxisChild, "b"), st(xdm.AxisChild, "c"))
 	for _, alg := range []Algorithm{NestedLoop, Staircase, Twig} {
 		b, ok, err := EvalFirst(alg, ix, ctx, p.Clone())
@@ -157,7 +157,7 @@ func TestOutputInPredicateRejected(t *testing.T) {
 	bad := st(xdm.AxisChild, "c")
 	bad.Out = "leak"
 	p.Root.Preds = []*pattern.Step{bad}
-	if _, err := Eval(NestedLoop, ix, ix.Tree.Root, p); err == nil {
+	if _, err := Eval(NestedLoop, ix, ix.Tree.RootNode(), p); err == nil {
 		t.Error("output annotation in predicate should be rejected")
 	}
 }
@@ -208,9 +208,9 @@ func TestAlgorithmAgreementProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTree(rng, 3+rng.Intn(80))
 		ix := xmlstore.BuildIndex(tr)
-		ctx := tr.Nodes[rng.Intn(len(tr.Nodes))]
+		ctx := tr.Nodes()[rng.Intn(len(tr.Nodes()))]
 		if ctx.Kind == xdm.AttributeNode {
-			ctx = tr.Root
+			ctx = tr.RootNode()
 		}
 		pat := randomPattern(rng)
 		nl, err := Eval(NestedLoop, ix, ctx, pat)
@@ -258,7 +258,7 @@ func TestSetAlgorithmsOrderedProperty(t *testing.T) {
 		ix := xmlstore.BuildIndex(tr)
 		pat := randomPattern(rng)
 		for _, alg := range []Algorithm{Staircase, Twig} {
-			got, err := Eval(alg, ix, tr.Root, pat)
+			got, err := Eval(alg, ix, tr.RootNode(), pat)
 			if err != nil {
 				return false
 			}

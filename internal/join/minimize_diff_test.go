@@ -161,8 +161,8 @@ func TestMinimizeDifferentialCorpus(t *testing.T) {
 		ix := mustIndex(t, doc)
 		for pi, pat := range pats {
 			label := "doc" + string(rune('0'+di)) + "/min" + string(rune('0'+pi))
-			checkMinimized(t, label, ix, ix.Tree.Root, pat.Clone())
-			for _, n := range ix.Tree.Nodes {
+			checkMinimized(t, label, ix, ix.Tree.RootNode(), pat.Clone())
+			for _, n := range ix.Tree.Nodes() {
 				if n.Kind == xdm.ElementNode {
 					checkMinimized(t, label, ix, n, pat.Clone())
 				}
@@ -199,9 +199,9 @@ func TestMinimizeDifferentialRandom(t *testing.T) {
 		tr := randomTree(rng, 3+rng.Intn(80))
 		ix := xmlstore.BuildIndex(tr)
 		pat := addRedundancy(rng, randomPattern(rng))
-		ctx := tr.Nodes[rng.Intn(len(tr.Nodes))]
+		ctx := tr.Nodes()[rng.Intn(len(tr.Nodes()))]
 		if ctx.Kind != xdm.ElementNode && ctx.Kind != xdm.DocumentNode {
-			ctx = tr.Root
+			ctx = tr.RootNode()
 		}
 		checkMinimized(t, "random", ix, ctx, pat)
 	}
@@ -218,6 +218,6 @@ func FuzzMinimize(f *testing.F) {
 		ix := xmlstore.BuildIndex(tr)
 		pat := addRedundancy(rand.New(rand.NewSource(augSeed)),
 			randomPattern(rand.New(rand.NewSource(patSeed))))
-		checkMinimized(t, "fuzz", ix, tr.Root, pat)
+		checkMinimized(t, "fuzz", ix, tr.RootNode(), pat)
 	})
 }

@@ -12,7 +12,7 @@ import (
 
 func TestStreamingFixed(t *testing.T) {
 	ix := mustIndex(t, twigDoc)
-	ctx := ix.Tree.Root
+	ctx := ix.Tree.RootNode()
 	cases := []struct {
 		pat  *pattern.Pattern
 		want int
@@ -53,9 +53,9 @@ func TestStreamingAgreementProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTree(rng, 3+rng.Intn(80))
 		ix := xmlstore.BuildIndex(tr)
-		ctx := tr.Nodes[rng.Intn(len(tr.Nodes))]
+		ctx := tr.Nodes()[rng.Intn(len(tr.Nodes()))]
 		if ctx.Kind == xdm.AttributeNode {
-			ctx = tr.Root
+			ctx = tr.RootNode()
 		}
 		// Linear pattern only.
 		tags := []string{"a", "b", "c", "d"}
@@ -104,32 +104,32 @@ func TestStreamingEdgeCases(t *testing.T) {
 	t.Run("empty-document", func(t *testing.T) {
 		ix := mustIndex(t, `<a/>`)
 		// The root element has no subtree to scan.
-		if got := evalNodes(t, Streaming, ix, ix.Tree.Root, chain("dot", st(xdm.AxisDescendant, "b"))); len(got) != 0 {
+		if got := evalNodes(t, Streaming, ix, ix.Tree.RootNode(), chain("dot", st(xdm.AxisDescendant, "b"))); len(got) != 0 {
 			t.Errorf("//b on <a/> = %d nodes, want 0", len(got))
 		}
 		// The root element itself is still reachable from the document node.
-		got := evalNodes(t, Streaming, ix, ix.Tree.Root, chain("dot", st(xdm.AxisChild, "a")))
-		if len(got) != 1 || got[0] != ix.Tree.Root.Children[0] {
+		got := evalNodes(t, Streaming, ix, ix.Tree.RootNode(), chain("dot", st(xdm.AxisChild, "a")))
+		if len(got) != 1 || got[0] != ix.Tree.RootNode().Children[0] {
 			t.Errorf("/a on <a/> = %v, want the root element", got)
 		}
 		// Evaluating from the (leaf) root element scans zero nodes.
-		if got := evalNodes(t, Streaming, ix, ix.Tree.Root.Children[0], chain("dot", st(xdm.AxisChild, "a"))); len(got) != 0 {
+		if got := evalNodes(t, Streaming, ix, ix.Tree.RootNode().Children[0], chain("dot", st(xdm.AxisChild, "a"))); len(got) != 0 {
 			t.Errorf("/a from leaf element = %d nodes, want 0", len(got))
 		}
 	})
 	t.Run("root-only-pattern", func(t *testing.T) {
 		ix := mustIndex(t, twigDoc)
-		got := evalNodes(t, Streaming, ix, ix.Tree.Root, chain("dot", st(xdm.AxisChild, "a")))
-		if len(got) != 1 || got[0] != ix.Tree.Root.Children[0] {
+		got := evalNodes(t, Streaming, ix, ix.Tree.RootNode(), chain("dot", st(xdm.AxisChild, "a")))
+		if len(got) != 1 || got[0] != ix.Tree.RootNode().Children[0] {
 			t.Errorf("single-step /a = %v, want the root element", got)
 		}
 	})
 	t.Run("descendant-star", func(t *testing.T) {
 		ix := mustIndex(t, twigDoc)
 		pat := chain("dot", pattern.NewStep(xdm.AxisDescendant, xdm.StarTest()))
-		got := evalNodes(t, Streaming, ix, ix.Tree.Root, pat)
+		got := evalNodes(t, Streaming, ix, ix.Tree.RootNode(), pat)
 		elements := 0
-		for _, n := range ix.Tree.Nodes {
+		for _, n := range ix.Tree.Nodes() {
 			if n.Kind == xdm.ElementNode {
 				elements++
 			}
@@ -146,7 +146,7 @@ func TestStreamingEdgeCases(t *testing.T) {
 		// desc::b/child::c matches; the trailing child::zz must empty the
 		// result without tripping the subtree-skip bookkeeping.
 		pat := chain("dot", st(xdm.AxisDescendant, "b"), st(xdm.AxisChild, "c"), st(xdm.AxisChild, "zz"))
-		if got := evalNodes(t, Streaming, ix, ix.Tree.Root, pat); len(got) != 0 {
+		if got := evalNodes(t, Streaming, ix, ix.Tree.RootNode(), pat); len(got) != 0 {
 			t.Errorf("//b/c/zz = %d nodes, want 0", len(got))
 		}
 	})
@@ -158,7 +158,7 @@ func TestStreamingFallsBack(t *testing.T) {
 	// still answer correctly.
 	p := chain("dot", st(xdm.AxisDescendant, "b"))
 	p.Root.Preds = []*pattern.Step{st(xdm.AxisChild, "c")}
-	got := evalNodes(t, Streaming, ix, ix.Tree.Root, p)
+	got := evalNodes(t, Streaming, ix, ix.Tree.RootNode(), p)
 	if len(got) != 3 {
 		t.Errorf("fallback result = %d nodes, want 3", len(got))
 	}

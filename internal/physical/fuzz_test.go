@@ -185,8 +185,8 @@ func TestFuzzPipeline(t *testing.T) {
 			drng := rand.New(rand.NewSource(int64(seed*31 + docSeed)))
 			tr := randomDoc(drng, 5+drng.Intn(50))
 			env := (*core.Env)(nil).
-				Bind("dot", xdm.Singleton(tr.Root)).
-				Bind("d", xdm.Singleton(tr.Root))
+				Bind("dot", xdm.Singleton(tr.RootNode())).
+				Bind("d", xdm.Singleton(tr.RootNode()))
 			want, werr := core.Eval(c, env)
 
 			check := func(label string, plan algebra.Expr, alg join.Algorithm) {

@@ -50,17 +50,17 @@ func oracle(t *testing.T, q string, tr *xdm.Tree) (xdm.Sequence, error) {
 		t.Fatalf("normalize %s: %v", q, err)
 	}
 	env := (*core.Env)(nil).
-		Bind("dot", xdm.Singleton(tr.Root)).
-		Bind("d", xdm.Singleton(tr.Root)).
-		Bind("input", xdm.Singleton(tr.Root))
+		Bind("dot", xdm.Singleton(tr.RootNode())).
+		Bind("d", xdm.Singleton(tr.RootNode())).
+		Bind("input", xdm.Singleton(tr.RootNode()))
 	return core.Eval(c, env)
 }
 
 func engineVars(tr *xdm.Tree) map[string]xdm.Sequence {
 	return map[string]xdm.Sequence{
-		"dot":   xdm.Singleton(tr.Root),
-		"d":     xdm.Singleton(tr.Root),
-		"input": xdm.Singleton(tr.Root),
+		"dot":   xdm.Singleton(tr.RootNode()),
+		"d":     xdm.Singleton(tr.RootNode()),
+		"input": xdm.Singleton(tr.RootNode()),
 	}
 }
 

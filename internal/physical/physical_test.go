@@ -44,7 +44,7 @@ func lower(t *testing.T, q string, alg join.Algorithm) *Plan {
 
 func parseDoc(t *testing.T, xml string) *xdm.Tree {
 	t.Helper()
-	tr, err := xmlstore.Parse(strings.NewReader(xml))
+	tr, err := xmlstore.ParseString(xml)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRunAndUniformRootBinding(t *testing.T) {
 	p := lower(t, `$d//person[emailaddress]/name`, join.Staircase)
 
 	// Uniform binding: nil Vars + Root covers every free variable.
-	rt := &Runtime{Root: xdm.Singleton(tr.Root)}
+	rt := &Runtime{Root: xdm.Singleton(tr.RootNode())}
 	out, err := p.Run(rt)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestRunAndUniformRootBinding(t *testing.T) {
 	}
 
 	// Explicit slot-resolved bindings give the same answer.
-	rt2 := &Runtime{Vars: p.BindVars(map[string]xdm.Sequence{"d": xdm.Singleton(tr.Root)})}
+	rt2 := &Runtime{Vars: p.BindVars(map[string]xdm.Sequence{"d": xdm.Singleton(tr.RootNode())})}
 	out2, err := p.Run(rt2)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestAutoPlanResolvesPerDocument(t *testing.T) {
 	if p.Algorithm() != join.Auto {
 		t.Fatalf("Algorithm() = %v, want Auto", p.Algorithm())
 	}
-	rt := &Runtime{Root: xdm.Singleton(tr.Root)}
+	rt := &Runtime{Root: xdm.Singleton(tr.RootNode())}
 	out, err := p.Run(rt)
 	if err != nil {
 		t.Fatal(err)

@@ -213,8 +213,8 @@ func TestRewritePreservesSemantics(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			tr := randomDoc(rng, 5+rng.Intn(60))
 			env := (*core.Env)(nil).
-				Bind("dot", xdm.Singleton(tr.Root)).
-				Bind("d", xdm.Singleton(tr.Root))
+				Bind("dot", xdm.Singleton(tr.RootNode())).
+				Bind("d", xdm.Singleton(tr.RootNode()))
 			want, err1 := core.Eval(orig, env)
 			got, err2 := core.Eval(rew, env)
 			if (err1 == nil) != (err2 == nil) {

@@ -1,12 +1,13 @@
 package xdm
 
-// TreeBuilder assembles a Tree in one pass, in document order, without the
-// separate Finalize re-walk: every region-encoding field and every column of
-// the structure-of-arrays mirror is emitted the moment it is known (pre,
-// level, kind, sym, parent at element open; post and size at element close).
-// Nodes come out of slab arenas and child/attribute pointer lists out of a
-// shared pointer arena, so building an n-node tree costs O(n / slab) heap
-// allocations instead of O(n).
+// TreeBuilder assembles a Tree in one pass, in document order: every column
+// of the region encoding is emitted the moment it is known (pre, level,
+// kind, sym, parent at element open; post and size at element close), names
+// are interned as they are first seen, and the values of text and attribute
+// nodes are collected in preorder. That is the whole tree — the pointer data
+// model is derived from it later, if anyone asks (Tree.RootNode and
+// friends), so building an n-node tree costs the amortized column appends
+// and nothing per node.
 //
 // The caller drives it like a SAX handler and must respect document order:
 // OpenElement, then that element's Attr calls, then its children (nested
@@ -17,245 +18,106 @@ package xdm
 type TreeBuilder struct {
 	t    *Tree
 	post int32
-
-	// Node slab arena: nodes are handed out of chunk[used:]; a fresh chunk
-	// replaces it when exhausted. Finished nodes are reachable through
-	// t.Nodes, so spent chunks need no bookkeeping. spill is the size of the
-	// last overflow chunk (0 while the size-hint chunk lasts).
-	chunk []Node
-	used  int
-	spill int
-
-	// Pointer arena for Children/Attrs slices, chunked the same way. Slices
-	// are taken with a full slice expression so later appends to the chunk
-	// cannot grow into them.
-	ptrChunk []*Node
-
-	// scratch collects the attribute and child pointers of every open
-	// element; each frame owns scratch[frame.scratchStart:] with its
-	// attributes (nattrs of them) before its children.
-	scratch []*Node
-	frames  []builderFrame
+	open []int32 // preorder ranks of the open elements, document node first
 }
 
-type builderFrame struct {
-	node         *Node
-	pre          int32
-	scratchStart int32
-	nattrs       int32
-}
-
-const (
-	minNodeChunk = 64
-	maxNodeChunk = 8192
-	minPtrChunk  = 64
-	maxPtrChunk  = 8192
-)
+// minNodeHint floors the column capacity so tiny documents do not start
+// with a cascade of regrowths.
+const minNodeHint = 64
 
 // NewTreeBuilder returns a builder for a new tree. nodeHint is the expected
-// total node count (attributes and texts included); pass 0 when unknown.
-// The returned builder holds the open document node as its base frame.
+// total node count (attributes and texts included) and sizes the columns;
+// pass 0 when unknown. The returned builder holds the open document node as
+// its base frame.
 func NewTreeBuilder(nodeHint int) *TreeBuilder {
-	if nodeHint < minNodeChunk {
-		nodeHint = minNodeChunk
-	}
-	t := &Tree{ID: int(nextTreeID.Add(1)), Syms: newSymbols()}
-	t.Nodes = make([]*Node, 0, nodeHint)
-	t.Cols = &Cols{
-		Post:   make([]int32, 0, nodeHint),
-		Size:   make([]int32, 0, nodeHint),
-		Level:  make([]int32, 0, nodeHint),
-		Parent: make([]int32, 0, nodeHint),
-		Kind:   make([]uint8, 0, nodeHint),
-		Sym:    make([]int32, 0, nodeHint),
-	}
+	nodeHint = max(nodeHint, minNodeHint)
 	b := &TreeBuilder{
-		t:       t,
-		chunk:   make([]Node, min(nodeHint, maxNodeChunk)),
-		scratch: make([]*Node, 0, 64),
-		frames:  make([]builderFrame, 0, 32),
+		t: &Tree{
+			ID:   int(nextTreeID.Add(1)),
+			Syms: newSymbols(),
+			Cols: &Cols{
+				Post:   make([]int32, 0, nodeHint),
+				Size:   make([]int32, 0, nodeHint),
+				Level:  make([]int32, 0, nodeHint),
+				Parent: make([]int32, 0, nodeHint),
+				Kind:   make([]uint8, 0, nodeHint),
+				Sym:    make([]int32, 0, nodeHint),
+			},
+		},
+		open: make([]int32, 0, 32),
 	}
-	doc := b.newNode()
-	doc.Kind = DocumentNode
-	doc.Sym = NoSym
-	doc.Doc = t
-	t.Root = doc
-	t.Nodes = append(t.Nodes, doc)
-	b.appendCols(0, -1, DocumentNode, NoSym)
-	b.frames = append(b.frames, builderFrame{node: doc, pre: 0})
+	b.open = append(b.open, b.add(DocumentNode, NoSym))
 	return b
 }
 
-func (b *TreeBuilder) newNode() *Node {
-	if b.used == len(b.chunk) {
-		// The size-hint chunk ran out. Spill chunks start at a quarter of the
-		// hint — a hint that was merely a little low costs a little — and
-		// double from there, so a badly low hint still converges in O(log n)
-		// chunks. The previous policy jumped straight to a maxNodeChunk slab
-		// (~1 MB), which for corpora of small documents was a ~280x ingest
-		// write amplification and with it a GC-bound throughput cliff.
-		if b.spill == 0 {
-			b.spill = max(minNodeChunk, len(b.chunk)/4)
-		} else {
-			b.spill = min(2*b.spill, maxNodeChunk)
-		}
-		b.chunk = make([]Node, b.spill)
-		b.used = 0
-	}
-	n := &b.chunk[b.used]
-	b.used++
-	return n
-}
-
-// allocPtrs copies src into the pointer arena and returns the stable slice.
-func (b *TreeBuilder) allocPtrs(src []*Node) []*Node {
-	if len(src) == 0 {
-		return nil
-	}
-	if len(b.ptrChunk)+len(src) > cap(b.ptrChunk) {
-		// Same geometric policy as the node chunks: small trees stay in
-		// small pointer chunks instead of paying a 64 KB arena up front.
-		n := min(max(2*cap(b.ptrChunk), minPtrChunk), maxPtrChunk)
-		b.ptrChunk = make([]*Node, 0, max(n, len(src)))
-	}
-	start := len(b.ptrChunk)
-	b.ptrChunk = append(b.ptrChunk, src...)
-	return b.ptrChunk[start:len(b.ptrChunk):len(b.ptrChunk)]
-}
-
-// appendCols emits the open-time column values for the node about to get
-// preorder rank len(Nodes)-1; Post and Size are patched at close time.
-func (b *TreeBuilder) appendCols(level, parent int32, kind Kind, sym Sym) {
+// add emits the open-time column values of the next node in preorder, a
+// child of the innermost open node, and returns its rank. Post and Size are
+// patched when the node closes.
+func (b *TreeBuilder) add(kind Kind, sym Sym) int32 {
 	c := b.t.Cols
+	pre := int32(len(c.Kind))
+	parent := int32(-1)
+	if len(b.open) > 0 {
+		parent = b.open[len(b.open)-1]
+	}
 	c.Post = append(c.Post, -1)
 	c.Size = append(c.Size, 0)
-	c.Level = append(c.Level, level)
+	c.Level = append(c.Level, int32(len(b.open))) // document node is level 0
 	c.Parent = append(c.Parent, parent)
 	c.Kind = append(c.Kind, uint8(kind))
 	c.Sym = append(c.Sym, int32(sym))
+	return pre
+}
+
+// leaf emits a text-bearing node: no subtree, so its postorder rank is known
+// at once.
+func (b *TreeBuilder) leaf(kind Kind, sym Sym, value string) {
+	pre := b.add(kind, sym)
+	b.t.Cols.Post[pre] = b.post
+	b.post++
+	b.t.texts = append(b.t.texts, value)
 }
 
 // OpenElement starts an element named name (still in the scanner's buffer;
-// interned here) as the next child of the current open element. It returns
-// the element's preorder rank and interned symbol.
-func (b *TreeBuilder) OpenElement(name []byte) (int32, Sym) {
-	sym := b.t.Syms.internBytes(name)
-	parent := &b.frames[len(b.frames)-1]
-	pre := int32(len(b.t.Nodes))
-	level := int32(len(b.frames)) // document frame is level 0
-	n := b.newNode()
-	n.Kind = ElementNode
-	n.Name = b.t.Syms.names[sym]
-	n.Sym = sym
-	n.Parent = parent.node
-	n.Pre = int(pre)
-	n.Level = int(level)
-	n.Doc = b.t
-	b.t.Nodes = append(b.t.Nodes, n)
-	b.appendCols(level, parent.pre, ElementNode, sym)
-	b.scratch = append(b.scratch, n)
-	b.frames = append(b.frames, builderFrame{node: n, pre: pre, scratchStart: int32(len(b.scratch))})
-	return pre, sym
+// interned here) as the next child of the current open element.
+func (b *TreeBuilder) OpenElement(name []byte) {
+	b.open = append(b.open, b.add(ElementNode, b.t.Syms.internBytes(name)))
 }
 
 // Attr adds an attribute to the current open element. Attributes must be
 // added before any of the element's children, matching their position in
 // the preorder numbering (directly after the owner, before its children).
-func (b *TreeBuilder) Attr(name []byte, value string) (int32, Sym) {
-	sym := b.t.Syms.internBytes(name)
-	f := &b.frames[len(b.frames)-1]
-	pre := int32(len(b.t.Nodes))
-	level := int32(len(b.frames))
-	n := b.newNode()
-	n.Kind = AttributeNode
-	n.Name = b.t.Syms.names[sym]
-	n.Text = value
-	n.Sym = sym
-	n.Parent = f.node
-	n.Pre = int(pre)
-	n.Level = int(level)
-	n.Post = int(b.post)
-	n.Doc = b.t
-	b.post++
-	b.t.Nodes = append(b.t.Nodes, n)
-	b.appendCols(level, f.pre, AttributeNode, sym)
-	b.t.Cols.Post[pre] = int32(n.Post)
-	b.scratch = append(b.scratch, n)
-	f.nattrs++
-	return pre, sym
+func (b *TreeBuilder) Attr(name []byte, value string) {
+	b.leaf(AttributeNode, b.t.Syms.internBytes(name), value)
 }
 
-// Text adds a text node under the current open element and returns its
-// preorder rank.
-func (b *TreeBuilder) Text(text string) int32 {
-	f := &b.frames[len(b.frames)-1]
-	pre := int32(len(b.t.Nodes))
-	level := int32(len(b.frames))
-	n := b.newNode()
-	n.Kind = TextNode
-	n.Text = text
-	n.Sym = NoSym
-	n.Parent = f.node
-	n.Pre = int(pre)
-	n.Level = int(level)
-	n.Post = int(b.post)
-	n.Doc = b.t
-	b.post++
-	b.t.Nodes = append(b.t.Nodes, n)
-	b.appendCols(level, f.pre, TextNode, NoSym)
-	b.t.Cols.Post[pre] = int32(n.Post)
-	b.scratch = append(b.scratch, n)
-	return pre
-}
+// Text adds a text node under the current open element.
+func (b *TreeBuilder) Text(text string) { b.leaf(TextNode, NoSym, text) }
 
-// closeFrame seals the top frame: assigns post and size, and moves the
-// frame's scratch region into the arena-backed Attrs/Children slices.
-func (b *TreeBuilder) closeFrame() {
-	f := &b.frames[len(b.frames)-1]
-	n := f.node
-	n.Post = int(b.post)
-	b.post++
-	n.Size = len(b.t.Nodes) - 1 - n.Pre
+// CloseElement ends the current open element: its postorder rank and region
+// size are now known.
+func (b *TreeBuilder) CloseElement() {
 	c := b.t.Cols
-	c.Post[f.pre] = int32(n.Post)
-	c.Size[f.pre] = int32(n.Size)
-	region := b.scratch[f.scratchStart:]
-	if f.nattrs > 0 {
-		n.Attrs = b.allocPtrs(region[:f.nattrs])
-	}
-	if kids := region[f.nattrs:]; len(kids) > 0 {
-		n.Children = b.allocPtrs(kids)
-	}
-	b.scratch = b.scratch[:f.scratchStart]
-	b.frames = b.frames[:len(b.frames)-1]
+	pre := b.open[len(b.open)-1]
+	c.Post[pre] = b.post
+	b.post++
+	c.Size[pre] = int32(len(c.Kind)) - 1 - pre
+	b.open = b.open[:len(b.open)-1]
 }
-
-// CloseElement ends the current open element.
-func (b *TreeBuilder) CloseElement() { b.closeFrame() }
 
 // Depth returns the number of open elements (the document node excluded).
-func (b *TreeBuilder) Depth() int { return len(b.frames) - 1 }
+func (b *TreeBuilder) Depth() int { return len(b.open) - 1 }
 
-// Name returns the interned string for a symbol of the tree under
-// construction (used by the scanner for end-tag matching and errors).
-func (b *TreeBuilder) Name(s Sym) string { return b.t.Syms.Name(s) }
-
-// CurrentSym returns the symbol of the innermost open element, or NoSym at
-// the document level.
-func (b *TreeBuilder) CurrentSym() Sym {
-	if len(b.frames) <= 1 {
-		return NoSym
-	}
-	return b.frames[len(b.frames)-1].node.Sym
+// CurrentName returns the name of the innermost open element, "" at the
+// document level (the scanner's end-tag matching and error messages).
+func (b *TreeBuilder) CurrentName() string {
+	return b.t.Syms.Name(Sym(b.t.Cols.Sym[b.open[len(b.open)-1]]))
 }
-
-// NumNodes returns the number of nodes built so far.
-func (b *TreeBuilder) NumNodes() int { return len(b.t.Nodes) }
 
 // Finish closes the document node and returns the completed tree. All
 // elements must have been closed (Depth() == 0); the tree must not be
 // mutated afterwards. The builder must not be reused.
 func (b *TreeBuilder) Finish() *Tree {
-	b.closeFrame()
+	b.CloseElement()
 	return b.t
 }

@@ -3,12 +3,15 @@ package xdm
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 // buildBoth constructs the same small document through Finalize (pointer
-// construction + re-walk) and through the TreeBuilder, for equivalence
-// checks.
+// construction + re-walk) and through the TreeBuilder (columns only; nodes
+// from materialize on first Nodes call), for equivalence checks.
 func buildBoth() (*Tree, *Tree) {
 	// <r a="1" b="2"><x>hi</x><y c="3"><x/></y>tail</r>
 	r := NewElement("r")
@@ -41,13 +44,17 @@ func buildBoth() (*Tree, *Tree) {
 	return ref, b.Finish()
 }
 
-// CheckTreesEqual fails the test unless the two trees are structurally
+// checkTreesEqual fails the test unless the two trees are structurally
 // identical: same nodes in preorder (kind, name, symbol, text, region
-// encoding, parent), same child/attribute lists, same symbol tables, and
-// same SoA columns. Exported to the package tests only; the xmlstore
-// differential suite has its own copy working through the public API.
+// encoding, parent), same child/attribute lists — linked to the tree's own
+// nodes by pointer, not just by rank — same symbol tables, same text values
+// and same SoA columns. The xmlstore differential suite has its own copy
+// working through the public API.
 func checkTreesEqual(t *testing.T, want, got *Tree) {
 	t.Helper()
+	if got.nodes != nil {
+		t.Fatalf("builder tree holds %d nodes before anything asked for one", len(got.nodes))
+	}
 	if want.CountNodes() != got.CountNodes() {
 		t.Fatalf("node count %d != %d", got.CountNodes(), want.CountNodes())
 	}
@@ -59,8 +66,12 @@ func checkTreesEqual(t *testing.T, want, got *Tree) {
 			t.Fatalf("symbol %d: %q != %q", s, got.Syms.Name(Sym(s)), want.Syms.Name(Sym(s)))
 		}
 	}
-	for pre := range want.Nodes {
-		w, g := want.Nodes[pre], got.Nodes[pre]
+	wn, gn := want.Nodes(), got.Nodes()
+	if len(wn) != len(gn) {
+		t.Fatalf("%d nodes != %d", len(gn), len(wn))
+	}
+	for pre := range wn {
+		w, g := wn[pre], gn[pre]
 		if w.Kind != g.Kind || w.Name != g.Name || w.Text != g.Text || w.Sym != g.Sym {
 			t.Fatalf("pre %d: node %v != %v", pre, g, w)
 		}
@@ -75,20 +86,20 @@ func checkTreesEqual(t *testing.T, want, got *Tree) {
 		if g.Parent != nil {
 			gp = g.Parent.Pre
 		}
-		if wp != gp {
-			t.Fatalf("pre %d: parent %d != %d", pre, gp, wp)
+		if wp != gp || (g.Parent != nil && g.Parent != gn[gp]) {
+			t.Fatalf("pre %d: parent %d != %d (or not this tree's node)", pre, gp, wp)
 		}
 		if len(w.Children) != len(g.Children) || len(w.Attrs) != len(g.Attrs) {
 			t.Fatalf("pre %d: %d children/%d attrs != %d children/%d attrs",
 				pre, len(g.Children), len(g.Attrs), len(w.Children), len(w.Attrs))
 		}
 		for i := range w.Children {
-			if w.Children[i].Pre != g.Children[i].Pre {
+			if g.Children[i] != gn[w.Children[i].Pre] {
 				t.Fatalf("pre %d child %d: %d != %d", pre, i, g.Children[i].Pre, w.Children[i].Pre)
 			}
 		}
 		for i := range w.Attrs {
-			if w.Attrs[i].Pre != g.Attrs[i].Pre {
+			if g.Attrs[i] != gn[w.Attrs[i].Pre] {
 				t.Fatalf("pre %d attr %d: %d != %d", pre, i, g.Attrs[i].Pre, w.Attrs[i].Pre)
 			}
 		}
@@ -96,8 +107,20 @@ func checkTreesEqual(t *testing.T, want, got *Tree) {
 			t.Fatalf("pre %d: Doc pointer not set", pre)
 		}
 	}
+	if got.RootNode() != gn[0] || want.RootNode() != wn[0] {
+		t.Fatalf("RootNode is not rank 0")
+	}
+	wt, gt := want.TextValues(), got.TextValues()
+	if len(wt) != len(gt) {
+		t.Fatalf("%d text values != %d", len(gt), len(wt))
+	}
+	for i := range wt {
+		if wt[i] != gt[i] {
+			t.Fatalf("text value %d: %q != %q", i, gt[i], wt[i])
+		}
+	}
 	wc, gc := want.Cols, got.Cols
-	for pre := range want.Nodes {
+	for pre := range wn {
 		if wc.Post[pre] != gc.Post[pre] || wc.Size[pre] != gc.Size[pre] ||
 			wc.Level[pre] != gc.Level[pre] || wc.Parent[pre] != gc.Parent[pre] ||
 			wc.Kind[pre] != gc.Kind[pre] || wc.Sym[pre] != gc.Sym[pre] {
@@ -126,8 +149,8 @@ func TestBuilderEmptyRoot(t *testing.T) {
 }
 
 // TestBuilderRandomTrees drives both construction paths with an identical
-// random event sequence and checks structural equality, exercising the slab
-// and pointer arenas across chunk boundaries.
+// random event sequence and checks structural equality, growing the columns
+// well past the zero hint.
 func TestBuilderRandomTrees(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -167,5 +190,82 @@ func TestBuilderRandomTrees(t *testing.T) {
 		want := Finalize(root)
 		got := b.Finish()
 		checkTreesEqual(t, want, got)
+	}
+}
+
+// buildWide builds <r><e a="v">x</e>…</r> with n e elements: 3n+2 nodes.
+func buildWide(n int) *Tree {
+	b := NewTreeBuilder(3*n + 2)
+	b.OpenElement([]byte("r"))
+	for i := 0; i < n; i++ {
+		b.OpenElement([]byte("e"))
+		b.Attr([]byte("a"), "v")
+		b.Text("x")
+		b.CloseElement()
+	}
+	b.CloseElement()
+	return b.Finish()
+}
+
+// TestBuilderAllocatesNoNodes pins the point of the builder: a finished tree
+// is columns, symbols and text values. Building an N-node tree must allocate
+// less than N Node structs' worth of bytes, and the tree must hold no node
+// until a forcing accessor asks for one.
+func TestBuilderAllocatesNoNodes(t *testing.T) {
+	const elems = 5000
+	var tr *Tree
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr = buildWide(elems)
+	runtime.ReadMemStats(&after)
+	n := tr.CountNodes()
+	if n != 3*elems+2 {
+		t.Fatalf("built %d nodes, want %d", n, 3*elems+2)
+	}
+	budget := uint64(n) * uint64(unsafe.Sizeof(Node{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Fatalf("building %d nodes allocated %d bytes, not under the %d a Node slab alone would take", n, got, budget)
+	}
+	if tr.root != nil || tr.nodes != nil {
+		t.Fatalf("finished tree already holds nodes")
+	}
+	if got := len(tr.Nodes()); got != n {
+		t.Fatalf("Nodes() built %d nodes, want %d", got, n)
+	}
+}
+
+// TestFirstTouchRace forces one fresh tree from 8 goroutines at once, each
+// through all three accessors (starting with a different one); every call
+// must see the same node for rank 1 (run under -race via RACE_PKGS).
+func TestFirstTouchRace(t *testing.T) {
+	tr := buildWide(200)
+	touch := []func() *Node{
+		func() *Node { return tr.RootNode().Children[0] },
+		func() *Node { return tr.Materialize([]int32{1})[0] },
+		tr.DocElem,
+	}
+	const goroutines = 8
+	seen := make([][3]*Node, goroutines)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for g := 0; g < goroutines; g++ {
+		done.Add(1)
+		go func(g int) {
+			defer done.Done()
+			start.Wait()
+			for k := range touch {
+				seen[g][k] = touch[(g+k)%len(touch)]()
+			}
+		}(g)
+	}
+	start.Done()
+	done.Wait()
+	want := tr.Nodes()[1]
+	for g, ns := range seen {
+		for k, n := range ns {
+			if n != want {
+				t.Fatalf("goroutine %d call %d saw %v for rank 1, want %v", g, k, n, want)
+			}
+		}
 	}
 }

@@ -55,72 +55,42 @@ type Node struct {
 	Doc                    *Tree
 }
 
-// Tree is a document: the document node plus the pre-order array of all its
-// nodes (the base table that the index streams are views over).
-//
-// Trees built by the parser or Finalize carry Root and Nodes from the start.
-// Snapshot-loaded trees (TreeFromColumns) defer the pointer data model: Root
-// and Nodes stay nil until a choke point — RootNode, Materialize, DocElem —
-// forces materialization, so opening a corpus costs column slicing only and
-// untouched members never pay for their Node structs. Code outside this
-// package never holds a *Node of an unmaterialized tree (nodes are only
-// reachable through the forcing accessors), so direct navigation through
-// Node pointers needs no checks.
+// Tree is a document: its region encoding as columns (Cols), its interned
+// names (Syms) and the string values of its text-bearing nodes. That is all a
+// loader builds and all the join kernels read. The pointer data model — one
+// Node per rank with Parent/Children/Attrs links — is derived from the
+// columns by materialize, once, the first time a forcing accessor (RootNode,
+// Nodes, Materialize, DocElem) is asked for a *Node; a tree nobody navigates
+// never allocates one. Finalize is the exception: it adopts the caller's
+// hand-built nodes and derives the columns from them.
 type Tree struct {
-	ID    int      // document identifier for cross-document ordering
-	Root  *Node    // the document node (nil until forced on lazy trees)
-	Nodes []*Node  // all nodes, indexed by Pre (nil until forced on lazy trees)
-	Syms  *Symbols // interned element/attribute names (immutable after Finalize)
-	Cols  *Cols    // structure-of-arrays region encoding, indexed by Pre
+	ID   int      // document identifier for cross-document ordering
+	Syms *Symbols // interned element/attribute names (immutable once built)
+	Cols *Cols    // structure-of-arrays region encoding, indexed by Pre
 
-	// lazy holds the deferred-materialization state of a snapshot-loaded
-	// tree; nil on trees built eagerly.
-	lazy *lazyNodes
+	texts []string     // values of the text and attribute nodes, in preorder
+	load  func() error // shell trees: fills Cols/Syms/texts on first use
+	once  sync.Once    // gates load + materialize
+	root  *Node        // the document node
+	nodes []*Node      // all nodes, indexed by Pre
 }
 
-// lazyNodes is the pending pointer-model build of a snapshot-loaded tree:
-// the text values (the one piece of node state not in the columns), the
-// once gate that makes concurrent forcing safe, and — for deferred snapshot
-// members — the loader that parses and validates the member's bytes on
-// first use.
-type lazyNodes struct {
-	once   sync.Once
-	loader func() error // fills Cols/Syms/texts before materialization; nil when the columns are already present
-	texts  []string
-	err    error // sticky loader failure (the tree is poisoned to an empty document)
-}
-
-// force materializes the pointer data model of a lazy tree; a no-op on
-// eager trees and after the first call. Safe for concurrent use: Once.Do
-// publishes Root/Nodes to every caller that passes a choke point.
+// force builds the pointer data model on first call. Safe for concurrent
+// use: Once.Do publishes root/nodes to every caller of a forcing accessor.
 //
 // On a shell tree the loader runs first. force cannot return an error, so a
-// failed load installs a minimal placeholder document instead of leaving
-// Root/Nodes nil: navigation through a poisoned tree yields an empty
-// document rather than a nil-pointer crash, and the sticky error surfaces
-// through LoadErr at the error-returning boundaries (prepare, resolve).
+// failed load installs a minimal placeholder document: navigation through a
+// poisoned tree yields an empty document rather than a nil-pointer crash,
+// and the loader's own sticky error (xmlstore's Index.Ensure) surfaces at
+// the error-returning boundaries (prepare, resolve).
 func (t *Tree) force() {
-	if l := t.lazy; l != nil {
-		l.once.Do(func() {
-			if l.loader != nil {
-				if err := l.loader(); err != nil {
-					l.err = err
-					t.poison()
-					return
-				}
-			}
-			t.materialize(l.texts)
-		})
-	}
-}
-
-// LoadErr reports the sticky failure of a shell tree whose deferred load
-// ran and failed (nil otherwise, including before the load has run).
-func (t *Tree) LoadErr() error {
-	if l := t.lazy; l != nil {
-		return l.err
-	}
-	return nil
+	t.once.Do(func() {
+		if t.load != nil && t.load() != nil {
+			t.poison()
+			return
+		}
+		t.materialize()
+	})
 }
 
 // poison installs a minimal two-node document (document node over one empty
@@ -131,50 +101,41 @@ func (t *Tree) poison() {
 	doc := &Node{Kind: DocumentNode, Sym: NoSym, Size: 1, Post: 1, Doc: t}
 	el := &Node{Kind: ElementNode, Sym: NoSym, Pre: 1, Level: 1, Parent: doc, Doc: t}
 	doc.Children = []*Node{el}
-	t.Root = doc
-	t.Nodes = []*Node{doc, el}
+	t.root = doc
+	t.nodes = []*Node{doc, el}
 	if t.Syms == nil {
 		t.Syms = newSymbols()
 	}
 }
 
 // NewShellTree returns an empty tree whose columns, symbols and text values
-// arrive later through load. The deferred snapshot loader builds one shell
-// per member at open time: the shell gives the corpus layer a stable
-// identity (tree pointer and ID, the keys of the catalog and preparation
-// caches) while the member's bytes stay untouched on disk. load runs at
-// most once, under the same once gate as materialization; it must fill
-// Cols/Syms (FillColumns) before returning nil.
+// arrive later through load. The snapshot loader builds one shell per member
+// at open time: the shell gives the corpus layer a stable identity (tree
+// pointer and ID, the keys of the catalog and preparation caches) while the
+// member's bytes stay untouched on disk. load runs at most once, under the
+// same once gate as materialization; it must fill the tree (FillColumns)
+// before returning nil.
 func NewShellTree(load func() error) *Tree {
-	return &Tree{
-		ID:   int(nextTreeID.Add(1)),
-		lazy: &lazyNodes{loader: load},
-	}
+	return &Tree{ID: int(nextTreeID.Add(1)), load: load}
 }
 
-// RootNode returns the document node, materializing a snapshot-loaded
-// tree's pointer data model on first use. Prefer this over reading Root
-// directly when the tree may come from a snapshot.
+// RootNode returns the document node, building the tree's nodes on first use.
 func (t *Tree) RootNode() *Node {
 	t.force()
-	return t.Root
+	return t.root
+}
+
+// Nodes returns every node indexed by preorder rank, building them on first
+// use. The slice is shared and must not be modified.
+func (t *Tree) Nodes() []*Node {
+	t.force()
+	return t.nodes
 }
 
 // TextValues returns the values of the text-bearing nodes (text and
-// attribute nodes) in preorder. On lazy trees this reads the stored values
-// without forcing materialization — the snapshot writer's path.
-func (t *Tree) TextValues() []string {
-	if l := t.lazy; l != nil {
-		return l.texts
-	}
-	out := make([]string, 0, len(t.Nodes)/4)
-	for _, n := range t.Nodes {
-		if n.Kind == TextNode || n.Kind == AttributeNode {
-			out = append(out, n.Text)
-		}
-	}
-	return out
-}
+// attribute nodes) in preorder — what the snapshot writer stores beside the
+// columns. It never builds a node.
+func (t *Tree) TextValues() []string { return t.texts }
 
 // Cols is the structure-of-arrays mirror of the tree's region encoding: one
 // flat column per encoding field, all indexed by preorder rank. The columns
@@ -246,12 +207,14 @@ func (n *Node) SetAttr(name, value string) *Node {
 var nextTreeID atomic.Int64
 
 // Finalize wraps root (an element) in a document node, assigns region
-// encodings to every node and returns the resulting Tree. The tree must not
-// be mutated afterwards.
+// encodings to every node and returns the resulting Tree, which adopts the
+// caller's nodes as its pointer model. It is the independent reference the
+// TreeBuilder + materialize path is tested against. The tree must not be
+// mutated afterwards.
 func Finalize(root *Node) *Tree {
 	doc := &Node{Kind: DocumentNode, Sym: NoSym}
 	doc.AppendChild(root)
-	t := &Tree{Root: doc, ID: int(nextTreeID.Add(1)), Syms: newSymbols()}
+	t := &Tree{root: doc, ID: int(nextTreeID.Add(1)), Syms: newSymbols()}
 	pre, post := 0, 0
 	var walk func(n *Node, level int)
 	walk = func(n *Node, level int) {
@@ -264,8 +227,11 @@ func Finalize(root *Node) *Tree {
 		default:
 			n.Sym = NoSym
 		}
+		if n.Kind == TextNode {
+			t.texts = append(t.texts, n.Text)
+		}
 		pre++
-		t.Nodes = append(t.Nodes, n)
+		t.nodes = append(t.nodes, n)
 		for _, a := range n.Attrs {
 			a.Pre = pre
 			a.Level = level + 1
@@ -275,7 +241,8 @@ func Finalize(root *Node) *Tree {
 			a.Post = post
 			post++
 			pre++
-			t.Nodes = append(t.Nodes, a)
+			t.nodes = append(t.nodes, a)
+			t.texts = append(t.texts, a.Text)
 		}
 		for _, c := range n.Children {
 			walk(c, level+1)
@@ -286,12 +253,13 @@ func Finalize(root *Node) *Tree {
 	}
 	walk(doc, 0)
 	t.buildCols()
+	t.once.Do(func() {}) // the nodes are the caller's: nothing left to force
 	return t
 }
 
 // buildCols fills the structure-of-arrays mirror from the finalized nodes.
 func (t *Tree) buildCols() {
-	n := len(t.Nodes)
+	n := len(t.nodes)
 	c := &Cols{
 		Post:   make([]int32, n),
 		Size:   make([]int32, n),
@@ -300,7 +268,7 @@ func (t *Tree) buildCols() {
 		Kind:   make([]uint8, n),
 		Sym:    make([]int32, n),
 	}
-	for i, nd := range t.Nodes {
+	for i, nd := range t.nodes {
 		c.Post[i] = int32(nd.Post)
 		c.Size[i] = int32(nd.Size)
 		c.Level[i] = int32(nd.Level)
@@ -317,15 +285,15 @@ func (t *Tree) buildCols() {
 
 // Materialize resolves a slice of preorder ranks to the nodes themselves —
 // the one place integer results cross back into the pointer data model
-// (forcing a lazy tree on first use).
+// (building it on first use).
 func (t *Tree) Materialize(ranks []int32) []*Node {
 	if len(ranks) == 0 {
 		return nil
 	}
-	t.force()
+	nodes := t.Nodes()
 	out := make([]*Node, len(ranks))
 	for i, r := range ranks {
-		out[i] = t.Nodes[r]
+		out[i] = nodes[r]
 	}
 	return out
 }
@@ -378,13 +346,13 @@ func (n *Node) String() string {
 }
 
 // CountNodes returns the number of nodes in the tree (including the document
-// node and attribute nodes). Answered from the columns when present, so it
-// never forces a lazy tree.
+// node and attribute nodes), from the columns: it never builds a node. A
+// shell tree that has not loaded (or failed to) counts zero.
 func (t *Tree) CountNodes() int {
-	if t.Cols != nil {
-		return len(t.Cols.Kind)
+	if t.Cols == nil {
+		return 0
 	}
-	return len(t.Nodes)
+	return len(t.Cols.Kind)
 }
 
 // DocElem returns the single element child of the document node, or nil.

@@ -2,41 +2,19 @@ package xdm
 
 import "fmt"
 
-// TreeFromColumns accepts an already-complete column set as a tree — the
-// core of the snapshot load path. No region encoding is recomputed;
+// FillColumns validates a column set read from a snapshot and installs it
+// on t, an unfilled shell tree (NewShellTree): the loader calls it when a
+// member's first use forces its parse, so the tree keeps the pointer
+// identity every cache is keyed on. No region encoding is recomputed;
 // Post/Size/Level/Parent come straight from the columns, names resolve
 // through syms, and texts supplies the string values of the text-bearing
-// nodes (text and attribute nodes, in preorder). The cols, syms and texts
-// arguments are retained by the returned tree.
+// nodes (text and attribute nodes, in preorder). All three are retained.
 //
 // The columns are validated structurally here — parent ranks behind the
 // child, kinds that can nest, symbol and region bounds — so a corrupted
 // snapshot turns into an error at load time instead of an out-of-range
-// panic inside a join kernel. The pointer data model (the Node structs with
-// their Parent/Children/Attrs links, the inverse of what the TreeBuilder
-// emits) is NOT built here: the returned tree is lazy, and materializes its
-// nodes on the first forcing access (Tree.RootNode, Tree.Materialize).
-// Opening a corpus snapshot therefore costs validation and slice headers
-// only; members a query never touches never allocate a Node. The tree gets
-// a fresh ID from the global counter; corpus loaders reassign IDs in member
-// order afterwards (AssignTreeIDs), exactly as parallel ingest does.
-func TreeFromColumns(cols *Cols, syms *Symbols, texts []string) (*Tree, error) {
-	t := &Tree{
-		ID:   int(nextTreeID.Add(1)),
-		lazy: &lazyNodes{},
-	}
-	if err := t.FillColumns(cols, syms, texts); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// FillColumns validates the column set and installs it on t, which must be
-// an unfilled shell or freshly allocated tree. This is the deferred-load
-// half of TreeFromColumns: the snapshot loader creates shell trees at open
-// time (NewShellTree) and fills them here when a member's first use forces
-// its parse, preserving the tree's pointer identity for every cache keyed
-// on it. The cols, syms and texts arguments are retained.
+// panic inside a join kernel or materialize. (TreeBuilder output is correct
+// by construction and skips this.)
 func (t *Tree) FillColumns(cols *Cols, syms *Symbols, texts []string) error {
 	n := len(cols.Kind)
 	if len(cols.Post) != n || len(cols.Size) != n || len(cols.Level) != n ||
@@ -55,13 +33,11 @@ func (t *Tree) FillColumns(cols *Cols, syms *Symbols, texts []string) error {
 	}
 	nsyms := int32(syms.Len())
 
-	// Validate every node against its parent, counting the fan-out so the
-	// root-element and text-count invariants can be checked below. (The
-	// counts are recomputed at materialization time; this pass is about
-	// rejecting corrupted columns while errors can still be returned.)
-	childCount := make([]int32, n)
-	attrCount := make([]int32, n)
-	nTexts := 0
+	// Validate every node against its parent, counting the document node's
+	// children and the text-bearing nodes for the invariants checked below.
+	// (This pass is about rejecting corrupted columns while errors can still
+	// be returned; materialize trusts what passed it.)
+	docChildren, nTexts := 0, 0
 	for i := 1; i < n; i++ {
 		p := cols.Parent[i]
 		if p < 0 || int(p) >= i {
@@ -88,7 +64,6 @@ func (t *Tree) FillColumns(cols *Cols, syms *Symbols, texts []string) error {
 			if s := cols.Sym[i]; s < 0 || s >= nsyms {
 				return fmt.Errorf("xdm: node %d symbol %d out of range", i, s)
 			}
-			childCount[p]++
 		case AttributeNode:
 			if pk != ElementNode {
 				return fmt.Errorf("xdm: attribute %d under %s parent", i, pk)
@@ -99,7 +74,6 @@ func (t *Tree) FillColumns(cols *Cols, syms *Symbols, texts []string) error {
 			if cols.Size[i] != 0 {
 				return fmt.Errorf("xdm: attribute %d with non-empty region", i)
 			}
-			attrCount[p]++
 			nTexts++
 		case TextNode:
 			if pk != ElementNode && pk != DocumentNode {
@@ -111,18 +85,20 @@ func (t *Tree) FillColumns(cols *Cols, syms *Symbols, texts []string) error {
 			if cols.Size[i] != 0 {
 				return fmt.Errorf("xdm: text node %d with non-empty region", i)
 			}
-			childCount[p]++
 			nTexts++
 		case DocumentNode:
 			return fmt.Errorf("xdm: nested document node at rank %d", i)
 		default:
 			return fmt.Errorf("xdm: invalid node kind %d at rank %d", cols.Kind[i], i)
 		}
+		if p == 0 {
+			docChildren++
+		}
 	}
 	if nTexts != len(texts) {
 		return fmt.Errorf("xdm: %d text values for %d text-bearing nodes", len(texts), nTexts)
 	}
-	if childCount[0] != 1 || attrCount[0] != 0 {
+	if docChildren != 1 {
 		return fmt.Errorf("xdm: document node must hold exactly one root element")
 	}
 	if Kind(cols.Kind[1]) != ElementNode {
@@ -131,47 +107,34 @@ func (t *Tree) FillColumns(cols *Cols, syms *Symbols, texts []string) error {
 
 	t.Syms = syms
 	t.Cols = cols
-	if t.lazy == nil {
-		t.lazy = &lazyNodes{}
-	}
-	t.lazy.texts = texts
+	t.texts = texts
 	return nil
 }
 
-// materialize builds the pointer data model over the validated columns of a
-// lazy tree: the nodes from one slab and the Children/Attrs lists from one
-// pointer arena (the exact counts are known, so this is two allocations
-// plus the headers). Each parent's arena region holds its attributes first,
-// then its children; appends below fill the capacity-bounded subslices in
-// preorder, which is attribute/child order. Called exactly once, under the
-// lazy once gate (Tree.force).
-func (t *Tree) materialize(texts []string) {
-	cols := t.Cols
-	syms := t.Syms
+// materialize builds the pointer data model over the columns — the only
+// place a loaded tree's nodes come from: the nodes in one slab and the
+// Children/Attrs lists in one pointer arena (the exact counts are known, so
+// this is two allocations plus the headers). The arena is laid out in
+// preorder of the owners, each owner's attributes before its children; an
+// owner claims its two capacity-bounded regions when it is visited, and its
+// attributes and children, which all follow it in preorder, append into
+// them. Called exactly once, under the once gate (Tree.force).
+func (t *Tree) materialize() {
+	cols, names, texts := t.Cols, t.Syms.Names(), t.texts
 	n := len(cols.Kind)
-	childCount := make([]int32, n)
-	attrCount := make([]int32, n)
+	nattrs := make([]int32, n)
+	nkids := make([]int32, n)
 	for i := 1; i < n; i++ {
 		if Kind(cols.Kind[i]) == AttributeNode {
-			attrCount[cols.Parent[i]]++
+			nattrs[cols.Parent[i]]++
 		} else {
-			childCount[cols.Parent[i]]++
+			nkids[cols.Parent[i]]++
 		}
 	}
 	slab := make([]Node, n)
 	nodes := make([]*Node, n)
 	ptrs := make([]*Node, n-1) // every node except the document is someone's child or attr
-	attrOff := make([]int32, n)
-	childOff := make([]int32, n)
-	off := int32(0)
-	for i := 0; i < n; i++ {
-		attrOff[i] = off
-		off += attrCount[i]
-		childOff[i] = off
-		off += childCount[i]
-	}
-	ti := 0
-	names := syms.Names()
+	off, ti := int32(0), 0
 	for i := 0; i < n; i++ {
 		nd := &slab[i]
 		nodes[i] = nd
@@ -194,26 +157,24 @@ func (t *Tree) materialize(texts []string) {
 			nd.Text = texts[ti]
 			ti++
 		}
+		if a := nattrs[i]; a > 0 {
+			nd.Attrs = ptrs[off : off : off+a]
+			off += a
+		}
+		if c := nkids[i]; c > 0 {
+			nd.Children = ptrs[off : off : off+c]
+			off += c
+		}
 		if i == 0 {
 			continue
 		}
-		p := cols.Parent[i]
-		parent := nodes[p]
+		nd.Parent = nodes[cols.Parent[i]]
 		if k == AttributeNode {
-			if parent.Attrs == nil {
-				a := attrOff[p]
-				parent.Attrs = ptrs[a : a : a+attrCount[p]]
-			}
-			parent.Attrs = append(parent.Attrs, nd)
+			nd.Parent.Attrs = append(nd.Parent.Attrs, nd)
 		} else {
-			if parent.Children == nil {
-				a := childOff[p]
-				parent.Children = ptrs[a : a : a+childCount[p]]
-			}
-			parent.Children = append(parent.Children, nd)
+			nd.Parent.Children = append(nd.Parent.Children, nd)
 		}
-		nd.Parent = parent
 	}
-	t.Root = nodes[0]
-	t.Nodes = nodes
+	t.root = nodes[0]
+	t.nodes = nodes
 }

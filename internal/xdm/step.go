@@ -226,8 +226,8 @@ func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
 	case AxisFollowing:
 		// All nodes after the end of ctx's subtree, in document order
 		// (attributes are not on the following axis).
-		for pre := ctx.End() + 1; pre < len(ctx.Doc.Nodes); pre++ {
-			n := ctx.Doc.Nodes[pre]
+		for pre := ctx.End() + 1; pre < len(ctx.Doc.nodes); pre++ {
+			n := ctx.Doc.nodes[pre]
 			if n.Kind == AttributeNode {
 				continue
 			}
@@ -238,7 +238,7 @@ func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
 	case AxisPreceding:
 		// All nodes strictly before ctx that are not its ancestors.
 		for pre := 1; pre < ctx.Pre; pre++ {
-			n := ctx.Doc.Nodes[pre]
+			n := ctx.Doc.nodes[pre]
 			if n.Kind == AttributeNode || n.Contains(ctx) {
 				continue
 			}

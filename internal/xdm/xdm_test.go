@@ -32,7 +32,7 @@ func sampleTree() *Tree {
 
 func TestFinalizeRegions(t *testing.T) {
 	tr := sampleTree()
-	doc := tr.Root
+	doc := tr.RootNode()
 	if doc.Kind != DocumentNode || doc.Pre != 0 || doc.Level != 0 {
 		t.Fatalf("document node encoding wrong: %+v", doc)
 	}
@@ -44,15 +44,15 @@ func TestFinalizeRegions(t *testing.T) {
 		t.Errorf("a encoding: pre=%d level=%d", a.Pre, a.Level)
 	}
 	// Region of the document spans every node.
-	if doc.Size != len(tr.Nodes)-1 {
-		t.Errorf("doc.Size = %d, want %d", doc.Size, len(tr.Nodes)-1)
+	if doc.Size != len(tr.Nodes())-1 {
+		t.Errorf("doc.Size = %d, want %d", doc.Size, len(tr.Nodes())-1)
 	}
 	// Attribute numbered right after its element.
 	if len(a.Attrs) != 1 || a.Attrs[0].Pre != a.Pre+1 {
 		t.Errorf("attribute pre = %d, want %d", a.Attrs[0].Pre, a.Pre+1)
 	}
 	// Nodes are indexed by Pre.
-	for i, n := range tr.Nodes {
+	for i, n := range tr.Nodes() {
 		if n.Pre != i {
 			t.Fatalf("Nodes[%d].Pre = %d", i, n.Pre)
 		}
@@ -61,8 +61,8 @@ func TestFinalizeRegions(t *testing.T) {
 
 func TestContainsMatchesAncestry(t *testing.T) {
 	tr := sampleTree()
-	for _, n := range tr.Nodes {
-		for _, d := range tr.Nodes {
+	for _, n := range tr.Nodes() {
+		for _, d := range tr.Nodes() {
 			want := false
 			for p := d.Parent; p != nil; p = p.Parent {
 				if p == n {
@@ -177,7 +177,7 @@ func TestEffectiveBool(t *testing.T) {
 	}{
 		{Sequence{}, false},
 		{Sequence{tr.DocElem()}, true},
-		{Sequence{tr.DocElem(), tr.Root}, true},
+		{Sequence{tr.DocElem(), tr.RootNode()}, true},
 		{Sequence{Bool(true)}, true},
 		{Sequence{Bool(false)}, false},
 		{Sequence{String("")}, false},
@@ -286,10 +286,10 @@ func TestRegionEncodingProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTree(rng, 2+rng.Intn(60))
-		for _, n := range tr.Nodes {
+		for _, n := range tr.Nodes() {
 			// size = number of nodes with Pre in (n.Pre, n.Pre+n.Size].
 			cnt := 0
-			for _, m := range tr.Nodes {
+			for _, m := range tr.Nodes() {
 				if n.Contains(m) {
 					cnt++
 				}
@@ -298,7 +298,7 @@ func TestRegionEncodingProperty(t *testing.T) {
 				return false
 			}
 			// Ancestry iff (pre smaller, post larger).
-			for _, m := range tr.Nodes {
+			for _, m := range tr.Nodes() {
 				if m == n || m.Kind == AttributeNode || n.Kind == AttributeNode {
 					continue
 				}
@@ -322,7 +322,7 @@ func TestDDOProperty(t *testing.T) {
 		tr := randomTree(rng, 2+rng.Intn(40))
 		var seq Sequence
 		for i := 0; i < rng.Intn(50); i++ {
-			seq = append(seq, tr.Nodes[rng.Intn(len(tr.Nodes))])
+			seq = append(seq, tr.Nodes()[rng.Intn(len(tr.Nodes()))])
 		}
 		once, err := DDO(seq)
 		if err != nil {
@@ -355,7 +355,7 @@ func TestStepProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTree(rng, 2+rng.Intn(50))
-		ctx := tr.Nodes[rng.Intn(len(tr.Nodes))]
+		ctx := tr.Nodes()[rng.Intn(len(tr.Nodes()))]
 		axis := axes[rng.Intn(len(axes))]
 		test := NameTest([]string{"a", "b", "c", "d"}[rng.Intn(4)])
 		got := Step(ctx, axis, test)
@@ -364,7 +364,7 @@ func TestStepProperty(t *testing.T) {
 		}
 		// Brute force.
 		want := map[*Node]bool{}
-		for _, m := range tr.Nodes {
+		for _, m := range tr.Nodes() {
 			var onAxis bool
 			switch axis {
 			case AxisChild:

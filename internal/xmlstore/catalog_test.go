@@ -1,13 +1,12 @@
 package xmlstore
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
 
 func TestCatalogBuildsOnce(t *testing.T) {
-	tree, err := Parse(strings.NewReader(`<a><b/><b/><c/></a>`))
+	tree, err := ParseString(`<a><b/><b/><c/></a>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +36,7 @@ func TestCatalogBuildsOnce(t *testing.T) {
 }
 
 func TestCatalogRegisterExistingWins(t *testing.T) {
-	tree, err := Parse(strings.NewReader(`<a><b/></a>`))
+	tree, err := ParseString(`<a><b/></a>`)
 	if err != nil {
 		t.Fatal(err)
 	}

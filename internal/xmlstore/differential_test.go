@@ -9,13 +9,30 @@ import (
 	"xqtp/internal/xdm"
 )
 
-// The differential contract of the ingest fast path: for every input that
+// The differential contract of the ingest path: for every input that
 // ParseStd (the encoding/xml reference) accepts, the scanner must accept it
-// too and produce a bit-identical tree — same nodes in preorder, same
-// symbol table, same columns — and Ingest's fused index must equal a
-// BuildIndex run over the finished tree. The scanner may additionally
+// too and produce a bit-identical tree — same symbol table, same columns,
+// and, once forced through the Nodes accessor, the same nodes in preorder
+// as the skeleton Finalize adopted — and Ingest's index must equal a
+// BuildIndex run over the reference tree. The scanner may additionally
 // accept inputs ParseStd rejects (it is non-validating); it must never
 // reject what ParseStd accepts.
+
+// parseStdString runs the reference path over a string.
+func parseStdString(s string) (*xdm.Tree, error) { return ParseStd(strings.NewReader(s)) }
+
+// requireIngestMatchesStd holds Ingest (scan → columns → BuildIndex →
+// materialize on demand) to the reference (ParseStd → Finalize →
+// BuildIndex), rank for rank and node for node.
+func requireIngestMatchesStd(t *testing.T, want *xdm.Tree, data []byte) {
+	t.Helper()
+	ix, err := Ingest(data)
+	if err != nil {
+		t.Fatalf("Ingest rejected input accepted by ParseStd: %v\ninput: %q", err, data)
+	}
+	requireIndexesEqual(t, BuildIndex(want), ix)
+	requireTreesEqual(t, want, ix.Tree)
+}
 
 // requireTreesEqual compares two trees node for node and column for column.
 func requireTreesEqual(t *testing.T, want, got *xdm.Tree) {
@@ -31,8 +48,8 @@ func requireTreesEqual(t *testing.T, want, got *xdm.Tree) {
 			t.Fatalf("symbol %d: fast %q, std %q", s, got.Syms.Name(xdm.Sym(s)), want.Syms.Name(xdm.Sym(s)))
 		}
 	}
-	for pre := range want.Nodes {
-		w, g := want.Nodes[pre], got.Nodes[pre]
+	for pre := range want.Nodes() {
+		w, g := want.Nodes()[pre], got.Nodes()[pre]
 		if w.Kind != g.Kind || w.Name != g.Name || w.Text != g.Text || w.Sym != g.Sym {
 			t.Fatalf("pre %d: fast {kind=%v name=%q text=%q sym=%d}, std {kind=%v name=%q text=%q sym=%d}",
 				pre, g.Kind, g.Name, g.Text, g.Sym, w.Kind, w.Name, w.Text, w.Sym)
@@ -70,7 +87,7 @@ func requireTreesEqual(t *testing.T, want, got *xdm.Tree) {
 		}
 	}
 	wc, gc := want.Cols, got.Cols
-	for pre := range want.Nodes {
+	for pre := range want.Nodes() {
 		if wc.Post[pre] != gc.Post[pre] || wc.Size[pre] != gc.Size[pre] ||
 			wc.Level[pre] != gc.Level[pre] || wc.Parent[pre] != gc.Parent[pre] ||
 			wc.Kind[pre] != gc.Kind[pre] || wc.Sym[pre] != gc.Sym[pre] {
@@ -81,8 +98,8 @@ func requireTreesEqual(t *testing.T, want, got *xdm.Tree) {
 	}
 }
 
-// requireIndexesEqual compares a fused index against a reference, rank
-// stream for rank stream.
+// requireIndexesEqual compares an index against a reference, rank stream
+// for rank stream.
 func requireIndexesEqual(t *testing.T, want, got *Index) {
 	t.Helper()
 	requireStreams := func(label string, w, g []int32) {
@@ -152,27 +169,16 @@ var differentialCorpus = []string{
 	`<a>t1<b>t2</b>t3<b/>t4</a>`,
 }
 
-// TestFastVsStdCorpus checks the scanner node for node against ParseStd on
-// the handwritten corpus, and the fused index rank for rank against
-// BuildIndex.
+// TestFastVsStdCorpus checks Ingest against the reference path on the
+// handwritten corpus.
 func TestFastVsStdCorpus(t *testing.T) {
 	for _, doc := range differentialCorpus {
 		t.Run("", func(t *testing.T) {
-			want, err := ParseStd(strings.NewReader(doc))
+			want, err := parseStdString(doc)
 			if err != nil {
 				t.Fatalf("ParseStd rejected corpus entry %q: %v", doc, err)
 			}
-			got, err := ParseString(doc)
-			if err != nil {
-				t.Fatalf("fast parser rejected %q accepted by ParseStd: %v", doc, err)
-			}
-			requireTreesEqual(t, want, got)
-			ix, err := IngestString(doc)
-			if err != nil {
-				t.Fatalf("Ingest rejected %q: %v", doc, err)
-			}
-			requireTreesEqual(t, want, ix.Tree)
-			requireIndexesEqual(t, BuildIndex(ix.Tree), ix)
+			requireIngestMatchesStd(t, want, []byte(doc))
 		})
 	}
 }
@@ -191,12 +197,7 @@ func TestFastVsStdGenerated(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ParseStd: %v", err)
 			}
-			ix, err := Ingest(data)
-			if err != nil {
-				t.Fatalf("Ingest: %v", err)
-			}
-			requireTreesEqual(t, want, ix.Tree)
-			requireIndexesEqual(t, BuildIndex(ix.Tree), ix)
+			requireIngestMatchesStd(t, want, data)
 		})
 	}
 }
@@ -266,12 +267,12 @@ func TestXmlnsDropSymmetry(t *testing.T) {
 		for _, parse := range []struct {
 			label string
 			fn    func(string) (*xdm.Tree, error)
-		}{{"std", ParseStdString}, {"fast", ParseString}} {
+		}{{"std", parseStdString}, {"fast", ParseString}} {
 			tr, err := parse.fn(tc.doc)
 			if err != nil {
 				t.Fatalf("%s rejected %q: %v", parse.label, tc.doc, err)
 			}
-			root := tr.Root.Children[0]
+			root := tr.RootNode().Children[0]
 			var names []string
 			for _, a := range root.Attrs {
 				names = append(names, a.Name)
@@ -304,11 +305,6 @@ func FuzzScanVsStd(f *testing.F) {
 			// ParseStd rejects; the non-validating scanner may go either way.
 			return
 		}
-		ix, err := Ingest(bytes.Clone(data))
-		if err != nil {
-			t.Fatalf("fast parser rejected input accepted by ParseStd: %v\ninput: %q", err, data)
-		}
-		requireTreesEqual(t, want, ix.Tree)
-		requireIndexesEqual(t, BuildIndex(ix.Tree), ix)
+		requireIngestMatchesStd(t, want, bytes.Clone(data))
 	})
 }

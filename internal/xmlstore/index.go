@@ -41,7 +41,8 @@ type Index struct {
 
 // BuildIndex scans the tree's kind/sym columns twice — once to size every
 // stream exactly, once to fill them — and constructs its index without
-// touching a single node pointer.
+// touching a single node pointer. It is the only index builder: Ingest and
+// the Finalize-built reference and generator trees all come through here.
 func BuildIndex(t *xdm.Tree) *Index {
 	nsyms := t.Syms.Len()
 	cols := t.Cols
@@ -163,17 +164,6 @@ func (ix *Index) RanksFor(axis xdm.Axis, test xdm.NodeTest) []int32 {
 		return ix.AttributeRanks(test)
 	}
 	return ix.ElementRanks(test)
-}
-
-// ElementStream materializes ElementRanks as nodes (convenience for callers
-// outside the join kernels; allocates).
-func (ix *Index) ElementStream(test xdm.NodeTest) []*xdm.Node {
-	return ix.Tree.Materialize(ix.ElementRanks(test))
-}
-
-// AttributeStream materializes AttributeRanks as nodes.
-func (ix *Index) AttributeStream(test xdm.NodeTest) []*xdm.Node {
-	return ix.Tree.Materialize(ix.AttributeRanks(test))
 }
 
 // RegionRanks narrows a preorder-sorted rank stream to the ranks strictly

@@ -1,12 +1,12 @@
 package xmlstore
 
 // The ingest fast path: a non-validating, zero-copy streaming scan over the
-// raw document bytes fused with single-pass columnar tree construction.
-// One walk over the input interns tag and attribute names, allocates nodes
-// from the xdm.TreeBuilder's slab arenas, emits the post/size/level/parent/
-// kind/sym columns, and appends every element and attribute rank to its
-// per-symbol index stream — the separate xdm.Finalize and BuildIndex
-// re-traversals of the encoding/xml path disappear entirely.
+// raw document bytes feeding the xdm.TreeBuilder. One walk over the input
+// interns tag and attribute names and emits the post/size/level/parent/
+// kind/sym columns plus the text values; BuildIndex then derives the rank
+// streams from the kind/sym columns in two exactly-sized passes. No node is
+// allocated — the tree builds its pointer model from the columns if and when
+// somebody navigates it.
 //
 // The scanner accepts a superset of what ParseStd accepts (no UTF-8
 // validation, no name-character checks, '<' allowed in attribute values,
@@ -26,12 +26,17 @@ import (
 	"xqtp/internal/xdm"
 )
 
-// Ingest scans an XML document held in data and returns its fused tree and
-// index. Ingest takes ownership of data: the tree's text and attribute
-// values alias the buffer, so the caller must not modify it afterwards.
+// Ingest scans an XML document held in data and returns its tree (columns,
+// symbols, text values) and index. Whitespace-only text between elements is
+// dropped (data-oriented parsing); mixed content text is preserved. Ingest
+// takes ownership of data: the tree's text and attribute values alias the
+// buffer, so the caller must not modify it afterwards.
 func Ingest(data []byte) (*Index, error) {
-	_, ix, err := ingest(data, true)
-	return ix, err
+	in := &ingester{data: data, b: xdm.NewTreeBuilder(nodeHint(data))}
+	if err := in.run(); err != nil {
+		return nil, err
+	}
+	return BuildIndex(in.b.Finish()), nil
 }
 
 // IngestReader reads r to the end and ingests the document.
@@ -43,90 +48,27 @@ func IngestReader(r io.Reader) (*Index, error) {
 	return Ingest(data)
 }
 
-// Parse reads an XML document from r and returns its XDM tree via the fast
-// scanner. Whitespace-only text between elements is dropped (data-oriented
-// parsing); mixed content text is preserved. ParseStd is the encoding/xml
-// reference implementation of the same contract.
-func Parse(r io.Reader) (*xdm.Tree, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("xmlstore: %w", err)
-	}
-	return ParseBytes(data)
-}
-
-// ParseBytes parses an XML document held in a byte slice via the fast
-// scanner. It takes ownership of data (see Ingest).
-func ParseBytes(data []byte) (*xdm.Tree, error) {
-	t, _, err := ingest(data, false)
-	return t, err
-}
-
-// ParseString parses an XML document held in a string.
-func ParseString(s string) (*xdm.Tree, error) {
-	// The scanner never writes to its input, so aliasing the string's bytes
-	// is safe and keeps the path copy-free.
-	return ParseBytes(stringBytes(s))
-}
-
 // IngestString ingests an XML document held in a string (copy-free: strings
-// are immutable, so the ownership condition of Ingest holds trivially).
-func IngestString(s string) (*Index, error) {
-	_, ix, err := ingest(stringBytes(s), true)
-	return ix, err
-}
+// are immutable, so the ownership condition of Ingest holds trivially, and
+// the scanner never writes to its input).
+func IngestString(s string) (*Index, error) { return Ingest(stringBytes(s)) }
 
-// IngestWriter is an io.Writer front-end to the ingester: the document
-// generators stream serialized XML into it and Finish scans the
-// accumulated bytes, so no intermediate string of the full document is
-// ever materialized.
-type IngestWriter struct {
-	buf []byte
-}
-
-// NewIngestWriter returns a writer expecting roughly sizeHint bytes.
-func NewIngestWriter(sizeHint int) *IngestWriter {
-	if sizeHint < 0 {
-		sizeHint = 0
+// ParseString is IngestString for callers that want only the tree.
+func ParseString(s string) (*xdm.Tree, error) {
+	ix, err := IngestString(s)
+	if err != nil {
+		return nil, err
 	}
-	return &IngestWriter{buf: make([]byte, 0, sizeHint)}
+	return ix.Tree, nil
 }
 
-// Write appends p to the pending document.
-func (w *IngestWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-// Bytes returns the accumulated document bytes (owned by the writer).
-func (w *IngestWriter) Bytes() []byte { return w.buf }
-
-// Finish ingests the accumulated document. The writer must not be reused
-// afterwards: the returned tree aliases its buffer.
-func (w *IngestWriter) Finish() (*Index, error) {
-	return Ingest(w.buf)
-}
-
-// ingester is the fused scanner + builder state for one document.
+// ingester is the scanner state for one document.
 type ingester struct {
 	data []byte
 	pos  int
 	b    *xdm.TreeBuilder
 
 	sawRoot bool
-	open    []xdm.Sym // symbols of the open elements, for end-tag matching
-
-	// Incremental index streams (nil stays nil when emitIndex is false).
-	// Appending in scan order is appending in preorder, so every stream —
-	// including the merged node() and attribute::* streams — comes out
-	// sorted with no sort pass, exactly like BuildIndex's column scan.
-	emitIndex bool
-	elemBySym [][]int32
-	attrBySym [][]int32
-	allElems  []int32
-	allText   []int32
-	allNodes  []int32
-	allAttrs  []int32
 
 	scratch   []byte     // reused decode buffer for entity-bearing character data
 	attrSpans []attrSpan // reused per-tag attribute buffer
@@ -156,37 +98,19 @@ type nsBinding struct {
 	depth   int  // element depth of the declaring tag
 }
 
-// ingest runs the fused scan. With emitIndex, the per-symbol rank streams
-// are assembled during the same pass and returned as a ready Index.
-func ingest(data []byte, emitIndex bool) (*xdm.Tree, *Index, error) {
-	in := &ingester{
-		data:      data,
-		b:         xdm.NewTreeBuilder(nodeHint(data)),
-		emitIndex: emitIndex,
-	}
-	if err := in.run(); err != nil {
-		return nil, nil, err
-	}
-	t := in.b.Finish()
-	if !emitIndex {
-		return t, nil, nil
-	}
-	return t, in.finishIndex(t), nil
-}
-
 // nodeHint estimates the node count of a document by counting its structural
 // bytes: every tag owns one '<' (start and end tags both, so elements and the
 // text runs between them are covered) and every attribute owns one '='. The
 // '=' count alone is unreliable — '=' is an ordinary character inside text
 // and attribute values, so an equation-heavy document would inflate the hint
-// far past the real node count and the builder would pre-allocate slabs it
+// far past the real node count and the builder would pre-allocate columns it
 // never fills. Attributes live only inside tags, and a tag of a well-formed
 // document holds at most a handful of them, so the '=' contribution is capped
 // at twice the tag count; beyond that the excess is provably text. The two
 // vectorized Count passes are noise next to the scan itself, and the capped
 // estimate tracks the real node count within a few tens of percent for
 // element-dense, data-heavy and '='-laden documents alike — where a bytes/16
-// guess missed by 2-3x in either direction and paid for it in slab
+// guess missed by 2-3x in either direction and paid for it in column
 // over-allocation.
 func nodeHint(data []byte) int {
 	lt := bytes.Count(data, []byte{'<'})
@@ -225,7 +149,7 @@ func (in *ingester) run() error {
 		}
 	}
 	if in.b.Depth() > 0 {
-		return fmt.Errorf("xmlstore: unexpected end of input inside <%s>", in.b.Name(in.b.CurrentSym()))
+		return fmt.Errorf("xmlstore: unexpected end of input inside <%s>", in.b.CurrentName())
 	}
 	if !in.sawRoot {
 		return fmt.Errorf("xmlstore: no root element")
@@ -236,7 +160,7 @@ func (in *ingester) run() error {
 // errEOF reports input ending in the middle of a markup construct.
 func (in *ingester) errEOF() error {
 	if in.b.Depth() > 0 {
-		return fmt.Errorf("xmlstore: unexpected end of input inside <%s>", in.b.Name(in.b.CurrentSym()))
+		return fmt.Errorf("xmlstore: unexpected end of input inside <%s>", in.b.CurrentName())
 	}
 	return fmt.Errorf("xmlstore: unexpected end of input")
 }
@@ -273,7 +197,7 @@ func (in *ingester) segment(raw []byte, cdata bool) error {
 		if hasHigh && strings.TrimSpace(s) == "" {
 			return nil // non-ASCII Unicode whitespace, e.g. NBSP
 		}
-		in.emitText(s)
+		in.b.Text(s)
 		return nil
 	}
 	decoded, err := in.decode(raw, cdata)
@@ -283,7 +207,7 @@ func (in *ingester) segment(raw []byte, cdata bool) error {
 	if strings.TrimSpace(decoded) == "" {
 		return nil
 	}
-	in.emitText(decoded)
+	in.b.Text(decoded)
 	return nil
 }
 
@@ -336,14 +260,6 @@ func (in *ingester) decode(raw []byte, cdata bool) (string, error) {
 	return string(buf), nil
 }
 
-func (in *ingester) emitText(s string) {
-	pre := in.b.Text(s)
-	if in.emitIndex {
-		in.allText = append(in.allText, pre)
-		in.allNodes = append(in.allNodes, pre)
-	}
-}
-
 // startTag parses a start or empty-element tag at pos ('<'). Attribute
 // spans are buffered until the whole tag is scanned because namespace
 // resolution is order-independent: a declaration may follow the attributes
@@ -362,11 +278,7 @@ func (in *ingester) startTag() error {
 		}
 		in.sawRoot = true
 	}
-	pre, sym := in.b.OpenElement(local)
-	in.open = append(in.open, sym)
-	if in.emitIndex {
-		in.addElem(sym, pre)
-	}
+	in.b.OpenElement(local)
 	attrs := in.attrSpans[:0]
 	i = e
 	selfClose := false
@@ -456,15 +368,11 @@ scan:
 		if err != nil {
 			return err
 		}
-		apre, asym := in.b.Attr(alocal, value)
-		if in.emitIndex {
-			in.addAttr(asym, apre)
-		}
+		in.b.Attr(alocal, value)
 	}
 	if selfClose {
 		in.popBindings(depth)
 		in.b.CloseElement()
-		in.open = in.open[:len(in.open)-1]
 	}
 	return nil
 }
@@ -515,14 +423,12 @@ func (in *ingester) endTag() error {
 	if data[i] != '>' {
 		return fmt.Errorf("xmlstore: invalid characters between </%s and > at offset %d", local, i)
 	}
-	if len(in.open) == 0 {
+	if in.b.Depth() == 0 {
 		return fmt.Errorf("xmlstore: unbalanced end element %s", local)
 	}
-	sym := in.open[len(in.open)-1]
-	if in.b.Name(sym) != string(local) {
-		return fmt.Errorf("xmlstore: element <%s> closed by </%s>", in.b.Name(sym), local)
+	if open := in.b.CurrentName(); open != string(local) {
+		return fmt.Errorf("xmlstore: element <%s> closed by </%s>", open, local)
 	}
-	in.open = in.open[:len(in.open)-1]
 	if len(in.nsBindings) > 0 {
 		in.popBindings(in.b.Depth())
 	}
@@ -625,45 +531,4 @@ func (in *ingester) procInst() error {
 	}
 	in.pos += 2 + end + 2
 	return nil
-}
-
-// addElem appends an element rank to its per-symbol and merged streams.
-func (in *ingester) addElem(sym xdm.Sym, pre int32) {
-	for int(sym) >= len(in.elemBySym) {
-		in.elemBySym = append(in.elemBySym, nil)
-	}
-	in.elemBySym[sym] = append(in.elemBySym[sym], pre)
-	in.allElems = append(in.allElems, pre)
-	in.allNodes = append(in.allNodes, pre)
-}
-
-// addAttr appends an attribute rank to its per-symbol and merged streams.
-func (in *ingester) addAttr(sym xdm.Sym, pre int32) {
-	for int(sym) >= len(in.attrBySym) {
-		in.attrBySym = append(in.attrBySym, nil)
-	}
-	in.attrBySym[sym] = append(in.attrBySym[sym], pre)
-	in.allAttrs = append(in.allAttrs, pre)
-}
-
-// finishIndex assembles the incrementally built streams into an Index,
-// padding the per-symbol tables to the final symbol count (symbols interned
-// only for kinds that never occurred keep empty streams).
-func (in *ingester) finishIndex(t *xdm.Tree) *Index {
-	nsyms := t.Syms.Len()
-	for len(in.elemBySym) < nsyms {
-		in.elemBySym = append(in.elemBySym, nil)
-	}
-	for len(in.attrBySym) < nsyms {
-		in.attrBySym = append(in.attrBySym, nil)
-	}
-	return &Index{
-		Tree:      t,
-		elemBySym: in.elemBySym,
-		attrBySym: in.attrBySym,
-		allElems:  in.allElems,
-		allText:   in.allText,
-		allNodes:  in.allNodes,
-		allAttrs:  in.allAttrs,
-	}
 }

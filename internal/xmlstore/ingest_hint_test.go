@@ -5,28 +5,29 @@ import (
 	"testing"
 )
 
-// hintRatio parses doc and returns (hint, actual nodes, hint/actual).
-func hintRatio(t *testing.T, doc string) (int, int, float64) {
+// hintRatio ingests doc and returns (hint, column capacity, actual nodes,
+// hint/actual).
+func hintRatio(t *testing.T, doc string) (int, int, int, float64) {
 	t.Helper()
 	data := []byte(doc)
 	hint := nodeHint(data)
-	tree, err := ParseBytes(data)
+	ix, err := Ingest(data)
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		t.Fatalf("ingest: %v", err)
 	}
-	actual := tree.CountNodes()
+	actual := ix.Tree.CountNodes()
 	if actual == 0 {
 		t.Fatalf("document parsed to zero nodes")
 	}
-	return hint, actual, float64(hint) / float64(actual)
+	return hint, cap(ix.Tree.Cols.Kind), actual, float64(hint) / float64(actual)
 }
 
-// TestNodeHintBounded pins the slab pre-allocation hint to the real node
+// TestNodeHintBounded pins the column pre-allocation hint to the real node
 // count across document shapes. The '='-laden case is the regression: '=' is
 // an ordinary text character, so an uncapped '=' count once inflated the hint
-// (and the builder's slab capacity) by an unbounded factor on equation-heavy
-// text — the cap keeps the over-allocation bounded no matter how much text
-// the document carries.
+// (and the builder's column capacity) by an unbounded factor on
+// equation-heavy text — the cap keeps the over-allocation bounded no matter
+// how much text the document carries.
 func TestNodeHintBounded(t *testing.T) {
 	// Small fixed slack absorbs the +16 constant on tiny documents.
 	const slack = 16.0
@@ -57,10 +58,13 @@ func TestNodeHintBounded(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			hint, actual, ratio := hintRatio(t, tc.doc)
+			hint, colCap, actual, ratio := hintRatio(t, tc.doc)
 			if float64(hint) > tc.max*float64(actual)+slack {
-				t.Fatalf("hint %d over-allocates for %d nodes (ratio %.2f, max %.2f): slab pre-allocation would balloon",
+				t.Fatalf("hint %d over-allocates for %d nodes (ratio %.2f, max %.2f): column pre-allocation would balloon",
 					hint, actual, ratio, tc.max)
+			}
+			if float64(colCap) > tc.max*float64(actual)+slack {
+				t.Fatalf("column capacity %d for %d nodes exceeds %.2fx+%v", colCap, actual, tc.max, slack)
 			}
 			// The hint must also not collapse: a drastic under-estimate
 			// forfeits the pre-allocation entirely.

@@ -43,7 +43,7 @@ type Mapping struct {
 // MapFile maps the file at path read-only. The file's length is fixed at
 // map time; a file that later shrinks on disk can still SIGBUS a mapped
 // reader on Unix — snapshots are immutable by contract, and the open-time
-// length validation (OpenCorpusMapping) rejects files already shorter than
+// length validation (OpenCorpus) rejects files already shorter than
 // their offset table claims.
 func MapFile(path string) (*Mapping, error) {
 	f, err := os.Open(path)

@@ -1,9 +1,9 @@
 // Package xmlstore loads XML documents into the XDM and maintains the index
 // structures (per-tag and per-attribute streams sorted by preorder rank)
 // that the set-at-a-time tree-pattern algorithms scan. The serving entry
-// points (Parse, Ingest, in ingest.go) run a fused zero-copy scanner;
-// ParseStd below keeps the encoding/xml path alive as the reference oracle
-// for differential testing.
+// point (Ingest, in ingest.go) runs a zero-copy scanner; ParseStd below
+// keeps the encoding/xml path alive as the reference oracle for
+// differential testing.
 package xmlstore
 
 import (
@@ -19,7 +19,7 @@ import (
 // tree via xdm.Finalize — the slow, well-understood reference path. The
 // fast scanner must produce a bit-identical tree (nodes, symbols, columns)
 // for every input this function accepts; the differential and fuzz suites
-// in this package enforce that. Production callers use Parse or Ingest.
+// in this package enforce that. Production callers use Ingest.
 func ParseStd(r io.Reader) (*xdm.Tree, error) {
 	dec := xml.NewDecoder(r)
 	var stack []*xdm.Node
@@ -80,12 +80,8 @@ func ParseStd(r io.Reader) (*xdm.Tree, error) {
 	return xdm.Finalize(root), nil
 }
 
-// ParseStdString parses a document held in a string through the reference
-// path.
-func ParseStdString(s string) (*xdm.Tree, error) { return ParseStd(strings.NewReader(s)) }
-
 // AppendXML appends the XML serialization of the subtree rooted at n to dst
-// and returns the extended slice. The output round-trips through both Parse
+// and returns the extended slice. The output round-trips through both Ingest
 // and ParseStd: text escapes &, <, > and carriage returns (which parsers
 // would otherwise normalize to \n); attribute values additionally escape
 // quotes, tabs, and newlines numerically.
@@ -162,9 +158,7 @@ func appendEscaped(dst []byte, s string, attr bool) []byte {
 }
 
 // Serialize writes the subtree rooted at n as XML to w, streaming through a
-// fixed-size buffer instead of materializing the whole serialization. The
-// document generators stream through it into an IngestWriter, so generated
-// documents reach the scanner without an intermediate full-document string.
+// fixed-size buffer instead of materializing the whole serialization.
 func Serialize(w io.Writer, n *xdm.Node) error {
 	x := &xmlWriter{w: w, buf: make([]byte, 0, serializeBufSize)}
 	x.emit(n)

@@ -3,9 +3,9 @@ package xmlstore
 // Low-level primitives of the zero-copy XML scanner: name scanning, the
 // namespace name-splitting rule of encoding/xml, and character-data decoding
 // (predefined entities, numeric character references, newline
-// normalization). The fused tree construction lives in ingest.go; ParseStd
-// in parse.go remains the encoding/xml reference oracle the scanner is
-// differentially tested against.
+// normalization). The scan loop feeding the tree builder lives in ingest.go;
+// ParseStd in parse.go remains the encoding/xml reference oracle the scanner
+// is differentially tested against.
 
 import (
 	"bytes"

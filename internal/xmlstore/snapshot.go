@@ -12,7 +12,7 @@ package xmlstore
 // member URIs. Loading rebuilds no region encoding and re-interns no name:
 // the fixed-width little-endian arrays are sliced straight out of the
 // snapshot buffer (zero-copy on little-endian hosts, a decode-copy fallback
-// elsewhere or under XQTP_SNAPSHOT_PORTABLE).
+// elsewhere).
 //
 // v3 adds the two tables that let the reader defer everything per member:
 //
@@ -28,8 +28,8 @@ package xmlstore
 // each member's full parse + structural validation runs at most once, behind
 // a sync.Once, the first time a query (or an explicit Ensure) needs it —
 // first query on a member pays that member's validation, untouched members
-// pay nothing. The pointer data model (Node structs) stays deferred behind
-// the same once chain (xdm shell trees), exactly as in v2.
+// pay nothing. The pointer data model (Node structs) is a further step
+// behind the same once chain (xdm shell trees), as for every loaded tree.
 //
 // Layout (all integers little-endian; every array starts 8-byte aligned, so
 // int32/u32 arrays can be viewed in place at any page offset):
@@ -67,7 +67,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -112,11 +111,10 @@ var hostLittleEndian = func() bool {
 
 // forcePortable disables the zero-copy aliasing between snapshot bytes and
 // the loaded columns/streams (and the writer's mirror fast path), forcing
-// the per-element encode/decode loops that big-endian hosts run. Set
-// XQTP_SNAPSHOT_PORTABLE=1 to hold the portable branch to the differential
-// suite without big-endian hardware; in-package tests flip the variable
-// directly.
-var forcePortable = os.Getenv("XQTP_SNAPSHOT_PORTABLE") != ""
+// the per-element encode/decode loops that big-endian hosts run. Only the
+// in-package tests set it, to hold the portable branch to the round-trip
+// suite without big-endian hardware.
+var forcePortable bool
 
 // aliasInt32 gates the zero-copy int32 view of snapshot bytes.
 func aliasInt32() bool { return hostLittleEndian && !forcePortable }
@@ -126,20 +124,14 @@ func aliasInt32() bool { return hostLittleEndian && !forcePortable }
 // (Names[i]'s symbol in member m sits at NameSyms[i*len(URIs)+m]).
 // Single-document snapshots are one-member corpora with empty Names.
 //
-// Opened deferred (OpenCorpusDeferred, OpenCorpusMapping), the Indexes are
-// shells: identity and directory only, parse + validation on first use.
+// As returned by OpenCorpus the Indexes are shells: identity and directory
+// only, parse + validation on first use (Index.Ensure).
 type CorpusSnapshot struct {
 	URIs     []string
 	Indexes  []*Index
 	Names    []string
 	NameSyms []xdm.Sym
-
-	mapping *Mapping // non-nil when the snapshot pages a mapped file
 }
-
-// Mapping returns the file mapping behind the snapshot (nil for in-memory
-// buffers). The collection layer owns its lifecycle: Corpus.Close closes it.
-func (s *CorpusSnapshot) Mapping() *Mapping { return s.mapping }
 
 // ---------------------------------------------------------------------------
 // Writer
@@ -309,9 +301,8 @@ func writeMemberBody(w *snapWriter, ix *Index) {
 	t := ix.Tree
 	cols := t.Cols
 	// The text-bearing values in preorder — the same order the loader hands
-	// back to FillColumns. TextValues reads a loaded tree's stored values
-	// directly, so re-saving a snapshot-loaded corpus never forces node
-	// materialization.
+	// back to FillColumns. The tree stores them beside its columns, so
+	// writing a snapshot never builds a node.
 	texts := t.TextValues()
 	syms := t.Syms.Names()
 	w.mark() // secSymbols
@@ -851,52 +842,21 @@ func readStreams(r *snapReader, d *memberDir, offSec, nNodes int) ([][]int32, er
 }
 
 // ---------------------------------------------------------------------------
-// Open entry points
+// Open
 
-// OpenCorpus deserializes a corpus snapshot held in data, loading and
-// validating every member before returning — the read-all path, unchanged
-// semantics from v2. It takes ownership of the buffer: the loaded trees'
-// names, text values, columns and rank streams alias it (with zero-copy
-// aliasing enabled), so the caller must not modify it afterwards. Corrupted
-// or truncated input returns an error, never a panic — the fuzz suite holds
-// the reader to that.
-func OpenCorpus(data []byte) (*CorpusSnapshot, error) {
-	s, err := openCorpus(data, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, ix := range s.Indexes {
-		if err := ix.Ensure(); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// OpenCorpusDeferred is OpenCorpus without the member loads: it validates
-// the header, offset table and corpus tables in O(members), and returns
-// shell members that parse and validate themselves on first use.
-func OpenCorpusDeferred(data []byte) (*CorpusSnapshot, error) {
-	return openCorpus(data, nil)
-}
-
-// OpenCorpusMapping opens a deferred corpus over a file mapping: the O(open)
-// mmap path. Member bytes fault in per page as queries touch them; the
-// returned snapshot holds the mapping (Mapping accessor) but does not close
-// it — the owner (the collection layer's Corpus.Close) does.
-func OpenCorpusMapping(m *Mapping) (*CorpusSnapshot, error) {
-	data, err := m.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	s, err := openCorpus(data, m)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func openCorpus(data []byte, mp *Mapping) (*CorpusSnapshot, error) {
+// OpenCorpus opens a corpus snapshot held in data: it validates the header,
+// offset table and corpus tables in O(members) and returns shell members
+// that parse and validate themselves on first use (Index.Ensure) — callers
+// wanting every member checked up front Ensure them all. It takes ownership
+// of the buffer: the loaded trees' names, text values, columns and rank
+// streams alias it (with zero-copy aliasing enabled), so the caller must not
+// modify it afterwards. mp is the file mapping data came from (Mapping.Bytes)
+// or nil for bytes in ordinary memory; it only adds paging hints and the
+// closed check to the member loads, and stays owned by the caller (the
+// collection layer's Corpus.Close). Corrupted or truncated input returns an
+// error, here or from Ensure, never a panic — the fuzz suite holds the
+// reader to that.
+func OpenCorpus(data []byte, mp *Mapping) (*CorpusSnapshot, error) {
 	r := &snapReader{data: data}
 	head, err := r.take(8)
 	if err != nil {
@@ -936,7 +896,7 @@ func openCorpus(data []byte, mp *Mapping) (*CorpusSnapshot, error) {
 	if memberOff[len(memberOff)-1] != int64(len(data)) {
 		return nil, fmt.Errorf("xmlstore: snapshot is %d bytes but its offset table ends at %d (truncated?)", len(data), memberOff[len(memberOff)-1])
 	}
-	s := &CorpusSnapshot{mapping: mp}
+	s := &CorpusSnapshot{}
 	if s.URIs, err = r.stringTable(int(nMembers)); err != nil {
 		return nil, err
 	}
@@ -976,31 +936,4 @@ func openCorpus(data []byte, mp *Mapping) (*CorpusSnapshot, error) {
 		s.Indexes[m] = ix
 	}
 	return s, nil
-}
-
-// ---------------------------------------------------------------------------
-// Single-document entry points (one-member corpora)
-
-// WriteSnapshot serializes a single document with its index: a one-member
-// corpus snapshot with an empty corpus name table.
-func WriteSnapshot(w io.Writer, ix *Index) error {
-	return WriteCorpus(w, &CorpusSnapshot{URIs: []string{""}, Indexes: []*Index{ix}})
-}
-
-// ReadSnapshot deserializes a single-document snapshot written by
-// WriteSnapshot, returning the member's ready index (no region or index
-// rebuild). The reader's bytes are consumed into a private buffer.
-func ReadSnapshot(r io.Reader) (*Index, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("xmlstore: %w", err)
-	}
-	s, err := OpenCorpus(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(s.Indexes) != 1 {
-		return nil, fmt.Errorf("xmlstore: snapshot holds %d members; use OpenCorpus for corpora", len(s.Indexes))
-	}
-	return s.Indexes[0], nil
 }

@@ -42,10 +42,9 @@ func FuzzSnapshot(f *testing.F) {
 	corrupt[20] ^= 0xff
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The deferred path must uphold the same no-panic contract through
-		// its probe-then-load stages, and must accept/reject the same inputs
-		// as the eager open (eager is deferred + Ensure everything).
-		sd, errD := OpenCorpusDeferred(bytes.Clone(data))
+		// The no-panic contract holds through the probe-then-load stages of
+		// a deferred member, failed loads included.
+		sd, errD := OpenCorpus(bytes.Clone(data), nil)
 		if errD == nil {
 			for _, ix := range sd.Indexes {
 				ix.NumNodes()
@@ -54,12 +53,7 @@ func FuzzSnapshot(f *testing.F) {
 				ix.Tree.RootNode()
 			}
 		}
-		s, err := OpenCorpus(bytes.Clone(data))
-		if err == nil && errD != nil {
-			// Eager is deferred + Ensure everything, so it can only reject
-			// more inputs (member corruption), never fewer.
-			t.Fatalf("eager open accepted what deferred open rejected: %v", errD)
-		}
+		s, err := openEager(bytes.Clone(data))
 		if err != nil {
 			return
 		}
@@ -76,7 +70,7 @@ func FuzzSnapshot(f *testing.F) {
 		if err := WriteCorpus(&buf, s); err != nil {
 			t.Fatalf("loaded snapshot does not re-encode: %v", err)
 		}
-		if _, err := OpenCorpus(buf.Bytes()); err != nil {
+		if _, err := openEager(buf.Bytes()); err != nil {
 			t.Fatalf("re-encoded snapshot does not load: %v", err)
 		}
 	})

@@ -3,6 +3,8 @@ package xmlstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -22,11 +24,11 @@ func indexesEqual(t *testing.T, a, b *Index) {
 	// tree is built and compared, not just its columns.
 	ta.RootNode()
 	tb.RootNode()
-	if len(ta.Nodes) != len(tb.Nodes) {
-		t.Fatalf("node count %d != %d", len(tb.Nodes), len(ta.Nodes))
+	if len(ta.Nodes()) != len(tb.Nodes()) {
+		t.Fatalf("node count %d != %d", len(tb.Nodes()), len(ta.Nodes()))
 	}
-	for i := range ta.Nodes {
-		x, y := ta.Nodes[i], tb.Nodes[i]
+	for i := range ta.Nodes() {
+		x, y := ta.Nodes()[i], tb.Nodes()[i]
 		if x.Kind != y.Kind || x.Name != y.Name || x.Text != y.Text ||
 			x.Pre != y.Pre || x.Post != y.Post || x.Size != y.Size || x.Level != y.Level ||
 			x.Sym != y.Sym {
@@ -82,16 +84,58 @@ func streamsEq(a, b []int32) bool {
 	return true
 }
 
+// openEager is the read-everything open — OpenCorpus plus Ensure on every
+// member, as collection.OpenSnapshot spells it — so corruption anywhere in
+// the bytes is an error here.
+func openEager(data []byte) (*CorpusSnapshot, error) {
+	s, err := OpenCorpus(data, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, ix := range s.Indexes {
+		if err := ix.Ensure(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// openMapped opens the snapshot behind a file mapping, members deferred.
+func openMapped(m *Mapping) (*CorpusSnapshot, error) {
+	data, err := m.Bytes()
+	if err != nil {
+		return nil, err
+	}
+	return OpenCorpus(data, m)
+}
+
+// writeSingle and readSingle round-trip one document as a one-member corpus
+// with an empty name table.
+func writeSingle(w io.Writer, ix *Index) error {
+	return WriteCorpus(w, &CorpusSnapshot{URIs: []string{""}, Indexes: []*Index{ix}})
+}
+
+func readSingle(data []byte) (*Index, error) {
+	s, err := openEager(data)
+	if err != nil {
+		return nil, err
+	}
+	if len(s.Indexes) != 1 {
+		return nil, fmt.Errorf("snapshot holds %d members, want 1", len(s.Indexes))
+	}
+	return s.Indexes[0], nil
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	ix, err := IngestString(`<a id="1"><b x="y"><c>hello</c></b><c>world</c></a>`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, ix); err != nil {
+	if err := writeSingle(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
-	ix2, err := ReadSnapshot(&buf)
+	ix2, err := readSingle(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +194,7 @@ func TestCorpusSnapshotRoundTrip(t *testing.T) {
 	if err := WriteCorpus(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenCorpus(buf.Bytes())
+	s2, err := openEager(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +217,7 @@ func TestSnapshotEmptyCorpus(t *testing.T) {
 	if err := WriteCorpus(&buf, &CorpusSnapshot{}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenCorpus(buf.Bytes())
+	s, err := openEager(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +239,8 @@ func TestSnapshotErrors(t *testing.T) {
 		append([]byte("XQTS\x02\x00\x00\x00"), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0),
 	}
 	for _, c := range cases {
-		if _, err := OpenCorpus(c); err == nil {
-			t.Errorf("OpenCorpus(%q) should fail", c)
+		if _, err := openEager(c); err == nil {
+			t.Errorf("open of %q should fail", c)
 		}
 	}
 }
@@ -210,7 +254,7 @@ func TestSnapshotCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, ix); err != nil {
+	if err := writeSingle(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -224,7 +268,7 @@ func TestSnapshotCorruption(t *testing.T) {
 						t.Fatalf("OpenCorpus panicked with byte %d ^= %#x: %v", i, flip, r)
 					}
 				}()
-				s, err := OpenCorpus(data)
+				s, err := openEager(data)
 				if err != nil {
 					return
 				}
@@ -239,7 +283,7 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 	// Every truncation must error (a prefix is never a valid snapshot here).
 	for n := 0; n < len(good); n++ {
-		if _, err := OpenCorpus(good[:n:n]); err == nil {
+		if _, err := openEager(good[:n:n]); err == nil {
 			t.Errorf("truncation to %d bytes should fail", n)
 		}
 	}
@@ -268,14 +312,14 @@ func TestSnapshotProperty(t *testing.T) {
 		tr := xdm.Finalize(root)
 		ix := BuildIndex(tr)
 		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, ix); err != nil {
+		if err := writeSingle(&buf, ix); err != nil {
 			return false
 		}
-		ix2, err := ReadSnapshot(&buf)
+		ix2, err := readSingle(buf.Bytes())
 		if err != nil {
 			return false
 		}
-		return SerializeString(ix2.Tree.RootNode()) == SerializeString(tr.Root) &&
+		return SerializeString(ix2.Tree.RootNode()) == SerializeString(tr.RootNode()) &&
 			ix2.Tree.CountNodes() == tr.CountNodes() &&
 			streamsEq(ix.allNodes, ix2.allNodes) &&
 			streamsEq(ix.allElems, ix2.allElems)
@@ -307,7 +351,7 @@ func TestSnapshotDeferredRoundTrip(t *testing.T) {
 	if err := WriteCorpus(&buf, snapshotFromIndexes(uris, ixs)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenCorpusDeferred(buf.Bytes())
+	s, err := OpenCorpus(buf.Bytes(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +405,7 @@ func TestSnapshotDeferredCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshot(&buf, ix); err != nil {
+	if err := writeSingle(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -375,7 +419,7 @@ func TestSnapshotDeferredCorruption(t *testing.T) {
 						t.Fatalf("deferred path panicked with byte %d ^= %#x: %v", i, flip, r)
 					}
 				}()
-				s, err := OpenCorpusDeferred(data)
+				s, err := OpenCorpus(data, nil)
 				if err != nil {
 					return
 				}
@@ -398,7 +442,7 @@ func TestSnapshotDeferredCorruption(t *testing.T) {
 	// Deferred open of every truncation must fail at open (the offset table
 	// is validated against the file length before any member is trusted).
 	for n := 0; n < len(good); n++ {
-		if _, err := OpenCorpusDeferred(good[:n:n]); err == nil {
+		if _, err := OpenCorpus(good[:n:n], nil); err == nil {
 			t.Errorf("deferred open of truncation to %d bytes should fail", n)
 		}
 	}
@@ -417,10 +461,10 @@ func TestSnapshotPortableFallback(t *testing.T) {
 	for _, portable := range []bool{false, true} {
 		forcePortable = portable
 		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, ix); err != nil {
+		if err := writeSingle(&buf, ix); err != nil {
 			t.Fatalf("portable=%v write: %v", portable, err)
 		}
-		ix2, err := ReadSnapshot(&buf)
+		ix2, err := readSingle(buf.Bytes())
 		if err != nil {
 			t.Fatalf("portable=%v read: %v", portable, err)
 		}
@@ -430,11 +474,11 @@ func TestSnapshotPortableFallback(t *testing.T) {
 	// format is identical, only the in-memory aliasing differs.
 	forcePortable = false
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, ix); err != nil {
+	if err := writeSingle(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
 	forcePortable = true
-	ix2, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	ix2, err := readSingle(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +495,7 @@ func TestSnapshotDeferredFromMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenCorpusMapping(m)
+	s, err := openMapped(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +515,7 @@ func TestSnapshotDeferredFromMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenCorpusMapping(m2)
+	s2, err := openMapped(m2)
 	if err != nil {
 		t.Fatal(err)
 	}

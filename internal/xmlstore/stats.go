@@ -108,7 +108,7 @@ func (ix *Index) Stats() *Stats {
 }
 
 // statsState is embedded in Index so the zero value of every construction
-// site (BuildIndex, the fused ingester, the snapshot loader) lazily builds
+// site (BuildIndex, the snapshot loader) lazily builds
 // the snapshot on first use.
 type statsState struct {
 	statsOnce sync.Once

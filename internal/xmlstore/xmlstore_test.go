@@ -30,7 +30,7 @@ func TestParseRoundTrip(t *testing.T) {
 		t.Fatalf("entity not decoded: %v", cs)
 	}
 	// Round trip: serialize and reparse; same structure.
-	out := SerializeString(tr.Root)
+	out := SerializeString(tr.RootNode())
 	tr2, err := ParseString(out)
 	if err != nil {
 		t.Fatalf("reparse of %q: %v", out, err)
@@ -70,7 +70,7 @@ func TestIndexStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := BuildIndex(tr)
-	bs := ix.ElementStream(xdm.NameTest("b"))
+	bs := tr.Materialize(ix.ElementRanks(xdm.NameTest("b")))
 	if len(bs) != 2 {
 		t.Fatalf("b stream has %d entries", len(bs))
 	}
@@ -79,19 +79,19 @@ func TestIndexStreams(t *testing.T) {
 			t.Fatal("stream not sorted by pre")
 		}
 	}
-	if got := len(ix.ElementStream(xdm.StarTest())); got != 6 {
+	if got := len(tr.Materialize(ix.ElementRanks(xdm.StarTest()))); got != 6 {
 		t.Errorf("element stream * has %d entries, want 6", got)
 	}
-	if got := len(ix.ElementStream(xdm.TextTest())); got != 2 {
+	if got := len(tr.Materialize(ix.ElementRanks(xdm.TextTest()))); got != 2 {
 		t.Errorf("text stream has %d entries, want 2", got)
 	}
-	if got := len(ix.AttributeStream(xdm.NameTest("id"))); got != 1 {
+	if got := len(tr.Materialize(ix.AttributeRanks(xdm.NameTest("id")))); got != 1 {
 		t.Errorf("@id stream has %d entries, want 1", got)
 	}
-	if got := len(ix.AttributeStream(xdm.StarTest())); got != 2 {
+	if got := len(tr.Materialize(ix.AttributeRanks(xdm.StarTest()))); got != 2 {
 		t.Errorf("@* stream has %d entries, want 2", got)
 	}
-	node := ix.ElementStream(xdm.AnyNodeTest())
+	node := tr.Materialize(ix.ElementRanks(xdm.AnyNodeTest()))
 	if len(node) != 8 { // 6 elements + 2 texts
 		t.Errorf("node() stream has %d entries, want 8", len(node))
 	}

@@ -101,9 +101,10 @@ type Document struct {
 	owned bool
 }
 
-// LoadXML parses an XML document through the fused ingest path: one pass
-// over the input builds the tree, its columns, and the tag-stream index
-// together (no separate finalize or index walk).
+// LoadXML parses an XML document: one scan over the input builds the tree's
+// region columns, from which the tag-stream index is derived. Node structs
+// are built from the columns only when something first navigates the
+// document (Root, a query run).
 func LoadXML(r io.Reader) (*Document, error) {
 	return newDocument(xmlstore.IngestReader(r))
 }
@@ -188,9 +189,14 @@ func (d *Document) SaveSnapshot(w io.Writer) error {
 
 // LoadSnapshot reads a document written by SaveSnapshot. The tree and its
 // tag-stream index come straight from the stored columns — no region
-// encoding or index rebuild.
+// encoding or index rebuild — and the document keeps the URI it was saved
+// with.
 func LoadSnapshot(r io.Reader) (*Document, error) {
-	return newDocument(xmlstore.ReadSnapshot(r))
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("xqtp: %w", err)
+	}
+	return singleMember(collection.OpenSnapshot(data))
 }
 
 // OpenSnapshotFile opens a single-document snapshot by memory-mapping the
@@ -201,13 +207,18 @@ func LoadSnapshot(r io.Reader) (*Document, error) {
 // the deferred corpus open, the single member is validated here (the open
 // reports corruption immediately rather than at first query).
 func OpenSnapshotFile(path string) (*Document, error) {
-	c, err := collection.OpenSnapshotFile(path)
+	return singleMember(collection.OpenSnapshotFile(path))
+}
+
+// singleMember wraps an opened snapshot as a standalone document: it must
+// hold exactly one member, which is loaded (validated) before returning.
+func singleMember(c *collection.Corpus, err error) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
 	if c.Len() != 1 {
 		c.Close()
-		return nil, fmt.Errorf("xqtp: snapshot holds %d members; use OpenCorpusFile for corpora", c.Len())
+		return nil, fmt.Errorf("xqtp: snapshot holds %d members; use OpenCorpusSnapshot or OpenCorpusFile for corpora", c.Len())
 	}
 	if _, err := c.Loaded(0); err != nil {
 		c.Close()
