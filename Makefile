@@ -31,6 +31,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS) .
+	$(GO) test -race -count=50 -run 'Shutdown|SlowReader' ./internal/server
 
 check: build vet test race
 
@@ -83,12 +84,14 @@ bench-check:
 	done
 
 # Short differential fuzz of the ingest scanner against the encoding/xml
-# oracle, and of the snapshot reader against corrupted/truncated bytes (the
-# committed seed corpus always runs as part of `make test`; this also
-# explores new inputs for a bounded time).
+# oracle, of the snapshot reader against corrupted/truncated bytes, and of the
+# server's JSON string encoder against encoding/json (the committed seed
+# corpus always runs as part of `make test`; this also explores new inputs
+# for a bounded time).
 fuzz-smoke:
 	$(GO) test ./internal/xmlstore -run FuzzScanVsStd -fuzz FuzzScanVsStd -fuzztime 30s
 	$(GO) test ./internal/xmlstore -run FuzzSnapshot -fuzz FuzzSnapshot -fuzztime 30s
+	$(GO) test ./internal/server -run FuzzAppendJSONString -fuzz FuzzAppendJSONString -fuzztime 30s
 
 # Compare two treebench JSON reports (table1 or serve):
 #   make bench-compare OLD=BENCH_table1.json NEW=/tmp/new.json

@@ -58,6 +58,11 @@ type metrics struct {
 	bytes atomic.Int64 // estimated result bytes delivered (budget metric)
 
 	cacheServed atomic.Uint64 // requests answered from the result cache
+
+	// Write-path counters, bumped per buffer flush, never per item:
+	// writes/response from outside is responseWrites over request count.
+	responseWrites  atomic.Uint64 // ResponseWriter.Write calls by query responses
+	responseFlushes atomic.Uint64 // mid-stream Flusher.Flush calls (size or age trigger)
 }
 
 func newMetrics() *metrics { return &metrics{started: time.Now()} }
@@ -163,6 +168,12 @@ func (m *metrics) writeProm(w io.Writer) {
 	fmt.Fprintf(w, "# HELP xqd_result_cache_served_total Requests answered from the result cache.\n")
 	fmt.Fprintf(w, "# TYPE xqd_result_cache_served_total counter\n")
 	fmt.Fprintf(w, "xqd_result_cache_served_total %d\n", m.cacheServed.Load())
+	fmt.Fprintf(w, "# HELP xqd_response_writes_total Write calls query responses made on their connection.\n")
+	fmt.Fprintf(w, "# TYPE xqd_response_writes_total counter\n")
+	fmt.Fprintf(w, "xqd_response_writes_total %d\n", m.responseWrites.Load())
+	fmt.Fprintf(w, "# HELP xqd_response_flushes_total Mid-stream flushes of a response buffer (size or age trigger).\n")
+	fmt.Fprintf(w, "# TYPE xqd_response_flushes_total counter\n")
+	fmt.Fprintf(w, "xqd_response_flushes_total %d\n", m.responseFlushes.Load())
 	fmt.Fprintf(w, "# HELP xqd_uptime_seconds Seconds since the server started.\n")
 	fmt.Fprintf(w, "# TYPE xqd_uptime_seconds gauge\n")
 	fmt.Fprintf(w, "xqd_uptime_seconds %s\n", formatFloat(time.Since(m.started).Seconds()))

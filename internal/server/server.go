@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xqtp"
@@ -122,8 +123,11 @@ type Server struct {
 	base       context.Context
 	baseCancel context.CancelFunc
 
-	hs       *http.Server
-	inflight sync.WaitGroup
+	hs *http.Server
+	// inflight counts running handlers for Shutdown's bounded wait. It is a
+	// counter Shutdown polls, not a WaitGroup, because a handler can still
+	// arrive while Shutdown waits and Add concurrent with Wait is misuse.
+	inflight atomic.Int64
 }
 
 // New builds a server with no corpora; register them with AddCorpus.
@@ -257,11 +261,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// Drain deadline passed: the canceled handlers need a moment to stream
 	// their summaries and return; then force-close whatever connections are
 	// left.
-	done := make(chan struct{})
-	go func() { s.inflight.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
+	for stop := time.Now().Add(2 * time.Second); s.inflight.Load() > 0 && time.Now().Before(stop); {
+		time.Sleep(time.Millisecond)
 	}
 	s.hs.Close()
 	return nil
@@ -305,6 +306,10 @@ type wireSummary struct {
 	Error     string  `json:"error,omitempty"`
 }
 
+// writeGrace is how far past the run's deadline the response may still be
+// written.
+const writeGrace = 250 * time.Millisecond
+
 const (
 	statusOK       = "ok"
 	statusLimit    = "limit-reached"
@@ -318,7 +323,7 @@ const (
 // taking a worker slot, and only then pass admission and touch the engine.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
-	defer s.inflight.Done()
+	defer s.inflight.Add(-1)
 	start := time.Now()
 	if r.Method != http.MethodPost {
 		s.metrics.refuse(outMethod)
@@ -415,7 +420,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if e, ok := s.cache.get(key); ok {
 		s.metrics.cacheServed.Add(1)
 		w.Header().Set("X-Result-Cache", "hit")
-		st := newStreamer(w, format, corpus, 0)
+		st := newStreamer(w, s.metrics, format, corpus, 0)
+		defer st.close()
 		st.writeRaw(e.body)
 		st.writeSummary(wireSummary{
 			Status:    e.status,
@@ -461,7 +467,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		capture = s.cache.perEntry
 	}
-	st := newStreamer(w, format, corpus, capture)
+	st := newStreamer(w, s.metrics, format, corpus, capture)
+	defer st.close()
+	// A reader that stops reading must not hold the slot past the request's
+	// deadline: a Write blocked beyond it fails, Push returns the error and
+	// the run aborts. The grace lets a run that timed out on a healthy
+	// connection still deliver its summary. Recorders and other writers
+	// without deadlines (http.ErrNotSupported) stream as before; the deadline
+	// is cleared on return because it would outlive this request on a
+	// keep-alive connection.
+	if rc := http.NewResponseController(w); rc.SetWriteDeadline(time.Now().Add(timeout+writeGrace)) == nil {
+		defer rc.SetWriteDeadline(time.Time{})
+	}
 	_, info, runErr := corpus.RunWith(ctx, q, alg, xqtp.RunOptions{
 		Workers:  workers,
 		Timeout:  timeout,
@@ -557,7 +574,7 @@ type extendRequest struct {
 
 func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
-	defer s.inflight.Done()
+	defer s.inflight.Add(-1)
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "POST only")

@@ -57,6 +57,13 @@ func postQuery(t *testing.T, s *Server, body string) *httptest.ResponseRecorder 
 	return rec
 }
 
+// wireItem is one NDJSON result line: the streamer renders it by hand and
+// the tests hold that rendering to json.Marshal of this struct.
+type wireItem struct {
+	URI   string `json:"uri,omitempty"`
+	Value string `json:"value"`
+}
+
 // parseNDJSON splits a response into item lines and the summary.
 func parseNDJSON(t *testing.T, body string) ([]wireItem, wireSummary) {
 	t.Helper()
@@ -351,6 +358,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`xqd_corpus_epoch{corpus="main"} 0`,
 		"xqd_shed_total 0",
 		"xqd_inflight 0",
+		// One Write per miss (items and summary together), two per cache hit
+		// (the replayed body, then the summary); nothing flushed mid-stream.
+		"xqd_response_writes_total 4",
+		"xqd_response_flushes_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)

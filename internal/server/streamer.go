@@ -2,48 +2,90 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
+	"sync"
+	"time"
+	"unicode/utf8"
 
 	"xqtp"
 )
 
-// streamer is the execctx.Sink behind a query response: every result item
-// the engine delivers is rendered and written to the client immediately,
-// with a flush per item so results stream as they are found. Because
-// execctx.Deliver charges the row/byte budget per item *before* pushing,
-// the budgets meter exactly what crosses this writer — a limit of K means
-// the client receives K items and a limit-reached summary, never K+1.
+// The flush rule: a response buffer reaches the ResponseWriter when it holds
+// flushBytes, when a Push finds its oldest item line older than flushAge, or
+// when the summary is written. The clock is read on the first Push into an
+// empty buffer and then once per clockStride appended bytes, not per item.
+const (
+	flushBytes  = 32 << 10
+	flushAge    = 10 * time.Millisecond
+	clockStride = 2 << 10
+	// A buffer one huge item grew past maxPooledBuf is dropped, not pooled.
+	maxPooledBuf = 4 * flushBytes
+)
+
+// respBuf is the pooled per-request memory: out holds rendered response bytes
+// not yet handed to the ResponseWriter, item one item's XML on its way to
+// being JSON-escaped into out.
+type respBuf struct{ out, item []byte }
+
+var respBufs = sync.Pool{New: func() any {
+	return &respBuf{out: make([]byte, 0, flushBytes+flushBytes/8)}
+}}
+
+// streamer is the execctx.Sink behind a query response. Push appends the
+// rendered item line to one pooled buffer, which is written (and, mid-stream,
+// flushed to the wire) by the rule above: a response costs about one Write
+// per flushBytes, and a steady-state Push allocates nothing. "Streaming"
+// therefore means bounded staleness: while items keep arriving none waits
+// longer than flushAge plus the time to produce clockStride more bytes; with
+// no timer, a run that goes quiet holds its buffered tail until its next item
+// or its end.
 //
-// The streamer also mirrors what it writes into a capture buffer (up to the
-// result cache's per-entry cap) so a completed deterministic response can be
-// stored and replayed byte-for-byte.
+// execctx.Deliver charges the row/byte budget per item *before* pushing, so
+// the budgets meter exactly what enters the buffer: a limit of K means the
+// client receives K items and a limit-reached summary, never K+1. A failed
+// Write (client gone, write deadline passed) is sticky: the next Push returns
+// it and the run aborts.
+//
+// The item lines are also mirrored, at flush granularity and up to the result
+// cache's per-entry cap, into a capture buffer, so a completed deterministic
+// response can be stored and replayed byte-for-byte.
 type streamer struct {
 	w      http.ResponseWriter
 	fl     http.Flusher
+	m      *metrics
 	format string // "ndjson" or "xml"
 	corpus *xqtp.Corpus
-	wrote  bool // header (and, for xml, the <results> opener) written
+	wrote  bool // header set (and, for xml, the <results> opener buffered)
+
+	*respBuf
+	mark    int       // out[mark:] are item lines not yet mirrored into capture
+	oldest  time.Time // when the oldest item line in out was appended
+	clockAt int       // len(out) at which Push next reads the clock; 0: at the next Push
+	err     error     // first failed Write
 
 	capture    []byte
 	captureCap int64 // 0: no capturing
 	overflowed bool
 }
 
-func newStreamer(w http.ResponseWriter, format string, corpus *xqtp.Corpus, captureCap int64) *streamer {
+// newStreamer takes a response buffer from the pool; close returns it.
+func newStreamer(w http.ResponseWriter, m *metrics, format string, corpus *xqtp.Corpus, captureCap int64) *streamer {
 	fl, _ := w.(http.Flusher)
-	return &streamer{w: w, fl: fl, format: format, corpus: corpus, captureCap: captureCap}
+	return &streamer{w: w, fl: fl, m: m, format: format, corpus: corpus, captureCap: captureCap,
+		respBuf: respBufs.Get().(*respBuf)}
 }
 
-// wireItem is one NDJSON result line.
-type wireItem struct {
-	URI   string `json:"uri,omitempty"`
-	Value string `json:"value"`
+func (st *streamer) close() {
+	if b := st.respBuf; cap(b.out) <= maxPooledBuf && cap(b.item) <= maxPooledBuf {
+		b.out, b.item = b.out[:0], b.item[:0]
+		respBufs.Put(b)
+	}
+	st.respBuf = nil
 }
 
-// begin writes the response header and, for XML, the stream opener. Lazy:
-// the status line commits only when there is something to stream, so
+// begin sets the response header and, for XML, buffers the stream opener.
+// Lazy: the status commits only when there is something to stream, so
 // pre-stream failures can still use proper HTTP status codes.
 func (st *streamer) begin() {
 	if st.wrote {
@@ -52,112 +94,131 @@ func (st *streamer) begin() {
 	st.wrote = true
 	if st.format == "xml" {
 		st.w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-		st.w.WriteHeader(http.StatusOK)
 		// The opener is not captured: a cache replay goes through begin()
 		// again, which regenerates it.
-		st.w.Write([]byte("<results>\n"))
+		st.out = append(st.out, "<results>\n"...)
+		st.mark = len(st.out)
 	} else {
 		st.w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
-		st.w.WriteHeader(http.StatusOK)
 	}
+	st.w.WriteHeader(http.StatusOK)
 }
 
-// Push implements execctx.Sink: render one item and flush it to the client.
+// Push implements execctx.Sink: append one item line to the response buffer
+// and apply the size and age triggers.
 func (st *streamer) Push(it xqtp.Item) error {
+	if st.err != nil {
+		return st.err
+	}
 	st.begin()
-	uri := ""
-	if st.corpus != nil {
-		uri, _ = st.corpus.URIOf(it)
-	}
-	var line []byte
+	uri, _ := st.corpus.URIOf(it)
+	out := st.out
 	if st.format == "xml" {
-		var b strings.Builder
-		b.WriteString(`<item`)
+		out = append(out, "<item"...)
 		if uri != "" {
-			b.WriteString(` uri="`)
-			xmlEscape(&b, uri)
-			b.WriteString(`"`)
+			out = append(appendXMLEscaped(append(out, ` uri="`...), uri), '"')
 		}
-		b.WriteString(`>`)
+		out = append(out, '>')
 		if _, isNode := it.(*xqtp.Node); isNode {
-			b.WriteString(xqtp.SerializeItem(it))
+			out = xqtp.AppendItem(out, it)
 		} else {
-			xmlEscape(&b, xqtp.ItemString(it))
+			out = appendXMLEscaped(out, xqtp.ItemString(it))
 		}
-		b.WriteString("</item>\n")
-		line = []byte(b.String())
+		out = append(out, "</item>\n"...)
 	} else {
-		data, err := json.Marshal(wireItem{URI: uri, Value: xqtp.SerializeItem(it)})
-		if err != nil {
-			return err
+		// {"uri":…,"value":…} with uri omitted when empty, as json.Marshal
+		// renders it (the benchmark oracle checksums exactly that).
+		st.item = xqtp.AppendItem(st.item[:0], it)
+		out = append(out, '{')
+		if uri != "" {
+			out = append(appendJSONString(append(out, `"uri":`...), uri), ',')
 		}
-		line = append(data, '\n')
+		out = append(appendJSONString(append(out, `"value":`...), st.item), "}\n"...)
 	}
-	if err := st.emit(line); err != nil {
-		return err
+	st.out = out
+
+	switch n := len(out); {
+	case n >= flushBytes:
+		return st.flush(true)
+	case n >= st.clockAt:
+		now := time.Now()
+		if st.clockAt == 0 {
+			st.oldest = now
+		} else if now.Sub(st.oldest) >= flushAge {
+			return st.flush(true)
+		}
+		st.clockAt = n + clockStride
 	}
-	st.flush()
 	return nil
 }
 
-// emit writes bytes to the client and mirrors them into the capture buffer
-// while it still fits the cache's per-entry cap.
-func (st *streamer) emit(p []byte) error {
-	if !st.overflowed && st.captureCap > 0 {
-		if int64(len(st.capture)+len(p)) > st.captureCap {
-			st.overflowed = true
-			st.capture = nil
-		} else {
-			st.capture = append(st.capture, p...)
-		}
+// mirror copies the item lines buffered since the last mirror into the
+// capture buffer while they still fit the cache's per-entry cap.
+func (st *streamer) mirror() {
+	p := st.out[st.mark:]
+	st.mark = len(st.out)
+	switch {
+	case st.overflowed || st.captureCap == 0:
+	case int64(len(st.capture)+len(p)) > st.captureCap:
+		st.overflowed, st.capture = true, nil
+	default:
+		st.capture = append(st.capture, p...)
 	}
-	_, err := st.w.Write(p)
-	return err
 }
 
-// writeRaw replays a cached body (already rendered item lines).
+// flush hands the buffer to the ResponseWriter. A mid-stream flush (size or
+// age trigger) also pushes the bytes through net/http's own buffers onto the
+// wire; the final one, from writeSummary, does not: returning from the
+// handler flushes, and lets net/http send a small body with Content-Length.
+func (st *streamer) flush(midStream bool) error {
+	st.mirror()
+	st.write(st.out)
+	if midStream && st.err == nil && st.fl != nil {
+		st.m.responseFlushes.Add(1)
+		st.fl.Flush()
+	}
+	st.out, st.mark, st.clockAt = st.out[:0], 0, 0
+	return st.err
+}
+
+// write is the one place bytes reach the ResponseWriter.
+func (st *streamer) write(p []byte) {
+	if st.err == nil && len(p) > 0 {
+		st.m.responseWrites.Add(1)
+		_, st.err = st.w.Write(p)
+	}
+}
+
+// writeRaw replays a cached body (already rendered item lines) without
+// copying it through the buffer.
 func (st *streamer) writeRaw(body []byte) {
 	st.begin()
-	if len(body) > 0 {
-		st.w.Write(body)
-	}
+	st.flush(false)
+	st.write(body)
 }
 
 // writeSummary terminates the stream: the summary line (NDJSON) or the
-// <summary/> element plus the closing tag (XML). It opens the stream first
-// when nothing was written yet, so even an empty or timed-out-before-output
-// response has the uniform shape.
+// <summary/> element plus the closing tag (XML), written together with the
+// item lines still buffered. It opens the stream first when nothing was
+// pushed, so even an empty or timed-out-before-output response has the
+// uniform shape.
 func (st *streamer) writeSummary(sum wireSummary) {
 	st.begin()
+	st.mirror()
+	out := st.out
 	if st.format == "xml" {
-		var b strings.Builder
-		b.WriteString(`<summary status="`)
-		xmlEscape(&b, sum.Status)
-		b.WriteString(`" rows="`)
-		b.WriteString(strconv.FormatInt(sum.Rows, 10))
-		b.WriteString(`" bytes="`)
-		b.WriteString(strconv.FormatInt(sum.Bytes, 10))
-		b.WriteString(`" members="`)
-		b.WriteString(strconv.Itoa(sum.Members))
-		b.WriteString(`" skipped="`)
-		b.WriteString(strconv.Itoa(sum.Skipped))
-		b.WriteString(`" cached="`)
-		b.WriteString(strconv.FormatBool(sum.Cached))
-		b.WriteString(`"`)
+		out = appendXMLEscaped(append(out, `<summary status="`...), sum.Status)
+		out = fmt.Appendf(out, `" rows="%d" bytes="%d" members="%d" skipped="%d" cached="%t"`,
+			sum.Rows, sum.Bytes, sum.Members, sum.Skipped, sum.Cached)
 		if sum.Error != "" {
-			b.WriteString(` error="`)
-			xmlEscape(&b, sum.Error)
-			b.WriteString(`"`)
+			out = append(appendXMLEscaped(append(out, ` error="`...), sum.Error), '"')
 		}
-		b.WriteString("/>\n</results>\n")
-		st.w.Write([]byte(b.String()))
-	} else {
-		data, err := json.Marshal(map[string]wireSummary{"summary": sum})
-		if err == nil {
-			st.w.Write(append(data, '\n'))
-		}
+		out = append(out, "/>\n</results>\n"...)
+	} else if data, err := json.Marshal(map[string]wireSummary{"summary": sum}); err == nil {
+		out = append(append(out, data...), '\n')
 	}
-	st.flush()
+	st.out, st.mark = out, len(out)
+	st.flush(false)
 }
 
 // captured reports whether the full body fit the capture cap (a zero-item
@@ -166,29 +227,67 @@ func (st *streamer) captured() bool {
 	return st.captureCap > 0 && !st.overflowed
 }
 
-func (st *streamer) flush() {
-	if st.fl != nil {
-		st.fl.Flush()
-	}
-}
-
-// xmlEscape writes s with the five XML special characters escaped (attribute
-// and text context).
-func xmlEscape(b *strings.Builder, s string) {
+// appendXMLEscaped appends s with the five XML special characters escaped
+// (attribute and text context).
+func appendXMLEscaped(dst []byte, s string) []byte {
 	for _, r := range s {
 		switch r {
 		case '&':
-			b.WriteString("&amp;")
+			dst = append(dst, "&amp;"...)
 		case '<':
-			b.WriteString("&lt;")
+			dst = append(dst, "&lt;"...)
 		case '>':
-			b.WriteString("&gt;")
+			dst = append(dst, "&gt;"...)
 		case '"':
-			b.WriteString("&quot;")
+			dst = append(dst, "&quot;"...)
 		case '\'':
-			b.WriteString("&apos;")
+			dst = append(dst, "&apos;"...)
 		default:
-			b.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
+	return dst
+}
+
+// jsonEscape[b] is how encoding/json (go1.22+, HTML-safe escaping on) writes
+// the ASCII byte b inside a string; "" when b goes as itself.
+var jsonEscape = func() (t [utf8.RuneSelf]string) {
+	for b := 0; b < ' '; b++ {
+		t[b] = fmt.Sprintf(`\u%04x`, b)
+	}
+	t['\b'], t['\f'], t['\n'], t['\r'], t['\t'] = `\b`, `\f`, `\n`, `\r`, `\t`
+	t['"'], t['\\'], t['<'], t['>'], t['&'] = `\"`, `\\`, `\u003c`, `\u003e`, `\u0026`
+	return t
+}()
+
+// appendJSONString appends src as a JSON string literal, byte-identical to
+// json.Marshal of the same string: the ASCII escapes above, U+2028 and U+2029
+// escaped, and each byte of invalid UTF-8 replaced by \ufffd.
+func appendJSONString[S []byte | string](dst []byte, src S) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(src); {
+		esc, size := "", 1
+		if b := src[i]; b < utf8.RuneSelf {
+			esc = jsonEscape[b]
+		} else {
+			// At most UTFMax bytes are converted, so the string stays on the stack.
+			var c rune
+			c, size = utf8.DecodeRuneInString(string(src[i:min(i+utf8.UTFMax, len(src))]))
+			switch {
+			case c == utf8.RuneError && size == 1:
+				esc = `\ufffd`
+			case c == '\u2028':
+				esc = `\u2028`
+			case c == '\u2029':
+				esc = `\u2029`
+			}
+		}
+		if esc != "" {
+			dst = append(append(dst, src[start:i]...), esc...)
+			start = i + size
+		}
+		i += size
+	}
+	return append(append(dst, src[start:]...), '"')
 }

@@ -1,0 +1,350 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"xqtp"
+)
+
+// nastyStrings covers every escape class of appendJSONString: the JSON
+// specials, the HTML-unsafe three, the control characters with and without a
+// short form, U+2028/9, multi-byte runes, and invalid UTF-8 in each position.
+var nastyStrings = []string{
+	"", "plain", `say "hi"`, `back\slash`, `<a href="x">T&C</a>`,
+	"tab\there", "line\nfeed", "cr\rhere", "bell\x07", "\b\f", "\x00\x1f\x7f",
+	"sep\u2028para\u2029end", "\u2027\u202a", "naïve café — ☕ 日本語 🎉",
+	"\xff", "a\xc3", "\xe2\x80", "ok\xf0\x9f\x8e", "\xed\xa0\x80", "\xc0\xaf",
+	strings.Repeat(`<&>"\`, 50),
+}
+
+func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
+	for _, s := range nastyStrings {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("string %q: got %s, want %s", s, got, want)
+		}
+		if got := appendJSONString([]byte("x"), []byte(s)); !bytes.Equal(got[1:], want) {
+			t.Errorf("bytes %q: got %s, want %s", s, got[1:], want)
+		}
+	}
+}
+
+func FuzzAppendJSONString(f *testing.F) {
+	for _, s := range nastyStrings {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Skip()
+		}
+		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("%q: got %s, want %s", s, got, want)
+		}
+	})
+}
+
+// nastyDocs exercise the escapes end to end: what the XML serializer emits
+// for these (entities, numeric attribute escapes, raw non-ASCII) is what the
+// JSON encoder then has to escape.
+var nastyDocs = []string{
+	`<r><p id="a&quot;b" note="t&#x9;n&#xA;x">say "hi" \ back</p><p>T&amp;C &lt;b&gt; done</p></r>`,
+	"<r><p lang='日本'>naïve café — ☕ 🎉</p><p>sep\u2028para\u2029end</p><p/></r>",
+	`<r><p>plain</p><q><p k="'">it's</p></q></r>`,
+}
+
+// referenceBody renders seq the way the parent commit's per-item streamer
+// did: json.Marshal of a wireItem per line for ndjson, a strings.Builder
+// <item> line for xml.
+func referenceBody(t *testing.T, c *xqtp.Corpus, seq xqtp.Sequence, format string) string {
+	t.Helper()
+	xmlEscape := func(b *strings.Builder, s string) {
+		for _, r := range s {
+			switch r {
+			case '&':
+				b.WriteString("&amp;")
+			case '<':
+				b.WriteString("&lt;")
+			case '>':
+				b.WriteString("&gt;")
+			case '"':
+				b.WriteString("&quot;")
+			case '\'':
+				b.WriteString("&apos;")
+			default:
+				b.WriteRune(r)
+			}
+		}
+	}
+	var b strings.Builder
+	for _, it := range seq {
+		uri, _ := c.URIOf(it)
+		if format == "ndjson" {
+			line, err := json.Marshal(wireItem{URI: uri, Value: xqtp.SerializeItem(it)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Write(line)
+			b.WriteByte('\n')
+			continue
+		}
+		b.WriteString(`<item`)
+		if uri != "" {
+			b.WriteString(` uri="`)
+			xmlEscape(&b, uri)
+			b.WriteString(`"`)
+		}
+		b.WriteString(`>`)
+		if _, isNode := it.(*xqtp.Node); isNode {
+			b.WriteString(xqtp.SerializeItem(it))
+		} else {
+			xmlEscape(&b, xqtp.ItemString(it))
+		}
+		b.WriteString("</item>\n")
+	}
+	return b.String()
+}
+
+// itemLines cuts a response body down to its item lines: everything before
+// the summary line, minus the <results> opener for xml.
+func itemLines(t *testing.T, body, format string) string {
+	t.Helper()
+	if format == "xml" {
+		body = strings.TrimPrefix(body, "<results>\n")
+		i := strings.LastIndex(body, "<summary ")
+		if i < 0 || !strings.HasSuffix(body, "/>\n</results>\n") {
+			t.Fatalf("xml body has no summary: %q", body)
+		}
+		return body[:i]
+	}
+	if !strings.HasSuffix(body, "\n") {
+		t.Fatalf("body does not end in a newline: %q", body)
+	}
+	return body[:strings.LastIndexByte(body[:len(body)-1], '\n')+1]
+}
+
+// The buffered, hand-encoded response is byte-for-byte the per-item one: for
+// node and atomic items in both formats, for a limit-K prefix, and for the
+// result cache's replay of each.
+func TestResponseBodyByteIdentity(t *testing.T) {
+	s := New(Config{})
+	corpus := testCorpus(t, nastyDocs...)
+	s.AddCorpus("main", corpus)
+	for _, query := range []string{
+		`$input//p`, `$input//p/@*`, `for $p in $input//p return string($p)`, `count($input//p)`,
+	} {
+		q, err := xqtp.PrepareCached(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := corpus.Run(q, xqtp.Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seq) == 0 {
+			t.Fatalf("%s: empty result, nothing compared", query)
+		}
+		for _, format := range []string{"ndjson", "xml"} {
+			for _, limit := range []int{0, 1, len(seq)} {
+				name := fmt.Sprintf("%s/%s/limit=%d", query, format, limit)
+				want, wantStatus := seq, statusOK
+				if limit > 0 && limit < len(seq) {
+					want, wantStatus = seq[:limit], statusLimit
+				}
+				wantBody := referenceBody(t, corpus, want, format)
+				reqBody, _ := json.Marshal(queryRequest{Query: query, Format: format, Limit: int64(limit)})
+				for _, cache := range []string{"miss", "hit"} {
+					rec := postQuery(t, s, string(reqBody))
+					if got := rec.Header().Get("X-Result-Cache"); got != cache {
+						t.Fatalf("%s: X-Result-Cache = %q, want %q", name, got, cache)
+					}
+					body := rec.Body.String()
+					if got := itemLines(t, body, format); got != wantBody {
+						t.Fatalf("%s (%s): item lines differ\n got %q\nwant %q", name, cache, got, wantBody)
+					}
+					if format == "ndjson" {
+						if _, sum := parseNDJSON(t, body); sum.Status != wantStatus || sum.Rows != int64(len(want)) {
+							t.Fatalf("%s (%s): summary %+v, want %s with %d rows", name, cache, sum, wantStatus, len(want))
+						}
+					} else if !strings.Contains(body, fmt.Sprintf(`<summary status="%s" rows="%d"`, wantStatus, len(want))) {
+						t.Fatalf("%s (%s): wrong xml summary in %q", name, cache, body)
+					}
+				}
+			}
+		}
+	}
+}
+
+// manyPeople is a document whose $input//person answer is about n*90 bytes.
+func manyPeople(n int) string {
+	var b strings.Builder
+	b.WriteString("<site><people>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, `<person id="p%d"><name>person number %d</name><email>p%d@example.org</email></person>`, i, i, i)
+	}
+	b.WriteString("</people></site>")
+	return b.String()
+}
+
+// countingWriter is a ResponseWriter that records how it was written to.
+type countingWriter struct {
+	header          http.Header
+	writes, flushes int
+	bytes           int
+	flushedAt       []int // bytes written before each Flush
+}
+
+func (c *countingWriter) Header() http.Header { return c.header }
+func (c *countingWriter) WriteHeader(int)     {}
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	c.bytes += len(p)
+	return len(p), nil
+}
+func (c *countingWriter) Flush() {
+	c.flushes++
+	c.flushedAt = append(c.flushedAt, c.bytes)
+}
+
+// A ~128 KB response reaches the ResponseWriter in about one Write per
+// flushBytes (the per-item path made one per item, ~1500 here), and the
+// counters on /metrics say so.
+func TestResponseWriteCount(t *testing.T) {
+	s := New(Config{NoResultCache: true})
+	s.AddCorpus("main", testCorpus(t, manyPeople(1400)))
+	cw := &countingWriter{header: make(http.Header)}
+	req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"query": "$input//person"}`))
+	s.Handler().ServeHTTP(cw, req)
+	if cw.bytes < 120<<10 {
+		t.Fatalf("response is only %d bytes; the test wants ~128 KB", cw.bytes)
+	}
+	if limit := (cw.bytes+flushBytes-1)/flushBytes + 2; cw.writes > limit {
+		t.Fatalf("%d Write calls for %d bytes, want at most %d", cw.writes, cw.bytes, limit)
+	}
+	if cw.flushes != cw.writes-1 {
+		t.Fatalf("%d flushes for %d writes: every write but the summary's flushes", cw.flushes, cw.writes)
+	}
+	if w, f := s.metrics.responseWrites.Load(), s.metrics.responseFlushes.Load(); int(w) != cw.writes || int(f) != cw.flushes {
+		t.Fatalf("metrics count %d writes, %d flushes; the writer saw %d, %d", w, f, cw.writes, cw.flushes)
+	}
+}
+
+// The age trigger: an item older than flushAge leaves with the next Push
+// that reads the clock, well before the buffer fills.
+func TestStreamerFlushesAgedBuffer(t *testing.T) {
+	corpus := testCorpus(t, fiveNames)
+	q, _ := xqtp.PrepareCached(`$input//person/name`)
+	seq, err := corpus.Run(q, xqtp.Auto)
+	if err != nil || len(seq) == 0 {
+		t.Fatal(err)
+	}
+	cw := &countingWriter{header: make(http.Header)}
+	st := newStreamer(cw, newMetrics(), "ndjson", corpus, 0)
+	defer st.close()
+	st.Push(seq[0])
+	time.Sleep(flushAge + 5*time.Millisecond)
+	for i := 0; cw.flushes == 0 && i < 200; i++ {
+		st.Push(seq[i%len(seq)])
+	}
+	if cw.flushes != 1 || cw.bytes == 0 || cw.bytes > 2*clockStride {
+		t.Fatalf("aged buffer: %d flushes, %d bytes written; want one flush within %d bytes", cw.flushes, cw.bytes, 2*clockStride)
+	}
+}
+
+type discardWriter struct{ header http.Header }
+
+func (d discardWriter) Header() http.Header         { return d.header }
+func (d discardWriter) WriteHeader(int)             {}
+func (d discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// Steady state, a Push of a node item allocates nothing: the XML is rendered
+// and JSON-escaped by appending into the pooled, warmed buffers.
+func TestPushAllocatesNothing(t *testing.T) {
+	corpus := testCorpus(t, manyPeople(50))
+	q, _ := xqtp.PrepareCached(`$input//person`)
+	seq, err := corpus.Run(q, xqtp.Auto)
+	if err != nil || len(seq) != 50 {
+		t.Fatalf("run: %d items, %v", len(seq), err)
+	}
+	st := newStreamer(discardWriter{make(http.Header)}, newMetrics(), "ndjson", corpus, 0)
+	defer st.close()
+	push := func() {
+		for _, it := range seq {
+			if err := st.Push(it); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		push() // warm: past the first size-triggered flush
+	}
+	if avg := testing.AllocsPerRun(50, push); avg != 0 {
+		t.Fatalf("%v allocations per %d pushes, want 0", avg, len(seq))
+	}
+}
+
+// smallBufListener shrinks the send buffer of every accepted connection, so
+// a reader that stops reading stalls the server's writes after a few KB.
+type smallBufListener struct{ net.Listener }
+
+func (l smallBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4 << 10)
+	}
+	return c, err
+}
+
+// A client that posts a query and never reads the answer holds its worker
+// slot only until the request's deadline: the write deadline fails the
+// stalled Write, the run aborts, and the slot goes to the next request.
+func TestSlowReaderReleasesSlotAtDeadline(t *testing.T) {
+	s := New(Config{MaxConcurrent: 1, MaxQueue: -1, NoResultCache: true})
+	s.AddCorpus("main", testCorpus(t, manyPeople(20000)))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.Serve(smallBufListener{ln}) }()
+	defer func() {
+		s.Shutdown(context.Background())
+		<-serveDone
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	reqBody := `{"query": "$input//person", "timeout": "200ms"}`
+	fmt.Fprintf(conn, "POST /query HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		len(reqBody), reqBody)
+
+	waitFor(t, func() bool { return s.InFlight() == 1 })
+	start := time.Now()
+	waitFor(t, func() bool { return s.InFlight() == 0 })
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("slot held %v by a reader that never read; the deadline was 200ms", d)
+	}
+	if got := s.metrics.requests[outOK].Load(); got != 0 {
+		t.Fatalf("the stalled request finished ok: the response fit the socket buffers, nothing was tested")
+	}
+	rec := postQuery(t, s, `{"query": "$input//person", "limit": 1}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("next request: status %d, want 200 (slot not released?)", rec.Code)
+	}
+}

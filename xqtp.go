@@ -555,9 +555,13 @@ func ItemString(it Item) string { return xdm.ItemString(it) }
 
 // SerializeItem renders a node item as XML, and atomics as their lexical
 // value.
-func SerializeItem(it Item) string {
+func SerializeItem(it Item) string { return string(AppendItem(nil, it)) }
+
+// AppendItem appends what SerializeItem renders to dst and returns the
+// extended slice; rendering a node into a buffer with room allocates nothing.
+func AppendItem(dst []byte, it Item) []byte {
 	if n, ok := it.(*xdm.Node); ok {
-		return xmlstore.SerializeString(n)
+		return xmlstore.AppendXML(dst, n)
 	}
-	return xdm.ItemString(it)
+	return append(dst, xdm.ItemString(it)...)
 }

@@ -372,3 +372,23 @@ func TestRunWithVars(t *testing.T) {
 		t.Errorf("got %s", got)
 	}
 }
+
+// AppendItem is the one rendering path: it extends dst in place with exactly
+// what SerializeItem returns, for nodes and atomics alike.
+func TestAppendItemMatchesSerializeItem(t *testing.T) {
+	doc, err := LoadXMLString(`<r><p id="a&quot;b">T&amp;C &lt;b&gt;</p><p/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, query := range []string{`$d//p`, `$d//p/@id`, `count($d//p)`, `string($d/r/p[1])`} {
+		seq, err := MustPrepare(query).Run(doc, Auto)
+		if err != nil || len(seq) == 0 {
+			t.Fatalf("%s: %d items, %v", query, len(seq), err)
+		}
+		for _, it := range seq {
+			if got, want := string(AppendItem([]byte("x"), it)), "x"+SerializeItem(it); got != want {
+				t.Errorf("%s: AppendItem = %q, want %q", query, got, want)
+			}
+		}
+	}
+}
