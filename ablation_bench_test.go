@@ -95,7 +95,7 @@ func BenchmarkParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAuto compares the cost-based chooser against each fixed
+// BenchmarkAuto compares Auto's rule against each fixed
 // algorithm on a mixed workload (bulk twigs + a selective positional
 // chain).
 func BenchmarkAuto(b *testing.B) {

@@ -306,31 +306,6 @@ func TestSinkErrorAbortsRun(t *testing.T) {
 	}
 }
 
-// An Explain with the cost model's act= columns aborts under a canceled
-// context instead of evaluating every spine prefix.
-func TestExplainPhysicalCtxCancel(t *testing.T) {
-	corpus := cancelTestCorpus(t)
-	doc := corpus.DocumentAt(1)
-	q := MustPrepare(`$input//person[emailaddress]/name`)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := q.ExplainPhysicalCtx(ctx, Auto, doc); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-	// And with a live context it matches the uncancelled explain.
-	want, err := q.ExplainPhysical(Auto, doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := q.ExplainPhysicalCtx(context.Background(), Auto, doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatal("ExplainPhysicalCtx(background) differs from ExplainPhysical")
-	}
-}
-
 // Worker-count normalization: <= 0 resolves to one worker per CPU in the
 // shared helper, and the normalized runs return the sequential results.
 func TestNormalizeWorkers(t *testing.T) {

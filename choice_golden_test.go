@@ -8,8 +8,8 @@ import (
 	"xqtp/internal/join"
 )
 
-// choiceFor renders the cost model's decision for every pattern operator of
-// the query's Auto plan against the document root, in lowering order:
+// choiceFor renders what Auto's rule does with every pattern operator of
+// the query's Auto plan on the document, in lowering order:
 // "skip(empty)" when the emptiness proof fires, otherwise the chosen
 // algorithm's name. Multiple pattern operators join with "+".
 func choiceFor(t *testing.T, q *Query, d *Document) string {
@@ -35,15 +35,15 @@ func choiceFor(t *testing.T, q *Query, d *Document) string {
 	return strings.Join(parts, "+")
 }
 
-// goldenChoices pins the cost model's algorithm pick for every corpus query
-// over both document families. The value is the per-pattern-operator decision
-// of the Auto plan (see choiceFor).
+// goldenChoices pins Auto's algorithm pick for every corpus query over both
+// document families. The value is the per-pattern-operator decision of the
+// Auto plan (see choiceFor).
 //
-// A failure here means the cost model changed its mind. That is sometimes the
-// point of a change — but never an accident to wave through: re-run the
-// Table 1 experiment (go run ./cmd/treebench -exp table1) and confirm Auto
-// still matches or beats the best hand-picked algorithm on every query before
-// updating the entry.
+// A failure here means the rule, the emptiness proof or the SCJoin fragment
+// changed. That is sometimes the point of a change — but never an accident to
+// wave through: re-run the Table 1 experiment (go run ./cmd/treebench -exp
+// table1 -algs nl,twig,sc,auto) and confirm Auto still matches or beats the
+// best hand-picked algorithm on every query before updating the entry.
 var goldenChoices = map[string]string{
 	"Fig4/member":              "skip(empty)",
 	"Fig4/xmark":               "SCJoin",
@@ -93,10 +93,10 @@ var goldenChoices = map[string]string{
 	"XM-price-desc/xmark":      "SCJoin",
 }
 
-// TestGoldenAlgorithmChoices locks the cost model's decisions over the full
-// paper query corpus (Fig. 1, Table 1's QE set, both Fig. 6 forms, Fig. 4,
-// the §5.3 chain) on both document families. Any flip fails loudly with
-// instructions; silent choice drift is how cost-model regressions ship.
+// TestGoldenAlgorithmChoices locks Auto's decisions over the full paper
+// query corpus (Fig. 1, Table 1's QE set, both Fig. 6 forms, Fig. 4, the
+// §5.3 chain) on both document families. Any change fails loudly with
+// instructions; silent choice drift is how plan regressions ship.
 func TestGoldenAlgorithmChoices(t *testing.T) {
 	docs := []struct {
 		name string
@@ -127,12 +127,12 @@ func TestGoldenAlgorithmChoices(t *testing.T) {
 			got := choiceFor(t, q, d.doc)
 			want, ok := goldenChoices[key]
 			if !ok {
-				t.Errorf("%s: no golden entry; cost model chose %q — add the entry after validating against Table 1", key, got)
+				t.Errorf("%s: no golden entry; Auto chose %q — add the entry after validating against Table 1", key, got)
 				continue
 			}
 			if got != want {
-				t.Errorf("%s: cost model flipped %q -> %q\n"+
-					"If this flip is intentional, re-run the Table 1 experiment and confirm Auto\n"+
+				t.Errorf("%s: Auto's choice changed %q -> %q\n"+
+					"If the change is intentional, re-run the Table 1 experiment and confirm Auto\n"+
 					"still matches or beats the best hand-picked algorithm on every query, then\n"+
 					"update goldenChoices. Do NOT update the table to silence the failure.", key, want, got)
 			}

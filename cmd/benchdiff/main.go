@@ -6,8 +6,8 @@
 // Usage:
 //
 //	benchdiff OLD.json NEW.json
-//	benchdiff -gate-ns 2 -gate-algs SC,TJ OLD.json NEW.json   # fail if the
-//	    median ns/op ratio over the named table1 algorithms regressed > 2%
+//	benchdiff -gate-allocs -gate-algs SC,TJ,AUTO OLD.json NEW.json   # fail if
+//	    allocs/op or B/op rose in any table1 cell of the named algorithms
 package main
 
 import (
@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"xqtp"
@@ -29,7 +28,6 @@ type report struct {
 	ServeCells      []xqtp.HTTPServeCell  `json:"serve_cells"`
 	IngestCells     []xqtp.IngestCell     `json:"ingest_cells"`
 	CollectionCells []xqtp.CollectionCell `json:"collection_cells"`
-	OptimizerCells  []xqtp.OptimizerCell  `json:"optimizer_cells"`
 	SnapshotCells   []xqtp.SnapshotCell   `json:"snapshot_cells"`
 }
 
@@ -44,7 +42,7 @@ func load(path string) (report, error) {
 	}
 	if len(r.Cells) == 0 && len(r.Results) == 0 && len(r.ServeCells) == 0 &&
 		len(r.IngestCells) == 0 && len(r.CollectionCells) == 0 &&
-		len(r.OptimizerCells) == 0 && len(r.SnapshotCells) == 0 {
+		len(r.SnapshotCells) == 0 {
 		return r, fmt.Errorf("%s: no cells or results", path)
 	}
 	return r, nil
@@ -194,36 +192,6 @@ func diffCollection(old, new []xqtp.CollectionCell) {
 	}
 }
 
-func diffOptimizer(old, new []xqtp.OptimizerCell) {
-	type key struct {
-		kind, query, doc, step string
-		members                int
-	}
-	prev := make(map[key]xqtp.OptimizerCell, len(old))
-	for _, c := range old {
-		prev[key{c.Kind, c.Query, c.Doc, c.Step, c.Members}] = c
-	}
-	fmt.Printf("%-6s %-16s %-40s %20s %18s %20s\n",
-		"query", "doc", "step", "q-err old→new", "act old→new", "skipped old→new")
-	for _, c := range new {
-		o, ok := prev[key{c.Kind, c.Query, c.Doc, c.Step, c.Members}]
-		if !ok {
-			fmt.Printf("%-6s %-16s %-40s (new cell)\n", c.Query, c.Doc, c.Step)
-			continue
-		}
-		if c.Kind == "skip" {
-			fmt.Printf("%-6s %-16s %-40s %20s %18s %8d→%-8d %s\n",
-				c.Query, fmt.Sprintf("corpus-%d", c.Members), "", "", "",
-				o.Skipped, c.Skipped, pct(float64(o.Skipped), float64(c.Skipped)))
-			continue
-		}
-		fmt.Printf("%-6s %-16s %-40s %8.2f→%-8.2f %s %6d→%-6d %s\n",
-			c.Query, c.Doc, c.Step,
-			o.QError, c.QError, pct(o.QError, c.QError),
-			o.Act, c.Act, pct(float64(o.Act), float64(c.Act)))
-	}
-}
-
 func diffSnapshot(old, new []xqtp.SnapshotCell) {
 	type key struct {
 		phase, mode string
@@ -249,12 +217,12 @@ func diffSnapshot(old, new []xqtp.SnapshotCell) {
 	}
 }
 
-// gateTable1 computes the median new/old ns/op ratio over the table1 cells
-// whose algorithm is in algs (empty: every cell), and fails when the median
-// regressed by more than pct percent. The median — not the mean or the max —
-// keeps one noisy cell from failing a run while still catching a systematic
-// slowdown across the matrix.
-func gateTable1(old, new []xqtp.Table1Cell, pct float64, algs map[string]bool) error {
+// gateTable1 fails when allocs/op or B/op rose in any table1 cell whose
+// algorithm is in algs (empty: every cell). The two counts repeat exactly
+// from run to run of one binary on one Go version, so any rise is a change
+// in the code; ns/op does not repeat on shared machines (same-binary reruns
+// differ by tens of percent per cell) and is reported, never gated.
+func gateTable1(old, new []xqtp.Table1Cell, algs map[string]bool) error {
 	type key struct {
 		query, alg string
 		bytes      int
@@ -263,39 +231,38 @@ func gateTable1(old, new []xqtp.Table1Cell, pct float64, algs map[string]bool) e
 	for _, c := range old {
 		prev[key{c.Query, c.Algorithm, c.DocumentBytes}] = c
 	}
-	var ratios []float64
+	compared, rose := 0, 0
 	for _, c := range new {
 		if len(algs) > 0 && !algs[strings.ToUpper(c.Algorithm)] {
 			continue
 		}
 		o, ok := prev[key{c.Query, c.Algorithm, c.DocumentBytes}]
-		if !ok || o.NsPerOp == 0 {
+		if !ok {
 			continue
 		}
-		ratios = append(ratios, c.NsPerOp/o.NsPerOp)
+		compared++
+		if c.AllocsPerOp > o.AllocsPerOp || c.BytesPerOp > o.BytesPerOp {
+			rose++
+			fmt.Printf("gate: %s %s %.1fMB: allocs/op %d→%d, B/op %d→%d\n",
+				c.Query, c.Algorithm, float64(c.DocumentBytes)/1e6,
+				o.AllocsPerOp, c.AllocsPerOp, o.BytesPerOp, c.BytesPerOp)
+		}
 	}
-	if len(ratios) == 0 {
+	if compared == 0 {
 		return fmt.Errorf("gate: no comparable table1 cells for the selected algorithms")
 	}
-	sort.Float64s(ratios)
-	median := ratios[len(ratios)/2]
-	if len(ratios)%2 == 0 {
-		median = (ratios[len(ratios)/2-1] + ratios[len(ratios)/2]) / 2
-	}
-	fmt.Printf("\ngate: median ns/op ratio %.4f over %d cells (threshold %.4f)\n",
-		median, len(ratios), 1+pct/100)
-	if median > 1+pct/100 {
-		return fmt.Errorf("gate: median ns/op regressed %.1f%% (> %.1f%% allowed)",
-			(median-1)*100, pct)
+	fmt.Printf("\ngate: allocs/op or B/op rose in %d of %d cells\n", rose, compared)
+	if rose > 0 {
+		return fmt.Errorf("gate: allocation footprint rose in %d table1 cells", rose)
 	}
 	return nil
 }
 
 func main() {
-	gateNs := flag.Float64("gate-ns", 0, "fail when the median table1 ns/op regression exceeds this percentage (0: report only)")
+	gateAllocs := flag.Bool("gate-allocs", false, "fail when allocs/op or B/op rose in any table1 cell (ns/op is report-only)")
 	gateAlgs := flag.String("gate-algs", "", "comma-separated algorithm labels the gate considers (e.g. SC,TJ; empty: all)")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-gate-ns PCT [-gate-algs SC,TJ]] OLD.json NEW.json")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-gate-allocs [-gate-algs SC,TJ,AUTO]] OLD.json NEW.json")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -316,8 +283,8 @@ func main() {
 			switch {
 			case len(oldR.Cells) > 0 && len(newR.Cells) > 0:
 				diffTable1(oldR.Cells, newR.Cells)
-				if *gateNs > 0 {
-					err = gateTable1(oldR.Cells, newR.Cells, *gateNs, algs)
+				if *gateAllocs {
+					err = gateTable1(oldR.Cells, newR.Cells, algs)
 				}
 			case len(oldR.Results) > 0 && len(newR.Results) > 0:
 				diffServe(oldR.Results, newR.Results)
@@ -330,15 +297,13 @@ func main() {
 				diffIngest(oldR.IngestCells, newR.IngestCells)
 			case len(oldR.CollectionCells) > 0 && len(newR.CollectionCells) > 0:
 				diffCollection(oldR.CollectionCells, newR.CollectionCells)
-			case len(oldR.OptimizerCells) > 0 && len(newR.OptimizerCells) > 0:
-				diffOptimizer(oldR.OptimizerCells, newR.OptimizerCells)
 			case len(oldR.SnapshotCells) > 0 && len(newR.SnapshotCells) > 0:
 				diffSnapshot(oldR.SnapshotCells, newR.SnapshotCells)
 			default:
 				err = fmt.Errorf("reports are of different kinds")
 			}
-			if err == nil && *gateNs > 0 && len(oldR.Cells) == 0 {
-				err = fmt.Errorf("-gate-ns only applies to table1 reports")
+			if err == nil && *gateAllocs && len(oldR.Cells) == 0 {
+				err = fmt.Errorf("-gate-allocs only applies to table1 reports")
 			}
 		}
 	}

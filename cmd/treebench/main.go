@@ -11,7 +11,6 @@
 //	treebench -exp serve -json BENCH_serve.json -cpus 1,2,4  # serving QPS
 //	treebench -exp ingest -json BENCH_ingest.json  # parse throughput fast vs std
 //	treebench -exp collection -json BENCH_collection.json  # corpus ingest MB/s + fan-out QPS
-//	treebench -exp optimizer -json BENCH_optimizer.json  # cost-model est vs act + member skips
 //	treebench -exp snapshot -json BENCH_snapshot.json  # mmap cold open + paging vs read-all
 package main
 
@@ -36,7 +35,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: validate, fig4, table1, fig6, sec53, serve, ingest, collection, optimizer, snapshot, all")
+		exp      = flag.String("exp", "all", "experiment: validate, fig4, table1, fig6, sec53, serve, ingest, collection, snapshot, all")
 		quick    = flag.Bool("quick", false, "reduced document sizes for a fast run")
 		seed     = flag.Int64("seed", 1, "generator seed")
 		repeats  = flag.Int("repeats", 3, "timed runs per measurement (median reported)")
@@ -104,8 +103,6 @@ func main() {
 		err = xqtp.RunIngest(w, opts, *jsonPath)
 	case "collection":
 		err = xqtp.RunCollection(w, opts, *jsonPath)
-	case "optimizer":
-		err = xqtp.RunOptimizer(w, opts, *jsonPath)
 	case "snapshot":
 		err = xqtp.RunSnapshot(w, opts, *jsonPath)
 	case "all":

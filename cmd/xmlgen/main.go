@@ -27,7 +27,7 @@ func main() {
 		nodes  = flag.Int("nodes", 50_000, "number of elements (deep)")
 		depth  = flag.Int("depth", 15, "maximum depth (deep)")
 		tag    = flag.String("tag", "t1", "element tag (deep)")
-		format = flag.String("format", "xml", "output format: xml, snapshot (document), corpus (single-member corpus snapshot for xqd/OpenCorpusFile)")
+		format = flag.String("format", "xml", "output format: xml, snapshot (one-member corpus snapshot: xq -snapshot, xqd, OpenSnapshotFile, OpenCorpusFile)")
 	)
 	flag.Parse()
 
@@ -54,19 +54,6 @@ func main() {
 		fmt.Fprintln(w)
 	case "snapshot":
 		if err := doc.SaveSnapshot(w); err != nil {
-			fmt.Fprintln(os.Stderr, "xmlgen:", err)
-			os.Exit(1)
-		}
-	case "corpus":
-		// A one-member corpus snapshot: what cmd/xqd and OpenCorpusFile load.
-		corpus, err := xqtp.LoadCorpus([]xqtp.CorpusSource{
-			{URI: fmt.Sprintf("mem://%s.xml", *kind), Data: []byte(doc.XML())},
-		}, 1)
-		if err == nil {
-			err = corpus.SaveSnapshot(w)
-			corpus.Close()
-		}
-		if err != nil {
 			fmt.Fprintln(os.Stderr, "xmlgen:", err)
 			os.Exit(1)
 		}

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	xq -query '$d//person[emailaddress]/name' -file doc.xml [-alg nl|sc|twig|auto] [-serialize]
-//	xq -query '$d//person/name' -file doc.xml -alg auto -explain   # physical plan + cost-model choice
+//	xq -query '$d//person/name' -file doc.xml -alg auto -explain   # physical plan + Auto's choice
 //	xq -query '$d//item/name' -file big.xml -timeout 2s -limit 100 # bounded run: wall clock + row budget
 //	echo '<a><b/></a>' | xq -query '$d/a/b'
 //
@@ -54,7 +54,7 @@ func main() {
 		saveSnap  = flag.String("save-snapshot", "", "write the loaded input as a binary corpus snapshot to this path")
 		serialize = flag.Bool("serialize", false, "serialize node results as XML")
 		noTP      = flag.Bool("no-tree-patterns", false, "disable tree-pattern detection (standard engine)")
-		explain   = flag.Bool("explain", false, "print the physical plan (with the per-pattern cost-model choice under -alg auto) before the results")
+		explain   = flag.Bool("explain", false, "print the physical plan (with Auto's per-pattern choice under -alg auto) before the results")
 		timeout   = flag.Duration("timeout", 0, "abort the query after this wall-clock time (0: no limit)")
 		limit     = flag.Int64("limit", 0, "stop after this many result items, in document order (0: no limit)")
 	)

@@ -9,12 +9,11 @@
 //
 //	xqplan '$d//person[emailaddress]/name'
 //	xqplan -alg auto '$d//person/name'                  # physical phase for another algorithm
-//	xqplan -alg auto -file doc.xml '$d//person/name'    # cost-model choice for a concrete document
+//	xqplan -alg auto -file doc.xml '$d//person/name'    # Auto's choice for a concrete document
 //	xqplan -alg auto -dir corpus/ '$d//person/name'     # per-member choices across a collection
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -27,9 +26,8 @@ import (
 func main() {
 	trace := flag.Bool("trace", false, "show every intermediate rewriting step")
 	algName := flag.String("alg", "sc", "algorithm of the physical phase: nl, sc, twig, auto, stream")
-	file := flag.String("file", "", "XML document to evaluate the -alg auto cost model against")
+	file := flag.String("file", "", "XML document to annotate the -alg auto choice for")
 	dir := flag.String("dir", "", "directory of *.xml files: render the -alg auto choice per member")
-	timeout := flag.Duration("timeout", 0, "abort the document-annotated explain after this wall-clock time (the act= columns evaluate the query; 0: no limit)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: xqplan [-trace] [-alg nl|sc|twig|auto] [-file doc.xml | -dir corpus/] <query>")
@@ -53,13 +51,6 @@ func main() {
 	}
 	fmt.Println(q.Explain())
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
 	var doc *xqtp.Document
 	if *file != "" {
 		doc, err = loadFile(*file)
@@ -71,7 +62,7 @@ func main() {
 		// Explain's physical phase shows the Staircase plan; render the
 		// requested algorithm's phase (annotated when a document is given)
 		// in addition.
-		phys, err := q.ExplainPhysicalCtx(ctx, alg, doc)
+		phys, err := q.ExplainPhysical(alg, doc)
 		if err != nil {
 			fatal(err)
 		}
@@ -92,7 +83,7 @@ func main() {
 		}
 		fmt.Printf("\nPer-member plans (%s, %d members):\n", alg, corpus.Len())
 		for i, uri := range corpus.URIs() {
-			phys, err := q.ExplainPhysicalCtx(ctx, alg, corpus.DocumentAt(i))
+			phys, err := q.ExplainPhysical(alg, corpus.DocumentAt(i))
 			if err != nil {
 				fatal(err)
 			}

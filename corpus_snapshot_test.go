@@ -672,3 +672,77 @@ func TestOpensParentWrittenSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// corporaOf opens snapshot bytes the two ways a corpus is opened: from
+// memory and by mapping a file.
+func corporaOf(t *testing.T, data []byte) map[string]*Corpus {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "doc.snap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inMem, err := OpenCorpusSnapshot(bytes.Clone(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenCorpusFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mapped.Close() })
+	return map[string]*Corpus{"OpenCorpusSnapshot": inMem, "OpenCorpusFile": mapped}
+}
+
+// A document snapshot is a one-member corpus snapshot: opened as a corpus it
+// answers what the live document answers, and the fan-out skips nothing.
+// (Document.SaveSnapshot used to write no name table, and the skip test read
+// the missing table as "this member has none of the names".)
+func TestDocumentSnapshotOpensAsCorpus(t *testing.T) {
+	doc := NewXMarkDocument(1, 50)
+	q := MustPrepare(`$input//person[emailaddress]/name`)
+	want, err := q.Run(doc, Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("the live document answers nothing")
+	}
+	var buf bytes.Buffer
+	if err := doc.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	noURI := func(Item) (string, bool) { return "", false }
+	for name, c := range corporaOf(t, buf.Bytes()) {
+		got, info, err := c.RunWith(context.Background(), q, Auto, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if info.Members != 1 || info.Skipped != 0 {
+			t.Errorf("%s: RunInfo %+v, want 1 member, none skipped", name, info)
+		}
+		if err := equivItems(want, got, noURI, noURI); err != nil {
+			t.Errorf("%s: corpus differs from the live document: %v", name, err)
+		}
+	}
+}
+
+// testdata/doc_v3_pr16.snap was written by the parent commit's
+// `xmlgen -kind xmark -people 3 -format snapshot`: a document snapshot with
+// no name table. On a file the empty table means "unknown", so it must still
+// answer when opened as a corpus.
+func TestParentWrittenDocumentSnapshotOpensAsCorpus(t *testing.T) {
+	data, err := os.ReadFile("testdata/doc_v3_pr16.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustPrepare(`$input//person[emailaddress]/name`)
+	for name, c := range corporaOf(t, data) {
+		got, info, err := c.RunWith(context.Background(), q, Auto, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != 2 || info.Skipped != 0 {
+			t.Errorf("%s: %d rows, RunInfo %+v; want 2 rows, none skipped", name, len(got), info)
+		}
+	}
+}

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"time"
 )
@@ -34,7 +36,7 @@ type ExperimentOptions struct {
 	Repeats int
 	// Algorithms overrides the algorithm list of the Table 1 and Fig. 6
 	// experiments (nil: the paper's NL, TJ, SC columns). Auto is a valid
-	// entry, measuring the cost-based per-pattern choice.
+	// entry, measuring the rule's per-pattern choice.
 	Algorithms []Algorithm
 	// Context, when non-nil, lets the caller abandon a sweep: the drivers
 	// check it between measurements and return its error once it is done.
@@ -97,9 +99,13 @@ func timeQuery(q *Query, doc *Document, alg Algorithm, repeats int) (time.Durati
 }
 
 // measureQuery measures the median evaluation time and the steady-state
-// allocation footprint (allocations and bytes per run, from MemStats deltas
-// over the timed runs; one warm-up run populates the plan and index caches
-// so the deltas reflect serving state, not first-run setup).
+// allocation footprint (allocations and bytes of one run, from MemStats
+// deltas around each timed run; one warm-up run populates the plan and index
+// caches so the deltas reflect serving state, not first-run setup). The
+// footprint is the minimum over the runs: whatever the runtime allocates on
+// the side (a GC cycle, a timer) only ever adds to a run's delta, so the
+// minimum is the evaluation's own count and repeats exactly, which is what
+// lets benchdiff gate on it.
 func measureQuery(q *Query, doc *Document, alg Algorithm, repeats int) (time.Duration, int64, int64, error) {
 	if repeats < 1 {
 		repeats = 1
@@ -107,19 +113,26 @@ func measureQuery(q *Query, doc *Document, alg Algorithm, repeats int) (time.Dur
 	if _, err := q.Run(doc, alg); err != nil {
 		return 0, 0, 0, err
 	}
+	// No collection inside the timed runs: a sweep keeps all its documents
+	// live, so one that lands in a run costs more than most cells' whole
+	// evaluation, and which cell it lands in is luck (with the collector
+	// on, one kernel measured 5x apart between two sweeps). What the
+	// evaluation allocates is still paid for and reported.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	allocs, bytes := int64(math.MaxInt64), int64(math.MaxInt64)
 	times := make([]time.Duration, 0, repeats)
 	for i := 0; i < repeats; i++ {
+		runtime.ReadMemStats(&before)
 		start := time.Now()
 		if _, err := q.Run(doc, alg); err != nil {
 			return 0, 0, 0, err
 		}
 		times = append(times, time.Since(start))
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, int64(after.Mallocs-before.Mallocs))
+		bytes = min(bytes, int64(after.TotalAlloc-before.TotalAlloc))
 	}
-	runtime.ReadMemStats(&after)
-	allocs := int64(after.Mallocs-before.Mallocs) / int64(repeats)
-	bytes := int64(after.TotalAlloc-before.TotalAlloc) / int64(repeats)
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	return times[len(times)/2], allocs, bytes, nil
 }
@@ -136,11 +149,36 @@ type Table1Cell struct {
 	BytesPerOp    int64   `json:"bytes_per_op"`
 }
 
-// Table1Report is the machine-readable output of RunTable1.
+// Table1Report is the machine-readable output of RunTable1. The header
+// names the host shape, toolchain and source the cells were measured on:
+// allocs/op and B/op repeat exactly only on the same Go version.
 type Table1Report struct {
 	Seed    int64        `json:"seed"`
 	Repeats int          `json:"repeats"`
+	CPUs    int          `json:"cpus"`
+	Go      string       `json:"go"`
+	Commit  string       `json:"commit"`
 	Cells   []Table1Cell `json:"cells"`
+}
+
+// buildCommit returns the VCS revision stamped into the running binary
+// ("+dirty" when the tree had uncommitted changes). `go build` stamps it;
+// `go run` and `go test` binaries carry none and report "unknown".
+func buildCommit() string {
+	rev, dirty := "unknown", ""
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				if s.Value == "true" {
+					dirty = "+dirty"
+				}
+			}
+		}
+	}
+	return rev + dirty
 }
 
 // RunTable1 regenerates Table 1: evaluation time of QE1–QE6 under NLJoin,
@@ -158,7 +196,8 @@ func RunTable1(w io.Writer, opts ExperimentOptions, jsonPath string) error {
 	}
 	fmt.Fprintln(w)
 	algs := opts.experimentAlgorithms()
-	report := Table1Report{Seed: opts.Seed, Repeats: opts.Repeats}
+	report := Table1Report{Seed: opts.Seed, Repeats: opts.Repeats,
+		CPUs: runtime.NumCPU(), Go: runtime.Version(), Commit: buildCommit()}
 	for _, pq := range QEQueries {
 		q, err := PrepareCached(pq.Query)
 		if err != nil {

@@ -81,7 +81,7 @@ func OpenSnapshotFile(path string) (*Corpus, error) {
 // the bytes came from. The members get a fresh contiguous tree-ID block in
 // stored order, re-establishing the corpus-order invariant exactly as
 // parallel ingest does; the name table comes from the snapshot, so no member
-// symbol table is re-walked.
+// symbol table is re-walked (unless the file carries no table at all).
 func openSnapshot(data []byte, m *xmlstore.Mapping) (*Corpus, error) {
 	s, err := xmlstore.OpenCorpus(data, m)
 	if err != nil {
@@ -92,6 +92,19 @@ func openSnapshot(data []byte, m *xmlstore.Mapping) (*Corpus, error) {
 		docs[i] = &Doc{URI: s.URIs[i], Index: ix}
 	}
 	xdm.AssignTreeIDs(trees(docs))
+	if len(s.Names) == 0 {
+		// Every member has a root element, so members without a single name
+		// means the file was written without its name table (document
+		// snapshots before the table became mandatory): unknown, not absent.
+		// Load the members and let Names build the table from their symbols,
+		// or the fan-out's skip test would exclude every one of them.
+		for _, d := range docs {
+			if err := d.Ensure(); err != nil {
+				return nil, err
+			}
+		}
+		return assemble(docs, nil)
+	}
 	return assemble(docs, nameTableFromSnapshot(s))
 }
 

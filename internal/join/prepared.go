@@ -33,9 +33,8 @@ type Prepared struct {
 	childOnly bool     // spine has child/attribute/self steps only
 	empty     bool     // some required step's stream is empty document-wide
 
-	cols    *xdm.Cols                 // the document's region-encoding columns
-	spine   []cstep                   // compiled steps, spine order
-	streams map[*pattern.Step][]int32 // per-step streams for the cost model
+	cols  *xdm.Cols // the document's region-encoding columns
+	spine []cstep   // compiled steps, spine order
 }
 
 // cstep is one compiled pattern step: the axis, the columnar node test, the
@@ -154,24 +153,11 @@ func Prepare(alg Algorithm, ix *xmlstore.Index, pat *pattern.Pattern) (*Prepared
 	if ix != nil && alg != NestedLoop {
 		p.cols = ix.Tree.Cols
 		p.spine = compileChain(ix, pat.Root)
-		// The cost model walks the pattern's step pointers; give it a
-		// side table (cold path: consulted once per Auto evaluation).
-		p.streams = make(map[*pattern.Step][]int32, pat.Size())
-		var walk func(*pattern.Step)
-		walk = func(s *pattern.Step) {
-			for c := s; c != nil; c = c.Next {
-				p.streams[c] = ix.RanksFor(c.Axis, c.Test)
-				for _, pr := range c.Preds {
-					walk(pr)
-				}
-			}
-		}
-		walk(pat.Root)
 		// The conjunctive emptiness proof: one required step with an empty
 		// document-wide stream means no binding can exist anywhere in this
 		// document, so the kernels never need to run (generalizes the
 		// corpus layer's name-presence skip to counts).
-		p.empty = provablyEmpty(pat.Root, p.stream)
+		p.empty = provablyEmpty(p.spine)
 	}
 	return p, nil
 }
@@ -182,10 +168,6 @@ func (p *Prepared) Pattern() *pattern.Pattern { return p.pat }
 // OutputFields returns the pattern's output fields, root-to-leaf, resolved
 // once at preparation time.
 func (p *Prepared) OutputFields() []string { return p.fields }
-
-// stream returns the resolved rank stream of a step (cost-model side table;
-// the kernels read streams off the compiled spine instead).
-func (p *Prepared) stream(s *pattern.Step) []int32 { return p.streams[s] }
 
 // materialize crosses the output boundary: rank results become node
 // bindings. This is the only place the set-at-a-time kernels touch nodes.
@@ -213,7 +195,9 @@ func (p *Prepared) EvalCtx(ec *execctx.Ctx, ctx *xdm.Node) []Binding {
 		return nil
 	}
 	if alg == Auto {
-		alg = p.choose(ctx)
+		// Rule 3 (auto.go): SCJoin inside its fragment, and the switch below
+		// already falls back to the nested loop outside it.
+		alg = Staircase
 	}
 	if p.single {
 		switch alg {
@@ -263,24 +247,3 @@ func (p *Prepared) EvalFirstCtx(ec *execctx.Ctx, ctx *xdm.Node) (Binding, bool) 
 	}
 	return all[0], true
 }
-
-// choose runs the cost model over the pre-resolved streams.
-func (p *Prepared) choose(ctx *xdm.Node) Algorithm {
-	return estimate(p.ix, ctx, p.pat, p.single, p.stream).Alg
-}
-
-// Estimate runs the full cost model for ctx over the pre-resolved streams:
-// the algorithm Auto would pick, the per-algorithm costs, the emptiness
-// proof, and per-spine-step cardinality predictions. Requires an index
-// (Prepare with alg != NestedLoop); without one it returns a NestedLoop
-// estimate with no step data.
-func (p *Prepared) Estimate(ctx *xdm.Node) Estimate {
-	if p.streams == nil {
-		return Estimate{Alg: NestedLoop, CostNL: costNL(ctx, p.pat)}
-	}
-	return estimate(p.ix, ctx, p.pat, p.single, p.stream)
-}
-
-// ProvablyEmpty reports whether the prepared pattern can match nowhere in
-// its document (some required step's stream is empty).
-func (p *Prepared) ProvablyEmpty() bool { return p.empty }

@@ -186,14 +186,6 @@ func (s *Step) write(b *strings.Builder) {
 	}
 }
 
-// StepString renders this step alone — axis, test, output annotation and
-// predicate branches, without the chain continuation.
-func (s *Step) StepString() string {
-	var b strings.Builder
-	s.write(&b)
-	return b.String()
-}
-
 // String renders a step chain without the IN#field anchor.
 func (s *Step) String() string {
 	var b strings.Builder

@@ -94,10 +94,6 @@ type Runtime struct {
 	// serving path binds every free variable (and the context item) to the
 	// document node, so per-run setup is storing one field.
 	Root xdm.Sequence
-	// CountCards turns on the pattern operators' actual-cardinality
-	// counters (evaluations, emitted rows, emptiness skips per opTTP; read
-	// back via Plan.TTPStats). Off by default: the hot path pays nothing.
-	CountCards bool
 	// EC is the run's execution context: cancellation, deadline, and
 	// row/byte budgets. Operators poll it at bounded intervals and abort
 	// with its typed error once it stops. Nil (the default) disables every
@@ -171,9 +167,9 @@ func (p *Plan) Patterns() []*pattern.Pattern {
 // RootBoundPatterns reports, per pattern operator (lowering order, matching
 // Patterns), whether the operator's input tuples are built directly from a
 // free-variable binding — the document root under the uniform binding — so
-// document-rooted cardinality estimates and actuals are meaningful for it.
+// a document-rooted evaluation or annotation is meaningful for it.
 // Downstream pattern operators (e.g. after a positional head) consume
-// derived bindings, and scoring them from the root would be nonsense.
+// derived bindings instead.
 func (p *Plan) RootBoundPatterns() []bool {
 	out := make([]bool, len(p.ttps))
 	for i, t := range p.ttps {
@@ -181,32 +177,6 @@ func (p *Plan) RootBoundPatterns() []bool {
 			if _, isVar := m.input.(*opVar); isVar {
 				out[i] = true
 			}
-		}
-	}
-	return out
-}
-
-// TTPStats is one pattern operator's accumulated actual cardinalities,
-// collected across every Run whose Runtime set CountCards.
-type TTPStats struct {
-	Pattern   *pattern.Pattern
-	Minimized bool  // lowering-time minimization changed the pattern
-	Evals     int64 // context nodes evaluated
-	Rows      int64 // bindings emitted (before dedup)
-	Skips     int64 // evaluations answered by the emptiness proof
-}
-
-// TTPStats returns the per-pattern-operator cardinality counters in
-// lowering order. Counters only advance under runtimes with CountCards set.
-func (p *Plan) TTPStats() []TTPStats {
-	out := make([]TTPStats, len(p.ttps))
-	for i, t := range p.ttps {
-		out[i] = TTPStats{
-			Pattern:   t.pat,
-			Minimized: t.minimized,
-			Evals:     t.actEvals.Load(),
-			Rows:      t.actRows.Load(),
-			Skips:     t.actSkips.Load(),
 		}
 	}
 	return out

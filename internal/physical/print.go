@@ -8,15 +8,11 @@ import (
 	"xqtp/internal/xdm"
 )
 
-// ChoiceFn annotates a pattern operator's algorithm line, typically with the
-// cost model's choice for a concrete document (join.Choose). Returning ""
-// leaves the line unannotated.
+// ChoiceFn annotates a pattern operator's algorithm line, typically with
+// what Auto's rule does for a concrete document (join.ChooseEstimate: the
+// algorithm, or the emptiness skip). Returning "" leaves the line
+// unannotated.
 type ChoiceFn func(pat *pattern.Pattern) string
-
-// DetailFn returns extra lines to print beneath a pattern operator —
-// typically the per-step `est=N act=M` cardinality table for a concrete
-// document. Nil or an empty slice prints nothing.
-type DetailFn func(pat *pattern.Pattern) []string
 
 // Explain renders the physical plan: one operator per line with the slot
 // numbers every dependent reference was compiled to, and each pattern
@@ -24,16 +20,9 @@ type DetailFn func(pat *pattern.Pattern) []string
 func (p *Plan) Explain() string { return p.ExplainAnnotated(nil) }
 
 // ExplainAnnotated renders the plan like Explain, appending choice's
-// annotation (e.g. the cost model's per-document decision) to every pattern
-// operator line.
+// annotation (e.g. Auto's per-document decision) to every pattern operator
+// line.
 func (p *Plan) ExplainAnnotated(choice ChoiceFn) string {
-	return p.ExplainDetail(choice, nil)
-}
-
-// ExplainDetail renders the plan like ExplainAnnotated and additionally
-// prints detail's lines (per-step estimated vs actual cardinalities)
-// indented beneath every pattern operator.
-func (p *Plan) ExplainDetail(choice ChoiceFn, detail DetailFn) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "physical plan: %d slots", len(p.slotNames))
 	if len(p.slotNames) > 0 {
@@ -57,7 +46,7 @@ func (p *Plan) ExplainDetail(choice ChoiceFn, detail DetailFn) string {
 		b.WriteString("]")
 	}
 	fmt.Fprintf(&b, ", algorithm %s\n", p.alg)
-	p.write(&b, p.root, 0, choice, detail)
+	p.write(&b, p.root, 0, choice)
 	return b.String()
 }
 
@@ -67,7 +56,7 @@ func indent(b *strings.Builder, depth int) {
 	}
 }
 
-func (p *Plan) write(b *strings.Builder, o op, depth int, choice ChoiceFn, detail DetailFn) {
+func (p *Plan) write(b *strings.Builder, o op, depth int, choice ChoiceFn) {
 	indent(b, depth)
 	switch x := o.(type) {
 	case *opIn:
@@ -86,7 +75,7 @@ func (p *Plan) write(b *strings.Builder, o op, depth int, choice ChoiceFn, detai
 		}
 	case *opTreeJoin:
 		fmt.Fprintf(b, "TreeJoin[%s::%s]\n", x.axis, x.test)
-		p.write(b, x.input, depth+1, choice, detail)
+		p.write(b, x.input, depth+1, choice)
 	case *opCall:
 		if x.bindErr != nil {
 			fmt.Fprintf(b, "fn:%s (error: %v)\n", x.name, x.bindErr)
@@ -94,53 +83,53 @@ func (p *Plan) write(b *strings.Builder, o op, depth int, choice ChoiceFn, detai
 			fmt.Fprintf(b, "fn:%s\n", x.name)
 		}
 		for _, a := range x.args {
-			p.write(b, a, depth+1, choice, detail)
+			p.write(b, a, depth+1, choice)
 		}
 	case *opDoc:
 		b.WriteString("fn:doc\n")
-		p.write(b, x.uri, depth+1, choice, detail)
+		p.write(b, x.uri, depth+1, choice)
 	case *opCollection:
 		b.WriteString("fn:collection\n")
 		if x.name != nil {
-			p.write(b, x.name, depth+1, choice, detail)
+			p.write(b, x.name, depth+1, choice)
 		}
 	case *opCompare:
 		fmt.Fprintf(b, "Compare[%s]\n", x.cmp)
-		p.write(b, x.l, depth+1, choice, detail)
-		p.write(b, x.r, depth+1, choice, detail)
+		p.write(b, x.l, depth+1, choice)
+		p.write(b, x.r, depth+1, choice)
 	case *opArith:
 		fmt.Fprintf(b, "Arith[%s]\n", x.ar)
-		p.write(b, x.l, depth+1, choice, detail)
-		p.write(b, x.r, depth+1, choice, detail)
+		p.write(b, x.l, depth+1, choice)
+		p.write(b, x.r, depth+1, choice)
 	case *opAnd:
 		b.WriteString("And\n")
-		p.write(b, x.l, depth+1, choice, detail)
-		p.write(b, x.r, depth+1, choice, detail)
+		p.write(b, x.l, depth+1, choice)
+		p.write(b, x.r, depth+1, choice)
 	case *opOr:
 		b.WriteString("Or\n")
-		p.write(b, x.l, depth+1, choice, detail)
-		p.write(b, x.r, depth+1, choice, detail)
+		p.write(b, x.l, depth+1, choice)
+		p.write(b, x.r, depth+1, choice)
 	case *opIf:
 		b.WriteString("If\n")
-		p.write(b, x.cond, depth+1, choice, detail)
-		p.write(b, x.then, depth+1, choice, detail)
-		p.write(b, x.els, depth+1, choice, detail)
+		p.write(b, x.cond, depth+1, choice)
+		p.write(b, x.then, depth+1, choice)
+		p.write(b, x.els, depth+1, choice)
 	case *opSequence:
 		b.WriteString("Sequence\n")
 		for _, it := range x.items {
-			p.write(b, it, depth+1, choice, detail)
+			p.write(b, it, depth+1, choice)
 		}
 	case *opLet:
 		fmt.Fprintf(b, "LetBind[%s @%d]\n", p.slotNames[x.slot], x.slot)
-		p.write(b, x.value, depth+1, choice, detail)
-		p.write(b, x.body, depth+1, choice, detail)
+		p.write(b, x.value, depth+1, choice)
+		p.write(b, x.body, depth+1, choice)
 	case *opTypeSwitch:
 		b.WriteString("TypeSwitch\n")
-		p.write(b, x.input, depth+1, choice, detail)
+		p.write(b, x.input, depth+1, choice)
 		for _, cs := range x.cases {
 			indent(b, depth+1)
 			fmt.Fprintf(b, "case %s [%s @%d]\n", cs.typ, p.slotNames[cs.slot], cs.slot)
-			p.write(b, cs.body, depth+2, choice, detail)
+			p.write(b, cs.body, depth+2, choice)
 		}
 		indent(b, depth+1)
 		if x.defSlot >= 0 {
@@ -148,28 +137,28 @@ func (p *Plan) write(b *strings.Builder, o op, depth int, choice ChoiceFn, detai
 		} else {
 			b.WriteString("default\n")
 		}
-		p.write(b, x.deflt, depth+2, choice, detail)
+		p.write(b, x.deflt, depth+2, choice)
 	case *opMapFromItem:
 		fmt.Fprintf(b, "MapFromItem[%s @%d]\n", p.slotNames[x.slot], x.slot)
-		p.write(b, x.input, depth+1, choice, detail)
+		p.write(b, x.input, depth+1, choice)
 	case *opMapToItem:
 		b.WriteString("MapToItem\n")
 		indent(b, depth+1)
 		b.WriteString("dep:\n")
-		p.write(b, x.dep, depth+2, choice, detail)
-		p.write(b, x.input, depth+1, choice, detail)
+		p.write(b, x.dep, depth+2, choice)
+		p.write(b, x.input, depth+1, choice)
 	case *opSelect:
 		b.WriteString("Select\n")
 		indent(b, depth+1)
 		b.WriteString("pred:\n")
-		p.write(b, x.pred, depth+2, choice, detail)
-		p.write(b, x.input, depth+1, choice, detail)
+		p.write(b, x.pred, depth+2, choice)
+		p.write(b, x.input, depth+1, choice)
 	case *opMapIndex:
 		fmt.Fprintf(b, "MapIndex[%s @%d]\n", p.slotNames[x.slot], x.slot)
-		p.write(b, x.input, depth+1, choice, detail)
+		p.write(b, x.input, depth+1, choice)
 	case *opHead:
 		b.WriteString("Head\n")
-		p.write(b, x.input, depth+1, choice, detail)
+		p.write(b, x.input, depth+1, choice)
 	case *opTTP:
 		fmt.Fprintf(b, "TupleTreePattern[%s]", x.pat)
 		if x.inSlot >= 0 {
@@ -201,14 +190,7 @@ func (p *Plan) write(b *strings.Builder, o op, depth int, choice ChoiceFn, detai
 			b.WriteString(" first-match")
 		}
 		b.WriteString("\n")
-		if detail != nil {
-			for _, line := range detail(x.pat) {
-				indent(b, depth+1)
-				b.WriteString(line)
-				b.WriteString("\n")
-			}
-		}
-		p.write(b, x.input, depth+1, choice, detail)
+		p.write(b, x.input, depth+1, choice)
 	default:
 		fmt.Fprintf(b, "%T\n", o)
 	}

@@ -18,9 +18,9 @@ import (
 // document order with duplicate bindings removed (§4.1). The operator
 // carries everything resolvable before the first run — the validated
 // pattern, the input and output slots, and the algorithm annotation (a
-// fixed algorithm, or Auto for the per-context cost-model choice inside
-// join.Prepared) — so evaluation resolves only the per-document prepared
-// join, from the runtime's prepared-join cache.
+// fixed algorithm, or Auto for join.Prepared's rule) — so evaluation
+// resolves only the per-document prepared join, from the runtime's
+// prepared-join cache.
 type opTTP struct {
 	p      *Plan
 	input  op
@@ -37,14 +37,6 @@ type opTTP struct {
 	// minimized records that logical minimization changed the pattern at
 	// lowering time (explain annotation only).
 	minimized bool
-
-	// Actual-cardinality counters, maintained only when the Runtime sets
-	// CountCards: evaluations (context nodes evaluated), rows emitted, and
-	// evaluations skipped by the emptiness proof. They make the cost model's
-	// est=/act= regression visible without any cost on the default path.
-	actEvals atomic.Int64
-	actRows  atomic.Int64
-	actSkips atomic.Int64
 }
 
 // prepFor resolves the prepared join for one document through the runtime's
@@ -111,14 +103,6 @@ func (o *opTTP) eval(rt *Runtime, fr frame) (value, error) {
 		}
 		items[i].prep = lastPrep
 	}
-	if rt.CountCards {
-		o.actEvals.Add(int64(len(items)))
-		for i := range items {
-			if items[i].prep.ProvablyEmpty() {
-				o.actSkips.Add(1)
-			}
-		}
-	}
 	if o.first && len(items) == 1 {
 		b, found := items[0].prep.EvalFirstCtx(rt.EC, items[0].ctx)
 		var rows []row
@@ -183,16 +167,13 @@ func (o *opTTP) eval(rt *Runtime, fr frame) (value, error) {
 	return o.emit(rt, rows)
 }
 
-// emit records the actual row cardinality when the runtime asks for it, then
-// hands off to output. A stopped execution context surfaces here as the
-// typed abort error — this is the single point every evaluation shape above
-// funnels through, so partial kernel results are never emitted.
+// emit hands the rows to output unless the execution context has stopped,
+// which surfaces here as the typed abort error — this is the single point
+// every evaluation shape above funnels through, so partial kernel results
+// are never emitted.
 func (o *opTTP) emit(rt *Runtime, rows []row) (value, error) {
 	if err := rt.EC.Err(); err != nil {
 		return value{}, err
-	}
-	if rt.CountCards {
-		o.actRows.Add(int64(len(rows)))
 	}
 	return o.output(rows)
 }

@@ -35,8 +35,6 @@ type Index struct {
 	// empty and the tree is a shell — Ensure fills them, and the directory
 	// probes (StreamLen, NumNodes) answer without forcing it.
 	lazy *lazyMember
-
-	statsState // lazily built Stats snapshot (stats.go)
 }
 
 // BuildIndex scans the tree's kind/sym columns twice — once to size every
@@ -173,12 +171,6 @@ func RegionRanks(stream []int32, pre, end int32) []int32 {
 	lo := searchRanks(stream, pre+1)
 	hi := searchRanks(stream, end+1)
 	return stream[lo:hi]
-}
-
-// RegionCount counts the stream entries strictly inside the region (pre,
-// end] without slicing.
-func RegionCount(stream []int32, pre, end int32) int {
-	return searchRanks(stream, end+1) - searchRanks(stream, pre+1)
 }
 
 // searchRanks returns the first index whose rank is >= x (len(a) when none

@@ -130,7 +130,4 @@ func TestRegionRanks(t *testing.T) {
 	if got := region(a); len(got) != 2 {
 		t.Errorf("RegionRanks(c, a) = %v", got)
 	}
-	if got := RegionCount(cs, int32(a.Pre), int32(a.End())); got != 2 {
-		t.Errorf("RegionCount(c, a) = %d", got)
-	}
 }

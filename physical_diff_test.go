@@ -117,7 +117,7 @@ func TestPhysicalPlanConcurrentRuns(t *testing.T) {
 }
 
 // The physical explain surfaces the compiled slot layout and, under Auto
-// with a document, the cost model's per-pattern choice.
+// with a document, Auto's per-pattern choice.
 func TestExplainPhysicalAnnotations(t *testing.T) {
 	doc := NewXMarkDocument(3, 60)
 	q := MustPrepare(`$input//person[emailaddress]/name`)
@@ -135,7 +135,7 @@ func TestExplainPhysicalAnnotations(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !contains(auto, "alg=Auto→") {
-		t.Errorf("ExplainPhysical(Auto, doc) missing the cost-model choice:\n%s", auto)
+		t.Errorf("ExplainPhysical(Auto, doc) missing Auto's choice:\n%s", auto)
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"xqtp/internal/compile"
 	"xqtp/internal/core"
 	"xqtp/internal/exec"
-	"xqtp/internal/execctx"
 	"xqtp/internal/join"
 	"xqtp/internal/optimize"
 	"xqtp/internal/parser"
@@ -66,12 +65,12 @@ type (
 type Algorithm = join.Algorithm
 
 // The physical tree-pattern algorithms of the paper's evaluation, plus the
-// cost-based chooser the paper's conclusion calls for.
+// rule that picks among them per pattern (join.Auto).
 const (
 	NestedLoop = join.NestedLoop // NLJoin: navigational, cursor-style
 	Staircase  = join.Staircase  // SCJoin: staircase join over region-encoded streams
 	Twig       = join.Twig       // TwigJoin: holistic twig join
-	Auto       = join.Auto       // per-pattern cost-based choice among the three
+	Auto       = join.Auto       // the rule: skip provably empty patterns, else SCJoin inside its fragment
 	Streaming  = join.Streaming  // single-scan stack automaton for linear paths
 )
 
@@ -173,18 +172,15 @@ func (d *Document) WriteXML(w io.Writer) error {
 
 // SaveSnapshot writes the document in the columnar binary snapshot format:
 // the region columns and index streams go out as-is, so loading skips both
-// the parse and the index build.
+// the parse and the index build. The file is the one-member corpus snapshot
+// of the document — URI and name table included — so LoadSnapshot,
+// OpenSnapshotFile, OpenCorpusFile and xqd all open it.
 func (d *Document) SaveSnapshot(w io.Writer) error {
 	m, err := d.c.Loaded(d.i)
 	if err != nil {
 		return err
 	}
-	// A one-member corpus snapshot carrying the document's URI, so a
-	// file-mapped reopen (OpenSnapshotFile) restores fn:doc resolution.
-	return xmlstore.WriteCorpus(w, &xmlstore.CorpusSnapshot{
-		URIs:    []string{m.URI},
-		Indexes: []*xmlstore.Index{m.Index},
-	})
+	return collection.Single(m.URI, m.Index).WriteSnapshot(w)
 }
 
 // LoadSnapshot reads a document written by SaveSnapshot. The tree and its
@@ -457,18 +453,11 @@ func (q *Query) Explain() string {
 // ExplainPhysical renders the compiled physical plan for alg: one operator
 // per line, with the frame slot every dependent field and variable was
 // compiled to and each pattern operator's algorithm annotation. When doc is
-// non-nil and alg is Auto, every pattern line additionally records the
-// algorithm the cost model chooses for that document (evaluated from the
-// document root, the context the optimized plans feed their patterns).
+// non-nil and alg is Auto, every pattern line fed directly by the root
+// binding additionally records what Auto's rule does with it on that
+// document: the algorithm, or skip(empty). Downstream operators (after a
+// positional head, say) consume derived bindings and stay unannotated.
 func (q *Query) ExplainPhysical(alg Algorithm, doc *Document) (string, error) {
-	return q.ExplainPhysicalCtx(context.Background(), alg, doc)
-}
-
-// ExplainPhysicalCtx is ExplainPhysical under a context: the per-step actual
-// cardinality evaluations (one full pattern run per spine step) poll ctx and
-// the explain aborts with ErrCanceled once it is done — these are the
-// expensive part of an Auto explain on a large document.
-func (q *Query) ExplainPhysicalCtx(ctx context.Context, alg Algorithm, doc *Document) (string, error) {
 	p, err := q.physicalPlan(alg)
 	if err != nil {
 		return "", err
@@ -480,12 +469,6 @@ func (q *Query) ExplainPhysicalCtx(ctx context.Context, alg Algorithm, doc *Docu
 	if err != nil {
 		return "", err
 	}
-	index, root := m.Index, m.Root()
-	ec := execctx.From(ctx, 0, 0)
-	// Document-rooted annotations only make sense for pattern operators fed
-	// directly by the root binding; downstream operators (after a positional
-	// head, say) consume derived bindings and their per-document choice is
-	// made per context at run time.
 	rootBound := make(map[*pattern.Pattern]bool)
 	pats := p.Patterns()
 	for i, rb := range p.RootBoundPatterns() {
@@ -493,53 +476,16 @@ func (q *Query) ExplainPhysicalCtx(ctx context.Context, alg Algorithm, doc *Docu
 			rootBound[pats[i]] = true
 		}
 	}
-	choice := func(pat *pattern.Pattern) string {
+	return p.ExplainAnnotated(func(pat *pattern.Pattern) string {
 		if !rootBound[pat] {
 			return ""
 		}
-		est := join.ChooseEstimate(index, root, pat)
+		est := join.ChooseEstimate(m.Index, m.Root(), pat)
 		if est.Empty {
 			return "skip(empty)"
 		}
 		return est.Alg.String()
-	}
-	// The detail lines put the cost model on trial: per spine step, the
-	// model's predicted cardinality next to the exact count from evaluating
-	// the corresponding pattern prefix.
-	detail := func(pat *pattern.Pattern) []string {
-		if !rootBound[pat] {
-			return nil
-		}
-		est := join.ChooseEstimate(index, root, pat)
-		acts := join.StepActualsCtx(ec, index, root, pat)
-		lines := make([]string, 0, len(est.Steps))
-		for i, se := range est.Steps {
-			act := -1
-			if i < len(acts) {
-				act = acts[i]
-			}
-			lines = append(lines, fmt.Sprintf("step %s est=%s act=%d",
-				se.Step.StepString(), formatEst(se.Out), act))
-		}
-		return lines
-	}
-	out := p.ExplainDetail(choice, detail)
-	if err := ec.Err(); err != nil {
-		return "", err
-	}
-	return out, nil
-}
-
-// formatEst renders a cardinality estimate compactly: whole numbers without
-// a fraction, small fractional estimates with two decimals.
-func formatEst(v float64) string {
-	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	if v < 10 {
-		return fmt.Sprintf("%.2f", v)
-	}
-	return fmt.Sprintf("%.0f", v)
+	}), nil
 }
 
 func indentLines(s string) string {
