@@ -1,9 +1,9 @@
 GO ?= go
 
-# Packages with concurrency-sensitive paths (shared catalog, prepared-join
-# caches and the LRU under them, shared compiled physical plans, parallel
-# TupleTreePattern workers, first-touch node materialization) plus the
-# unsafe-aliasing ingest scanner and the parallel corpus layer get a
+# Packages with concurrency-sensitive paths (shared catalog, the members'
+# lock-free prepared-join tables, the LRU, shared compiled physical plans,
+# parallel TupleTreePattern workers, first-touch node materialization) plus
+# the unsafe-aliasing ingest scanner and the parallel corpus layer get a
 # dedicated -race run.
 RACE_PKGS = ./internal/collection ./internal/exec ./internal/join ./internal/lru ./internal/physical ./internal/server ./internal/xdm ./internal/xmlstore
 
@@ -32,6 +32,7 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS) .
 	$(GO) test -race -count=50 -run 'Shutdown|SlowReader' ./internal/server
+	$(GO) test -race -count=20 -run 'Prepared|Collectable|ForeignTree' ./internal/collection .
 
 check: build vet test race
 

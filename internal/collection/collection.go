@@ -36,6 +36,11 @@ type Doc struct {
 
 	rootOnce sync.Once
 	rootSeq  xdm.Sequence
+
+	// preps is the member's prepared-join table (preps.go): an immutable
+	// slice replaced whole on insert, so the per-tuple lookup takes no lock.
+	preps                               atomic.Pointer[[]prepEntry]
+	prepHits, prepMisses, prepEvictions atomic.Uint64
 }
 
 // Tree returns the member's document tree.

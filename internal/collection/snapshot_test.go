@@ -60,7 +60,7 @@ func TestCorpusSnapshotRoundTrip(t *testing.T) {
 		if d, ok := c2.ByTree(tb); !ok || d != b {
 			t.Fatalf("member %d not resolvable by tree", i)
 		}
-		if c2.Catalog().Index(tb) != b.Index {
+		if ix, _ := c2.Catalog().Lookup(tb); ix != b.Index {
 			t.Fatalf("member %d index not registered in catalog", i)
 		}
 	}

@@ -1,7 +1,6 @@
 // Package lru is the one bounded least-recently-used cache behind the plan
-// cache (query text → compiled Query), the prepared-join cache (pattern ×
-// document × algorithm → join.Prepared) and the server's result cache
-// (request → rendered response). A cache is bounded by entry count and,
+// cache (query text → compiled Query) and the server's result cache (request
+// → rendered response). A cache is bounded by entry count and,
 // optionally, by the summed weight of its values.
 package lru
 
@@ -11,8 +10,8 @@ import (
 )
 
 // Cache is a bounded LRU map. All methods are safe for concurrent use; the
-// callbacks of Each and RemoveIf run under the cache lock and must not call
-// back into the cache.
+// callback of RemoveIf runs under the cache lock and must not call back into
+// the cache.
 type Cache[K comparable, V any] struct {
 	mu        sync.Mutex
 	capacity  int
@@ -98,17 +97,6 @@ func (c *Cache[K, V]) remove(el *list.Element) {
 	delete(c.entries, e.key)
 	c.weight -= e.weight
 	c.evictions++
-}
-
-// Each calls fn for every entry, most recently used first, without changing
-// the recency order or the counters.
-func (c *Cache[K, V]) Each(fn func(K, V)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry[K, V])
-		fn(e.key, e.val)
-	}
 }
 
 // RemoveIf evicts every entry for which pred returns true.

@@ -5,9 +5,14 @@ import (
 	"testing"
 )
 
+// keys lists the cached keys, most recently used first.
 func keys(c *Cache[string, int]) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var out []string
-	c.Each(func(k string, _ int) { out = append(out, k) })
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*entry[string, int]).key)
+	}
 	return out
 }
 

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"xqtp/internal/algebra"
+	"xqtp/internal/collection"
 	"xqtp/internal/compile"
 	"xqtp/internal/core"
-	"xqtp/internal/exec"
 	"xqtp/internal/join"
 	"xqtp/internal/optimize"
 	"xqtp/internal/parser"
@@ -65,16 +65,18 @@ func engineVars(tr *xdm.Tree) map[string]xdm.Sequence {
 }
 
 // evalPlan lowers plan for alg and runs it with the test queries' free
-// variables bound to tr's root, over a private catalog and prepared-join
-// cache; parallel caps the pattern operators' per-context-node workers.
+// variables bound to tr's root, the tree held by a one-member corpus as the
+// engine holds it; parallel caps the pattern operators' per-context-node
+// workers.
 func evalPlan(plan algebra.Expr, alg join.Algorithm, tr *xdm.Tree, parallel int) (xdm.Sequence, error) {
 	p, err := Compile(plan, alg)
 	if err != nil {
 		return nil, err
 	}
+	c := collection.Single("", xmlstore.BuildIndex(tr))
 	return p.Run(&Runtime{
-		Catalog:  xmlstore.NewCatalog(),
-		Preps:    exec.NewPrepCache(),
+		Catalog:  c.Catalog(),
+		Preps:    c,
 		Parallel: parallel,
 		Vars:     p.BindVars(engineVars(tr)),
 	})

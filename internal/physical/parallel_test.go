@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"xqtp/internal/exec"
+	"xqtp/internal/collection"
 	"xqtp/internal/join"
 	"xqtp/internal/xdm"
 	"xqtp/internal/xmlstore"
@@ -40,9 +40,9 @@ func TestParallelTTPMatchesSequential(t *testing.T) {
 }
 
 // One compiled plan and one runtime, many concurrent Run calls: the serving
-// pattern. The shared catalog builds each index once and the prepared-pattern
-// cache is hit from every goroutine; results must match the single-threaded
-// run (run with -race to validate the synchronization).
+// pattern. The member's prepared-join table is hit from every goroutine;
+// results must match the single-threaded run (run with -race to validate the
+// synchronization).
 func TestConcurrentRunsSharePlan(t *testing.T) {
 	queries := []string{
 		`$d//person[emailaddress]/name`,
@@ -58,9 +58,10 @@ func TestConcurrentRunsSharePlan(t *testing.T) {
 				t.Fatalf("%s/%v: %v", q, alg, err)
 			}
 			for _, tr := range trees {
+				c := collection.Single("", xmlstore.BuildIndex(tr))
 				rt := &Runtime{
-					Catalog: xmlstore.NewCatalog(),
-					Preps:   exec.NewPrepCache(),
+					Catalog: c.Catalog(),
+					Preps:   c,
 					Vars:    p.BindVars(engineVars(tr)),
 				}
 				want, werr := p.Run(rt)

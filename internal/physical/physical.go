@@ -61,23 +61,26 @@ type op interface {
 	eval(rt *Runtime, fr frame) (value, error)
 }
 
-// PrepSource resolves (algorithm, document, pattern) to a prepared join;
-// implemented by exec.PrepCache. Plans fall back to one-shot join.Prepare
-// when the runtime carries none.
+// PrepSource resolves (algorithm, document, pattern) to a prepared join.
+// The owner of the documents implements it — a corpus member holds the joins
+// prepared against it (collection.Doc, collection.Corpus) — so a prepared
+// join lives exactly as long as the index it was resolved against.
 type PrepSource interface {
 	Prepared(alg join.Algorithm, ix *xmlstore.Index, pat *pattern.Pattern) (*join.Prepared, error)
 }
 
-// Runtime is the per-engine execution environment of a compiled plan. It
-// carries only what varies between runs: the document side (catalog, prep
-// cache) and the variable bindings. A Runtime may be shared by concurrent
-// Run calls as long as its fields are not mutated.
+// Runtime is the per-run execution environment of a compiled plan. It
+// carries only what varies between runs: the document side (catalog,
+// prepared joins) and the variable bindings. A Runtime may be shared by
+// concurrent Run calls as long as its fields are not mutated.
 type Runtime struct {
-	// Catalog resolves documents to their indexes, building each once. Nil
-	// falls back to building an index per pattern evaluation.
+	// Catalog holds the indexes of the documents the run is against. It is
+	// only read: a tree it does not hold was brought in by Vars, and is
+	// indexed there.
 	Catalog *xmlstore.Catalog
-	// Preps caches prepared joins across plans and documents. Nil falls back
-	// to one-shot preparation per pattern evaluation.
+	// Preps holds the prepared joins of the Catalog's documents, normally the
+	// documents' owner. Nil falls back to one-shot preparation per pattern
+	// evaluation.
 	Preps PrepSource
 	// Parallel caps the goroutines evaluating one TupleTreePattern's context
 	// nodes concurrently (<=1: sequential).
@@ -86,10 +89,9 @@ type Runtime struct {
 	// makes both functions evaluation errors (a plan that never calls them
 	// needs no corpus).
 	Docs xdm.DocResolver
-	// Vars holds the free-variable bindings by the plan's variable slots
-	// (Plan.BindVars). A nil entry is an unbound variable. Nil Vars with a
-	// non-nil Root binds every variable to Root.
-	Vars []*xdm.Sequence
+	// Vars holds the explicit free-variable bindings (Plan.BindVars). Nil
+	// Vars with a non-nil Root binds every variable to Root.
+	Vars *Bindings
 	// Root, when non-nil, is the uniform binding used when Vars is nil: the
 	// serving path binds every free variable (and the context item) to the
 	// document node, so per-run setup is storing one field.
@@ -109,7 +111,7 @@ func (rt *Runtime) varBinding(i int) (xdm.Sequence, bool) {
 		}
 		return nil, false
 	}
-	if p := rt.Vars[i]; p != nil {
+	if p := rt.Vars.slots[i]; p != nil {
 		return *p, true
 	}
 	return nil, false
@@ -182,17 +184,66 @@ func (p *Plan) RootBoundPatterns() []bool {
 	return out
 }
 
+// Bindings is an explicit variable environment resolved to a plan's slot
+// layout: a nil slot is an unbound variable and errors lazily on use.
+//
+// Explicitly bound nodes are the only way a tree from outside the runtime's
+// Catalog enters a run, so the bindings also own what evaluation resolves
+// against such a tree: it is indexed once, and each pattern prepared against
+// it once — not once per tuple — for as long as the bindings are in use, and
+// nothing about it is registered in the Catalog or stored in Preps, whose
+// lifetimes are somebody else's documents'.
+type Bindings struct {
+	slots []*xdm.Sequence
+
+	mu      sync.Mutex
+	foreign []foreignPrep
+}
+
+// foreignPrep is one join prepared against a tree from outside the catalog
+// (ix.Tree).
+type foreignPrep struct {
+	ix   *xmlstore.Index
+	pat  *pattern.Pattern
+	alg  join.Algorithm
+	prep *join.Prepared
+}
+
 // BindVars resolves a name-keyed variable environment to the plan's slot
-// layout once per run; unbound names stay nil and error lazily on use.
-func (p *Plan) BindVars(vars map[string]xdm.Sequence) []*xdm.Sequence {
-	out := make([]*xdm.Sequence, len(p.varNames))
+// layout once per run.
+func (p *Plan) BindVars(vars map[string]xdm.Sequence) *Bindings {
+	b := &Bindings{slots: make([]*xdm.Sequence, len(p.varNames))}
 	for i, n := range p.varNames {
 		if v, ok := vars[n]; ok {
 			v := v
-			out[i] = &v
+			b.slots[i] = &v
 		}
 	}
-	return out
+	return b
+}
+
+// prepared resolves a join against a tree the catalog does not hold.
+func (b *Bindings) prepared(alg join.Algorithm, t *xdm.Tree, pat *pattern.Pattern) (*join.Prepared, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var ix *xmlstore.Index
+	for i := range b.foreign {
+		if e := &b.foreign[i]; e.ix.Tree == t {
+			if e.pat == pat && e.alg == alg {
+				return e.prep, nil
+			}
+			ix = e.ix
+		}
+	}
+	if ix == nil {
+		ix = xmlstore.BuildIndex(t)
+	}
+	p, err := join.Prepare(alg, ix, pat)
+	if err != nil {
+		return nil, err
+	}
+	b.foreign = append(b.foreign, foreignPrep{ix: ix, pat: pat, alg: alg, prep: p})
+	return p, nil
 }
 
 // Run evaluates the plan to an item sequence.

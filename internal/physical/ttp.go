@@ -39,20 +39,23 @@ type opTTP struct {
 	minimized bool
 }
 
-// prepFor resolves the prepared join for one document through the runtime's
-// catalog and prepared-join cache (one-shot index build and preparation when
-// the runtime carries neither).
+// prepFor resolves the prepared join for one document: a tree of the
+// runtime's catalog through the runtime's prepared-join owner, any other
+// tree through the explicit bindings that brought it in (one-shot index
+// build and preparation when the runtime carries neither).
 func (o *opTTP) prepFor(rt *Runtime, t *xdm.Tree) (*join.Prepared, error) {
-	var ix *xmlstore.Index
 	if rt.Catalog != nil {
-		ix = rt.Catalog.Index(t)
-	} else {
-		ix = xmlstore.BuildIndex(t)
+		if ix, ok := rt.Catalog.Lookup(t); ok {
+			if rt.Preps != nil {
+				return rt.Preps.Prepared(o.alg, ix, o.pat)
+			}
+			return join.Prepare(o.alg, ix, o.pat)
+		}
 	}
-	if rt.Preps != nil {
-		return rt.Preps.Prepared(o.alg, ix, o.pat)
+	if rt.Vars != nil {
+		return rt.Vars.prepared(o.alg, t, o.pat)
 	}
-	return join.Prepare(o.alg, ix, o.pat)
+	return join.Prepare(o.alg, xmlstore.BuildIndex(t), o.pat)
 }
 
 // row pairs an input frame with one pattern binding.

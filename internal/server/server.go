@@ -647,8 +647,8 @@ func (s *Server) handleCorpora(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the Prometheus text format from stdlib pieces only:
-// the server's own counters plus the engine cache stats surfaced through
-// xqtp.ServerStats — no internal imports, no client library.
+// the server's own counters plus the engine's plan-cache and prepared-join
+// counters from the public API — no internal imports, no client library.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -668,11 +668,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE xqd_shed_total counter\n")
 	fmt.Fprintf(w, "xqd_shed_total %d\n", s.adm.Shed())
 
-	es := s.plans.ServerStats()
+	ps := s.plans.Stats()
 	writeCacheCounters(w, "plan", "Compiled-query plan cache",
-		es.Plan.Hits, es.Plan.Misses, es.Plan.Evictions, es.Plan.Size, es.Plan.Capacity)
-	writeCacheCounters(w, "prep", "Prepared-join caches aggregated over cached queries",
-		es.Prep.Hits, es.Prep.Misses, es.Prep.Evictions, es.Prep.Size, es.Prep.Capacity)
+		ps.Hits, ps.Misses, ps.Evictions, ps.Size, ps.Capacity)
+	var js xqtp.PrepCacheStats
+	s.mu.RLock()
+	for _, c := range s.corpora {
+		cs := c.PrepStats()
+		js.Hits += cs.Hits
+		js.Misses += cs.Misses
+		js.Evictions += cs.Evictions
+		js.Size += cs.Size
+		js.Capacity += cs.Capacity
+	}
+	s.mu.RUnlock()
+	writeCacheCounters(w, "prep", "Prepared joins held by corpus members",
+		js.Hits, js.Misses, js.Evictions, js.Size, js.Capacity)
 	cs := s.cache.stats()
 	writeCacheCounters(w, "result", "Rendered-result cache",
 		cs.Hits, cs.Misses, cs.Evictions, cs.Entries, cs.Capacity)

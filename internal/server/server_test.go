@@ -351,7 +351,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		"xqd_rows_total 11",
 		"xqd_result_cache_served_total 1",
 		"xqd_plan_cache_hits_total",
-		"xqd_prep_cache_entries",
+		// The query ran twice past the result cache (once with a limit): the
+		// member prepared its join once and still holds it.
+		"xqd_prep_cache_hits_total 1",
+		"xqd_prep_cache_misses_total 1",
+		"xqd_prep_cache_evictions_total 0",
+		"xqd_prep_cache_entries 1",
 		"xqd_result_cache_hits_total 1",
 		"xqd_result_cache_bytes",
 		`xqd_corpus_members{corpus="main"} 1`,

@@ -6,52 +6,34 @@ import (
 	"xqtp/internal/xdm"
 )
 
-// Catalog is a concurrency-safe document→index store: each tree's index is
-// built exactly once, no matter how many goroutines ask for it
-// concurrently. A catalog shared between a Document and every engine that
-// queries it is what makes the serving path index-once — Run can be called
-// from many goroutines with zero per-run index work.
+// Catalog is a concurrency-safe tree→index registry: it holds exactly the
+// indexes its owner registered (a corpus registers every member's), and
+// evaluation only ever reads it. A tree the catalog does not hold belongs to
+// somebody else — a run that meets one indexes it for that run alone — so a
+// long-lived catalog never accretes the transient documents whose nodes were
+// once bound into a query against it.
 //
-// Catalogs hold strong references to their trees; they are meant to live
-// with the documents they index (a Document owns one), not as a process-wide
-// registry of transient trees. The zero value is ready to use.
+// Catalogs hold strong references to their trees; they live with the
+// documents they index. The zero value is ready to use.
 type Catalog struct {
-	m sync.Map // *xdm.Tree -> *catalogEntry
-}
-
-type catalogEntry struct {
-	once sync.Once
-	ix   *Index
+	m sync.Map // *xdm.Tree -> *Index
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog { return &Catalog{} }
 
-// Index returns the index for t, building it on first request. Concurrent
-// callers for the same tree block on one build and share its result.
-func (c *Catalog) Index(t *xdm.Tree) *Index {
+// Lookup returns the registered index of t.
+func (c *Catalog) Lookup(t *xdm.Tree) (*Index, bool) {
 	v, ok := c.m.Load(t)
 	if !ok {
-		v, _ = c.m.LoadOrStore(t, &catalogEntry{})
+		return nil, false
 	}
-	e := v.(*catalogEntry)
-	e.once.Do(func() { e.ix = BuildIndex(t) })
-	return e.ix
+	return v.(*Index), true
 }
 
 // Register installs a prebuilt index. If the tree is already cataloged the
 // existing index wins (indexes over the same tree are interchangeable).
-func (c *Catalog) Register(ix *Index) {
-	v, ok := c.m.Load(ix.Tree)
-	if !ok {
-		v, _ = c.m.LoadOrStore(ix.Tree, &catalogEntry{})
-	}
-	e := v.(*catalogEntry)
-	e.once.Do(func() { e.ix = ix })
-}
-
-// Drop removes a tree's index (e.g. when a document is unloaded).
-func (c *Catalog) Drop(t *xdm.Tree) { c.m.Delete(t) }
+func (c *Catalog) Register(ix *Index) { c.m.LoadOrStore(ix.Tree, ix) }
 
 // Len returns the number of cataloged documents.
 func (c *Catalog) Len() int {

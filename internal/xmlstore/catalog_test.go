@@ -5,7 +5,9 @@ import (
 	"testing"
 )
 
-func TestCatalogBuildsOnce(t *testing.T) {
+// Concurrent Registers of interchangeable indexes settle on one, and every
+// reader sees that one.
+func TestCatalogRegisterOnce(t *testing.T) {
 	tree, err := ParseString(`<a><b/><b/><c/></a>`)
 	if err != nil {
 		t.Fatal(err)
@@ -18,7 +20,8 @@ func TestCatalogBuildsOnce(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			indexes[g] = cat.Index(tree)
+			cat.Register(BuildIndex(tree))
+			indexes[g], _ = cat.Lookup(tree)
 		}(g)
 	}
 	wg.Wait()
@@ -27,8 +30,8 @@ func TestCatalogBuildsOnce(t *testing.T) {
 			t.Fatalf("goroutine %d got a different index instance", g)
 		}
 	}
-	if indexes[0].Tree != tree {
-		t.Fatalf("index built for the wrong tree")
+	if indexes[0] == nil || indexes[0].Tree != tree {
+		t.Fatalf("index registered for the wrong tree")
 	}
 	if got := cat.Len(); got != 1 {
 		t.Fatalf("catalog has %d entries, want 1", got)
@@ -41,21 +44,17 @@ func TestCatalogRegisterExistingWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := NewCatalog()
+	if _, ok := cat.Lookup(tree); ok || cat.Len() != 0 {
+		t.Fatalf("Lookup of an unregistered tree found or stored something")
+	}
 	pre := BuildIndex(tree)
 	cat.Register(pre)
-	if got := cat.Index(tree); got != pre {
+	if got, ok := cat.Lookup(tree); !ok || got != pre {
 		t.Fatalf("catalog did not return the registered index")
 	}
 	// A second Register of a fresh index for the same tree keeps the first.
 	cat.Register(BuildIndex(tree))
-	if got := cat.Index(tree); got != pre {
+	if got, _ := cat.Lookup(tree); got != pre {
 		t.Fatalf("second Register displaced the original index")
-	}
-	cat.Drop(tree)
-	if cat.Len() != 0 {
-		t.Fatalf("Drop left %d entries", cat.Len())
-	}
-	if got := cat.Index(tree); got == pre {
-		t.Fatalf("catalog returned the dropped index instance")
 	}
 }

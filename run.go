@@ -147,7 +147,7 @@ const allMembers = -1
 
 // rootBound is run's default variable binding: none explicit, so the context
 // item and every free variable are the evaluated member's document node.
-func rootBound(*physical.Plan) []*xdm.Sequence { return nil }
+func rootBound(*physical.Plan) *physical.Bindings { return nil }
 
 // run is the one evaluation path behind every public Run*: closed check,
 // physical plan, execution context, runtime, then one of three shapes.
@@ -161,7 +161,7 @@ func rootBound(*physical.Plan) []*xdm.Sequence { return nil }
 // the budgets — and the merge charges each delivered item in corpus order,
 // so budget cutoffs land on the exact corpus-order prefix regardless of how
 // the worker pool interleaved.
-func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Algorithm, opts RunOptions, bind func(*physical.Plan) []*xdm.Sequence) (Sequence, RunInfo, error) {
+func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Algorithm, opts RunOptions, bind func(*physical.Plan) *physical.Bindings) (Sequence, RunInfo, error) {
 	if c.Closed() {
 		return nil, RunInfo{}, ErrClosed
 	}
@@ -173,14 +173,17 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 	defer cancel()
 	ec := execctx.From(ctx, opts.MaxRows, opts.MaxBytes)
 	// The runtime and the default sink share one allocation, so a plain
-	// Query.Run allocates nothing for collecting its result.
+	// Query.Run allocates nothing for collecting its result. Prepared joins
+	// belong to the corpus: each lives on the member it was prepared against
+	// (a bound node of some other document is prepared in the bindings that
+	// brought it, for this run only).
 	var st struct {
 		rt  physical.Runtime
 		col execctx.Collector
 	}
 	st.rt = physical.Runtime{
 		Catalog:  c.Catalog(),
-		Preps:    q.preps,
+		Preps:    c,
 		Parallel: opts.Workers,
 		Docs:     c,
 		Vars:     bind(p),
@@ -211,8 +214,10 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 			if err := d.Ensure(); err != nil {
 				return nil, err
 			}
+			// A fanned-out member run reaches its own tree only, so the
+			// member answers for its prepared joins directly.
 			mrt := *rt
-			mrt.Root = d.RootSeq()
+			mrt.Root, mrt.Preps = d.RootSeq(), d
 			return p.Run(&mrt)
 		}, func(seq Sequence) error {
 			return execctx.Deliver(ec, sink, seq)

@@ -29,7 +29,6 @@ import (
 	"xqtp/internal/collection"
 	"xqtp/internal/compile"
 	"xqtp/internal/core"
-	"xqtp/internal/exec"
 	"xqtp/internal/join"
 	"xqtp/internal/optimize"
 	"xqtp/internal/parser"
@@ -273,7 +272,10 @@ var DefaultOptions = CompileOptions{TreePatterns: true, Rewrites: true, ContextV
 var StandardEngineOptions = CompileOptions{TreePatterns: false, Rewrites: false, ContextVar: "dot"}
 
 // Query is a compiled query, retaining every intermediate compilation phase
-// for inspection.
+// for inspection. A Query holds plans, never documents: what a run resolves
+// against a document — its index, the joins prepared against it — is kept by
+// the document's corpus member and freed with it, so a long-lived Query pins
+// none of the corpora it ever ran against.
 type Query struct {
 	Source string
 
@@ -283,10 +285,6 @@ type Query struct {
 	plan      algebra.Expr
 	optimized algebra.Expr
 
-	// preps caches (pattern, document, algorithm) join preparations across
-	// runs of this query, so serving workloads resolve each pattern's tag
-	// streams once per document instead of once per Run call.
-	preps *exec.PrepCache
 	// phys memoizes the physical lowering of the optimized plan, one entry
 	// per algorithm: slots resolved, builtins bound, patterns annotated —
 	// compiled on first use and shared by every subsequent Run.
@@ -349,7 +347,6 @@ func prepare(query string, opts CompileOptions, tr *Trace) (*Query, error) {
 		rewritten: rewritten,
 		plan:      plan,
 		optimized: plan,
-		preps:     exec.NewPrepCache(),
 	}
 	if opts.TreePatterns {
 		q.optimized = optimize.Optimize(plan, oopts)
@@ -401,7 +398,7 @@ func (q *Query) RunParallel(doc *Document, alg Algorithm, workers int) (Sequence
 // RunWithVars evaluates the query with explicit variable bindings; a
 // variable vars leaves out is unbound.
 func (q *Query) RunWithVars(doc *Document, alg Algorithm, vars map[string]Sequence) (Sequence, error) {
-	bind := func(p *physical.Plan) []*xdm.Sequence { return p.BindVars(vars) }
+	bind := func(p *physical.Plan) *physical.Bindings { return p.BindVars(vars) }
 	seq, _, err := run(context.Background(), q, doc.c, doc.i, alg, RunOptions{}, bind)
 	return seq, err
 }
