@@ -84,13 +84,15 @@ bench-check:
 	done
 
 # Short differential fuzz of the ingest scanner against the encoding/xml
-# oracle, of the snapshot reader against corrupted/truncated bytes, and of the
+# oracle, of the snapshot reader against corrupted/truncated bytes, of the
+# serializer's escaper against its byte-at-a-time reference, and of the
 # server's JSON string encoder against encoding/json (the committed seed
 # corpus always runs as part of `make test`; this also explores new inputs
 # for a bounded time).
 fuzz-smoke:
 	$(GO) test ./internal/xmlstore -run FuzzScanVsStd -fuzz FuzzScanVsStd -fuzztime 30s
 	$(GO) test ./internal/xmlstore -run FuzzSnapshot -fuzz FuzzSnapshot -fuzztime 30s
+	$(GO) test ./internal/xmlstore -run FuzzAppendEscaped -fuzz FuzzAppendEscaped -fuzztime 30s
 	$(GO) test ./internal/server -run FuzzAppendJSONString -fuzz FuzzAppendJSONString -fuzztime 30s
 
 # Compare two treebench JSON reports (table1 or serve):

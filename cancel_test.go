@@ -372,3 +372,47 @@ func TestRunWithLiveContextEqualsRun(t *testing.T) {
 		}
 	}
 }
+
+// RunInfo.Rows counts what a run delivered whether or not anything metered
+// it: a run with neither deadline nor budget threads the nil execution
+// context, which counts nothing, and used to report 0 rows for 3 items.
+func TestRunInfoRowsWithoutContext(t *testing.T) {
+	doc, err := LoadXMLString(`<r><a/><a/><a/></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustPrepare(`$input//a`)
+	got, info, err := q.RunWith(context.Background(), doc, Auto, RunOptions{})
+	if err != nil || len(got) != 3 || info.Rows != 3 {
+		t.Errorf("Query.RunWith: %d items, info.Rows=%d, err=%v; want 3 and 3", len(got), info.Rows, err)
+	}
+
+	corpus, err := LoadCorpus([]CorpusSource{
+		{URI: "mem://1.xml", Data: []byte(`<r><a/><a/></r>`)},
+		{URI: "mem://2.xml", Data: []byte(`<r><b/></r>`)},
+		{URI: "mem://3.xml", Data: []byte(`<r><a/></r>`)},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer corpus.Close()
+	for _, text := range []string{`$input//a`, `fn:collection()//a`} {
+		q := MustPrepare(text)
+		for _, workers := range []int{1, 4} {
+			got, info, err := corpus.RunWith(context.Background(), q, Auto, RunOptions{Workers: workers})
+			if err != nil || len(got) != 3 || info.Rows != 3 {
+				t.Errorf("Corpus.RunWith(%s, workers=%d): %d items, info.Rows=%d, err=%v; want 3 and 3", text, workers, len(got), info.Rows, err)
+			}
+			sink := &discardSink{}
+			got, info, err = corpus.RunWith(context.Background(), q, Auto, RunOptions{Workers: workers, Sink: sink})
+			if err != nil || got != nil || sink.n != 3 || info.Rows != 3 {
+				t.Errorf("Corpus.RunWith(%s, workers=%d, Sink): sink got %d, info.Rows=%d, err=%v; want 3 and 3", text, workers, sink.n, info.Rows, err)
+			}
+		}
+	}
+	// A sink that refuses an item did not receive it.
+	_, info, err = corpus.RunWith(context.Background(), MustPrepare(`$input//a`), Auto, RunOptions{Workers: 1, Sink: &errSink{failAt: 3}})
+	if !errors.Is(err, errSinkBoom) || info.Rows != 2 {
+		t.Errorf("refusing sink: info.Rows=%d, err=%v; want 2 rows and the sink's error", info.Rows, err)
+	}
+}

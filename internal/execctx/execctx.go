@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -241,21 +242,72 @@ func Deliver(ec *Ctx, sink Sink, items xdm.Sequence) error {
 		return nil
 	}
 	for _, it := range items {
-		rows := ec.st.rows.Add(1)
-		if ec.maxRows > 0 && rows > ec.maxRows {
-			ec.st.rows.Add(-1) // the item was not delivered
+		if err := ec.deliverOne(sink, it); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// deliverOne charges one item against the budgets and pushes it.
+func (ec *Ctx) deliverOne(sink Sink, it xdm.Item) error {
+	rows := ec.st.rows.Add(1)
+	if ec.maxRows > 0 && rows > ec.maxRows {
+		ec.st.rows.Add(-1) // the item was not delivered
+		ec.stopBudget()
+		return ec.Err()
+	}
+	if ec.maxBytes > 0 {
+		if ec.st.bytes.Add(itemWeight(it)) > ec.maxBytes {
+			ec.st.rows.Add(-1)
 			ec.stopBudget()
 			return ec.Err()
 		}
-		if ec.maxBytes > 0 {
-			if ec.st.bytes.Add(itemWeight(it)) > ec.maxBytes {
-				ec.st.rows.Add(-1)
-				ec.stopBudget()
-				return ec.Err()
-			}
+	}
+	if err := sink.Push(it); err != nil {
+		ec.stopWith(err)
+		return err
+	}
+	return nil
+}
+
+// DeliverNodes is Deliver for a producer that holds its result as preorder
+// ranks: it delivers nodes[ranks[i]] for i = first, first+stride, … — one
+// output field of a table of stride-wide bindings — with Deliver's budget
+// charging and stop behavior, and without the result ever existing as a
+// Sequence. A Collector receives the nodes into a sequence grown once to the
+// exact size.
+func DeliverNodes(ec *Ctx, sink Sink, nodes []*xdm.Node, ranks []int32, first, stride int) error {
+	if first >= len(ranks) {
+		return nil
+	}
+	n := (len(ranks) - first + stride - 1) / stride
+	if ec != nil {
+		if err := ec.Err(); err != nil {
+			return err
 		}
-		if err := sink.Push(it); err != nil {
-			ec.stopWith(err)
+		if ec.maxRows > 0 || ec.maxBytes > 0 {
+			for i := first; i < len(ranks); i += stride {
+				if err := ec.deliverOne(sink, nodes[ranks[i]]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		ec.st.rows.Add(int64(n))
+	}
+	if c, ok := sink.(*Collector); ok {
+		c.Seq = slices.Grow(c.Seq, n)
+		for i := first; i < len(ranks); i += stride {
+			c.Seq = append(c.Seq, nodes[ranks[i]])
+		}
+		return nil
+	}
+	for i := first; i < len(ranks); i += stride {
+		if err := sink.Push(nodes[ranks[i]]); err != nil {
+			if ec != nil {
+				ec.stopWith(err)
+			}
 			return err
 		}
 	}

@@ -42,7 +42,7 @@ func ChooseEstimate(ix *xmlstore.Index, ctx *xdm.Node, pat *pattern.Pattern) Est
 		return Estimate{Alg: NestedLoop}
 	}
 	e := Estimate{Alg: NestedLoop, Empty: p.empty}
-	if p.single && p.scOK {
+	if p.kernel != nil {
 		e.Alg = Staircase
 	}
 	return e

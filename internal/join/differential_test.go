@@ -64,6 +64,11 @@ func checkKernels(t *testing.T, label string, ix *xmlstore.Index, ctx *xdm.Node,
 			t.Errorf("%s/%s from pre=%d: ranks %v, nested loop %v (pattern %s)",
 				label, alg, ctx.Pre, got, want, pat)
 		}
+		// The kernel's own exit, in ranks, behind whatever dst already holds.
+		if ranks := p.AppendRanks(nil, ctx, []int32{-1}); ranks[0] != -1 || !slices.Equal(ranks[1:], got) {
+			t.Errorf("%s/%s from pre=%d: AppendRanks %v, Eval's ranks %v (pattern %s)",
+				label, alg, ctx.Pre, ranks, got, pat)
+		}
 	}
 }
 

@@ -94,9 +94,9 @@ func EvalFirst(alg Algorithm, ix *xmlstore.Index, ctx *xdm.Node, pat *pattern.Pa
 	return b, ok, nil
 }
 
-// wrapNodes views a freshly built node list as single-field bindings; the
-// bindings alias the input slice (two allocations for the whole result set
-// instead of one per binding).
+// wrapNodes views a freshly built node list as single-field bindings (the
+// rank kernels are single-output); the bindings alias the input slice (two
+// allocations for the whole result set instead of one per binding).
 func wrapNodes(nodes []*xdm.Node) []Binding {
 	out := make([]Binding, len(nodes))
 	for i := range nodes {

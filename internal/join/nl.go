@@ -32,6 +32,18 @@ func nlEval(ec *execctx.Ctx, ctx *xdm.Node, pat *pattern.Pattern) []Binding {
 	return out
 }
 
+// nlRanks appends nlEval's bindings to dst as pre ranks, one per output
+// field. The nested loop itself stays on node pointers: it is the oracle the
+// rank kernels are checked against.
+func nlRanks(ec *execctx.Ctx, ctx *xdm.Node, pat *pattern.Pattern, dst []int32) []int32 {
+	for _, b := range nlEval(ec, ctx, pat) {
+		for _, n := range b {
+			dst = append(dst, int32(n.Pre))
+		}
+	}
+	return dst
+}
+
 func nlStep(ec *execctx.Ctx, tick *int, ctx *xdm.Node, s *pattern.Step, prefix Binding, out *[]Binding) bool {
 	for _, cand := range xdm.Step(ctx, s.Axis, s.Test) {
 		if nlTick(ec, tick) {

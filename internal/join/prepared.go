@@ -15,8 +15,8 @@ import (
 // and its columnar test (interned symbol + principal kind) once — the
 // compile-once half of the serving path. After that, Eval per context node
 // does no string hashing and no per-run setup, and the set-at-a-time kernels
-// run entirely on int32 ranks against the tree's columns; nodes materialize
-// only in the returned bindings.
+// run entirely on int32 ranks against the tree's columns and answer in ranks
+// (AppendRanks); nodes appear only when a caller asks for bindings.
 //
 // A Prepared is immutable and safe for concurrent Eval/EvalFirst calls from
 // many goroutines (the evaluation scratch comes from internal pools).
@@ -26,12 +26,12 @@ type Prepared struct {
 	pat *pattern.Pattern
 
 	fields    []string // output fields, root-to-leaf (cached: OutputFields walks)
-	single    bool     // single output annotation at the extraction point
-	scOK      bool     // staircase supports every axis
-	twigOK    bool     // twig supports every edge/test
-	streamOK  bool     // streaming automaton supports the spine
 	childOnly bool     // spine has child/attribute/self steps only
-	empty     bool     // some required step's stream is empty document-wide
+	empty     bool     // some required step's stream is empty document-wide (never set for NestedLoop)
+	// kernel is the set-at-a-time kernel the pattern runs on, nil for the
+	// nested loop: single-output patterns inside the selected algorithm's
+	// fragment, with Auto taking SCJoin (rule 3, auto.go).
+	kernel func(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int32
 
 	cols  *xdm.Cols // the document's region-encoding columns
 	spine []cstep   // compiled steps, spine order
@@ -145,10 +145,6 @@ func Prepare(alg Algorithm, ix *xmlstore.Index, pat *pattern.Pattern) (*Prepared
 	}
 	p := &Prepared{alg: alg, ix: ix, pat: pat}
 	p.fields = pat.OutputFields()
-	_, p.single = pat.SingleOutput()
-	p.scOK = scSupported(pat.Root)
-	p.twigOK = twigSupported(pat.Root)
-	p.streamOK = streamSupported(pat)
 	p.childOnly = spineChildOnly(pat.Root)
 	if ix != nil && alg != NestedLoop {
 		p.cols = ix.Tree.Cols
@@ -156,8 +152,20 @@ func Prepare(alg Algorithm, ix *xmlstore.Index, pat *pattern.Pattern) (*Prepared
 		// The conjunctive emptiness proof: one required step with an empty
 		// document-wide stream means no binding can exist anywhere in this
 		// document, so the kernels never need to run (generalizes the
-		// corpus layer's name-presence skip to counts).
+		// corpus layer's name-presence skip to counts). Plain NestedLoop
+		// stays fully general — it is the differential oracle — so only the
+		// other algorithms, Auto included, take the skip.
 		p.empty = provablyEmpty(p.spine)
+		if _, single := pat.SingleOutput(); single {
+			switch {
+			case (alg == Staircase || alg == Auto) && scSupported(pat.Root):
+				p.kernel = scEval
+			case alg == Twig && twigSupported(pat.Root):
+				p.kernel = twigEval
+			case alg == Streaming && streamSupported(pat):
+				p.kernel = streamEval
+			}
+		}
 	}
 	return p, nil
 }
@@ -169,53 +177,41 @@ func (p *Prepared) Pattern() *pattern.Pattern { return p.pat }
 // once at preparation time.
 func (p *Prepared) OutputFields() []string { return p.fields }
 
-// materialize crosses the output boundary: rank results become node
-// bindings. This is the only place the set-at-a-time kernels touch nodes.
-func (p *Prepared) materialize(ranks []int32) []*xdm.Node {
-	return p.ix.Tree.Materialize(ranks)
+// AppendRanks appends every binding of the pattern from context node ctx to
+// dst as int32 pre ranks in ctx's tree — len(OutputFields()) ranks per
+// binding, root-to-leaf — and returns the extended slice. It is the one exit
+// of the set-at-a-time kernels: they finish in a pooled arena of ranks and
+// copy the final list out here, so no node is touched and, when dst has
+// room, nothing is allocated. Patterns outside the algorithm's fragment fall
+// back to nested-loop evaluation, which is fully general and converts its
+// node bindings on the way out.
+//
+// The kernels poll ec at bounded intervals and bail out once it stops. A
+// stopped evaluation appends a partial (possibly empty) result — callers that
+// thread a non-nil ec must check ec.Err() afterwards and discard the ranks on
+// stop (the physical operator layer does exactly that).
+func (p *Prepared) AppendRanks(ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int32 {
+	if p.empty {
+		return dst
+	}
+	if p.kernel == nil {
+		return nlRanks(ec, ctx, p.pat, dst)
+	}
+	return p.kernel(p, ec, ctx, dst)
 }
 
 // Eval returns every binding of the pattern from context node ctx.
-// Single-output patterns run on the selected algorithm; patterns outside an
-// algorithm's supported fragment fall back to nested-loop evaluation, which
-// is fully general.
 func (p *Prepared) Eval(ctx *xdm.Node) []Binding { return p.EvalCtx(nil, ctx) }
 
-// EvalCtx is Eval under an execution context: the kernels poll ec at
-// bounded intervals and bail out once it stops. A stopped evaluation
-// returns a partial (possibly empty) binding set — callers that thread a
-// non-nil ec must check ec.Err() afterwards and discard the result on stop
-// (the physical operator layer does exactly that).
+// EvalCtx is AppendRanks resolved to nodes: the ranks cross into the pointer
+// data model (Tree.Materialize, building it on first use) and are viewed as
+// bindings. The nested loop's bindings are returned as they are. A stopped
+// evaluation has AppendRanks' partial-result contract.
 func (p *Prepared) EvalCtx(ec *execctx.Ctx, ctx *xdm.Node) []Binding {
-	alg := p.alg
-	if p.empty && alg != NestedLoop {
-		// Provably empty document-wide. Plain NestedLoop stays fully
-		// general (it is the differential oracle); every other algorithm —
-		// Auto included — takes the skip.
-		return nil
+	if p.kernel == nil && !p.empty {
+		return nlEval(ec, ctx, p.pat)
 	}
-	if alg == Auto {
-		// Rule 3 (auto.go): SCJoin inside its fragment, and the switch below
-		// already falls back to the nested loop outside it.
-		alg = Staircase
-	}
-	if p.single {
-		switch alg {
-		case Staircase:
-			if p.scOK {
-				return wrapNodes(scEval(p, ec, ctx))
-			}
-		case Twig:
-			if p.twigOK {
-				return wrapNodes(twigEval(p, ec, ctx))
-			}
-		case Streaming:
-			if p.streamOK {
-				return wrapNodes(streamEval(p, ec, ctx))
-			}
-		}
-	}
-	return nlEval(ec, ctx, p.pat)
+	return wrapNodes(p.ix.Tree.Materialize(p.AppendRanks(ec, ctx, nil)))
 }
 
 // EvalFirst returns the first binding in document order, allowing the
@@ -230,7 +226,7 @@ func (p *Prepared) EvalFirst(ctx *xdm.Node) (Binding, bool) { return p.EvalFirst
 // partial-result contract as EvalCtx.
 func (p *Prepared) EvalFirstCtx(ec *execctx.Ctx, ctx *xdm.Node) (Binding, bool) {
 	alg := p.alg
-	if p.empty && alg != NestedLoop {
+	if p.empty {
 		return nil, false
 	}
 	if alg == Auto && p.childOnly {

@@ -43,22 +43,22 @@ var scArenaPool = sync.Pool{New: func() any { return new(scArena) }}
 // and scan the pre-resolved integer rank stream region by region, producing
 // duplicate-free results in document order without an explicit sort.
 // Containment and node tests are integer compares against the tree's
-// columns; no node pointer is touched until the final materialization.
+// columns; the kernel ends in ranks and never touches a node.
 // Predicate branches are evaluated as existential semi-joins per candidate
 // — the per-candidate work is what makes SCJoin degrade on complex twigs
 // while it shines on linear paths (paper §5.2).
 //
 // The per-step candidate lists live in arena buffers (two, swapped each
-// step); only the final result materializes nodes, exactly sized.
+// step); the final list is appended to dst before the arena is released.
 //
 // The execution context is polled once per spine step, once per 64 contexts
 // inside the descendant scans, and once per 64 candidates in the predicate
 // semi-join loop — the stream-advance batch boundaries, so the unchunked
-// inner region scans stay branch-free. A stopped evaluation skips the
-// materialization and returns nil (EvalCtx's partial-result contract); the
-// arena goes back to the pool through the same path as a completed run, so
-// cancellation never leaks or corrupts pooled scratch.
-func scEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node) []*xdm.Node {
+// inner region scans stay branch-free. A stopped evaluation appends nothing
+// (AppendRanks' partial-result contract); the arena goes back to the pool
+// through the same path as a completed run, so cancellation never leaks or
+// corrupts pooled scratch.
+func scEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int32 {
 	arena := scArenaPool.Get().(*scArena)
 	ai, bi := arena.take(), arena.take()
 	cur := append(arena.bufs[ai][:0], int32(ctx.Pre))
@@ -88,15 +88,14 @@ func scEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node) []*xdm.Node {
 			break
 		}
 	}
-	var out []*xdm.Node
 	if !stopped {
-		out = p.materialize(cur)
+		dst = append(dst, cur...)
 	}
 	arena.giveBack(ai, cur)
 	arena.giveBack(bi, next)
 	arena.next = 0
 	scArenaPool.Put(arena)
-	return out
+	return dst
 }
 
 // scStep performs one staircase step over a document-ordered duplicate-free

@@ -2,6 +2,7 @@ package join
 
 import (
 	"math/bits"
+	"slices"
 
 	"xqtp/internal/execctx"
 	"xqtp/internal/pattern"
@@ -47,11 +48,11 @@ func streamSupported(p *pattern.Pattern) bool {
 // step to match is spine[i]"); a node matching the final step is an answer.
 // States are propagated level by level using an explicit stack of
 // (subtree-end, bitmask) frames, so the whole evaluation is one linear scan
-// with no per-node allocation. The execution context is polled once per
-// 8192 preorder ranks — the scan's batch boundary; a stopped scan returns
-// nil (EvalCtx's partial-result contract).
-func streamEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node) []*xdm.Node {
-	pat := p.pat
+// with no per-node allocation; answers are appended to dst as the scan meets
+// them. The execution context is polled once per 8192 preorder ranks — the
+// scan's batch boundary; a stopped scan appends nothing (AppendRanks'
+// partial-result contract).
+func streamEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int32 {
 	spine := p.spine
 	var descMask uint64
 	for i := range spine {
@@ -61,13 +62,12 @@ func streamEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node) []*xdm.Node {
 	}
 	n := len(spine)
 	if n > 63 {
-		// Absurdly deep pattern: fall back to the nested loop's bindings.
-		nodes := make([]*xdm.Node, 0)
-		for _, b := range nlEval(ec, ctx, pat) {
-			nodes = append(nodes, b[0])
-		}
-		xdm.SortDoc(nodes)
-		return xdm.DedupSorted(nodes)
+		// Absurdly deep pattern: fall back to the nested loop's bindings, put
+		// into the order the scan would have met them in.
+		start := len(dst)
+		dst = nlRanks(ec, ctx, p.pat, dst)
+		slices.Sort(dst[start:])
+		return dst[:start+len(dedupRanks(dst[start:]))]
 	}
 	finalBit := uint64(1) << uint(n-1)
 
@@ -78,12 +78,12 @@ func streamEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node) []*xdm.Node {
 	cols := p.cols
 	kindCol, symCol, sizeCol := cols.Kind, cols.Sym, cols.Size
 	stack := []frame{{until: int32(ctx.End()), states: 1}}
-	var out []int32
+	start := len(dst)
 
 	lo, hi := int32(ctx.Pre)+1, int32(ctx.End())
 	for pre := lo; pre <= hi; pre++ {
 		if pre&8191 == 0 && ec.Stopped() {
-			return nil
+			return dst[:start]
 		}
 		kind := kindCol[pre]
 		if kind == uint8(xdm.AttributeNode) {
@@ -105,7 +105,7 @@ func streamEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node) []*xdm.Node {
 				// is an element, so star always fires.
 				if t.kind == xdm.TestStar || t.sym == sym {
 					if uint64(1)<<uint(i) == finalBit {
-						out = append(out, pre)
+						dst = append(dst, pre)
 						// Dedup: a node accepted once is enough.
 						break
 					}
@@ -122,5 +122,5 @@ func streamEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node) []*xdm.Node {
 			stack = append(stack, frame{until: pre + size, states: next})
 		}
 	}
-	return p.materialize(out)
+	return dst
 }

@@ -20,7 +20,7 @@ import (
 // not penalize it in the in-memory model still shows in the refinement
 // cost). Every structural check — stream advance, stack cleaning,
 // containment, parent equality — is integer arithmetic over the tree's
-// columns; nodes materialize once, from the surviving output ranks.
+// columns; the surviving output ranks are appended to dst.
 //
 // The streams come pre-resolved from the Prepared pattern; stacks and
 // candidate lists live in a pooled arena, released after the result is
@@ -29,24 +29,23 @@ import (
 // The execution context is polled every 512 stream advances inside
 // runTwigStack (its per-iteration work — getNext plus stack maintenance —
 // is the twig join's unit of progress). A stopped run skips refinement and
-// materialization and returns nil; the arena is released through the same
-// path as a completed run, so cancellation leaves the pool clean.
-func twigEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node) []*xdm.Node {
+// appends nothing; the arena is released through the same path as a
+// completed run, so cancellation leaves the pool clean.
+func twigEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int32 {
 	arena := getTwigBufs()
 	q := buildQuery(p, ctx, arena)
 	cols := p.cols
-	var out []*xdm.Node
 	if runTwigStack(q, cols, ec) {
 		refine(q, cols)
 		// Select the extraction-point candidates that sit on a refined root
 		// path (top-down pass).
 		topDown(q, cols)
 		if ep := findOutput(q); ep != nil {
-			out = p.materialize(ep.valid)
+			dst = append(dst, ep.valid...)
 		}
 	}
 	arena.release(q)
-	return out
+	return dst
 }
 
 // qnode is one query node of the twig.

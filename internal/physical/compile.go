@@ -2,6 +2,7 @@ package physical
 
 import (
 	"fmt"
+	"slices"
 
 	"xqtp/internal/algebra"
 	"xqtp/internal/funcs"
@@ -292,6 +293,19 @@ func (c *compiler) compile(e algebra.Expr, en *env) (op, *env, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		if ttp, ok := in.(*opTTP); ok && ttp.itemField < 0 {
+			// MapToItem{IN#f}(TupleTreePattern) with f an output field of the
+			// pattern — the shape the rewrites leave a path or a FLWOR in —
+			// is the pattern operator in items mode: the projection reads the
+			// bindings' ranks directly and no tuple is built for it to take
+			// apart.
+			if f, ok := dep.(*opField); ok {
+				if k := slices.Index(ttp.outSlots, f.slot); k >= 0 {
+					ttp.itemField = k
+					return ttp, en, nil
+				}
+			}
+		}
 		return &opMapToItem{dep: dep, input: in}, en, nil
 
 	case *algebra.Select:
@@ -318,7 +332,7 @@ func (c *compiler) compile(e algebra.Expr, en *env) (op, *env, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if ttp, ok := in.(*opTTP); ok {
+		if ttp, ok := in.(*opTTP); ok && ttp.itemField < 0 {
 			// Head(TupleTreePattern) is the first-match form: push the limit
 			// into the pattern operator for the §5.3 early exit.
 			ttp.first = true
@@ -335,8 +349,9 @@ func (c *compiler) compile(e algebra.Expr, en *env) (op, *env, error) {
 		// path compiles through: subsumed predicate branches and vacuous
 		// self steps are gone before any algorithm sees the pattern.
 		pat := pattern.Minimize(x.Pattern)
-		o := &opTTP{p: c.p, input: in, pat: pat, alg: c.p.alg, inSlot: -1,
+		o := &opTTP{p: c.p, input: in, pat: pat, alg: c.p.alg, inSlot: -1, itemField: -1,
 			minimized: pat != x.Pattern}
+		_, o.dependent = in.(*opIn)
 		if slot, ok := inEnv.lookup(x.Pattern.Input); ok {
 			o.inSlot = slot
 		}

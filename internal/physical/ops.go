@@ -372,7 +372,9 @@ func (o *opTypeSwitch) eval(rt *Runtime, fr frame) (value, error) {
 }
 
 // opMapFromItem builds one tuple [slot: item] per input item. Frames come
-// from a single backing arena, so n tuples cost two allocations.
+// from a single backing arena and each singleton is a capped one-item view of
+// the input sequence (sequences are values, never written in place), so n
+// tuples cost two allocations.
 type opMapFromItem struct {
 	p     *Plan
 	slot  int
@@ -387,10 +389,10 @@ func (o *opMapFromItem) eval(rt *Runtime, fr frame) (value, error) {
 	w := len(o.p.slotNames)
 	backing := make([]xdm.Sequence, len(in)*w)
 	out := make([]frame, len(in))
-	for i, it := range in {
+	for i := range in {
 		row := backing[i*w : (i+1)*w : (i+1)*w]
 		copy(row, fr)
-		row[o.slot] = xdm.Singleton(it)
+		row[o.slot] = in[i : i+1 : i+1]
 		out[i] = row
 	}
 	return framesValue(out), nil

@@ -264,13 +264,25 @@ func (p *Plan) Run(rt *Runtime) (xdm.Sequence, error) {
 // item expression is evaluated tuple by tuple and each tuple's items are
 // delivered before the next tuple is touched — so a spent budget or a
 // canceled context stops further evaluation, not just further delivery,
-// and the sink observes exactly the document-order prefix. Other root
-// shapes evaluate fully, then deliver.
+// and the sink observes exactly the document-order prefix. A pattern
+// operator in items mode at the root is one set-at-a-time evaluation with
+// nothing to stop between tuples: its rank table is delivered directly, the
+// budgets charged per item as everywhere. Other root shapes evaluate fully,
+// then deliver.
 func (p *Plan) RunSink(rt *Runtime, sink execctx.Sink) error {
 	if err := rt.EC.Err(); err != nil {
 		return err
 	}
-	if m, ok := p.root.(*opMapToItem); ok {
+	switch m := p.root.(type) {
+	case *opTTP:
+		if m.itemField >= 0 {
+			var t rankTable
+			if err := m.bind(rt, nil, &t); err != nil {
+				return err
+			}
+			return t.deliver(rt.EC, sink, m.itemField)
+		}
+	case *opMapToItem:
 		in, err := evalFrames(m.input, rt, nil)
 		if err != nil {
 			return err

@@ -189,6 +189,9 @@ func (p *Plan) write(b *strings.Builder, o op, depth int, choice ChoiceFn) {
 		if x.first {
 			b.WriteString(" first-match")
 		}
+		if x.itemField >= 0 {
+			fmt.Fprintf(b, " items{%s}", x.pat.OutputFields()[x.itemField])
+		}
 		b.WriteString("\n")
 		p.write(b, x.input, depth+1, choice)
 	default:

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"xqtp/internal/execctx"
 	"xqtp/internal/join"
 	"xqtp/internal/pattern"
 	"xqtp/internal/xdm"
@@ -21,6 +22,13 @@ import (
 // fixed algorithm, or Auto for join.Prepared's rule) — so evaluation
 // resolves only the per-document prepared join, from the runtime's
 // prepared-join cache.
+//
+// Evaluation has two halves. bind takes contexts through the prepared join's
+// kernel into a rankTable: bindings as int32 pre ranks, ordered and
+// duplicate-free. What reads the table depends on what reads the operator:
+// frames for a consumer of tuples, items when the consumer only projects one
+// output field (itemField) — then a binding is never anything but its ranks
+// until the node is delivered.
 type opTTP struct {
 	p      *Plan
 	input  op
@@ -30,10 +38,18 @@ type opTTP struct {
 	// slots.
 	outSlots []int
 	alg      join.Algorithm
+	// dependent records that the input is IN: the current frame is the one
+	// input tuple, and no tuple stream is evaluated to find it.
+	dependent bool
 	// first limits evaluation to the first binding in document order: the
 	// lowering of Head(TupleTreePattern), which hands the nested-loop
 	// algorithm its cursor-style early exit (§5.3).
 	first bool
+	// itemField, when >= 0, puts the operator in items mode: the lowering of
+	// MapToItem{IN#f}(TupleTreePattern) with f the pattern's itemField-th
+	// output field. The operator then evaluates to the item sequence of that
+	// field over its bindings and builds no tuple at all.
+	itemField int
 	// minimized records that logical minimization changed the pattern at
 	// lowering time (explain annotation only).
 	minimized bool
@@ -58,173 +74,353 @@ func (o *opTTP) prepFor(rt *Runtime, t *xdm.Tree) (*join.Prepared, error) {
 	return join.Prepare(o.alg, xmlstore.BuildIndex(t), o.pat)
 }
 
-// row pairs an input frame with one pattern binding.
-type row struct {
-	fr      frame
-	binding join.Binding
+func (o *opTTP) eval(rt *Runtime, fr frame) (value, error) {
+	t := rankTable{}
+	if err := o.bind(rt, fr, &t); err != nil {
+		return value{}, err
+	}
+	if o.itemField >= 0 {
+		return itemsValue(t.items(o.itemField)), nil
+	}
+	return framesValue(t.frames(o.p, o.outSlots)), nil
 }
 
-func (o *opTTP) eval(rt *Runtime, fr frame) (value, error) {
+// bind fills t with the pattern's bindings over every context node of every
+// input tuple, ordered and duplicate-free. Every evaluation shape funnels
+// through the stop check at its end, so a stopped execution context surfaces
+// as the typed abort error and partial kernel results are never emitted.
+func (o *opTTP) bind(rt *Runtime, fr frame, t *rankTable) error {
 	if err := rt.EC.Err(); err != nil {
-		return value{}, err
+		return err
 	}
-	in, err := evalFrames(o.input, rt, fr)
+	t.nf = len(o.outSlots)
+	var in []frame
+	if o.dependent {
+		if fr == nil {
+			return fmt.Errorf("exec: IN used outside a dependent context")
+		}
+		one := [1]frame{fr}
+		in = one[:]
+	} else {
+		var err error
+		if in, err = evalFrames(o.input, rt, fr); err != nil {
+			return err
+		}
+	}
+	if len(in) == 0 {
+		return nil
+	}
+	if o.inSlot < 0 {
+		return fmt.Errorf("exec: pattern input field %s unbound", o.pat.Input)
+	}
+	contexts := 0
+	for _, f := range in {
+		contexts += len(f[o.inSlot])
+	}
+	var err error
+	switch {
+	case o.first && contexts == 1:
+		// First-match from one context node: the prepared join's cursor-style
+		// early exit (§5.3) where the algorithm has one.
+		err = o.eachContext(rt, in, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
+			if b, found := prep.EvalFirstCtx(rt.EC, ctx); found {
+				for _, n := range b {
+					t.ranks = append(t.ranks, int32(n.Pre))
+				}
+				t.seal(fi, in[fi], ctx.Doc)
+			}
+		})
+	case rt.Parallel > 1 && contexts > 1:
+		err = o.bindParallel(rt, in, contexts, t)
+	default:
+		err = o.eachContext(rt, in, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
+			if !rt.EC.Stopped() {
+				t.ranks = prep.AppendRanks(rt.EC, ctx, t.ranks)
+				t.seal(fi, in[fi], ctx.Doc)
+			}
+		})
+	}
 	if err != nil {
-		return value{}, err
+		return err
 	}
-	if o.inSlot < 0 && len(in) > 0 {
-		return value{}, fmt.Errorf("exec: pattern input field %s unbound", o.pat.Input)
+	if err := rt.EC.Err(); err != nil {
+		return err
 	}
-	// Collect the (frame, context node) work list.
-	type work struct {
-		fr   frame
-		ctx  *xdm.Node
-		prep *join.Prepared
+	if !t.ordered() {
+		t.sort()
 	}
-	var items []work
-	for _, t := range in {
-		for _, it := range t[o.inSlot] {
+	if o.first {
+		t.keepFirst()
+	}
+	return nil
+}
+
+// eachContext calls fn for every context node of every input tuple (fi is the
+// tuple's position) with the prepared join of the node's document, resolved
+// once per run of contexts in the same document — with a single document, the
+// common case, one lookup for the whole input.
+func (o *opTTP) eachContext(rt *Runtime, in []frame, fn func(fi int, ctx *xdm.Node, prep *join.Prepared)) error {
+	var prep *join.Prepared
+	var tree *xdm.Tree
+	for fi, f := range in {
+		for _, it := range f[o.inSlot] {
 			ctx, ok := it.(*xdm.Node)
 			if !ok {
-				return value{}, fmt.Errorf("exec: pattern context is atomic value %T", it)
+				return fmt.Errorf("exec: pattern context is atomic value %T", it)
 			}
-			items = append(items, work{fr: t, ctx: ctx})
-		}
-	}
-	// Resolve the prepared join once per distinct document (with a single
-	// document — the common case — this is one cache lookup for the whole
-	// work list).
-	var lastTree *xdm.Tree
-	var lastPrep *join.Prepared
-	for i := range items {
-		if t := items[i].ctx.Doc; t != lastTree {
-			p, err := o.prepFor(rt, t)
-			if err != nil {
-				return value{}, err
-			}
-			lastTree, lastPrep = t, p
-		}
-		items[i].prep = lastPrep
-	}
-	if o.first && len(items) == 1 {
-		b, found := items[0].prep.EvalFirstCtx(rt.EC, items[0].ctx)
-		var rows []row
-		if found {
-			rows = append(rows, row{fr: items[0].fr, binding: b})
-		}
-		return o.emit(rt, rows)
-	}
-	if len(items) == 1 {
-		// One context node (the common case after rewrites root the pattern
-		// at the document): no per-item fan-out bookkeeping.
-		bs := items[0].prep.EvalCtx(rt.EC, items[0].ctx)
-		rows := make([]row, len(bs))
-		for i, b := range bs {
-			rows[i] = row{fr: items[0].fr, binding: b}
-		}
-		return o.emit(rt, rows)
-	}
-	perItem := make([][]join.Binding, len(items))
-	if rt.Parallel > 1 && len(items) > 1 {
-		workers := rt.Parallel
-		if workers > len(items) {
-			workers = len(items)
-		}
-		var wg sync.WaitGroup
-		next := int64(-1)
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1))
-					// A stopped execution context halts the fan-out: no new
-					// context node is admitted, and the kernels cut the
-					// in-flight ones short at their own checkpoints.
-					if i >= len(items) || rt.EC.Stopped() {
-						return
-					}
-					perItem[i] = items[i].prep.EvalCtx(rt.EC, items[i].ctx)
+			if ctx.Doc != tree {
+				var err error
+				if prep, err = o.prepFor(rt, ctx.Doc); err != nil {
+					return err
 				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, w := range items {
-			if rt.EC.Stopped() {
-				break
+				tree = ctx.Doc
 			}
-			perItem[i] = w.prep.EvalCtx(rt.EC, w.ctx)
+			fn(fi, ctx, prep)
 		}
 	}
-	total := 0
-	for _, bs := range perItem {
-		total += len(bs)
-	}
-	rows := make([]row, 0, total)
-	for i, bs := range perItem {
-		for _, b := range bs {
-			rows = append(rows, row{fr: items[i].fr, binding: b})
-		}
-	}
-	return o.emit(rt, rows)
+	return nil
 }
 
-// emit hands the rows to output unless the execution context has stopped,
-// which surfaces here as the typed abort error — this is the single point
-// every evaluation shape above funnels through, so partial kernel results
-// are never emitted.
-func (o *opTTP) emit(rt *Runtime, rows []row) (value, error) {
-	if err := rt.EC.Err(); err != nil {
-		return value{}, err
+// bindParallel evaluates the context nodes on up to rt.Parallel goroutines,
+// each kernel call into a slice of its own, and files the results into the
+// table in input order.
+func (o *opTTP) bindParallel(rt *Runtime, in []frame, contexts int, t *rankTable) error {
+	type work struct {
+		fi    int
+		ctx   *xdm.Node
+		prep  *join.Prepared
+		ranks []int32
 	}
-	return o.output(rows)
-}
-
-// output sorts the rows into root-to-leaf lexical document order, drops
-// duplicate bindings, and emits output frames from a single backing arena:
-// each frame copies its input frame and writes the binding nodes into the
-// pattern's output slots as singleton sequences cut from an item arena.
-func (o *opTTP) output(rows []row) (value, error) {
-	slices.SortStableFunc(rows, func(a, b row) int {
-		return compareBindings(a.binding, b.binding)
+	items := make([]work, 0, contexts)
+	err := o.eachContext(rt, in, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
+		items = append(items, work{fi: fi, ctx: ctx, prep: prep})
 	})
-	w := len(o.p.slotNames)
-	nf := len(o.outSlots)
-	backing := make([]xdm.Sequence, len(rows)*w)
-	itemArena := make([]xdm.Item, len(rows)*nf)
-	out := make([]frame, 0, len(rows))
-	ti := 0
-	for i, r := range rows {
-		if i > 0 && compareBindings(rows[i-1].binding, r.binding) == 0 {
-			continue
-		}
-		row := backing[len(out)*w : (len(out)+1)*w : (len(out)+1)*w]
-		copy(row, r.fr)
-		for k, slot := range o.outSlots {
-			itemArena[ti] = r.binding[k]
-			row[slot] = itemArena[ti : ti+1 : ti+1]
-			ti++
-		}
-		out = append(out, row)
+	if err != nil {
+		return err
 	}
-	if o.first && len(out) > 1 {
-		out = out[:1]
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for wk := min(rt.Parallel, len(items)); wk > 0; wk-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				// A stopped execution context halts the fan-out: no new
+				// context node is admitted, and the kernels cut the
+				// in-flight ones short at their own checkpoints.
+				if i >= len(items) || rt.EC.Stopped() {
+					return
+				}
+				items[i].ranks = items[i].prep.AppendRanks(rt.EC, items[i].ctx, nil)
+			}
+		}()
 	}
-	return framesValue(out), nil
+	wg.Wait()
+	for i := range items {
+		t.ranks = append(t.ranks, items[i].ranks...)
+		t.seal(items[i].fi, in[items[i].fi], items[i].ctx.Doc)
+	}
+	return nil
 }
 
-func compareBindings(a, b join.Binding) int {
-	for i := range a {
-		if i >= len(b) {
-			return 1
+// rankTable is the bindings of one pattern evaluation: nf int32 pre ranks per
+// binding, root-to-leaf, in segments that share an input frame and a tree. It
+// is what the kernels produce (join.Prepared.AppendRanks appends into ranks)
+// and the only form a binding has until a consumer asks for frames or items;
+// nodes[r] is resolved there, once. The table lives on its operator's stack,
+// the one segment of the common case (one input tuple, one document) inline
+// in it, so a dependent pattern's evaluation allocates its ranks and what it
+// returns.
+type rankTable struct {
+	nf    int
+	ranks []int32
+	// Segment i is done[i], the last one is last (seg, nseg).
+	done []rankSeg
+	last rankSeg
+	nseg int
+}
+
+// rankSeg is a run of bindings of one input frame (fr, the fi-th) in one tree.
+type rankSeg struct {
+	fi   int
+	fr   frame
+	tree *xdm.Tree
+	end  int // offset in ranks one past the run's last binding
+}
+
+func (t *rankTable) seg(i int) *rankSeg {
+	if i == len(t.done) {
+		return &t.last
+	}
+	return &t.done[i]
+}
+
+// len returns the number of bindings.
+func (t *rankTable) len() int {
+	if t.nf == 0 {
+		return 0
+	}
+	return len(t.ranks) / t.nf
+}
+
+// seal files the ranks appended since the previous seal as bindings of the
+// fi-th input frame f in tree: more of the last segment when that is the same
+// frame's and tree's, a new segment otherwise.
+func (t *rankTable) seal(fi int, f frame, tree *xdm.Tree) {
+	end := len(t.ranks)
+	switch {
+	case end == t.last.end:
+		return
+	case t.nseg > 0 && t.last.fi == fi && t.last.tree == tree:
+		t.last.end = end
+		return
+	case t.nseg > 0:
+		t.done = append(t.done, t.last)
+	}
+	t.last = rankSeg{fi: fi, fr: f, tree: tree, end: end}
+	t.nseg++
+}
+
+// ordered reports whether the table already has the operator's output order:
+// bindings strictly increasing on (tree ID, ranks…), which is root-to-leaf
+// lexical document order without duplicates. It is one pass over the integers;
+// bind sorts only when it fails. One kernel call from one context answers in
+// order, and so do contexts met in document order whose results do not
+// interleave — but nothing here relies on what a kernel returns.
+func (t *rankTable) ordered() bool {
+	nf, start := t.nf, 0
+	increasing := func(i int) bool { // binding at rank offset i-nf before the one at i
+		a, b := t.ranks[i-nf], t.ranks[i]
+		return a < b || a == b && slices.Compare(t.ranks[i-nf+1:i], t.ranks[i+1:i+nf]) < 0
+	}
+	for si := 0; si < t.nseg; si++ {
+		s := t.seg(si)
+		if si > 0 {
+			if prev := t.seg(si - 1).tree; prev.ID > s.tree.ID || prev.ID == s.tree.ID && !increasing(start) {
+				return false
+			}
 		}
-		if c := xdm.CompareOrder(a[i], b[i]); c != 0 {
+		for i := start + nf; i < s.end; i += nf {
+			if !increasing(i) {
+				return false
+			}
+		}
+		start = s.end
+	}
+	return true
+}
+
+// sort rebuilds the table in order: a permutation of the bindings sorted on
+// (tree ID, ranks…, input position), equal keys dropped after their first —
+// the binding of the earliest input tuple survives, as under a stable sort.
+func (t *rankTable) sort() {
+	nf, n := t.nf, t.len()
+	owner := make([]int32, n) // segment of each binding
+	perm := make([]int32, n)
+	b := 0
+	for si := 0; si < t.nseg; si++ {
+		for end := t.seg(si).end; b*nf < end; b++ {
+			owner[b], perm[b] = int32(si), int32(b)
+		}
+	}
+	key := func(b int32) []int32 { return t.ranks[int(b)*nf : int(b)*nf+nf] }
+	cmp := func(a, b int32) int {
+		if ta, tb := t.seg(int(owner[a])).tree, t.seg(int(owner[b])).tree; ta.ID != tb.ID {
+			return ta.ID - tb.ID
+		}
+		return slices.Compare(key(a), key(b))
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := cmp(a, b); c != 0 {
 			return c
 		}
+		return int(a - b)
+	})
+	sorted := rankTable{nf: nf, ranks: make([]int32, 0, len(t.ranks))}
+	for i, b := range perm {
+		if i > 0 && cmp(perm[i-1], b) == 0 {
+			continue
+		}
+		sorted.ranks = append(sorted.ranks, key(b)...)
+		s := t.seg(int(owner[b]))
+		sorted.seal(s.fi, s.fr, s.tree)
 	}
-	if len(a) < len(b) {
-		return -1
+	*t = sorted
+}
+
+// keepFirst drops every binding but the first.
+func (t *rankTable) keepFirst() {
+	if t.len() > 1 {
+		first := *t.seg(0)
+		first.end = t.nf
+		*t = rankTable{nf: t.nf, ranks: t.ranks[:t.nf], last: first, nseg: 1}
 	}
-	return 0
+}
+
+// frames reads the table as output tuples for a consumer of tuples: each
+// frame copies its input frame and holds the binding's nodes in the pattern's
+// output slots as singleton sequences. Frames, slots and singletons are cut
+// from three arenas, so n tuples cost three allocations.
+func (t *rankTable) frames(p *Plan, outSlots []int) []frame {
+	n := t.len()
+	if n == 0 {
+		return nil
+	}
+	w := len(p.slotNames)
+	backing := make([]xdm.Sequence, n*w)
+	arena := make([]xdm.Item, len(t.ranks))
+	out := make([]frame, n)
+	i, b := 0, 0
+	for si := 0; si < t.nseg; si++ {
+		s := t.seg(si)
+		nodes := s.tree.Nodes()
+		for ; i < s.end; b++ {
+			row := backing[b*w : (b+1)*w : (b+1)*w]
+			copy(row, s.fr)
+			for _, slot := range outSlots {
+				arena[i] = nodes[t.ranks[i]]
+				row[slot] = arena[i : i+1 : i+1]
+				i++
+			}
+			out[b] = row
+		}
+	}
+	return out
+}
+
+// items reads the table as the item sequence of output field k, exactly
+// sized: the projection MapToItem{IN#f} would compute from the frames,
+// without the frames.
+func (t *rankTable) items(k int) xdm.Sequence {
+	n := t.len()
+	if n == 0 {
+		return nil
+	}
+	out := make(xdm.Sequence, 0, n)
+	i := k
+	for si := 0; si < t.nseg; si++ {
+		s := t.seg(si)
+		nodes := s.tree.Nodes()
+		for ; i < s.end; i += t.nf {
+			out = append(out, nodes[t.ranks[i]])
+		}
+	}
+	return out
+}
+
+// deliver is items for a plan root: output field k goes to the sink through
+// the execution context's budgets straight from the ranks, so the result
+// never exists as a sequence here and a budget stops delivery on the exact
+// prefix.
+func (t *rankTable) deliver(ec *execctx.Ctx, sink execctx.Sink, k int) error {
+	start := 0
+	for si := 0; si < t.nseg; si++ {
+		s := t.seg(si)
+		if err := execctx.DeliverNodes(ec, sink, s.tree.Nodes(), t.ranks[start:s.end], k, t.nf); err != nil {
+			return err
+		}
+		start = s.end
+	}
+	return nil
 }

@@ -118,12 +118,33 @@ func AppendXML(dst []byte, n *xdm.Node) []byte {
 	return append(dst, '>')
 }
 
-// appendEscaped appends s with XML escaping. Attribute mode also escapes
-// the delimiter quote and whitespace that attribute-value normalization
-// would fold.
+// needsEscape classifies every byte for appendEscaped: escText bytes are
+// escaped everywhere, escAttr bytes in attribute values only, where they are
+// the delimiter quote and the whitespace attribute-value normalization would
+// fold.
+const (
+	escText = 1
+	escAttr = 2
+)
+
+var needsEscape = [256]uint8{
+	'&': escText, '<': escText, '>': escText, '\r': escText,
+	'"': escAttr, '\n': escAttr, '\t': escAttr,
+}
+
+// appendEscaped appends s with XML escaping. Most text has nothing to
+// escape: the scan consults one table byte per input byte, and each run
+// between two escapes is copied with one append.
 func appendEscaped(dst []byte, s string, attr bool) []byte {
+	clean := 0 // start of the run not yet copied
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
+		class := needsEscape[s[i]]
+		if class == 0 || class == escAttr && !attr {
+			continue
+		}
+		dst = append(dst, s[clean:i]...)
+		clean = i + 1
+		switch s[i] {
 		case '&':
 			dst = append(dst, "&amp;"...)
 		case '<':
@@ -133,28 +154,14 @@ func appendEscaped(dst []byte, s string, attr bool) []byte {
 		case '\r':
 			dst = append(dst, "&#xD;"...)
 		case '"':
-			if attr {
-				dst = append(dst, "&quot;"...)
-			} else {
-				dst = append(dst, c)
-			}
+			dst = append(dst, "&quot;"...)
 		case '\n':
-			if attr {
-				dst = append(dst, "&#xA;"...)
-			} else {
-				dst = append(dst, c)
-			}
+			dst = append(dst, "&#xA;"...)
 		case '\t':
-			if attr {
-				dst = append(dst, "&#x9;"...)
-			} else {
-				dst = append(dst, c)
-			}
-		default:
-			dst = append(dst, c)
+			dst = append(dst, "&#x9;"...)
 		}
 	}
-	return dst
+	return append(dst, s[clean:]...)
 }
 
 // Serialize writes the subtree rooted at n as XML to w, streaming through a

@@ -78,8 +78,8 @@ func (o RunOptions) context(ctx context.Context) (context.Context, context.Cance
 
 // RunInfo reports what one context-aware run delivered.
 type RunInfo struct {
-	// Rows and Bytes count the delivered result items and their estimated
-	// size (the quantities the budgets meter).
+	// Rows counts the delivered result items, on every run. Bytes is their
+	// estimated size, metered only under a MaxBytes budget.
 	Rows, Bytes int64
 	// Members is the number of corpus members the run addressed — the corpus
 	// size for a Corpus run, 1 for a Document run (a document is a one-member
@@ -178,8 +178,9 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 	// (a bound node of some other document is prepared in the bindings that
 	// brought it, for this run only).
 	var st struct {
-		rt  physical.Runtime
-		col execctx.Collector
+		rt    physical.Runtime
+		col   execctx.Collector
+		count countingSink
 	}
 	st.rt = physical.Runtime{
 		Catalog:  c.Catalog(),
@@ -191,8 +192,15 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 	}
 	rt := &st.rt
 	sink := opts.Sink
-	if sink == nil {
+	switch {
+	case sink == nil:
 		sink = &st.col
+	case ec == nil:
+		// Nothing meters a run without deadline or budget (the nil execution
+		// context is free because it counts nothing), so the rows a caller's
+		// sink receives are counted on their way to it.
+		st.count.Sink = sink
+		sink = &st.count
 	}
 	info := RunInfo{Members: c.Len()}
 	switch {
@@ -224,8 +232,29 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 		})
 		info.Skipped = int(skipped.Load())
 	}
-	info.Rows, info.Bytes = ec.Rows(), ec.Bytes()
+	switch {
+	case ec != nil:
+		info.Rows, info.Bytes = ec.Rows(), ec.Bytes()
+	case opts.Sink == nil:
+		info.Rows = int64(len(st.col.Seq))
+	default:
+		info.Rows = st.count.rows
+	}
 	return st.col.Seq, info, err
+}
+
+// countingSink counts the items it passes on.
+type countingSink struct {
+	Sink
+	rows int64
+}
+
+func (s *countingSink) Push(it Item) error {
+	if err := s.Sink.Push(it); err != nil {
+		return err
+	}
+	s.rows++
+	return nil
 }
 
 // memberSkipTest builds the fan-out's per-member emptiness proof: member i
