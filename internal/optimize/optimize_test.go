@@ -270,3 +270,48 @@ func TestOptimizeIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// Rule (b) knows that fn:collection() and fn:doc() are ordered, duplicate-free
+// and unnested, and that the current tuple under IN is one tuple of
+// single-item fields: the two serve_corpus queries and a fn:doc-rooted path
+// grow the same complete patterns a $input-rooted path does.
+func TestDocAccessAndDependentInTakeBulkRule(t *testing.T) {
+	for _, tc := range []struct {
+		query    string
+		patterns int
+		want     string
+	}{
+		{`fn:collection()//person[emailaddress]/name`, 1,
+			`MapToItem{IN#out1}(TupleTreePattern[IN#dot1/descendant::person[child::emailaddress]/child::name{out1}](MapFromItem{[dot1 : IN]}(fn:collection())))`},
+		{`fn:doc("u")//a[b]/c`, 1,
+			`MapToItem{IN#out1}(TupleTreePattern[IN#dot1/descendant::a[child::b]/child::c{out1}](MapFromItem{[dot1 : IN]}(fn:doc("u"))))`},
+		{`for $p in $input/site/people/person where $p/emailaddress return ($p/name, $p/profile/interest)`, 2,
+			`TupleTreePattern[IN#out4/child::profile/child::interest{out1}](IN)`},
+	} {
+		p := planFor(t, tc.query)
+		s := algebra.String(p)
+		if got := algebra.CountOperators(p)["TupleTreePattern"]; got != tc.patterns {
+			t.Errorf("%s: %d TupleTreePatterns, want %d: %s", tc.query, got, tc.patterns, s)
+		}
+		if !strings.Contains(s, tc.want) {
+			t.Errorf("%s:\n  plan %s\n  want %s", tc.query, s, tc.want)
+		}
+	}
+}
+
+// A let-bound field may hold a whole sequence, so under IN it is not known to
+// be ordered and unnested: a step from it keeps the per-tuple form.
+func TestLetBoundFieldUnderInStaysPerTuple(t *testing.T) {
+	o := &optimizer{letNames: map[string]bool{"y": true}}
+	if o.fieldUO(&algebra.In{}, "y") {
+		t.Error("fieldUO(IN, let-bound field) = true")
+	}
+	if !o.fieldUO(&algebra.In{}, "x") {
+		t.Error("fieldUO(IN, single-item field) = false")
+	}
+	s := algebra.String(planFor(t, `for $x in $d/a let $y := ($x/b, $x/c) return count($y) + count($y/e)`))
+	want := `TupleTreePattern[IN#dot4/child::e{out1}](MapFromItem{[dot4 : IN]}(IN#dot3))`
+	if !strings.Contains(s, want) {
+		t.Errorf("plan %s\n  want %s", s, want)
+	}
+}

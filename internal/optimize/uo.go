@@ -22,6 +22,10 @@ import (
 // order-safe even without a protecting fs:ddo.
 func (o *optimizer) fieldUO(op algebra.Expr, f string) bool {
 	switch x := op.(type) {
+	case *algebra.In:
+		// The current tuple is one tuple, and every field but a let-bound one
+		// holds one item.
+		return !o.letNames[f]
 	case *algebra.MapFromItem:
 		if x.Bind == f {
 			return o.itemsUO(x.Input)
@@ -71,8 +75,13 @@ func (o *optimizer) itemsUO(e algebra.Expr) bool {
 	case *algebra.Const, *algebra.EmptySeq:
 		return true
 	case *algebra.Call:
-		if x.Name == "root" && len(x.Args) == 1 {
-			return o.singletonItems(x.Args[0])
+		switch x.Name {
+		case "root":
+			return len(x.Args) == 1 && o.singletonItems(x.Args[0])
+		case "doc", "collection":
+			// fn:doc is one document node; fn:collection is the members'
+			// document nodes in ascending tree ID — roots of distinct trees.
+			return true
 		}
 		return false
 	case *algebra.In:

@@ -22,9 +22,9 @@ func smallXMarkSources(prefix string, n, people int) []CorpusSource {
 	return srcs
 }
 
-// threePatternFLWOR is serve_corpus's FLWOR class: it lowers to three tree
-// patterns, two of them evaluated once per person tuple.
-const threePatternFLWOR = `for $p in $input/site/people/person where $p/emailaddress return ($p/name, $p/profile/interest)`
+// benchFLWOR is serve_corpus's FLWOR class: it lowers to two tree patterns,
+// one of them evaluated once per person tuple.
+const benchFLWOR = `for $p in $input/site/people/person where $p/emailaddress return ($p/name, $p/profile/interest)`
 
 func heapAfterGC() uint64 {
 	runtime.GC()
@@ -111,8 +111,8 @@ func TestPreparedJoinsSurviveExtend(t *testing.T) {
 	}
 }
 
-// The benchmark's three-pattern FLWOR over more members than the old
-// per-query LRU had slots for: the bound is per member, so a warm corpus
+// The benchmark's FLWOR (one join per pattern per member) over a large
+// corpus: the bound is per member, so nothing is evicted and a warm corpus
 // prepares nothing.
 func TestFLWORDoesNotThrash(t *testing.T) {
 	const members = 1600
@@ -120,17 +120,16 @@ func TestFLWORDoesNotThrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := MustPrepare(threePatternFLWOR)
+	q := MustPrepare(benchFLWOR)
 	first, err := c.RunParallel(q, Auto, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := c.PrepStats()
-	// Up to three joins per member (a member without a matching person never
-	// reaches the per-tuple patterns): more than the 4096 one query could
-	// keep before.
-	if warm.Misses <= 4096 || warm.Misses > 3*members || warm.Size != int(warm.Misses) || warm.Evictions != 0 {
-		t.Fatalf("cold run: %+v, want 4096 < misses <= %d, all of them resident", warm, 3*members)
+	// Up to two joins per member (a member without a matching person never
+	// reaches the per-tuple pattern).
+	if warm.Misses <= members || warm.Misses > 2*members || warm.Size != int(warm.Misses) || warm.Evictions != 0 {
+		t.Fatalf("cold run: %+v, want %d < misses <= %d, all of them resident", warm, members, 2*members)
 	}
 	second, err := c.RunParallel(q, Auto, 2)
 	if err != nil {
