@@ -32,7 +32,7 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS) .
 	$(GO) test -race -count=50 -run 'Shutdown|SlowReader' ./internal/server
-	$(GO) test -race -count=20 -run 'Prepared|Collectable|ForeignTree' ./internal/collection .
+	$(GO) test -race -count=20 -run 'Prepared|Collectable|ForeignTree|ConcurrentRuns|ParallelTTP|BorrowedTuples' ./internal/collection ./internal/physical .
 
 check: build vet test race
 

@@ -2,6 +2,7 @@ package xqtp
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -93,5 +94,83 @@ func TestPatternRunAllocations(t *testing.T) {
 	}
 	if perTuple := xq2 / float64(len(outer)); perTuple > 8 {
 		t.Errorf("XQ2: %.1f allocations per outer tuple, want <= 8", perTuple)
+	}
+}
+
+// TestDependentEvaluationAllocations pins what the tuple operators around a
+// pattern allocate now that tuples flow through one frame per run (DESIGN §9):
+// a dependent sub-plan evaluated once per outer tuple allocates what the
+// builtins and navigation steps it calls return, and nothing for its tuples,
+// its rank buffer or its operands.
+func TestDependentEvaluationAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	c := xmarkCorpus(t, 7, 200)
+	for _, tc := range []struct {
+		name, outer, query string
+		perOuter           float64
+	}{
+		{"XQ2", `$input/site/open_auctions/open_auction`,
+			`for $b in $input/site/open_auctions/open_auction return $b/bidder[1]/increase`, 3},
+		{"XQ4", `$input/site/open_auctions/open_auction`,
+			`for $b in $input/site/open_auctions/open_auction where $b/bidder[2] return $b/itemref`, 4},
+		{"XQ17", `$input/site/people/person`,
+			`for $p in $input/site/people/person where empty($p/emailaddress) return $p/name`, 2},
+	} {
+		outer, err := c.Run(MustPrepare(tc.outer), Auto)
+		if err != nil || len(outer) == 0 {
+			t.Fatalf("%s: outer tuples: %d, %v", tc.name, len(outer), err)
+		}
+		allocs, _, rows := runCost(t, c, MustPrepare(tc.query))
+		if rows == 0 {
+			t.Fatalf("%s returned nothing", tc.name)
+		}
+		got := allocs / float64(len(outer))
+		t.Logf("%s: %d outer tuples, %d rows, %.2f allocations per outer tuple", tc.name, len(outer), rows, got)
+		if got > tc.perOuter {
+			t.Errorf("%s: %.2f allocations per outer tuple, want <= %v", tc.name, got, tc.perOuter)
+		}
+	}
+}
+
+// TestFanOutMemberAllocations pins the per-member cost of a one-worker
+// fan-out: every admitted member's plan streams into the caller's sink from
+// the one run state, so a member costs its kernel's rank buffer and little
+// else — no runtime copy, no collected member Sequence, no frame.
+func TestFanOutMemberAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const members = 64
+	srcs := make([]CorpusSource, members)
+	for i := range srcs {
+		srcs[i] = CorpusSource{
+			URI:  fmt.Sprintf("mem://member-%02d.xml", i),
+			Data: []byte(NewMemberDocumentNodes(int64(i+1), 4, 12, 300).XML()),
+		}
+	}
+	c, err := LoadCorpus(srcs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	q := MustPrepare(`$input//t01[t02]`)
+	_, info, err := c.RunWith(context.Background(), q, Auto, RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := info.Members - info.Skipped
+	if admitted < members/2 {
+		t.Fatalf("%d of %d members admitted, expected most", admitted, members)
+	}
+	allocs, bytes, rows := runCost(t, c, q)
+	perMember := allocs / float64(admitted)
+	t.Logf("%d admitted members, %d rows: %.2f allocations and %.0f B per member", admitted, rows, perMember, bytes/float64(admitted))
+	// Before, a member cost 4.7 allocations: its copy of the runtime, two frame
+	// arenas, its ranks and its collected Sequence. Now its ranks go into the
+	// run state's buffer, which only grows.
+	if perMember > 1 {
+		t.Errorf("%.2f allocations per admitted member, want <= 1", perMember)
 	}
 }

@@ -2,6 +2,7 @@ package xqtp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -393,5 +394,80 @@ func TestStandaloneDocumentIsOneMemberCorpus(t *testing.T) {
 	}
 	if _, err := MustPrepare(`fn:doc("mem://other.xml")//a`).Run(solo, Staircase); err == nil {
 		t.Error("fn:doc of a URI the standalone document does not carry should fail")
+	}
+}
+
+// collectSink keeps the items pushed to it (a caller's sink, unlike the
+// default collector, is pushed to item by item).
+type collectSink struct{ items Sequence }
+
+func (s *collectSink) Push(it Item) error { s.items = append(s.items, it); return nil }
+
+// The one-worker fan-out streams each member's plan into the sink; with more
+// workers member Sequences are merged in corpus order. Both deliver the same
+// items, counts and errors over serve_corpus's query classes, with and
+// without a row budget — whose cutoff is the exact corpus-order prefix either
+// way — and name the same failing member.
+func TestOneWorkerFanOutEqualsMerge(t *testing.T) {
+	srcs := genCorpusSources(24, 11)
+	srcs = append(srcs, CorpusSource{URI: "mem://needle.xml", Data: []byte(`<r><needle><pin>1</pin><pin>2</pin></needle></r>`)})
+	corpus, err := LoadCorpus(srcs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer corpus.Close()
+	for _, query := range []string{
+		`$input//needle/pin`,
+		`$input//t01[t02]`,
+		`$input//person[emailaddress]/name`,
+		`for $p in $input/site/people/person where $p/emailaddress return ($p/name, $p/profile/interest)`,
+		`fn:collection()//person[emailaddress]/name`,
+		`for $p in $input//person return $p/name + 1`, // fails in the first member that has a person
+	} {
+		q := MustPrepare(query)
+		for _, maxRows := range []int64{0, 1, 5, 50} {
+			var seqs [2]Sequence
+			var infos [2]RunInfo
+			var errs [2]error
+			var pushed [2]Sequence
+			for i, workers := range []int{1, 4} {
+				seqs[i], infos[i], errs[i] = corpus.RunWith(context.Background(), q, Auto, RunOptions{Workers: workers, MaxRows: maxRows})
+				var col collectSink
+				_, sinkInfo, sinkErr := corpus.RunWith(context.Background(), q, Auto, RunOptions{Workers: workers, MaxRows: maxRows, Sink: &col})
+				pushed[i] = col.items
+				// A stopped run skipped as many members as it got to: only a
+				// complete run's Skipped is comparable.
+				if errs[i] != nil {
+					infos[i].Skipped, sinkInfo.Skipped = 0, 0
+				}
+				if sinkInfo != infos[i] || fmt.Sprint(sinkErr) != fmt.Sprint(errs[i]) {
+					t.Errorf("%s MaxRows=%d workers=%d: a sink changed the run: %+v, %v vs %+v, %v", query, maxRows, workers, sinkInfo, sinkErr, infos[i], errs[i])
+				}
+				if err := sameItems(seqs[i], pushed[i]); err != nil && errs[i] == nil {
+					t.Errorf("%s MaxRows=%d workers=%d: pushed items differ from collected ones: %v", query, maxRows, workers, err)
+				}
+			}
+			if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+				t.Errorf("%s MaxRows=%d: errors differ: %v vs %v", query, maxRows, errs[0], errs[1])
+			}
+			if errs[0] != nil && !errors.Is(errs[0], ErrBudgetExceeded) {
+				if !strings.HasPrefix(errs[0].Error(), "collection: mem://corpus-") {
+					t.Errorf("%s: member failure not attributed to its member: %v", query, errs[0])
+				}
+				continue // how much a failing run delivered first is not pinned
+			}
+			if infos[0] != infos[1] {
+				t.Errorf("%s MaxRows=%d: run info differs: %+v vs %+v", query, maxRows, infos[0], infos[1])
+			}
+			if err := sameItems(seqs[0], seqs[1]); err != nil {
+				t.Errorf("%s MaxRows=%d: workers 1 vs 4: %v", query, maxRows, err)
+			}
+			if err := sameItems(pushed[0], pushed[1]); err != nil {
+				t.Errorf("%s MaxRows=%d: workers 1 vs 4 into a sink: %v", query, maxRows, err)
+			}
+			if maxRows > 0 && errs[0] != nil && int64(len(seqs[0])) != maxRows {
+				t.Errorf("%s MaxRows=%d: %d items delivered with %v", query, maxRows, len(seqs[0]), errs[0])
+			}
+		}
 	}
 }

@@ -148,9 +148,18 @@ func perDocSeq(d *Doc) (xdm.Sequence, error) {
 	return xdm.Sequence{xdm.String(d.URI)}, nil
 }
 
-// runAll collects what RunAllCtx emits, without an execution context.
+// runAll collects a fan-out's results without an execution context: what
+// RunAllCtx emits, or with one worker what RunEachCtx's evaluations deliver.
 func runAll(c *Corpus, workers int, skip func(int) bool, eval func(*Doc) (xdm.Sequence, error)) (xdm.Sequence, error) {
 	var out xdm.Sequence
+	if workers == 1 {
+		err := c.RunEachCtx(nil, skip, func(d *Doc) error {
+			seq, err := eval(d)
+			out = append(out, seq...)
+			return err
+		})
+		return out, err
+	}
 	err := c.RunAllCtx(nil, workers, skip, eval, func(seq xdm.Sequence) error {
 		out = append(out, seq...)
 		return nil

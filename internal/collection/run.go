@@ -9,6 +9,33 @@ import (
 	"xqtp/internal/xdm"
 )
 
+// RunEachCtx evaluates eval against every member in corpus order on the
+// calling goroutine: the one-worker fan-out, where corpus order is evaluation
+// order and eval delivers its results itself. skip elides members as in
+// RunAllCtx, a member's failure comes back wrapped with its URI, and a
+// stopped ec ends the walk with its typed error — also when the stop is what
+// cut the failing member short.
+func (c *Corpus) RunEachCtx(ec *execctx.Ctx, skip func(doc int) bool, eval func(d *Doc) error) error {
+	if err := c.closedErr(); err != nil {
+		return err
+	}
+	for i, d := range c.docs {
+		if err := ec.Err(); err != nil {
+			return err
+		}
+		if skip != nil && skip(i) {
+			continue
+		}
+		if err := eval(d); err != nil {
+			if stopErr := ec.Err(); stopErr != nil {
+				return stopErr
+			}
+			return fmt.Errorf("collection: %s: %w", d.URI, err)
+		}
+	}
+	return ec.Err()
+}
+
 // RunAllCtx evaluates eval against every member on a pool of workers,
 // handing each member's result to emit in corpus order. skip, when non-nil,
 // elides members without evaluating them (the caller's name-table pruning
@@ -38,30 +65,7 @@ func (c *Corpus) RunAllCtx(ec *execctx.Ctx, workers int, skip func(doc int) bool
 	if n == 0 {
 		return ec.Err()
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, d := range c.docs {
-			if err := ec.Err(); err != nil {
-				return err
-			}
-			if skip != nil && skip(i) {
-				continue
-			}
-			seq, err := eval(d)
-			if err != nil {
-				if stopErr := ec.Err(); stopErr != nil {
-					return stopErr
-				}
-				return fmt.Errorf("collection: %s: %w", d.URI, err)
-			}
-			if err := emit(seq); err != nil {
-				return err
-			}
-		}
-		return ec.Err()
-	}
+	workers = min(max(workers, 1), n)
 
 	type docResult struct {
 		pos int

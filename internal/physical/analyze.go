@@ -84,7 +84,7 @@ type analyzer struct {
 // required returns the required steps whose absence forces o's result to be
 // empty. An empty map is the vacuous claim ("cannot prove emptiness"), used
 // for every operator that can produce output from nothing.
-func (a *analyzer) required(o op) map[RequiredStep]struct{} {
+func (a *analyzer) required(o any) map[RequiredStep]struct{} {
 	switch x := o.(type) {
 	case *opDoc, *opCollection:
 		a.crossDoc = true
@@ -147,11 +147,11 @@ func (a *analyzer) required(o op) map[RequiredStep]struct{} {
 
 	case *opSequence:
 		// A sequence is empty only when every item is.
-		if len(x.items) == 0 {
+		if len(x.parts) == 0 {
 			return nil
 		}
-		req := a.required(x.items[0])
-		for _, it := range x.items[1:] {
+		req := a.required(x.parts[0])
+		for _, it := range x.parts[1:] {
 			req = intersect(req, a.required(it))
 		}
 		return req
@@ -185,7 +185,7 @@ func (a *analyzer) required(o op) map[RequiredStep]struct{} {
 }
 
 // scan walks a subtree only for cross-document operators, discarding names.
-func (a *analyzer) scan(o op) { a.required(o) }
+func (a *analyzer) scan(o any) { a.required(o) }
 
 // patternSteps collects every name test in the step chain rooted at s —
 // spine and predicates alike, since all of them must bind — with the node

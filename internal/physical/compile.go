@@ -38,7 +38,9 @@ func (e *env) lookup(name string) (int, bool) {
 // (MapFromItem, LetBind, MapIndex, TypeSwitch cases, pattern output fields)
 // — shadowing is resolved here, lexically — then resolves every dependent
 // reference to its slot, binds builtin calls to their function pointers,
-// and annotates each TupleTreePattern with its algorithm choice.
+// annotates each TupleTreePattern with its algorithm choice, decides every
+// operator's sort, wires each tuple operator to its one consumer, and lays
+// out the run state (scratch slots, singleton cells, pattern states).
 func Compile(e algebra.Expr, alg join.Algorithm) (*Plan, error) {
 	p := &Plan{alg: alg}
 	c := &compiler{p: p, varSlots: map[string]int{}}
@@ -59,9 +61,31 @@ func Compile(e algebra.Expr, alg join.Algorithm) (*Plan, error) {
 	})
 	p.slotNames = make([]string, 0, nBinders)
 	p.varNames = make([]string, 0, nVarRefs)
-	root, _, err := c.compile(e, nil)
+	p.width = nBinders
+	root, err := c.items(e, nil)
 	if err != nil {
 		return nil, err
+	}
+	// The root is the plan's last consumer: one that can deliver as it goes
+	// hands its items to the run's sink itself.
+	if d, ok := root.(interface{ deliverToSink() }); ok {
+		d.deliverToSink()
+	}
+	for _, in := range c.inputs {
+		// A pattern operator that streams tuples over a tuple stream keeps, per
+		// input tuple, the slots of that stream read since it was lowered —
+		// that is, by its consumers.
+		if t := in.ttp; t.itemField < 0 {
+			for i, slot := range in.slots {
+				if c.reads[slot] > in.reads[i] {
+					t.keep = append(t.keep, slot)
+				}
+			}
+			t.cell = c.newCells(len(t.outSlots) + len(t.keep))
+		}
+	}
+	if len(p.slotNames) > nBinders {
+		return nil, fmt.Errorf("exec: %d frame slots allocated for %d binders", len(p.slotNames), nBinders)
 	}
 	p.root = root
 	return p, nil
@@ -70,12 +94,45 @@ func Compile(e algebra.Expr, alg join.Algorithm) (*Plan, error) {
 type compiler struct {
 	p        *Plan
 	varSlots map[string]int
+	// reads counts the compiled reads of each frame slot; inputs records, per
+	// pattern operator, the slots its input stream binds and their counts when
+	// the operator was lowered.
+	reads  []int
+	inputs []ttpInput
+}
+
+type ttpInput struct {
+	ttp          *opTTP
+	slots, reads []int
 }
 
 // newSlot allocates a frame slot for a binder of name.
 func (c *compiler) newSlot(name string) int {
 	c.p.slotNames = append(c.p.slotNames, name)
+	c.reads = append(c.reads, 0)
 	return len(c.p.slotNames) - 1
+}
+
+// newTmps allocates n consecutive scratch slots of the frame, behind the
+// named ones.
+func (c *compiler) newTmps(n int) int {
+	c.p.width += n
+	return c.p.width - n
+}
+
+// tmpFor allocates the scratch slot an operand is evaluated into; a
+// reference is read in place and needs none.
+func (c *compiler) tmpFor(o itemOp) int {
+	if _, ok := o.(refOp); ok {
+		return -1
+	}
+	return c.newTmps(1)
+}
+
+// newCells allocates n consecutive singleton cells of the run state.
+func (c *compiler) newCells(n int) int {
+	c.p.cells += n
+	return c.p.cells - n
 }
 
 // varSlot resolves a free variable to its slot, allocating on first use.
@@ -89,36 +146,31 @@ func (c *compiler) varSlot(name string) int {
 	return s
 }
 
-// compile lowers e under the lexical environment en. The returned env is
-// the environment of the operator's output tuples: tuple producers extend
-// it with their binders (so consumers of their tuple stream resolve those
-// fields); item-valued operators return en unchanged.
-func (c *compiler) compile(e algebra.Expr, en *env) (op, *env, error) {
+// items lowers an item-sorted expression under the lexical environment en.
+func (c *compiler) items(e algebra.Expr, en *env) (itemOp, error) {
 	switch x := e.(type) {
-	case *algebra.In:
-		return &opIn{}, en, nil
-
 	case *algebra.Field:
 		if slot, ok := en.lookup(x.Name); ok {
-			return &opField{slot: slot, name: x.Name}, en, nil
+			c.reads[slot]++
+			return &opField{slot: slot, name: x.Name}, nil
 		}
-		return &opUnboundField{name: x.Name}, en, nil
+		return &opUnboundField{name: x.Name}, nil
 
 	case *algebra.VarRef:
-		return &opVar{slot: c.varSlot(x.Name), name: x.Name}, en, nil
+		return &opVar{slot: c.varSlot(x.Name), name: x.Name}, nil
 
 	case *algebra.Const:
-		return &opConst{seq: xdm.Singleton(x.Item)}, en, nil
+		return &opConst{seq: xdm.Singleton(x.Item)}, nil
 
 	case *algebra.EmptySeq:
-		return &opConst{}, en, nil
+		return &opConst{}, nil
 
 	case *algebra.TreeJoin:
-		in, _, err := c.compile(x.Input, en)
+		in, err := c.items(x.Input, en)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return &opTreeJoin{axis: x.Axis, test: x.Test, input: in}, en, nil
+		return &opTreeJoin{axis: x.Axis, test: x.Test, input: in, tmp: c.tmpFor(in)}, nil
 
 	case *algebra.Call:
 		// The collection access functions read the runtime's document
@@ -128,37 +180,38 @@ func (c *compiler) compile(e algebra.Expr, en *env) (op, *env, error) {
 		switch x.Name {
 		case "doc":
 			if len(x.Args) != 1 {
-				return nil, nil, fmt.Errorf("exec: doc() called with %d arguments", len(x.Args))
+				return nil, fmt.Errorf("exec: doc() called with %d arguments", len(x.Args))
 			}
-			uri, _, err := c.compile(x.Args[0], en)
+			uri, err := c.items(x.Args[0], en)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			c.p.usesDocs = true
-			return &opDoc{uri: uri}, en, nil
+			return &opDoc{uri: uri, tmp: c.tmpFor(uri)}, nil
 		case "collection":
 			if len(x.Args) > 1 {
-				return nil, nil, fmt.Errorf("exec: collection() called with %d arguments", len(x.Args))
+				return nil, fmt.Errorf("exec: collection() called with %d arguments", len(x.Args))
 			}
 			o := &opCollection{}
 			if len(x.Args) == 1 {
-				name, _, err := c.compile(x.Args[0], en)
+				name, err := c.items(x.Args[0], en)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
-				o.name = name
+				o.name, o.tmp = name, c.tmpFor(name)
 			}
 			c.p.usesDocs = true
-			return o, en, nil
+			return o, nil
 		}
-		o := &opCall{name: x.Name, args: make([]op, len(x.Args))}
+		o := &opCall{name: x.Name, args: make([]itemOp, len(x.Args))}
 		for i, a := range x.Args {
-			arg, _, err := c.compile(a, en)
+			arg, err := c.items(a, en)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			o.args[i] = arg
 		}
+		o.tmp = c.newTmps(len(x.Args))
 		if err := funcs.CheckArity(x.Name, len(x.Args)); err != nil {
 			o.bindErr = err
 		} else if fn, ok := funcs.Resolve(x.Name); ok {
@@ -166,101 +219,81 @@ func (c *compiler) compile(e algebra.Expr, en *env) (op, *env, error) {
 		} else {
 			o.bindErr = fmt.Errorf("unknown function %q", x.Name)
 		}
-		return o, en, nil
+		return o, nil
 
 	case *algebra.Compare:
-		l, _, err := c.compile(x.L, en)
+		l, r, err := c.pair(x.L, x.R, en)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		r, _, err := c.compile(x.R, en)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &opCompare{cmp: x.Op, l: l, r: r}, en, nil
+		return &opCompare{cmp: x.Op, l: l, r: r, tmp: c.newTmps(2)}, nil
 
 	case *algebra.Sequence:
-		o := &opSequence{items: make([]op, len(x.Items))}
+		o := &opSequence{parts: make([]itemOp, len(x.Items))}
 		for i, it := range x.Items {
-			item, _, err := c.compile(it, en)
+			item, err := c.items(it, en)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			o.items[i] = item
+			o.parts[i] = item
 		}
-		return o, en, nil
+		return o, nil
 
 	case *algebra.Arith:
-		l, _, err := c.compile(x.L, en)
+		l, r, err := c.pair(x.L, x.R, en)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		r, _, err := c.compile(x.R, en)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &opArith{ar: x.Op, l: l, r: r}, en, nil
+		return &opArith{ar: x.Op, l: l, r: r, tmp: c.newTmps(2)}, nil
 
 	case *algebra.And:
-		l, _, err := c.compile(x.L, en)
+		l, r, err := c.pair(x.L, x.R, en)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		r, _, err := c.compile(x.R, en)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &opAnd{l: l, r: r}, en, nil
+		return &opAnd{l: l, r: r, tmp: c.newTmps(1)}, nil
 
 	case *algebra.Or:
-		l, _, err := c.compile(x.L, en)
+		l, r, err := c.pair(x.L, x.R, en)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		r, _, err := c.compile(x.R, en)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &opOr{l: l, r: r}, en, nil
+		return &opOr{l: l, r: r, tmp: c.newTmps(1)}, nil
 
 	case *algebra.If:
-		cond, _, err := c.compile(x.Cond, en)
+		cond, err := c.items(x.Cond, en)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		then, _, err := c.compile(x.Then, en)
+		then, els, err := c.pair(x.Then, x.Else, en)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		els, _, err := c.compile(x.Else, en)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &opIf{cond: cond, then: then, els: els}, en, nil
+		return &opIf{cond: cond, then: then, els: els, tmp: c.newTmps(1)}, nil
 
 	case *algebra.LetBind:
-		val, _, err := c.compile(x.Value, en)
+		val, err := c.items(x.Value, en)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		slot := c.newSlot(x.Name)
-		body, bodyEnv, err := c.compile(x.Body, en.bind(x.Name, slot))
+		body, err := c.items(x.Body, en.bind(x.Name, slot))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return &opLet{p: c.p, slot: slot, value: val, body: body}, bodyEnv, nil
+		return &opLet{slot: slot, value: val, body: body, tmp: c.tmpFor(val)}, nil
 
 	case *algebra.TypeSwitch:
-		in, _, err := c.compile(x.Input, en)
+		in, err := c.items(x.Input, en)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		o := &opTypeSwitch{p: c.p, input: in, defSlot: -1}
+		o := &opTypeSwitch{input: in, defSlot: -1, tmp: c.tmpFor(in)}
 		for _, cs := range x.Cases {
 			slot := c.newSlot(cs.Var)
-			body, _, err := c.compile(cs.Body, en.bind(cs.Var, slot))
+			body, err := c.items(cs.Body, en.bind(cs.Var, slot))
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			o.cases = append(o.cases, tsCase{typ: cs.Type, slot: slot, body: body})
 		}
@@ -269,29 +302,19 @@ func (c *compiler) compile(e algebra.Expr, en *env) (op, *env, error) {
 			o.defSlot = c.newSlot(x.DefVar)
 			defEnv = en.bind(x.DefVar, o.defSlot)
 		}
-		deflt, _, err := c.compile(x.Default, defEnv)
-		if err != nil {
-			return nil, nil, err
+		if o.deflt, err = c.items(x.Default, defEnv); err != nil {
+			return nil, err
 		}
-		o.deflt = deflt
-		return o, en, nil
-
-	case *algebra.MapFromItem:
-		in, _, err := c.compile(x.Input, en)
-		if err != nil {
-			return nil, nil, err
-		}
-		slot := c.newSlot(x.Bind)
-		return &opMapFromItem{p: c.p, slot: slot, input: in}, en.bind(x.Bind, slot), nil
+		return o, nil
 
 	case *algebra.MapToItem:
-		in, inEnv, err := c.compile(x.Input, en)
+		in, inEnv, err := c.tuples(x.Input, en)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		dep, _, err := c.compile(x.Dep, inEnv)
+		dep, err := c.items(x.Dep, inEnv)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if ttp, ok := in.(*opTTP); ok && ttp.itemField < 0 {
 			// MapToItem{IN#f}(TupleTreePattern) with f an output field of the
@@ -302,46 +325,87 @@ func (c *compiler) compile(e algebra.Expr, en *env) (op, *env, error) {
 			if f, ok := dep.(*opField); ok {
 				if k := slices.Index(ttp.outSlots, f.slot); k >= 0 {
 					ttp.itemField = k
-					return ttp, en, nil
+					return ttp, nil
 				}
 			}
 		}
-		return &opMapToItem{dep: dep, input: in}, en, nil
+		o := &opMapToItem{dep: dep, input: in, acc: c.newTmps(1)}
+		in.to(o)
+		return o, nil
+
+	case *algebra.In, *algebra.MapFromItem, *algebra.Select, *algebra.MapIndex, *algebra.Head, *algebra.TupleTreePattern:
+		return &opMalformed{err: fmt.Errorf("exec: expected an item sequence, got the tuples of %T", e)}, nil
+	}
+	return nil, fmt.Errorf("exec: cannot evaluate %T", e)
+}
+
+// pair lowers two item-sorted operands.
+func (c *compiler) pair(l, r algebra.Expr, en *env) (itemOp, itemOp, error) {
+	lo, err := c.items(l, en)
+	if err != nil {
+		return nil, nil, err
+	}
+	ro, err := c.items(r, en)
+	return lo, ro, err
+}
+
+// tuples lowers a tuple-sorted expression under the lexical environment en.
+// The returned env is the environment of the operator's output tuples: en
+// extended with the binders of the stream, so that its consumer resolves
+// those fields. The caller wires the operator to that consumer (to).
+func (c *compiler) tuples(e algebra.Expr, en *env) (tupleOp, *env, error) {
+	switch x := e.(type) {
+	case *algebra.In:
+		return &opIn{unbound: en == nil}, en, nil
+
+	case *algebra.MapFromItem:
+		in, err := c.items(x.Input, en)
+		if err != nil {
+			return nil, nil, err
+		}
+		slot := c.newSlot(x.Bind)
+		return &opMapFromItem{slot: slot, input: in, tmp: c.tmpFor(in)}, en.bind(x.Bind, slot), nil
 
 	case *algebra.Select:
-		in, inEnv, err := c.compile(x.Input, en)
+		in, inEnv, err := c.tuples(x.Input, en)
 		if err != nil {
 			return nil, nil, err
 		}
-		pred, _, err := c.compile(x.Pred, inEnv)
+		pred, err := c.items(x.Pred, inEnv)
 		if err != nil {
 			return nil, nil, err
 		}
-		return &opSelect{pred: pred, input: in}, inEnv, nil
+		o := &opSelect{pred: pred, input: in, tmp: c.newTmps(1)}
+		in.to(o)
+		return o, inEnv, nil
 
 	case *algebra.MapIndex:
-		in, inEnv, err := c.compile(x.Input, en)
+		in, inEnv, err := c.tuples(x.Input, en)
 		if err != nil {
 			return nil, nil, err
 		}
 		slot := c.newSlot(x.Field)
-		return &opMapIndex{p: c.p, slot: slot, input: in}, inEnv.bind(x.Field, slot), nil
+		o := &opMapIndex{slot: slot, input: in, cell: c.newCells(1)}
+		in.to(o)
+		return o, inEnv.bind(x.Field, slot), nil
 
 	case *algebra.Head:
-		in, inEnv, err := c.compile(x.Input, en)
+		in, inEnv, err := c.tuples(x.Input, en)
 		if err != nil {
 			return nil, nil, err
 		}
-		if ttp, ok := in.(*opTTP); ok && ttp.itemField < 0 {
+		if ttp, ok := in.(*opTTP); ok {
 			// Head(TupleTreePattern) is the first-match form: push the limit
 			// into the pattern operator for the §5.3 early exit.
 			ttp.first = true
 			return ttp, inEnv, nil
 		}
-		return &opHead{input: in}, inEnv, nil
+		o := &opHead{input: in, cell: c.newCells(1)}
+		in.to(o)
+		return o, inEnv, nil
 
 	case *algebra.TupleTreePattern:
-		in, inEnv, err := c.compile(x.Input, en)
+		in, inEnv, err := c.tuples(x.Input, en)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -349,12 +413,24 @@ func (c *compiler) compile(e algebra.Expr, en *env) (op, *env, error) {
 		// path compiles through: subsumed predicate branches and vacuous
 		// self steps are gone before any algorithm sees the pattern.
 		pat := pattern.Minimize(x.Pattern)
-		o := &opTTP{p: c.p, input: in, pat: pat, alg: c.p.alg, inSlot: -1, itemField: -1,
-			minimized: pat != x.Pattern}
-		_, o.dependent = in.(*opIn)
+		o := &opTTP{input: in, pat: pat, alg: c.p.alg, inSlot: -1, itemField: -1,
+			minimized: pat != x.Pattern, id: len(c.p.ttps)}
+		if i, ok := in.(*opIn); ok && !i.unbound {
+			o.dependent = true
+		} else {
+			in.to(o)
+			o.tmp = c.newTmps(1)
+		}
 		if slot, ok := inEnv.lookup(x.Pattern.Input); ok {
 			o.inSlot = slot
+			c.reads[slot]++
 		}
+		scan := ttpInput{ttp: o}
+		for b := inEnv; b != en; b = b.parent {
+			scan.slots = append(scan.slots, b.slot)
+			scan.reads = append(scan.reads, c.reads[b.slot])
+		}
+		c.inputs = append(c.inputs, scan)
 		outEnv := inEnv
 		for _, f := range pat.OutputFields() {
 			slot := c.newSlot(f)
@@ -364,5 +440,5 @@ func (c *compiler) compile(e algebra.Expr, en *env) (op, *env, error) {
 		c.p.ttps = append(c.p.ttps, o)
 		return o, outEnv, nil
 	}
-	return nil, nil, fmt.Errorf("exec: cannot evaluate %T", e)
+	return &opMalformed{err: fmt.Errorf("exec: expected a tuple sequence, got the items of %T", e)}, en, nil
 }

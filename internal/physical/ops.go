@@ -1,48 +1,47 @@
 package physical
 
 import (
+	"errors"
 	"fmt"
 
+	"xqtp/internal/execctx"
 	"xqtp/internal/funcs"
 	"xqtp/internal/xdm"
 )
 
-// evalItems evaluates o and requires an item sequence.
-func evalItems(o op, rt *Runtime, fr frame) (xdm.Sequence, error) {
-	v, err := o.eval(rt, fr)
-	if err != nil {
-		return nil, err
-	}
-	return v.itemsVal()
+// refOp is an item operator whose result already exists as a sequence: a
+// reader that only reads takes it in place instead of a copy (RunState.seq).
+type refOp interface {
+	ref(rs *RunState) (xdm.Sequence, error)
 }
 
-// evalFrames evaluates o and requires a tuple sequence.
-func evalFrames(o op, rt *Runtime, fr frame) ([]frame, error) {
-	v, err := o.eval(rt, fr)
-	if err != nil {
-		return nil, err
-	}
-	return v.framesVal()
+// opMalformed stands in for an operator of the wrong sort (tuples where items
+// are expected, or the reverse): lowering keeps it as a lazy run-time error,
+// like every other malformed-plan condition.
+type opMalformed struct {
+	stream
+	err error
 }
 
-// evalBool evaluates o to its effective boolean value.
-func evalBool(o op, rt *Runtime, fr frame) (bool, error) {
-	v, err := evalItems(o, rt, fr)
-	if err != nil {
-		return false, err
-	}
-	return xdm.EffectiveBool(v)
+func (o *opMalformed) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	return dst, o.err
 }
 
-// opIn is the per-tuple dependent context IN: the current frame as a
-// single-tuple stream (tuple ops consume it as the one-row input relation).
-type opIn struct{}
+func (o *opMalformed) run(rs *RunState) error { return o.err }
 
-func (*opIn) eval(rt *Runtime, fr frame) (value, error) {
-	if fr == nil {
-		return value{}, fmt.Errorf("exec: IN used outside a dependent context")
+// opIn is the per-tuple dependent context IN as a tuple stream: the frame
+// itself, handed on as the one input tuple.
+type opIn struct {
+	stream
+	// unbound marks an IN outside any dependent context.
+	unbound bool
+}
+
+func (o *opIn) run(rs *RunState) error {
+	if o.unbound {
+		return errors.New("exec: IN used outside a dependent context")
 	}
-	return framesValue([]frame{fr}), nil
+	return o.out.tuple(rs)
 }
 
 // opField reads the tuple field compiled to slot (IN#name).
@@ -51,11 +50,10 @@ type opField struct {
 	name string
 }
 
-func (o *opField) eval(rt *Runtime, fr frame) (value, error) {
-	if fr == nil {
-		return value{}, fmt.Errorf("exec: unbound field IN#%s", o.name)
-	}
-	return itemsValue(fr[o.slot]), nil
+func (o *opField) ref(rs *RunState) (xdm.Sequence, error) { return rs.fr[o.slot], nil }
+
+func (o *opField) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	return append(dst, rs.fr[o.slot]...), nil
 }
 
 // opUnboundField is a Field reference outside any binder's scope: the
@@ -65,8 +63,8 @@ type opUnboundField struct {
 	name string
 }
 
-func (o *opUnboundField) eval(rt *Runtime, fr frame) (value, error) {
-	return value{}, fmt.Errorf("exec: unbound field IN#%s", o.name)
+func (o *opUnboundField) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	return dst, fmt.Errorf("exec: unbound field IN#%s", o.name)
 }
 
 // opVar reads the free variable compiled to slot.
@@ -75,11 +73,16 @@ type opVar struct {
 	name string
 }
 
-func (o *opVar) eval(rt *Runtime, fr frame) (value, error) {
-	if v, ok := rt.varBinding(o.slot); ok {
-		return itemsValue(v), nil
+func (o *opVar) ref(rs *RunState) (xdm.Sequence, error) {
+	if v, ok := rs.rt.varBinding(o.slot); ok {
+		return v, nil
 	}
-	return value{}, fmt.Errorf("exec: unbound variable $%s", o.name)
+	return nil, fmt.Errorf("exec: unbound variable $%s", o.name)
+}
+
+func (o *opVar) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	v, err := o.ref(rs)
+	return append(dst, v...), err
 }
 
 // opConst is a literal (or the empty sequence), materialized at compile
@@ -88,408 +91,409 @@ type opConst struct {
 	seq xdm.Sequence
 }
 
-func (o *opConst) eval(rt *Runtime, fr frame) (value, error) {
-	return itemsValue(o.seq), nil
+func (o *opConst) ref(rs *RunState) (xdm.Sequence, error) { return o.seq, nil }
+
+func (o *opConst) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	return append(dst, o.seq...), nil
 }
 
 // opTreeJoin is the navigational axis step over items.
 type opTreeJoin struct {
 	axis  xdm.Axis
 	test  xdm.NodeTest
-	input op
+	input itemOp
+	tmp   int
 }
 
-func (o *opTreeJoin) eval(rt *Runtime, fr frame) (value, error) {
-	in, err := evalItems(o.input, rt, fr)
+func (o *opTreeJoin) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	in, err := rs.seq(o.input, o.tmp)
 	if err != nil {
-		return value{}, err
+		return dst, err
 	}
-	var out xdm.Sequence
 	for _, it := range in {
 		n, ok := it.(*xdm.Node)
 		if !ok {
-			return value{}, fmt.Errorf("exec: TreeJoin applied to atomic value %T", it)
+			return dst, fmt.Errorf("exec: TreeJoin applied to atomic value %T", it)
 		}
 		for _, m := range xdm.Step(n, o.axis, o.test) {
-			out = append(out, m)
+			dst = append(dst, m)
 		}
 	}
-	return itemsValue(out), nil
+	return dst, nil
 }
 
 // opCall invokes a builtin through the function pointer bound at compile
 // time. Arity and resolution errors are checked at lowering but surface at
-// evaluation time (bindErr), preserving the interpreter's error timing.
+// evaluation time (bindErr), preserving the interpreter's error timing. The
+// argument array is the operator's scratch slots tmp, tmp+1, ….
 type opCall struct {
 	name    string
 	fn      funcs.Fn
-	args    []op
+	args    []itemOp
+	tmp     int
 	bindErr error
 }
 
-func (o *opCall) eval(rt *Runtime, fr frame) (value, error) {
+func (o *opCall) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
 	if o.bindErr != nil {
-		return value{}, fmt.Errorf("exec: %v", o.bindErr)
+		return dst, fmt.Errorf("exec: %v", o.bindErr)
 	}
-	args := make([]xdm.Sequence, len(o.args))
+	args := rs.fr[o.tmp : o.tmp+len(o.args)]
 	for i, a := range o.args {
-		v, err := evalItems(a, rt, fr)
-		if err != nil {
-			return value{}, err
+		var err error
+		if args[i], err = rs.seq(a, o.tmp+i); err != nil {
+			return dst, err
 		}
-		args[i] = v
 	}
 	out, err := o.fn(args)
 	if err != nil {
-		return value{}, fmt.Errorf("exec: %w", err)
+		return dst, fmt.Errorf("exec: %w", err)
 	}
-	return itemsValue(out), nil
+	return append(dst, out...), nil
+}
+
+// docArg evaluates the URI or collection-name argument of a document access
+// function.
+func docArg(rs *RunState, fn string, arg itemOp, tmp int) (string, error) {
+	v, err := rs.seq(arg, tmp)
+	if err != nil {
+		return "", err
+	}
+	s, err := funcs.DocArg(fn, v)
+	if err != nil {
+		return "", fmt.Errorf("exec: %w", err)
+	}
+	return s, nil
 }
 
 // opDoc is fn:doc($uri): it resolves a document URI against the runtime's
 // corpus. Compiled from Call nodes at lowering time (like every builtin),
 // but evaluated against per-run state — the plan itself stays corpus-free.
 type opDoc struct {
-	uri op
+	uri itemOp
+	tmp int
 }
 
-func (o *opDoc) eval(rt *Runtime, fr frame) (value, error) {
-	if rt.Docs == nil {
-		return value{}, fmt.Errorf("exec: doc(): no document collection bound to this evaluation")
+func (o *opDoc) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	if rs.rt.Docs == nil {
+		return dst, errors.New("exec: doc(): no document collection bound to this evaluation")
 	}
-	arg, err := evalItems(o.uri, rt, fr)
+	uri, err := docArg(rs, "doc", o.uri, o.tmp)
 	if err != nil {
-		return value{}, err
+		return dst, err
 	}
-	uri, err := funcs.DocArg("doc", arg)
+	n, err := rs.rt.Docs.ResolveDoc(uri)
 	if err != nil {
-		return value{}, fmt.Errorf("exec: %w", err)
+		return dst, fmt.Errorf("exec: %w", err)
 	}
-	n, err := rt.Docs.ResolveDoc(uri)
-	if err != nil {
-		return value{}, fmt.Errorf("exec: %w", err)
-	}
-	return itemsValue(xdm.Singleton(n)), nil
+	return append(dst, n), nil
 }
 
 // opCollection is fn:collection([$name]): the member document nodes of the
 // runtime's corpus, in stable corpus order (ascending tree IDs, so the
 // result is already in document order).
 type opCollection struct {
-	name op // nil: the default collection
+	name itemOp // nil: the default collection
+	tmp  int
 }
 
-func (o *opCollection) eval(rt *Runtime, fr frame) (value, error) {
-	if rt.Docs == nil {
-		return value{}, fmt.Errorf("exec: collection(): no document collection bound to this evaluation")
+func (o *opCollection) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	if rs.rt.Docs == nil {
+		return dst, errors.New("exec: collection(): no document collection bound to this evaluation")
 	}
 	name := ""
 	if o.name != nil {
-		arg, err := evalItems(o.name, rt, fr)
-		if err != nil {
-			return value{}, err
-		}
-		name, err = funcs.DocArg("collection", arg)
-		if err != nil {
-			return value{}, fmt.Errorf("exec: %w", err)
+		var err error
+		if name, err = docArg(rs, "collection", o.name, o.tmp); err != nil {
+			return dst, err
 		}
 	}
-	roots, err := rt.Docs.ResolveCollection(name)
+	roots, err := rs.rt.Docs.ResolveCollection(name)
 	if err != nil {
-		return value{}, fmt.Errorf("exec: %w", err)
+		return dst, fmt.Errorf("exec: %w", err)
 	}
-	return itemsValue(roots), nil
+	return append(dst, roots...), nil
 }
 
-// opCompare is the general comparison.
+// opCompare is the general comparison; its operands are scratch slots tmp and
+// tmp+1.
 type opCompare struct {
 	cmp  xdm.CompareOp
-	l, r op
+	l, r itemOp
+	tmp  int
 }
 
-func (o *opCompare) eval(rt *Runtime, fr frame) (value, error) {
-	l, err := evalItems(o.l, rt, fr)
+func (o *opCompare) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	l, err := rs.seq(o.l, o.tmp)
 	if err != nil {
-		return value{}, err
+		return dst, err
 	}
-	r, err := evalItems(o.r, rt, fr)
+	r, err := rs.seq(o.r, o.tmp+1)
 	if err != nil {
-		return value{}, err
+		return dst, err
 	}
 	b, err := xdm.GeneralCompare(o.cmp, l, r)
 	if err != nil {
-		return value{}, err
+		return dst, err
 	}
-	return itemsValue(xdm.Singleton(xdm.Bool(b))), nil
+	return append(dst, xdm.Bool(b)), nil
 }
 
-// opArith is binary arithmetic.
+// opArith is binary arithmetic; its operands are scratch slots tmp and tmp+1.
 type opArith struct {
 	ar   xdm.ArithOp
-	l, r op
+	l, r itemOp
+	tmp  int
 }
 
-func (o *opArith) eval(rt *Runtime, fr frame) (value, error) {
-	l, err := evalItems(o.l, rt, fr)
+func (o *opArith) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	l, err := rs.seq(o.l, o.tmp)
 	if err != nil {
-		return value{}, err
+		return dst, err
 	}
-	r, err := evalItems(o.r, rt, fr)
+	r, err := rs.seq(o.r, o.tmp+1)
 	if err != nil {
-		return value{}, err
+		return dst, err
 	}
 	out, err := xdm.Arithmetic(o.ar, l, r)
 	if err != nil {
-		return value{}, err
+		return dst, err
 	}
-	return itemsValue(out), nil
+	return append(dst, out...), nil
 }
 
 // opAnd is short-circuit conjunction of effective boolean values.
 type opAnd struct {
-	l, r op
+	l, r itemOp
+	tmp  int
 }
 
-func (o *opAnd) eval(rt *Runtime, fr frame) (value, error) {
-	l, err := evalBool(o.l, rt, fr)
+func (o *opAnd) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	b, err := rs.ebv(o.l, o.tmp)
+	if err == nil && b {
+		b, err = rs.ebv(o.r, o.tmp)
+	}
 	if err != nil {
-		return value{}, err
+		return dst, err
 	}
-	if !l {
-		return itemsValue(xdm.Singleton(xdm.Bool(false))), nil
-	}
-	r, err := evalBool(o.r, rt, fr)
-	if err != nil {
-		return value{}, err
-	}
-	return itemsValue(xdm.Singleton(xdm.Bool(r))), nil
+	return append(dst, xdm.Bool(b)), nil
 }
 
 // opOr is short-circuit disjunction.
 type opOr struct {
-	l, r op
+	l, r itemOp
+	tmp  int
 }
 
-func (o *opOr) eval(rt *Runtime, fr frame) (value, error) {
-	l, err := evalBool(o.l, rt, fr)
+func (o *opOr) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	b, err := rs.ebv(o.l, o.tmp)
+	if err == nil && !b {
+		b, err = rs.ebv(o.r, o.tmp)
+	}
 	if err != nil {
-		return value{}, err
+		return dst, err
 	}
-	if l {
-		return itemsValue(xdm.Singleton(xdm.Bool(true))), nil
-	}
-	r, err := evalBool(o.r, rt, fr)
-	if err != nil {
-		return value{}, err
-	}
-	return itemsValue(xdm.Singleton(xdm.Bool(r))), nil
+	return append(dst, xdm.Bool(b)), nil
 }
 
 // opIf is the conditional.
 type opIf struct {
-	cond, then, els op
+	cond, then, els itemOp
+	tmp             int
 }
 
-func (o *opIf) eval(rt *Runtime, fr frame) (value, error) {
-	c, err := evalBool(o.cond, rt, fr)
+func (o *opIf) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	c, err := rs.ebv(o.cond, o.tmp)
 	if err != nil {
-		return value{}, err
+		return dst, err
 	}
 	if c {
-		return o.then.eval(rt, fr)
+		return o.then.items(rs, dst)
 	}
-	return o.els.eval(rt, fr)
+	return o.els.items(rs, dst)
 }
 
 // opSequence is sequence concatenation.
 type opSequence struct {
-	items []op
+	parts []itemOp
 }
 
-func (o *opSequence) eval(rt *Runtime, fr frame) (value, error) {
-	var out xdm.Sequence
-	for _, it := range o.items {
-		v, err := evalItems(it, rt, fr)
-		if err != nil {
-			return value{}, err
+func (o *opSequence) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	for _, it := range o.parts {
+		var err error
+		if dst, err = it.items(rs, dst); err != nil {
+			return dst, err
 		}
-		out = append(out, v...)
 	}
-	return itemsValue(out), nil
+	return dst, nil
 }
 
 // opLet binds a sequence value into its slot for the body.
 type opLet struct {
-	p     *Plan
 	slot  int
-	value op
-	body  op
+	value itemOp
+	body  itemOp
+	tmp   int
 }
 
-func (o *opLet) eval(rt *Runtime, fr frame) (value, error) {
-	v, err := evalItems(o.value, rt, fr)
+func (o *opLet) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	v, err := rs.seq(o.value, o.tmp)
 	if err != nil {
-		return value{}, err
+		return dst, err
 	}
-	nf := o.p.newFrame(fr)
-	nf[o.slot] = v
-	return o.body.eval(rt, nf)
+	rs.fr[o.slot] = v
+	return o.body.items(rs, dst)
 }
 
 // opTypeSwitch is the residual runtime type dispatch.
 type opTypeSwitch struct {
-	p       *Plan
-	input   op
+	input   itemOp
 	cases   []tsCase
 	defSlot int // -1: no default variable
-	deflt   op
+	deflt   itemOp
+	tmp     int
 }
 
 type tsCase struct {
 	typ  string
 	slot int
-	body op
+	body itemOp
 }
 
-func (o *opTypeSwitch) eval(rt *Runtime, fr frame) (value, error) {
-	in, err := evalItems(o.input, rt, fr)
+func (o *opTypeSwitch) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	in, err := rs.seq(o.input, o.tmp)
 	if err != nil {
-		return value{}, err
+		return dst, err
 	}
 	for _, c := range o.cases {
 		if c.typ == "numeric" && len(in) == 1 && xdm.IsNumeric(in[0]) {
-			nf := o.p.newFrame(fr)
-			nf[c.slot] = in
-			return c.body.eval(rt, nf)
+			rs.fr[c.slot] = in
+			return c.body.items(rs, dst)
 		}
 	}
 	if o.defSlot >= 0 {
-		nf := o.p.newFrame(fr)
-		nf[o.defSlot] = in
-		return o.deflt.eval(rt, nf)
+		rs.fr[o.defSlot] = in
 	}
-	return o.deflt.eval(rt, fr)
+	return o.deflt.items(rs, dst)
 }
 
-// opMapFromItem builds one tuple [slot: item] per input item. Frames come
-// from a single backing arena and each singleton is a capped one-item view of
-// the input sequence (sequences are values, never written in place), so n
-// tuples cost two allocations.
+// opMapFromItem streams one tuple per input item: its slot holds a capped
+// one-item view of the evaluated input, which stays put for the whole stream.
 type opMapFromItem struct {
-	p     *Plan
+	stream
 	slot  int
-	input op
+	input itemOp
+	tmp   int
 }
 
-func (o *opMapFromItem) eval(rt *Runtime, fr frame) (value, error) {
-	in, err := evalItems(o.input, rt, fr)
+func (o *opMapFromItem) run(rs *RunState) error {
+	in, err := rs.seq(o.input, o.tmp)
 	if err != nil {
-		return value{}, err
+		return err
 	}
-	w := len(o.p.slotNames)
-	backing := make([]xdm.Sequence, len(in)*w)
-	out := make([]frame, len(in))
 	for i := range in {
-		row := backing[i*w : (i+1)*w : (i+1)*w]
-		copy(row, fr)
-		row[o.slot] = in[i : i+1 : i+1]
-		out[i] = row
+		rs.fr[o.slot] = in[i : i+1 : i+1]
+		if err := o.out.tuple(rs); err != nil {
+			return err
+		}
 	}
-	return framesValue(out), nil
+	return nil
 }
 
 // opMapToItem evaluates the dependent item expression per input tuple and
-// concatenates the results.
+// concatenates the results in the scratch slot acc — the caller's dst for
+// the length of one evaluation. At the plan root (toSink) each tuple's items
+// go to the run's sink before the next tuple is produced.
 type opMapToItem struct {
-	dep   op
-	input op
+	dep    itemOp
+	input  tupleOp
+	acc    int
+	toSink bool
 }
 
-func (o *opMapToItem) eval(rt *Runtime, fr frame) (value, error) {
-	in, err := evalFrames(o.input, rt, fr)
-	if err != nil {
-		return value{}, err
-	}
-	var out xdm.Sequence
-	for _, t := range in {
-		if rt.EC != nil && rt.EC.Stopped() {
-			return value{}, rt.EC.Err()
-		}
-		v, err := evalItems(o.dep, rt, t)
-		if err != nil {
-			return value{}, err
-		}
-		out = append(out, v...)
-	}
-	return itemsValue(out), nil
+func (o *opMapToItem) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	rs.fr[o.acc] = dst
+	err := o.input.run(rs)
+	dst, rs.fr[o.acc] = rs.fr[o.acc], nil
+	return dst, err
 }
 
-// opSelect filters input tuples by the dependent predicate.
+func (o *opMapToItem) tuple(rs *RunState) error {
+	if ec := rs.rt.EC; ec != nil && ec.Stopped() {
+		return ec.Err()
+	}
+	acc, err := o.dep.items(rs, rs.fr[o.acc])
+	if err == nil && o.toSink {
+		err = execctx.Deliver(rs.charge, rs.sink, acc)
+		acc = acc[:0]
+	}
+	rs.fr[o.acc] = acc
+	return err
+}
+
+func (o *opMapToItem) deliverToSink() { o.toSink = true }
+
+// opSelect passes on the input tuples the dependent predicate keeps.
 type opSelect struct {
-	pred  op
-	input op
+	stream
+	pred  itemOp
+	input tupleOp
+	tmp   int
 }
 
-func (o *opSelect) eval(rt *Runtime, fr frame) (value, error) {
-	in, err := evalFrames(o.input, rt, fr)
-	if err != nil {
-		return value{}, err
+func (o *opSelect) run(rs *RunState) error { return o.input.run(rs) }
+
+func (o *opSelect) tuple(rs *RunState) error {
+	if ec := rs.rt.EC; ec != nil && ec.Stopped() {
+		return ec.Err()
 	}
-	var out []frame
-	for _, t := range in {
-		if rt.EC != nil && rt.EC.Stopped() {
-			return value{}, rt.EC.Err()
-		}
-		keep, err := evalBool(o.pred, rt, t)
-		if err != nil {
-			return value{}, err
-		}
-		if keep {
-			out = append(out, t)
-		}
+	keep, err := rs.ebv(o.pred, o.tmp)
+	if err != nil || !keep {
+		return err
 	}
-	return framesValue(out), nil
+	return o.out.tuple(rs)
 }
 
-// opMapIndex extends each input tuple with its 1-based position. Input
-// frames may be shared with the producer, so rows are copied into a fresh
-// arena before the position slot is written.
+// opMapIndex extends each input tuple with its 1-based position, kept in the
+// singleton cell behind its slot.
 type opMapIndex struct {
-	p     *Plan
+	stream
 	slot  int
-	input op
+	input tupleOp
+	cell  int
 }
 
-func (o *opMapIndex) eval(rt *Runtime, fr frame) (value, error) {
-	in, err := evalFrames(o.input, rt, fr)
-	if err != nil {
-		return value{}, err
-	}
-	w := len(o.p.slotNames)
-	backing := make([]xdm.Sequence, len(in)*w)
-	out := make([]frame, len(in))
-	for i, t := range in {
-		row := backing[i*w : (i+1)*w : (i+1)*w]
-		copy(row, t)
-		row[o.slot] = xdm.Singleton(xdm.Integer(i + 1))
-		out[i] = row
-	}
-	return framesValue(out), nil
+func (o *opMapIndex) run(rs *RunState) error {
+	rs.cells[o.cell] = xdm.Integer(0)
+	return o.input.run(rs)
 }
 
-// opHead passes through the first input tuple (first-match pattern inputs
-// compile to opTTP{first: true} instead — see lowerHead).
+func (o *opMapIndex) tuple(rs *RunState) error {
+	pos := rs.cells[o.cell : o.cell+1 : o.cell+1]
+	pos[0] = pos[0].(xdm.Integer) + 1
+	rs.fr[o.slot] = pos
+	return o.out.tuple(rs)
+}
+
+// opHead passes on the first input tuple and drains the rest, as the
+// interpreter evaluates the whole input (first-match pattern inputs compile
+// to opTTP{first: true} instead — see the lowering of Head). Its cell is nil
+// until that first tuple.
 type opHead struct {
-	input op
+	stream
+	input tupleOp
+	cell  int
 }
 
-func (o *opHead) eval(rt *Runtime, fr frame) (value, error) {
-	in, err := evalFrames(o.input, rt, fr)
-	if err != nil {
-		return value{}, err
+func (o *opHead) run(rs *RunState) error {
+	rs.cells[o.cell] = nil
+	return o.input.run(rs)
+}
+
+func (o *opHead) tuple(rs *RunState) error {
+	if rs.cells[o.cell] != nil {
+		return nil
 	}
-	if len(in) == 0 {
-		return framesValue(nil), nil
-	}
-	return framesValue(in[:1]), nil
+	rs.cells[o.cell] = xdm.Bool(true)
+	return o.out.tuple(rs)
 }

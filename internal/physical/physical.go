@@ -8,11 +8,10 @@
 // dispatch for builtins, and no per-run pattern analysis.
 //
 // A Plan is immutable after Compile and safe for concurrent Run calls; all
-// per-run state lives in the Runtime and in frames allocated per call.
+// per-run state lives in the Runtime and in the RunState allocated per call.
 package physical
 
 import (
-	"fmt"
 	"sync"
 
 	"xqtp/internal/execctx"
@@ -22,43 +21,85 @@ import (
 	"xqtp/internal/xmlstore"
 )
 
-// frame is one tuple of the physical executor: a flat, plan-wide array of
-// field sequences indexed by compile-time slot numbers. A nil entry means
-// the binder for that slot has not executed on this tuple's path (reading it
-// through its op yields the empty sequence, matching the persistent-chain
-// semantics where such a field was simply absent from an enclosing scope).
+// frame is the tuple of the physical executor: a flat, plan-wide array of
+// field sequences indexed by compile-time slot numbers. A run has exactly one
+// (RunState): Compile gives every binder occurrence a slot of its own, so a
+// binder writes its slot in place and hands the same frame on — no operator
+// can overwrite a field another still reads, and lexical scoping guarantees a
+// slot is read only on a path its binder has already executed on. Behind the
+// named slots the frame carries the operators' scratch slots (tmp): the
+// evaluated operands they hold between their calls.
 type frame []xdm.Sequence
 
-// value is the result of one operator: an item sequence or a tuple-frame
-// sequence, mirroring the algebra's two-sorted typing.
-type value struct {
-	items    xdm.Sequence
-	frames   []frame
-	isFrames bool
+// The algebra's two sorts are two operator shapes, decided at lowering.
+//
+// An itemOp appends its item sequence to dst and returns the extended slice.
+//
+// A tupleOp streams: run calls the consumer it was wired to at lowering (to)
+// once per output tuple, in order. The tuple is the run's frame as the
+// producer left it, and it is borrowed — valid until the consumer returns. A
+// consumer that keeps a tuple past that copies the items it will read (a
+// binder of the tuple chain holds exactly one item in its slot).
+type itemOp interface {
+	items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error)
 }
 
-func itemsValue(s xdm.Sequence) value { return value{items: s} }
-func framesValue(fs []frame) value    { return value{frames: fs, isFrames: true} }
+type tupleOp interface {
+	run(rs *RunState) error
+	to(c consumer)
+}
 
-// itemsVal returns the item sequence, or an error if the value is tuples.
-func (v value) itemsVal() (xdm.Sequence, error) {
-	if v.isFrames {
-		return nil, fmt.Errorf("exec: expected an item sequence, got %d tuples", len(v.frames))
+// consumer is the receiving end of a tuple stream.
+type consumer interface {
+	tuple(rs *RunState) error
+}
+
+// stream is the consumer wiring every tupleOp embeds.
+type stream struct{ out consumer }
+
+func (s *stream) to(c consumer) { s.out = c }
+
+// RunState is what one run of a plan writes: the frame, and what the plan's
+// operators keep between their calls within the run besides its scratch slots
+// — singleton cells behind the slots of positions and pattern bindings, each
+// pattern operator's rank table. Its layout is fixed by Compile and it is
+// allocated once, on first use: the plan itself stays immutable and shared.
+// The zero value is ready; a RunState may serve consecutive runs of one plan
+// (the members of a fan-out), never concurrent ones.
+type RunState struct {
+	p  *Plan
+	rt *Runtime
+	// sink receives what a delivering root produces, charged to charge (nil:
+	// uncharged collection, Plan.Run).
+	sink   execctx.Sink
+	charge *execctx.Ctx
+
+	fr    frame
+	cells []xdm.Item
+	pats  []patState
+}
+
+// seq evaluates an operand into the scratch slot tmp of the operator that
+// reads it: the result is valid until that operator's next evaluation. A
+// reference (field, variable, constant) is read in place.
+func (rs *RunState) seq(o itemOp, tmp int) (xdm.Sequence, error) {
+	if r, ok := o.(refOp); ok {
+		return r.ref(rs)
 	}
-	return v.items, nil
+	s, err := o.items(rs, rs.fr[tmp][:0])
+	rs.fr[tmp] = s
+	return s, err
 }
 
-// framesVal returns the tuple frames, or an error if the value is items.
-func (v value) framesVal() ([]frame, error) {
-	if !v.isFrames {
-		return nil, fmt.Errorf("exec: expected a tuple sequence, got %d items", len(v.items))
+// ebv evaluates an operand to its effective boolean value. The operand is
+// evaluated in full, as the interpreter does: an error behind the first item
+// is still raised.
+func (rs *RunState) ebv(o itemOp, tmp int) (bool, error) {
+	s, err := rs.seq(o, tmp)
+	if err != nil {
+		return false, err
 	}
-	return v.frames, nil
-}
-
-// op is a compiled physical operator.
-type op interface {
-	eval(rt *Runtime, fr frame) (value, error)
+	return xdm.EffectiveBool(s)
 }
 
 // PrepSource resolves (algorithm, document, pattern) to a prepared join.
@@ -120,8 +161,11 @@ func (rt *Runtime) varBinding(i int) (xdm.Sequence, bool) {
 // Plan is a compiled physical plan: the operator tree plus its frame and
 // variable layouts.
 type Plan struct {
-	root op
+	root itemOp
 	alg  join.Algorithm
+	// width and cells size the run state's frame (named slots, then scratch
+	// slots) and singleton cells; there is one pattern state per ttps entry.
+	width, cells int
 
 	// slotNames maps each frame slot to the field name it was allocated
 	// for (explain output; never consulted at run time).
@@ -246,72 +290,54 @@ func (b *Bindings) prepared(alg join.Algorithm, t *xdm.Tree, pat *pattern.Patter
 	return p, nil
 }
 
-// Run evaluates the plan to an item sequence.
+// Run evaluates the plan to an item sequence, collected without charging the
+// execution context's budgets (a fan-out's member runs: the merge charges).
 func (p *Plan) Run(rt *Runtime) (xdm.Sequence, error) {
-	if err := rt.EC.Err(); err != nil {
+	var rs RunState
+	var col execctx.Collector
+	if err := p.exec(&rs, rt, &col, nil); err != nil {
 		return nil, err
 	}
-	v, err := p.root.eval(rt, nil)
-	if err != nil {
-		return nil, err
-	}
-	return v.itemsVal()
+	return col.Seq, nil
 }
 
 // RunSink evaluates the plan, delivering result items to sink through the
-// runtime's execution context (budget charging, typed early abort). When
-// the plan's root is the usual MapToItem output boundary, the dependent
-// item expression is evaluated tuple by tuple and each tuple's items are
-// delivered before the next tuple is touched — so a spent budget or a
-// canceled context stops further evaluation, not just further delivery,
-// and the sink observes exactly the document-order prefix. A pattern
-// operator in items mode at the root is one set-at-a-time evaluation with
-// nothing to stop between tuples: its rank table is delivered directly, the
-// budgets charged per item as everywhere. Other root shapes evaluate fully,
-// then deliver.
+// runtime's execution context (budget charging, typed early abort). The root
+// is the plan's last consumer: a MapToItem root delivers each tuple's items
+// before the next tuple is produced — so a spent budget or a canceled context
+// stops further evaluation, not just further delivery, and the sink observes
+// exactly the document-order prefix — and a pattern operator in items mode
+// at the root, one set-at-a-time evaluation with nothing to stop between
+// tuples, delivers its rank table directly. Other root shapes evaluate
+// fully, then deliver.
 func (p *Plan) RunSink(rt *Runtime, sink execctx.Sink) error {
+	var rs RunState
+	return p.RunSinkIn(&rs, rt, sink)
+}
+
+// RunSinkIn is RunSink in a caller-held run state, so that consecutive runs
+// of the plan share one.
+func (p *Plan) RunSinkIn(rs *RunState, rt *Runtime, sink execctx.Sink) error {
+	return p.exec(rs, rt, sink, rt.EC)
+}
+
+func (p *Plan) exec(rs *RunState, rt *Runtime, sink execctx.Sink, charge *execctx.Ctx) error {
 	if err := rt.EC.Err(); err != nil {
 		return err
 	}
-	switch m := p.root.(type) {
-	case *opTTP:
-		if m.itemField >= 0 {
-			var t rankTable
-			if err := m.bind(rt, nil, &t); err != nil {
-				return err
-			}
-			return t.deliver(rt.EC, sink, m.itemField)
+	if rs.p != p {
+		*rs = RunState{p: p, fr: make(frame, p.width)}
+		if p.cells > 0 {
+			rs.cells = make([]xdm.Item, p.cells)
 		}
-	case *opMapToItem:
-		in, err := evalFrames(m.input, rt, nil)
-		if err != nil {
-			return err
+		if len(p.ttps) > 0 {
+			rs.pats = make([]patState, len(p.ttps))
 		}
-		for _, t := range in {
-			if err := rt.EC.Err(); err != nil {
-				return err
-			}
-			v, err := evalItems(m.dep, rt, t)
-			if err != nil {
-				return err
-			}
-			if err := execctx.Deliver(rt.EC, sink, v); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	seq, err := p.Run(rt)
+	rs.rt, rs.sink, rs.charge = rt, sink, charge
+	seq, err := p.root.items(rs, nil)
 	if err != nil {
 		return err
 	}
-	return execctx.Deliver(rt.EC, sink, seq)
-}
-
-// newFrame clones fr into a fresh frame of the plan's width (fr may be nil:
-// the top-level context).
-func (p *Plan) newFrame(fr frame) frame {
-	nf := make(frame, len(p.slotNames))
-	copy(nf, fr)
-	return nf
+	return execctx.Deliver(charge, sink, seq)
 }

@@ -56,7 +56,7 @@ func indent(b *strings.Builder, depth int) {
 	}
 }
 
-func (p *Plan) write(b *strings.Builder, o op, depth int, choice ChoiceFn) {
+func (p *Plan) write(b *strings.Builder, o any, depth int, choice ChoiceFn) {
 	indent(b, depth)
 	switch x := o.(type) {
 	case *opIn:
@@ -116,7 +116,7 @@ func (p *Plan) write(b *strings.Builder, o op, depth int, choice ChoiceFn) {
 		p.write(b, x.els, depth+1, choice)
 	case *opSequence:
 		b.WriteString("Sequence\n")
-		for _, it := range x.items {
+		for _, it := range x.parts {
 			p.write(b, it, depth+1, choice)
 		}
 	case *opLet:

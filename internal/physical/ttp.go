@@ -24,14 +24,21 @@ import (
 // prepared-join cache.
 //
 // Evaluation has two halves. bind takes contexts through the prepared join's
-// kernel into a rankTable: bindings as int32 pre ranks, ordered and
-// duplicate-free. What reads the table depends on what reads the operator:
-// frames for a consumer of tuples, items when the consumer only projects one
-// output field (itemField) — then a binding is never anything but its ranks
-// until the node is delivered.
+// kernel into the operator's rankTable: bindings as int32 pre ranks, ordered
+// and duplicate-free. What reads the table depends on what reads the
+// operator: a tuple stream for a consumer of tuples, items when the consumer
+// only projects one output field (itemField) — then a binding is never
+// anything but its ranks until the node is delivered.
+//
+// The operator is one of the two that gather before they emit (bindParallel's
+// work list is the other): binding order is decided over the whole input, so
+// over a tuple stream it is its input's consumer and keeps, per input tuple,
+// the context nodes — and, when it streams tuples itself, the items of the
+// input slots its own consumers read (keep), which it writes back beside each
+// binding. Over IN the frame is the one input tuple and nothing is kept.
 type opTTP struct {
-	p      *Plan
-	input  op
+	stream
+	input  tupleOp
 	pat    *pattern.Pattern
 	inSlot int // slot of the pattern's input field; -1: unbound (lazy error)
 	// outSlots maps the pattern's output fields (root-to-leaf) to frame
@@ -48,11 +55,34 @@ type opTTP struct {
 	// itemField, when >= 0, puts the operator in items mode: the lowering of
 	// MapToItem{IN#f}(TupleTreePattern) with f the pattern's itemField-th
 	// output field. The operator then evaluates to the item sequence of that
-	// field over its bindings and builds no tuple at all.
+	// field over its bindings and builds no tuple at all. toSink marks the
+	// plan root, whose table is delivered straight from the ranks.
 	itemField int
+	toSink    bool
 	// minimized records that logical minimization changed the pattern at
 	// lowering time (explain annotation only).
 	minimized bool
+
+	// Run-state layout: the operator's patState, the scratch slot of its
+	// gathered contexts, and its singleton cells — one per output slot, then
+	// one per kept slot.
+	id, tmp, cell int
+	// keep lists the slots bound by the input stream that the operator's
+	// consumers read.
+	keep []int
+}
+
+// patState is what a pattern operator keeps within a run: its rank table
+// (the rank buffer is reused from one dependent evaluation to the next) and,
+// when it streams tuples over a tuple stream, per input tuple the end of its
+// contexts (ends) and the items of the kept slots (saved, len(keep) each).
+type patState struct {
+	t     rankTable
+	ends  []int32
+	saved []xdm.Item
+	// one backs the gathered contexts while there is a single one, the usual
+	// root-bound input.
+	one [1]xdm.Item
 }
 
 // prepFor resolves the prepared join for one document: a tree of the
@@ -74,77 +104,129 @@ func (o *opTTP) prepFor(rt *Runtime, t *xdm.Tree) (*join.Prepared, error) {
 	return join.Prepare(o.alg, xmlstore.BuildIndex(t), o.pat)
 }
 
-func (o *opTTP) eval(rt *Runtime, fr frame) (value, error) {
-	t := rankTable{}
-	if err := o.bind(rt, fr, &t); err != nil {
-		return value{}, err
+func (o *opTTP) deliverToSink() { o.toSink = true }
+
+// items is the operator in items mode.
+func (o *opTTP) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	t, err := o.bind(rs)
+	switch {
+	case err != nil:
+		return dst, err
+	case o.toSink:
+		return dst, t.deliver(rs.charge, rs.sink, o.itemField)
 	}
-	if o.itemField >= 0 {
-		return itemsValue(t.items(o.itemField)), nil
-	}
-	return framesValue(t.frames(o.p, o.outSlots)), nil
+	return t.appendItems(dst, o.itemField), nil
 }
 
-// bind fills t with the pattern's bindings over every context node of every
-// input tuple, ordered and duplicate-free. Every evaluation shape funnels
-// through the stop check at its end, so a stopped execution context surfaces
-// as the typed abort error and partial kernel results are never emitted.
-func (o *opTTP) bind(rt *Runtime, fr frame, t *rankTable) error {
-	if err := rt.EC.Err(); err != nil {
+// run streams the bindings as tuples: the input tuple's kept slots and the
+// binding's nodes, each in the singleton cell behind its slot.
+func (o *opTTP) run(rs *RunState) error {
+	t, err := o.bind(rs)
+	if err != nil {
 		return err
 	}
-	t.nf = len(o.outSlots)
-	var in []frame
-	if o.dependent {
-		if fr == nil {
-			return fmt.Errorf("exec: IN used outside a dependent context")
+	nf, nk := len(o.outSlots), len(o.keep)
+	cells := rs.cells[o.cell : o.cell+nf+nk]
+	for k, slot := range o.outSlots {
+		rs.fr[slot] = cells[k : k+1 : k+1]
+	}
+	saved := rs.pats[o.id].saved
+	i := 0
+	for si := 0; si < t.nseg; si++ {
+		s := t.seg(si)
+		for k, slot := range o.keep {
+			cells[nf+k] = saved[s.fi*nk+k]
+			rs.fr[slot] = cells[nf+k : nf+k+1 : nf+k+1]
 		}
-		one := [1]frame{fr}
-		in = one[:]
-	} else {
-		var err error
-		if in, err = evalFrames(o.input, rt, fr); err != nil {
-			return err
+		nodes := s.tree.Nodes()
+		for i < s.end {
+			for k := 0; k < nf; k++ {
+				cells[k] = nodes[t.ranks[i]]
+				i++
+			}
+			if err := o.out.tuple(rs); err != nil {
+				return err
+			}
 		}
 	}
-	if len(in) == 0 {
-		return nil
-	}
+	return nil
+}
+
+// tuple gathers one tuple of the input stream: its context nodes and, when a
+// consumer reads the input's slots, where they end and the items of the kept
+// slots.
+func (o *opTTP) tuple(rs *RunState) error {
 	if o.inSlot < 0 {
 		return fmt.Errorf("exec: pattern input field %s unbound", o.pat.Input)
 	}
-	contexts := 0
-	for _, f := range in {
-		contexts += len(f[o.inSlot])
+	rs.fr[o.tmp] = append(rs.fr[o.tmp], rs.fr[o.inSlot]...)
+	if len(o.keep) > 0 {
+		ps := &rs.pats[o.id]
+		ps.ends = append(ps.ends, int32(len(rs.fr[o.tmp])))
+		for _, slot := range o.keep {
+			ps.saved = append(ps.saved, rs.fr[slot][0])
+		}
+	}
+	return nil
+}
+
+// bind fills the operator's table with the pattern's bindings over every
+// context node of every input tuple, ordered and duplicate-free. Every
+// evaluation shape funnels through the stop check at its end, so a stopped
+// execution context surfaces as the typed abort error and partial kernel
+// results are never emitted.
+func (o *opTTP) bind(rs *RunState) (*rankTable, error) {
+	rt := rs.rt
+	if err := rt.EC.Err(); err != nil {
+		return nil, err
+	}
+	ps := &rs.pats[o.id]
+	t := &ps.t
+	t.reset(len(o.outSlots))
+	var ctxs xdm.Sequence
+	if o.dependent {
+		if o.inSlot < 0 {
+			return nil, fmt.Errorf("exec: pattern input field %s unbound", o.pat.Input)
+		}
+		ctxs = rs.fr[o.inSlot]
+	} else {
+		if rs.fr[o.tmp] == nil {
+			rs.fr[o.tmp] = ps.one[:]
+		}
+		rs.fr[o.tmp], ps.ends, ps.saved = rs.fr[o.tmp][:0], ps.ends[:0], ps.saved[:0]
+		if err := o.input.run(rs); err != nil {
+			return nil, err
+		}
+		ctxs = rs.fr[o.tmp]
 	}
 	var err error
 	switch {
-	case o.first && contexts == 1:
+	case o.first && len(ctxs) == 1:
 		// First-match from one context node: the prepared join's cursor-style
 		// early exit (§5.3) where the algorithm has one.
-		err = o.eachContext(rt, in, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
+		err = o.eachContext(rt, ctxs, ps.ends, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
 			if b, found := prep.EvalFirstCtx(rt.EC, ctx); found {
 				for _, n := range b {
 					t.ranks = append(t.ranks, int32(n.Pre))
 				}
-				t.seal(fi, in[fi], ctx.Doc)
+				t.seal(fi, ctx.Doc)
 			}
 		})
-	case rt.Parallel > 1 && contexts > 1:
-		err = o.bindParallel(rt, in, contexts, t)
+	case rt.Parallel > 1 && len(ctxs) > 1:
+		err = o.bindParallel(rt, ctxs, ps.ends, t)
 	default:
-		err = o.eachContext(rt, in, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
+		err = o.eachContext(rt, ctxs, ps.ends, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
 			if !rt.EC.Stopped() {
 				t.ranks = prep.AppendRanks(rt.EC, ctx, t.ranks)
-				t.seal(fi, in[fi], ctx.Doc)
+				t.seal(fi, ctx.Doc)
 			}
 		})
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := rt.EC.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	if !t.ordered() {
 		t.sort()
@@ -152,31 +234,35 @@ func (o *opTTP) bind(rt *Runtime, fr frame, t *rankTable) error {
 	if o.first {
 		t.keepFirst()
 	}
-	return nil
+	return t, nil
 }
 
-// eachContext calls fn for every context node of every input tuple (fi is the
-// tuple's position) with the prepared join of the node's document, resolved
-// once per run of contexts in the same document — with a single document, the
-// common case, one lookup for the whole input.
-func (o *opTTP) eachContext(rt *Runtime, in []frame, fn func(fi int, ctx *xdm.Node, prep *join.Prepared)) error {
+// eachContext calls fn for every context node (fi is the position of its
+// input tuple: ends[fi-1] <= its position in ctxs < ends[fi]; 0 without ends,
+// when nothing tells the input tuples apart)
+// with the prepared join of the node's document, resolved once per run of
+// contexts in the same document — with a single document, the common case,
+// one lookup for the whole input.
+func (o *opTTP) eachContext(rt *Runtime, ctxs xdm.Sequence, ends []int32, fn func(fi int, ctx *xdm.Node, prep *join.Prepared)) error {
 	var prep *join.Prepared
 	var tree *xdm.Tree
-	for fi, f := range in {
-		for _, it := range f[o.inSlot] {
-			ctx, ok := it.(*xdm.Node)
-			if !ok {
-				return fmt.Errorf("exec: pattern context is atomic value %T", it)
-			}
-			if ctx.Doc != tree {
-				var err error
-				if prep, err = o.prepFor(rt, ctx.Doc); err != nil {
-					return err
-				}
-				tree = ctx.Doc
-			}
-			fn(fi, ctx, prep)
+	fi := 0
+	for i, it := range ctxs {
+		for fi < len(ends) && i >= int(ends[fi]) {
+			fi++
 		}
+		ctx, ok := it.(*xdm.Node)
+		if !ok {
+			return fmt.Errorf("exec: pattern context is atomic value %T", it)
+		}
+		if ctx.Doc != tree {
+			var err error
+			if prep, err = o.prepFor(rt, ctx.Doc); err != nil {
+				return err
+			}
+			tree = ctx.Doc
+		}
+		fn(fi, ctx, prep)
 	}
 	return nil
 }
@@ -184,15 +270,15 @@ func (o *opTTP) eachContext(rt *Runtime, in []frame, fn func(fi int, ctx *xdm.No
 // bindParallel evaluates the context nodes on up to rt.Parallel goroutines,
 // each kernel call into a slice of its own, and files the results into the
 // table in input order.
-func (o *opTTP) bindParallel(rt *Runtime, in []frame, contexts int, t *rankTable) error {
+func (o *opTTP) bindParallel(rt *Runtime, ctxs xdm.Sequence, ends []int32, t *rankTable) error {
 	type work struct {
 		fi    int
 		ctx   *xdm.Node
 		prep  *join.Prepared
 		ranks []int32
 	}
-	items := make([]work, 0, contexts)
-	err := o.eachContext(rt, in, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
+	items := make([]work, 0, len(ctxs))
+	err := o.eachContext(rt, ctxs, ends, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
 		items = append(items, work{fi: fi, ctx: ctx, prep: prep})
 	})
 	if err != nil {
@@ -219,19 +305,19 @@ func (o *opTTP) bindParallel(rt *Runtime, in []frame, contexts int, t *rankTable
 	wg.Wait()
 	for i := range items {
 		t.ranks = append(t.ranks, items[i].ranks...)
-		t.seal(items[i].fi, in[items[i].fi], items[i].ctx.Doc)
+		t.seal(items[i].fi, items[i].ctx.Doc)
 	}
 	return nil
 }
 
 // rankTable is the bindings of one pattern evaluation: nf int32 pre ranks per
-// binding, root-to-leaf, in segments that share an input frame and a tree. It
+// binding, root-to-leaf, in segments that share an input tuple and a tree. It
 // is what the kernels produce (join.Prepared.AppendRanks appends into ranks)
-// and the only form a binding has until a consumer asks for frames or items;
-// nodes[r] is resolved there, once. The table lives on its operator's stack,
-// the one segment of the common case (one input tuple, one document) inline
-// in it, so a dependent pattern's evaluation allocates its ranks and what it
-// returns.
+// and the only form a binding has until a consumer asks for tuples or items;
+// nodes[r] is resolved there, once. The table lives in its operator's run
+// state, the one segment of the common case (one input tuple, one document)
+// inline in it, so a dependent pattern's evaluation allocates what it returns
+// and, once the rank buffer has grown to its largest result, nothing else.
 type rankTable struct {
 	nf    int
 	ranks []int32
@@ -241,10 +327,9 @@ type rankTable struct {
 	nseg int
 }
 
-// rankSeg is a run of bindings of one input frame (fr, the fi-th) in one tree.
+// rankSeg is a run of bindings of one input tuple (the fi-th) in one tree.
 type rankSeg struct {
 	fi   int
-	fr   frame
 	tree *xdm.Tree
 	end  int // offset in ranks one past the run's last binding
 }
@@ -264,10 +349,16 @@ func (t *rankTable) len() int {
 	return len(t.ranks) / t.nf
 }
 
+// reset empties the table for an evaluation of nf-field bindings, keeping its
+// buffers.
+func (t *rankTable) reset(nf int) {
+	*t = rankTable{nf: nf, ranks: t.ranks[:0], done: t.done[:0]}
+}
+
 // seal files the ranks appended since the previous seal as bindings of the
-// fi-th input frame f in tree: more of the last segment when that is the same
-// frame's and tree's, a new segment otherwise.
-func (t *rankTable) seal(fi int, f frame, tree *xdm.Tree) {
+// fi-th input tuple in tree: more of the last segment when that is the same
+// tuple's and tree's, a new segment otherwise.
+func (t *rankTable) seal(fi int, tree *xdm.Tree) {
 	end := len(t.ranks)
 	switch {
 	case end == t.last.end:
@@ -278,7 +369,7 @@ func (t *rankTable) seal(fi int, f frame, tree *xdm.Tree) {
 	case t.nseg > 0:
 		t.done = append(t.done, t.last)
 	}
-	t.last = rankSeg{fi: fi, fr: f, tree: tree, end: end}
+	t.last = rankSeg{fi: fi, tree: tree, end: end}
 	t.nseg++
 }
 
@@ -344,7 +435,7 @@ func (t *rankTable) sort() {
 		}
 		sorted.ranks = append(sorted.ranks, key(b)...)
 		s := t.seg(int(owner[b]))
-		sorted.seal(s.fi, s.fr, s.tree)
+		sorted.seal(s.fi, s.tree)
 	}
 	*t = sorted
 }
@@ -358,55 +449,20 @@ func (t *rankTable) keepFirst() {
 	}
 }
 
-// frames reads the table as output tuples for a consumer of tuples: each
-// frame copies its input frame and holds the binding's nodes in the pattern's
-// output slots as singleton sequences. Frames, slots and singletons are cut
-// from three arenas, so n tuples cost three allocations.
-func (t *rankTable) frames(p *Plan, outSlots []int) []frame {
-	n := t.len()
-	if n == 0 {
-		return nil
-	}
-	w := len(p.slotNames)
-	backing := make([]xdm.Sequence, n*w)
-	arena := make([]xdm.Item, len(t.ranks))
-	out := make([]frame, n)
-	i, b := 0, 0
-	for si := 0; si < t.nseg; si++ {
-		s := t.seg(si)
-		nodes := s.tree.Nodes()
-		for ; i < s.end; b++ {
-			row := backing[b*w : (b+1)*w : (b+1)*w]
-			copy(row, s.fr)
-			for _, slot := range outSlots {
-				arena[i] = nodes[t.ranks[i]]
-				row[slot] = arena[i : i+1 : i+1]
-				i++
-			}
-			out[b] = row
-		}
-	}
-	return out
-}
-
-// items reads the table as the item sequence of output field k, exactly
-// sized: the projection MapToItem{IN#f} would compute from the frames,
-// without the frames.
-func (t *rankTable) items(k int) xdm.Sequence {
-	n := t.len()
-	if n == 0 {
-		return nil
-	}
-	out := make(xdm.Sequence, 0, n)
+// appendItems reads the table as the item sequence of output field k,
+// appended to dst grown once by the exact size: the projection
+// MapToItem{IN#f} would compute from the tuples, without the tuples.
+func (t *rankTable) appendItems(dst xdm.Sequence, k int) xdm.Sequence {
+	dst = slices.Grow(dst, t.len())
 	i := k
 	for si := 0; si < t.nseg; si++ {
 		s := t.seg(si)
 		nodes := s.tree.Nodes()
 		for ; i < s.end; i += t.nf {
-			out = append(out, nodes[t.ranks[i]])
+			dst = append(dst, nodes[t.ranks[i]])
 		}
 	}
-	return out
+	return dst
 }
 
 // deliver is items for a plan root: output field k goes to the sink through

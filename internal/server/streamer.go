@@ -9,6 +9,7 @@ import (
 	"unicode/utf8"
 
 	"xqtp"
+	"xqtp/internal/xdm"
 )
 
 // The flush rule: a response buffer reaches the ResponseWriter when it holds
@@ -57,6 +58,10 @@ type streamer struct {
 	format string // "ndjson" or "xml"
 	corpus *xqtp.Corpus
 	wrote  bool // header set (and, for xml, the <results> opener buffered)
+	// Items arrive in runs of one member: the member URI is resolved once per
+	// run of one tree, not per item.
+	uriTree *xdm.Tree
+	uri     string
 
 	*respBuf
 	mark    int       // out[mark:] are item lines not yet mirrored into capture
@@ -111,7 +116,15 @@ func (st *streamer) Push(it xqtp.Item) error {
 		return st.err
 	}
 	st.begin()
-	uri, _ := st.corpus.URIOf(it)
+	n, isNode := it.(*xqtp.Node)
+	uri := ""
+	if isNode {
+		if n.Doc != st.uriTree {
+			st.uriTree = n.Doc
+			st.uri, _ = st.corpus.URIOf(it)
+		}
+		uri = st.uri
+	}
 	out := st.out
 	if st.format == "xml" {
 		out = append(out, "<item"...)
@@ -119,7 +132,7 @@ func (st *streamer) Push(it xqtp.Item) error {
 			out = append(appendXMLEscaped(append(out, ` uri="`...), uri), '"')
 		}
 		out = append(out, '>')
-		if _, isNode := it.(*xqtp.Node); isNode {
+		if isNode {
 			out = xqtp.AppendItem(out, it)
 		} else {
 			out = appendXMLEscaped(out, xqtp.ItemString(it))

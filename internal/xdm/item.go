@@ -151,11 +151,17 @@ func (op CompareOp) String() string {
 // atomized and the comparison holds if it holds for any pair of atomic
 // values (existential semantics).
 func GeneralCompare(op CompareOp, lhs, rhs Sequence) (bool, error) {
-	la := AtomizeSequence(lhs)
-	ra := AtomizeSequence(rhs)
-	for _, l := range la {
+	// The right operand is atomized once, into a buffer that stays on the
+	// stack for the usual short operand; the left one item by item.
+	var buf [4]Item
+	ra := buf[:0]
+	for _, r := range rhs {
+		ra = append(ra, Atomize(r))
+	}
+	for _, l := range lhs {
+		la := Atomize(l)
 		for _, r := range ra {
-			ok, err := compareAtomic(op, l, r)
+			ok, err := compareAtomic(op, la, r)
 			if err != nil {
 				return false, err
 			}

@@ -156,11 +156,13 @@ func rootBound(*physical.Plan) *physical.Bindings { return nil }
 //
 // A single member, and any plan that reaches documents through
 // fn:doc/fn:collection, evaluates once, streaming to the sink under the full
-// execution context. Otherwise the plan fans out: member evaluations run
-// under a cancel-only view of ec — they observe the stop but never charge
-// the budgets — and the merge charges each delivered item in corpus order,
-// so budget cutoffs land on the exact corpus-order prefix regardless of how
-// the worker pool interleaved.
+// execution context. Otherwise the plan fans out. With one worker corpus
+// order is evaluation order: each admitted member's plan streams into the
+// sink like a single member's, budgets charged at delivery, all members in
+// one run state. With more, member evaluations run under a cancel-only view
+// of ec — they observe the stop but never charge the budgets — and the merge
+// charges each delivered item in corpus order, so budget cutoffs land on the
+// exact corpus-order prefix regardless of how the worker pool interleaved.
 func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Algorithm, opts RunOptions, bind func(*physical.Plan) *physical.Bindings) (Sequence, RunInfo, error) {
 	if c.Closed() {
 		return nil, RunInfo{}, ErrClosed
@@ -172,13 +174,14 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 	ctx, cancel := opts.context(ctx)
 	defer cancel()
 	ec := execctx.From(ctx, opts.MaxRows, opts.MaxBytes)
-	// The runtime and the default sink share one allocation, so a plain
-	// Query.Run allocates nothing for collecting its result. Prepared joins
-	// belong to the corpus: each lives on the member it was prepared against
-	// (a bound node of some other document is prepared in the bindings that
-	// brought it, for this run only).
+	// The runtime, the run state's header and the default sink share one
+	// allocation, so a plain Query.Run allocates nothing for collecting its
+	// result. Prepared joins belong to the corpus: each lives on the member it
+	// was prepared against (a bound node of some other document is prepared in
+	// the bindings that brought it, for this run only).
 	var st struct {
 		rt    physical.Runtime
+		rs    physical.RunState
 		col   execctx.Collector
 		count countingSink
 	}
@@ -209,27 +212,38 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 		var d *collection.Doc
 		if d, err = c.Loaded(member); err == nil {
 			rt.Root = d.RootSeq()
-			err = p.RunSink(rt, sink)
+			err = p.RunSinkIn(&st.rs, rt, sink)
 		}
 	case p.UsesDocAccess():
-		err = p.RunSink(rt, sink)
+		err = p.RunSinkIn(&st.rs, rt, sink)
 	default:
 		skip, skipped := memberSkipTest(c, p.RequiredSteps())
-		rt.Parallel, rt.EC = 0, ec.CancelOnly()
-		err = c.RunAllCtx(ec, opts.Workers, skip, func(d *collection.Doc) (Sequence, error) {
-			// A deferred member parses and validates here, on the worker that
-			// evaluates it; a corrupt member becomes this member's query error.
-			if err := d.Ensure(); err != nil {
-				return nil, err
-			}
-			// A fanned-out member run reaches its own tree only, so the
-			// member answers for its prepared joins directly.
-			mrt := *rt
-			mrt.Root, mrt.Preps = d.RootSeq(), d
-			return p.Run(&mrt)
-		}, func(seq Sequence) error {
-			return execctx.Deliver(ec, sink, seq)
-		})
+		rt.Parallel = 0
+		// A deferred member parses and validates on the goroutine that
+		// evaluates it; a corrupt member becomes this member's query error. A
+		// fanned-out member run reaches its own tree only, so the member
+		// answers for its prepared joins directly.
+		if opts.Workers <= 1 {
+			err = c.RunEachCtx(ec, skip, func(d *collection.Doc) error {
+				if err := d.Ensure(); err != nil {
+					return err
+				}
+				rt.Root, rt.Preps = d.RootSeq(), d
+				return p.RunSinkIn(&st.rs, rt, sink)
+			})
+		} else {
+			rt.EC = ec.CancelOnly()
+			err = c.RunAllCtx(ec, opts.Workers, skip, func(d *collection.Doc) (Sequence, error) {
+				if err := d.Ensure(); err != nil {
+					return nil, err
+				}
+				mrt := *rt
+				mrt.Root, mrt.Preps = d.RootSeq(), d
+				return p.Run(&mrt)
+			}, func(seq Sequence) error {
+				return execctx.Deliver(ec, sink, seq)
+			})
+		}
 		info.Skipped = int(skipped.Load())
 	}
 	switch {
