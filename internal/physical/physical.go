@@ -293,12 +293,14 @@ func (b *Bindings) prepared(alg join.Algorithm, t *xdm.Tree, pat *pattern.Patter
 // Run evaluates the plan to an item sequence, collected without charging the
 // execution context's budgets (a fan-out's member runs: the merge charges).
 func (p *Plan) Run(rt *Runtime) (xdm.Sequence, error) {
-	var rs RunState
-	var col execctx.Collector
-	if err := p.exec(&rs, rt, &col, nil); err != nil {
+	var st struct {
+		rs  RunState
+		col execctx.Collector
+	}
+	if err := p.exec(&st.rs, rt, &st.col, nil); err != nil {
 		return nil, err
 	}
-	return col.Seq, nil
+	return st.col.Seq, nil
 }
 
 // RunSink evaluates the plan, delivering result items to sink through the
