@@ -2,9 +2,9 @@ GO ?= go
 
 # Packages with concurrency-sensitive paths (shared catalog, the members'
 # lock-free prepared-join tables, the LRU, shared compiled physical plans,
-# parallel TupleTreePattern workers, first-touch node materialization) plus
-# the unsafe-aliasing ingest scanner and the parallel corpus layer get a
-# dedicated -race run.
+# parallel TupleTreePattern workers, a tree's first load and its CAS-published
+# node identity table) plus the unsafe-aliasing ingest scanner and the
+# parallel corpus layer get a dedicated -race run.
 RACE_PKGS = ./internal/collection ./internal/exec ./internal/join ./internal/lru ./internal/physical ./internal/server ./internal/xdm ./internal/xmlstore
 
 .PHONY: all build vet test race check bench serve run-server bench-compare bench-smoke bench-check fuzz-smoke clean
@@ -32,7 +32,7 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS) .
 	$(GO) test -race -count=50 -run 'Shutdown|SlowReader' ./internal/server
-	$(GO) test -race -count=20 -run 'Prepared|Collectable|ForeignTree|ConcurrentRuns|ParallelTTP|BorrowedTuples' ./internal/collection ./internal/physical .
+	$(GO) test -race -count=20 -run 'Prepared|Collectable|ForeignTree|ConcurrentRuns|ParallelTTP|BorrowedTuples|FirstTouch' ./internal/collection ./internal/physical ./internal/xdm .
 
 check: build vet test race
 
@@ -61,14 +61,15 @@ run-server:
 # leading `-` ignores their exit status): same-binary reruns on shared
 # machines differ by tens of percent per cell.
 bench-smoke:
-	$(GO) run ./cmd/treebench -exp table1 -quick -algs nl,twig,sc,auto -json /tmp/bench_table1_quick.json
-	$(GO) run ./cmd/benchdiff -gate-allocs -gate-algs SC,TJ,AUTO BENCH_table1_quick.json /tmp/bench_table1_quick.json
-	$(GO) run ./cmd/treebench -exp ingest -quick -json /tmp/bench_ingest_quick.json
-	-$(GO) run ./cmd/benchdiff BENCH_ingest_quick.json /tmp/bench_ingest_quick.json
-	$(GO) run ./cmd/treebench -exp collection -quick -json /tmp/bench_collection_quick.json
-	-$(GO) run ./cmd/benchdiff BENCH_collection_quick.json /tmp/bench_collection_quick.json
-	$(GO) run ./cmd/treebench -exp snapshot -quick -json /tmp/bench_snapshot_quick.json
-	-$(GO) run ./cmd/benchdiff BENCH_snapshot_quick.json /tmp/bench_snapshot_quick.json
+	@mkdir -p .bench_build
+	$(GO) run ./cmd/treebench -exp table1 -quick -algs nl,twig,sc,auto -json .bench_build/bench_table1_quick.json
+	$(GO) run ./cmd/benchdiff -gate-allocs -gate-algs SC,TJ,AUTO BENCH_table1_quick.json .bench_build/bench_table1_quick.json
+	$(GO) run ./cmd/treebench -exp ingest -quick -json .bench_build/bench_ingest_quick.json
+	-$(GO) run ./cmd/benchdiff BENCH_ingest_quick.json .bench_build/bench_ingest_quick.json
+	$(GO) run ./cmd/treebench -exp collection -quick -json .bench_build/bench_collection_quick.json
+	-$(GO) run ./cmd/benchdiff BENCH_collection_quick.json .bench_build/bench_collection_quick.json
+	$(GO) run ./cmd/treebench -exp snapshot -quick -json .bench_build/bench_snapshot_quick.json
+	-$(GO) run ./cmd/benchdiff BENCH_snapshot_quick.json .bench_build/bench_snapshot_quick.json
 
 # The benchmark is a module of its own, outside `go test ./...`: vet and test
 # it against this checkout's API, then run each workload briefly on small

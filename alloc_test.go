@@ -3,6 +3,7 @@ package xqtp
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -40,14 +41,22 @@ func runCost(t *testing.T, c *Corpus, q *Query) (allocs, bytes float64, rows int
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run() // refills the pools
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
+	// The minimum over several batches, not one mean: sync.Pool is per P, so
+	// a goroutine moved to another P between runs misses its arena and
+	// allocates one more, about once in 40 fresh processes.
+	const runs, batches = 20, 5
+	allocs, bytes = math.Inf(1), math.Inf(1)
+	for b := 0; b < batches; b++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/runs)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/runs)
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs, sink.n
+	return allocs, bytes, sink.n
 }
 
 // TestPatternRunAllocations pins what a pattern evaluation allocates now that

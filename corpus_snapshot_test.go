@@ -331,6 +331,58 @@ func snapshotFile(t *testing.T, n int) string {
 	return path
 }
 
+// TestQueryBuildsOnlyDeliveredNodes counts, end to end, which nodes exist
+// after serving a query: ingest → SaveSnapshot → OpenCorpusFile → a pattern
+// query over the corpus → AppendItem on every item. The identity tables
+// must hold exactly the delivered items plus one document node per member
+// the skip test admitted; the skipped members hold none, and the serializer
+// builds nothing. A second run, at several workers, builds nothing more.
+func TestQueryBuildsOnlyDeliveredNodes(t *testing.T) {
+	c, err := OpenCorpusFile(snapshotFile(t, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	built := func() int {
+		n := 0
+		for i := 0; i < c.Len(); i++ {
+			n += c.c.Doc(i).Tree().NodesBuilt()
+		}
+		return n
+	}
+	q := MustPrepare(`$input//person[emailaddress]/name`)
+	seq, info, err := c.RunWith(context.Background(), q, Auto, RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	delivered := map[*xdm.Node]bool{}
+	for _, it := range seq {
+		out = AppendItem(out, it)
+		delivered[it.(*xdm.Node)] = true
+	}
+	admitted := info.Members - info.Skipped
+	t.Logf("%d members, %d admitted, %d items, %d nodes built", info.Members, admitted, len(seq), built())
+	if len(seq) == 0 || info.Skipped == 0 || !bytes.Contains(out, []byte("<name>")) {
+		t.Fatalf("%d items from %d admitted of %d members: not a real result", len(seq), admitted, info.Members)
+	}
+	if got, want := built(), len(delivered)+admitted; got != want {
+		t.Fatalf("%d nodes built, want %d delivered + %d document nodes", got, len(delivered), admitted)
+	}
+	again, _, err := c.RunWith(context.Background(), q, Auto, RunOptions{Workers: 4})
+	if err != nil || len(again) != len(seq) {
+		t.Fatalf("second run: %d items, %v", len(again), err)
+	}
+	for i := range seq {
+		if again[i] != seq[i] {
+			t.Fatalf("item %d is a different node on the second run", i)
+		}
+	}
+	if got, want := built(), len(delivered)+admitted; got != want {
+		t.Fatalf("second run: %d nodes built, want still %d", got, want)
+	}
+}
+
 // A member view shares its corpus's closed flag, so no ordering of Close and
 // a run reaches unmapped memory: each of these faulted (SIGSEGV) when the
 // view carried a flag of its own.

@@ -88,9 +88,9 @@ type Corpus struct {
 	epoch uint64
 	// roots is the memoized fn:collection() result: every member's document
 	// node in corpus order. Built on first ResolveCollection rather than at
-	// assembly, because gathering the document nodes forces materialization
-	// of every member — which would make opening a corpus snapshot pay for
-	// all the Node structs the open was designed to defer.
+	// assembly, because gathering the document nodes forces every member's
+	// load — which would make opening a corpus snapshot pay for all the
+	// member parses the open was designed to defer.
 	roots     xdm.Sequence
 	rootsErr  error
 	rootsOnce sync.Once

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"xqtp/internal/xdm"
+	"xqtp/internal/xmlstore"
 )
 
 func TestCorpusSnapshotRoundTrip(t *testing.T) {
@@ -35,14 +36,14 @@ func TestCorpusSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("member %d URI %q, want %q", i, b.URI, a.URI)
 		}
 		ta, tb := a.Tree(), b.Tree()
-		// Force the loaded member's lazy pointer model so the node-for-node
-		// comparison below sees it.
-		tb.RootNode()
-		if len(ta.Nodes()) != len(tb.Nodes()) {
-			t.Fatalf("member %d: %d nodes, want %d", i, len(tb.Nodes()), len(ta.Nodes()))
+		// Build every node of the loaded member from its columns for the
+		// node-for-node comparison.
+		na, nb := ta.Nodes(), tb.Nodes()
+		if len(na) != len(nb) {
+			t.Fatalf("member %d: %d nodes, want %d", i, len(nb), len(na))
 		}
-		for j := range ta.Nodes() {
-			x, y := ta.Nodes()[j], tb.Nodes()[j]
+		for j := range na {
+			x, y := na[j], nb[j]
 			if x.Kind != y.Kind || x.Name != y.Name || x.Text != y.Text ||
 				x.Pre != y.Pre || x.Post != y.Post || x.Size != y.Size || x.Level != y.Level {
 				t.Fatalf("member %d node %d differs: %+v vs %+v", i, j, x, y)
@@ -236,9 +237,10 @@ func TestOpenSnapshotFile(t *testing.T) {
 			t.Fatalf("member %d URI %q, want %q", i, b.URI, a.URI)
 		}
 		ta, tb := a.Tree(), b.Tree()
-		tb.RootNode()
-		if len(ta.Nodes()) != len(tb.Nodes()) {
-			t.Fatalf("member %d: %d nodes, want %d", i, len(tb.Nodes()), len(ta.Nodes()))
+		ea, eb := ta.DocElem(), tb.DocElem() // loads the member
+		if ta.CountNodes() != tb.CountNodes() || ea.Name != eb.Name {
+			t.Fatalf("member %d: %d nodes under <%s>, want %d under <%s>", i,
+				tb.CountNodes(), eb.Name, ta.CountNodes(), ea.Name)
 		}
 	}
 
@@ -296,7 +298,28 @@ func TestOpenSnapshotFileCloseBeforeLoad(t *testing.T) {
 	if err := c2.Doc(0).Ensure(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Ensure after Close = %v, want ErrClosed", err)
 	}
-	c2.Doc(0).Root() // poisoned placeholder, must not fault
+	// The poisoned member reads as the empty placeholder document — a
+	// document node over one unnamed, empty element — through every reader,
+	// and none of them faults.
+	d := c2.Doc(0)
+	root, el := d.Root(), d.Tree().DocElem()
+	if root.Kind != xdm.DocumentNode || el == nil || d.Tree().CountNodes() != 2 {
+		t.Fatalf("poisoned member: root %v, element %v", root, el)
+	}
+	if got := xmlstore.SerializeString(root); got != "</>" || root.StringValue() != "" {
+		t.Fatalf("poisoned member serializes as %q, string value %q", got, root.StringValue())
+	}
+	for axis := xdm.AxisChild; axis <= xdm.AxisPreceding; axis++ {
+		for _, test := range []xdm.NodeTest{xdm.AnyNodeTest(), xdm.StarTest(), xdm.TextTest(), xdm.NameTest("a")} {
+			for _, ctx := range []*xdm.Node{root, el} {
+				for _, n := range xdm.Step(ctx, axis, test) {
+					if n != root && n != el {
+						t.Fatalf("%v %s::%s reached %v outside the placeholder", ctx, axis, test, n)
+					}
+				}
+			}
+		}
+	}
 }
 
 // A snapshot file that shrank after being written must be rejected at open:

@@ -272,12 +272,12 @@ func (ec *Ctx) deliverOne(sink Sink, it xdm.Item) error {
 }
 
 // DeliverNodes is Deliver for a producer that holds its result as preorder
-// ranks: it delivers nodes[ranks[i]] for i = first, first+stride, … — one
-// output field of a table of stride-wide bindings — with Deliver's budget
-// charging and stop behavior, and without the result ever existing as a
-// Sequence. A Collector receives the nodes into a sequence grown once to the
-// exact size.
-func DeliverNodes(ec *Ctx, sink Sink, nodes []*xdm.Node, ranks []int32, first, stride int) error {
+// ranks of tree t: it delivers t.Node(ranks[i]) for i = first, first+stride,
+// … — one output field of a table of stride-wide bindings — with Deliver's
+// budget charging and stop behavior, and without the result ever existing
+// as a Sequence. A node is built when it is first delivered. A Collector
+// receives the nodes into a sequence grown once to the exact size.
+func DeliverNodes(ec *Ctx, sink Sink, t *xdm.Tree, ranks []int32, first, stride int) error {
 	if first >= len(ranks) {
 		return nil
 	}
@@ -288,7 +288,7 @@ func DeliverNodes(ec *Ctx, sink Sink, nodes []*xdm.Node, ranks []int32, first, s
 		}
 		if ec.maxRows > 0 || ec.maxBytes > 0 {
 			for i := first; i < len(ranks); i += stride {
-				if err := ec.deliverOne(sink, nodes[ranks[i]]); err != nil {
+				if err := ec.deliverOne(sink, t.Node(ranks[i])); err != nil {
 					return err
 				}
 			}
@@ -299,12 +299,12 @@ func DeliverNodes(ec *Ctx, sink Sink, nodes []*xdm.Node, ranks []int32, first, s
 	if c, ok := sink.(*Collector); ok {
 		c.Seq = slices.Grow(c.Seq, n)
 		for i := first; i < len(ranks); i += stride {
-			c.Seq = append(c.Seq, nodes[ranks[i]])
+			c.Seq = append(c.Seq, t.Node(ranks[i]))
 		}
 		return nil
 	}
 	for i := first; i < len(ranks); i += stride {
-		if err := sink.Push(nodes[ranks[i]]); err != nil {
+		if err := sink.Push(t.Node(ranks[i])); err != nil {
 			if ec != nil {
 				ec.stopWith(err)
 			}

@@ -125,7 +125,7 @@ func TestNumberAndAggregates(t *testing.T) {
 
 func TestDataAndRoot(t *testing.T) {
 	tr, _ := xmlstore.ParseString(`<a><b>x</b></a>`)
-	b := tr.DocElem().Children[0]
+	b := xdm.Step(tr.DocElem(), xdm.AxisChild, xdm.AnyNodeTest())[0]
 	out, err := Invoke("data", []xdm.Sequence{seq(b, xdm.Integer(3))})
 	if err != nil || len(out) != 2 {
 		t.Fatalf("data: %v %v", out, err)

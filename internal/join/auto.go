@@ -72,5 +72,5 @@ func provablyEmpty(chain []cstep) bool {
 // one exception is node() off the attribute axis, which also matches the
 // document node, which no stream carries.
 func stepRequiresStream(s *cstep) bool {
-	return s.test.kind != xdm.TestNode || s.axis == xdm.AxisAttribute
+	return !s.test.AnyNode() || s.axis == xdm.AxisAttribute
 }

@@ -43,7 +43,7 @@ type Prepared struct {
 // no map lookups and no step-pointer chasing in the hot loops.
 type cstep struct {
 	axis   xdm.Axis
-	test   rankTest
+	test   xdm.RankTest
 	stream []int32
 	out    bool
 	preds  [][]cstep
@@ -61,7 +61,7 @@ func compileChain(ix *xmlstore.Index, s *pattern.Step) []cstep {
 	for c := s; c != nil; c = c.Next {
 		cs := cstep{
 			axis:   c.Axis,
-			test:   compileRankTest(ix, c.Axis, c.Test),
+			test:   c.Test.On(c.Axis, ix.Tree),
 			stream: ix.RanksFor(c.Axis, c.Test),
 			out:    c.Out != "",
 		}
@@ -89,42 +89,6 @@ func chainStream(chain []cstep) int {
 		}
 	}
 	return n
-}
-
-// rankTest is a node test compiled against one document: the name resolved
-// to its interned symbol, the principal node kind fixed by the axis. A match
-// is at most two integer compares against the columns.
-type rankTest struct {
-	kind      xdm.TestKind
-	principal uint8 // element, or attribute on the attribute axis
-	sym       int32 // resolved name; int32(xdm.NoSym) when absent from the doc
-}
-
-// matches reports whether the node at pre rank r satisfies the test.
-func (t rankTest) matches(cols *xdm.Cols, r int32) bool {
-	switch t.kind {
-	case xdm.TestName:
-		return cols.Sym[r] == t.sym && cols.Kind[r] == t.principal
-	case xdm.TestStar:
-		return cols.Kind[r] == t.principal
-	case xdm.TestNode:
-		return true
-	case xdm.TestText:
-		return cols.Kind[r] == uint8(xdm.TextNode)
-	}
-	return false
-}
-
-// compileRankTest resolves a step's test against the document's symbols.
-func compileRankTest(ix *xmlstore.Index, axis xdm.Axis, test xdm.NodeTest) rankTest {
-	rt := rankTest{kind: test.Kind, principal: uint8(xdm.ElementNode), sym: int32(xdm.NoSym)}
-	if axis == xdm.AxisAttribute {
-		rt.principal = uint8(xdm.AttributeNode)
-	}
-	if test.Kind == xdm.TestName {
-		rt.sym = int32(ix.ResolveName(test.Name))
-	}
-	return rt
 }
 
 // Prepare resolves pat against ix for evaluation under alg. The index may be
@@ -203,15 +167,20 @@ func (p *Prepared) AppendRanks(ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []in
 // Eval returns every binding of the pattern from context node ctx.
 func (p *Prepared) Eval(ctx *xdm.Node) []Binding { return p.EvalCtx(nil, ctx) }
 
-// EvalCtx is AppendRanks resolved to nodes: the ranks cross into the pointer
-// data model (Tree.Materialize, building it on first use) and are viewed as
-// bindings. The nested loop's bindings are returned as they are. A stopped
-// evaluation has AppendRanks' partial-result contract.
+// EvalCtx is AppendRanks resolved to nodes: each rank becomes its tree's
+// node (Tree.Node, built on first request) and is viewed as a binding. The
+// nested loop's bindings are returned as they are. A stopped evaluation has
+// AppendRanks' partial-result contract.
 func (p *Prepared) EvalCtx(ec *execctx.Ctx, ctx *xdm.Node) []Binding {
 	if p.kernel == nil && !p.empty {
 		return nlEval(ec, ctx, p.pat)
 	}
-	return wrapNodes(p.ix.Tree.Materialize(p.AppendRanks(ec, ctx, nil)))
+	ranks := p.AppendRanks(ec, ctx, nil)
+	nodes := make([]*xdm.Node, len(ranks))
+	for i, r := range ranks {
+		nodes[i] = p.ix.Tree.Node(r)
+	}
+	return wrapNodes(nodes)
 }
 
 // EvalFirst returns the first binding in document order, allowing the
@@ -235,9 +204,22 @@ func (p *Prepared) EvalFirstCtx(ec *execctx.Ctx, ctx *xdm.Node) (Binding, bool) 
 		alg = NestedLoop
 	}
 	if alg == NestedLoop && p.childOnly {
-		return nlFirst(ec, ctx, p.pat)
+		var spine []cstep
+		if p.spine != nil && ctx.Doc == p.ix.Tree {
+			spine = p.spine
+		}
+		return nlFirst(ec, ctx, p.pat, spine)
 	}
-	all := p.EvalCtx(ec, ctx)
+	if p.kernel != nil {
+		// The head of the kernel's ranks is the only node built: the rest
+		// are never delivered.
+		ranks := p.AppendRanks(ec, ctx, nil)
+		if len(ranks) == 0 {
+			return nil, false
+		}
+		return Binding{p.ix.Tree.Node(ranks[0])}, true
+	}
+	all := nlEval(ec, ctx, p.pat)
 	if len(all) == 0 {
 		return nil, false
 	}

@@ -123,7 +123,7 @@ func scStep(p *Prepared, ec *execctx.Ctx, ctxs []int32, s *cstep, dst []int32) [
 			}
 			end := cols.End(c)
 			covered = end
-			if axis == xdm.AxisDescendantOrSelf && test.matches(cols, c) {
+			if axis == xdm.AxisDescendantOrSelf && test.Matches(cols, c) {
 				out = append(out, c)
 			}
 			pos = gallopRanks(stream, pos, c+1)
@@ -144,7 +144,7 @@ func scStep(p *Prepared, ec *execctx.Ctx, ctxs []int32, s *cstep, dst []int32) [
 			}
 			end := cols.End(c)
 			for ch := cols.FirstChild(c); ch <= end; ch = cols.NextSibling(ch) {
-				if test.matches(cols, ch) {
+				if test.Matches(cols, ch) {
 					out = append(out, ch)
 				}
 			}
@@ -158,7 +158,7 @@ func scStep(p *Prepared, ec *execctx.Ctx, ctxs []int32, s *cstep, dst []int32) [
 		for _, c := range ctxs {
 			end := cols.End(c)
 			for a := c + 1; a <= end && cols.Kind[a] == uint8(xdm.AttributeNode); a++ {
-				if test.matches(cols, a) {
+				if test.Matches(cols, a) {
 					out = append(out, a)
 				}
 			}
@@ -169,7 +169,7 @@ func scStep(p *Prepared, ec *execctx.Ctx, ctxs []int32, s *cstep, dst []int32) [
 		return dedupRanks(out)
 	case xdm.AxisSelf:
 		for _, c := range ctxs {
-			if test.matches(cols, c) {
+			if test.Matches(cols, c) {
 				out = append(out, c)
 			}
 		}

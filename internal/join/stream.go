@@ -76,7 +76,7 @@ func streamEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int3
 		states uint64 // active state bitmask for this level
 	}
 	cols := p.cols
-	kindCol, symCol, sizeCol := cols.Kind, cols.Sym, cols.Size
+	kindCol, sizeCol := cols.Kind, cols.Size
 	stack := []frame{{until: int32(ctx.End()), states: 1}}
 	start := len(dst)
 
@@ -97,13 +97,10 @@ func streamEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int3
 		// Descendant states persist downward; matched states advance.
 		next := cur & descMask
 		if kind == uint8(xdm.ElementNode) {
-			sym := symCol[pre]
 			for rest := cur; rest != 0; rest &= rest - 1 {
 				i := bits.TrailingZeros64(rest)
-				t := spine[i].test
-				// Spine tests are name or star on an element axis; the node
-				// is an element, so star always fires.
-				if t.kind == xdm.TestStar || t.sym == sym {
+				// Spine tests are name or star on an element axis.
+				if spine[i].test.Matches(cols, pre) {
 					if uint64(1)<<uint(i) == finalBit {
 						dst = append(dst, pre)
 						// Dedup: a node accepted once is enough.

@@ -138,10 +138,9 @@ func (o *opTTP) run(rs *RunState) error {
 			cells[nf+k] = saved[s.fi*nk+k]
 			rs.fr[slot] = cells[nf+k : nf+k+1 : nf+k+1]
 		}
-		nodes := s.tree.Nodes()
 		for i < s.end {
 			for k := 0; k < nf; k++ {
-				cells[k] = nodes[t.ranks[i]]
+				cells[k] = s.tree.Node(t.ranks[i])
 				i++
 			}
 			if err := o.out.tuple(rs); err != nil {
@@ -457,9 +456,8 @@ func (t *rankTable) appendItems(dst xdm.Sequence, k int) xdm.Sequence {
 	i := k
 	for si := 0; si < t.nseg; si++ {
 		s := t.seg(si)
-		nodes := s.tree.Nodes()
 		for ; i < s.end; i += t.nf {
-			dst = append(dst, nodes[t.ranks[i]])
+			dst = append(dst, s.tree.Node(t.ranks[i]))
 		}
 	}
 	return dst
@@ -473,7 +471,7 @@ func (t *rankTable) deliver(ec *execctx.Ctx, sink execctx.Sink, k int) error {
 	start := 0
 	for si := 0; si < t.nseg; si++ {
 		s := t.seg(si)
-		if err := execctx.DeliverNodes(ec, sink, s.tree.Nodes(), t.ranks[start:s.end], k, t.nf); err != nil {
+		if err := execctx.DeliverNodes(ec, sink, s.tree, t.ranks[start:s.end], k, t.nf); err != nil {
 			return err
 		}
 		start = s.end

@@ -4,10 +4,9 @@ package xdm
 // of the region encoding is emitted the moment it is known (pre, level,
 // kind, sym, parent at element open; post and size at element close), names
 // are interned as they are first seen, and the values of text and attribute
-// nodes are collected in preorder. That is the whole tree — the pointer data
-// model is derived from it later, if anyone asks (Tree.RootNode and
-// friends), so building an n-node tree costs the amortized column appends
-// and nothing per node.
+// nodes are collected in preorder. That is the whole tree — a node is built
+// from it only when someone asks for its rank (Tree.Node), so building an
+// n-node tree costs the amortized column appends and nothing per node.
 //
 // The caller drives it like a SAX handler and must respect document order:
 // OpenElement, then that element's Attr calls, then its children (nested
@@ -43,6 +42,7 @@ func NewTreeBuilder(nodeHint int) *TreeBuilder {
 				Kind:   make([]uint8, 0, nodeHint),
 				Sym:    make([]int32, 0, nodeHint),
 			},
+			textOrd: make([]int32, 0, nodeHint),
 		},
 		open: make([]int32, 0, 32),
 	}
@@ -66,6 +66,7 @@ func (b *TreeBuilder) add(kind Kind, sym Sym) int32 {
 	c.Parent = append(c.Parent, parent)
 	c.Kind = append(c.Kind, uint8(kind))
 	c.Sym = append(c.Sym, int32(sym))
+	b.t.textOrd = append(b.t.textOrd, int32(len(b.t.texts)))
 	return pre
 }
 

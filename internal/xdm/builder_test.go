@@ -11,7 +11,7 @@ import (
 
 // buildBoth constructs the same small document through Finalize (pointer
 // construction + re-walk) and through the TreeBuilder (columns only; nodes
-// from materialize on first Nodes call), for equivalence checks.
+// built rank by rank on request), for equivalence checks.
 func buildBoth() (*Tree, *Tree) {
 	// <r a="1" b="2"><x>hi</x><y c="3"><x/></y>tail</r>
 	r := NewElement("r")
@@ -45,15 +45,17 @@ func buildBoth() (*Tree, *Tree) {
 }
 
 // checkTreesEqual fails the test unless the two trees are structurally
-// identical: same nodes in preorder (kind, name, symbol, text, region
-// encoding, parent), same child/attribute lists — linked to the tree's own
-// nodes by pointer, not just by rank — same symbol tables, same text values
-// and same SoA columns. The xmlstore differential suite has its own copy
-// working through the public API.
+// identical: same SoA columns, same symbol tables, same text values, and for
+// every rank a built node with the same kind, name, symbol, text and region
+// encoding. want is a Finalize tree; its Parent/Children/Attrs links must be
+// what got's columns say (parent column, FirstChild/NextSibling, the
+// attribute run after the owner), and got's column Step must return got's
+// own nodes for those ranks. The xmlstore differential suite has its own
+// copy working through the public API.
 func checkTreesEqual(t *testing.T, want, got *Tree) {
 	t.Helper()
-	if got.nodes != nil {
-		t.Fatalf("builder tree holds %d nodes before anything asked for one", len(got.nodes))
+	if got.root != nil || got.ids.Load() != nil {
+		t.Fatalf("builder tree holds %d nodes before anything asked for one", got.NodesBuilt())
 	}
 	if want.CountNodes() != got.CountNodes() {
 		t.Fatalf("node count %d != %d", got.CountNodes(), want.CountNodes())
@@ -66,49 +68,15 @@ func checkTreesEqual(t *testing.T, want, got *Tree) {
 			t.Fatalf("symbol %d: %q != %q", s, got.Syms.Name(Sym(s)), want.Syms.Name(Sym(s)))
 		}
 	}
-	wn, gn := want.Nodes(), got.Nodes()
-	if len(wn) != len(gn) {
-		t.Fatalf("%d nodes != %d", len(gn), len(wn))
-	}
-	for pre := range wn {
-		w, g := wn[pre], gn[pre]
-		if w.Kind != g.Kind || w.Name != g.Name || w.Text != g.Text || w.Sym != g.Sym {
-			t.Fatalf("pre %d: node %v != %v", pre, g, w)
+	wc, gc := want.Cols, got.Cols
+	for pre := range wc.Kind {
+		if wc.Post[pre] != gc.Post[pre] || wc.Size[pre] != gc.Size[pre] ||
+			wc.Level[pre] != gc.Level[pre] || wc.Parent[pre] != gc.Parent[pre] ||
+			wc.Kind[pre] != gc.Kind[pre] || wc.Sym[pre] != gc.Sym[pre] {
+			t.Fatalf("pre %d: column mismatch (post %d/%d size %d/%d level %d/%d parent %d/%d kind %d/%d sym %d/%d)",
+				pre, gc.Post[pre], wc.Post[pre], gc.Size[pre], wc.Size[pre], gc.Level[pre], wc.Level[pre],
+				gc.Parent[pre], wc.Parent[pre], gc.Kind[pre], wc.Kind[pre], gc.Sym[pre], wc.Sym[pre])
 		}
-		if w.Pre != g.Pre || w.Post != g.Post || w.Size != g.Size || w.Level != g.Level {
-			t.Fatalf("pre %d: encoding (pre=%d post=%d size=%d level=%d) != (pre=%d post=%d size=%d level=%d)",
-				pre, g.Pre, g.Post, g.Size, g.Level, w.Pre, w.Post, w.Size, w.Level)
-		}
-		wp, gp := -1, -1
-		if w.Parent != nil {
-			wp = w.Parent.Pre
-		}
-		if g.Parent != nil {
-			gp = g.Parent.Pre
-		}
-		if wp != gp || (g.Parent != nil && g.Parent != gn[gp]) {
-			t.Fatalf("pre %d: parent %d != %d (or not this tree's node)", pre, gp, wp)
-		}
-		if len(w.Children) != len(g.Children) || len(w.Attrs) != len(g.Attrs) {
-			t.Fatalf("pre %d: %d children/%d attrs != %d children/%d attrs",
-				pre, len(g.Children), len(g.Attrs), len(w.Children), len(w.Attrs))
-		}
-		for i := range w.Children {
-			if g.Children[i] != gn[w.Children[i].Pre] {
-				t.Fatalf("pre %d child %d: %d != %d", pre, i, g.Children[i].Pre, w.Children[i].Pre)
-			}
-		}
-		for i := range w.Attrs {
-			if g.Attrs[i] != gn[w.Attrs[i].Pre] {
-				t.Fatalf("pre %d attr %d: %d != %d", pre, i, g.Attrs[i].Pre, w.Attrs[i].Pre)
-			}
-		}
-		if g.Doc != got {
-			t.Fatalf("pre %d: Doc pointer not set", pre)
-		}
-	}
-	if got.RootNode() != gn[0] || want.RootNode() != wn[0] {
-		t.Fatalf("RootNode is not rank 0")
 	}
 	wt, gt := want.TextValues(), got.TextValues()
 	if len(wt) != len(gt) {
@@ -119,14 +87,51 @@ func checkTreesEqual(t *testing.T, want, got *Tree) {
 			t.Fatalf("text value %d: %q != %q", i, gt[i], wt[i])
 		}
 	}
-	wc, gc := want.Cols, got.Cols
-	for pre := range wn {
-		if wc.Post[pre] != gc.Post[pre] || wc.Size[pre] != gc.Size[pre] ||
-			wc.Level[pre] != gc.Level[pre] || wc.Parent[pre] != gc.Parent[pre] ||
-			wc.Kind[pre] != gc.Kind[pre] || wc.Sym[pre] != gc.Sym[pre] {
-			t.Fatalf("pre %d: column mismatch (post %d/%d size %d/%d level %d/%d parent %d/%d kind %d/%d sym %d/%d)",
-				pre, gc.Post[pre], wc.Post[pre], gc.Size[pre], wc.Size[pre], gc.Level[pre], wc.Level[pre],
-				gc.Parent[pre], wc.Parent[pre], gc.Kind[pre], wc.Kind[pre], gc.Sym[pre], wc.Sym[pre])
+	for pre := range wc.Kind {
+		r := int32(pre)
+		w, g := want.Node(r), got.Node(r)
+		if w.Kind != g.Kind || w.Name != g.Name || w.Text != g.Text || w.Sym != g.Sym {
+			t.Fatalf("pre %d: node %v != %v", pre, g, w)
+		}
+		if w.Pre != g.Pre || w.Post != g.Post || w.Size != g.Size || w.Level != g.Level {
+			t.Fatalf("pre %d: encoding (pre=%d post=%d size=%d level=%d) != (pre=%d post=%d size=%d level=%d)",
+				pre, g.Pre, g.Post, g.Size, g.Level, w.Pre, w.Post, w.Size, w.Level)
+		}
+		if g.Doc != got || g != got.Node(r) || g.Parent != nil || g.Children != nil || g.Attrs != nil {
+			t.Fatalf("pre %d: built node not this tree's one unlinked node", pre)
+		}
+		wp := -1
+		if w.Parent != nil {
+			wp = w.Parent.Pre
+		}
+		if int32(wp) != gc.Parent[pre] {
+			t.Fatalf("pre %d: parent column %d, linked parent %d", pre, gc.Parent[pre], wp)
+		}
+		var kids, attrs []int32
+		for ch := gc.FirstChild(r); ch <= gc.End(r); ch = gc.NextSibling(ch) {
+			kids = append(kids, ch)
+		}
+		for a := r + 1; a <= gc.End(r) && Kind(gc.Kind[a]) == AttributeNode; a++ {
+			attrs = append(attrs, a)
+		}
+		checkLinks(t, pre, "child", w.Children, kids, Step(g, AxisChild, AnyNodeTest()), got)
+		checkLinks(t, pre, "attr", w.Attrs, attrs, Step(g, AxisAttribute, AnyNodeTest()), got)
+	}
+	if got.RootNode() != got.Node(0) || want.RootNode() != want.Nodes()[0] {
+		t.Fatalf("RootNode is not rank 0")
+	}
+}
+
+// checkLinks compares one of a Finalize node's link lists with the ranks the
+// columns give and with what Step built for them.
+func checkLinks(t *testing.T, pre int, what string, linked []*Node, ranks []int32, stepped []*Node, got *Tree) {
+	t.Helper()
+	if len(linked) != len(ranks) || len(stepped) != len(ranks) {
+		t.Fatalf("pre %d: %d %ss linked, %d on the columns, %d stepped", pre, len(linked), what, len(ranks), len(stepped))
+	}
+	for i, r := range ranks {
+		if linked[i].Pre != int(r) || stepped[i] != got.Node(r) {
+			t.Fatalf("pre %d %s %d: linked %d, columns %d, stepped %v", pre, what, i, linked[i].Pre, r, stepped[i])
 		}
 	}
 }
@@ -209,8 +214,10 @@ func buildWide(n int) *Tree {
 
 // TestBuilderAllocatesNoNodes pins the point of the builder: a finished tree
 // is columns, symbols and text values. Building an N-node tree must allocate
-// less than N Node structs' worth of bytes, and the tree must hold no node
-// until a forcing accessor asks for one.
+// less than N Node structs' worth of bytes, the tree must hold no node until
+// a rank is asked for, and then exactly the nodes asked for. (The serving
+// path's count — ingest → snapshot → query → serialize — is
+// TestQueryBuildsOnlyDeliveredNodes in the root package.)
 func TestBuilderAllocatesNoNodes(t *testing.T) {
 	const elems = 5000
 	var tr *Tree
@@ -226,26 +233,36 @@ func TestBuilderAllocatesNoNodes(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
 		t.Fatalf("building %d nodes allocated %d bytes, not under the %d a Node slab alone would take", n, got, budget)
 	}
-	if tr.root != nil || tr.nodes != nil {
-		t.Fatalf("finished tree already holds nodes")
+	if tr.NodesBuilt() != 0 {
+		t.Fatalf("finished tree already holds %d nodes", tr.NodesBuilt())
 	}
-	if got := len(tr.Nodes()); got != n {
-		t.Fatalf("Nodes() built %d nodes, want %d", got, n)
+	if tr.RootNode(); tr.NodesBuilt() != 1 || tr.ids.Load() != nil {
+		t.Fatalf("the document node built %d nodes (identity table %v)", tr.NodesBuilt(), tr.ids.Load() != nil)
+	}
+	es := Step(tr.DocElem(), AxisChild, NameTest("e"))
+	if len(es) != elems || tr.NodesBuilt() != 2+elems {
+		t.Fatalf("stepping to %d children built %d nodes, want %d", len(es), tr.NodesBuilt(), 2+elems)
+	}
+	if got := len(tr.Nodes()); got != n || tr.NodesBuilt() != n {
+		t.Fatalf("Nodes() returned %d and built %d nodes, want %d", got, tr.NodesBuilt(), n)
 	}
 }
 
 // TestFirstTouchRace forces one fresh tree from 8 goroutines at once, each
-// through all three accessors (starting with a different one); every call
-// must see the same node for rank 1 (run under -race via RACE_PKGS).
+// through several accessors (starting with a different one); every call must
+// see the same node for rank 1, and for a rank no goroutine has asked for
+// before, the same node from every goroutine (run under -race via RACE_PKGS
+// and make race's -count=20 loop).
 func TestFirstTouchRace(t *testing.T) {
 	tr := buildWide(200)
 	touch := []func() *Node{
-		func() *Node { return tr.RootNode().Children[0] },
-		func() *Node { return tr.Materialize([]int32{1})[0] },
+		func() *Node { return tr.Node(1) },
+		func() *Node { return Step(tr.RootNode(), AxisChild, StarTest())[0] },
 		tr.DocElem,
 	}
 	const goroutines = 8
 	seen := make([][3]*Node, goroutines)
+	fresh := make([]*Node, goroutines)
 	var start, done sync.WaitGroup
 	start.Add(1)
 	for g := 0; g < goroutines; g++ {
@@ -256,16 +273,23 @@ func TestFirstTouchRace(t *testing.T) {
 			for k := range touch {
 				seen[g][k] = touch[(g+k)%len(touch)]()
 			}
+			fresh[g] = tr.Node(300)
 		}(g)
 	}
 	start.Done()
 	done.Wait()
-	want := tr.Nodes()[1]
+	want := tr.Node(1)
 	for g, ns := range seen {
 		for k, n := range ns {
 			if n != want {
 				t.Fatalf("goroutine %d call %d saw %v for rank 1, want %v", g, k, n, want)
 			}
 		}
+		if fresh[g] != tr.Node(300) || fresh[g].Pre != 300 {
+			t.Fatalf("goroutine %d saw %v for rank 300, want %v", g, fresh[g], tr.Node(300))
+		}
+	}
+	if tr.NodesBuilt() != 3 {
+		t.Fatalf("racing for ranks 0, 1 and 300 left %d nodes built", tr.NodesBuilt())
 	}
 }

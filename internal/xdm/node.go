@@ -34,7 +34,8 @@ func (k Kind) String() string {
 }
 
 // Node is a node in an XML tree. Nodes have identity (pointer identity) and
-// carry a region encoding assigned by Finalize:
+// carry a region encoding assigned by Finalize (or read off the columns by
+// Tree.Node):
 //
 //	Pre    preorder rank in the document (document node = 0); attributes are
 //	       numbered directly after their owner element, before its children
@@ -42,6 +43,10 @@ func (k Kind) String() string {
 //	       node n contains node d iff n.Pre < d.Pre && d.Pre <= n.Pre+n.Size
 //	Post   postorder rank
 //	Level  depth (document node = 0)
+//
+// Parent, Children and Attrs are the links of a hand-built skeleton
+// (NewElement, AppendChild, SetAttr), which Finalize reads; a node built from
+// columns leaves them nil and is navigated through its tree's columns.
 type Node struct {
 	Kind     Kind
 	Name     string // element/attribute name
@@ -57,55 +62,58 @@ type Node struct {
 
 // Tree is a document: its region encoding as columns (Cols), its interned
 // names (Syms) and the string values of its text-bearing nodes. That is all a
-// loader builds and all the join kernels read. The pointer data model — one
-// Node per rank with Parent/Children/Attrs links — is derived from the
-// columns by materialize, once, the first time a forcing accessor (RootNode,
-// Nodes, Materialize, DocElem) is asked for a *Node; a tree nobody navigates
-// never allocates one. Finalize is the exception: it adopts the caller's
-// hand-built nodes and derives the columns from them.
+// loader builds and all the join kernels read. A *Node is built from the
+// columns only when a caller asks for its rank (Node), one at a time, and
+// kept in the tree's identity table so every later request for that rank
+// returns the same pointer; a tree nobody navigates builds its document node
+// and nothing else. Navigation reads the columns (Step, StringValue,
+// DocElem, the serializer). Finalize is the exception: it adopts the
+// caller's hand-built, linked nodes as the identity table and derives the
+// columns from them.
 type Tree struct {
 	ID   int      // document identifier for cross-document ordering
 	Syms *Symbols // interned element/attribute names (immutable once built)
 	Cols *Cols    // structure-of-arrays region encoding, indexed by Pre
 
-	texts []string     // values of the text and attribute nodes, in preorder
-	load  func() error // shell trees: fills Cols/Syms/texts on first use
-	once  sync.Once    // gates load + materialize
-	root  *Node        // the document node
-	nodes []*Node      // all nodes, indexed by Pre
+	texts   []string     // values of the text and attribute nodes, in preorder
+	textOrd []int32      // per rank: the text-bearing nodes before it (derived, never stored)
+	load    func() error // shell trees: fills Cols/Syms/texts on first use
+	once    sync.Once    // gates load and the document node
+	root    *Node        // the document node, built by force
+	// ids is the identity table, one slot per rank, allocated on the first
+	// request for a rank other than 0 (Finalize: the adopted nodes); a slot
+	// is published by CAS so racing first requests agree on one node.
+	ids atomic.Pointer[[]atomic.Pointer[Node]]
 }
 
-// force builds the pointer data model on first call. Safe for concurrent
-// use: Once.Do publishes root/nodes to every caller of a forcing accessor.
+// force runs a shell tree's loader and builds the document node, once. Safe
+// for concurrent use: Once.Do publishes the columns and the root to every
+// caller.
 //
-// On a shell tree the loader runs first. force cannot return an error, so a
-// failed load installs a minimal placeholder document: navigation through a
-// poisoned tree yields an empty document rather than a nil-pointer crash,
-// and the loader's own sticky error (xmlstore's Index.Ensure) surfaces at
-// the error-returning boundaries (prepare, resolve).
+// force cannot return an error, so a failed load installs a minimal
+// placeholder document: navigation through a poisoned tree yields an empty
+// document rather than a nil-pointer crash, and the loader's own sticky
+// error (xmlstore's Index.Ensure) surfaces at the error-returning boundaries
+// (prepare, resolve).
 func (t *Tree) force() {
 	t.once.Do(func() {
 		if t.load != nil && t.load() != nil {
 			t.poison()
-			return
 		}
-		t.materialize()
+		t.root = t.build(0)
 	})
 }
 
-// poison installs a minimal two-node document (document node over one empty
-// element) after a failed deferred load, so pointer navigation stays safe.
-// Cols stays nil; queries reach the load error before any kernel touches
-// the columns.
+// poison installs the columns of a minimal two-node document (document node
+// over one empty, unnamed element) after a failed deferred load, so every
+// column reader stays in range. The member's index streams stay empty;
+// queries reach the load error before any kernel runs.
 func (t *Tree) poison() {
-	doc := &Node{Kind: DocumentNode, Sym: NoSym, Size: 1, Post: 1, Doc: t}
-	el := &Node{Kind: ElementNode, Sym: NoSym, Pre: 1, Level: 1, Parent: doc, Doc: t}
-	doc.Children = []*Node{el}
-	t.root = doc
-	t.nodes = []*Node{doc, el}
-	if t.Syms == nil {
-		t.Syms = newSymbols()
-	}
+	b := NewTreeBuilder(2)
+	b.OpenElement(nil)
+	b.CloseElement()
+	p := b.Finish()
+	t.Cols, t.Syms, t.texts, t.textOrd = p.Cols, p.Syms, nil, p.textOrd
 }
 
 // NewShellTree returns an empty tree whose columns, symbols and text values
@@ -113,24 +121,87 @@ func (t *Tree) poison() {
 // at open time: the shell gives the corpus layer a stable identity (tree
 // pointer and ID, the keys of the catalog and preparation caches) while the
 // member's bytes stay untouched on disk. load runs at most once, under the
-// same once gate as materialization; it must fill the tree (FillColumns)
+// same once gate as the document node; it must fill the tree (FillColumns)
 // before returning nil.
 func NewShellTree(load func() error) *Tree {
 	return &Tree{ID: int(nextTreeID.Add(1)), load: load}
 }
 
-// RootNode returns the document node, building the tree's nodes on first use.
-func (t *Tree) RootNode() *Node {
-	t.force()
-	return t.root
+// RootNode returns the document node.
+func (t *Tree) RootNode() *Node { return t.Node(0) }
+
+// Node returns the node at preorder rank r, building it from the columns on
+// the first request and returning that same pointer on every later one.
+// Safe for concurrent use.
+func (t *Tree) Node(r int32) *Node {
+	ids := t.ids.Load()
+	if ids == nil {
+		// Nothing but the root asked for yet; the tree may not be loaded.
+		if t.force(); r == 0 {
+			return t.root
+		}
+		fresh := make([]atomic.Pointer[Node], len(t.Cols.Kind))
+		fresh[0].Store(t.root)
+		if !t.ids.CompareAndSwap(nil, &fresh) {
+			fresh = *t.ids.Load()
+		}
+		ids = &fresh
+	}
+	slot := &(*ids)[r]
+	if n := slot.Load(); n != nil {
+		return n
+	}
+	if n := t.build(r); slot.CompareAndSwap(nil, n) {
+		return n
+	}
+	return slot.Load()
 }
 
-// Nodes returns every node indexed by preorder rank, building them on first
-// use. The slice is shared and must not be modified.
+// build makes the node of rank r from the columns, unlinked.
+func (t *Tree) build(r int32) *Node {
+	c := t.Cols
+	n := &Node{Kind: Kind(c.Kind[r]), Pre: int(r), Post: int(c.Post[r]), Size: int(c.Size[r]),
+		Level: int(c.Level[r]), Sym: Sym(c.Sym[r]), Doc: t}
+	if n.Kind == ElementNode || n.Kind == AttributeNode {
+		n.Name = t.Syms.Name(n.Sym)
+	}
+	if n.Kind == TextNode || n.Kind == AttributeNode {
+		n.Text = t.Text(r)
+	}
+	return n
+}
+
+// NodesBuilt returns how many of the tree's nodes exist as *Node, the
+// document node included — a scan of the identity table for tests and
+// diagnostics; it builds nothing.
+func (t *Tree) NodesBuilt() int {
+	n := 0
+	if p := t.ids.Load(); p != nil {
+		for i := range *p {
+			if (*p)[i].Load() != nil {
+				n++
+			}
+		}
+	} else if t.root != nil {
+		n = 1
+	}
+	return n
+}
+
+// Nodes returns every node indexed by preorder rank, building each one —
+// a convenience for tests, which defeats the point of the lazy tree.
 func (t *Tree) Nodes() []*Node {
 	t.force()
-	return t.nodes
+	out := make([]*Node, len(t.Cols.Kind))
+	for r := range out {
+		out[r] = t.Node(int32(r))
+	}
+	return out
 }
+
+// Text returns the value of the text-bearing (text or attribute) node at
+// rank r.
+func (t *Tree) Text(r int32) string { return t.texts[t.textOrd[r]] }
 
 // TextValues returns the values of the text-bearing nodes (text and
 // attribute nodes) in preorder — what the snapshot writer stores beside the
@@ -207,14 +278,16 @@ func (n *Node) SetAttr(name, value string) *Node {
 var nextTreeID atomic.Int64
 
 // Finalize wraps root (an element) in a document node, assigns region
-// encodings to every node and returns the resulting Tree, which adopts the
-// caller's nodes as its pointer model. It is the independent reference the
-// TreeBuilder + materialize path is tested against. The tree must not be
-// mutated afterwards.
+// encodings to every node and returns the resulting Tree, whose identity
+// table adopts the caller's nodes — the only tree whose nodes keep their
+// Parent/Children/Attrs links. It is the independent reference the
+// TreeBuilder path is tested against. The tree must not be mutated
+// afterwards.
 func Finalize(root *Node) *Tree {
 	doc := &Node{Kind: DocumentNode, Sym: NoSym}
 	doc.AppendChild(root)
 	t := &Tree{root: doc, ID: int(nextTreeID.Add(1)), Syms: newSymbols()}
+	var nodes []*Node
 	pre, post := 0, 0
 	var walk func(n *Node, level int)
 	walk = func(n *Node, level int) {
@@ -231,7 +304,7 @@ func Finalize(root *Node) *Tree {
 			t.texts = append(t.texts, n.Text)
 		}
 		pre++
-		t.nodes = append(t.nodes, n)
+		nodes = append(nodes, n)
 		for _, a := range n.Attrs {
 			a.Pre = pre
 			a.Level = level + 1
@@ -241,7 +314,7 @@ func Finalize(root *Node) *Tree {
 			a.Post = post
 			post++
 			pre++
-			t.nodes = append(t.nodes, a)
+			nodes = append(nodes, a)
 			t.texts = append(t.texts, a.Text)
 		}
 		for _, c := range n.Children {
@@ -252,14 +325,15 @@ func Finalize(root *Node) *Tree {
 		n.Size = pre - n.Pre - 1
 	}
 	walk(doc, 0)
-	t.buildCols()
-	t.once.Do(func() {}) // the nodes are the caller's: nothing left to force
+	t.adopt(nodes)
+	t.once.Do(func() {}) // the root is the caller's: nothing left to force
 	return t
 }
 
-// buildCols fills the structure-of-arrays mirror from the finalized nodes.
-func (t *Tree) buildCols() {
-	n := len(t.nodes)
+// adopt derives the columns and the text ordinal from the finalized nodes
+// and makes them the tree's identity table.
+func (t *Tree) adopt(nodes []*Node) {
+	n := len(nodes)
 	c := &Cols{
 		Post:   make([]int32, n),
 		Size:   make([]int32, n),
@@ -268,7 +342,10 @@ func (t *Tree) buildCols() {
 		Kind:   make([]uint8, n),
 		Sym:    make([]int32, n),
 	}
-	for i, nd := range t.nodes {
+	t.textOrd = make([]int32, n)
+	ids := make([]atomic.Pointer[Node], n)
+	texts := int32(0)
+	for i, nd := range nodes {
 		c.Post[i] = int32(nd.Post)
 		c.Size[i] = int32(nd.Size)
 		c.Level[i] = int32(nd.Level)
@@ -279,23 +356,14 @@ func (t *Tree) buildCols() {
 		}
 		c.Kind[i] = uint8(nd.Kind)
 		c.Sym[i] = int32(nd.Sym)
+		t.textOrd[i] = texts
+		if nd.Kind == TextNode || nd.Kind == AttributeNode {
+			texts++
+		}
+		ids[i].Store(nd)
 	}
 	t.Cols = c
-}
-
-// Materialize resolves a slice of preorder ranks to the nodes themselves —
-// the one place integer results cross back into the pointer data model
-// (building it on first use).
-func (t *Tree) Materialize(ranks []int32) []*Node {
-	if len(ranks) == 0 {
-		return nil
-	}
-	nodes := t.Nodes()
-	out := make([]*Node, len(ranks))
-	for i, r := range ranks {
-		out[i] = nodes[r]
-	}
-	return out
+	t.ids.Store(&ids)
 }
 
 // Contains reports whether d is a proper descendant of n (attributes of a
@@ -307,26 +375,25 @@ func (n *Node) Contains(d *Node) bool {
 // End returns the last preorder rank inside n's region.
 func (n *Node) End() int { return n.Pre + n.Size }
 
-// StringValue returns the XPath string value of the node: the concatenation
-// of all descendant text for documents and elements, the stored text for
-// text and attribute nodes.
+// StringValue returns the XPath string value of the node: the
+// concatenation of all descendant text for documents and elements (read off
+// the columns of the node's region, attributes skipped), the stored text for
+// text and attribute nodes. A detached element (no tree yet) has no region
+// and reads as empty.
 func (n *Node) StringValue() string {
 	switch n.Kind {
 	case TextNode, AttributeNode:
 		return n.Text
 	}
 	var b strings.Builder
-	var walk func(*Node)
-	walk = func(c *Node) {
-		if c.Kind == TextNode {
-			b.WriteString(c.Text)
-			return
-		}
-		for _, ch := range c.Children {
-			walk(ch)
+	if t := n.Doc; t != nil {
+		c := t.Cols
+		for r, end := int32(n.Pre)+1, c.End(int32(n.Pre)); r <= end; r++ {
+			if Kind(c.Kind[r]) == TextNode {
+				b.WriteString(t.Text(r))
+			}
 		}
 	}
-	walk(n)
 	return b.String()
 }
 
@@ -347,7 +414,8 @@ func (n *Node) String() string {
 
 // CountNodes returns the number of nodes in the tree (including the document
 // node and attribute nodes), from the columns: it never builds a node. A
-// shell tree that has not loaded (or failed to) counts zero.
+// shell tree that has not loaded counts zero; one whose load failed, its
+// placeholder's two.
 func (t *Tree) CountNodes() int {
 	if t.Cols == nil {
 		return 0
@@ -357,9 +425,11 @@ func (t *Tree) CountNodes() int {
 
 // DocElem returns the single element child of the document node, or nil.
 func (t *Tree) DocElem() *Node {
-	for _, c := range t.RootNode().Children {
-		if c.Kind == ElementNode {
-			return c
+	t.force()
+	c := t.Cols
+	for ch := c.FirstChild(0); ch <= c.End(0); ch = c.NextSibling(ch) {
+		if Kind(c.Kind[ch]) == ElementNode {
+			return t.Node(ch)
 		}
 	}
 	return nil

@@ -13,8 +13,8 @@ import "fmt"
 // The columns are validated structurally here — parent ranks behind the
 // child, kinds that can nest, symbol and region bounds — so a corrupted
 // snapshot turns into an error at load time instead of an out-of-range
-// panic inside a join kernel or materialize. (TreeBuilder output is correct
-// by construction and skips this.)
+// panic inside a join kernel or a column reader. (TreeBuilder output is
+// correct by construction and skips this.)
 func (t *Tree) FillColumns(cols *Cols, syms *Symbols, texts []string) error {
 	n := len(cols.Kind)
 	if len(cols.Post) != n || len(cols.Size) != n || len(cols.Level) != n ||
@@ -34,11 +34,14 @@ func (t *Tree) FillColumns(cols *Cols, syms *Symbols, texts []string) error {
 	nsyms := int32(syms.Len())
 
 	// Validate every node against its parent, counting the document node's
-	// children and the text-bearing nodes for the invariants checked below.
-	// (This pass is about rejecting corrupted columns while errors can still
-	// be returned; materialize trusts what passed it.)
+	// children and the text-bearing nodes for the invariants checked below,
+	// and derive each rank's text ordinal on the way. (This pass is about
+	// rejecting corrupted columns while errors can still be returned; the
+	// column readers trust what passed it.)
 	docChildren, nTexts := 0, 0
+	textOrd := make([]int32, n)
 	for i := 1; i < n; i++ {
+		textOrd[i] = int32(nTexts)
 		p := cols.Parent[i]
 		if p < 0 || int(p) >= i {
 			return fmt.Errorf("xdm: node %d has parent rank %d (not an earlier node)", i, p)
@@ -108,73 +111,6 @@ func (t *Tree) FillColumns(cols *Cols, syms *Symbols, texts []string) error {
 	t.Syms = syms
 	t.Cols = cols
 	t.texts = texts
+	t.textOrd = textOrd
 	return nil
-}
-
-// materialize builds the pointer data model over the columns — the only
-// place a loaded tree's nodes come from: the nodes in one slab and the
-// Children/Attrs lists in one pointer arena (the exact counts are known, so
-// this is two allocations plus the headers). The arena is laid out in
-// preorder of the owners, each owner's attributes before its children; an
-// owner claims its two capacity-bounded regions when it is visited, and its
-// attributes and children, which all follow it in preorder, append into
-// them. Called exactly once, under the once gate (Tree.force).
-func (t *Tree) materialize() {
-	cols, names, texts := t.Cols, t.Syms.Names(), t.texts
-	n := len(cols.Kind)
-	nattrs := make([]int32, n)
-	nkids := make([]int32, n)
-	for i := 1; i < n; i++ {
-		if Kind(cols.Kind[i]) == AttributeNode {
-			nattrs[cols.Parent[i]]++
-		} else {
-			nkids[cols.Parent[i]]++
-		}
-	}
-	slab := make([]Node, n)
-	nodes := make([]*Node, n)
-	ptrs := make([]*Node, n-1) // every node except the document is someone's child or attr
-	off, ti := int32(0), 0
-	for i := 0; i < n; i++ {
-		nd := &slab[i]
-		nodes[i] = nd
-		k := Kind(cols.Kind[i])
-		nd.Kind = k
-		nd.Pre = i
-		nd.Post = int(cols.Post[i])
-		nd.Size = int(cols.Size[i])
-		nd.Level = int(cols.Level[i])
-		nd.Sym = Sym(cols.Sym[i])
-		nd.Doc = t
-		switch k {
-		case ElementNode:
-			nd.Name = names[nd.Sym]
-		case AttributeNode:
-			nd.Name = names[nd.Sym]
-			nd.Text = texts[ti]
-			ti++
-		case TextNode:
-			nd.Text = texts[ti]
-			ti++
-		}
-		if a := nattrs[i]; a > 0 {
-			nd.Attrs = ptrs[off : off : off+a]
-			off += a
-		}
-		if c := nkids[i]; c > 0 {
-			nd.Children = ptrs[off : off : off+c]
-			off += c
-		}
-		if i == 0 {
-			continue
-		}
-		nd.Parent = nodes[cols.Parent[i]]
-		if k == AttributeNode {
-			nd.Parent.Attrs = append(nd.Parent.Attrs, nd)
-		} else {
-			nd.Parent.Children = append(nd.Parent.Children, nd)
-		}
-	}
-	t.root = nodes[0]
-	t.nodes = nodes
 }

@@ -1,6 +1,9 @@
 package xdm
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Axis is an XPath axis. Tree patterns use the forward subset (child,
 // descendant, descendant-or-self, attribute, self); the navigational
@@ -142,23 +145,49 @@ func (t NodeTest) String() string {
 	return "test?"
 }
 
-// Matches reports whether node n satisfies the test on the given axis. The
-// principal node kind is attribute for the attribute axis and element for
-// every other axis.
-func (t NodeTest) Matches(axis Axis, n *Node) bool {
-	principal := ElementNode
+// RankTest is a node test compiled against one tree: the name resolved to
+// its interned symbol, the principal node kind fixed by the axis. It tests a
+// rank on the columns — at most two integer compares — so a candidate is
+// accepted or rejected before any node is built for it. The join kernels
+// compile one per pattern step; Step and the nested loop's cursor one per
+// call.
+type RankTest struct {
+	kind      TestKind
+	principal Kind // element, or attribute on the attribute axis
+	sym       Sym  // resolved name; NoSym when absent from the tree
+}
+
+// On compiles the test for an axis step in tree t.
+func (test NodeTest) On(axis Axis, t *Tree) RankTest {
+	m := RankTest{kind: test.Kind, principal: ElementNode, sym: NoSym}
 	if axis == AxisAttribute {
-		principal = AttributeNode
+		m.principal = AttributeNode
 	}
-	switch t.Kind {
+	if test.Kind == TestName {
+		m.sym, _ = t.Syms.Lookup(test.Name)
+	}
+	return m
+}
+
+// Empty reports whether the test provably matches nothing in its tree: a
+// name test for a name the tree does not hold.
+func (m RankTest) Empty() bool { return m.kind == TestName && m.sym == NoSym }
+
+// AnyNode reports whether the test is node(), the one test that also
+// matches the document node.
+func (m RankTest) AnyNode() bool { return m.kind == TestNode }
+
+// Matches reports whether the node at rank r satisfies the test.
+func (m RankTest) Matches(c *Cols, r int32) bool {
+	switch m.kind {
 	case TestName:
-		return n.Kind == principal && n.Name == t.Name
+		return c.Sym[r] == int32(m.sym) && c.Kind[r] == uint8(m.principal)
 	case TestStar:
-		return n.Kind == principal
+		return c.Kind[r] == uint8(m.principal)
 	case TestNode:
 		return true
 	case TestText:
-		return n.Kind == TextNode
+		return c.Kind[r] == uint8(TextNode)
 	}
 	return false
 }
@@ -166,104 +195,87 @@ func (t NodeTest) Matches(axis Axis, n *Node) bool {
 // Step performs a navigational axis step from a single context node and
 // returns the matching nodes in document order, duplicate-free. This is the
 // primitive that nested-loop evaluation (TreeJoin / NLJoin) is built from.
+// The axes are rank arithmetic over the context's tree columns, and a node
+// is built for each match only; a detached node (no tree) has no axes.
 func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
+	t := ctx.Doc
+	if t == nil {
+		return nil
+	}
+	m := test.On(axis, t)
+	if m.Empty() {
+		return nil
+	}
+	c := t.Cols
+	r := int32(ctx.Pre)
 	var out []*Node
+	add := func(p int32) {
+		if m.Matches(c, p) {
+			out = append(out, t.Node(p))
+		}
+	}
 	switch axis {
 	case AxisChild:
-		for _, c := range ctx.Children {
-			if test.Matches(axis, c) {
-				out = append(out, c)
+		for ch := c.FirstChild(r); ch <= c.End(r); ch = c.NextSibling(ch) {
+			add(ch)
+		}
+	case AxisDescendant, AxisDescendantOrSelf:
+		if axis == AxisDescendantOrSelf {
+			add(r)
+		}
+		for d := r + 1; d <= c.End(r); d++ {
+			if Kind(c.Kind[d]) != AttributeNode {
+				add(d)
 			}
 		}
-	case AxisDescendant:
-		appendDescendants(ctx, axis, test, &out)
-	case AxisDescendantOrSelf:
-		if test.Matches(axis, ctx) {
-			out = append(out, ctx)
-		}
-		appendDescendants(ctx, axis, test, &out)
 	case AxisAttribute:
-		for _, a := range ctx.Attrs {
-			if test.Matches(axis, a) {
-				out = append(out, a)
-			}
+		for a := r + 1; a <= c.End(r) && Kind(c.Kind[a]) == AttributeNode; a++ {
+			add(a)
 		}
 	case AxisSelf:
-		if test.Matches(axis, ctx) {
-			out = append(out, ctx)
-		}
+		add(r)
 	case AxisParent:
-		if ctx.Parent != nil && test.Matches(axis, ctx.Parent) {
-			out = append(out, ctx.Parent)
+		if p := c.Parent[r]; p >= 0 {
+			add(p)
 		}
-	case AxisAncestor:
-		for p := ctx.Parent; p != nil; p = p.Parent {
-			if test.Matches(axis, p) {
-				out = append(out, p)
-			}
+	case AxisAncestor, AxisAncestorOrSelf:
+		p := c.Parent[r]
+		if axis == AxisAncestorOrSelf {
+			p = r
 		}
-		reverseNodes(out)
-	case AxisAncestorOrSelf:
-		for p := ctx; p != nil; p = p.Parent {
-			if test.Matches(axis, p) {
-				out = append(out, p)
-			}
+		for ; p >= 0; p = c.Parent[p] {
+			add(p)
 		}
-		reverseNodes(out)
+		slices.Reverse(out)
 	case AxisFollowingSibling, AxisPrecedingSibling:
-		if ctx.Parent == nil || ctx.Kind == AttributeNode {
+		p := c.Parent[r]
+		if p < 0 || Kind(c.Kind[r]) == AttributeNode {
 			return nil
 		}
-		for _, sib := range ctx.Parent.Children {
-			if sib == ctx {
-				continue
+		if axis == AxisFollowingSibling {
+			for s := c.NextSibling(r); s <= c.End(p); s = c.NextSibling(s) {
+				add(s)
 			}
-			after := sib.Pre > ctx.Pre
-			if (axis == AxisFollowingSibling) == after && test.Matches(axis, sib) {
-				out = append(out, sib)
+		} else {
+			for s := c.FirstChild(p); s < r; s = c.NextSibling(s) {
+				add(s)
 			}
 		}
 	case AxisFollowing:
-		// All nodes after the end of ctx's subtree, in document order
+		// All nodes after the end of ctx's region, in document order
 		// (attributes are not on the following axis).
-		for pre := ctx.End() + 1; pre < len(ctx.Doc.nodes); pre++ {
-			n := ctx.Doc.nodes[pre]
-			if n.Kind == AttributeNode {
-				continue
-			}
-			if test.Matches(axis, n) {
-				out = append(out, n)
+		for f := c.End(r) + 1; int(f) < len(c.Kind); f++ {
+			if Kind(c.Kind[f]) != AttributeNode {
+				add(f)
 			}
 		}
 	case AxisPreceding:
 		// All nodes strictly before ctx that are not its ancestors.
-		for pre := 1; pre < ctx.Pre; pre++ {
-			n := ctx.Doc.nodes[pre]
-			if n.Kind == AttributeNode || n.Contains(ctx) {
-				continue
-			}
-			if test.Matches(axis, n) {
-				out = append(out, n)
+		for p := int32(1); p < r; p++ {
+			if Kind(c.Kind[p]) != AttributeNode && !c.Contains(p, r) {
+				add(p)
 			}
 		}
 	}
 	return out
-}
-
-// appendDescendants walks the subtree below ctx in document order,
-// appending matching element/text nodes (attributes are not on the
-// descendant axis).
-func appendDescendants(ctx *Node, axis Axis, test NodeTest, out *[]*Node) {
-	for _, c := range ctx.Children {
-		if test.Matches(axis, c) {
-			*out = append(*out, c)
-		}
-		appendDescendants(c, axis, test, out)
-	}
-}
-
-func reverseNodes(ns []*Node) {
-	for i, j := 0, len(ns)-1; i < j; i, j = i+1, j-1 {
-		ns[i], ns[j] = ns[j], ns[i]
-	}
 }

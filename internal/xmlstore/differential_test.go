@@ -2,6 +2,7 @@ package xmlstore
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,18 +13,19 @@ import (
 // The differential contract of the ingest path: for every input that
 // ParseStd (the encoding/xml reference) accepts, the scanner must accept it
 // too and produce a bit-identical tree — same symbol table, same columns,
-// and, once forced through the Nodes accessor, the same nodes in preorder
-// as the skeleton Finalize adopted — and Ingest's index must equal a
-// BuildIndex run over the reference tree. The scanner may additionally
-// accept inputs ParseStd rejects (it is non-validating); it must never
-// reject what ParseStd accepts.
+// same text values, and, rank by rank, built nodes equal to the ones
+// Finalize adopted, whose links the columns must reproduce — and Ingest's
+// index must equal a BuildIndex run over the reference tree. Both trees
+// must serialize to the bytes the reference's links walk to. The scanner
+// may additionally accept inputs ParseStd rejects (it is non-validating);
+// it must never reject what ParseStd accepts.
 
 // parseStdString runs the reference path over a string.
 func parseStdString(s string) (*xdm.Tree, error) { return ParseStd(strings.NewReader(s)) }
 
-// requireIngestMatchesStd holds Ingest (scan → columns → BuildIndex →
-// materialize on demand) to the reference (ParseStd → Finalize →
-// BuildIndex), rank for rank and node for node.
+// requireIngestMatchesStd holds Ingest (scan → columns → BuildIndex → nodes
+// on request) to the reference (ParseStd → Finalize → BuildIndex), rank for
+// rank, node for node and byte for byte.
 func requireIngestMatchesStd(t *testing.T, want *xdm.Tree, data []byte) {
 	t.Helper()
 	ix, err := Ingest(data)
@@ -32,9 +34,12 @@ func requireIngestMatchesStd(t *testing.T, want *xdm.Tree, data []byte) {
 	}
 	requireIndexesEqual(t, BuildIndex(want), ix)
 	requireTreesEqual(t, want, ix.Tree)
+	requireSerializationsAgree(t, want, ix.Tree)
 }
 
-// requireTreesEqual compares two trees node for node and column for column.
+// requireTreesEqual compares two trees column for column and node for node;
+// want must be a Finalize tree, whose Parent/Children/Attrs links are checked
+// against got's columns.
 func requireTreesEqual(t *testing.T, want, got *xdm.Tree) {
 	t.Helper()
 	if want.CountNodes() != got.CountNodes() {
@@ -48,8 +53,22 @@ func requireTreesEqual(t *testing.T, want, got *xdm.Tree) {
 			t.Fatalf("symbol %d: fast %q, std %q", s, got.Syms.Name(xdm.Sym(s)), want.Syms.Name(xdm.Sym(s)))
 		}
 	}
-	for pre := range want.Nodes() {
-		w, g := want.Nodes()[pre], got.Nodes()[pre]
+	if !slices.Equal(want.TextValues(), got.TextValues()) {
+		t.Fatalf("text values: fast %q, std %q", got.TextValues(), want.TextValues())
+	}
+	wc, gc := want.Cols, got.Cols
+	for pre := range wc.Kind {
+		if wc.Post[pre] != gc.Post[pre] || wc.Size[pre] != gc.Size[pre] ||
+			wc.Level[pre] != gc.Level[pre] || wc.Parent[pre] != gc.Parent[pre] ||
+			wc.Kind[pre] != gc.Kind[pre] || wc.Sym[pre] != gc.Sym[pre] {
+			t.Fatalf("pre %d: column mismatch fast(post=%d size=%d level=%d parent=%d kind=%d sym=%d) std(post=%d size=%d level=%d parent=%d kind=%d sym=%d)",
+				pre, gc.Post[pre], gc.Size[pre], gc.Level[pre], gc.Parent[pre], gc.Kind[pre], gc.Sym[pre],
+				wc.Post[pre], wc.Size[pre], wc.Level[pre], wc.Parent[pre], wc.Kind[pre], wc.Sym[pre])
+		}
+	}
+	for pre := range wc.Kind {
+		r := int32(pre)
+		w, g := want.Node(r), got.Node(r)
 		if w.Kind != g.Kind || w.Name != g.Name || w.Text != g.Text || w.Sym != g.Sym {
 			t.Fatalf("pre %d: fast {kind=%v name=%q text=%q sym=%d}, std {kind=%v name=%q text=%q sym=%d}",
 				pre, g.Kind, g.Name, g.Text, g.Sym, w.Kind, w.Name, w.Text, w.Sym)
@@ -58,43 +77,56 @@ func requireTreesEqual(t *testing.T, want, got *xdm.Tree) {
 			t.Fatalf("pre %d: encoding fast (post=%d size=%d level=%d), std (post=%d size=%d level=%d)",
 				pre, g.Post, g.Size, g.Level, w.Post, w.Size, w.Level)
 		}
-		wp, gp := -1, -1
-		if w.Parent != nil {
-			wp = w.Parent.Pre
-		}
-		if g.Parent != nil {
-			gp = g.Parent.Pre
-		}
-		if wp != gp {
-			t.Fatalf("pre %d: parent fast %d, std %d", pre, gp, wp)
-		}
-		if len(w.Children) != len(g.Children) || len(w.Attrs) != len(g.Attrs) {
-			t.Fatalf("pre %d: fast %d children/%d attrs, std %d children/%d attrs",
-				pre, len(g.Children), len(g.Attrs), len(w.Children), len(w.Attrs))
-		}
-		for i := range w.Children {
-			if w.Children[i].Pre != g.Children[i].Pre {
-				t.Fatalf("pre %d child %d: fast %d, std %d", pre, i, g.Children[i].Pre, w.Children[i].Pre)
-			}
-		}
-		for i := range w.Attrs {
-			if w.Attrs[i].Pre != g.Attrs[i].Pre {
-				t.Fatalf("pre %d attr %d: fast %d, std %d", pre, i, g.Attrs[i].Pre, w.Attrs[i].Pre)
-			}
-		}
 		if g.Doc != got {
 			t.Fatalf("pre %d: Doc pointer not set", pre)
 		}
-	}
-	wc, gc := want.Cols, got.Cols
-	for pre := range want.Nodes() {
-		if wc.Post[pre] != gc.Post[pre] || wc.Size[pre] != gc.Size[pre] ||
-			wc.Level[pre] != gc.Level[pre] || wc.Parent[pre] != gc.Parent[pre] ||
-			wc.Kind[pre] != gc.Kind[pre] || wc.Sym[pre] != gc.Sym[pre] {
-			t.Fatalf("pre %d: column mismatch fast(post=%d size=%d level=%d parent=%d kind=%d sym=%d) std(post=%d size=%d level=%d parent=%d kind=%d sym=%d)",
-				pre, gc.Post[pre], gc.Size[pre], gc.Level[pre], gc.Parent[pre], gc.Kind[pre], gc.Sym[pre],
-				wc.Post[pre], wc.Size[pre], wc.Level[pre], wc.Parent[pre], wc.Kind[pre], wc.Sym[pre])
+		if w.Parent != nil && int32(w.Parent.Pre) != gc.Parent[pre] {
+			t.Fatalf("pre %d: parent column %d, std link %d", pre, gc.Parent[pre], w.Parent.Pre)
 		}
+		var kids, attrs []int
+		for ch := gc.FirstChild(r); ch <= gc.End(r); ch = gc.NextSibling(ch) {
+			kids = append(kids, int(ch))
+		}
+		for a := r + 1; a <= gc.End(r) && xdm.Kind(gc.Kind[a]) == xdm.AttributeNode; a++ {
+			attrs = append(attrs, int(a))
+		}
+		if !slices.Equal(kids, pres(w.Children)) || !slices.Equal(attrs, pres(w.Attrs)) {
+			t.Fatalf("pre %d: fast children %v attrs %v, std %v %v", pre, kids, attrs, pres(w.Children), pres(w.Attrs))
+		}
+	}
+}
+
+func pres(ns []*xdm.Node) []int {
+	out := make([]int, len(ns))
+	for i, n := range ns {
+		out[i] = n.Pre
+	}
+	return out
+}
+
+// requireSerializationsAgree holds the column serializer to the link walk:
+// for every rank, AppendXML over the columns of the reference tree and of
+// the ingested one must be the bytes appendLinked walks from the reference
+// node, and Serialize (flushing through the same scan) must write the
+// document's bytes.
+func requireSerializationsAgree(t *testing.T, want, got *xdm.Tree) {
+	t.Helper()
+	for pre := range want.Cols.Kind {
+		r := int32(pre)
+		ref := appendLinked(nil, want.Node(r))
+		if out := AppendXML(nil, want.Node(r)); !bytes.Equal(out, ref) {
+			t.Fatalf("pre %d: column AppendXML %q, link walk %q", pre, out, ref)
+		}
+		if out := AppendXML(nil, got.Node(r)); !bytes.Equal(out, ref) {
+			t.Fatalf("pre %d: ingested AppendXML %q, link walk %q", pre, out, ref)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Serialize(&buf, got.RootNode()); err != nil {
+		t.Fatal(err)
+	}
+	if ref := appendLinked(nil, want.RootNode()); !bytes.Equal(buf.Bytes(), ref) {
+		t.Fatalf("Serialize wrote %d bytes differing from the link walk's %d", buf.Len(), len(ref))
 	}
 }
 
@@ -272,9 +304,8 @@ func TestXmlnsDropSymmetry(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s rejected %q: %v", parse.label, tc.doc, err)
 			}
-			root := tr.RootNode().Children[0]
 			var names []string
-			for _, a := range root.Attrs {
+			for _, a := range xdm.Step(tr.DocElem(), xdm.AxisAttribute, xdm.StarTest()) {
 				names = append(names, a.Name)
 			}
 			if len(names) != len(tc.wantAttrs) {
@@ -291,7 +322,7 @@ func TestXmlnsDropSymmetry(t *testing.T) {
 
 // FuzzScanVsStd fuzzes the differential contract: whenever ParseStd accepts
 // an input, the fast scanner must accept it and produce an identical tree
-// and index.
+// and index, and both must serialize to the reference's link walk.
 func FuzzScanVsStd(f *testing.F) {
 	for _, doc := range differentialCorpus {
 		f.Add([]byte(doc))

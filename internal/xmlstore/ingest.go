@@ -5,8 +5,8 @@ package xmlstore
 // interns tag and attribute names and emits the post/size/level/parent/
 // kind/sym columns plus the text values; BuildIndex then derives the rank
 // streams from the kind/sym columns in two exactly-sized passes. No node is
-// allocated — the tree builds its pointer model from the columns if and when
-// somebody navigates it.
+// allocated — the tree builds a node from the columns when somebody asks for
+// its rank.
 //
 // The scanner accepts a superset of what ParseStd accepts (no UTF-8
 // validation, no name-character checks, '<' allowed in attribute values,

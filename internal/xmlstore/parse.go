@@ -84,37 +84,58 @@ func ParseStd(r io.Reader) (*xdm.Tree, error) {
 // and returns the extended slice. The output round-trips through both Ingest
 // and ParseStd: text escapes &, <, > and carriage returns (which parsers
 // would otherwise normalize to \n); attribute values additionally escape
-// quotes, tabs, and newlines numerically.
+// quotes, tabs, and newlines numerically. A node of a tree is rendered from
+// the tree's columns (xmlWriter.scan) and builds no node; a detached node
+// skeleton (gen.XMarkRoot and friends, never finalized) by its links.
 func AppendXML(dst []byte, n *xdm.Node) []byte {
+	if n.Doc == nil {
+		return appendLinked(dst, n)
+	}
+	x := xmlWriter{buf: dst}
+	x.scan(n.Doc, int32(n.Pre))
+	return x.buf
+}
+
+// appendLinked serializes a detached node skeleton by its
+// Children/Attrs links.
+func appendLinked(dst []byte, n *xdm.Node) []byte {
 	switch n.Kind {
 	case xdm.DocumentNode:
 		for _, c := range n.Children {
-			dst = AppendXML(dst, c)
+			dst = appendLinked(dst, c)
 		}
 		return dst
 	case xdm.TextNode:
 		return appendEscaped(dst, n.Text, false)
 	case xdm.AttributeNode:
-		dst = append(dst, n.Name...)
-		dst = append(dst, '=', '"')
-		dst = appendEscaped(dst, n.Text, true)
-		return append(dst, '"')
+		return appendAttr(dst, n.Name, n.Text)
 	}
 	dst = append(dst, '<')
 	dst = append(dst, n.Name...)
 	for _, a := range n.Attrs {
 		dst = append(dst, ' ')
-		dst = AppendXML(dst, a)
+		dst = appendLinked(dst, a)
 	}
 	if len(n.Children) == 0 {
 		return append(dst, '/', '>')
 	}
 	dst = append(dst, '>')
 	for _, c := range n.Children {
-		dst = AppendXML(dst, c)
+		dst = appendLinked(dst, c)
 	}
+	return appendClose(dst, n.Name)
+}
+
+func appendAttr(dst []byte, name, value string) []byte {
+	dst = append(dst, name...)
+	dst = append(dst, '=', '"')
+	dst = appendEscaped(dst, value, true)
+	return append(dst, '"')
+}
+
+func appendClose(dst []byte, name string) []byte {
 	dst = append(dst, '<', '/')
-	dst = append(dst, n.Name...)
+	dst = append(dst, name...)
 	return append(dst, '>')
 }
 
@@ -168,15 +189,21 @@ func appendEscaped(dst []byte, s string, attr bool) []byte {
 // fixed-size buffer instead of materializing the whole serialization.
 func Serialize(w io.Writer, n *xdm.Node) error {
 	x := &xmlWriter{w: w, buf: make([]byte, 0, serializeBufSize)}
-	x.emit(n)
+	if n.Doc == nil {
+		x.buf = appendLinked(x.buf, n)
+	} else {
+		x.scan(n.Doc, int32(n.Pre))
+	}
 	x.flush()
 	return x.err
 }
 
 const serializeBufSize = 32 << 10
 
+// xmlWriter is the serializer's output: a buffer that AppendXML returns and
+// Serialize flushes to w whenever it passes serializeBufSize.
 type xmlWriter struct {
-	w   io.Writer
+	w   io.Writer // nil: append only
 	buf []byte
 	err error
 }
@@ -188,39 +215,61 @@ func (x *xmlWriter) flush() {
 	x.buf = x.buf[:0]
 }
 
-func (x *xmlWriter) emit(n *xdm.Node) {
-	if x.err != nil {
+// scan serializes the region of rank r in one preorder pass over the
+// Kind/Sym/Size columns. An element's start tag takes its attribute run
+// (the ranks directly after it); the end tags it owes are closed through the
+// Parent column — the innermost open element's parent is the next one out —
+// when the scan reaches a node outside its region, so no recursion and no
+// stack is needed.
+func (x *xmlWriter) scan(t *xdm.Tree, r int32) {
+	c := t.Cols
+	name := func(p int32) string { return t.Syms.Name(xdm.Sym(c.Sym[p])) }
+	switch xdm.Kind(c.Kind[r]) {
+	case xdm.TextNode:
+		x.buf = appendEscaped(x.buf, t.Text(r), false)
+		return
+	case xdm.AttributeNode:
+		x.buf = appendAttr(x.buf, name(r), t.Text(r))
 		return
 	}
-	switch n.Kind {
-	case xdm.DocumentNode:
-		for _, c := range n.Children {
-			x.emit(c)
+	// floor is where closing stops: outside the element's region, or the
+	// document node, which has no tags.
+	floor, p := r, r+1
+	if xdm.Kind(c.Kind[r]) == xdm.ElementNode {
+		floor, p = c.Parent[r], r
+	}
+	open := floor // innermost element whose end tag is owed
+	for end := c.End(r); p <= end && x.err == nil; {
+		for open != c.Parent[p] {
+			x.buf = appendClose(x.buf, name(open))
+			open = c.Parent[open]
 		}
-		return
-	case xdm.TextNode, xdm.AttributeNode:
-		x.buf = AppendXML(x.buf, n)
-	default:
-		x.buf = append(x.buf, '<')
-		x.buf = append(x.buf, n.Name...)
-		for _, a := range n.Attrs {
-			x.buf = append(x.buf, ' ')
-			x.buf = AppendXML(x.buf, a)
-		}
-		if len(n.Children) == 0 {
-			x.buf = append(x.buf, '/', '>')
+		if xdm.Kind(c.Kind[p]) == xdm.TextNode {
+			x.buf = appendEscaped(x.buf, t.Text(p), false)
+			p++
 		} else {
-			x.buf = append(x.buf, '>')
-			for _, c := range n.Children {
-				x.emit(c)
+			x.buf = append(x.buf, '<')
+			x.buf = append(x.buf, name(p)...)
+			q, last := p+1, c.End(p)
+			for ; q <= last && xdm.Kind(c.Kind[q]) == xdm.AttributeNode; q++ {
+				x.buf = append(x.buf, ' ')
+				x.buf = appendAttr(x.buf, name(q), t.Text(q))
 			}
-			x.buf = append(x.buf, '<', '/')
-			x.buf = append(x.buf, n.Name...)
-			x.buf = append(x.buf, '>')
+			if q > last {
+				x.buf = append(x.buf, '/', '>')
+			} else {
+				x.buf = append(x.buf, '>')
+				open = p
+			}
+			p = q
+		}
+		if x.w != nil && len(x.buf) >= serializeBufSize {
+			x.flush()
 		}
 	}
-	if len(x.buf) >= serializeBufSize {
-		x.flush()
+	for open != floor {
+		x.buf = appendClose(x.buf, name(open))
+		open = c.Parent[open]
 	}
 }
 

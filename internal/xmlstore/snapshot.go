@@ -28,8 +28,8 @@ package xmlstore
 // each member's full parse + structural validation runs at most once, behind
 // a sync.Once, the first time a query (or an explicit Ensure) needs it —
 // first query on a member pays that member's validation, untouched members
-// pay nothing. The pointer data model (Node structs) is a further step
-// behind the same once chain (xdm shell trees), as for every loaded tree.
+// pay nothing. A Node struct is built only for a rank somebody asks for
+// (xdm.Tree.Node), as for every loaded tree.
 //
 // Layout (all integers little-endian; every array starts 8-byte aligned, so
 // int32/u32 arrays can be viewed in place at any page offset):
@@ -448,7 +448,7 @@ func (r *snapReader) stringTable(count int) ([]string, error) {
 }
 
 // checkRanks validates a rank stream: strictly ascending within [0, nNodes),
-// so Materialize and the binary-search kernels can never index out of range
+// so node delivery and the binary-search kernels can never index out of range
 // over a corrupted snapshot.
 func checkRanks(a []int32, nNodes int) error {
 	prev := int32(-1)
@@ -585,7 +585,7 @@ func (l *lazyMember) streamLen(s xdm.Sym, attr bool) (int, bool) {
 // Ensure forces the member's deferred parse + structural validation; a
 // no-op on loaded members and eagerly built indexes. The first error is
 // sticky: every later Ensure returns it, and the member's tree is poisoned
-// to an empty placeholder so pointer navigation cannot fault.
+// to an empty placeholder document so no reader can fault.
 func (ix *Index) Ensure() error {
 	l := ix.lazy
 	if l == nil {

@@ -16,33 +16,28 @@ import (
 )
 
 // indexesEqual compares two indexes node for node and stream for stream:
-// the region columns, the pointer data model, and every tag stream.
+// the region columns (parents included), the text values, the nodes built
+// from them, the serialization, and every tag stream.
 func indexesEqual(t *testing.T, a, b *Index) {
 	t.Helper()
 	ta, tb := a.Tree, b.Tree
-	// Force materialization so the pointer data model of a snapshot-loaded
-	// tree is built and compared, not just its columns.
-	ta.RootNode()
-	tb.RootNode()
-	if len(ta.Nodes()) != len(tb.Nodes()) {
-		t.Fatalf("node count %d != %d", len(tb.Nodes()), len(ta.Nodes()))
+	na, nb := ta.Nodes(), tb.Nodes()
+	if len(na) != len(nb) {
+		t.Fatalf("node count %d != %d", len(nb), len(na))
 	}
-	for i := range ta.Nodes() {
-		x, y := ta.Nodes()[i], tb.Nodes()[i]
+	for i := range na {
+		x, y := na[i], nb[i]
 		if x.Kind != y.Kind || x.Name != y.Name || x.Text != y.Text ||
 			x.Pre != y.Pre || x.Post != y.Post || x.Size != y.Size || x.Level != y.Level ||
 			x.Sym != y.Sym {
 			t.Fatalf("node %d differs: %+v vs %+v", i, x, y)
 		}
-		if len(x.Children) != len(y.Children) || len(x.Attrs) != len(y.Attrs) {
-			t.Fatalf("node %d fan-out differs", i)
-		}
-		if (x.Parent == nil) != (y.Parent == nil) {
-			t.Fatalf("node %d parent presence differs", i)
-		}
-		if x.Parent != nil && x.Parent.Pre != y.Parent.Pre {
-			t.Fatalf("node %d parent differs: %d vs %d", i, x.Parent.Pre, y.Parent.Pre)
-		}
+	}
+	if !reflect.DeepEqual(ta.TextValues(), tb.TextValues()) {
+		t.Fatalf("text values differ")
+	}
+	if xa, xb := SerializeString(na[0]), SerializeString(nb[0]); xa != xb {
+		t.Fatalf("serializations differ:\n%s\n%s", xa, xb)
 	}
 	ca, cb := ta.Cols, tb.Cols
 	if !reflect.DeepEqual(ca.Post, cb.Post) || !reflect.DeepEqual(ca.Size, cb.Size) ||
@@ -525,5 +520,35 @@ func TestSnapshotDeferredFromMapping(t *testing.T) {
 	if err := s2.Indexes[0].Ensure(); !errors.Is(err, ErrSnapshotClosed) {
 		t.Fatalf("Ensure after mapping Close = %v, want ErrSnapshotClosed", err)
 	}
-	s2.Indexes[0].Tree.RootNode() // poisoned, must not fault
+	requirePlaceholder(t, s2.Indexes[0].Tree)
+}
+
+// requirePlaceholder holds a tree whose deferred load failed to the empty
+// placeholder document — a document node over one unnamed, empty element —
+// through every reader, none of which may fault: the root, the serializer,
+// string values and Step on every axis from both nodes.
+func requirePlaceholder(t *testing.T, tr *xdm.Tree) {
+	t.Helper()
+	root := tr.RootNode()
+	el := tr.DocElem()
+	if root.Kind != xdm.DocumentNode || el == nil || el.Pre != 1 || tr.CountNodes() != 2 {
+		t.Fatalf("poisoned tree: root %v, element %v, %d nodes", root, el, tr.CountNodes())
+	}
+	if got := SerializeString(root); got != "</>" || root.StringValue() != "" || el.StringValue() != "" {
+		t.Fatalf("poisoned tree serializes as %q, string value %q", got, root.StringValue())
+	}
+	for axis := xdm.AxisChild; axis <= xdm.AxisPreceding; axis++ {
+		for _, test := range []xdm.NodeTest{xdm.AnyNodeTest(), xdm.StarTest(), xdm.TextTest(), xdm.NameTest("a")} {
+			for _, ctx := range []*xdm.Node{root, el} {
+				for _, n := range xdm.Step(ctx, axis, test) {
+					if n != root && n != el {
+						t.Fatalf("%v %s::%s reached %v outside the placeholder", ctx, axis, test, n)
+					}
+				}
+			}
+		}
+	}
+	if got := xdm.Step(root, xdm.AxisDescendant, xdm.AnyNodeTest()); len(got) != 1 || got[0] != el {
+		t.Fatalf("placeholder descendants = %v", got)
+	}
 }

@@ -19,7 +19,7 @@ func TestParseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := tr.DocElem()
-	if a.Name != "a" || len(a.Attrs) != 1 || a.Attrs[0].Text != "1" {
+	if as := xdm.Step(a, xdm.AxisAttribute, xdm.StarTest()); a.Name != "a" || len(as) != 1 || as[0].Text != "1" {
 		t.Fatalf("root parsed wrong: %v", a)
 	}
 	if got := len(xdm.Step(a, xdm.AxisChild, xdm.StarTest())); got != 3 {
@@ -70,7 +70,7 @@ func TestIndexStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := BuildIndex(tr)
-	bs := tr.Materialize(ix.ElementRanks(xdm.NameTest("b")))
+	bs := nodesAt(tr, ix.ElementRanks(xdm.NameTest("b")))
 	if len(bs) != 2 {
 		t.Fatalf("b stream has %d entries", len(bs))
 	}
@@ -79,19 +79,19 @@ func TestIndexStreams(t *testing.T) {
 			t.Fatal("stream not sorted by pre")
 		}
 	}
-	if got := len(tr.Materialize(ix.ElementRanks(xdm.StarTest()))); got != 6 {
+	if got := len(nodesAt(tr, ix.ElementRanks(xdm.StarTest()))); got != 6 {
 		t.Errorf("element stream * has %d entries, want 6", got)
 	}
-	if got := len(tr.Materialize(ix.ElementRanks(xdm.TextTest()))); got != 2 {
+	if got := len(nodesAt(tr, ix.ElementRanks(xdm.TextTest()))); got != 2 {
 		t.Errorf("text stream has %d entries, want 2", got)
 	}
-	if got := len(tr.Materialize(ix.AttributeRanks(xdm.NameTest("id")))); got != 1 {
+	if got := len(nodesAt(tr, ix.AttributeRanks(xdm.NameTest("id")))); got != 1 {
 		t.Errorf("@id stream has %d entries, want 1", got)
 	}
-	if got := len(tr.Materialize(ix.AttributeRanks(xdm.StarTest()))); got != 2 {
+	if got := len(nodesAt(tr, ix.AttributeRanks(xdm.StarTest()))); got != 2 {
 		t.Errorf("@* stream has %d entries, want 2", got)
 	}
-	node := tr.Materialize(ix.ElementRanks(xdm.AnyNodeTest()))
+	node := nodesAt(tr, ix.ElementRanks(xdm.AnyNodeTest()))
 	if len(node) != 8 { // 6 elements + 2 texts
 		t.Errorf("node() stream has %d entries, want 8", len(node))
 	}
@@ -118,7 +118,7 @@ func TestRegionRanks(t *testing.T) {
 		return RegionRanks(cs, int32(n.Pre), int32(n.End()))
 	}
 	// c nodes inside the first b.
-	csInB := tr.Materialize(region(bs[0]))
+	csInB := nodesAt(tr, region(bs[0]))
 	if len(csInB) != 1 || csInB[0].StringValue() != "hello" {
 		t.Errorf("RegionRanks(c, b1) = %v", csInB)
 	}
@@ -130,4 +130,13 @@ func TestRegionRanks(t *testing.T) {
 	if got := region(a); len(got) != 2 {
 		t.Errorf("RegionRanks(c, a) = %v", got)
 	}
+}
+
+// nodesAt resolves ranks to the tree's nodes.
+func nodesAt(tr *xdm.Tree, ranks []int32) []*xdm.Node {
+	out := make([]*xdm.Node, len(ranks))
+	for i, r := range ranks {
+		out[i] = tr.Node(r)
+	}
+	return out
 }

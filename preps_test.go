@@ -47,8 +47,8 @@ func TestClosedCorpusIsCollectable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The first member's index stands for its tree: the materialized
-		// tree itself is cyclic (every node points back at it), and a
+		// The first member's index stands for its tree: a tree with built
+		// nodes is cyclic (every node points back at it), and a
 		// finalizer on a cycle never runs. A prepared join holds the index.
 		runtime.SetFinalizer(c.c.Doc(0).Index, func(any) { freed.Add(1) })
 		if _, _, err := c.RunWith(context.Background(), q, Auto, RunOptions{Workers: 2}); err != nil {
