@@ -8,6 +8,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"xqtp/internal/gen"
+	"xqtp/internal/xdm"
+	"xqtp/internal/xmlstore"
 )
 
 // cancelLatencyBound is the time a run may take to return after its context
@@ -40,6 +44,28 @@ func cancelTestCorpus(t *testing.T) *Corpus {
 		t.Fatalf("building 1000-doc corpus: %v", cancelCorpusErr)
 	}
 	return cancelCorpus
+}
+
+// collectionSources generates a mixed corpus of n members: MemBeR-style and
+// XMark-like documents interleaved, a few KB each, serialized through the
+// generator-to-scanner path.
+func collectionSources(n int, seed int64) []CorpusSource {
+	out := make([]CorpusSource, n)
+	for i := 0; i < n; i++ {
+		var root *xdm.Node
+		if i%2 == 0 {
+			root = gen.MemberRoot(gen.MemberConfig{
+				Seed: seed + int64(i), Depth: 4, NumTags: 20, NumNodes: 300,
+			})
+		} else {
+			root = gen.XMarkRoot(gen.XMarkConfig{Seed: seed + int64(i), People: 8})
+		}
+		out[i] = CorpusSource{
+			URI:  fmt.Sprintf("mem://corpus-%05d.xml", i),
+			Data: xmlstore.AppendXML(nil, root),
+		}
+	}
+	return out
 }
 
 // cancelingSink cancels the run's context on the first item it receives and

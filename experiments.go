@@ -28,9 +28,6 @@ type ExperimentOptions struct {
 	// DeepNodes and DeepDepth shape the §5.3 document (paper: 50 000 nodes,
 	// depth 15).
 	DeepNodes, DeepDepth int
-	// CollectionSizes are the corpus member counts of the collection
-	// experiment (documents per corpus).
-	CollectionSizes []int
 	// Repeats is the number of timed runs per measurement (the median is
 	// reported).
 	Repeats int
@@ -66,14 +63,13 @@ func (o ExperimentOptions) experimentAlgorithms() []Algorithm {
 // DefaultExperimentOptions reproduces the paper's experiment parameters.
 func DefaultExperimentOptions() ExperimentOptions {
 	return ExperimentOptions{
-		Seed:            1,
-		Table1Sizes:     []int{2_100_000, 4_300_000, 6_500_000, 8_700_000, 11_000_000},
-		Fig4People:      []int{250, 500, 1000, 2000, 4000},
-		Fig6People:      2000,
-		DeepNodes:       50_000,
-		DeepDepth:       15,
-		CollectionSizes: []int{10, 100, 1000, 3000},
-		Repeats:         3,
+		Seed:        1,
+		Table1Sizes: []int{2_100_000, 4_300_000, 6_500_000, 8_700_000, 11_000_000},
+		Fig4People:  []int{250, 500, 1000, 2000, 4000},
+		Fig6People:  2000,
+		DeepNodes:   50_000,
+		DeepDepth:   15,
+		Repeats:     3,
 	}
 }
 
@@ -81,14 +77,13 @@ func DefaultExperimentOptions() ExperimentOptions {
 // tests.
 func QuickExperimentOptions() ExperimentOptions {
 	return ExperimentOptions{
-		Seed:            1,
-		Table1Sizes:     []int{200_000, 400_000},
-		Fig4People:      []int{100, 200},
-		Fig6People:      300,
-		DeepNodes:       10_000,
-		DeepDepth:       15,
-		CollectionSizes: []int{10, 50},
-		Repeats:         1,
+		Seed:        1,
+		Table1Sizes: []int{200_000, 400_000},
+		Fig4People:  []int{100, 200},
+		Fig6People:  300,
+		DeepNodes:   10_000,
+		DeepDepth:   15,
+		Repeats:     1,
 	}
 }
 
@@ -446,13 +441,5 @@ func RunAll(w io.Writer, opts ExperimentOptions) error {
 		return err
 	}
 	fmt.Fprintln(w)
-	if err := RunSection53(w, opts); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	if err := RunCollection(w, opts, ""); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	return RunSnapshot(w, opts, "")
+	return RunSection53(w, opts)
 }
