@@ -44,7 +44,6 @@ func main() {
 		os.Exit(2)
 	}
 	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
 	switch *format {
 	case "xml":
 		if err := doc.WriteXML(w); err != nil {
@@ -60,6 +59,11 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "xmlgen: unknown format %q\n", *format)
 		os.Exit(2)
+	}
+	// Output smaller than the buffer reaches stdout only here.
+	if err := w.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, "xmlgen:", err)
+		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "xmlgen: %d nodes, %d bytes of XML\n", doc.NumNodes(), doc.SizeBytes())
 }

@@ -18,7 +18,8 @@
 //	xq -query '$d//item/name' -dir corpus/ -workers 8 -with-uri
 //
 // Snapshots: -save-snapshot serializes the loaded inputs (one document or a
-// whole corpus) in the columnar binary snapshot format; -snapshot reads one
+// whole corpus) in the columnar binary snapshot format, replacing its target
+// atomically (the target may be the input itself); -snapshot reads one
 // back, skipping parsing and index building. A snapshot named by path is
 // memory-mapped: members page in as the query touches them, so corpora
 // larger than RAM are queryable and the open cost is independent of corpus
@@ -234,10 +235,21 @@ func loadSingle(paths []string) (*xqtp.Document, string, error) {
 }
 
 // writeSnapshotFile saves the loaded input — corpus or single document — as
-// a snapshot at path.
-func writeSnapshotFile(path string, corpus *xqtp.Corpus, doc *xqtp.Document) error {
-	f, err := os.Create(path)
+// a snapshot at path, replacing it atomically through a temporary file in the
+// same directory: the input (or a running xqd) may have path mapped, and
+// truncating it in place would fault every reader of the old mapping.
+func writeSnapshotFile(path string, corpus *xqtp.Corpus, doc *xqtp.Document) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
 		return err
 	}
 	if corpus != nil {
@@ -245,10 +257,13 @@ func writeSnapshotFile(path string, corpus *xqtp.Corpus, doc *xqtp.Document) err
 	} else {
 		err = doc.SaveSnapshot(f)
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if err != nil {
+		return err
 	}
-	return err
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 func fatal(err error) {

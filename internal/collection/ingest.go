@@ -27,8 +27,8 @@ func FileSources(paths []string) []Source {
 }
 
 // Ingest parses every source on a bounded worker pool — each worker runs
-// xmlstore.Ingest, which builds a member's columns, symbols and rank streams
-// and no node — and assembles the corpus. Tree IDs are
+// its own xmlstore.Loader, which builds a member's columns, symbols and rank
+// streams and no node — and assembles the corpus. Tree IDs are
 // reassigned in source order after the last parse lands (xdm.AssignTreeIDs),
 // so the corpus order, and with it every query result, is independent of how
 // the pool scheduled the parses. workers <= 0 means one worker per source.
@@ -81,7 +81,10 @@ func trees(docs []*Doc) []*xdm.Tree {
 
 // ingestDocs runs the parse pool: a shared atomic cursor hands source
 // positions to workers, results land by position, and the first error (by
-// source order, for a deterministic message) stops the remaining work.
+// source order, for a deterministic message) stops the remaining work. Each
+// worker owns one xmlstore.Loader, so its ingest scratch is reused member
+// after member without a pool: the allocation count of an ingest never
+// depends on GC timing.
 func ingestDocs(sources []Source, workers int) ([]*Doc, error) {
 	n := len(sources)
 	if n == 0 {
@@ -99,12 +102,13 @@ func ingestDocs(sources []Source, workers int) ([]*Doc, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var ld xmlstore.Loader
 			for {
 				pos := int(next.Add(1)) - 1
 				if pos >= n || failed.Load() {
 					return
 				}
-				ix, err := ingestOne(sources[pos])
+				ix, err := ingestOne(&ld, sources[pos])
 				if err != nil {
 					errs[pos] = err
 					failed.Store(true)
@@ -125,7 +129,7 @@ func ingestDocs(sources []Source, workers int) ([]*Doc, error) {
 	return docs, nil
 }
 
-func ingestOne(s Source) (*xmlstore.Index, error) {
+func ingestOne(ld *xmlstore.Loader, s Source) (*xmlstore.Index, error) {
 	data := s.Data
 	if data == nil {
 		b, err := os.ReadFile(s.URI)
@@ -134,5 +138,5 @@ func ingestOne(s Source) (*xmlstore.Index, error) {
 		}
 		data = b
 	}
-	return xmlstore.Ingest(data)
+	return ld.Ingest(data)
 }

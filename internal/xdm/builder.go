@@ -8,6 +8,10 @@ package xdm
 // from it only when someone asks for its rank (Tree.Node), so building an
 // n-node tree costs the amortized column appends and nothing per node.
 //
+// The columns, text values and intern table grow in scratch the builder
+// owns; Finish copies them out at their exact size, so a builder kept across
+// documents stops growing at its largest one and no two trees share memory.
+//
 // The caller drives it like a SAX handler and must respect document order:
 // OpenElement, then that element's Attr calls, then its children (nested
 // OpenElement/CloseElement pairs and Text calls), then CloseElement. The
@@ -15,9 +19,12 @@ package xdm
 // exposes — the xmlstore scanner is responsible for rejecting malformed
 // input before it reaches the builder.
 type TreeBuilder struct {
-	t    *Tree
-	post int32
-	open []int32 // preorder ranks of the open elements, document node first
+	cols    Cols
+	textOrd []int32
+	texts   []string
+	syms    Symbols // scratch intern table
+	post    int32
+	open    []int32 // preorder ranks of the open elements, document node first
 }
 
 // minNodeHint floors the column capacity so tiny documents do not start
@@ -25,36 +32,48 @@ type TreeBuilder struct {
 const minNodeHint = 64
 
 // NewTreeBuilder returns a builder for a new tree. nodeHint is the expected
-// total node count (attributes and texts included) and sizes the columns;
-// pass 0 when unknown. The returned builder holds the open document node as
-// its base frame.
+// total node count (attributes and texts included) and sizes the cold
+// scratch; pass 0 when unknown. The returned builder holds the open document
+// node as its base frame.
 func NewTreeBuilder(nodeHint int) *TreeBuilder {
 	nodeHint = max(nodeHint, minNodeHint)
 	b := &TreeBuilder{
-		t: &Tree{
-			ID:   int(nextTreeID.Add(1)),
-			Syms: newSymbols(),
-			Cols: &Cols{
-				Post:   make([]int32, 0, nodeHint),
-				Size:   make([]int32, 0, nodeHint),
-				Level:  make([]int32, 0, nodeHint),
-				Parent: make([]int32, 0, nodeHint),
-				Kind:   make([]uint8, 0, nodeHint),
-				Sym:    make([]int32, 0, nodeHint),
-			},
-			textOrd: make([]int32, 0, nodeHint),
+		cols: Cols{
+			Post:   make([]int32, 0, nodeHint),
+			Size:   make([]int32, 0, nodeHint),
+			Level:  make([]int32, 0, nodeHint),
+			Parent: make([]int32, 0, nodeHint),
+			Kind:   make([]uint8, 0, nodeHint),
+			Sym:    make([]int32, 0, nodeHint),
 		},
-		open: make([]int32, 0, 32),
+		textOrd: make([]int32, 0, nodeHint),
+		syms:    *newSymbols(),
+		open:    make([]int32, 0, 32),
 	}
-	b.open = append(b.open, b.add(DocumentNode, NoSym))
+	b.Reset()
 	return b
+}
+
+// Reset discards the tree in progress, keeping the scratch's capacity, and
+// opens a fresh document node. The scratch keeps no text value afterwards,
+// so it holds no reference into the previous document's input.
+func (b *TreeBuilder) Reset() {
+	c := &b.cols
+	c.Post, c.Size, c.Level, c.Parent = c.Post[:0], c.Size[:0], c.Level[:0], c.Parent[:0]
+	c.Kind, c.Sym, b.textOrd = c.Kind[:0], c.Sym[:0], b.textOrd[:0]
+	clear(b.texts)
+	clear(b.syms.byName)
+	clear(b.syms.names)
+	b.texts, b.syms.names = b.texts[:0], b.syms.names[:0]
+	b.post, b.open = 0, b.open[:0]
+	b.open = append(b.open, b.add(DocumentNode, NoSym))
 }
 
 // add emits the open-time column values of the next node in preorder, a
 // child of the innermost open node, and returns its rank. Post and Size are
 // patched when the node closes.
 func (b *TreeBuilder) add(kind Kind, sym Sym) int32 {
-	c := b.t.Cols
+	c := &b.cols
 	pre := int32(len(c.Kind))
 	parent := int32(-1)
 	if len(b.open) > 0 {
@@ -66,7 +85,7 @@ func (b *TreeBuilder) add(kind Kind, sym Sym) int32 {
 	c.Parent = append(c.Parent, parent)
 	c.Kind = append(c.Kind, uint8(kind))
 	c.Sym = append(c.Sym, int32(sym))
-	b.t.textOrd = append(b.t.textOrd, int32(len(b.t.texts)))
+	b.textOrd = append(b.textOrd, int32(len(b.texts)))
 	return pre
 }
 
@@ -74,22 +93,22 @@ func (b *TreeBuilder) add(kind Kind, sym Sym) int32 {
 // at once.
 func (b *TreeBuilder) leaf(kind Kind, sym Sym, value string) {
 	pre := b.add(kind, sym)
-	b.t.Cols.Post[pre] = b.post
+	b.cols.Post[pre] = b.post
 	b.post++
-	b.t.texts = append(b.t.texts, value)
+	b.texts = append(b.texts, value)
 }
 
 // OpenElement starts an element named name (still in the scanner's buffer;
 // interned here) as the next child of the current open element.
 func (b *TreeBuilder) OpenElement(name []byte) {
-	b.open = append(b.open, b.add(ElementNode, b.t.Syms.internBytes(name)))
+	b.open = append(b.open, b.add(ElementNode, b.syms.internBytes(name)))
 }
 
 // Attr adds an attribute to the current open element. Attributes must be
 // added before any of the element's children, matching their position in
 // the preorder numbering (directly after the owner, before its children).
 func (b *TreeBuilder) Attr(name []byte, value string) {
-	b.leaf(AttributeNode, b.t.Syms.internBytes(name), value)
+	b.leaf(AttributeNode, b.syms.internBytes(name), value)
 }
 
 // Text adds a text node under the current open element.
@@ -98,7 +117,7 @@ func (b *TreeBuilder) Text(text string) { b.leaf(TextNode, NoSym, text) }
 // CloseElement ends the current open element: its postorder rank and region
 // size are now known.
 func (b *TreeBuilder) CloseElement() {
-	c := b.t.Cols
+	c := &b.cols
 	pre := b.open[len(b.open)-1]
 	c.Post[pre] = b.post
 	b.post++
@@ -112,13 +131,42 @@ func (b *TreeBuilder) Depth() int { return len(b.open) - 1 }
 // CurrentName returns the name of the innermost open element, "" at the
 // document level (the scanner's end-tag matching and error messages).
 func (b *TreeBuilder) CurrentName() string {
-	return b.t.Syms.Name(Sym(b.t.Cols.Sym[b.open[len(b.open)-1]]))
+	return b.syms.Name(Sym(b.cols.Sym[b.open[len(b.open)-1]]))
 }
 
-// Finish closes the document node and returns the completed tree. All
+// Finish closes the document node and returns the completed tree: the six
+// int32 columns (the text ordinal included) cut from one exactly-sized slab,
+// the kinds, text values and symbol table each at their exact size. All
 // elements must have been closed (Depth() == 0); the tree must not be
-// mutated afterwards. The builder must not be reused.
+// mutated afterwards. The builder is Reset, ready for the next tree.
 func (b *TreeBuilder) Finish() *Tree {
 	b.CloseElement()
-	return b.t
+	c := &b.cols
+	n := len(c.Kind)
+	slab := make([]int32, 6*n)
+	cut := func(k int, src []int32) []int32 {
+		dst := slab[k*n : (k+1)*n : (k+1)*n]
+		copy(dst, src)
+		return dst
+	}
+	t := &Tree{
+		ID:   int(nextTreeID.Add(1)),
+		Syms: symbolsOf(exact(b.syms.names)),
+		Cols: &Cols{
+			Post: cut(0, c.Post), Size: cut(1, c.Size), Level: cut(2, c.Level),
+			Parent: cut(3, c.Parent), Sym: cut(4, c.Sym), Kind: exact(c.Kind),
+		},
+		texts:   exact(b.texts),
+		textOrd: cut(5, b.textOrd),
+	}
+	b.Reset()
+	return t
+}
+
+// exact copies s into a new slice whose capacity is its length (append-based
+// cloning rounds the capacity up to the allocator's size class).
+func exact[T any](s []T) []T {
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }

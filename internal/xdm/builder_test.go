@@ -155,11 +155,18 @@ func TestBuilderEmptyRoot(t *testing.T) {
 
 // TestBuilderRandomTrees drives both construction paths with an identical
 // random event sequence and checks structural equality, growing the columns
-// well past the zero hint.
+// well past the zero hint. One builder builds every tree, with a tree
+// abandoned mid-way (Reset) before each, and every tree is checked only
+// after the last is built: no tree may share the builder's scratch.
 func TestBuilderRandomTrees(t *testing.T) {
+	b := NewTreeBuilder(0)
+	var wants, gots []*Tree
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		b := NewTreeBuilder(0)
+		b.OpenElement([]byte("abandoned"))
+		b.Attr([]byte("a0"), "v")
+		b.OpenElement([]byte("t1"))
+		b.Reset()
 		root := NewElement("root")
 		b.OpenElement([]byte("root"))
 		stack := []*Node{root}
@@ -192,9 +199,11 @@ func TestBuilderRandomTrees(t *testing.T) {
 			b.CloseElement()
 		}
 		b.CloseElement()
-		want := Finalize(root)
-		got := b.Finish()
-		checkTreesEqual(t, want, got)
+		wants = append(wants, Finalize(root))
+		gots = append(gots, b.Finish())
+	}
+	for i := range wants {
+		checkTreesEqual(t, wants[i], gots[i])
 	}
 }
 

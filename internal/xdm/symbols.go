@@ -30,14 +30,23 @@ func newSymbols() *Symbols {
 // stored format. The slice is retained; duplicate names are rejected (they
 // would break the name→ID bijection).
 func NewSymbols(names []string) (*Symbols, error) {
-	st := &Symbols{byName: make(map[string]Sym, len(names)), names: names}
+	st := symbolsOf(names)
 	for i, n := range names {
-		if _, dup := st.byName[n]; dup {
+		if st.byName[n] != Sym(i) {
 			return nil, fmt.Errorf("xdm: duplicate symbol name %q", n)
 		}
-		st.byName[n] = Sym(i)
 	}
 	return st, nil
+}
+
+// symbolsOf builds a table over names that are distinct by construction (a
+// builder's intern scratch), sizing its map exactly. The slice is retained.
+func symbolsOf(names []string) *Symbols {
+	st := &Symbols{byName: make(map[string]Sym, len(names)), names: names}
+	for i, n := range names {
+		st.byName[n] = Sym(i)
+	}
+	return st
 }
 
 // Names returns the interned names indexed by symbol ID. The slice is shared

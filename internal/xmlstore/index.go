@@ -39,43 +39,52 @@ type Index struct {
 
 // BuildIndex scans the tree's kind/sym columns twice — once to size every
 // stream exactly, once to fill them — and constructs its index without
-// touching a single node pointer. It is the only index builder: Ingest and
-// the Finalize-built reference and generator trees all come through here.
+// touching a single node pointer. Every stream, per-symbol and merged, is
+// cut from one exactly-sized slab with a full-slice expression, so filling
+// one can never spill into its neighbour. It is the only index builder:
+// Ingest and the Finalize-built reference and generator trees all come
+// through here.
 func BuildIndex(t *xdm.Tree) *Index {
 	nsyms := t.Syms.Len()
 	cols := t.Cols
+	bySym := make([][]int32, 2*nsyms)
 	ix := &Index{
 		Tree:      t,
-		elemBySym: make([][]int32, nsyms),
-		attrBySym: make([][]int32, nsyms),
+		elemBySym: bySym[:nsyms:nsyms],
+		attrBySym: bySym[nsyms:],
 	}
-	elemCount := make([]int, nsyms)
-	attrCount := make([]int, nsyms)
+	count := make([]int, 2*nsyms) // stream lengths, laid out as bySym
 	var nElems, nTexts, nAttrs int
 	for pre := range cols.Kind {
 		switch xdm.Kind(cols.Kind[pre]) {
 		case xdm.ElementNode:
-			elemCount[cols.Sym[pre]]++
+			count[cols.Sym[pre]]++
 			nElems++
 		case xdm.AttributeNode:
-			attrCount[cols.Sym[pre]]++
+			count[nsyms+int(cols.Sym[pre])]++
 			nAttrs++
 		case xdm.TextNode:
 			nTexts++
 		}
 	}
-	for s := 0; s < nsyms; s++ {
-		if elemCount[s] > 0 {
-			ix.elemBySym[s] = make([]int32, 0, elemCount[s])
-		}
-		if attrCount[s] > 0 {
-			ix.attrBySym[s] = make([]int32, 0, attrCount[s])
+	// Per-symbol streams hold every element and attribute once; the merged
+	// ones hold elements twice (allElems, allNodes) and texts twice.
+	slab := make([]int32, 3*nElems+2*nAttrs+2*nTexts)
+	off := 0
+	take := func(n int) []int32 {
+		s := slab[off : off : off+n]
+		off += n
+		return s
+	}
+	for i, n := range count {
+		if n > 0 {
+			bySym[i] = take(n)
 		}
 	}
-	ix.allElems = make([]int32, 0, nElems)
-	ix.allText = make([]int32, 0, nTexts)
-	ix.allNodes = make([]int32, 0, nElems+nTexts)
-	ix.allAttrs = make([]int32, 0, nAttrs)
+	ix.allElems = take(nElems)
+	ix.allText = take(nTexts)
+	ix.allNodes = take(nElems + nTexts)
+	ix.allAttrs = take(nAttrs)
 	// The columns are in preorder, so appending in scan order leaves every
 	// stream — including the merged ones — sorted by pre with no sort pass.
 	for pre := range cols.Kind {

@@ -3,10 +3,11 @@ package xmlstore
 // The ingest fast path: a non-validating, zero-copy streaming scan over the
 // raw document bytes feeding the xdm.TreeBuilder. One walk over the input
 // interns tag and attribute names and emits the post/size/level/parent/
-// kind/sym columns plus the text values; BuildIndex then derives the rank
-// streams from the kind/sym columns in two exactly-sized passes. No node is
-// allocated — the tree builds a node from the columns when somebody asks for
-// its rank.
+// kind/sym columns plus the text values into a Loader's reusable scratch;
+// Finish copies them out at their exact size, and BuildIndex derives the
+// rank streams from the kind/sym columns into one exactly-sized slab. No
+// node is allocated — the tree builds a node from the columns when somebody
+// asks for its rank.
 //
 // The scanner accepts a superset of what ParseStd accepts (no UTF-8
 // validation, no name-character checks, '<' allowed in attribute values,
@@ -30,10 +31,35 @@ import (
 // symbols, text values) and index. Whitespace-only text between elements is
 // dropped (data-oriented parsing); mixed content text is preserved. Ingest
 // takes ownership of data: the tree's text and attribute values alias the
-// buffer, so the caller must not modify it afterwards.
-func Ingest(data []byte) (*Index, error) {
-	in := &ingester{data: data, b: xdm.NewTreeBuilder(nodeHint(data))}
-	if err := in.run(); err != nil {
+// buffer, so the caller must not modify it afterwards. It is a fresh Loader
+// used once.
+func Ingest(data []byte) (*Index, error) { return new(Loader).Ingest(data) }
+
+// Loader ingests documents one after another through one scratch: the
+// builder's columns, text values and intern table, the entity decode buffer
+// and the attribute spans. Each tree is copied out of the scratch at its
+// exact size, so a loader stops growing at its largest member. A Loader is
+// not safe for concurrent use (the corpus ingest gives each worker its own);
+// the zero value is ready to use.
+type Loader struct {
+	in ingester
+}
+
+// Ingest is the package-level Ingest on the loader's scratch. Between calls
+// — after a failure too — the scratch holds no reference into a document's
+// bytes.
+func (l *Loader) Ingest(data []byte) (*Index, error) {
+	in := &l.in
+	if in.b == nil {
+		in.b = xdm.NewTreeBuilder(nodeHint(data))
+	}
+	in.data, in.pos, in.sawRoot = data, 0, false
+	err := in.run()
+	in.data = nil
+	clear(in.nsBindings)
+	in.nsBindings = in.nsBindings[:0]
+	if err != nil {
+		in.b.Reset()
 		return nil, err
 	}
 	return BuildIndex(in.b.Finish()), nil
@@ -62,7 +88,7 @@ func ParseString(s string) (*xdm.Tree, error) {
 	return ix.Tree, nil
 }
 
-// ingester is the scanner state for one document.
+// ingester is the scanner state; a Loader reuses its builder and buffers.
 type ingester struct {
 	data []byte
 	pos  int
@@ -100,10 +126,12 @@ type nsBinding struct {
 
 // nodeHint estimates the node count of a document by counting its structural
 // bytes: every tag owns one '<' (start and end tags both, so elements and the
-// text runs between them are covered) and every attribute owns one '='. The
-// '=' count alone is unreliable — '=' is an ordinary character inside text
-// and attribute values, so an equation-heavy document would inflate the hint
-// far past the real node count and the builder would pre-allocate columns it
+// text runs between them are covered) and every attribute owns one '='. It
+// sizes a Loader's cold scratch only — the first document a loader sees; the
+// trees themselves are always copied out at their exact size. The '=' count
+// alone is unreliable — '=' is an ordinary character inside text and
+// attribute values, so an equation-heavy document would inflate the hint far
+// past the real node count and the scratch would pre-allocate columns it
 // never fills. Attributes live only inside tags, and a tag of a well-formed
 // document holds at most a handful of them, so the '=' contribution is capped
 // at twice the tag count; beyond that the excess is provably text. The two

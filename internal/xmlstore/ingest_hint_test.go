@@ -19,15 +19,24 @@ func hintRatio(t *testing.T, doc string) (int, int, int, float64) {
 	if actual == 0 {
 		t.Fatalf("document parsed to zero nodes")
 	}
-	return hint, cap(ix.Tree.Cols.Kind), actual, float64(hint) / float64(actual)
+	// Every column must agree on its capacity (and, being indexed by rank,
+	// its length is the node count); report the Kind column's.
+	c := ix.Tree.Cols
+	for _, col := range [][]int32{c.Post, c.Size, c.Level, c.Parent, c.Sym} {
+		if len(col) != actual || cap(col) != cap(c.Kind) {
+			t.Fatalf("int32 column len %d cap %d, Kind column len %d cap %d", len(col), cap(col), actual, cap(c.Kind))
+		}
+	}
+	return hint, cap(c.Kind), actual, float64(hint) / float64(actual)
 }
 
 // TestNodeHintBounded pins the column pre-allocation hint to the real node
 // count across document shapes. The '='-laden case is the regression: '=' is
 // an ordinary text character, so an uncapped '=' count once inflated the hint
-// (and the builder's column capacity) by an unbounded factor on
-// equation-heavy text — the cap keeps the over-allocation bounded no matter
-// how much text the document carries.
+// (and a cold loader's scratch) by an unbounded factor on equation-heavy
+// text — the cap keeps the over-allocation bounded no matter how much text
+// the document carries. The finished tree's columns are exactly sized
+// whatever the hint.
 func TestNodeHintBounded(t *testing.T) {
 	// Small fixed slack absorbs the +16 constant on tiny documents.
 	const slack = 16.0
@@ -63,8 +72,10 @@ func TestNodeHintBounded(t *testing.T) {
 				t.Fatalf("hint %d over-allocates for %d nodes (ratio %.2f, max %.2f): column pre-allocation would balloon",
 					hint, actual, ratio, tc.max)
 			}
-			if float64(colCap) > tc.max*float64(actual)+slack {
-				t.Fatalf("column capacity %d for %d nodes exceeds %.2fx+%v", colCap, actual, tc.max, slack)
+			// The hint sizes only the loader's scratch: every column of the
+			// finished tree is copied out at its exact size.
+			if colCap != actual {
+				t.Fatalf("column capacity %d for %d nodes: the tree's columns are not exactly sized", colCap, actual)
 			}
 			// The hint must also not collapse: a drastic under-estimate
 			// forfeits the pre-allocation entirely.

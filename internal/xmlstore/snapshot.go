@@ -63,7 +63,6 @@ package xmlstore
 // this build; snapshots are regenerated from the XML they index.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -136,27 +135,55 @@ type CorpusSnapshot struct {
 // ---------------------------------------------------------------------------
 // Writer
 
+// snapChunk is the size of every write the snapshot writer issues but the
+// last: large enough that the syscalls stop mattering, small enough that
+// zeroing the one buffer costs less than the writes it saves.
+const snapChunk = 64 << 10
+
 // snapWriter writes the stream or, with a nil sink, only counts: the
 // counting pass runs the same code as the real write to learn every member's
 // size and section offsets, which the real pass then embeds in the offset
-// tables. mark records a section boundary.
+// tables. mark records a section boundary (counting pass only).
+//
+// Output goes through buf, allocated once per WriteCorpus and sent to the
+// sink each time it fills, so every write but the last is snapChunk bytes.
+// Nothing is allocated per value: an integer is encoded into a stack array
+// that only bytes' copy reads.
 type snapWriter struct {
-	w     *bufio.Writer // nil: counting pass
+	w     io.Writer // nil: counting pass
+	buf   []byte
 	off   int64
 	err   error
 	marks []int64
 }
 
-func (w *snapWriter) mark() { w.marks = append(w.marks, w.off) }
+func (w *snapWriter) mark() {
+	if w.w == nil {
+		w.marks = append(w.marks, w.off)
+	}
+}
 
 func (w *snapWriter) bytes(b []byte) {
-	if w.err != nil {
+	w.off += int64(len(b))
+	if w.w == nil || w.err != nil {
 		return
 	}
-	if w.w != nil {
-		_, w.err = w.w.Write(b)
+	for len(b) > 0 {
+		n := copy(w.buf[len(w.buf):cap(w.buf)], b)
+		w.buf, b = w.buf[:len(w.buf)+n], b[n:]
+		if len(w.buf) == cap(w.buf) {
+			w.flush()
+		}
 	}
-	w.off += int64(len(b))
+}
+
+// flush sends the buffered bytes to the sink; after a sink error the rest
+// of the stream is only counted and the error reported by WriteCorpus.
+func (w *snapWriter) flush() {
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.w.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
 }
 
 func (w *snapWriter) u32(v uint32) {
@@ -228,46 +255,42 @@ func WriteCorpus(w io.Writer, s *CorpusSnapshot) error {
 
 	// Counting pass, members first: body sizes and section marks. The
 	// directory prefix is fixed-size, so member-relative section offsets are
-	// the marks shifted by it.
-	dirs := make([][]int64, len(s.Indexes))
-	sizes := make([]int64, len(s.Indexes))
+	// the marks shifted by it; the last entry is the member's size.
+	dirs := make([][numMemberSections + 1]int64, len(s.Indexes))
+	cw := &snapWriter{marks: make([]int64, 0, numMemberSections)}
 	for i, ix := range s.Indexes {
-		cw := &snapWriter{}
+		cw.off, cw.marks = 0, cw.marks[:0]
 		writeMemberBody(cw, ix)
 		if len(cw.marks) != numMemberSections {
 			return fmt.Errorf("xmlstore: internal: member body recorded %d section marks, want %d", len(cw.marks), numMemberSections)
 		}
-		sect := make([]int64, numMemberSections+1)
 		for k, m := range cw.marks {
-			sect[k] = memberDirSize + m
+			dirs[i][k] = memberDirSize + m
 		}
-		sect[numMemberSections] = memberDirSize + cw.off
-		dirs[i] = sect
-		sizes[i] = memberDirSize + cw.off
+		dirs[i][numMemberSections] = memberDirSize + cw.off
 	}
 	// Counting pass, corpus prefix: its size does not depend on the offset
 	// values (fixed-width u64 cells), so dummy offsets measure it exactly.
 	memberOff := make([]int64, len(s.Indexes)+1)
-	pw := &snapWriter{}
-	writeCorpusPrefix(pw, s, memberOff)
-	memberOff[0] = pw.off
+	cw.off = 0
+	writeCorpusPrefix(cw, s, memberOff)
+	memberOff[0] = cw.off
 	for i := range s.Indexes {
-		memberOff[i+1] = memberOff[i] + sizes[i]
+		memberOff[i+1] = memberOff[i] + dirs[i][numMemberSections]
 	}
 
-	sw := &snapWriter{w: bufio.NewWriter(w)}
+	total := memberOff[len(s.Indexes)]
+	sw := &snapWriter{w: w, buf: make([]byte, 0, min(total, snapChunk))}
 	writeCorpusPrefix(sw, s, memberOff)
 	for i, ix := range s.Indexes {
-		writeMemberDir(sw, ix, dirs[i])
+		writeMemberDir(sw, ix, dirs[i][:])
 		writeMemberBody(sw, ix)
-		if sw.err == nil && sw.off != memberOff[i+1] {
+		if sw.off != memberOff[i+1] {
 			return fmt.Errorf("xmlstore: internal: member %d ends at %d, counting pass said %d", i, sw.off, memberOff[i+1])
 		}
 	}
-	if sw.err != nil {
-		return sw.err
-	}
-	return sw.w.Flush()
+	sw.flush()
+	return sw.err
 }
 
 func writeCorpusPrefix(w *snapWriter, s *CorpusSnapshot, memberOff []int64) {
