@@ -34,7 +34,7 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS) .
 	$(GO) test -race -count=50 -run 'Shutdown|SlowReader' ./internal/server
-	$(GO) test -race -count=20 -run 'Prepared|Collectable|ForeignTree|ConcurrentRuns|ParallelTTP|BorrowedTuples|FirstTouch' ./internal/collection ./internal/physical ./internal/xdm .
+	$(GO) test -race -count=20 -run 'Prepared|Collectable|ForeignTree|ConcurrentRuns|ConcurrentPrepare|ParallelTTP|BorrowedTuples|FirstTouch' ./internal/collection ./internal/physical ./internal/xdm .
 
 check: build vet test race
 

@@ -177,47 +177,180 @@ func (*MapIndex) isAlg()         {}
 func (*Head) isAlg()             {}
 func (*TupleTreePattern) isAlg() {}
 
+// EachChild calls f on each direct sub-expression of e, in the order of
+// Children, without allocating.
+func EachChild(e Expr, f func(Expr)) {
+	switch x := e.(type) {
+	case *Call:
+		for _, a := range x.Args {
+			f(a)
+		}
+	case *Sequence:
+		for _, it := range x.Items {
+			f(it)
+		}
+	case *Compare:
+		f(x.L)
+		f(x.R)
+	case *Arith:
+		f(x.L)
+		f(x.R)
+	case *And:
+		f(x.L)
+		f(x.R)
+	case *Or:
+		f(x.L)
+		f(x.R)
+	case *If:
+		f(x.Cond)
+		f(x.Then)
+		f(x.Else)
+	case *LetBind:
+		f(x.Value)
+		f(x.Body)
+	case *TypeSwitch:
+		f(x.Input)
+		for _, c := range x.Cases {
+			f(c.Body)
+		}
+		f(x.Default)
+	case *MapToItem:
+		f(x.Dep)
+		f(x.Input)
+	case *Select:
+		f(x.Pred)
+		f(x.Input)
+	case *TreeJoin:
+		f(x.Input)
+	case *MapFromItem:
+		f(x.Input)
+	case *MapIndex:
+		f(x.Input)
+	case *Head:
+		f(x.Input)
+	case *TupleTreePattern:
+		f(x.Input)
+	}
+}
+
 // Children returns the direct sub-expressions of e.
 func Children(e Expr) []Expr {
+	var out []Expr
+	EachChild(e, func(c Expr) { out = append(out, c) })
+	return out
+}
+
+// MapChildren returns e with each direct sub-expression c replaced by f(c),
+// f being called in Children order. When f returns every child unchanged, e
+// itself is returned; otherwise a new node of the same kind that shares the
+// unchanged children (and e's pattern). e is never mutated.
+func MapChildren(e Expr, f func(Expr) Expr) Expr {
 	switch x := e.(type) {
-	case *TreeJoin:
-		return []Expr{x.Input}
 	case *Call:
-		return x.Args
-	case *Compare:
-		return []Expr{x.L, x.R}
-	case *Sequence:
-		return x.Items
-	case *Arith:
-		return []Expr{x.L, x.R}
-	case *And:
-		return []Expr{x.L, x.R}
-	case *Or:
-		return []Expr{x.L, x.R}
-	case *If:
-		return []Expr{x.Cond, x.Then, x.Else}
-	case *LetBind:
-		return []Expr{x.Value, x.Body}
-	case *TypeSwitch:
-		out := []Expr{x.Input}
-		for _, c := range x.Cases {
-			out = append(out, c.Body)
+		if args := mapExprs(x.Args, f); args != nil {
+			return &Call{Name: x.Name, Args: args}
 		}
-		return append(out, x.Default)
-	case *MapFromItem:
-		return []Expr{x.Input}
+	case *Sequence:
+		if items := mapExprs(x.Items, f); items != nil {
+			return &Sequence{Items: items}
+		}
+	case *Compare:
+		l := f(x.L)
+		if r := f(x.R); l != x.L || r != x.R {
+			return &Compare{Op: x.Op, L: l, R: r}
+		}
+	case *Arith:
+		l := f(x.L)
+		if r := f(x.R); l != x.L || r != x.R {
+			return &Arith{Op: x.Op, L: l, R: r}
+		}
+	case *And:
+		l := f(x.L)
+		if r := f(x.R); l != x.L || r != x.R {
+			return &And{L: l, R: r}
+		}
+	case *Or:
+		l := f(x.L)
+		if r := f(x.R); l != x.L || r != x.R {
+			return &Or{L: l, R: r}
+		}
+	case *If:
+		c, t := f(x.Cond), f(x.Then)
+		if el := f(x.Else); c != x.Cond || t != x.Then || el != x.Else {
+			return &If{Cond: c, Then: t, Else: el}
+		}
+	case *LetBind:
+		v := f(x.Value)
+		if b := f(x.Body); v != x.Value || b != x.Body {
+			return &LetBind{Name: x.Name, Value: v, Body: b}
+		}
+	case *TypeSwitch:
+		in := f(x.Input)
+		var cases []TSCase // nil while every body is unchanged
+		for i, c := range x.Cases {
+			if b := f(c.Body); b != c.Body || cases != nil {
+				if cases == nil {
+					cases = append(make([]TSCase, 0, len(x.Cases)), x.Cases[:i]...)
+				}
+				c.Body = b
+				cases = append(cases, c)
+			}
+		}
+		if def := f(x.Default); in != x.Input || cases != nil || def != x.Default {
+			if cases == nil {
+				cases = x.Cases
+			}
+			return &TypeSwitch{Input: in, Cases: cases, DefVar: x.DefVar, Default: def}
+		}
 	case *MapToItem:
-		return []Expr{x.Dep, x.Input}
+		d := f(x.Dep)
+		if in := f(x.Input); d != x.Dep || in != x.Input {
+			return &MapToItem{Dep: d, Input: in}
+		}
 	case *Select:
-		return []Expr{x.Pred, x.Input}
+		p := f(x.Pred)
+		if in := f(x.Input); p != x.Pred || in != x.Input {
+			return &Select{Pred: p, Input: in}
+		}
+	case *TreeJoin:
+		if in := f(x.Input); in != x.Input {
+			return &TreeJoin{Axis: x.Axis, Test: x.Test, Input: in}
+		}
+	case *MapFromItem:
+		if in := f(x.Input); in != x.Input {
+			return &MapFromItem{Bind: x.Bind, Input: in}
+		}
 	case *MapIndex:
-		return []Expr{x.Input}
+		if in := f(x.Input); in != x.Input {
+			return &MapIndex{Field: x.Field, Input: in}
+		}
 	case *Head:
-		return []Expr{x.Input}
+		if in := f(x.Input); in != x.Input {
+			return &Head{Input: in}
+		}
 	case *TupleTreePattern:
-		return []Expr{x.Input}
+		if in := f(x.Input); in != x.Input {
+			return &TupleTreePattern{Pattern: x.Pattern, Input: in}
+		}
 	}
-	return nil
+	return e
+}
+
+// mapExprs applies f to every element of xs in order; it returns the new
+// elements when one of them changed, nil otherwise.
+func mapExprs(xs []Expr, f func(Expr) Expr) []Expr {
+	var out []Expr
+	for i, x := range xs {
+		y := f(x)
+		if out == nil {
+			if y == x {
+				continue
+			}
+			out = append(make([]Expr, 0, len(xs)), xs[:i]...)
+		}
+		out = append(out, y)
+	}
+	return out
 }
 
 // Walk traverses the plan in depth-first pre-order, calling f on every node.
@@ -229,9 +362,7 @@ func Walk(e Expr, f func(Expr) bool) {
 	if e == nil || !f(e) {
 		return
 	}
-	for _, c := range Children(e) {
-		Walk(c, f)
-	}
+	EachChild(e, func(c Expr) { Walk(c, f) })
 }
 
 // CountOperators returns the number of nodes in the plan, by operator kind
@@ -298,22 +429,16 @@ func OpName(e Expr) string {
 // plus pattern input fields).
 func FieldUses(e Expr, name string) int {
 	n := 0
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *Field:
-			if x.Name == name {
-				n++
-			}
-		case *TupleTreePattern:
-			if x.Pattern.Input == name {
-				n++
-			}
+	switch x := e.(type) {
+	case *Field:
+		if x.Name == name {
+			n++
 		}
-		for _, c := range Children(e) {
-			walk(c)
+	case *TupleTreePattern:
+		if x.Pattern.Input == name {
+			n++
 		}
 	}
-	walk(e)
+	EachChild(e, func(c Expr) { n += FieldUses(c, name) })
 	return n
 }

@@ -171,149 +171,220 @@ func (*Arith) isCore()      {}
 func (*And) isCore()        {}
 func (*Or) isCore()         {}
 
-// Children returns the direct subexpressions of e, in evaluation order.
-func Children(e Expr) []Expr {
+// EachChild calls f on each direct subexpression of e, in evaluation order
+// (the order of Children), without allocating.
+func EachChild(e Expr, f func(Expr)) {
 	switch x := e.(type) {
 	case *Step:
-		return []Expr{x.Input}
+		f(x.Input)
 	case *For:
-		out := []Expr{x.In}
+		f(x.In)
 		if x.Where != nil {
-			out = append(out, x.Where)
+			f(x.Where)
 		}
-		return append(out, x.Return)
+		f(x.Return)
 	case *Let:
-		return []Expr{x.In, x.Return}
+		f(x.In)
+		f(x.Return)
 	case *If:
-		return []Expr{x.Cond, x.Then, x.Else}
+		f(x.Cond)
+		f(x.Then)
+		f(x.Else)
 	case *TypeSwitch:
-		out := []Expr{x.Input}
+		f(x.Input)
 		for _, c := range x.Cases {
-			out = append(out, c.Body)
+			f(c.Body)
 		}
-		return append(out, x.Default)
+		f(x.Default)
 	case *Call:
-		return x.Args
-	case *Compare:
-		return []Expr{x.L, x.R}
+		for _, a := range x.Args {
+			f(a)
+		}
 	case *Sequence:
-		return x.Items
+		for _, it := range x.Items {
+			f(it)
+		}
+	case *Compare:
+		f(x.L)
+		f(x.R)
 	case *Arith:
-		return []Expr{x.L, x.R}
+		f(x.L)
+		f(x.R)
 	case *And:
-		return []Expr{x.L, x.R}
+		f(x.L)
+		f(x.R)
 	case *Or:
-		return []Expr{x.L, x.R}
+		f(x.L)
+		f(x.R)
 	}
-	return nil
+}
+
+// Children returns the direct subexpressions of e, in evaluation order.
+func Children(e Expr) []Expr {
+	var out []Expr
+	EachChild(e, func(c Expr) { out = append(out, c) })
+	return out
+}
+
+// MapChildren returns e with each direct subexpression c replaced by f(c),
+// f being called in Children order. When f returns every child unchanged, e
+// itself is returned; otherwise a new node of the same kind that shares the
+// unchanged children. e is never mutated: the compile passes share every
+// subtree they do not change.
+func MapChildren(e Expr, f func(Expr) Expr) Expr {
+	switch x := e.(type) {
+	case *Step:
+		if in := f(x.Input); in != x.Input {
+			return &Step{Input: in, Axis: x.Axis, Test: x.Test}
+		}
+	case *For:
+		in, where := f(x.In), x.Where
+		if where != nil {
+			where = f(where)
+		}
+		if ret := f(x.Return); in != x.In || where != x.Where || ret != x.Return {
+			return &For{Var: x.Var, Pos: x.Pos, In: in, Where: where, Return: ret}
+		}
+	case *Let:
+		in := f(x.In)
+		if ret := f(x.Return); in != x.In || ret != x.Return {
+			return &Let{Var: x.Var, In: in, Return: ret}
+		}
+	case *If:
+		c, t := f(x.Cond), f(x.Then)
+		if el := f(x.Else); c != x.Cond || t != x.Then || el != x.Else {
+			return &If{Cond: c, Then: t, Else: el}
+		}
+	case *TypeSwitch:
+		in := f(x.Input)
+		var cases []TSCase // nil while every body is unchanged
+		for i, c := range x.Cases {
+			if b := f(c.Body); b != c.Body || cases != nil {
+				if cases == nil {
+					cases = append(make([]TSCase, 0, len(x.Cases)), x.Cases[:i]...)
+				}
+				c.Body = b
+				cases = append(cases, c)
+			}
+		}
+		if def := f(x.Default); in != x.Input || cases != nil || def != x.Default {
+			if cases == nil {
+				cases = x.Cases
+			}
+			return &TypeSwitch{Input: in, Cases: cases, DefVar: x.DefVar, Default: def}
+		}
+	case *Call:
+		if args := mapExprs(x.Args, f); args != nil {
+			return &Call{Name: x.Name, Args: args}
+		}
+	case *Sequence:
+		if items := mapExprs(x.Items, f); items != nil {
+			return &Sequence{Items: items}
+		}
+	case *Compare:
+		l := f(x.L)
+		if r := f(x.R); l != x.L || r != x.R {
+			return &Compare{Op: x.Op, L: l, R: r}
+		}
+	case *Arith:
+		l := f(x.L)
+		if r := f(x.R); l != x.L || r != x.R {
+			return &Arith{Op: x.Op, L: l, R: r}
+		}
+	case *And:
+		l := f(x.L)
+		if r := f(x.R); l != x.L || r != x.R {
+			return &And{L: l, R: r}
+		}
+	case *Or:
+		l := f(x.L)
+		if r := f(x.R); l != x.L || r != x.R {
+			return &Or{L: l, R: r}
+		}
+	}
+	return e
+}
+
+// mapExprs applies f to every element of xs in order; it returns the new
+// elements when one of them changed, nil otherwise.
+func mapExprs(xs []Expr, f func(Expr) Expr) []Expr {
+	var out []Expr
+	for i, x := range xs {
+		y := f(x)
+		if out == nil {
+			if y == x {
+				continue
+			}
+			out = append(make([]Expr, 0, len(xs)), xs[:i]...)
+		}
+		out = append(out, y)
+	}
+	return out
+}
+
+// Binders returns the variables e binds around its k-th child, in Children
+// order: a for's variable and position around its where and return
+// clauses, a let's variable around its return, a typeswitch case's
+// variable around its body. "" stands for none.
+func Binders(e Expr, k int) (string, string) {
+	switch x := e.(type) {
+	case *For:
+		if k > 0 {
+			return x.Var, x.Pos
+		}
+	case *Let:
+		if k > 0 {
+			return x.Var, ""
+		}
+	case *TypeSwitch:
+		switch {
+		case k == 0:
+		case k <= len(x.Cases):
+			return x.Cases[k-1].Var, ""
+		default:
+			return x.DefVar, ""
+		}
+	}
+	return "", ""
 }
 
 // Usage counts the number of free occurrences of variable name in e,
 // respecting shadowing by for/let/typeswitch bindings.
 func Usage(e Expr, name string) int {
-	switch x := e.(type) {
-	case *Var:
-		if x.Name == name {
+	if v, ok := e.(*Var); ok {
+		if v.Name == name {
 			return 1
 		}
 		return 0
-	case *For:
-		n := Usage(x.In, name)
-		if x.Var == name || x.Pos == name {
-			return n
-		}
-		if x.Where != nil {
-			n += Usage(x.Where, name)
-		}
-		return n + Usage(x.Return, name)
-	case *Let:
-		n := Usage(x.In, name)
-		if x.Var == name {
-			return n
-		}
-		return n + Usage(x.Return, name)
-	case *TypeSwitch:
-		n := Usage(x.Input, name)
-		for _, c := range x.Cases {
-			if c.Var != name {
-				n += Usage(c.Body, name)
-			}
-		}
-		if x.DefVar != name {
-			n += Usage(x.Default, name)
-		}
-		return n
 	}
-	n := 0
-	for _, c := range Children(e) {
-		n += Usage(c, name)
-	}
+	n, k := 0, 0
+	EachChild(e, func(c Expr) {
+		if a, b := Binders(e, k); a != name && b != name {
+			n += Usage(c, name)
+		}
+		k++
+	})
 	return n
 }
 
 // Subst returns e with every free occurrence of variable name replaced by
 // repl. Normalization generates globally unique variable names, so no
-// capture can occur; Subst still respects shadowing for safety.
+// capture can occur; Subst still respects shadowing for safety. Subtrees
+// without a free occurrence are shared with e, and so is repl.
 func Subst(e Expr, name string, repl Expr) Expr {
-	switch x := e.(type) {
-	case *Var:
-		if x.Name == name {
+	if v, ok := e.(*Var); ok {
+		if v.Name == name {
 			return repl
 		}
-		return x
-	case *StringLit, *NumberLit, *EmptySeq:
-		return x
-	case *Step:
-		return &Step{Input: Subst(x.Input, name, repl), Axis: x.Axis, Test: x.Test}
-	case *For:
-		out := &For{Var: x.Var, Pos: x.Pos, In: Subst(x.In, name, repl), Where: x.Where, Return: x.Return}
-		if x.Var != name && x.Pos != name {
-			if x.Where != nil {
-				out.Where = Subst(x.Where, name, repl)
-			}
-			out.Return = Subst(x.Return, name, repl)
-		}
-		return out
-	case *Let:
-		out := &Let{Var: x.Var, In: Subst(x.In, name, repl), Return: x.Return}
-		if x.Var != name {
-			out.Return = Subst(x.Return, name, repl)
-		}
-		return out
-	case *If:
-		return &If{Cond: Subst(x.Cond, name, repl), Then: Subst(x.Then, name, repl), Else: Subst(x.Else, name, repl)}
-	case *TypeSwitch:
-		out := &TypeSwitch{Input: Subst(x.Input, name, repl), DefVar: x.DefVar, Default: x.Default}
-		for _, c := range x.Cases {
-			if c.Var != name {
-				c.Body = Subst(c.Body, name, repl)
-			}
-			out.Cases = append(out.Cases, c)
-		}
-		if x.DefVar != name {
-			out.Default = Subst(x.Default, name, repl)
-		}
-		return out
-	case *Call:
-		out := &Call{Name: x.Name, Args: make([]Expr, len(x.Args))}
-		for i, a := range x.Args {
-			out.Args[i] = Subst(a, name, repl)
-		}
-		return out
-	case *Compare:
-		return &Compare{Op: x.Op, L: Subst(x.L, name, repl), R: Subst(x.R, name, repl)}
-	case *Sequence:
-		out := &Sequence{Items: make([]Expr, len(x.Items))}
-		for i, it := range x.Items {
-			out.Items[i] = Subst(it, name, repl)
-		}
-		return out
-	case *Arith:
-		return &Arith{Op: x.Op, L: Subst(x.L, name, repl), R: Subst(x.R, name, repl)}
-	case *And:
-		return &And{L: Subst(x.L, name, repl), R: Subst(x.R, name, repl)}
-	case *Or:
-		return &Or{L: Subst(x.L, name, repl), R: Subst(x.R, name, repl)}
+		return v
 	}
-	return e
+	k := 0
+	return MapChildren(e, func(c Expr) Expr {
+		a, b := Binders(e, k)
+		k++
+		if a == name || b == name {
+			return c
+		}
+		return Subst(c, name, repl)
+	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"xqtp/internal/ast"
 	"xqtp/internal/funcs"
@@ -30,7 +31,7 @@ func Normalize(e ast.Expr, contextVar string) (Expr, error) {
 
 func (n *Normalizer) fresh(stem string) string {
 	n.counter++
-	return fmt.Sprintf("%s_%d", stem, n.counter)
+	return stem + "_" + strconv.Itoa(n.counter)
 }
 
 func (n *Normalizer) norm(e ast.Expr, ctx nctx) (Expr, error) {

@@ -1,9 +1,10 @@
 package optimize
 
 import (
-	"fmt"
+	"strconv"
 
 	"xqtp/internal/algebra"
+	"xqtp/internal/pattern"
 )
 
 // Options configures the optimizer.
@@ -12,9 +13,6 @@ type Options struct {
 	// node (document variables); used by the order analysis that gates the
 	// bulk TreeJoin conversion.
 	SingletonVars map[string]bool
-
-	// MaxSteps caps the number of rule applications (defensive bound).
-	MaxSteps int
 
 	// DisablePositionalFirst turns off the Head rewrite (ablation: shows
 	// the value of the cursor-style early exit of §5.3).
@@ -29,6 +27,10 @@ type Options struct {
 	Trace func(step int, plan algebra.Expr)
 }
 
+// maxSteps caps the number of rule applications per phase (a defensive
+// bound).
+const maxSteps = 10000
+
 type optimizer struct {
 	root           algebra.Expr
 	singletons     map[string]bool
@@ -42,7 +44,8 @@ type optimizer struct {
 
 // Optimize applies the tree-pattern detection rules of Fig. 3 to a
 // fixpoint, growing maximal TupleTreePattern operators while preserving
-// intermediate operators that carry non-pattern semantics.
+// intermediate operators that carry non-pattern semantics. plan is never
+// mutated: the result shares every subtree no rule changed.
 func Optimize(plan algebra.Expr, opts Options) algebra.Expr {
 	o := &optimizer{
 		root:       plan,
@@ -53,10 +56,6 @@ func Optimize(plan algebra.Expr, opts Options) algebra.Expr {
 		noBulk:     opts.DisableBulkConversion,
 	}
 	collectNames(plan, o.letNames, o.usedFields)
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 10000
-	}
 	// Phase 1: bulk conversions and merges; phase 2: add the per-tuple
 	// fallback for steps the bulk rules could not reach (the Q5 maps).
 	step := 0
@@ -98,15 +97,13 @@ func collectNames(e algebra.Expr, lets, fields map[string]bool) {
 			fields[f] = true
 		}
 	}
-	for _, c := range algebra.Children(e) {
-		collectNames(c, lets, fields)
-	}
+	algebra.EachChild(e, func(c algebra.Expr) { collectNames(c, lets, fields) })
 }
 
 func (o *optimizer) fresh() string {
 	for {
 		o.counter++
-		name := fmt.Sprintf("out%d", o.counter)
+		name := "out" + strconv.Itoa(o.counter)
 		if !o.usedFields[name] {
 			o.usedFields[name] = true
 			return name
@@ -115,210 +112,79 @@ func (o *optimizer) fresh() string {
 }
 
 // rewriteFirst finds the first redex in a pre-order traversal, applies one
-// rule, and returns the rebuilt plan. Tolerance (set-safety under an
-// enclosing fs:ddo or effective-boolean-value consumer) is threaded down
-// the traversal; positional operators and count reset it.
+// rule, and returns the plan rebuilt along the path to it; everything off
+// that path is shared. Tolerance (set-safety under an enclosing fs:ddo or
+// effective-boolean-value consumer) is threaded down the traversal;
+// positional operators and count reset it.
 func (o *optimizer) rewriteFirst(e algebra.Expr, tolerant bool) (algebra.Expr, *rename, bool) {
-	if out, rn, ok := o.applyRule(e, tolerant); ok {
+	if out, rn, ok := o.tryRules(e, tolerant); ok {
 		return out, rn, true
 	}
-	rebuild := func(child algebra.Expr, childTol bool, set func(algebra.Expr) algebra.Expr) (algebra.Expr, *rename, bool) {
-		nc, rn, ok := o.rewriteFirst(child, childTol)
-		if !ok {
-			return nil, nil, false
+	var nc algebra.Expr
+	var rn *rename
+	fired, k := -1, 0
+	algebra.EachChild(e, func(c algebra.Expr) {
+		if fired < 0 {
+			var ok bool
+			if nc, rn, ok = o.rewriteFirst(c, childTolerant(e, k, tolerant)); ok {
+				fired = k
+			}
 		}
-		return set(nc), rn, true
+		k++
+	})
+	if fired < 0 {
+		return nil, nil, false
 	}
-	switch x := e.(type) {
-	case *algebra.TreeJoin:
-		return rebuild(x.Input, tolerant, func(c algebra.Expr) algebra.Expr {
-			return &algebra.TreeJoin{Axis: x.Axis, Test: x.Test, Input: c}
-		})
-	case *algebra.Call:
-		childTol := false
-		switch x.Name {
-		case "ddo", "boolean", "not", "empty", "exists":
-			childTol = true
+	k = 0
+	return algebra.MapChildren(e, func(c algebra.Expr) algebra.Expr {
+		k++
+		if k-1 == fired {
+			return nc
 		}
-		for i := range x.Args {
-			if nc, rn, ok := o.rewriteFirst(x.Args[i], childTol); ok {
-				args := append([]algebra.Expr{}, x.Args...)
-				args[i] = nc
-				return &algebra.Call{Name: x.Name, Args: args}, rn, true
-			}
-		}
-	case *algebra.Compare:
-		if nc, rn, ok := o.rewriteFirst(x.L, true); ok {
-			return &algebra.Compare{Op: x.Op, L: nc, R: x.R}, rn, true
-		}
-		if nc, rn, ok := o.rewriteFirst(x.R, true); ok {
-			return &algebra.Compare{Op: x.Op, L: x.L, R: nc}, rn, true
-		}
-	case *algebra.Sequence:
-		for i := range x.Items {
-			if nc, rn, ok := o.rewriteFirst(x.Items[i], tolerant); ok {
-				items := append([]algebra.Expr{}, x.Items...)
-				items[i] = nc
-				return &algebra.Sequence{Items: items}, rn, true
-			}
-		}
-	case *algebra.Arith:
-		// Arithmetic needs exact singleton operands: not set-tolerant.
-		if nc, rn, ok := o.rewriteFirst(x.L, false); ok {
-			return &algebra.Arith{Op: x.Op, L: nc, R: x.R}, rn, true
-		}
-		if nc, rn, ok := o.rewriteFirst(x.R, false); ok {
-			return &algebra.Arith{Op: x.Op, L: x.L, R: nc}, rn, true
-		}
-	case *algebra.And:
-		if nc, rn, ok := o.rewriteFirst(x.L, true); ok {
-			return &algebra.And{L: nc, R: x.R}, rn, true
-		}
-		if nc, rn, ok := o.rewriteFirst(x.R, true); ok {
-			return &algebra.And{L: x.L, R: nc}, rn, true
-		}
-	case *algebra.Or:
-		if nc, rn, ok := o.rewriteFirst(x.L, true); ok {
-			return &algebra.Or{L: nc, R: x.R}, rn, true
-		}
-		if nc, rn, ok := o.rewriteFirst(x.R, true); ok {
-			return &algebra.Or{L: x.L, R: nc}, rn, true
-		}
-	case *algebra.If:
-		if nc, rn, ok := o.rewriteFirst(x.Cond, true); ok {
-			return &algebra.If{Cond: nc, Then: x.Then, Else: x.Else}, rn, true
-		}
-		if nc, rn, ok := o.rewriteFirst(x.Then, tolerant); ok {
-			return &algebra.If{Cond: x.Cond, Then: nc, Else: x.Else}, rn, true
-		}
-		if nc, rn, ok := o.rewriteFirst(x.Else, tolerant); ok {
-			return &algebra.If{Cond: x.Cond, Then: x.Then, Else: nc}, rn, true
-		}
-	case *algebra.LetBind:
-		if nc, rn, ok := o.rewriteFirst(x.Value, false); ok {
-			return &algebra.LetBind{Name: x.Name, Value: nc, Body: x.Body}, rn, true
-		}
-		if nc, rn, ok := o.rewriteFirst(x.Body, tolerant); ok {
-			return &algebra.LetBind{Name: x.Name, Value: x.Value, Body: nc}, rn, true
-		}
-	case *algebra.TypeSwitch:
-		if nc, rn, ok := o.rewriteFirst(x.Input, false); ok {
-			out := *x
-			out.Input = nc
-			return &out, rn, true
-		}
-		for i := range x.Cases {
-			if nc, rn, ok := o.rewriteFirst(x.Cases[i].Body, tolerant); ok {
-				out := *x
-				out.Cases = append([]algebra.TSCase{}, x.Cases...)
-				out.Cases[i].Body = nc
-				return &out, rn, true
-			}
-		}
-		if nc, rn, ok := o.rewriteFirst(x.Default, tolerant); ok {
-			out := *x
-			out.Default = nc
-			return &out, rn, true
-		}
-	case *algebra.MapFromItem:
-		return rebuild(x.Input, tolerant, func(c algebra.Expr) algebra.Expr {
-			return &algebra.MapFromItem{Bind: x.Bind, Input: c}
-		})
-	case *algebra.MapToItem:
-		if nc, rn, ok := o.rewriteFirst(x.Dep, tolerant); ok {
-			return &algebra.MapToItem{Dep: nc, Input: x.Input}, rn, true
-		}
-		return rebuild(x.Input, tolerant, func(c algebra.Expr) algebra.Expr {
-			return &algebra.MapToItem{Dep: x.Dep, Input: c}
-		})
-	case *algebra.Select:
-		if nc, rn, ok := o.rewriteFirst(x.Pred, true); ok {
-			return &algebra.Select{Pred: nc, Input: x.Input}, rn, true
-		}
-		return rebuild(x.Input, tolerant, func(c algebra.Expr) algebra.Expr {
-			return &algebra.Select{Pred: x.Pred, Input: c}
-		})
-	case *algebra.MapIndex:
-		return rebuild(x.Input, false, func(c algebra.Expr) algebra.Expr {
-			return &algebra.MapIndex{Field: x.Field, Input: c}
-		})
-	case *algebra.Head:
-		return rebuild(x.Input, false, func(c algebra.Expr) algebra.Expr {
-			return &algebra.Head{Input: c}
-		})
-	case *algebra.TupleTreePattern:
-		return rebuild(x.Input, tolerant, func(c algebra.Expr) algebra.Expr {
-			return &algebra.TupleTreePattern{Pattern: x.Pattern, Input: c}
-		})
-	}
-	return nil, nil, false
+		return c
+	}), rn, true
 }
 
-// applyRule adapts the rule set to the (expr, rename, fired) interface.
-func (o *optimizer) applyRule(e algebra.Expr, tolerant bool) (algebra.Expr, *rename, bool) {
-	return o.tryRules(e, tolerant)
+// childTolerant reports whether the k-th child of e (Children order) is
+// consumed set-tolerantly, given whether e itself is.
+func childTolerant(e algebra.Expr, k int, tolerant bool) bool {
+	switch x := e.(type) {
+	case *algebra.Call:
+		switch x.Name {
+		case "ddo", "boolean", "not", "empty", "exists":
+			return true
+		}
+		return false
+	case *algebra.Compare, *algebra.And, *algebra.Or:
+		return true
+	case *algebra.Arith:
+		// Arithmetic needs exact singleton operands: not set-tolerant.
+		return false
+	case *algebra.MapIndex, *algebra.Head:
+		return false
+	case *algebra.If, *algebra.Select:
+		// The condition and the predicate are effective-boolean-value tests.
+		return k == 0 || tolerant
+	case *algebra.LetBind, *algebra.TypeSwitch:
+		// A let value and a typeswitch input are consumed exactly.
+		return k > 0 && tolerant
+	}
+	return tolerant
 }
 
 // renameField substitutes a field name throughout a plan (Field references
-// and pattern anchors).
+// and pattern anchors), sharing every subtree that does not mention it.
 func renameField(e algebra.Expr, from, to string) algebra.Expr {
 	switch x := e.(type) {
 	case *algebra.Field:
 		if x.Name == from {
 			return &algebra.Field{Name: to}
 		}
-		return x
-	case *algebra.In, *algebra.VarRef, *algebra.Const, *algebra.EmptySeq:
-		return e
-	case *algebra.TreeJoin:
-		return &algebra.TreeJoin{Axis: x.Axis, Test: x.Test, Input: renameField(x.Input, from, to)}
-	case *algebra.Call:
-		args := make([]algebra.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = renameField(a, from, to)
-		}
-		return &algebra.Call{Name: x.Name, Args: args}
-	case *algebra.Compare:
-		return &algebra.Compare{Op: x.Op, L: renameField(x.L, from, to), R: renameField(x.R, from, to)}
-	case *algebra.Sequence:
-		out := &algebra.Sequence{Items: make([]algebra.Expr, len(x.Items))}
-		for i, it := range x.Items {
-			out.Items[i] = renameField(it, from, to)
-		}
-		return out
-	case *algebra.Arith:
-		return &algebra.Arith{Op: x.Op, L: renameField(x.L, from, to), R: renameField(x.R, from, to)}
-	case *algebra.And:
-		return &algebra.And{L: renameField(x.L, from, to), R: renameField(x.R, from, to)}
-	case *algebra.Or:
-		return &algebra.Or{L: renameField(x.L, from, to), R: renameField(x.R, from, to)}
-	case *algebra.If:
-		return &algebra.If{Cond: renameField(x.Cond, from, to), Then: renameField(x.Then, from, to), Else: renameField(x.Else, from, to)}
-	case *algebra.LetBind:
-		return &algebra.LetBind{Name: x.Name, Value: renameField(x.Value, from, to), Body: renameField(x.Body, from, to)}
-	case *algebra.TypeSwitch:
-		out := &algebra.TypeSwitch{Input: renameField(x.Input, from, to), DefVar: x.DefVar}
-		for _, c := range x.Cases {
-			out.Cases = append(out.Cases, algebra.TSCase{Type: c.Type, Var: c.Var, Body: renameField(c.Body, from, to)})
-		}
-		out.Default = renameField(x.Default, from, to)
-		return out
-	case *algebra.MapFromItem:
-		return &algebra.MapFromItem{Bind: x.Bind, Input: renameField(x.Input, from, to)}
-	case *algebra.MapToItem:
-		return &algebra.MapToItem{Dep: renameField(x.Dep, from, to), Input: renameField(x.Input, from, to)}
-	case *algebra.Select:
-		return &algebra.Select{Pred: renameField(x.Pred, from, to), Input: renameField(x.Input, from, to)}
-	case *algebra.MapIndex:
-		return &algebra.MapIndex{Field: x.Field, Input: renameField(x.Input, from, to)}
-	case *algebra.Head:
-		return &algebra.Head{Input: renameField(x.Input, from, to)}
 	case *algebra.TupleTreePattern:
-		p := x.Pattern.Clone()
-		if p.Input == from {
-			p.Input = to
+		if x.Pattern.Input == from {
+			p := &pattern.Pattern{Input: to, Root: x.Pattern.Root}
+			return &algebra.TupleTreePattern{Pattern: p, Input: renameField(x.Input, from, to)}
 		}
-		return &algebra.TupleTreePattern{Pattern: p, Input: renameField(x.Input, from, to)}
 	}
-	return e
+	return algebra.MapChildren(e, func(c algebra.Expr) algebra.Expr { return renameField(c, from, to) })
 }

@@ -66,7 +66,8 @@ type lexer struct {
 // lex tokenizes the whole input up front.
 func lex(src string) ([]token, error) {
 	lx := &lexer{src: src}
-	var toks []token
+	// About one token per three bytes of the paper's queries.
+	toks := make([]token, 0, len(src)/3+2)
 	for {
 		t, err := lx.next()
 		if err != nil {

@@ -32,102 +32,86 @@ type ddoDropper struct {
 
 func (d *ddoDropper) rw(e core.Expr, env *propEnv, tolerant bool) core.Expr {
 	switch x := e.(type) {
-	case *core.Var, *core.StringLit, *core.NumberLit, *core.EmptySeq:
-		return e
-
-	case *core.Step:
-		// A step distributes over the set of its context nodes.
-		return &core.Step{Input: d.rw(x.Input, env, tolerant), Axis: x.Axis, Test: x.Test}
-
-	case *core.Call:
-		return d.rwCall(x, env, tolerant)
-
 	case *core.For:
-		bodyEnv := env.bind(x.Var, allProps)
-		if x.Pos != "" {
-			bodyEnv = bodyEnv.bind(x.Pos, props{atMostOne: true})
-		}
 		// The input is set-tolerant only if the loop has no positional
 		// variable and the loop's own result is consumed set-tolerantly.
 		in := d.rw(x.In, env, tolerant && x.Pos == "")
-		var where core.Expr
-		if x.Where != nil {
+		n := env.bindFor(x)
+		where := x.Where
+		if where != nil {
 			// A where clause is consumed via its effective boolean value.
-			where = d.rw(x.Where, bodyEnv, true)
+			where = d.rw(where, env, true)
 		}
-		ret := d.rw(x.Return, bodyEnv, tolerant)
+		ret := d.rw(x.Return, env, tolerant)
+		env.props.pop(n)
+		if in == x.In && where == x.Where && ret == x.Return {
+			return x
+		}
 		return &core.For{Var: x.Var, Pos: x.Pos, In: in, Where: where, Return: ret}
 
 	case *core.Let:
 		// Conservative: the binding may be used in order-sensitive ways.
 		in := d.rw(x.In, env, false)
-		ret := d.rw(x.Return, env.bind(x.Var, inferProps(in, env)), tolerant)
+		env.props.push(x.Var, inferProps(in, env))
+		ret := d.rw(x.Return, env, tolerant)
+		env.props.pop(1)
+		if in == x.In && ret == x.Return {
+			return x
+		}
 		return &core.Let{Var: x.Var, In: in, Return: ret}
 
-	case *core.If:
-		return &core.If{
-			Cond: d.rw(x.Cond, env, true),
-			Then: d.rw(x.Then, env, tolerant),
-			Else: d.rw(x.Else, env, tolerant),
+	case *core.Call:
+		if x.Name == "ddo" {
+			arg := d.rw(x.Args[0], env, true)
+			if tolerant {
+				d.changed = true
+				return arg
+			}
+			if p := inferProps(arg, env); p.ord && p.df {
+				d.changed = true
+				return arg
+			}
+			if arg == x.Args[0] {
+				return x
+			}
+			return &core.Call{Name: "ddo", Args: []core.Expr{arg}}
 		}
-
-	case *core.TypeSwitch:
-		out := &core.TypeSwitch{Input: d.rw(x.Input, env, false), DefVar: x.DefVar}
-		for _, c := range x.Cases {
-			c.Body = d.rw(c.Body, env.bind(c.Var, noProps), tolerant)
-			out.Cases = append(out.Cases, c)
-		}
-		out.Default = d.rw(x.Default, env.bind(x.DefVar, noProps), tolerant)
-		return out
-
-	case *core.Compare:
-		// General comparisons are existential over atomized operands:
-		// order and duplicates cannot change the outcome.
-		return &core.Compare{Op: x.Op, L: d.rw(x.L, env, true), R: d.rw(x.R, env, true)}
-	case *core.Sequence:
-		// Concatenation distributes over sets: if the consumer is
-		// set-tolerant, so is each item position.
-		out := &core.Sequence{Items: make([]core.Expr, len(x.Items))}
-		for i, it := range x.Items {
-			out.Items[i] = d.rw(it, env, tolerant)
-		}
-		return out
-	case *core.Arith:
-		// Arithmetic requires singleton operands: removing a ddo can turn
-		// a deduplicated singleton into a cardinality error.
-		return &core.Arith{Op: x.Op, L: d.rw(x.L, env, false), R: d.rw(x.R, env, false)}
-	case *core.And:
-		return &core.And{L: d.rw(x.L, env, true), R: d.rw(x.R, env, true)}
-	case *core.Or:
-		return &core.Or{L: d.rw(x.L, env, true), R: d.rw(x.R, env, true)}
 	}
-	return e
+	k := 0
+	return core.MapChildren(e, func(c core.Expr) core.Expr {
+		v, _ := core.Binders(e, k) // a typeswitch case or default variable
+		env.props.push(v, noProps)
+		c = d.rw(c, env, childTolerant(e, k, tolerant))
+		env.props.pop(1)
+		k++
+		return c
+	})
 }
 
-func (d *ddoDropper) rwCall(c *core.Call, env *propEnv, tolerant bool) core.Expr {
-	switch c.Name {
-	case "ddo":
-		arg := d.rw(c.Args[0], env, true)
-		if tolerant {
-			d.changed = true
-			return arg
-		}
-		if p := inferProps(arg, env); p.ord && p.df {
-			d.changed = true
-			return arg
-		}
-		return &core.Call{Name: "ddo", Args: []core.Expr{arg}}
+// childTolerant reports whether the k-th child of e (Children order) is in
+// a set-tolerant position, given whether e itself is.
+func childTolerant(e core.Expr, k int, tolerant bool) bool {
+	switch x := e.(type) {
+	case *core.Call:
+		// Per the function table: arguments of duplicate-sensitive
+		// functions (count, string, sum, …) must keep their exact sequences;
+		// the boolean and emptiness functions, and min/max, are set-tolerant.
+		sig, ok := funcs.Lookup(x.Name)
+		return ok && !sig.DupSensitive
+	case *core.Compare, *core.And, *core.Or:
+		// General comparisons are existential over atomized operands: order
+		// and duplicates cannot change the outcome.
+		return true
+	case *core.Arith:
+		// Arithmetic requires singleton operands: removing a ddo can turn a
+		// deduplicated singleton into a cardinality error.
+		return false
+	case *core.If:
+		return k == 0 || tolerant
+	case *core.TypeSwitch:
+		return k > 0 && tolerant
 	}
-	// Per the function table: arguments of duplicate-sensitive functions
-	// (count, string, sum, …) must keep their exact sequences; the boolean
-	// and emptiness functions, and min/max, are set-tolerant.
-	argTolerant := false
-	if sig, ok := funcs.Lookup(c.Name); ok {
-		argTolerant = !sig.DupSensitive
-	}
-	args := make([]core.Expr, len(c.Args))
-	for i, a := range c.Args {
-		args[i] = d.rw(a, env, argTolerant)
-	}
-	return &core.Call{Name: c.Name, Args: args}
+	// A step distributes over the set of its context nodes; concatenation
+	// distributes over sets.
+	return tolerant
 }

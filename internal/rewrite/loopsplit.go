@@ -1,7 +1,7 @@
 package rewrite
 
 import (
-	"fmt"
+	"strconv"
 
 	"xqtp/internal/core"
 )
@@ -29,15 +29,15 @@ import (
 // so that every where clause sits on a loop that returns its own variable,
 // the shape the algebraic predicate-merge rule (e) recognizes.
 func loopSplitPass(e core.Expr) (core.Expr, bool) {
-	s := &splitter{used: map[string]bool{}}
-	collectAllVars(e, s.used)
+	s := &splitter{input: e}
 	out := s.rw(e)
 	return out, s.changed
 }
 
 type splitter struct {
 	changed bool
-	used    map[string]bool
+	input   core.Expr
+	used    map[string]bool // every variable name of input, built by the first fresh
 	counter int
 }
 
@@ -53,15 +53,17 @@ func collectAllVars(e core.Expr, out map[string]bool) {
 	case *core.Let:
 		out[x.Var] = true
 	}
-	for _, ch := range core.Children(e) {
-		collectAllVars(ch, out)
-	}
+	core.EachChild(e, func(c core.Expr) { collectAllVars(c, out) })
 }
 
 func (s *splitter) fresh() string {
+	if s.used == nil {
+		s.used = map[string]bool{}
+		collectAllVars(s.input, s.used)
+	}
 	for {
 		s.counter++
-		name := fmt.Sprintf("tp%d", s.counter)
+		name := "tp" + strconv.Itoa(s.counter)
 		if !s.used[name] {
 			s.used[name] = true
 			return name
@@ -70,46 +72,9 @@ func (s *splitter) fresh() string {
 }
 
 func (s *splitter) rw(e core.Expr) core.Expr {
-	switch x := e.(type) {
-	case *core.Step:
-		return &core.Step{Input: s.rw(x.Input), Axis: x.Axis, Test: x.Test}
-	case *core.For:
-		out := &core.For{Var: x.Var, Pos: x.Pos, In: s.rw(x.In), Return: s.rw(x.Return)}
-		if x.Where != nil {
-			out.Where = s.rw(x.Where)
-		}
-		return s.split(out)
-	case *core.Let:
-		return &core.Let{Var: x.Var, In: s.rw(x.In), Return: s.rw(x.Return)}
-	case *core.If:
-		return &core.If{Cond: s.rw(x.Cond), Then: s.rw(x.Then), Else: s.rw(x.Else)}
-	case *core.TypeSwitch:
-		out := &core.TypeSwitch{Input: s.rw(x.Input), DefVar: x.DefVar, Default: s.rw(x.Default)}
-		for _, c := range x.Cases {
-			c.Body = s.rw(c.Body)
-			out.Cases = append(out.Cases, c)
-		}
-		return out
-	case *core.Call:
-		out := &core.Call{Name: x.Name, Args: make([]core.Expr, len(x.Args))}
-		for i, a := range x.Args {
-			out.Args[i] = s.rw(a)
-		}
-		return out
-	case *core.Compare:
-		return &core.Compare{Op: x.Op, L: s.rw(x.L), R: s.rw(x.R)}
-	case *core.Sequence:
-		out := &core.Sequence{Items: make([]core.Expr, len(x.Items))}
-		for i, it := range x.Items {
-			out.Items[i] = s.rw(it)
-		}
-		return out
-	case *core.Arith:
-		return &core.Arith{Op: x.Op, L: s.rw(x.L), R: s.rw(x.R)}
-	case *core.And:
-		return &core.And{L: s.rw(x.L), R: s.rw(x.R)}
-	case *core.Or:
-		return &core.Or{L: s.rw(x.L), R: s.rw(x.R)}
+	e = core.MapChildren(e, s.rw)
+	if f, ok := e.(*core.For); ok {
+		return s.split(f)
 	}
 	return e
 }

@@ -21,15 +21,11 @@ func simplifyPass(e core.Expr, env *typeEnv) (core.Expr, bool) {
 
 func (s *simplifier) rw(e core.Expr, env *typeEnv) core.Expr {
 	switch x := e.(type) {
-	case *core.Var, *core.StringLit, *core.NumberLit, *core.EmptySeq:
-		return e
-
-	case *core.Step:
-		return &core.Step{Input: s.rw(x.Input, env), Axis: x.Axis, Test: x.Test}
-
 	case *core.Let:
 		in := s.rw(x.In, env)
-		ret := s.rw(x.Return, env.bind(x.Var, infer(in, env)))
+		env.push(x.Var, infer(in, env))
+		ret := s.rw(x.Return, env)
+		env.pop(1)
 		switch core.Usage(ret, x.Var) {
 		case 0:
 			// Unused let binding: the bound expression is pure, drop it.
@@ -46,6 +42,9 @@ func (s *simplifier) rw(e core.Expr, env *typeEnv) core.Expr {
 			s.changed = true
 			return core.Subst(ret, x.Var, in)
 		}
+		if in == x.In && ret == x.Return {
+			return x
+		}
 		return &core.Let{Var: x.Var, In: in, Return: ret}
 
 	case *core.For:
@@ -53,91 +52,96 @@ func (s *simplifier) rw(e core.Expr, env *typeEnv) core.Expr {
 
 	case *core.If:
 		cond := s.stripBoolean(s.rw(x.Cond, env))
-		return &core.If{Cond: cond, Then: s.rw(x.Then, env), Else: s.rw(x.Else, env)}
+		then, els := s.rw(x.Then, env), s.rw(x.Else, env)
+		if cond == x.Cond && then == x.Then && els == x.Else {
+			return x
+		}
+		return &core.If{Cond: cond, Then: then, Else: els}
 
 	case *core.TypeSwitch:
 		return s.rwTypeSwitch(x, env)
+	}
 
+	e = core.MapChildren(e, func(c core.Expr) core.Expr { return s.rw(c, env) })
+	switch x := e.(type) {
 	case *core.Call:
-		args := make([]core.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = s.rw(a, env)
-		}
-		out := &core.Call{Name: x.Name, Args: args}
 		switch x.Name {
 		case "ddo":
 			// ddo(ddo(E)) = ddo(E); ddo(()) = ().
-			if inner, ok := args[0].(*core.Call); ok && inner.Name == "ddo" {
+			if inner, ok := x.Args[0].(*core.Call); ok && inner.Name == "ddo" {
 				s.changed = true
 				return inner
 			}
-			if _, ok := args[0].(*core.EmptySeq); ok {
+			if _, ok := x.Args[0].(*core.EmptySeq); ok {
 				s.changed = true
-				return args[0]
+				return x.Args[0]
 			}
 		case "boolean":
 			// fn:boolean over a boolean-typed singleton is the identity.
-			if ti := infer(args[0], env); ti.t == core.TypeBoolean && ti.exactlyOne {
+			if ti := infer(x.Args[0], env); ti.t == core.TypeBoolean && ti.exactlyOne {
 				s.changed = true
-				return args[0]
+				return x.Args[0]
 			}
 		}
-		return out
-
-	case *core.Compare:
-		return &core.Compare{Op: x.Op, L: s.rw(x.L, env), R: s.rw(x.R, env)}
 	case *core.Sequence:
-		// Flatten nested sequences and drop empty items.
-		var items []core.Expr
-		for _, it := range x.Items {
-			ni := s.rw(it, env)
-			switch y := ni.(type) {
-			case *core.EmptySeq:
-				s.changed = true
-			case *core.Sequence:
-				s.changed = true
-				items = append(items, y.Items...)
-			default:
-				items = append(items, ni)
-			}
-		}
-		switch len(items) {
-		case 0:
-			s.changed = true
-			return &core.EmptySeq{}
-		case 1:
-			s.changed = true
-			return items[0]
-		}
-		return &core.Sequence{Items: items}
-	case *core.Arith:
-		return &core.Arith{Op: x.Op, L: s.rw(x.L, env), R: s.rw(x.R, env)}
-	case *core.And:
-		return &core.And{L: s.rw(x.L, env), R: s.rw(x.R, env)}
-	case *core.Or:
-		return &core.Or{L: s.rw(x.L, env), R: s.rw(x.R, env)}
+		return s.flatten(x)
 	}
 	return e
 }
 
+// flatten splices nested sequences into seq and drops its empty items; a
+// sequence of one item is the item.
+func (s *simplifier) flatten(seq *core.Sequence) core.Expr {
+	var items []core.Expr // nil while seq.Items needs no splicing
+	for i, it := range seq.Items {
+		y, nested := it.(*core.Sequence)
+		_, empty := it.(*core.EmptySeq)
+		if (nested || empty) && items == nil {
+			items = append(make([]core.Expr, 0, len(seq.Items)), seq.Items[:i]...)
+		}
+		switch {
+		case empty:
+			s.changed = true
+		case nested:
+			s.changed = true
+			items = append(items, y.Items...)
+		case items != nil:
+			items = append(items, it)
+		}
+	}
+	if items == nil {
+		if len(seq.Items) > 1 {
+			return seq
+		}
+		items = seq.Items
+	}
+	switch len(items) {
+	case 0:
+		s.changed = true
+		return &core.EmptySeq{}
+	case 1:
+		s.changed = true
+		return items[0]
+	}
+	return &core.Sequence{Items: items}
+}
+
 func (s *simplifier) rwFor(f *core.For, env *typeEnv) core.Expr {
 	in := s.rw(f.In, env)
-	bodyEnv := env.bind(f.Var, typeInfo{t: infer(in, env).t, exactlyOne: true})
-	if f.Pos != "" {
-		bodyEnv = bodyEnv.bind(f.Pos, typeInfo{core.TypeNumeric, true})
-	}
+	n := env.bindFor(f, infer(in, env))
 	var where core.Expr
 	if f.Where != nil {
 		// The where clause is an effective-boolean-value position: a
 		// surrounding fn:boolean is redundant.
-		where = s.stripBoolean(s.rw(f.Where, bodyEnv))
+		where = s.stripBoolean(s.rw(f.Where, env))
 	}
-	ret := s.rw(f.Return, bodyEnv)
+	ret := s.rw(f.Return, env)
+	env.pop(n)
 
 	// Remove the positional variable when unused (paper §3, third FLWOR
 	// rule).
 	pos := f.Pos
-	if pos != "" && core.Usage(whereAnd(where, ret), pos) == 0 {
+	if pos != "" && core.Usage(ret, pos) == 0 && (where == nil || core.Usage(where, pos) == 0) {
 		s.changed = true
 		pos = ""
 	}
@@ -169,6 +173,9 @@ func (s *simplifier) rwFor(f *core.For, env *typeEnv) core.Expr {
 		}
 	}
 
+	if in == f.In && where == f.Where && ret == f.Return && pos == f.Pos {
+		return f
+	}
 	return &core.For{Var: f.Var, Pos: pos, In: in, Where: where, Return: ret}
 }
 
@@ -179,29 +186,47 @@ func (s *simplifier) rwTypeSwitch(ts *core.TypeSwitch, env *typeEnv) core.Expr {
 	in := s.rw(ts.Input, env)
 	ti := infer(in, env)
 
-	var cases []core.TSCase
-	for _, c := range ts.Cases {
-		c.Body = s.rw(c.Body, env.bind(c.Var, typeInfo{t: c.Type, exactlyOne: true}))
+	var cases []core.TSCase // nil while the kept cases are ts.Cases unchanged
+	kept := 0
+	for i, c := range ts.Cases {
+		env.push(c.Var, typeInfo{t: c.Type, exactlyOne: true})
+		c.Body = s.rw(c.Body, env)
+		env.pop(1)
 		// Rule 1: statEnv ⊢ Type0 ∩ Type1 = ∅ — drop the case.
-		if c.Type == core.TypeNumeric && !canBeNumeric(ti) {
+		drop := c.Type == core.TypeNumeric && !canBeNumeric(ti)
+		if cases == nil && (drop || c.Body != ts.Cases[i].Body) {
+			cases = append(make([]core.TSCase, 0, len(ts.Cases)), ts.Cases[:i]...)
+		}
+		if drop {
 			s.changed = true
 			continue
 		}
 		// Rule 2: statEnv ⊢ Type0 ⊂ Type1 — the case is sure to match.
-		if c.Type == core.TypeNumeric && mustBeNumeric(ti) && len(cases) == 0 {
+		if c.Type == core.TypeNumeric && mustBeNumeric(ti) && kept == 0 {
 			s.changed = true
 			return &core.Let{Var: c.Var, In: in, Return: c.Body}
 		}
-		cases = append(cases, c)
+		if cases != nil {
+			cases = append(cases, c)
+		}
+		kept++
 	}
-	def := s.rw(ts.Default, env.bind(ts.DefVar, ti))
-	if len(cases) == 0 {
+	env.push(ts.DefVar, ti)
+	def := s.rw(ts.Default, env)
+	env.pop(1)
+	if kept == 0 {
 		// Only the default remains.
 		s.changed = true
 		if ts.DefVar == "" {
 			return def
 		}
 		return &core.Let{Var: ts.DefVar, In: in, Return: def}
+	}
+	if cases == nil {
+		if in == ts.Input && def == ts.Default {
+			return ts
+		}
+		cases = ts.Cases
 	}
 	return &core.TypeSwitch{Input: in, Cases: cases, DefVar: ts.DefVar, Default: def}
 }
@@ -214,12 +239,4 @@ func (s *simplifier) stripBoolean(e core.Expr) core.Expr {
 		return c.Args[0]
 	}
 	return e
-}
-
-// whereAnd combines where and return for usage counting.
-func whereAnd(where, ret core.Expr) core.Expr {
-	if where == nil {
-		return ret
-	}
-	return &core.And{L: where, R: ret}
 }

@@ -20,24 +20,49 @@ type typeInfo struct {
 
 var unknownType = typeInfo{t: core.TypeUnknown}
 
-// typeEnv maps in-scope variables to their inferred types.
-type typeEnv struct {
-	name   string
-	info   typeInfo
-	parent *typeEnv
+// scope maps in-scope variables to facts about them (zero for a name it
+// does not bind). It is a stack, pushed on entering a binder and popped on
+// leaving it, so that one array serves a whole rewrite.
+type scope[T any] struct {
+	b []binding[T]
 }
 
-func (e *typeEnv) bind(name string, info typeInfo) *typeEnv {
-	return &typeEnv{name: name, info: info, parent: e}
+// newScope returns an empty scope with room for the nesting depth of
+// typical queries.
+func newScope[T any]() scope[T] { return scope[T]{b: make([]binding[T], 0, 16)} }
+
+type binding[T any] struct {
+	name string
+	val  T
 }
 
-func (e *typeEnv) lookup(name string) typeInfo {
-	for t := e; t != nil; t = t.parent {
-		if t.name == name {
-			return t.info
+func (s *scope[T]) push(name string, v T) { s.b = append(s.b, binding[T]{name, v}) }
+
+// pop drops the n innermost bindings.
+func (s *scope[T]) pop(n int) { s.b = s.b[:len(s.b)-n] }
+
+func (s *scope[T]) lookup(name string) T {
+	for i := len(s.b) - 1; i >= 0; i-- {
+		if s.b[i].name == name {
+			return s.b[i].val
 		}
 	}
-	return unknownType
+	var zero T
+	return zero
+}
+
+// typeEnv maps in-scope variables to their inferred types.
+type typeEnv struct{ scope[typeInfo] }
+
+// bindFor pushes a for loop's variable (one item of its input's type) and
+// its positional variable, and returns how many bindings it pushed.
+func (e *typeEnv) bindFor(f *core.For, in typeInfo) int {
+	e.push(f.Var, typeInfo{t: in.t, exactlyOne: true})
+	if f.Pos == "" {
+		return 1
+	}
+	e.push(f.Pos, typeInfo{core.TypeNumeric, true})
+	return 2
 }
 
 // infer computes the static type of a core expression.
@@ -89,15 +114,15 @@ func infer(e core.Expr, env *typeEnv) typeInfo {
 		}
 		return unknownType
 	case *core.For:
-		inInfo := infer(x.In, env)
-		body := env.bind(x.Var, typeInfo{t: inInfo.t, exactlyOne: true})
-		if x.Pos != "" {
-			body = body.bind(x.Pos, typeInfo{core.TypeNumeric, true})
-		}
-		ret := infer(x.Return, body)
+		n := env.bindFor(x, infer(x.In, env))
+		ret := infer(x.Return, env)
+		env.pop(n)
 		return typeInfo{t: ret.t, exactlyOne: false}
 	case *core.Let:
-		return infer(x.Return, env.bind(x.Var, infer(x.In, env)))
+		env.push(x.Var, infer(x.In, env))
+		ret := infer(x.Return, env)
+		env.pop(1)
+		return ret
 	case *core.If:
 		th := infer(x.Then, env)
 		el := infer(x.Else, env)
