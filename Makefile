@@ -83,14 +83,15 @@ bench-check:
 
 # Short differential fuzz of the ingest scanner against the encoding/xml
 # oracle, of the snapshot reader against corrupted/truncated bytes, of the
-# serializer's escaper against its byte-at-a-time reference, and of the
-# server's JSON string encoder against encoding/json (the committed seed
-# corpus always runs as part of `make test`; this also explores new inputs
-# for a bounded time).
+# serializer's escaper against its byte-at-a-time reference, of its JSON mode
+# against encoding/json of the XML, and of the server's JSON string encoder
+# against encoding/json (the committed seed corpus always runs as part of
+# `make test`; this also explores new inputs for a bounded time).
 fuzz-smoke:
 	$(GO) test ./internal/xmlstore -run FuzzScanVsStd -fuzz FuzzScanVsStd -fuzztime 30s
 	$(GO) test ./internal/xmlstore -run FuzzSnapshot -fuzz FuzzSnapshot -fuzztime 30s
 	$(GO) test ./internal/xmlstore -run FuzzAppendEscaped -fuzz FuzzAppendEscaped -fuzztime 30s
+	$(GO) test ./internal/xmlstore -run FuzzAppendRankJSON -fuzz FuzzAppendRankJSON -fuzztime 30s
 	$(GO) test ./internal/server -run FuzzAppendJSONString -fuzz FuzzAppendJSONString -fuzztime 30s
 
 # Compare two treebench Table 1 reports (treebench -exp table1 -json):

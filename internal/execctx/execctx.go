@@ -251,18 +251,12 @@ func Deliver(ec *Ctx, sink Sink, items xdm.Sequence) error {
 
 // deliverOne charges one item against the budgets and pushes it.
 func (ec *Ctx) deliverOne(sink Sink, it xdm.Item) error {
-	rows := ec.st.rows.Add(1)
-	if ec.maxRows > 0 && rows > ec.maxRows {
-		ec.st.rows.Add(-1) // the item was not delivered
-		ec.stopBudget()
-		return ec.Err()
-	}
+	var weight int64
 	if ec.maxBytes > 0 {
-		if ec.st.bytes.Add(itemWeight(it)) > ec.maxBytes {
-			ec.st.rows.Add(-1)
-			ec.stopBudget()
-			return ec.Err()
-		}
+		weight = itemWeight(it)
+	}
+	if err := ec.admit(weight); err != nil {
+		return err
 	}
 	if err := sink.Push(it); err != nil {
 		ec.stopWith(err)
@@ -271,40 +265,68 @@ func (ec *Ctx) deliverOne(sink Sink, it xdm.Item) error {
 	return nil
 }
 
+// admit counts one row of the given byte weight, or, when that would pass a
+// budget, stops the run and returns the typed error.
+func (ec *Ctx) admit(weight int64) error {
+	rows := ec.st.rows.Add(1)
+	if ec.maxRows > 0 && rows > ec.maxRows || ec.maxBytes > 0 && ec.st.bytes.Add(weight) > ec.maxBytes {
+		ec.st.rows.Add(-1) // the item was not delivered
+		ec.stopBudget()
+		return ec.Err()
+	}
+	return nil
+}
+
+// RankSink is the optional node fast path: a sink that renders a node from
+// its tree's columns takes it as (tree, rank), and DeliverNodes builds no
+// node for it.
+type RankSink interface {
+	PushRank(t *xdm.Tree, r int32) error
+}
+
 // DeliverNodes is Deliver for a producer that holds its result as preorder
 // ranks of tree t: it delivers t.Node(ranks[i]) for i = first, first+stride,
 // … — one output field of a table of stride-wide bindings — with Deliver's
-// budget charging and stop behavior, and without the result ever existing
-// as a Sequence. A node is built when it is first delivered. A Collector
-// receives the nodes into a sequence grown once to the exact size.
+// budget charging (a node weighs what itemWeight charges) and stop behavior,
+// and without the result ever existing as a Sequence. A RankSink receives
+// the ranks; for other sinks a node is built when it is first delivered. A
+// Collector receives the nodes into a sequence grown once to the exact size.
 func DeliverNodes(ec *Ctx, sink Sink, t *xdm.Tree, ranks []int32, first, stride int) error {
 	if first >= len(ranks) {
 		return nil
 	}
 	n := (len(ranks) - first + stride - 1) / stride
+	budget := false
 	if ec != nil {
 		if err := ec.Err(); err != nil {
 			return err
 		}
-		if ec.maxRows > 0 || ec.maxBytes > 0 {
-			for i := first; i < len(ranks); i += stride {
-				if err := ec.deliverOne(sink, t.Node(ranks[i])); err != nil {
-					return err
-				}
-			}
-			return nil
+		if budget = ec.maxRows > 0 || ec.maxBytes > 0; !budget {
+			ec.st.rows.Add(int64(n))
 		}
-		ec.st.rows.Add(int64(n))
 	}
-	if c, ok := sink.(*Collector); ok {
+	if c, ok := sink.(*Collector); ok && !budget {
 		c.Seq = slices.Grow(c.Seq, n)
 		for i := first; i < len(ranks); i += stride {
 			c.Seq = append(c.Seq, t.Node(ranks[i]))
 		}
 		return nil
 	}
+	rs, _ := sink.(RankSink)
 	for i := first; i < len(ranks); i += stride {
-		if err := sink.Push(t.Node(ranks[i])); err != nil {
+		r := ranks[i]
+		if budget {
+			if err := ec.admit((int64(t.Cols.Size[r]) + 1) * 16); err != nil {
+				return err
+			}
+		}
+		var err error
+		if rs != nil {
+			err = rs.PushRank(t, r)
+		} else {
+			err = sink.Push(t.Node(r))
+		}
+		if err != nil {
 			if ec != nil {
 				ec.stopWith(err)
 			}

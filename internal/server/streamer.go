@@ -10,6 +10,7 @@ import (
 
 	"xqtp"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xmlstore"
 )
 
 // The flush rule: a response buffer reaches the ResponseWriter when it holds
@@ -25,22 +26,21 @@ const (
 )
 
 // respBuf is the pooled per-request memory: out holds rendered response bytes
-// not yet handed to the ResponseWriter, item one item's XML on its way to
-// being JSON-escaped into out.
-type respBuf struct{ out, item []byte }
+// not yet handed to the ResponseWriter, prefix the start of a node's item line
+// up to its value, which holds the URI of the member the node is in.
+type respBuf struct{ out, prefix []byte }
 
 var respBufs = sync.Pool{New: func() any {
 	return &respBuf{out: make([]byte, 0, flushBytes+flushBytes/8)}
 }}
 
-// streamer is the execctx.Sink behind a query response. Push appends the
-// rendered item line to one pooled buffer, which is written (and, mid-stream,
-// flushed to the wire) by the rule above: a response costs about one Write
-// per flushBytes, and a steady-state Push allocates nothing. "Streaming"
-// therefore means bounded staleness: while items keep arriving none waits
-// longer than flushAge plus the time to produce clockStride more bytes; with
-// no timer, a run that goes quiet holds its buffered tail until its next item
-// or its end.
+// streamer is the execctx.RankSink behind a query response. Each push appends
+// the item line to one pooled buffer, written (and, mid-stream, flushed to the
+// wire) by the rule above: a response costs about one Write per flushBytes,
+// and a steady-state push allocates nothing. "Streaming" therefore means
+// bounded staleness: while items keep arriving none waits longer than
+// flushAge plus the time to produce clockStride more bytes; with no timer, a
+// run that goes quiet holds its buffered tail until its next item or its end.
 //
 // execctx.Deliver charges the row/byte budget per item *before* pushing, so
 // the budgets meter exactly what enters the buffer: a limit of K means the
@@ -58,10 +58,9 @@ type streamer struct {
 	format string // "ndjson" or "xml"
 	corpus *xqtp.Corpus
 	wrote  bool // header set (and, for xml, the <results> opener buffered)
-	// Items arrive in runs of one member: the member URI is resolved once per
-	// run of one tree, not per item.
-	uriTree *xdm.Tree
-	uri     string
+	// Nodes arrive in runs of one member: the line prefix holding the member
+	// URI is rendered once per run of one tree, not per item.
+	prefixTree *xdm.Tree
 
 	*respBuf
 	mark    int       // out[mark:] are item lines not yet mirrored into capture
@@ -82,8 +81,8 @@ func newStreamer(w http.ResponseWriter, m *metrics, format string, corpus *xqtp.
 }
 
 func (st *streamer) close() {
-	if b := st.respBuf; cap(b.out) <= maxPooledBuf && cap(b.item) <= maxPooledBuf {
-		b.out, b.item = b.out[:0], b.item[:0]
+	if b := st.respBuf; cap(b.out) <= maxPooledBuf && cap(b.prefix) <= maxPooledBuf {
+		b.out, b.prefix = b.out[:0], b.prefix[:0]
 		respBufs.Put(b)
 	}
 	st.respBuf = nil
@@ -109,47 +108,80 @@ func (st *streamer) begin() {
 	st.w.WriteHeader(http.StatusOK)
 }
 
-// Push implements execctx.Sink: append one item line to the response buffer
-// and apply the size and age triggers.
+// Push implements execctx.Sink. A node of a tree goes to PushRank; atomics
+// and detached nodes, which belong to no member, are rendered here.
 func (st *streamer) Push(it xqtp.Item) error {
+	n, isNode := it.(*xqtp.Node)
+	if isNode && n.Doc != nil {
+		return st.PushRank(n.Doc, int32(n.Pre))
+	}
 	if st.err != nil {
 		return st.err
 	}
 	st.begin()
-	n, isNode := it.(*xqtp.Node)
-	uri := ""
-	if isNode {
-		if n.Doc != st.uriTree {
-			st.uriTree = n.Doc
-			st.uri, _ = st.corpus.URIOf(it)
-		}
-		uri = st.uri
-	}
 	out := st.out
-	if st.format == "xml" {
-		out = append(out, "<item"...)
-		if uri != "" {
-			out = append(appendXMLEscaped(append(out, ` uri="`...), uri), '"')
-		}
-		out = append(out, '>')
+	switch {
+	case st.format != "xml":
+		// {"value":…} as json.Marshal renders a wireItem with no URI (the
+		// benchmark oracle checksums exactly that).
+		v := xqtp.ItemString(it)
 		if isNode {
-			out = xqtp.AppendItem(out, it)
-		} else {
-			out = appendXMLEscaped(out, xqtp.ItemString(it))
+			v = xqtp.SerializeItem(it)
 		}
+		out = append(xmlstore.AppendJSONString(append(out, `{"value":`...), v), "}\n"...)
+	case isNode:
+		out = append(xqtp.AppendItem(append(out, "<item>"...), it), "</item>\n"...)
+	default:
+		out = append(appendXMLEscaped(append(out, "<item>"...), xqtp.ItemString(it), false), "</item>\n"...)
+	}
+	return st.appended(out)
+}
+
+// PushRank implements execctx.RankSink: the node at rank r of t goes straight
+// from the tree's columns into its item line, in one pass that writes its XML,
+// for NDJSON already escaped as the body of a JSON string.
+func (st *streamer) PushRank(t *xdm.Tree, r int32) error {
+	if st.err != nil {
+		return st.err
+	}
+	st.begin()
+	if t != st.prefixTree {
+		st.renderPrefix(t)
+	}
+	out := xmlstore.AppendRank(append(st.out, st.prefix...), t, r, st.format != "xml")
+	if st.format == "xml" {
 		out = append(out, "</item>\n"...)
 	} else {
-		// {"uri":…,"value":…} with uri omitted when empty, as json.Marshal
-		// renders it (the benchmark oracle checksums exactly that).
-		st.item = xqtp.AppendItem(st.item[:0], it)
-		out = append(out, '{')
-		if uri != "" {
-			out = append(appendJSONString(append(out, `"uri":`...), uri), ',')
-		}
-		out = append(appendJSONString(append(out, `"value":`...), st.item), "}\n"...)
+		out = append(out, "\"}\n"...)
 	}
-	st.out = out
+	return st.appended(out)
+}
 
+// renderPrefix renders the start of the item lines of t's nodes, with the URI
+// omitted when t is not a member, as json.Marshal renders a wireItem.
+func (st *streamer) renderPrefix(t *xdm.Tree) {
+	st.prefixTree = t
+	uri, _ := st.corpus.URIOf(t.RootNode())
+	p := st.prefix[:0]
+	if st.format == "xml" {
+		p = append(p, "<item"...)
+		if uri != "" {
+			p = append(appendXMLEscaped(append(p, ` uri="`...), uri, true), '"')
+		}
+		p = append(p, '>')
+	} else {
+		p = append(p, '{')
+		if uri != "" {
+			p = append(xmlstore.AppendJSONString(append(p, `"uri":`...), uri), ',')
+		}
+		p = append(p, `"value":"`...)
+	}
+	st.prefix = p
+}
+
+// appended stores out, one item line longer, and applies the flush triggers.
+func (st *streamer) appended(out []byte) error {
+	st.out = out
 	switch n := len(out); {
 	case n >= flushBytes:
 		return st.flush(true)
@@ -220,15 +252,15 @@ func (st *streamer) writeSummary(sum wireSummary) {
 	st.mirror()
 	out := st.out
 	if st.format == "xml" {
-		out = appendXMLEscaped(append(out, `<summary status="`...), sum.Status)
+		out = appendXMLEscaped(append(out, `<summary status="`...), sum.Status, true)
 		out = fmt.Appendf(out, `" rows="%d" bytes="%d" members="%d" skipped="%d" cached="%t"`,
 			sum.Rows, sum.Bytes, sum.Members, sum.Skipped, sum.Cached)
 		if sum.Error != "" {
-			out = append(appendXMLEscaped(append(out, ` error="`...), sum.Error), '"')
+			out = append(appendXMLEscaped(append(out, ` error="`...), sum.Error, true), '"')
 		}
 		out = append(out, "/>\n</results>\n"...)
-	} else if data, err := json.Marshal(map[string]wireSummary{"summary": sum}); err == nil {
-		out = append(append(out, data...), '\n')
+	} else if data, err := json.Marshal(sum); err == nil {
+		out = append(append(append(out, `{"summary":`...), data...), "}\n"...)
 	}
 	st.out, st.mark = out, len(out)
 	st.flush(false)
@@ -240,67 +272,32 @@ func (st *streamer) captured() bool {
 	return st.captureCap > 0 && !st.overflowed
 }
 
-// appendXMLEscaped appends s with the five XML special characters escaped
-// (attribute and text context).
-func appendXMLEscaped(dst []byte, s string) []byte {
+// appendXMLEscaped appends s with the five XML special characters and
+// carriage returns escaped, which XML parsers would otherwise read back as
+// newlines; in an attribute (attr) also tabs and newlines, which they would
+// fold to spaces.
+func appendXMLEscaped(dst []byte, s string, attr bool) []byte {
 	for _, r := range s {
-		switch r {
-		case '&':
+		switch {
+		case r == '&':
 			dst = append(dst, "&amp;"...)
-		case '<':
+		case r == '<':
 			dst = append(dst, "&lt;"...)
-		case '>':
+		case r == '>':
 			dst = append(dst, "&gt;"...)
-		case '"':
+		case r == '"':
 			dst = append(dst, "&quot;"...)
-		case '\'':
+		case r == '\'':
 			dst = append(dst, "&apos;"...)
+		case r == '\r':
+			dst = append(dst, "&#xD;"...)
+		case r == '\t' && attr:
+			dst = append(dst, "&#x9;"...)
+		case r == '\n' && attr:
+			dst = append(dst, "&#xA;"...)
 		default:
 			dst = utf8.AppendRune(dst, r)
 		}
 	}
 	return dst
-}
-
-// jsonEscape[b] is how encoding/json (go1.22+, HTML-safe escaping on) writes
-// the ASCII byte b inside a string; "" when b goes as itself.
-var jsonEscape = func() (t [utf8.RuneSelf]string) {
-	for b := 0; b < ' '; b++ {
-		t[b] = fmt.Sprintf(`\u%04x`, b)
-	}
-	t['\b'], t['\f'], t['\n'], t['\r'], t['\t'] = `\b`, `\f`, `\n`, `\r`, `\t`
-	t['"'], t['\\'], t['<'], t['>'], t['&'] = `\"`, `\\`, `\u003c`, `\u003e`, `\u0026`
-	return t
-}()
-
-// appendJSONString appends src as a JSON string literal, byte-identical to
-// json.Marshal of the same string: the ASCII escapes above, U+2028 and U+2029
-// escaped, and each byte of invalid UTF-8 replaced by \ufffd.
-func appendJSONString[S []byte | string](dst []byte, src S) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(src); {
-		esc, size := "", 1
-		if b := src[i]; b < utf8.RuneSelf {
-			esc = jsonEscape[b]
-		} else {
-			// At most UTFMax bytes are converted, so the string stays on the stack.
-			var c rune
-			c, size = utf8.DecodeRuneInString(string(src[i:min(i+utf8.UTFMax, len(src))]))
-			switch {
-			case c == utf8.RuneError && size == 1:
-				esc = `\ufffd`
-			case c == '\u2028':
-				esc = `\u2028`
-			case c == '\u2029':
-				esc = `\u2029`
-			}
-		}
-		if esc != "" {
-			dst = append(append(dst, src[start:i]...), esc...)
-			start = i + size
-		}
-		i += size
-	}
-	return append(append(dst, src[start:]...), '"')
 }

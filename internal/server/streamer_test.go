@@ -13,9 +13,15 @@ import (
 	"time"
 
 	"xqtp"
+	"xqtp/internal/execctx"
+	"xqtp/internal/xmlstore"
 )
 
-// nastyStrings covers every escape class of appendJSONString: the JSON
+// The streamer takes result nodes as ranks: DeliverNodes builds none for it.
+var _ execctx.RankSink = (*streamer)(nil)
+
+// nastyStrings covers every escape class of xmlstore.AppendJSONString, the
+// escaper of the URIs and atomic values: the JSON
 // specials, the HTML-unsafe three, the control characters with and without a
 // short form, U+2028/9, multi-byte runes, and invalid UTF-8 in each position.
 var nastyStrings = []string{
@@ -32,11 +38,8 @@ func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
-			t.Errorf("string %q: got %s, want %s", s, got, want)
-		}
-		if got := appendJSONString([]byte("x"), []byte(s)); !bytes.Equal(got[1:], want) {
-			t.Errorf("bytes %q: got %s, want %s", s, got[1:], want)
+		if got := xmlstore.AppendJSONString([]byte("x"), s); !bytes.Equal(got[1:], want) {
+			t.Errorf("string %q: got %s, want %s", s, got[1:], want)
 		}
 	}
 }
@@ -50,7 +53,7 @@ func FuzzAppendJSONString(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
+		if got := xmlstore.AppendJSONString(nil, s); !bytes.Equal(got, want) {
 			t.Fatalf("%q: got %s, want %s", s, got, want)
 		}
 	})
@@ -63,26 +66,37 @@ var nastyDocs = []string{
 	`<r><p id="a&quot;b" note="t&#x9;n&#xA;x">say "hi" \ back</p><p>T&amp;C &lt;b&gt; done</p></r>`,
 	"<r><p lang='日本'>naïve café — ☕ 🎉</p><p>sep\u2028para\u2029end</p><p/></r>",
 	`<r><p>plain</p><q><p k="'">it's</p></q></r>`,
+	`<r><p>a&#13;b&#9;c</p><p k="x&#13;y">z</p></r>`,
+	// A UTF-8 sequence cut by a CDATA section and by a comment: the XML
+	// holds U+2028 whole, which the JSON string escapes.
+	"<r><p>a\xe2\x80<![CDATA[\xa8]]>b</p><p>\xe2<!-- c -->\x80\xa9</p></r>",
 }
 
-// referenceBody renders seq the way the parent commit's per-item streamer
-// did: json.Marshal of a wireItem per line for ndjson, a strings.Builder
-// <item> line for xml.
+// referenceBody renders seq the way a per-item streamer would: json.Marshal
+// of a wireItem per line for ndjson, a strings.Builder <item> line for xml,
+// with carriage returns (and, in attributes, tabs and newlines) escaped so an
+// XML parser reads them back.
 func referenceBody(t *testing.T, c *xqtp.Corpus, seq xqtp.Sequence, format string) string {
 	t.Helper()
-	xmlEscape := func(b *strings.Builder, s string) {
+	xmlEscape := func(b *strings.Builder, s string, attr bool) {
 		for _, r := range s {
-			switch r {
-			case '&':
+			switch {
+			case r == '&':
 				b.WriteString("&amp;")
-			case '<':
+			case r == '<':
 				b.WriteString("&lt;")
-			case '>':
+			case r == '>':
 				b.WriteString("&gt;")
-			case '"':
+			case r == '"':
 				b.WriteString("&quot;")
-			case '\'':
+			case r == '\'':
 				b.WriteString("&apos;")
+			case r == '\r':
+				b.WriteString("&#xD;")
+			case r == '\t' && attr:
+				b.WriteString("&#x9;")
+			case r == '\n' && attr:
+				b.WriteString("&#xA;")
 			default:
 				b.WriteRune(r)
 			}
@@ -103,14 +117,14 @@ func referenceBody(t *testing.T, c *xqtp.Corpus, seq xqtp.Sequence, format strin
 		b.WriteString(`<item`)
 		if uri != "" {
 			b.WriteString(` uri="`)
-			xmlEscape(&b, uri)
+			xmlEscape(&b, uri, true)
 			b.WriteString(`"`)
 		}
 		b.WriteString(`>`)
 		if _, isNode := it.(*xqtp.Node); isNode {
 			b.WriteString(xqtp.SerializeItem(it))
 		} else {
-			xmlEscape(&b, xqtp.ItemString(it))
+			xmlEscape(&b, xqtp.ItemString(it), false)
 		}
 		b.WriteString("</item>\n")
 	}
@@ -269,29 +283,71 @@ func (d discardWriter) Header() http.Header         { return d.header }
 func (d discardWriter) WriteHeader(int)             {}
 func (d discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// Steady state, a Push of a node item allocates nothing: the XML is rendered
-// and JSON-escaped by appending into the pooled, warmed buffers.
-func TestPushAllocatesNothing(t *testing.T) {
-	corpus := testCorpus(t, manyPeople(50))
+// interleave returns the $input//person answer of a two-member corpus with
+// the members' items alternating, as the multi-worker merge may order them.
+func interleave(t *testing.T, corpus *xqtp.Corpus) xqtp.Sequence {
+	t.Helper()
 	q, _ := xqtp.PrepareCached(`$input//person`)
 	seq, err := corpus.Run(q, xqtp.Auto)
-	if err != nil || len(seq) != 50 {
+	if err != nil || len(seq)%2 != 0 {
 		t.Fatalf("run: %d items, %v", len(seq), err)
 	}
-	st := newStreamer(discardWriter{make(http.Header)}, newMetrics(), "ndjson", corpus, 0)
-	defer st.close()
-	push := func() {
+	half := len(seq) / 2
+	mixed := make(xqtp.Sequence, 0, len(seq))
+	for i := range half {
+		mixed = append(mixed, seq[i], seq[half+i])
+	}
+	return mixed
+}
+
+// Steady state, a Push of a node item allocates nothing: the XML is rendered
+// already JSON-escaped by appending into the pooled, warmed buffers, and the
+// line prefix of a member is re-rendered into pooled memory when the items
+// alternate between two members.
+func TestPushAllocatesNothing(t *testing.T) {
+	corpus := testCorpus(t, manyPeople(50), manyPeople(50))
+	seq := interleave(t, corpus)
+	for _, format := range []string{"ndjson", "xml"} {
+		st := newStreamer(discardWriter{make(http.Header)}, newMetrics(), format, corpus, 0)
+		push := func() {
+			for _, it := range seq {
+				if err := st.Push(it); err != nil {
+					t.Fatal(err)
+				}
+				n := it.(*xqtp.Node)
+				if err := st.PushRank(n.Doc, int32(n.Pre)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 20; i++ {
+			push() // warm: past the first size-triggered flush
+		}
+		if avg := testing.AllocsPerRun(50, push); avg != 0 {
+			t.Fatalf("%s: %v allocations per %d pushes, want 0", format, avg, 2*len(seq))
+		}
+		st.close()
+	}
+}
+
+// When the items of two members interleave, every line carries its own
+// member's URI: the cached line prefix follows the tree of each item.
+func TestStreamerInterleavedMembers(t *testing.T) {
+	corpus := testCorpus(t, manyPeople(3), manyPeople(3))
+	seq := interleave(t, corpus)
+	for _, format := range []string{"ndjson", "xml"} {
+		rec := httptest.NewRecorder()
+		st := newStreamer(rec, newMetrics(), format, corpus, 0)
 		for _, it := range seq {
 			if err := st.Push(it); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	for i := 0; i < 20; i++ {
-		push() // warm: past the first size-triggered flush
-	}
-	if avg := testing.AllocsPerRun(50, push); avg != 0 {
-		t.Fatalf("%v allocations per %d pushes, want 0", avg, len(seq))
+		st.writeSummary(wireSummary{Status: statusOK, Rows: int64(len(seq))})
+		st.close()
+		if got, want := itemLines(t, rec.Body.String(), format), referenceBody(t, corpus, seq, format); got != want {
+			t.Fatalf("%s: item lines differ\n got %q\nwant %q", format, got, want)
+		}
 	}
 }
 

@@ -2,8 +2,12 @@ package xmlstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"xqtp/internal/gen"
+	"xqtp/internal/xdm"
 )
 
 // appendEscapedRef is the byte-at-a-time loop appendEscaped replaced, kept as
@@ -78,6 +82,117 @@ func BenchmarkAppendEscaped(b *testing.B) {
 			b.SetBytes(int64(len(text)))
 			for i := 0; i < b.N; i++ {
 				buf = bc.fn(buf[:0], text, false)
+			}
+		})
+	}
+}
+
+// jsonSeeds hold every byte class the fused JSON mode escapes differently
+// from plain text: control bytes, the JSON and XML specials, tabs and
+// newlines in attribute values, U+2028/9 and invalid UTF-8 in names and
+// values, and UTF-8 sequences cut between two text nodes by a CDATA section
+// or a comment, which encoding/json decodes whole.
+var jsonSeeds = func() []string {
+	var ctl []byte
+	for b := byte(1); b < ' '; b++ {
+		ctl = append(ctl, b)
+	}
+	ctl = append(ctl, 0x7f)
+	return []string{
+		"<a k=\"" + string(ctl) + "\">" + string(ctl) + "</a>",
+		`<a k="&quot;\&lt;&gt;&amp;'" l='"'>"\&lt;&gt;&amp;'</a>`,
+		"<a k=\"t&#9;n&#10;r&#13;\tx\ny\">t\tn\nr&#13;</a>",
+		"<a  k =\"v \">x y<b /></a >",
+		"<a\xff k\xfe=\"\xfd\xc3\">\xe2\x80 \xf0\x9f\x8e<b\xc0/></a\xff>",
+		"<a\u2028 k\u2029=\"\u2028\">\u2029<b\u2029 \u2028=\"x\u2029y\"/>\u2028</a\u2028>",
+		"<p>a\xe2\x80<![CDATA[\xa8]]>b</p>",
+		"<p>\xe2<!-- c -->\x80\xa9<![CDATA[]]>\xf0<![CDATA[\x9f]]><!---->\x8e\x89</p>",
+		"<p>\xe2\xe2<![CDATA[\x80\xa8\xa8]]>\xed\xa0<!---->\x80</p>",
+		"<p><b>\xe2\x80</b>\xa8</p>",
+	}
+}()
+
+// requireFusedMatchesJSON holds the fused mode to its definition: for every
+// rank of the document, AppendRank with asJSON writes what json.Marshal
+// writes for the rank's XML between the quotes, after a prefix it leaves
+// alone.
+func requireFusedMatchesJSON(t *testing.T, tr *xdm.Tree) {
+	t.Helper()
+	for pre := range tr.Cols.Kind {
+		r := int32(pre)
+		want, err := json.Marshal(string(AppendXML(nil, tr.Node(r))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendRank([]byte(`prefix:"`), tr, r, true); string(got)+`"` != `prefix:`+string(want) {
+			t.Fatalf("pre %d: fused %s, json.Marshal of the XML %s", pre, got[len("prefix:"):], want)
+		}
+	}
+}
+
+func TestAppendRankJSON(t *testing.T) {
+	docs := append(append([]string{}, jsonSeeds...), differentialCorpus...)
+	docs = append(docs, string(AppendXML(nil, gen.XMarkRoot(gen.XMarkConfig{Seed: 7, People: 20}))))
+	for _, doc := range docs {
+		ix, err := IngestString(doc)
+		if err != nil {
+			t.Fatalf("Ingest(%q): %v", doc, err)
+		}
+		requireFusedMatchesJSON(t, ix.Tree)
+	}
+}
+
+func FuzzAppendRankJSON(f *testing.F) {
+	for _, doc := range jsonSeeds {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ix, err := Ingest(bytes.Clone(data))
+		if err != nil {
+			return
+		}
+		requireFusedMatchesJSON(t, ix.Tree)
+	})
+}
+
+// BenchmarkSerialize renders every person of an XMark document: as XML, as
+// the JSON string of its XML in one fused pass, and in the two passes the
+// fused mode replaces.
+func BenchmarkSerialize(b *testing.B) {
+	ix, err := IngestString(string(AppendXML(nil, gen.XMarkRoot(gen.XMarkConfig{Seed: 1, People: 400}))))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := ix.Tree
+	var persons []int32
+	for r := range tr.Cols.Kind {
+		if xdm.Kind(tr.Cols.Kind[r]) == xdm.ElementNode && tr.Syms.Name(xdm.Sym(tr.Cols.Sym[r])) == "person" {
+			persons = append(persons, int32(r))
+		}
+	}
+	xmlBytes := 0
+	for _, r := range persons {
+		xmlBytes += len(AppendRank(nil, tr, r, false))
+	}
+	var buf, scratch []byte
+	for _, bc := range []struct {
+		name   string
+		render func(r int32)
+	}{
+		{"xml", func(r int32) { buf = AppendRank(buf, tr, r, false) }},
+		{"json-fused", func(r int32) { buf = append(AppendRank(append(buf, '"'), tr, r, true), '"') }},
+		{"json-two-pass", func(r int32) {
+			scratch = AppendRank(scratch[:0], tr, r, false)
+			buf = AppendJSONString(buf, string(scratch))
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(xmlBytes))
+			for i := 0; i < b.N; i++ {
+				buf = buf[:0]
+				for _, r := range persons {
+					bc.render(r)
+				}
 			}
 		})
 	}

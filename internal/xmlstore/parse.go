@@ -7,10 +7,12 @@
 package xmlstore
 
 import (
+	"encoding/json"
 	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"xqtp/internal/xdm"
 )
@@ -91,8 +93,15 @@ func AppendXML(dst []byte, n *xdm.Node) []byte {
 	if n.Doc == nil {
 		return appendLinked(dst, n)
 	}
-	x := xmlWriter{buf: dst}
-	x.scan(n.Doc, int32(n.Pre))
+	return AppendRank(dst, n.Doc, int32(n.Pre), false)
+}
+
+// AppendRank appends what AppendXML appends for t.Node(r), without building
+// the node; with asJSON, the body of the JSON string literal of that XML
+// instead, byte-identical to what encoding/json writes, in the same one pass.
+func AppendRank(dst []byte, t *xdm.Tree, r int32, asJSON bool) []byte {
+	x := xmlWriter{buf: dst, json: asJSON}
+	x.scan(t, r)
 	return x.buf
 }
 
@@ -185,6 +194,66 @@ func appendEscaped(dst []byte, s string, attr bool) []byte {
 	return append(dst, s[clean:]...)
 }
 
+// jsonEscape[b] is what encoding/json (HTML-safe escaping on) writes inside a
+// string for the ASCII byte b, "" when b goes as itself; jsonText and
+// jsonAttr the same for the XML escape of b in a text or attribute value.
+var (
+	jsonEscape = jsonTable(func(s string) string { return s })
+	jsonText   = jsonTable(func(s string) string { return string(appendEscaped(nil, s, false)) })
+	jsonAttr   = jsonTable(func(s string) string { return string(appendEscaped(nil, s, true)) })
+)
+
+func jsonTable(xml func(string) string) (t [utf8.RuneSelf]string) {
+	for b := range t {
+		c := string(rune(b))
+		q, _ := json.Marshal(xml(c))
+		if e := string(q[1 : len(q)-1]); e != c {
+			t[b] = e
+		}
+	}
+	return t
+}
+
+// AppendJSONString appends s as a JSON string literal, byte-identical to
+// json.Marshal of the same string.
+func AppendJSONString(dst []byte, s string) []byte {
+	return append(appendJSONEscaped(append(dst, '"'), s, &jsonEscape), '"')
+}
+
+// appendJSONEscaped appends s as the body of a JSON string literal: each
+// ASCII byte as esc gives it, U+2028 and U+2029 escaped, and each byte of
+// invalid UTF-8 replaced by \ufffd, as encoding/json does.
+func appendJSONEscaped(dst []byte, s string, esc *[utf8.RuneSelf]string) []byte {
+	start := 0
+	for i := 0; i < len(s); {
+		e, size := "", 1
+		if b := s[i]; b < utf8.RuneSelf {
+			e = esc[b]
+		} else {
+			var c rune
+			c, size = utf8.DecodeRuneInString(s[i:])
+			if c == utf8.RuneError && size == 1 {
+				e = `\ufffd`
+			} else if c == '\u2028' || c == '\u2029' {
+				e = [...]string{`\u2028`, `\u2029`}[c-'\u2028']
+			}
+		}
+		if e != "" {
+			dst = append(append(dst, s[start:i]...), e...)
+			start = i + size
+		}
+		i += size
+	}
+	return append(dst, s[start:]...)
+}
+
+// runeSplit reports whether a ends in an incomplete UTF-8 sequence that b may
+// continue: the one case where encoding/json reads a+b unlike a, then b.
+func runeSplit(a, b string) bool {
+	r, size := utf8.DecodeLastRuneInString(a)
+	return r == utf8.RuneError && size == 1 && (b == "" || !utf8.RuneStart(b[0]))
+}
+
 // Serialize writes the subtree rooted at n as XML to w, streaming through a
 // fixed-size buffer instead of materializing the whole serialization.
 func Serialize(w io.Writer, n *xdm.Node) error {
@@ -203,9 +272,10 @@ const serializeBufSize = 32 << 10
 // xmlWriter is the serializer's output: a buffer that AppendXML returns and
 // Serialize flushes to w whenever it passes serializeBufSize.
 type xmlWriter struct {
-	w   io.Writer // nil: append only
-	buf []byte
-	err error
+	w    io.Writer // nil: append only
+	buf  []byte
+	err  error
+	json bool
 }
 
 func (x *xmlWriter) flush() {
@@ -220,46 +290,76 @@ func (x *xmlWriter) flush() {
 // (the ranks directly after it); the end tags it owes are closed through the
 // Parent column — the innermost open element's parent is the next one out —
 // when the scan reaches a node outside its region, so no recursion and no
-// stack is needed.
+// stack is needed. In json mode each piece is written JSON-escaped: markup as
+// constants, names through jsonEscape, values through jsonText and jsonAttr.
 func (x *xmlWriter) scan(t *xdm.Tree, r int32) {
-	c := t.Cols
+	c, asJSON := t.Cols, x.json
 	name := func(p int32) string { return t.Syms.Name(xdm.Sym(c.Sym[p])) }
-	switch xdm.Kind(c.Kind[r]) {
-	case xdm.TextNode:
-		x.buf = appendEscaped(x.buf, t.Text(r), false)
-		return
-	case xdm.AttributeNode:
-		x.buf = appendAttr(x.buf, name(r), t.Text(r))
+	if xdm.Kind(c.Kind[r]) == xdm.AttributeNode {
+		if asJSON {
+			x.jsonAttr(name(r), t.Text(r))
+		} else {
+			x.buf = appendAttr(x.buf, name(r), t.Text(r))
+		}
 		return
 	}
-	// floor is where closing stops: outside the element's region, or the
+	// floor is where closing stops: outside the node's region, or the
 	// document node, which has no tags.
-	floor, p := r, r+1
-	if xdm.Kind(c.Kind[r]) == xdm.ElementNode {
-		floor, p = c.Parent[r], r
+	floor, p := c.Parent[r], r
+	if xdm.Kind(c.Kind[r]) == xdm.DocumentNode {
+		floor, p = r, r+1
 	}
 	open := floor // innermost element whose end tag is owed
-	for end := c.End(r); p <= end && x.err == nil; {
-		for open != c.Parent[p] {
-			x.buf = appendClose(x.buf, name(open))
+	for end := c.End(r); x.err == nil; {
+		for open != floor && (p > end || open != c.Parent[p]) {
+			if asJSON {
+				x.buf = append(appendJSONEscaped(append(x.buf, `\u003c/`...), name(open), &jsonEscape), `\u003e`...)
+			} else {
+				x.buf = appendClose(x.buf, name(open))
+			}
 			open = c.Parent[open]
 		}
+		if p > end {
+			return
+		}
 		if xdm.Kind(c.Kind[p]) == xdm.TextNode {
-			x.buf = appendEscaped(x.buf, t.Text(p), false)
+			s := t.Text(p)
+			if !asJSON {
+				x.buf = appendEscaped(x.buf, s, false)
+			} else {
+				// encoding/json decodes a UTF-8 sequence cut between sibling
+				// texts (by CDATA or a comment) whole.
+				for p < end && xdm.Kind(c.Kind[p+1]) == xdm.TextNode && c.Parent[p+1] == open && runeSplit(s, t.Text(p+1)) {
+					p++
+					s += t.Text(p)
+				}
+				x.buf = appendJSONEscaped(x.buf, s, &jsonText)
+			}
 			p++
 		} else {
-			x.buf = append(x.buf, '<')
-			x.buf = append(x.buf, name(p)...)
+			if asJSON {
+				x.buf = appendJSONEscaped(append(x.buf, `\u003c`...), name(p), &jsonEscape)
+			} else {
+				x.buf = append(append(x.buf, '<'), name(p)...)
+			}
 			q, last := p+1, c.End(p)
 			for ; q <= last && xdm.Kind(c.Kind[q]) == xdm.AttributeNode; q++ {
 				x.buf = append(x.buf, ' ')
-				x.buf = appendAttr(x.buf, name(q), t.Text(q))
+				if asJSON {
+					x.jsonAttr(name(q), t.Text(q))
+				} else {
+					x.buf = appendAttr(x.buf, name(q), t.Text(q))
+				}
 			}
 			if q > last {
-				x.buf = append(x.buf, '/', '>')
+				x.buf = append(x.buf, '/')
+			} else {
+				open = p
+			}
+			if asJSON {
+				x.buf = append(x.buf, `\u003e`...)
 			} else {
 				x.buf = append(x.buf, '>')
-				open = p
 			}
 			p = q
 		}
@@ -267,10 +367,11 @@ func (x *xmlWriter) scan(t *xdm.Tree, r int32) {
 			x.flush()
 		}
 	}
-	for open != floor {
-		x.buf = appendClose(x.buf, name(open))
-		open = c.Parent[open]
-	}
+}
+
+func (x *xmlWriter) jsonAttr(name, value string) {
+	x.buf = appendJSONEscaped(x.buf, name, &jsonEscape)
+	x.buf = append(appendJSONEscaped(append(x.buf, `=\"`...), value, &jsonAttr), `\"`...)
 }
 
 // SerializeString renders the subtree rooted at n as an XML string.
