@@ -678,9 +678,9 @@ func TestSnapshotSameBeforeAndAfterQueries(t *testing.T) {
 }
 
 // testdata/corpus_v3_pr14.snap was written by the commit before the columns
-// became the only thing a loader builds (three members a.xml, b.xml, c.xml):
-// the byte format is unchanged, so it must open — from memory and mapped —
-// and re-save to the very same bytes.
+// became the only thing a loader builds (three members a.xml, b.xml, c.xml),
+// in format v3: it must open — from memory and mapped — and its re-saved v4
+// bytes must re-save to themselves.
 func TestOpensParentWrittenSnapshot(t *testing.T) {
 	const path = "testdata/corpus_v3_pr14.snap"
 	data, err := os.ReadFile(path)
@@ -715,12 +715,19 @@ func TestOpensParentWrittenSnapshot(t *testing.T) {
 		if !strings.Contains(d.XML(), "<name>Bob &amp; co</name>") {
 			t.Errorf("%s: b.xml serializes to %s", name, d.XML())
 		}
-		var buf bytes.Buffer
-		if err := c.SaveSnapshot(&buf); err != nil {
+		var v4, again bytes.Buffer
+		if err := c.SaveSnapshot(&v4); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !bytes.Equal(buf.Bytes(), data) {
-			t.Errorf("%s: re-saved snapshot differs from the parent-written bytes", name)
+		reopened, err := OpenCorpusSnapshot(bytes.Clone(v4.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := reopened.SaveSnapshot(&again); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(again.Bytes(), v4.Bytes()) {
+			t.Errorf("%s: re-saved v4 snapshot does not re-save to itself", name)
 		}
 	}
 }

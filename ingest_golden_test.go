@@ -11,11 +11,14 @@ import (
 	"xqtp/internal/xmlstore"
 )
 
-// goldenIngestPath holds the snapshot of goldenIngestSources as written by
-// the commit before the ingest loaders reused their scratch and the writer
-// stopped encoding integers one allocation at a time. The format did not
-// change, so ingest followed by SaveSnapshot must still produce these bytes.
-const goldenIngestPath = "testdata/corpus_v3_pr23_ingest.snap"
+// goldenIngestPath holds the snapshot of goldenIngestSources in format v4:
+// ingest followed by SaveSnapshot must produce these bytes.
+// goldenIngestV3Path holds the same corpus as the format-v3 writer wrote it,
+// before the postorder and depth columns were dropped.
+const (
+	goldenIngestPath   = "testdata/corpus_v4_pr26_ingest.snap"
+	goldenIngestV3Path = "testdata/corpus_v3_pr23_ingest.snap"
+)
 
 // goldenIngestSources is the fixed corpus behind goldenIngestPath: MemBeR and
 // XMark members, a needle member, and a member exercising entity decoding,
@@ -67,5 +70,42 @@ func TestIngestSnapshotGoldenBytes(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), want) {
 			t.Errorf("workers=%d: snapshot (%d bytes) differs from %s (%d bytes)", workers, buf.Len(), goldenIngestPath, len(want))
 		}
+	}
+}
+
+// Opening the v3 golden and re-saving it gives exactly the v4 golden bytes,
+// so the upgrade loses nothing; and v4 is smaller than v3 by exactly what it
+// dropped: per member two int32 column sections, each padded to 8 bytes, and
+// their two u64 directory entries.
+func TestIngestSnapshotUpgradesV3(t *testing.T) {
+	v3, err := os.ReadFile(goldenIngestV3Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(goldenIngestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCorpusSnapshot(bytes.Clone(v3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := c.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("re-saved %s (%d bytes) differs from %s (%d bytes)", goldenIngestV3Path, buf.Len(), goldenIngestPath, len(want))
+	}
+	s, err := xmlstore.OpenCorpus(v3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	for _, ix := range s.Indexes {
+		dropped += 2*((4*ix.NumNodes()+7)&^7) + 16
+	}
+	if got := len(v3) - len(want); got != dropped {
+		t.Errorf("v4 is %d bytes smaller than v3, want %d", got, dropped)
 	}
 }

@@ -45,7 +45,7 @@ func TestCorpusSnapshotRoundTrip(t *testing.T) {
 		for j := range na {
 			x, y := na[j], nb[j]
 			if x.Kind != y.Kind || x.Name != y.Name || x.Text != y.Text ||
-				x.Pre != y.Pre || x.Post != y.Post || x.Size != y.Size || x.Level != y.Level {
+				x.Pre != y.Pre || x.Size != y.Size {
 				t.Fatalf("member %d node %d differs: %+v vs %+v", i, j, x, y)
 			}
 		}

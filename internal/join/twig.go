@@ -332,7 +332,7 @@ func underSome(n int32, parents []int32, axis xdm.Axis, cols *xdm.Cols) bool {
 			// Candidates are in pre order; an earlier candidate can still
 			// contain n even if this one does not (siblings vs ancestors),
 			// so keep scanning until pre ranks leave any plausible region.
-			if cols.End(p) < n && cols.Level[p] <= 1 {
+			if cols.End(p) < n && cols.Parent[p] <= 0 {
 				break
 			}
 		}

@@ -1,10 +1,10 @@
 package xdm
 
 // TreeBuilder assembles a Tree in one pass, in document order: every column
-// of the region encoding is emitted the moment it is known (pre, level,
-// kind, sym, parent at element open; post and size at element close), names
-// are interned as they are first seen, and the values of text and attribute
-// nodes are collected in preorder. That is the whole tree — a node is built
+// of the region encoding is emitted the moment it is known (kind, sym and
+// parent at element open, size at element close), names are interned as
+// they are first seen, and the values of text and attribute nodes are
+// collected in preorder. That is the whole tree — a node is built
 // from it only when someone asks for its rank (Tree.Node), so building an
 // n-node tree costs the amortized column appends and nothing per node.
 //
@@ -23,7 +23,6 @@ type TreeBuilder struct {
 	textOrd []int32
 	texts   []string
 	syms    Symbols // scratch intern table
-	post    int32
 	open    []int32 // preorder ranks of the open elements, document node first
 }
 
@@ -39,9 +38,7 @@ func NewTreeBuilder(nodeHint int) *TreeBuilder {
 	nodeHint = max(nodeHint, minNodeHint)
 	b := &TreeBuilder{
 		cols: Cols{
-			Post:   make([]int32, 0, nodeHint),
 			Size:   make([]int32, 0, nodeHint),
-			Level:  make([]int32, 0, nodeHint),
 			Parent: make([]int32, 0, nodeHint),
 			Kind:   make([]uint8, 0, nodeHint),
 			Sym:    make([]int32, 0, nodeHint),
@@ -59,19 +56,19 @@ func NewTreeBuilder(nodeHint int) *TreeBuilder {
 // so it holds no reference into the previous document's input.
 func (b *TreeBuilder) Reset() {
 	c := &b.cols
-	c.Post, c.Size, c.Level, c.Parent = c.Post[:0], c.Size[:0], c.Level[:0], c.Parent[:0]
-	c.Kind, c.Sym, b.textOrd = c.Kind[:0], c.Sym[:0], b.textOrd[:0]
+	c.Size, c.Parent, c.Kind, c.Sym = c.Size[:0], c.Parent[:0], c.Kind[:0], c.Sym[:0]
+	b.textOrd = b.textOrd[:0]
 	clear(b.texts)
 	clear(b.syms.byName)
 	clear(b.syms.names)
 	b.texts, b.syms.names = b.texts[:0], b.syms.names[:0]
-	b.post, b.open = 0, b.open[:0]
+	b.open = b.open[:0]
 	b.open = append(b.open, b.add(DocumentNode, NoSym))
 }
 
 // add emits the open-time column values of the next node in preorder, a
-// child of the innermost open node, and returns its rank. Post and Size are
-// patched when the node closes.
+// child of the innermost open node, and returns its rank. Size is patched
+// when the node closes.
 func (b *TreeBuilder) add(kind Kind, sym Sym) int32 {
 	c := &b.cols
 	pre := int32(len(c.Kind))
@@ -79,9 +76,7 @@ func (b *TreeBuilder) add(kind Kind, sym Sym) int32 {
 	if len(b.open) > 0 {
 		parent = b.open[len(b.open)-1]
 	}
-	c.Post = append(c.Post, -1)
 	c.Size = append(c.Size, 0)
-	c.Level = append(c.Level, int32(len(b.open))) // document node is level 0
 	c.Parent = append(c.Parent, parent)
 	c.Kind = append(c.Kind, uint8(kind))
 	c.Sym = append(c.Sym, int32(sym))
@@ -89,12 +84,9 @@ func (b *TreeBuilder) add(kind Kind, sym Sym) int32 {
 	return pre
 }
 
-// leaf emits a text-bearing node: no subtree, so its postorder rank is known
-// at once.
+// leaf emits a text-bearing node: no subtree, so it is complete at once.
 func (b *TreeBuilder) leaf(kind Kind, sym Sym, value string) {
-	pre := b.add(kind, sym)
-	b.cols.Post[pre] = b.post
-	b.post++
+	b.add(kind, sym)
 	b.texts = append(b.texts, value)
 }
 
@@ -114,13 +106,10 @@ func (b *TreeBuilder) Attr(name []byte, value string) {
 // Text adds a text node under the current open element.
 func (b *TreeBuilder) Text(text string) { b.leaf(TextNode, NoSym, text) }
 
-// CloseElement ends the current open element: its postorder rank and region
-// size are now known.
+// CloseElement ends the current open element: its region size is now known.
 func (b *TreeBuilder) CloseElement() {
 	c := &b.cols
 	pre := b.open[len(b.open)-1]
-	c.Post[pre] = b.post
-	b.post++
 	c.Size[pre] = int32(len(c.Kind)) - 1 - pre
 	b.open = b.open[:len(b.open)-1]
 }
@@ -134,7 +123,7 @@ func (b *TreeBuilder) CurrentName() string {
 	return b.syms.Name(Sym(b.cols.Sym[b.open[len(b.open)-1]]))
 }
 
-// Finish closes the document node and returns the completed tree: the six
+// Finish closes the document node and returns the completed tree: the four
 // int32 columns (the text ordinal included) cut from one exactly-sized slab,
 // the kinds, text values and symbol table each at their exact size. All
 // elements must have been closed (Depth() == 0); the tree must not be
@@ -143,7 +132,7 @@ func (b *TreeBuilder) Finish() *Tree {
 	b.CloseElement()
 	c := &b.cols
 	n := len(c.Kind)
-	slab := make([]int32, 6*n)
+	slab := make([]int32, 4*n)
 	cut := func(k int, src []int32) []int32 {
 		dst := slab[k*n : (k+1)*n : (k+1)*n]
 		copy(dst, src)
@@ -153,11 +142,10 @@ func (b *TreeBuilder) Finish() *Tree {
 		ID:   int(nextTreeID.Add(1)),
 		Syms: symbolsOf(exact(b.syms.names)),
 		Cols: &Cols{
-			Post: cut(0, c.Post), Size: cut(1, c.Size), Level: cut(2, c.Level),
-			Parent: cut(3, c.Parent), Sym: cut(4, c.Sym), Kind: exact(c.Kind),
+			Size: cut(0, c.Size), Parent: cut(1, c.Parent), Sym: cut(2, c.Sym), Kind: exact(c.Kind),
 		},
 		texts:   exact(b.texts),
-		textOrd: cut(5, b.textOrd),
+		textOrd: cut(3, b.textOrd),
 	}
 	b.Reset()
 	return t

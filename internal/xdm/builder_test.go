@@ -70,12 +70,11 @@ func checkTreesEqual(t *testing.T, want, got *Tree) {
 	}
 	wc, gc := want.Cols, got.Cols
 	for pre := range wc.Kind {
-		if wc.Post[pre] != gc.Post[pre] || wc.Size[pre] != gc.Size[pre] ||
-			wc.Level[pre] != gc.Level[pre] || wc.Parent[pre] != gc.Parent[pre] ||
+		if wc.Size[pre] != gc.Size[pre] || wc.Parent[pre] != gc.Parent[pre] ||
 			wc.Kind[pre] != gc.Kind[pre] || wc.Sym[pre] != gc.Sym[pre] {
-			t.Fatalf("pre %d: column mismatch (post %d/%d size %d/%d level %d/%d parent %d/%d kind %d/%d sym %d/%d)",
-				pre, gc.Post[pre], wc.Post[pre], gc.Size[pre], wc.Size[pre], gc.Level[pre], wc.Level[pre],
-				gc.Parent[pre], wc.Parent[pre], gc.Kind[pre], wc.Kind[pre], gc.Sym[pre], wc.Sym[pre])
+			t.Fatalf("pre %d: column mismatch (size %d/%d parent %d/%d kind %d/%d sym %d/%d)",
+				pre, gc.Size[pre], wc.Size[pre], gc.Parent[pre], wc.Parent[pre],
+				gc.Kind[pre], wc.Kind[pre], gc.Sym[pre], wc.Sym[pre])
 		}
 	}
 	wt, gt := want.TextValues(), got.TextValues()
@@ -93,9 +92,8 @@ func checkTreesEqual(t *testing.T, want, got *Tree) {
 		if w.Kind != g.Kind || w.Name != g.Name || w.Text != g.Text || w.Sym != g.Sym {
 			t.Fatalf("pre %d: node %v != %v", pre, g, w)
 		}
-		if w.Pre != g.Pre || w.Post != g.Post || w.Size != g.Size || w.Level != g.Level {
-			t.Fatalf("pre %d: encoding (pre=%d post=%d size=%d level=%d) != (pre=%d post=%d size=%d level=%d)",
-				pre, g.Pre, g.Post, g.Size, g.Level, w.Pre, w.Post, w.Size, w.Level)
+		if w.Pre != g.Pre || w.Size != g.Size {
+			t.Fatalf("pre %d: encoding (pre=%d size=%d) != (pre=%d size=%d)", pre, g.Pre, g.Size, w.Pre, w.Size)
 		}
 		if g.Doc != got || g != got.Node(r) || g.Parent != nil || g.Children != nil || g.Attrs != nil {
 			t.Fatalf("pre %d: built node not this tree's one unlinked node", pre)
@@ -254,6 +252,14 @@ func TestBuilderAllocatesNoNodes(t *testing.T) {
 	}
 	if got := len(tr.Nodes()); got != n || tr.NodesBuilt() != n {
 		t.Fatalf("Nodes() returned %d and built %d nodes, want %d", got, tr.NodesBuilt(), n)
+	}
+}
+
+// A Node is 128 bytes on 64-bit hosts, an allocator size class of its own:
+// it keeps (pre, size) of the region encoding and nothing else of it.
+func TestNodeSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Node{}) != 128 {
+		t.Errorf("Node is %d bytes, want 128", unsafe.Sizeof(Node{}))
 	}
 }
 

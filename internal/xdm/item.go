@@ -3,9 +3,9 @@
 // nodes with node identity and document order, sequences of items, atomic
 // values, effective boolean values, atomization and general comparisons.
 //
-// Every node carries a region encoding (pre, size, post, level) assigned at
-// construction time; the staircase and twig join algorithms are built on top
-// of that encoding.
+// Every node carries a region encoding (pre, size) assigned at construction
+// time; the staircase and twig join algorithms are built on top of that
+// encoding.
 package xdm
 
 import (

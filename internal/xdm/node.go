@@ -41,8 +41,6 @@ func (k Kind) String() string {
 //	       numbered directly after their owner element, before its children
 //	Size   number of nodes in the subtree below (attributes included), so a
 //	       node n contains node d iff n.Pre < d.Pre && d.Pre <= n.Pre+n.Size
-//	Post   postorder rank
-//	Level  depth (document node = 0)
 //
 // Parent, Children and Attrs are the links of a hand-built skeleton
 // (NewElement, AppendChild, SetAttr), which Finalize reads; a node built from
@@ -55,9 +53,9 @@ type Node struct {
 	Children []*Node // element and text children, in document order
 	Attrs    []*Node // attribute nodes
 
-	Pre, Post, Size, Level int
-	Sym                    Sym // interned Name (assigned by Finalize; NoSym if unnamed)
-	Doc                    *Tree
+	Pre, Size int
+	Sym       Sym // interned Name (assigned by Finalize; NoSym if unnamed)
+	Doc       *Tree
 }
 
 // Tree is a document: its region encoding as columns (Cols), its interned
@@ -160,8 +158,7 @@ func (t *Tree) Node(r int32) *Node {
 // build makes the node of rank r from the columns, unlinked.
 func (t *Tree) build(r int32) *Node {
 	c := t.Cols
-	n := &Node{Kind: Kind(c.Kind[r]), Pre: int(r), Post: int(c.Post[r]), Size: int(c.Size[r]),
-		Level: int(c.Level[r]), Sym: Sym(c.Sym[r]), Doc: t}
+	n := &Node{Kind: Kind(c.Kind[r]), Pre: int(r), Size: int(c.Size[r]), Sym: Sym(c.Sym[r]), Doc: t}
 	if n.Kind == ElementNode || n.Kind == AttributeNode {
 		n.Name = t.Syms.Name(n.Sym)
 	}
@@ -208,17 +205,16 @@ func (t *Tree) Text(r int32) string { return t.texts[t.textOrd[r]] }
 // columns. It never builds a node.
 func (t *Tree) TextValues() []string { return t.texts }
 
-// Cols is the structure-of-arrays mirror of the tree's region encoding: one
-// flat column per encoding field, all indexed by preorder rank. The columns
-// are the native currency of the set-at-a-time join kernels — a containment
-// test is two int32 compares against Size, with no Node pointer ever
-// dereferenced — and they pack ~21 bytes per node against the cache instead
-// of scattering the encoding across heap objects. Built by Finalize;
-// immutable afterwards.
+// Cols is the tree's region encoding as structure-of-arrays: one flat column
+// per field, all indexed by preorder rank. The columns are the native
+// currency of the set-at-a-time join kernels — a containment test is two
+// int32 compares against Size, with no Node pointer ever dereferenced — and
+// they pack 13 bytes per node against the cache instead of scattering the
+// encoding across heap objects. (pre, size) is the whole region encoding:
+// postorder rank and depth would encode the same containment test again.
+// Built by TreeBuilder.Finish, Finalize or FillColumns; immutable afterwards.
 type Cols struct {
-	Post   []int32
 	Size   []int32
-	Level  []int32
 	Parent []int32 // preorder rank of the parent; -1 for the document node
 	Kind   []uint8
 	Sym    []int32 // interned name; int32(NoSym) for document and text nodes
@@ -288,11 +284,10 @@ func Finalize(root *Node) *Tree {
 	doc.AppendChild(root)
 	t := &Tree{root: doc, ID: int(nextTreeID.Add(1)), Syms: newSymbols()}
 	var nodes []*Node
-	pre, post := 0, 0
-	var walk func(n *Node, level int)
-	walk = func(n *Node, level int) {
+	pre := 0
+	var walk func(n *Node)
+	walk = func(n *Node) {
 		n.Pre = pre
-		n.Level = level
 		n.Doc = t
 		switch n.Kind {
 		case ElementNode, AttributeNode:
@@ -307,24 +302,19 @@ func Finalize(root *Node) *Tree {
 		nodes = append(nodes, n)
 		for _, a := range n.Attrs {
 			a.Pre = pre
-			a.Level = level + 1
 			a.Doc = t
 			a.Sym = t.Syms.intern(a.Name)
 			a.Size = 0
-			a.Post = post
-			post++
 			pre++
 			nodes = append(nodes, a)
 			t.texts = append(t.texts, a.Text)
 		}
 		for _, c := range n.Children {
-			walk(c, level+1)
+			walk(c)
 		}
-		n.Post = post
-		post++
 		n.Size = pre - n.Pre - 1
 	}
-	walk(doc, 0)
+	walk(doc)
 	t.adopt(nodes)
 	t.once.Do(func() {}) // the root is the caller's: nothing left to force
 	return t
@@ -335,9 +325,7 @@ func Finalize(root *Node) *Tree {
 func (t *Tree) adopt(nodes []*Node) {
 	n := len(nodes)
 	c := &Cols{
-		Post:   make([]int32, n),
 		Size:   make([]int32, n),
-		Level:  make([]int32, n),
 		Parent: make([]int32, n),
 		Kind:   make([]uint8, n),
 		Sym:    make([]int32, n),
@@ -346,9 +334,7 @@ func (t *Tree) adopt(nodes []*Node) {
 	ids := make([]atomic.Pointer[Node], n)
 	texts := int32(0)
 	for i, nd := range nodes {
-		c.Post[i] = int32(nd.Post)
 		c.Size[i] = int32(nd.Size)
-		c.Level[i] = int32(nd.Level)
 		if nd.Parent != nil {
 			c.Parent[i] = int32(nd.Parent.Pre)
 		} else {

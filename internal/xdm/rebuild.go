@@ -6,26 +6,24 @@ import "fmt"
 // on t, an unfilled shell tree (NewShellTree): the loader calls it when a
 // member's first use forces its parse, so the tree keeps the pointer
 // identity every cache is keyed on. No region encoding is recomputed;
-// Post/Size/Level/Parent come straight from the columns, names resolve
+// Size/Parent/Kind/Sym come straight from the columns, names resolve
 // through syms, and texts supplies the string values of the text-bearing
 // nodes (text and attribute nodes, in preorder). All three are retained.
 //
-// The columns are validated structurally here — parent ranks behind the
-// child, kinds that can nest, symbol and region bounds — so a corrupted
-// snapshot turns into an error at load time instead of an out-of-range
-// panic inside a join kernel or a column reader. (TreeBuilder output is
-// correct by construction and skips this.)
+// The columns are validated structurally here — regions that nest, each
+// parent rank the innermost region around its child, kinds that can nest,
+// symbol bounds — so a corrupted snapshot turns into an error at load time
+// instead of an out-of-range panic inside a join kernel or a column reader.
+// (TreeBuilder output is correct by construction and skips this.)
 func (t *Tree) FillColumns(cols *Cols, syms *Symbols, texts []string) error {
 	n := len(cols.Kind)
-	if len(cols.Post) != n || len(cols.Size) != n || len(cols.Level) != n ||
-		len(cols.Parent) != n || len(cols.Sym) != n {
+	if len(cols.Size) != n || len(cols.Parent) != n || len(cols.Sym) != n {
 		return fmt.Errorf("xdm: column lengths disagree")
 	}
 	if n < 2 {
 		return fmt.Errorf("xdm: tree without a document root")
 	}
-	if Kind(cols.Kind[0]) != DocumentNode || cols.Parent[0] != -1 ||
-		cols.Level[0] != 0 || Sym(cols.Sym[0]) != NoSym {
+	if Kind(cols.Kind[0]) != DocumentNode || cols.Parent[0] != -1 || Sym(cols.Sym[0]) != NoSym {
 		return fmt.Errorf("xdm: rank 0 is not a document node")
 	}
 	if int(cols.Size[0]) != n-1 {
@@ -40,24 +38,25 @@ func (t *Tree) FillColumns(cols *Cols, syms *Symbols, texts []string) error {
 	// column readers trust what passed it.)
 	docChildren, nTexts := 0, 0
 	textOrd := make([]int32, n)
+	// open holds the ranks whose regions contain the current node, innermost
+	// last; the document node's region spans the tree, so it is never popped.
+	open := make([]int32, 1, 32)
 	for i := 1; i < n; i++ {
 		textOrd[i] = int32(nTexts)
-		p := cols.Parent[i]
-		if p < 0 || int(p) >= i {
-			return fmt.Errorf("xdm: node %d has parent rank %d (not an earlier node)", i, p)
+		for cols.End(open[len(open)-1]) < int32(i) {
+			open = open[:len(open)-1]
 		}
-		if cols.Level[i] != cols.Level[p]+1 {
-			return fmt.Errorf("xdm: node %d level %d under parent level %d", i, cols.Level[i], cols.Level[p])
+		p := cols.Parent[i]
+		if p != open[len(open)-1] {
+			return fmt.Errorf("xdm: node %d has parent rank %d, but the innermost region around it is %d's", i, p, open[len(open)-1])
 		}
 		if cols.Size[i] < 0 || int(cols.Size[i]) > n-1-i {
 			return fmt.Errorf("xdm: node %d region size %d out of range", i, cols.Size[i])
 		}
-		if int32(i)+cols.Size[i] > p+cols.Size[p] {
+		if cols.End(int32(i)) > cols.End(p) {
 			return fmt.Errorf("xdm: node %d region escapes its parent's", i)
 		}
-		if cols.Post[i] < 0 || int(cols.Post[i]) >= n {
-			return fmt.Errorf("xdm: node %d postorder rank %d out of range", i, cols.Post[i])
-		}
+		open = append(open, int32(i))
 		pk := Kind(cols.Kind[p])
 		switch k := Kind(cols.Kind[i]); k {
 		case ElementNode:

@@ -33,15 +33,15 @@ func sampleTree() *Tree {
 func TestFinalizeRegions(t *testing.T) {
 	tr := sampleTree()
 	doc := tr.RootNode()
-	if doc.Kind != DocumentNode || doc.Pre != 0 || doc.Level != 0 {
+	if doc.Kind != DocumentNode || doc.Pre != 0 || tr.Cols.Parent[0] != -1 {
 		t.Fatalf("document node encoding wrong: %+v", doc)
 	}
 	a := tr.DocElem()
 	if a == nil || a.Name != "a" {
 		t.Fatalf("DocElem = %v", a)
 	}
-	if a.Pre != 1 || a.Level != 1 {
-		t.Errorf("a encoding: pre=%d level=%d", a.Pre, a.Level)
+	if a.Pre != 1 || tr.Cols.Parent[1] != 0 {
+		t.Errorf("a encoding: pre=%d parent=%d", a.Pre, tr.Cols.Parent[1])
 	}
 	// Region of the document spans every node.
 	if doc.Size != len(tr.Nodes())-1 {
@@ -280,8 +280,8 @@ func randomTree(rng *rand.Rand, n int) *Tree {
 }
 
 // Property: region encoding is consistent — Pre+Size covers exactly the
-// subtree, Post order inverts ancestry, and Step(descendant) agrees with
-// Contains.
+// subtree, and ancestry through the Parent links, Contains and
+// Step(descendant) are one relation.
 func TestRegionEncodingProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -297,13 +297,20 @@ func TestRegionEncodingProperty(t *testing.T) {
 			if cnt != n.Size {
 				return false
 			}
-			// Ancestry iff (pre smaller, post larger).
+			desc := map[*Node]bool{}
+			for _, m := range Step(n, AxisDescendant, AnyNodeTest()) {
+				desc[m] = true
+			}
 			for _, m := range tr.Nodes() {
-				if m == n || m.Kind == AttributeNode || n.Kind == AttributeNode {
-					continue
+				anc := false
+				for p := m.Parent; p != nil && !anc; p = p.Parent {
+					anc = p == n
 				}
-				anc := n.Pre < m.Pre && n.Post > m.Post
 				if anc != n.Contains(m) {
+					return false
+				}
+				// The descendant axis leaves attributes out.
+				if desc[m] != (anc && m.Kind != AttributeNode) {
 					return false
 				}
 			}

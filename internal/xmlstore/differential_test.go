@@ -58,12 +58,11 @@ func requireTreesEqual(t *testing.T, want, got *xdm.Tree) {
 	}
 	wc, gc := want.Cols, got.Cols
 	for pre := range wc.Kind {
-		if wc.Post[pre] != gc.Post[pre] || wc.Size[pre] != gc.Size[pre] ||
-			wc.Level[pre] != gc.Level[pre] || wc.Parent[pre] != gc.Parent[pre] ||
+		if wc.Size[pre] != gc.Size[pre] || wc.Parent[pre] != gc.Parent[pre] ||
 			wc.Kind[pre] != gc.Kind[pre] || wc.Sym[pre] != gc.Sym[pre] {
-			t.Fatalf("pre %d: column mismatch fast(post=%d size=%d level=%d parent=%d kind=%d sym=%d) std(post=%d size=%d level=%d parent=%d kind=%d sym=%d)",
-				pre, gc.Post[pre], gc.Size[pre], gc.Level[pre], gc.Parent[pre], gc.Kind[pre], gc.Sym[pre],
-				wc.Post[pre], wc.Size[pre], wc.Level[pre], wc.Parent[pre], wc.Kind[pre], wc.Sym[pre])
+			t.Fatalf("pre %d: column mismatch fast(size=%d parent=%d kind=%d sym=%d) std(size=%d parent=%d kind=%d sym=%d)",
+				pre, gc.Size[pre], gc.Parent[pre], gc.Kind[pre], gc.Sym[pre],
+				wc.Size[pre], wc.Parent[pre], wc.Kind[pre], wc.Sym[pre])
 		}
 	}
 	for pre := range wc.Kind {
@@ -73,9 +72,8 @@ func requireTreesEqual(t *testing.T, want, got *xdm.Tree) {
 			t.Fatalf("pre %d: fast {kind=%v name=%q text=%q sym=%d}, std {kind=%v name=%q text=%q sym=%d}",
 				pre, g.Kind, g.Name, g.Text, g.Sym, w.Kind, w.Name, w.Text, w.Sym)
 		}
-		if w.Pre != g.Pre || w.Post != g.Post || w.Size != g.Size || w.Level != g.Level {
-			t.Fatalf("pre %d: encoding fast (post=%d size=%d level=%d), std (post=%d size=%d level=%d)",
-				pre, g.Post, g.Size, g.Level, w.Post, w.Size, w.Level)
+		if w.Pre != g.Pre || w.Size != g.Size {
+			t.Fatalf("pre %d: encoding fast (pre=%d size=%d), std (pre=%d size=%d)", pre, g.Pre, g.Size, w.Pre, w.Size)
 		}
 		if g.Doc != got {
 			t.Fatalf("pre %d: Doc pointer not set", pre)

@@ -2,8 +2,8 @@ package xmlstore
 
 // The ingest fast path: a non-validating, zero-copy streaming scan over the
 // raw document bytes feeding the xdm.TreeBuilder. One walk over the input
-// interns tag and attribute names and emits the post/size/level/parent/
-// kind/sym columns plus the text values into a Loader's reusable scratch;
+// interns tag and attribute names and emits the size/parent/kind/sym
+// columns plus the text values into a Loader's reusable scratch;
 // Finish copies them out at their exact size, and BuildIndex derives the
 // rank streams from the kind/sym columns into one exactly-sized slab. No
 // node is allocated — the tree builds a node from the columns when somebody

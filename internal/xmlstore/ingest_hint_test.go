@@ -22,7 +22,7 @@ func hintRatio(t *testing.T, doc string) (int, int, int, float64) {
 	// Every column must agree on its capacity (and, being indexed by rank,
 	// its length is the node count); report the Kind column's.
 	c := ix.Tree.Cols
-	for _, col := range [][]int32{c.Post, c.Size, c.Level, c.Parent, c.Sym} {
+	for _, col := range [][]int32{c.Size, c.Parent, c.Sym} {
 		if len(col) != actual || cap(col) != cap(c.Kind) {
 			t.Fatalf("int32 column len %d cap %d, Kind column len %d cap %d", len(col), cap(col), actual, cap(c.Kind))
 		}

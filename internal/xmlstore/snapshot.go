@@ -1,26 +1,26 @@
 package xmlstore
 
-// Snapshot format v3: a columnar corpus serialization — the persistence
+// Snapshot format v4: a columnar corpus serialization — the persistence
 // substrate that makes restarting a server O(open) instead of O(re-parse),
 // and, over an mmap (see mmap.go), makes corpora larger than RAM queryable:
 // bytes fault in per page as queries touch them.
 //
 // The format dumps exactly what the in-memory store holds: the per-member
-// structure-of-arrays region columns (Post/Size/Level/Parent/Kind/Sym), the
-// per-member symbol tables and text blobs, the per-symbol element/attribute
-// rank streams plus the merged streams, and the corpus-level name table and
+// structure-of-arrays region columns (Size/Parent/Sym/Kind), the per-member
+// symbol tables and text blobs, the per-symbol element/attribute rank
+// streams plus the merged streams, and the corpus-level name table and
 // member URIs. Loading rebuilds no region encoding and re-interns no name:
 // the fixed-width little-endian arrays are sliced straight out of the
 // snapshot buffer (zero-copy on little-endian hosts, a decode-copy fallback
 // elsewhere).
 //
-// v3 adds the two tables that let the reader defer everything per member:
+// Two tables let the reader defer everything per member:
 //
 //   - a corpus-level member offset table (u64 absolute offsets, one past the
 //     end included), validated in O(members) at open — monotonic, 8-aligned,
 //     last entry equal to the file length, so a truncated or shrunk file
 //     errors at open rather than faulting mid-query;
-//   - a fixed 128-byte per-member section directory (counts + 14 section
+//   - a fixed 112-byte per-member section directory (counts + 12 section
 //     offsets), enough to answer "how many nodes" and "how long is symbol
 //     s's stream" from one or two pages without parsing the member.
 //
@@ -34,7 +34,7 @@ package xmlstore
 // Layout (all integers little-endian; every array starts 8-byte aligned, so
 // int32/u32 arrays can be viewed in place at any page offset):
 //
-//	header:  magic "XQTS", u8 version=3, pad3, u32 nMembers, u32 nNames
+//	header:  magic "XQTS", u8 version=4, pad3, u32 nMembers, u32 nNames
 //	offsets: u64 memberOff[nMembers+1] — absolute; memberOff[0] is the first
 //	         member, memberOff[nMembers] the file length
 //	uris:    string table (nMembers entries)
@@ -42,25 +42,26 @@ package xmlstore
 //	nameSyms: int32[nNames*nMembers], row-major by name
 //	members: nMembers member sections at their stated offsets
 //
-//	member:  directory (128 bytes): u32 nNodes, nSyms, nTexts, reserved,
-//	         then u64 sect[14] — member-relative offsets of the 13 sections
+//	member:  directory (112 bytes): u32 nNodes, nSyms, nTexts, reserved,
+//	         then u64 sect[12] — member-relative offsets of the 11 sections
 //	         below plus the member length
 //	         [0]  symbols: string table (nSyms)
-//	         [1..5] Post/Size/Level/Parent/Sym int32[nNodes] each (padded)
-//	         [6]  Kind u8[nNodes] (padded)
-//	         [7]  texts: string table (nTexts) — text/attr values in preorder
-//	         [8]  elemOff u32[nSyms+1] (padded)
-//	         [9]  elemData int32[elemOff[nSyms]] (padded)
-//	         [10] attrOff u32[nSyms+1] (padded)
-//	         [11] attrData int32[attrOff[nSyms]] (padded)
-//	         [12] u32 nAllElems, nAllText, nAllNodes, nAllAttrs, then the
+//	         [1..3] Size/Parent/Sym int32[nNodes] each (padded)
+//	         [4]  Kind u8[nNodes] (padded)
+//	         [5]  texts: string table (nTexts) — text/attr values in preorder
+//	         [6]  elemOff u32[nSyms+1] (padded)
+//	         [7]  elemData int32[elemOff[nSyms]] (padded)
+//	         [8]  attrOff u32[nSyms+1] (padded)
+//	         [9]  attrData int32[attrOff[nSyms]] (padded)
+//	         [10] u32 nAllElems, nAllText, nAllNodes, nAllAttrs, then the
 //	              four merged int32 streams (each padded)
 //
 //	string table (count): u32 offsets[count+1] (cumulative, offsets[0]=0),
 //	         then the blob bytes; strings alias the blob on load
 //
-// The v2 format (inline member counts, no offset tables) is not readable by
-// this build; snapshots are regenerated from the XML they index.
+// Version 3 is read, never written: its body also holds a postorder column
+// before Size and a depth column before Parent (a 128-byte directory), which
+// the reader skips. v2 (no offset tables) is not readable by this build.
 
 import (
 	"encoding/binary"
@@ -75,15 +76,14 @@ import (
 
 const (
 	snapshotMagic   = "XQTS"
-	snapshotVersion = 3
+	snapshotVersion = 4
 )
 
-// Member section indexes into the per-member directory.
+// Member sections, indexes into memberDir.sect: the v4 sections, the
+// member end, then the two v3 columns v4 dropped.
 const (
 	secSymbols = iota
-	secPost
 	secSize
-	secLevel
 	secParent
 	secSym
 	secKind
@@ -93,12 +93,24 @@ const (
 	secAttrOff
 	secAttrData
 	secMerged
-	numMemberSections
+	numMemberSections // v4's count; as a directory entry, the member length
+	secPost
+	secLevel
 )
 
-// memberDirSize is the fixed directory prefix of every member: the counts
-// plus the section offset table, sized to a multiple of 8 so the member
-// body stays 8-aligned.
+// memberLayouts lists, per readable format version, the directory entries of
+// a member in file order: its sections, then the member length. A v3 body
+// holds the Post and Level columns the reader skips.
+var memberLayouts = map[byte][]int{
+	3: {secSymbols, secPost, secSize, secLevel, secParent, secSym, secKind, secTexts,
+		secElemOff, secElemData, secAttrOff, secAttrData, secMerged, numMemberSections},
+	snapshotVersion: {secSymbols, secSize, secParent, secSym, secKind, secTexts,
+		secElemOff, secElemData, secAttrOff, secAttrData, secMerged, numMemberSections},
+}
+
+// memberDirSize is the fixed directory prefix the writer emits: the counts
+// plus the section offset table, a multiple of 8 so the member body stays
+// 8-aligned.
 const memberDirSize = 16 + 8*(numMemberSections+1)
 
 // hostLittleEndian reports whether int32 slices can alias snapshot bytes
@@ -118,7 +130,7 @@ var forcePortable bool
 // aliasInt32 gates the zero-copy int32 view of snapshot bytes.
 func aliasInt32() bool { return hostLittleEndian && !forcePortable }
 
-// CorpusSnapshot is the in-memory image of a v3 snapshot: the member URIs
+// CorpusSnapshot is the in-memory image of a snapshot: the member URIs
 // and indexes, plus the corpus name table in flat serializable form
 // (Names[i]'s symbol in member m sits at NameSyms[i*len(URIs)+m]).
 // Single-document snapshots are one-member corpora with empty Names.
@@ -330,8 +342,8 @@ func writeMemberBody(w *snapWriter, ix *Index) {
 	syms := t.Syms.Names()
 	w.mark() // secSymbols
 	w.stringTable(syms)
-	for _, col := range [][]int32{cols.Post, cols.Size, cols.Level, cols.Parent, cols.Sym} {
-		w.mark() // secPost..secSym
+	for _, col := range [][]int32{cols.Size, cols.Parent, cols.Sym} {
+		w.mark() // secSize..secSym
 		w.i32s(col)
 		w.align8()
 	}
@@ -507,28 +519,30 @@ func (r *snapReader) mergedStream(n, nNodes int) ([]int32, error) {
 // that answer size and stream-length probes without loading the member.
 type memberDir struct {
 	nNodes, nSyms, nTexts int
-	sect                  [numMemberSections + 1]int64 // member-relative starts; last = member length
+	size                  int                 // directory bytes: where the body starts
+	sect                  [secLevel + 1]int64 // member-relative starts by section; [numMemberSections] = member length
 }
 
-// parseMemberDir validates the fixed directory prefix of a member: counts,
-// then a monotonic 8-aligned section table whose last entry is the member
-// length. Every later probe indexes l.data inside [sect[k], sect[k+1])
-// ranges this function bounded, so a corrupt directory can redirect probes
-// only inside the member's own bytes.
-func parseMemberDir(data []byte, d *memberDir) error {
-	if len(data) < memberDirSize {
-		return fmt.Errorf("xmlstore: snapshot member truncated: %d bytes, directory needs %d", len(data), memberDirSize)
+// parseMemberDir validates the fixed directory prefix of a member laid out
+// as layout: counts, then a monotonic 8-aligned section table whose last
+// entry is the member length. Every later probe indexes l.data inside the
+// ranges between consecutive entries this function bounded, so a corrupt
+// directory can redirect probes only inside the member's own bytes.
+func parseMemberDir(data []byte, layout []int, d *memberDir) error {
+	d.size = 16 + 8*len(layout)
+	if len(data) < d.size {
+		return fmt.Errorf("xmlstore: snapshot member truncated: %d bytes, directory needs %d", len(data), d.size)
 	}
 	d.nNodes = int(binary.LittleEndian.Uint32(data[0:]))
 	d.nSyms = int(binary.LittleEndian.Uint32(data[4:]))
 	d.nTexts = int(binary.LittleEndian.Uint32(data[8:]))
-	prev := int64(memberDirSize)
-	for k := 0; k <= numMemberSections; k++ {
+	prev := int64(d.size)
+	for k, sec := range layout {
 		off := binary.LittleEndian.Uint64(data[16+8*k:])
 		if off > uint64(len(data)) || int64(off) < prev || off&7 != 0 {
 			return fmt.Errorf("xmlstore: snapshot member section table corrupt (section %d at %d)", k, off)
 		}
-		d.sect[k] = int64(off)
+		d.sect[sec] = int64(off)
 		prev = int64(off)
 	}
 	if d.sect[numMemberSections] != int64(len(data)) {
@@ -554,6 +568,7 @@ type lazyMember struct {
 	m      *Mapping // non-nil for file-mapped snapshots (paging hints, closed check)
 	off    int64    // absolute offset of the member in the snapshot file
 	member int      // member position, for error attribution
+	layout []int    // the file's member layout (memberLayouts)
 
 	// Corpus name-table cross-check, bound at open: names[i]'s symbol in
 	// this member is nameSyms[i*stride+member]. Runs inside the deferred
@@ -573,7 +588,7 @@ type lazyMember struct {
 
 // memberDir parses and caches the member's directory.
 func (l *lazyMember) memberDir() (*memberDir, error) {
-	l.dirOnce.Do(func() { l.dirErr = parseMemberDir(l.data, &l.dir) })
+	l.dirOnce.Do(func() { l.dirErr = parseMemberDir(l.data, l.layout, &l.dir) })
 	if l.dirErr != nil {
 		return nil, l.dirErr
 	}
@@ -688,7 +703,7 @@ func (ix *Index) loadDeferred() error {
 	if err != nil {
 		return fmt.Errorf("xmlstore: snapshot member %d: %w", l.member, err)
 	}
-	r := &snapReader{data: l.data, off: memberDirSize}
+	r := &snapReader{data: l.data, off: d.size}
 	if err := ix.readMemberInto(r, d); err != nil {
 		return fmt.Errorf("xmlstore: snapshot member %d: %w", l.member, err)
 	}
@@ -728,14 +743,20 @@ func (ix *Index) readMemberInto(r *snapReader, d *memberDir) error {
 	}
 	n := d.nNodes
 	cols := &xdm.Cols{}
+	// The int32 columns in file order. A v3 body also holds a postorder
+	// and a depth column: they are read into dropped, which nothing keeps.
+	var dropped []int32
 	colSecs := []struct {
 		sec int
 		dst *[]int32
 	}{
-		{secPost, &cols.Post}, {secSize, &cols.Size}, {secLevel, &cols.Level},
+		{secPost, &dropped}, {secSize, &cols.Size}, {secLevel, &dropped},
 		{secParent, &cols.Parent}, {secSym, &cols.Sym},
 	}
 	for _, c := range colSecs {
+		if c.dst == &dropped && d.size == memberDirSize {
+			continue // a v4 directory: not in the body
+		}
 		if err := d.expect(r, c.sec); err != nil {
 			return err
 		}
@@ -888,8 +909,9 @@ func OpenCorpus(data []byte, mp *Mapping) (*CorpusSnapshot, error) {
 	if string(head[:4]) != snapshotMagic {
 		return nil, fmt.Errorf("xmlstore: not a snapshot file")
 	}
-	if head[4] != snapshotVersion {
-		return nil, fmt.Errorf("xmlstore: unsupported snapshot version %d (this build reads version %d)", head[4], snapshotVersion)
+	layout := memberLayouts[head[4]]
+	if layout == nil {
+		return nil, fmt.Errorf("xmlstore: unsupported snapshot version %d (this build reads versions 3 and %d)", head[4], snapshotVersion)
 	}
 	nMembers, err := r.u32()
 	if err != nil {
@@ -950,6 +972,7 @@ func OpenCorpus(data []byte, mp *Mapping) (*CorpusSnapshot, error) {
 			m:        mp,
 			off:      memberOff[m],
 			member:   m,
+			layout:   layout,
 			names:    s.Names,
 			nameSyms: s.NameSyms,
 			stride:   int(nMembers),

@@ -2,11 +2,13 @@ package xmlstore
 
 import (
 	"bytes"
+	"os"
 	"testing"
 )
 
-// fuzzSeedSnapshot builds a valid snapshot to seed the fuzzer with — byte
-// flips on real encodings explore far more reader states than random bytes.
+// fuzzSeedSnapshot builds a valid snapshot (v4, what the writer emits) to
+// seed the fuzzer with — byte flips on real encodings explore far more
+// reader states than random bytes.
 func fuzzSeedSnapshot(docs []string, uris []string) []byte {
 	ixs := make([]*Index, len(docs))
 	for i, d := range docs {
@@ -24,12 +26,21 @@ func fuzzSeedSnapshot(docs []string, uris []string) []byte {
 }
 
 // FuzzSnapshot fuzzes the snapshot reader's safety contract: arbitrary
-// bytes — including corrupted and truncated valid snapshots — must produce
-// an error or a structurally valid corpus, never a panic. A snapshot that
-// does load must round-trip back to identical bytes.
+// bytes — including corrupted and truncated valid snapshots of both readable
+// versions — must produce an error or a structurally valid corpus, never a
+// panic. A snapshot that does load re-encodes to a fixpoint: writing what
+// the written bytes open to gives those bytes again.
 func FuzzSnapshot(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("XQTS\x02\x00\x00\x00"))
+	// The committed v3 snapshots, for the v3 directory width.
+	for _, name := range []string{"corpus_v3_pr14.snap", "corpus_v3_pr23_ingest.snap", "doc_v3_pr16.snap"} {
+		v3, err := os.ReadFile("../../testdata/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(v3)
+	}
 	single := fuzzSeedSnapshot(
 		[]string{`<a id="1"><b x="y"><c>hello</c></b><c>world</c></a>`},
 		[]string{""})
@@ -65,13 +76,20 @@ func FuzzSnapshot(f *testing.F) {
 		}
 		// Accepted input: the decoded corpus must re-encode and re-open
 		// cleanly (the writer asserts the structural invariants the query
-		// engine relies on).
-		var buf bytes.Buffer
-		if err := WriteCorpus(&buf, s); err != nil {
+		// engine relies on), and re-encoding that gives the same bytes.
+		var once, twice bytes.Buffer
+		if err := WriteCorpus(&once, s); err != nil {
 			t.Fatalf("loaded snapshot does not re-encode: %v", err)
 		}
-		if _, err := openEager(buf.Bytes()); err != nil {
+		s2, err := openEager(bytes.Clone(once.Bytes()))
+		if err != nil {
 			t.Fatalf("re-encoded snapshot does not load: %v", err)
+		}
+		if err := WriteCorpus(&twice, s2); err != nil {
+			t.Fatalf("re-encoded snapshot does not re-encode: %v", err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("re-encoding is not a fixpoint: %d bytes, then %d", once.Len(), twice.Len())
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -28,8 +29,7 @@ func indexesEqual(t *testing.T, a, b *Index) {
 	for i := range na {
 		x, y := na[i], nb[i]
 		if x.Kind != y.Kind || x.Name != y.Name || x.Text != y.Text ||
-			x.Pre != y.Pre || x.Post != y.Post || x.Size != y.Size || x.Level != y.Level ||
-			x.Sym != y.Sym {
+			x.Pre != y.Pre || x.Size != y.Size || x.Sym != y.Sym {
 			t.Fatalf("node %d differs: %+v vs %+v", i, x, y)
 		}
 	}
@@ -40,8 +40,7 @@ func indexesEqual(t *testing.T, a, b *Index) {
 		t.Fatalf("serializations differ:\n%s\n%s", xa, xb)
 	}
 	ca, cb := ta.Cols, tb.Cols
-	if !reflect.DeepEqual(ca.Post, cb.Post) || !reflect.DeepEqual(ca.Size, cb.Size) ||
-		!reflect.DeepEqual(ca.Level, cb.Level) || !reflect.DeepEqual(ca.Parent, cb.Parent) ||
+	if !reflect.DeepEqual(ca.Size, cb.Size) || !reflect.DeepEqual(ca.Parent, cb.Parent) ||
 		!reflect.DeepEqual(ca.Kind, cb.Kind) || !reflect.DeepEqual(ca.Sym, cb.Sym) {
 		t.Fatalf("columns differ")
 	}
@@ -227,6 +226,7 @@ func TestSnapshotErrors(t *testing.T) {
 		[]byte("XQ"),
 		[]byte("NOPE\x01\x00\x00\x00"),
 		[]byte("XQTS\x01\x00\x00\x00"), // old version
+		[]byte("XQTS\x05\x00\x00\x00"), // future version
 		[]byte("XQTS\x63\x00\x00\x00"), // future version
 		[]byte("XQTS\x02\x00\x00\x00"), // truncated header
 		// Header claiming 4 billion members with no member data: must error,
@@ -240,9 +240,9 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
-// Corrupting any single byte of a valid snapshot must produce either an
-// error or a successful load — never a panic. (Some flips are benign: a bit
-// in a text character, say.)
+// Corrupting any single byte of a valid snapshot, v4 or v3, must produce
+// either an error or a successful load — never a panic. (Some flips are
+// benign: a bit in a text character, say.)
 func TestSnapshotCorruption(t *testing.T) {
 	ix, err := IngestString(`<a id="1"><b x="y"><c>hello</c></b><c>world</c></a>`)
 	if err != nil {
@@ -252,34 +252,39 @@ func TestSnapshotCorruption(t *testing.T) {
 	if err := writeSingle(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
-	for i := range good {
-		for _, flip := range []byte{0xff, 0x01, 0x80} {
-			data := bytes.Clone(good)
-			data[i] ^= flip
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("OpenCorpus panicked with byte %d ^= %#x: %v", i, flip, r)
+	v3, err := os.ReadFile("../../testdata/corpus_v3_pr14.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, good := range [][]byte{buf.Bytes(), v3} {
+		for i := range good {
+			for _, flip := range []byte{0xff, 0x01, 0x80} {
+				data := bytes.Clone(good)
+				data[i] ^= flip
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("OpenCorpus of version %d panicked with byte %d ^= %#x: %v", good[4], i, flip, r)
+						}
+					}()
+					s, err := openEager(data)
+					if err != nil {
+						return
+					}
+					// A load that succeeds must also materialize without
+					// panicking — load-time validation has to be strong
+					// enough to cover the deferred pointer-model build.
+					for _, ix2 := range s.Indexes {
+						ix2.Tree.RootNode()
 					}
 				}()
-				s, err := openEager(data)
-				if err != nil {
-					return
-				}
-				// A load that succeeds must also materialize without
-				// panicking — load-time validation has to be strong enough
-				// to cover the deferred pointer-model build.
-				for _, ix2 := range s.Indexes {
-					ix2.Tree.RootNode()
-				}
-			}()
+			}
 		}
-	}
-	// Every truncation must error (a prefix is never a valid snapshot here).
-	for n := 0; n < len(good); n++ {
-		if _, err := openEager(good[:n:n]); err == nil {
-			t.Errorf("truncation to %d bytes should fail", n)
+		// Every truncation must error (a prefix is never a valid snapshot here).
+		for n := 0; n < len(good); n++ {
+			if _, err := openEager(good[:n:n]); err == nil {
+				t.Errorf("version %d: truncation to %d bytes should fail", good[4], n)
+			}
 		}
 	}
 }
@@ -388,6 +393,53 @@ func TestSnapshotDeferredRoundTrip(t *testing.T) {
 			t.Fatalf("member %d not loaded after Ensure", m)
 		}
 		indexesEqual(t, ixs[m], ix)
+	}
+}
+
+// One reader opens both versions: the committed v3 snapshot answers the
+// directory probes before any load (its 128-byte directory) and loads to
+// exactly the members of its re-saved v4 bytes (their 112-byte one).
+func TestSnapshotReadsV3(t *testing.T) {
+	v3, err := os.ReadFile("../../testdata/corpus_v3_pr23_ingest.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenCorpus(v3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := openEager(bytes.Clone(v3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteCorpus(&buf, old); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Bytes()[4] != snapshotVersion {
+		t.Fatalf("re-saved as version %d", buf.Bytes()[4])
+	}
+	upgraded, err := openEager(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m, ix := range s.Indexes {
+		want := upgraded.Indexes[m]
+		if got := ix.NumNodes(); got != want.Tree.CountNodes() {
+			t.Fatalf("member %d NumNodes = %d, want %d", m, got, want.Tree.CountNodes())
+		}
+		for sym := xdm.Sym(0); int(sym) < want.Tree.Syms.Len(); sym++ {
+			if n, ok := ix.StreamLen(sym, false); !ok || n != len(want.ElementRanksSym(sym)) {
+				t.Fatalf("member %d StreamLen(%d, false) = %d, %v", m, sym, n, ok)
+			}
+			if n, ok := ix.StreamLen(sym, true); !ok || n != len(want.AttributeRanksSym(sym)) {
+				t.Fatalf("member %d StreamLen(%d, true) = %d, %v", m, sym, n, ok)
+			}
+		}
+		if ix.Loaded() {
+			t.Fatalf("member %d loaded by a directory probe", m)
+		}
+		indexesEqual(t, want, old.Indexes[m])
 	}
 }
 
