@@ -1,10 +1,10 @@
 GO ?= go
 
 # Packages with concurrency-sensitive paths (shared catalog, the members'
-# lock-free prepared-join tables, the LRU, shared compiled physical plans,
-# parallel TupleTreePattern workers, a tree's first load and its CAS-published
-# node identity table) plus the unsafe-aliasing ingest scanner and the
-# parallel corpus layer get a dedicated -race run.
+# lock-free prepared-join tables, the LRU, shared compiled physical plans run
+# from many goroutines, a tree's first load and its CAS-published node
+# identity table) plus the unsafe-aliasing ingest scanner and the parallel
+# corpus layer get a dedicated -race run.
 RACE_PKGS = ./internal/collection ./internal/exec ./internal/join ./internal/lru ./internal/physical ./internal/server ./internal/xdm ./internal/xmlstore
 
 .PHONY: all build vet test race check bench serve run-server bench-compare bench-smoke bench-check fuzz-smoke clean
@@ -21,6 +21,17 @@ vet:
 	GOOS=windows GOARCH=amd64 $(GO) build ./...
 	@# No library file may pull package testing into the shipped binaries.
 	! $(GO) list -deps ./cmd/xq ./cmd/xqd | grep -qx testing
+	@# Every alternative of a `make race` -run pattern must name a test in that
+	@# line's packages: a deleted or renamed test fails here instead of
+	@# dropping silently out of its race loop.
+	@sed -n "s/^\t[^@]*test -race .*-run '\([^']*\)' \(.*\)/\1 \2/p" Makefile | \
+	while read -r run pkgs; do \
+		names=$$($(GO) test -list . $$pkgs | grep -E '^(Test|Fuzz|Example)') || exit 1; \
+		for alt in $$(echo "$$run" | tr '|' ' '); do \
+			echo "$$names" | grep -qE -- "$$alt" || \
+				{ echo "make race: -run alternative $$alt matches no test in $$pkgs"; exit 1; }; \
+		done; \
+	done
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -34,7 +45,7 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS) .
 	$(GO) test -race -count=50 -run 'Shutdown|SlowReader' ./internal/server
-	$(GO) test -race -count=20 -run 'Prepared|Collectable|ForeignTree|ConcurrentRuns|ConcurrentPrepare|ParallelTTP|BorrowedTuples|FirstTouch' ./internal/collection ./internal/physical ./internal/xdm .
+	$(GO) test -race -count=20 -run 'Prepared|Collectable|ForeignTree|ConcurrentRuns|ConcurrentPrepare|BorrowedTuples|FirstTouch' ./internal/collection ./internal/physical ./internal/xdm .
 
 check: build vet test race
 

@@ -16,7 +16,7 @@ func BenchmarkAblationPositionalFirst(b *testing.B) {
 	src := Section53Query(10)
 	withRule := MustPrepare(src)
 	withoutRule, err := PrepareWithOptions(src, CompileOptions{
-		TreePatterns: true, Rewrites: true, ContextVar: "dot",
+		TreePatterns: true, Rewrites: true,
 		DisablePositionalFirst: true,
 	})
 	if err != nil {
@@ -34,7 +34,7 @@ func BenchmarkAblationBulkConversion(b *testing.B) {
 	doc := xmarkDoc(b, 1000)
 	bulk := MustPrepare(Fig4Query)
 	perTuple, err := PrepareWithOptions(Fig4Query, CompileOptions{
-		TreePatterns: true, Rewrites: true, ContextVar: "dot",
+		TreePatterns: true, Rewrites: true,
 		DisableBulkConversion: true,
 	})
 	if err != nil {
@@ -71,27 +71,6 @@ func BenchmarkStreaming(b *testing.B) {
 				runQuery(b, tc.q, tc.doc, alg)
 			})
 		}
-	}
-}
-
-// BenchmarkParallel measures the parallel TupleTreePattern evaluation on a
-// per-tuple workload (Q5-shaped maps evaluate one pattern per person).
-func BenchmarkParallel(b *testing.B) {
-	doc := xmarkDoc(b, 1000)
-	// The residual Select leaves the profile/interest pattern with many
-	// input tuples (one per selected person), which is where per-context
-	// parallelism applies.
-	q := MustPrepare(`$input//person[string-length(name) > 3]/profile/interest`)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := q.RunParallel(doc, NestedLoop, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

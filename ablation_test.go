@@ -22,9 +22,9 @@ func TestAblationsPreserveSemantics(t *testing.T) {
 		{`/t1[1]/t1[1]/t1[1]`, deep},
 	}
 	ablations := []CompileOptions{
-		{TreePatterns: true, Rewrites: true, ContextVar: "dot", DisablePositionalFirst: true},
-		{TreePatterns: true, Rewrites: true, ContextVar: "dot", DisableBulkConversion: true},
-		{TreePatterns: true, Rewrites: true, ContextVar: "dot", DisablePositionalFirst: true, DisableBulkConversion: true},
+		{TreePatterns: true, Rewrites: true, DisablePositionalFirst: true},
+		{TreePatterns: true, Rewrites: true, DisableBulkConversion: true},
+		{TreePatterns: true, Rewrites: true, DisablePositionalFirst: true, DisableBulkConversion: true},
 	}
 	for _, tc := range cases {
 		ref := MustPrepare(tc.query)
@@ -54,7 +54,7 @@ func TestAblationsPreserveSemantics(t *testing.T) {
 func TestAblationPositionalFirstShape(t *testing.T) {
 	on := MustPrepare(`/t1[1]/t1[1]`)
 	off, err := PrepareWithOptions(`/t1[1]/t1[1]`,
-		CompileOptions{TreePatterns: true, Rewrites: true, ContextVar: "dot", DisablePositionalFirst: true})
+		CompileOptions{TreePatterns: true, Rewrites: true, DisablePositionalFirst: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestAblationPositionalFirstShape(t *testing.T) {
 // reads IN).
 func TestAblationBulkShape(t *testing.T) {
 	off, err := PrepareWithOptions(Fig4Query,
-		CompileOptions{TreePatterns: true, Rewrites: true, ContextVar: "dot", DisableBulkConversion: true})
+		CompileOptions{TreePatterns: true, Rewrites: true, DisableBulkConversion: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"xqtp/internal/collection"
 	"xqtp/internal/gen"
 	"xqtp/internal/xdm"
 	"xqtp/internal/xmlstore"
@@ -332,42 +333,67 @@ func TestSinkErrorAbortsRun(t *testing.T) {
 	}
 }
 
-// Worker-count normalization: <= 0 resolves to one worker per CPU in the
-// shared helper, and the normalized runs return the sequential results.
+// A worker count has one meaning for run, ingest and Extend alike: members
+// processed at once, <= 0 one per CPU, capped at the member count. Every
+// count — zero, negative, more than there are members — resolves by that
+// rule and gives the one-worker corpus and results.
 func TestNormalizeWorkers(t *testing.T) {
-	if got := normalizeWorkers(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("normalizeWorkers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := normalizeWorkers(-3); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("normalizeWorkers(-3) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := normalizeWorkers(5); got != 5 {
-		t.Fatalf("normalizeWorkers(5) = %d, want 5", got)
-	}
-	corpus := cancelTestCorpus(t)
-	doc := corpus.DocumentAt(1)
+	const members = 6
+	cpus := runtime.GOMAXPROCS(0)
 	q := MustPrepare(`$input//person[emailaddress]/name`)
-	want, err := q.Run(doc, Staircase)
-	if err != nil {
-		t.Fatal(err)
+	results := func(t *testing.T, c *Corpus, workers int) string {
+		t.Helper()
+		seq, _, err := c.RunWith(context.Background(), q, Staircase, RunOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: run: %v", workers, err)
+		}
+		return fmt.Sprint(c.URIs(), values(t, seq))
 	}
-	got, err := q.RunParallel(doc, Staircase, 0)
-	if err != nil {
-		t.Fatal(err)
+	ingest := func(t *testing.T, workers int) (loaded, grown *Corpus) {
+		t.Helper()
+		srcs := collectionSources(members, 3)
+		loaded, err := LoadCorpus(srcs, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: ingest: %v", workers, err)
+		}
+		base, err := LoadCorpus(collectionSources(2, 3), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grown, err = base.Extend(srcs[2:], workers); err != nil {
+			t.Fatalf("workers=%d: Extend: %v", workers, err)
+		}
+		return loaded, grown
 	}
-	if err := sameItems(want, got); err != nil {
-		t.Fatalf("RunParallel(workers=0) differs from Run: %v", err)
+	loaded, grown := ingest(t, 1)
+	want := results(t, loaded, 1)
+	if got := results(t, grown, 1); got != want {
+		t.Fatalf("extended corpus gives %s, ingested %s", got, want)
 	}
-	cgot, err := corpus.RunParallel(q, Staircase, 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name          string
+		workers, want int
+	}{
+		{"zero", 0, min(cpus, members)},
+		{"negative", -3, min(cpus, members)},
+		{"one", 1, 1},
+		{"two", 2, 2},
+		{"more-than-members", members + 5, members},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := collection.Workers(tc.workers, members); got != tc.want {
+				t.Errorf("Workers(%d, %d) = %d, want %d", tc.workers, members, got, tc.want)
+			}
+			loaded, grown := ingest(t, tc.workers)
+			for _, c := range []*Corpus{loaded, grown} {
+				if got := results(t, c, tc.workers); got != want {
+					t.Errorf("workers=%d: %s, want %s", tc.workers, got, want)
+				}
+			}
+		})
 	}
-	cwant, err := corpus.RunParallel(q, Staircase, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameItems(cwant, cgot); err != nil {
-		t.Fatalf("Corpus.RunParallel(workers=0) differs from workers=1: %v", err)
+	if got := collection.Workers(4, 0); got != 1 {
+		t.Errorf("Workers(4, 0) = %d, want 1", got)
 	}
 }
 

@@ -48,7 +48,7 @@ func main() {
 		query     = flag.String("query", "", "XQuery expression (required unless -save-snapshot converts)")
 		file      = flag.String("file", "", "XML input file (default: stdin; positional arguments add more)")
 		dir       = flag.String("dir", "", "load every *.xml file of a directory (sorted) into the collection")
-		workers   = flag.Int("workers", runtime.NumCPU(), "ingest and query parallelism for collections")
+		workers   = flag.Int("workers", runtime.NumCPU(), "collection members ingested and queried at once (<= 0: one per CPU)")
 		withURI   = flag.Bool("with-uri", false, "prefix every result line with the URI of the document holding it")
 		algName   = flag.String("alg", "sc", "tree-pattern algorithm: nl, sc, twig, auto, stream")
 		snapshot  = flag.Bool("snapshot", false, "input is a binary corpus snapshot (see -save-snapshot, xmlgen -format snapshot)")
@@ -137,7 +137,13 @@ func main() {
 		}
 	}
 
-	runOpts := xqtp.RunOptions{Workers: *workers, Timeout: *timeout, MaxRows: *limit}
+	runOpts := xqtp.RunOptions{Workers: *workers, MaxRows: *limit}
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
 
 	if doc == nil {
 		if *explain {
@@ -147,7 +153,7 @@ func main() {
 			}
 			fmt.Print(phys)
 		}
-		items, _, err := corpus.RunWith(context.Background(), q, alg, runOpts)
+		items, _, err := corpus.RunWith(ctx, q, alg, runOpts)
 		if err != nil && !limitReached(err, *limit) {
 			fatal(err)
 		}
@@ -165,7 +171,7 @@ func main() {
 		}
 		fmt.Print(phys)
 	}
-	items, _, err := q.RunWith(context.Background(), doc, alg, runOpts)
+	items, _, err := q.RunWith(ctx, doc, alg, runOpts)
 	if err != nil && !limitReached(err, *limit) {
 		fatal(err)
 	}

@@ -27,9 +27,9 @@ type Corpus struct {
 	c *collection.Corpus
 }
 
-// LoadCorpusFiles ingests the given files on a bounded worker pool (workers
-// <= 0 means one worker per file). The corpus order is the argument order,
-// whatever the pool's scheduling.
+// LoadCorpusFiles ingests the given files, parsing workers of them at once
+// (<= 0: one per available CPU, capped at the file count). The corpus order
+// is the argument order, whatever the pool's scheduling.
 func LoadCorpusFiles(paths []string, workers int) (*Corpus, error) {
 	c, err := collection.Ingest(collection.FileSources(paths), workers)
 	if err != nil {
@@ -38,8 +38,9 @@ func LoadCorpusFiles(paths []string, workers int) (*Corpus, error) {
 	return &Corpus{c: c}, nil
 }
 
-// LoadCorpus ingests in-memory or file-backed sources on a bounded worker
-// pool. As with LoadXMLBytes, the corpus takes ownership of the data slices.
+// LoadCorpus ingests in-memory or file-backed sources, workers as in
+// LoadCorpusFiles. As with LoadXMLBytes, the corpus takes ownership of the
+// data slices.
 func LoadCorpus(sources []CorpusSource, workers int) (*Corpus, error) {
 	c, err := collection.Ingest(internalSources(sources), workers)
 	if err != nil {
@@ -48,9 +49,10 @@ func LoadCorpus(sources []CorpusSource, workers int) (*Corpus, error) {
 	return &Corpus{c: c}, nil
 }
 
-// Extend ingests additional sources and returns a new corpus with the
-// existing members followed by the new ones. The receiver is unchanged, so
-// queries running against it concurrently are unaffected.
+// Extend ingests additional sources, workers as in LoadCorpusFiles, and
+// returns a new corpus with the existing members followed by the new ones.
+// The receiver is unchanged, so queries running against it concurrently are
+// unaffected.
 func (c *Corpus) Extend(sources []CorpusSource, workers int) (*Corpus, error) {
 	grown, err := c.c.Extend(internalSources(sources), workers)
 	if err != nil {
@@ -177,7 +179,7 @@ func (c *Corpus) Run(q *Query, alg Algorithm) (Sequence, error) {
 	return c.RunParallel(q, alg, 1)
 }
 
-// RunParallel is RunWith with up to workers goroutines (<= 0: one per
+// RunParallel is RunWith with workers members at once (<= 0: one per
 // available CPU) and no context, budget or sink.
 func (c *Corpus) RunParallel(q *Query, alg Algorithm, workers int) (Sequence, error) {
 	seq, _, err := c.RunWith(context.Background(), q, alg, RunOptions{Workers: workers})

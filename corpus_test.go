@@ -319,7 +319,6 @@ func TestRunWrappersEqualRunWith(t *testing.T) {
 				run  func() (Sequence, error)
 			}{
 				{"Query.Run", docWant, func() (Sequence, error) { return q.Run(doc, alg) }},
-				{"Query.RunParallel", docWant, func() (Sequence, error) { return q.RunParallel(doc, alg, 4) }},
 				{"Query.RunWithVars", docWant, func() (Sequence, error) {
 					return q.RunWithVars(doc, alg, map[string]Sequence{"input": root, "dot": root})
 				}},

@@ -194,8 +194,7 @@ func (c *Corpus) Doc(i int) *Doc { return c.docs[i] }
 func (c *Corpus) Docs() []*Doc { return c.docs }
 
 // IndexOf resolves a member URI to its corpus position. A closed corpus
-// resolves nothing: the URIs of a file-mapped corpus alias the released
-// mapping, so even comparing against them would fault.
+// resolves nothing.
 func (c *Corpus) IndexOf(uri string) (int, bool) {
 	if c.closed.Load() {
 		return 0, false
@@ -284,8 +283,12 @@ func (c *Corpus) ResolveCollection(name string) (xdm.Sequence, error) {
 	return c.roots, nil
 }
 
-// SizeBytes returns the total serialized size of the corpus members.
+// SizeBytes returns the total serialized size of the corpus members (0 once
+// the corpus is closed: the members may live in the released mapping).
 func (c *Corpus) SizeBytes() int {
+	if c.closed.Load() {
+		return 0
+	}
 	total := 0
 	for _, d := range c.docs {
 		total += len(xmlstore.AppendXML(nil, d.Root()))
@@ -293,9 +296,13 @@ func (c *Corpus) SizeBytes() int {
 	return total
 }
 
-// NumNodes returns the total node count across members. Deferred snapshot
-// members answer from their section directory, so this never forces loads.
+// NumNodes returns the total node count across members (0 once the corpus
+// is closed). Deferred snapshot members answer from their section directory,
+// so this never forces loads.
 func (c *Corpus) NumNodes() int {
+	if c.closed.Load() {
+		return 0
+	}
 	total := 0
 	for _, d := range c.docs {
 		total += d.Index.NumNodes()

@@ -26,12 +26,12 @@ func FileSources(paths []string) []Source {
 	return out
 }
 
-// Ingest parses every source on a bounded worker pool — each worker runs
-// its own xmlstore.Loader, which builds a member's columns, symbols and rank
-// streams and no node — and assembles the corpus. Tree IDs are
-// reassigned in source order after the last parse lands (xdm.AssignTreeIDs),
-// so the corpus order, and with it every query result, is independent of how
-// the pool scheduled the parses. workers <= 0 means one worker per source.
+// Ingest parses every source on a pool of Workers(workers, len(sources))
+// goroutines — each runs its own xmlstore.Loader, which builds a member's
+// columns, symbols and rank streams and no node — and assembles the corpus.
+// Tree IDs are reassigned in source order after the last parse lands
+// (xdm.AssignTreeIDs), so the corpus order, and with it every query result,
+// is independent of how the pool scheduled the parses.
 func Ingest(sources []Source, workers int) (*Corpus, error) {
 	docs, err := ingestDocs(sources, workers)
 	if err != nil {
@@ -41,10 +41,11 @@ func Ingest(sources []Source, workers int) (*Corpus, error) {
 	return assemble(docs, nil)
 }
 
-// Extend ingests additional sources and returns a new corpus holding the
-// existing members followed by the new ones. The receiver is untouched — a
-// corpus is an immutable snapshot, so queries running against it concurrently
-// with Extend never observe partial growth. The new members' tree IDs come
+// Extend ingests additional sources as Ingest does, workers included, and
+// returns a new corpus holding the existing members followed by the new
+// ones. The receiver is untouched — a corpus is an immutable snapshot, so
+// queries running against it concurrently with Extend never observe partial
+// growth. The new members' tree IDs come
 // from a fresh block of the global counter (AssignTreeIDs walks only the new
 // docs), so they sort after every existing member and the combined slice
 // keeps the corpus-order invariant. The name table likewise grows
@@ -90,9 +91,7 @@ func ingestDocs(sources []Source, workers int) ([]*Doc, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if workers <= 0 || workers > n {
-		workers = n
-	}
+	workers = Workers(workers, n)
 	docs := make([]*Doc, n)
 	errs := make([]error, n)
 	var next atomic.Int64

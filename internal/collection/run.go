@@ -2,12 +2,24 @@ package collection
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"xqtp/internal/execctx"
 	"xqtp/internal/xdm"
 )
+
+// Workers is the one meaning of a worker-count argument, for ingest and
+// query fan-out alike: how many of n members are processed at once. workers
+// <= 0 means one per available CPU; the count is capped at n and is never
+// below 1.
+func Workers(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(min(workers, n), 1)
+}
 
 // RunEachCtx evaluates eval against every member in corpus order on the
 // calling goroutine: the one-worker fan-out, where corpus order is evaluation
@@ -36,10 +48,11 @@ func (c *Corpus) RunEachCtx(ec *execctx.Ctx, skip func(doc int) bool, eval func(
 	return ec.Err()
 }
 
-// RunAllCtx evaluates eval against every member on a pool of workers,
-// handing each member's result to emit in corpus order. skip, when non-nil,
-// elides members without evaluating them (the caller's name-table pruning
-// hook); a skipped member contributes nothing.
+// RunAllCtx evaluates eval against every member on a pool of
+// Workers(workers, members) goroutines, handing each member's result to emit
+// in corpus order. skip, when non-nil, elides members without evaluating
+// them (the caller's name-table pruning hook); a skipped member contributes
+// nothing.
 //
 // Results stream back through a channel bounded at the worker count, and the
 // merger holds out-of-order arrivals in a pending buffer until their corpus
@@ -65,7 +78,7 @@ func (c *Corpus) RunAllCtx(ec *execctx.Ctx, workers int, skip func(doc int) bool
 	if n == 0 {
 		return ec.Err()
 	}
-	workers = min(max(workers, 1), n)
+	workers = Workers(workers, n)
 
 	type docResult struct {
 		pos int

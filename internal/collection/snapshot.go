@@ -2,6 +2,7 @@ package collection
 
 import (
 	"io"
+	"strings"
 
 	"xqtp/internal/xdm"
 	"xqtp/internal/xmlstore"
@@ -87,9 +88,11 @@ func openSnapshot(data []byte, m *xmlstore.Mapping) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The URIs are copied out of data: they are handed out (Corpus.URIs,
+	// URIOf) and must stay readable after Close releases a mapping.
 	docs := make([]*Doc, len(s.Indexes))
 	for i, ix := range s.Indexes {
-		docs[i] = &Doc{URI: s.URIs[i], Index: ix}
+		docs[i] = &Doc{URI: strings.Clone(s.URIs[i]), Index: ix}
 	}
 	xdm.AssignTreeIDs(trees(docs))
 	if len(s.Names) == 0 {

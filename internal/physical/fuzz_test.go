@@ -190,7 +190,7 @@ func TestFuzzPipeline(t *testing.T) {
 			want, werr := core.Eval(c, env)
 
 			check := func(label string, plan algebra.Expr, alg join.Algorithm) {
-				got, gerr := evalPlan(plan, alg, tr, 0)
+				got, gerr := evalPlan(plan, alg, tr)
 				if (werr == nil) != (gerr == nil) {
 					t.Errorf("seed %d/%d %s: error mismatch (%v vs %v) for %q",
 						seed, docSeed, label, werr, gerr, src)

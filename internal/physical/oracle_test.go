@@ -66,19 +66,17 @@ func engineVars(tr *xdm.Tree) map[string]xdm.Sequence {
 
 // evalPlan lowers plan for alg and runs it with the test queries' free
 // variables bound to tr's root, the tree held by a one-member corpus as the
-// engine holds it; parallel caps the pattern operators' per-context-node
-// workers.
-func evalPlan(plan algebra.Expr, alg join.Algorithm, tr *xdm.Tree, parallel int) (xdm.Sequence, error) {
+// engine holds it.
+func evalPlan(plan algebra.Expr, alg join.Algorithm, tr *xdm.Tree) (xdm.Sequence, error) {
 	p, err := Compile(plan, alg)
 	if err != nil {
 		return nil, err
 	}
 	c := collection.Single("", xmlstore.BuildIndex(tr))
 	return p.Run(&Runtime{
-		Catalog:  c.Catalog(),
-		Preps:    c,
-		Parallel: parallel,
-		Vars:     p.BindVars(engineVars(tr)),
+		Catalog: c.Catalog(),
+		Preps:   c,
+		Vars:    p.BindVars(engineVars(tr)),
 	})
 }
 
@@ -185,7 +183,7 @@ func TestPlansMatchOracle(t *testing.T) {
 			tr := randomDoc(rng, 4+rng.Intn(70))
 			want, werr := oracle(t, q, tr)
 			// Unoptimized plan, NL only (no patterns to dispatch).
-			got, gerr := evalPlan(rawPlan, join.NestedLoop, tr, 0)
+			got, gerr := evalPlan(rawPlan, join.NestedLoop, tr)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("%s seed %d (raw): error mismatch %v vs %v", q, seed, werr, gerr)
 			}
@@ -194,7 +192,7 @@ func TestPlansMatchOracle(t *testing.T) {
 					q, seed, want, got, algebra.String(rawPlan))
 			}
 			for _, alg := range algs {
-				got, gerr := evalPlan(optPlan, alg, tr, 0)
+				got, gerr := evalPlan(optPlan, alg, tr)
 				if (werr == nil) != (gerr == nil) {
 					t.Fatalf("%s seed %d (%v): error mismatch %v vs %v", q, seed, alg, werr, gerr)
 				}
@@ -214,7 +212,7 @@ func TestPlansMatchOracle(t *testing.T) {
 func TestEvalErrors(t *testing.T) {
 	tr, _ := xmlstore.ParseString(`<a><b/></a>`)
 	run := func(plan algebra.Expr) (xdm.Sequence, error) {
-		return evalPlan(plan, join.NestedLoop, tr, 0)
+		return evalPlan(plan, join.NestedLoop, tr)
 	}
 	// Unbound variable.
 	if _, err := run(&algebra.VarRef{Name: "nope"}); err == nil {
@@ -251,7 +249,7 @@ func TestHeadEarlyExitMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []join.Algorithm{join.NestedLoop, join.Staircase, join.Twig} {
-		got, err := evalPlan(plan, alg, tr, 0)
+		got, err := evalPlan(plan, alg, tr)
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}

@@ -11,34 +11,6 @@ import (
 	"xqtp/internal/xmlstore"
 )
 
-// Parallel TupleTreePattern evaluation is deterministic and identical to
-// sequential evaluation on every algorithm (run with -race to validate the
-// synchronization).
-func TestParallelTTPMatchesSequential(t *testing.T) {
-	queries := []string{
-		`for $x in $d//person[emailaddress] return $x/name`, // per-tuple patterns
-		`$d//person[name]/name`,
-		`$d//site//person//name`,
-	}
-	for _, q := range queries {
-		plan := pipeline(t, q, true)
-		for seed := int64(0); seed < 6; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			tr := randomDoc(rng, 100+rng.Intn(200))
-			for _, alg := range []join.Algorithm{join.NestedLoop, join.Staircase, join.Twig} {
-				want, err1 := evalPlan(plan, alg, tr, 0)
-				got, err2 := evalPlan(plan, alg, tr, 4)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("%s/%v seed %d: error mismatch %v vs %v", q, alg, seed, err1, err2)
-				}
-				if !seqEqual(want, got) {
-					t.Errorf("%s/%v seed %d: parallel result differs", q, alg, seed)
-				}
-			}
-		}
-	}
-}
-
 // One compiled plan and one runtime, many concurrent Run calls: the serving
 // pattern. The member's prepared-join table is hit from every goroutine;
 // results must match the single-threaded run (run with -race to validate the

@@ -123,9 +123,6 @@ type Runtime struct {
 	// documents' owner. Nil falls back to one-shot preparation per pattern
 	// evaluation.
 	Preps PrepSource
-	// Parallel caps the goroutines evaluating one TupleTreePattern's context
-	// nodes concurrently (<=1: sequential).
-	Parallel int
 	// Docs resolves fn:doc($uri) and fn:collection() to document nodes. Nil
 	// makes both functions evaluation errors (a plan that never calls them
 	// needs no corpus).

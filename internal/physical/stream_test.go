@@ -57,9 +57,9 @@ func personDoc(rng *rand.Rand, n int) *xdm.Tree {
 // its own slot in place. Each plan here has an operator that must keep what it
 // will read past its consumer's return, or reads a field after an inner
 // operator ran on the same frame; each is checked against the core
-// interpreter on random documents — sequentially, with parallel context
-// workers, and from two concurrent runs of the one compiled plan (run with
-// -race: a run state shared between runs is what it would catch).
+// interpreter on random documents from two concurrent runs of the one
+// compiled plan (run with -race: a run state shared between runs is what it
+// would catch).
 func TestBorrowedTuples(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -136,26 +136,24 @@ func TestBorrowedTuples(t *testing.T) {
 					nonEmpty++
 				}
 				c := collection.Single("", xmlstore.BuildIndex(tr))
-				for _, parallel := range []int{0, 4} {
-					rt := &Runtime{Catalog: c.Catalog(), Preps: c, Parallel: parallel, Vars: p.BindVars(engineVars(tr))}
-					var outs [2]xdm.Sequence
-					var errs [2]error
-					var wg sync.WaitGroup
-					for g := range outs {
-						wg.Add(1)
-						go func(g int) {
-							defer wg.Done()
-							outs[g], errs[g] = p.Run(rt)
-						}(g)
+				rt := &Runtime{Catalog: c.Catalog(), Preps: c, Vars: p.BindVars(engineVars(tr))}
+				var outs [2]xdm.Sequence
+				var errs [2]error
+				var wg sync.WaitGroup
+				for g := range outs {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						outs[g], errs[g] = p.Run(rt)
+					}(g)
+				}
+				wg.Wait()
+				for g := range outs {
+					if errs[g] != nil {
+						t.Fatalf("%s seed %d %v: %v", tc.name, seed, alg, errs[g])
 					}
-					wg.Wait()
-					for g := range outs {
-						if errs[g] != nil {
-							t.Fatalf("%s seed %d %v parallel=%d: %v", tc.name, seed, alg, parallel, errs[g])
-						}
-						if !seqEqual(want, outs[g]) {
-							t.Fatalf("%s seed %d %v parallel=%d run %d:\n want %v\n got  %v", tc.name, seed, alg, parallel, g, want, outs[g])
-						}
+					if !seqEqual(want, outs[g]) {
+						t.Fatalf("%s seed %d %v run %d:\n want %v\n got  %v", tc.name, seed, alg, g, want, outs[g])
 					}
 				}
 			}

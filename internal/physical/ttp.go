@@ -3,8 +3,6 @@ package physical
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"xqtp/internal/execctx"
 	"xqtp/internal/join"
@@ -30,12 +28,12 @@ import (
 // only projects one output field (itemField) — then a binding is never
 // anything but its ranks until the node is delivered.
 //
-// The operator is one of the two that gather before they emit (bindParallel's
-// work list is the other): binding order is decided over the whole input, so
-// over a tuple stream it is its input's consumer and keeps, per input tuple,
-// the context nodes — and, when it streams tuples itself, the items of the
-// input slots its own consumers read (keep), which it writes back beside each
-// binding. Over IN the frame is the one input tuple and nothing is kept.
+// The operator gathers before it emits: binding order is decided over the
+// whole input, so over a tuple stream it is its input's consumer and keeps,
+// per input tuple, the context nodes — and, when it streams tuples itself,
+// the items of the input slots its own consumers read (keep), which it writes
+// back beside each binding. Over IN the frame is the one input tuple and
+// nothing is kept.
 type opTTP struct {
 	stream
 	input  tupleOp
@@ -211,8 +209,6 @@ func (o *opTTP) bind(rs *RunState) (*rankTable, error) {
 				t.seal(fi, ctx.Doc)
 			}
 		})
-	case rt.Parallel > 1 && len(ctxs) > 1:
-		err = o.bindParallel(rt, ctxs, ps.ends, t)
 	default:
 		err = o.eachContext(rt, ctxs, ps.ends, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
 			if !rt.EC.Stopped() {
@@ -262,49 +258,6 @@ func (o *opTTP) eachContext(rt *Runtime, ctxs xdm.Sequence, ends []int32, fn fun
 			tree = ctx.Doc
 		}
 		fn(fi, ctx, prep)
-	}
-	return nil
-}
-
-// bindParallel evaluates the context nodes on up to rt.Parallel goroutines,
-// each kernel call into a slice of its own, and files the results into the
-// table in input order.
-func (o *opTTP) bindParallel(rt *Runtime, ctxs xdm.Sequence, ends []int32, t *rankTable) error {
-	type work struct {
-		fi    int
-		ctx   *xdm.Node
-		prep  *join.Prepared
-		ranks []int32
-	}
-	items := make([]work, 0, len(ctxs))
-	err := o.eachContext(rt, ctxs, ends, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
-		items = append(items, work{fi: fi, ctx: ctx, prep: prep})
-	})
-	if err != nil {
-		return err
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for wk := min(rt.Parallel, len(items)); wk > 0; wk-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				// A stopped execution context halts the fan-out: no new
-				// context node is admitted, and the kernels cut the
-				// in-flight ones short at their own checkpoints.
-				if i >= len(items) || rt.EC.Stopped() {
-					return
-				}
-				items[i].ranks = items[i].prep.AppendRanks(rt.EC, items[i].ctx, nil)
-			}
-		}()
-	}
-	wg.Wait()
-	for i := range items {
-		t.ranks = append(t.ranks, items[i].ranks...)
-		t.seal(items[i].fi, items[i].ctx.Doc)
 	}
 	return nil
 }

@@ -49,7 +49,7 @@ func asTuples(field string) algebra.Expr {
 
 // runOver compiles plan for alg and runs it with $v bound to ctxs over a
 // corpus holding trees.
-func runOver(t *testing.T, plan algebra.Expr, alg join.Algorithm, parallel int, ctxs xdm.Sequence, trees ...*xdm.Tree) (xdm.Sequence, *Plan) {
+func runOver(t *testing.T, plan algebra.Expr, alg join.Algorithm, ctxs xdm.Sequence, trees ...*xdm.Tree) (xdm.Sequence, *Plan) {
 	t.Helper()
 	p, err := Compile(plan, alg)
 	if err != nil {
@@ -60,9 +60,8 @@ func runOver(t *testing.T, plan algebra.Expr, alg join.Algorithm, parallel int, 
 		cat.Register(xmlstore.BuildIndex(tr))
 	}
 	got, err := p.Run(&Runtime{
-		Catalog:  cat,
-		Parallel: parallel,
-		Vars:     p.BindVars(map[string]xdm.Sequence{"v": ctxs}),
+		Catalog: cat,
+		Vars:    p.BindVars(map[string]xdm.Sequence{"v": ctxs}),
 	})
 	if err != nil {
 		t.Fatalf("%v: %v", alg, err)
@@ -98,11 +97,11 @@ func TestItemsModeKeepsTupleOrderAndMultiplicity(t *testing.T) {
 		"y": {3, 5, 6, 5, 6, 8}, // b's in tuple order: 5 and 6 twice, out of document order
 	} {
 		for _, alg := range allAlgs {
-			items, p := runOver(t, patternOver(&algebra.Field{Name: field}, steps()...), alg, 0, root, tr)
+			items, p := runOver(t, patternOver(&algebra.Field{Name: field}, steps()...), alg, root, tr)
 			if !strings.Contains(p.Explain(), "items{"+field+"}") {
 				t.Fatalf("%v/%s: not lowered to items mode:\n%s", alg, field, p.Explain())
 			}
-			frames, p := runOver(t, patternOver(asTuples(field), steps()...), alg, 0, root, tr)
+			frames, p := runOver(t, patternOver(asTuples(field), steps()...), alg, root, tr)
 			if strings.Contains(p.Explain(), "items{") {
 				t.Fatalf("%v/%s: reference plan lowered to items mode:\n%s", alg, field, p.Explain())
 			}
@@ -122,9 +121,9 @@ func TestItemsModeKeepsTupleOrderAndMultiplicity(t *testing.T) {
 
 // Contexts that nest, repeat and come from two trees out of ID order: the
 // kernels' results interleave and duplicate, so the order check fails and the
-// table is sorted on (tree ID, rank) with duplicates dropped — sequentially
-// and with parallel context workers, through items and through frames. The
-// surviving tuple of a duplicate binding is the earliest input tuple's.
+// table is sorted on (tree ID, rank) with duplicates dropped, through items
+// and through frames. The surviving tuple of a duplicate binding is the
+// earliest input tuple's.
 func TestBindingOrderAcrossContexts(t *testing.T) {
 	t1, t2 := parseDoc(t, nested), parseDoc(t, `<r><b/><a><b/></a></r>`)
 	if t1.ID >= t2.ID {
@@ -136,18 +135,16 @@ func TestBindingOrderAcrossContexts(t *testing.T) {
 	want := xdm.Sequence{n1[3], n1[5], n1[6], n1[8], n2[2], n2[4]}
 	step := func() *pattern.Step { return outStep(xdm.AxisDescendant, "b", "out") }
 	for _, alg := range allAlgs {
-		for _, parallel := range []int{0, 4} {
-			items, _ := runOver(t, patternOver(&algebra.Field{Name: "out"}, step()), alg, parallel, ctxs, t1, t2)
-			if !seqEqual(items, want) {
-				t.Errorf("%v parallel=%d: items %s, want %s", alg, parallel, pres(items), pres(want))
-			}
-			pairs, _ := runOver(t, patternOver(&algebra.Sequence{Items: []algebra.Expr{
-				&algebra.Field{Name: "dot"}, &algebra.Field{Name: "out"}}}, step()), alg, parallel, ctxs, t1, t2)
-			// b=5 and b=6 are found from a=4 first, b=3 and b=8 only from their own a.
-			wantPairs := xdm.Sequence{n1[2], n1[3], n1[4], n1[5], n1[4], n1[6], n1[7], n1[8], n2[1], n2[2], n2[1], n2[4]}
-			if !seqEqual(pairs, wantPairs) {
-				t.Errorf("%v parallel=%d: (context, binding) pairs %s, want %s", alg, parallel, pres(pairs), pres(wantPairs))
-			}
+		items, _ := runOver(t, patternOver(&algebra.Field{Name: "out"}, step()), alg, ctxs, t1, t2)
+		if !seqEqual(items, want) {
+			t.Errorf("%v: items %s, want %s", alg, pres(items), pres(want))
+		}
+		pairs, _ := runOver(t, patternOver(&algebra.Sequence{Items: []algebra.Expr{
+			&algebra.Field{Name: "dot"}, &algebra.Field{Name: "out"}}}, step()), alg, ctxs, t1, t2)
+		// b=5 and b=6 are found from a=4 first, b=3 and b=8 only from their own a.
+		wantPairs := xdm.Sequence{n1[2], n1[3], n1[4], n1[5], n1[4], n1[6], n1[7], n1[8], n2[1], n2[2], n2[1], n2[4]}
+		if !seqEqual(pairs, wantPairs) {
+			t.Errorf("%v: (context, binding) pairs %s, want %s", alg, pres(pairs), pres(wantPairs))
 		}
 	}
 }
@@ -163,14 +160,14 @@ func TestFirstMatchAcrossContexts(t *testing.T) {
 		return e
 	}
 	for _, alg := range allAlgs {
-		got, p := runOver(t, plan(), alg, 0, xdm.Sequence{n[7], n[4]}, tr)
+		got, p := runOver(t, plan(), alg, xdm.Sequence{n[7], n[4]}, tr)
 		if ex := p.Explain(); !strings.Contains(ex, "first-match") || !strings.Contains(ex, "items{out}") {
 			t.Fatalf("%v: not first-match in items mode:\n%s", alg, ex)
 		}
 		if !seqEqual(got, xdm.Sequence{n[5]}) {
 			t.Errorf("%v: first match %s, want the b at pre 5", alg, pres(got))
 		}
-		if got, _ := runOver(t, plan(), alg, 0, xdm.Sequence{n[7]}, tr); !seqEqual(got, xdm.Sequence{n[8]}) {
+		if got, _ := runOver(t, plan(), alg, xdm.Sequence{n[7]}, tr); !seqEqual(got, xdm.Sequence{n[8]}) {
 			t.Errorf("%v: first match from one context %s, want the b at pre 8", alg, pres(got))
 		}
 	}

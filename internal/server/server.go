@@ -57,9 +57,10 @@ type Config struct {
 	// regardless of what it asked for (default: unbounded).
 	MaxRows  int64
 	MaxBytes int64
-	// MaxWorkers caps the per-request evaluation parallelism a client may
-	// request (default: one per available CPU). The default per-request
-	// worker count is 1: cross-request parallelism comes from the pool.
+	// MaxWorkers caps the members a /query or /extend request may ask to
+	// process at once (default: one per available CPU). The default
+	// per-request worker count is 1: cross-request parallelism comes from the
+	// pool.
 	MaxWorkers int
 	// ResultCacheEntries / ResultCacheBytes bound the result cache
 	// (defaults: 1024 entries, 64 MiB). NoResultCache disables it.
@@ -278,8 +279,8 @@ type queryRequest struct {
 	// Alg picks the tree-pattern algorithm: nl, sc, twig, stream, auto
 	// (default auto).
 	Alg string `json:"alg"`
-	// Workers caps this request's evaluation parallelism (default 1,
-	// clamped to the server's MaxWorkers).
+	// Workers is how many corpus members this request evaluates at once
+	// (default 1, clamped to the server's MaxWorkers).
 	Workers int `json:"workers"`
 	// Limit / MaxBytes bound the result (0: only the server caps apply).
 	Limit    int64 `json:"limit"`
@@ -390,13 +391,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	maxRows := capBudget(req.Limit, s.cfg.MaxRows)
 	maxBytes := capBudget(req.MaxBytes, s.cfg.MaxBytes)
-	workers := req.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > s.cfg.MaxWorkers {
-		workers = s.cfg.MaxWorkers
-	}
+	workers := s.capWorkers(req.Workers)
 
 	// The compile is cheap to verify before admission (plan-cache hit on
 	// every repeat), and a compile error must be a 400, not a consumed
@@ -453,7 +448,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// The run stops when the client disconnects, when the request deadline
 	// passes, or when the server's drain deadline cuts the base context.
-	ctx, cancel := context.WithCancel(r.Context())
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	stopAfter := context.AfterFunc(s.base, cancel)
 	defer stopAfter()
@@ -481,7 +476,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	_, info, runErr := corpus.RunWith(ctx, q, alg, xqtp.RunOptions{
 		Workers:  workers,
-		Timeout:  timeout,
 		MaxRows:  maxRows,
 		MaxBytes: maxBytes,
 		Sink:     st,
@@ -562,10 +556,18 @@ func capBudget(asked, serverCap int64) int64 {
 	return asked
 }
 
+// capWorkers clamps a client's worker count to [1, MaxWorkers]: a request
+// that names none gets one worker.
+func (s *Server) capWorkers(asked int) int {
+	return min(max(asked, 1), s.cfg.MaxWorkers)
+}
+
 // extendRequest is the POST /extend body.
 type extendRequest struct {
-	Corpus    string `json:"corpus"`
-	Workers   int    `json:"workers"`
+	Corpus string `json:"corpus"`
+	// Workers is how many documents parse at once (default 1, clamped to the
+	// server's MaxWorkers).
+	Workers   int `json:"workers"`
 	Documents []struct {
 		URI string `json:"uri"`
 		XML string `json:"xml"`
@@ -608,7 +610,7 @@ func (s *Server) handleExtend(w http.ResponseWriter, r *http.Request) {
 	if _, resolved, ok := s.resolveCorpus(name); ok {
 		name = resolved
 	}
-	grown, err := s.ExtendCorpus(name, sources, req.Workers)
+	grown, err := s.ExtendCorpus(name, sources, s.capWorkers(req.Workers))
 	if err != nil {
 		if _, ok := s.Corpus(name); !ok {
 			writeError(w, http.StatusNotFound, err.Error())

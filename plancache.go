@@ -45,10 +45,6 @@ func (c *PlanCache) Prepare(query string) (*Query, error) {
 // misses on the same key may compile twice, and the first stored entry
 // wins, so every caller shares one Query (and one prepared-pattern cache).
 func (c *PlanCache) PrepareWithOptions(query string, opts CompileOptions) (*Query, error) {
-	if opts.ContextVar == "" {
-		// Normalize so "" and the explicit default share one entry.
-		opts.ContextVar = "dot"
-	}
 	key := planKey{query: query, opts: opts}
 	if q, ok := c.lru.Get(key); ok {
 		return q, nil

@@ -2,9 +2,7 @@ package xqtp
 
 import (
 	"context"
-	"runtime"
 	"sync/atomic"
-	"time"
 
 	"xqtp/internal/collection"
 	"xqtp/internal/execctx"
@@ -34,19 +32,15 @@ type RunError = execctx.Error
 // locking against the run itself.
 type Sink = execctx.Sink
 
-// RunOptions configures a context-aware run. The zero value means no
-// deadline, no budgets, sequential evaluation, and results collected into
-// the returned Sequence.
+// RunOptions configures a context-aware run; deadlines and timeouts come
+// with the context. The zero value means no budgets, one worker per CPU on
+// a Corpus run, and results collected into the returned Sequence.
 type RunOptions struct {
-	// Workers caps the evaluation parallelism, as in RunParallel; <= 0
-	// means sequential for Query runs and GOMAXPROCS for Corpus runs
-	// (matching Run and RunParallel defaults).
+	// Workers is how many corpus members a Corpus run evaluates at once; <= 0
+	// means one per available CPU, and the count is capped at the member
+	// count. A Document run, and a corpus plan that calls fn:doc or
+	// fn:collection, evaluates once on the calling goroutine and ignores it.
 	Workers int
-	// Timeout, when positive, bounds the run's wall-clock time (applied on
-	// top of the caller's context).
-	Timeout time.Duration
-	// Deadline, when set, bounds the run's wall-clock time absolutely.
-	Deadline time.Time
 	// MaxRows, when positive, stops the run after that many result items
 	// have been delivered; the run returns ErrBudgetExceeded and the
 	// delivered items are the first MaxRows of the full result in document
@@ -62,20 +56,6 @@ type RunOptions struct {
 	Sink Sink
 }
 
-// context applies the options' deadline and timeout to ctx.
-func (o RunOptions) context(ctx context.Context) (context.Context, context.CancelFunc) {
-	cancel := func() {}
-	if !o.Deadline.IsZero() {
-		ctx, cancel = context.WithDeadline(ctx, o.Deadline)
-	}
-	if o.Timeout > 0 {
-		ctx2, cancel2 := context.WithTimeout(ctx, o.Timeout)
-		prev := cancel
-		ctx, cancel = ctx2, func() { cancel2(); prev() }
-	}
-	return ctx, cancel
-}
-
 // RunInfo reports what one context-aware run delivered.
 type RunInfo struct {
 	// Rows counts the delivered result items, on every run. Bytes is their
@@ -89,15 +69,6 @@ type RunInfo struct {
 	Members, Skipped int
 }
 
-// normalizeWorkers resolves a worker-count argument: values <= 0 mean one
-// worker per available CPU.
-func normalizeWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
 // RunWith evaluates the query against a document under a context with
 // deadlines, budgets, and streaming delivery. Result items flow to opts.Sink
 // as they are produced (a nil Sink collects them into the returned
@@ -105,7 +76,8 @@ func normalizeWorkers(workers int) int {
 // prefix of the full result in document order, the returned Sequence
 // (nil-Sink case) holds that prefix, and the error matches ErrCanceled or
 // ErrBudgetExceeded. A member view of a Corpus resolves fn:doc and
-// fn:collection corpus-wide.
+// fn:collection corpus-wide. The run evaluates on the calling goroutine;
+// opts.Workers does not apply.
 func (q *Query) RunWith(ctx context.Context, doc *Document, alg Algorithm, opts RunOptions) (Sequence, RunInfo, error) {
 	return run(ctx, q, doc.c, doc.i, alg, opts, rootBound)
 }
@@ -114,10 +86,11 @@ func (q *Query) RunWith(ctx context.Context, doc *Document, alg Algorithm, opts 
 // chosen by the plan itself:
 //
 // Root-bound plans (no fn:doc/fn:collection) fan out one evaluation per
-// member on up to opts.Workers goroutines — the context item and every free
-// variable bound to the member's document node, exactly as Query.RunWith
-// binds a single Document — and the per-document results merge in corpus
-// order, so the output is byte-identical at any worker count. Members where
+// member, opts.Workers members at once (<= 0: one per available CPU, capped
+// at the member count) — the context item and every free variable bound to
+// the member's document node, exactly as Query.RunWith binds a single
+// Document — and the per-document results merge in corpus order, so the
+// output is byte-identical at any worker count. Members where
 // some required step of the plan (physical.RequiredSteps over the
 // conjunctive patterns) has an empty rank stream — the name absent entirely,
 // or present only as the wrong node kind — are skipped without evaluation;
@@ -125,20 +98,15 @@ func (q *Query) RunWith(ctx context.Context, doc *Document, alg Algorithm, opts 
 // model when alg is Auto.
 //
 // Plans that call fn:doc or fn:collection see the whole corpus at once: they
-// evaluate once with the corpus bound as the document resolver, and
-// opts.Workers instead caps the pattern operators' per-context-node
-// parallelism (a fn:collection()-rooted pattern's context nodes are the
-// member roots, so cross-document parallelism falls out of the existing
-// fan-out).
+// evaluate once, on the calling goroutine, with the corpus bound as the
+// document resolver; opts.Workers does not apply.
 //
 // Results flow to opts.Sink in corpus order as the merge admits them (a nil
 // Sink collects into the returned Sequence). Budgets are charged at the
 // merge point, so a stopped run's delivered items are exactly the first rows
 // of the full corpus-order result; in-flight member evaluations past the
-// stop are cut short and discarded. opts.Workers <= 0 means one worker per
-// available CPU.
+// stop are cut short and discarded.
 func (c *Corpus) RunWith(ctx context.Context, q *Query, alg Algorithm, opts RunOptions) (Sequence, RunInfo, error) {
-	opts.Workers = normalizeWorkers(opts.Workers)
 	return run(ctx, q, c.c, allMembers, alg, opts, rootBound)
 }
 
@@ -171,8 +139,6 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 	if err != nil {
 		return nil, RunInfo{}, err
 	}
-	ctx, cancel := opts.context(ctx)
-	defer cancel()
 	ec := execctx.From(ctx, opts.MaxRows, opts.MaxBytes)
 	// The runtime, the run state's header and the default sink share one
 	// allocation, so a plain Query.Run allocates nothing for collecting its
@@ -186,12 +152,11 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 		count countingSink
 	}
 	st.rt = physical.Runtime{
-		Catalog:  c.Catalog(),
-		Preps:    c,
-		Parallel: opts.Workers,
-		Docs:     c,
-		Vars:     bind(p),
-		EC:       ec,
+		Catalog: c.Catalog(),
+		Preps:   c,
+		Docs:    c,
+		Vars:    bind(p),
+		EC:      ec,
 	}
 	rt := &st.rt
 	sink := opts.Sink
@@ -218,12 +183,11 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 		err = p.RunSinkIn(&st.rs, rt, sink)
 	default:
 		skip, skipped := memberSkipTest(c, p.RequiredSteps())
-		rt.Parallel = 0
 		// A deferred member parses and validates on the goroutine that
 		// evaluates it; a corrupt member becomes this member's query error. A
 		// fanned-out member run reaches its own tree only, so the member
 		// answers for its prepared joins directly.
-		if opts.Workers <= 1 {
+		if workers := collection.Workers(opts.Workers, c.Len()); workers <= 1 {
 			err = c.RunEachCtx(ec, skip, func(d *collection.Doc) error {
 				if err := d.Ensure(); err != nil {
 					return err
@@ -233,7 +197,7 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 			})
 		} else {
 			rt.EC = ec.CancelOnly()
-			err = c.RunAllCtx(ec, opts.Workers, skip, func(d *collection.Doc) (Sequence, error) {
+			err = c.RunAllCtx(ec, workers, skip, func(d *collection.Doc) (Sequence, error) {
 				if err := d.Ensure(); err != nil {
 					return nil, err
 				}

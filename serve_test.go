@@ -90,15 +90,13 @@ func TestPlanCacheSharesQueries(t *testing.T) {
 	if q1 != q2 {
 		t.Fatalf("same query text compiled twice")
 	}
-	// "" normalizes to the default context variable: one entry, not two.
-	opts := DefaultOptions
-	opts.ContextVar = ""
-	q3, err := cache.PrepareWithOptions(`$d//person/name`, opts)
+	// Prepare is PrepareWithOptions under DefaultOptions: one entry, not two.
+	q3, err := cache.PrepareWithOptions(`$d//person/name`, DefaultOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q3 != q1 {
-		t.Fatalf("ContextVar \"\" and \"dot\" compiled separately")
+		t.Fatalf("Prepare and PrepareWithOptions(DefaultOptions) compiled separately")
 	}
 	st := cache.Stats()
 	if st.Size != 1 || st.Misses != 1 || st.Hits != 2 {

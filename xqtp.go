@@ -131,8 +131,15 @@ func newDocument(ix *xmlstore.Index, err error) (*Document, error) {
 // member returns the document's corpus member.
 func (d *Document) member() *collection.Doc { return d.c.Doc(d.i) }
 
-// Root returns the document node.
-func (d *Document) Root() *Node { return d.member().Root() }
+// Root returns the document node. Root and the size accessors answer their
+// zero value once the document is closed: its nodes may live in the released
+// mapping.
+func (d *Document) Root() *Node {
+	if d.c.Closed() {
+		return nil
+	}
+	return d.member().Root()
+}
 
 // URI returns the document's name for fn:doc resolution ("" when loaded
 // without one).
@@ -149,15 +156,28 @@ func (d *Document) SetURI(uri string) {
 
 // NumNodes returns the number of nodes in the document (including the
 // document node and attributes).
-func (d *Document) NumNodes() int { return d.member().Index.NumNodes() }
+func (d *Document) NumNodes() int {
+	if d.c.Closed() {
+		return 0
+	}
+	return d.member().Index.NumNodes()
+}
 
 // SizeBytes returns the serialized size of the document.
 func (d *Document) SizeBytes() int {
+	if d.c.Closed() {
+		return 0
+	}
 	return len(xmlstore.AppendXML(nil, d.Root()))
 }
 
 // XML serializes the document.
-func (d *Document) XML() string { return xmlstore.SerializeString(d.Root()) }
+func (d *Document) XML() string {
+	if d.c.Closed() {
+		return ""
+	}
+	return xmlstore.SerializeString(d.Root())
+}
 
 // WriteXML serializes the document to w without materializing the whole
 // document as a string first.
@@ -232,7 +252,6 @@ func (d *Document) Close() error {
 	if d.owned || d.c.Closed() {
 		return d.c.Close()
 	}
-	// Name the member by position: its URI may alias the corpus's mapping.
 	return fmt.Errorf("xqtp: Close on corpus member view %d: close the Corpus", d.i)
 }
 
@@ -253,9 +272,6 @@ type CompileOptions struct {
 	// Rewrites and TreePatterns reproduces the paper's "standard engine"
 	// baseline, whose plans depend on the syntactic form of the query.
 	Rewrites bool
-	// ContextVar names the variable bound to the context item for "." and
-	// absolute paths. Defaults to "dot".
-	ContextVar string
 
 	// Ablation knobs (benchmarks measure the value of individual design
 	// choices; leave false for normal use).
@@ -264,12 +280,12 @@ type CompileOptions struct {
 }
 
 // DefaultOptions is the configuration used by Prepare.
-var DefaultOptions = CompileOptions{TreePatterns: true, Rewrites: true, ContextVar: "dot"}
+var DefaultOptions = CompileOptions{TreePatterns: true, Rewrites: true}
 
 // StandardEngineOptions reproduces the paper's baseline engine: no core
 // rewritings, no tree-pattern detection — nested maps with navigational
 // TreeJoins and explicit ddo calls.
-var StandardEngineOptions = CompileOptions{TreePatterns: false, Rewrites: false, ContextVar: "dot"}
+var StandardEngineOptions = CompileOptions{TreePatterns: false, Rewrites: false}
 
 // Query is a compiled query, retaining every intermediate compilation phase
 // for inspection. A Query holds plans, never documents: what a run resolves
@@ -305,14 +321,12 @@ func PrepareWithOptions(query string, opts CompileOptions) (*Query, error) {
 // compile → algebraic optimize. A non-nil tr records every intermediate
 // state (PrepareTraced); a nil tr leaves the passes' trace hooks unset.
 func prepare(query string, opts CompileOptions, tr *Trace) (*Query, error) {
-	if opts.ContextVar == "" {
-		opts.ContextVar = "dot"
-	}
 	surface, err := parser.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	normalized, err := core.Normalize(surface, opts.ContextVar)
+	// The context item for "." and absolute paths is the variable $dot.
+	normalized, err := core.Normalize(surface, "dot")
 	if err != nil {
 		return nil, err
 	}
@@ -384,14 +398,6 @@ func (q *Query) physicalPlan(alg Algorithm) (*physical.Plan, error) {
 // goroutines on the same Query and Document.
 func (q *Query) Run(doc *Document, alg Algorithm) (Sequence, error) {
 	seq, _, err := q.RunWith(context.Background(), doc, alg, RunOptions{})
-	return seq, err
-}
-
-// RunParallel evaluates like Run but allows the TupleTreePattern operator
-// to match its context nodes on up to workers goroutines (<= 0: one worker
-// per available CPU). Results are identical to the sequential evaluation.
-func (q *Query) RunParallel(doc *Document, alg Algorithm, workers int) (Sequence, error) {
-	seq, _, err := q.RunWith(context.Background(), doc, alg, RunOptions{Workers: normalizeWorkers(workers)})
 	return seq, err
 }
 
