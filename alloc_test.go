@@ -7,6 +7,9 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
+
+	"xqtp/internal/xdm"
 )
 
 // discardSink counts delivered items without keeping them.
@@ -30,12 +33,18 @@ func xmarkCorpus(t testing.TB, seed int64, people int) *Corpus {
 func runCost(t *testing.T, c *Corpus, q *Query) (allocs, bytes float64, rows int) {
 	t.Helper()
 	sink := &discardSink{}
-	run := func() {
+	allocs, bytes = warmCost(t, func() {
 		sink.n = 0
 		if _, _, err := c.RunWith(context.Background(), q, Auto, RunOptions{Workers: 1, Sink: sink}); err != nil {
 			t.Fatal(err)
 		}
-	}
+	})
+	return allocs, bytes, sink.n
+}
+
+// warmCost measures the heap allocations and bytes of one warm call of run.
+func warmCost(t *testing.T, run func()) (allocs, bytes float64) {
+	t.Helper()
 	run() // builds the member's nodes and prepares its joins
 	// A collection would empty the kernels' arena pools mid-measurement.
 	runtime.GC()
@@ -56,7 +65,7 @@ func runCost(t *testing.T, c *Corpus, q *Query) (allocs, bytes float64, rows int
 		allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/runs)
 		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/runs)
 	}
-	return allocs, bytes, sink.n
+	return allocs, bytes
 }
 
 // TestPatternRunAllocations pins what a pattern evaluation allocates now that
@@ -214,5 +223,84 @@ func TestPrepareAllocations(t *testing.T) {
 	t.Logf("%d texts: %.0f allocations and %.1f KB per Prepare", len(texts), allocs, bytes/1024)
 	if allocs > 560 || bytes > 24*1024 {
 		t.Errorf("%.0f allocations and %.1f KB per Prepare, want <= 560 and <= 24 KB", allocs, bytes/1024)
+	}
+}
+
+// discardRankSink is a discardSink that takes nodes as ranks, as the
+// server's streamer does.
+type discardRankSink struct{ discardSink }
+
+func (s *discardRankSink) PushRank(*xdm.Tree, int32) error { s.n++; return nil }
+
+// TestSteadyStateRunAllocations pins what a warm query allocates now that a
+// plan pools its run states (DESIGN §9). Each run is under a deadline with
+// one worker, as the server runs it. A warm run reuses the frame, the scratch
+// slots, the gathered contexts and the rank tables that earlier runs of its
+// plan grew, so what it allocates does not depend on how many members it
+// walks (the fan-out shapes) or gathers (fn:collection). Under the race
+// detector the runs are made and their row counts checked, not their
+// allocations.
+func TestSteadyStateRunAllocations(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	for _, tc := range []struct {
+		name, query string
+		ranks       bool
+		bound       float64
+	}{
+		// The fan-out shapes: run's record, the execution context, the skip
+		// test. Before the pool, 11 at 8 and 64 members and, for the FLWOR,
+		// 50 at 8 and 303 at 64.
+		{"path-ranks", `$input//person[emailaddress]/name`, true, 7},
+		{"flwor", benchFLWOR, false, 7},
+		// No skip test; before the pool, 19 at 8 members and 28 at 64.
+		{"collection", `fn:collection()//person[emailaddress]/name`, false, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := MustPrepare(tc.query)
+			var allocs, bytes [2]float64
+			for i, members := range []int{8, 64} {
+				c, err := LoadCorpus(smallXMarkSources("steady", members, 3), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				want, err := c.Run(q, Auto)
+				if err != nil || len(want) < members {
+					t.Fatalf("%d members: %d items, %v; expected a real result", members, len(want), err)
+				}
+				rs := &discardRankSink{}
+				var sink Sink = &rs.discardSink
+				if tc.ranks {
+					sink = rs
+				}
+				run := func() {
+					rs.n = 0
+					if _, _, err := c.RunWith(ctx, q, Auto, RunOptions{Workers: 1, Sink: sink}); err != nil {
+						t.Fatal(err)
+					}
+					if rs.n != len(want) {
+						t.Fatalf("%d members: %d rows, want %d", members, rs.n, len(want))
+					}
+				}
+				if raceEnabled {
+					for k := 0; k < 3; k++ {
+						run()
+					}
+					continue
+				}
+				allocs[i], bytes[i] = warmCost(t, run)
+				t.Logf("%d members, %d rows: %.2f allocations, %.0f B per run", members, len(want), allocs[i], bytes[i])
+			}
+			if raceEnabled {
+				return
+			}
+			if allocs[0] != allocs[1] {
+				t.Errorf("allocations per run depend on the member count: %.2f at 8, %.2f at 64", allocs[0], allocs[1])
+			}
+			if allocs[1] > tc.bound {
+				t.Errorf("%.2f allocations per warm run, want <= %v", allocs[1], tc.bound)
+			}
+		})
 	}
 }

@@ -333,6 +333,40 @@ func TestSinkErrorAbortsRun(t *testing.T) {
 	}
 }
 
+// errRankSink is an errSink that takes nodes as ranks.
+type errRankSink struct{ errSink }
+
+func (s *errRankSink) PushRank(*xdm.Tree, int32) error { return s.Push(nil) }
+
+// A sink that refuses an item stops the run with its own error, and
+// RunInfo.Rows counts the items it accepted: with or without a deadline (a
+// metered run counts at delivery, an unmetered one on the way to the sink),
+// at one worker and at eight, taking items or ranks.
+func TestRefusingSinkRowsAndError(t *testing.T) {
+	corpus := cancelTestCorpus(t)
+	q := MustPrepare(`$input//person/name`)
+	withDeadline, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	for _, deadline := range []bool{false, true} {
+		for _, workers := range []int{1, 8} {
+			for _, ranks := range []bool{false, true} {
+				ctx := context.Background()
+				if deadline {
+					ctx = withDeadline
+				}
+				var sink Sink = &errSink{failAt: 3}
+				if ranks {
+					sink = &errRankSink{errSink{failAt: 3}}
+				}
+				_, info, err := corpus.RunWith(ctx, q, Staircase, RunOptions{Workers: workers, Sink: sink})
+				if err != errSinkBoom || info.Rows != 2 {
+					t.Errorf("deadline=%v workers=%d ranks=%v: info.Rows=%d, err=%v; want 2 rows and the sink's own error", deadline, workers, ranks, info.Rows, err)
+				}
+			}
+		}
+	}
+}
+
 // A worker count has one meaning for run, ingest and Extend alike: members
 // processed at once, <= 0 one per CPU, capped at the member count. Every
 // count — zero, negative, more than there are members — resolves by that

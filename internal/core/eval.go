@@ -180,9 +180,7 @@ func evalStep(s *Step, env *Env) (xdm.Sequence, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: axis step applied to atomic value %T", it)
 		}
-		for _, m := range xdm.Step(n, s.Axis, s.Test) {
-			out = append(out, m)
-		}
+		out = xdm.AppendStep(out, n, s.Axis, s.Test)
 	}
 	return out, nil
 }

@@ -191,13 +191,6 @@ type Sink interface {
 	Push(it xdm.Item) error
 }
 
-// bulkSink is the optional fast path: sinks that can absorb a whole
-// sequence at once (the Collector) skip the per-item dispatch when no
-// per-item budget charging is needed.
-type bulkSink interface {
-	PushAll(items xdm.Sequence) error
-}
-
 // Collector is the default sink: it gathers pushed items into a Sequence.
 // The materializing entry points (Run, RunParallel, …) are implemented as
 // streaming runs into a Collector.
@@ -211,35 +204,31 @@ func (c *Collector) Push(it xdm.Item) error {
 	return nil
 }
 
-// PushAll appends a whole sequence (the bulk fast path).
-func (c *Collector) PushAll(items xdm.Sequence) error {
-	c.Seq = append(c.Seq, items...)
-	return nil
-}
-
 // Deliver pushes items to the sink under ec's budget. Budget charging is
 // per item and happens before the push, so under MaxRows = K item K+1 is
 // never pushed: the sink sees exactly the length-K prefix, then Deliver
 // stops the run with ErrBudgetExceeded and returns the typed error. A sink
-// error stops the run and is returned as-is.
+// error stops the run and is returned as-is; the rows count only the items
+// the sink accepted.
 func Deliver(ec *Ctx, sink Sink, items xdm.Sequence) error {
 	if len(items) == 0 {
 		return nil
 	}
 	if ec == nil {
-		return pushAll(sink, items)
+		_, err := pushAll(sink, items)
+		return err
 	}
 	if err := ec.Err(); err != nil {
 		return err
 	}
 	if ec.maxRows == 0 && ec.maxBytes == 0 {
-		// No budget: count progress in bulk and keep the bulk sink path.
-		ec.st.rows.Add(int64(len(items)))
-		if err := pushAll(sink, items); err != nil {
+		// No budget: no per-item admission; count what the sink accepted.
+		n, err := pushAll(sink, items)
+		ec.st.rows.Add(int64(n))
+		if err != nil {
 			ec.stopWith(err)
-			return err
 		}
-		return nil
+		return err
 	}
 	for _, it := range items {
 		if err := ec.deliverOne(sink, it); err != nil {
@@ -259,6 +248,7 @@ func (ec *Ctx) deliverOne(sink Sink, it xdm.Item) error {
 		return err
 	}
 	if err := sink.Push(it); err != nil {
+		ec.refuse(weight)
 		ec.stopWith(err)
 		return err
 	}
@@ -275,6 +265,14 @@ func (ec *Ctx) admit(weight int64) error {
 		return ec.Err()
 	}
 	return nil
+}
+
+// refuse takes back the admission of an item the sink then refused.
+func (ec *Ctx) refuse(weight int64) {
+	ec.st.rows.Add(-1)
+	if ec.maxBytes > 0 {
+		ec.st.bytes.Add(-weight)
+	}
 }
 
 // RankSink is the optional node fast path: a sink that renders a node from
@@ -295,45 +293,61 @@ func DeliverNodes(ec *Ctx, sink Sink, t *xdm.Tree, ranks []int32, first, stride 
 	if first >= len(ranks) {
 		return nil
 	}
-	n := (len(ranks) - first + stride - 1) / stride
 	budget := false
 	if ec != nil {
 		if err := ec.Err(); err != nil {
 			return err
 		}
-		if budget = ec.maxRows > 0 || ec.maxBytes > 0; !budget {
-			ec.st.rows.Add(int64(n))
-		}
+		budget = ec.maxRows > 0 || ec.maxBytes > 0
 	}
 	if c, ok := sink.(*Collector); ok && !budget {
+		n := (len(ranks) - first + stride - 1) / stride
 		c.Seq = slices.Grow(c.Seq, n)
 		for i := first; i < len(ranks); i += stride {
 			c.Seq = append(c.Seq, t.Node(ranks[i]))
 		}
+		ec.count(n)
 		return nil
 	}
 	rs, _ := sink.(RankSink)
+	pushed := 0
+	var err error
 	for i := first; i < len(ranks); i += stride {
 		r := ranks[i]
+		var weight int64
 		if budget {
-			if err := ec.admit((int64(t.Cols.Size[r]) + 1) * 16); err != nil {
+			weight = (int64(t.Cols.Size[r]) + 1) * 16
+			if err := ec.admit(weight); err != nil {
 				return err
 			}
 		}
-		var err error
 		if rs != nil {
 			err = rs.PushRank(t, r)
 		} else {
 			err = sink.Push(t.Node(r))
 		}
 		if err != nil {
-			if ec != nil {
-				ec.stopWith(err)
+			if budget {
+				ec.refuse(weight)
 			}
-			return err
+			break
 		}
+		pushed++
 	}
-	return nil
+	if !budget {
+		ec.count(pushed)
+	}
+	if err != nil && ec != nil {
+		ec.stopWith(err)
+	}
+	return err
+}
+
+// count adds n rows delivered outside the budgets' per-item admission.
+func (ec *Ctx) count(n int) {
+	if ec != nil {
+		ec.st.rows.Add(int64(n))
+	}
 }
 
 func (ec *Ctx) stopBudget() {
@@ -344,16 +358,19 @@ func (ec *Ctx) stopBudget() {
 	})
 }
 
-func pushAll(sink Sink, items xdm.Sequence) error {
-	if b, ok := sink.(bulkSink); ok {
-		return b.PushAll(items)
+// pushAll pushes items to the sink until it refuses one, and returns how
+// many it accepted.
+func pushAll(sink Sink, items xdm.Sequence) (int, error) {
+	if c, ok := sink.(*Collector); ok {
+		c.Seq = append(c.Seq, items...)
+		return len(items), nil
 	}
-	for _, it := range items {
+	for i, it := range items {
 		if err := sink.Push(it); err != nil {
-			return err
+			return i, err
 		}
 	}
-	return nil
+	return len(items), nil
 }
 
 // itemWeight is the O(1) byte-budget charge of one item: nodes are charged

@@ -85,13 +85,26 @@ func CheckArity(name string, n int) error {
 // dispatch.
 type Fn func(args []xdm.Sequence) (xdm.Sequence, error)
 
+// trueSeq and falseSeq are the results of the boolean builtins, shared by
+// every call: a builtin's caller only reads its result. The physical opCall
+// appends it to a sequence of its own, and the core interpreter writes into
+// no sequence it did not build.
+var trueSeq, falseSeq = xdm.Sequence{xdm.Bool(true)}, xdm.Sequence{xdm.Bool(false)}
+
+func boolSeq(b bool) xdm.Sequence {
+	if b {
+		return trueSeq
+	}
+	return falseSeq
+}
+
 // impls binds every builtin of Table to its implementation.
 var impls = map[string]Fn{
 	"true": func(args []xdm.Sequence) (xdm.Sequence, error) {
-		return xdm.Singleton(xdm.Bool(true)), nil
+		return boolSeq(true), nil
 	},
 	"false": func(args []xdm.Sequence) (xdm.Sequence, error) {
-		return xdm.Singleton(xdm.Bool(false)), nil
+		return boolSeq(false), nil
 	},
 	"ddo": func(args []xdm.Sequence) (xdm.Sequence, error) {
 		return xdm.DDO(args[0])
@@ -104,20 +117,20 @@ var impls = map[string]Fn{
 		if err != nil {
 			return nil, err
 		}
-		return xdm.Singleton(xdm.Bool(b)), nil
+		return boolSeq(b), nil
 	},
 	"not": func(args []xdm.Sequence) (xdm.Sequence, error) {
 		b, err := xdm.EffectiveBool(args[0])
 		if err != nil {
 			return nil, err
 		}
-		return xdm.Singleton(xdm.Bool(!b)), nil
+		return boolSeq(!b), nil
 	},
 	"empty": func(args []xdm.Sequence) (xdm.Sequence, error) {
-		return xdm.Singleton(xdm.Bool(len(args[0]) == 0)), nil
+		return boolSeq(len(args[0]) == 0), nil
 	},
 	"exists": func(args []xdm.Sequence) (xdm.Sequence, error) {
-		return xdm.Singleton(xdm.Bool(len(args[0]) > 0)), nil
+		return boolSeq(len(args[0]) > 0), nil
 	},
 	"root": func(args []xdm.Sequence) (xdm.Sequence, error) {
 		return invokeRoot(args[0])
@@ -151,14 +164,14 @@ var impls = map[string]Fn{
 		if err != nil {
 			return nil, err
 		}
-		return xdm.Singleton(xdm.Bool(strings.Contains(a, b))), nil
+		return boolSeq(strings.Contains(a, b)), nil
 	},
 	"starts-with": func(args []xdm.Sequence) (xdm.Sequence, error) {
 		a, b, err := stringPair(args)
 		if err != nil {
 			return nil, err
 		}
-		return xdm.Singleton(xdm.Bool(strings.HasPrefix(a, b))), nil
+		return boolSeq(strings.HasPrefix(a, b)), nil
 	},
 	"string-length": func(args []xdm.Sequence) (xdm.Sequence, error) {
 		s, err := stringValue(args[0])

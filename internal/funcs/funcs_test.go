@@ -44,6 +44,42 @@ func TestBooleanFamily(t *testing.T) {
 	}
 }
 
+// The boolean builtins return shared read-only singletons: a call allocates
+// nothing, and a later call with the opposite answer leaves an earlier
+// result as it was.
+func TestBooleanResultsAreShared(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		yes, no     []xdm.Sequence
+		first, then xdm.Bool
+	}{
+		{"true", nil, nil, true, true},
+		{"false", nil, nil, false, false},
+		{"boolean", []xdm.Sequence{seq(xdm.Integer(1))}, []xdm.Sequence{seq()}, true, false},
+		{"not", []xdm.Sequence{seq()}, []xdm.Sequence{seq(xdm.Integer(1))}, true, false},
+		{"empty", []xdm.Sequence{seq()}, []xdm.Sequence{seq(xdm.Integer(1))}, true, false},
+		{"exists", []xdm.Sequence{seq(xdm.Integer(1))}, []xdm.Sequence{seq()}, true, false},
+		{"contains", []xdm.Sequence{seq(xdm.String("ab")), seq(xdm.String("b"))}, []xdm.Sequence{seq(xdm.String("ab")), seq(xdm.String("c"))}, true, false},
+		{"starts-with", []xdm.Sequence{seq(xdm.String("ab")), seq(xdm.String("a"))}, []xdm.Sequence{seq(xdm.String("ab")), seq(xdm.String("b"))}, true, false},
+	} {
+		first, err := Invoke(tc.name, tc.yes)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		second, err := Invoke(tc.name, tc.no)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(first) != 1 || first[0] != tc.first || len(second) != 1 || second[0] != tc.then {
+			t.Errorf("%s: first result %v after a second call returned %v; want (%v) and (%v)", tc.name, first, second, tc.first, tc.then)
+		}
+		fn, _ := Resolve(tc.name)
+		if a := testing.AllocsPerRun(100, func() { _, _ = fn(tc.yes) }); a != 0 {
+			t.Errorf("%s: %.0f allocations per call, want 0", tc.name, a)
+		}
+	}
+}
+
 func TestStringFamily(t *testing.T) {
 	tr, err := xmlstore.ParseString(`<a><b>he</b><b>llo</b></a>`)
 	if err != nil {

@@ -115,9 +115,7 @@ func (o *opTreeJoin) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error)
 		if !ok {
 			return dst, fmt.Errorf("exec: TreeJoin applied to atomic value %T", it)
 		}
-		for _, m := range xdm.Step(n, o.axis, o.test) {
-			dst = append(dst, m)
-		}
+		dst = xdm.AppendStep(dst, n, o.axis, o.test)
 	}
 	return dst, nil
 }
@@ -403,7 +401,8 @@ func (o *opMapFromItem) run(rs *RunState) error {
 // opMapToItem evaluates the dependent item expression per input tuple and
 // concatenates the results in the scratch slot acc — the caller's dst for
 // the length of one evaluation. At the plan root (toSink) each tuple's items
-// go to the run's sink before the next tuple is produced.
+// go to the run's sink before the next tuple is produced, and acc is the run
+// state's own buffer, kept with its capacity from one run to the next.
 type opMapToItem struct {
 	dep    itemOp
 	input  tupleOp
@@ -412,6 +411,10 @@ type opMapToItem struct {
 }
 
 func (o *opMapToItem) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	if o.toSink {
+		rs.fr[o.acc] = rs.fr[o.acc][:0]
+		return dst, o.input.run(rs)
+	}
 	rs.fr[o.acc] = dst
 	err := o.input.run(rs)
 	dst, rs.fr[o.acc] = rs.fr[o.acc], nil

@@ -8,11 +8,14 @@
 // dispatch for builtins, and no per-run pattern analysis.
 //
 // A Plan is immutable after Compile and safe for concurrent Run calls; all
-// per-run state lives in the Runtime and in the RunState allocated per call.
+// per-run state lives in the Runtime and in a RunState, which the plan pools
+// from its second run on, so a repeated query reuses the buffers its earlier
+// runs grew.
 package physical
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"xqtp/internal/execctx"
 	"xqtp/internal/join"
@@ -62,10 +65,11 @@ func (s *stream) to(c consumer) { s.out = c }
 // RunState is what one run of a plan writes: the frame, and what the plan's
 // operators keep between their calls within the run besides its scratch slots
 // — singleton cells behind the slots of positions and pattern bindings, each
-// pattern operator's rank table. Its layout is fixed by Compile and it is
-// allocated once, on first use: the plan itself stays immutable and shared.
-// The zero value is ready; a RunState may serve consecutive runs of one plan
-// (the members of a fan-out), never concurrent ones.
+// pattern operator's rank table. Its layout is fixed by Compile, so the plan
+// itself stays immutable and shared. Plan.State hands one out and Release
+// gives it back to the plan's pool with the buffers its runs grew. A RunState
+// may serve consecutive runs of its plan (the members of a fan-out), never
+// concurrent ones.
 type RunState struct {
 	p  *Plan
 	rt *Runtime
@@ -175,6 +179,11 @@ type Plan struct {
 	// fn:doc/fn:collection operator, i.e. needs a Runtime document resolver
 	// and may reach nodes outside its root binding.
 	usesDocs bool
+	// reused is set by the plan's first Release, states made by its second:
+	// a plan that runs once (an ad-hoc query) pays for no pool, whose first
+	// use allocates per-processor storage.
+	reused atomic.Bool
+	states atomic.Pointer[sync.Pool]
 
 	// reqOnce/reqSteps memoize RequiredSteps (the analysis is per-plan, not
 	// per-run).
@@ -287,17 +296,56 @@ func (b *Bindings) prepared(alg join.Algorithm, t *xdm.Tree, pat *pattern.Patter
 	return p, nil
 }
 
+// State returns a run state of the plan: a released one from the plan's
+// pool, or a new one. The caller gives it back with Release once its runs are
+// done — not after a run that panicked, whose state may be half-written.
+func (p *Plan) State() *RunState {
+	if pool := p.states.Load(); pool != nil {
+		if rs, ok := pool.Get().(*RunState); ok {
+			return rs
+		}
+	}
+	rs := &RunState{p: p, fr: make(frame, p.width)}
+	if p.cells > 0 {
+		rs.cells = make([]xdm.Item, p.cells)
+	}
+	if len(p.ttps) > 0 {
+		rs.pats = make([]patState, len(p.ttps))
+	}
+	return rs
+}
+
+// Release gives the state back to its plan's pool; the caller must not use
+// it again. It keeps its buffers but drops the runtime and the sink. The
+// items and trees its slots still reference are released with the pool at
+// the next garbage collection. Pooling starts with the plan's second run:
+// its first Release drops the state.
+func (rs *RunState) Release() {
+	rs.rt, rs.sink, rs.charge = nil, nil, nil
+	p := rs.p
+	if !p.reused.Load() {
+		p.reused.Store(true)
+		return
+	}
+	pool := p.states.Load()
+	if pool == nil {
+		p.states.CompareAndSwap(nil, new(sync.Pool))
+		pool = p.states.Load()
+	}
+	pool.Put(rs)
+}
+
 // Run evaluates the plan to an item sequence, collected without charging the
 // execution context's budgets (a fan-out's member runs: the merge charges).
 func (p *Plan) Run(rt *Runtime) (xdm.Sequence, error) {
-	var st struct {
-		rs  RunState
-		col execctx.Collector
-	}
-	if err := p.exec(&st.rs, rt, &st.col, nil); err != nil {
+	var col execctx.Collector
+	rs := p.State()
+	err := rs.exec(rt, &col, nil)
+	rs.Release()
+	if err != nil {
 		return nil, err
 	}
-	return st.col.Seq, nil
+	return col.Seq, nil
 }
 
 // RunSink evaluates the plan, delivering result items to sink through the
@@ -310,31 +358,24 @@ func (p *Plan) Run(rt *Runtime) (xdm.Sequence, error) {
 // tuples, delivers its rank table directly. Other root shapes evaluate
 // fully, then deliver.
 func (p *Plan) RunSink(rt *Runtime, sink execctx.Sink) error {
-	var rs RunState
-	return p.RunSinkIn(&rs, rt, sink)
+	rs := p.State()
+	err := rs.RunSink(rt, sink)
+	rs.Release()
+	return err
 }
 
-// RunSinkIn is RunSink in a caller-held run state, so that consecutive runs
-// of the plan share one.
-func (p *Plan) RunSinkIn(rs *RunState, rt *Runtime, sink execctx.Sink) error {
-	return p.exec(rs, rt, sink, rt.EC)
+// RunSink is Plan.RunSink in this run state, so that consecutive runs of the
+// plan share one.
+func (rs *RunState) RunSink(rt *Runtime, sink execctx.Sink) error {
+	return rs.exec(rt, sink, rt.EC)
 }
 
-func (p *Plan) exec(rs *RunState, rt *Runtime, sink execctx.Sink, charge *execctx.Ctx) error {
+func (rs *RunState) exec(rt *Runtime, sink execctx.Sink, charge *execctx.Ctx) error {
 	if err := rt.EC.Err(); err != nil {
 		return err
 	}
-	if rs.p != p {
-		*rs = RunState{p: p, fr: make(frame, p.width)}
-		if p.cells > 0 {
-			rs.cells = make([]xdm.Item, p.cells)
-		}
-		if len(p.ttps) > 0 {
-			rs.pats = make([]patState, len(p.ttps))
-		}
-	}
 	rs.rt, rs.sink, rs.charge = rt, sink, charge
-	seq, err := p.root.items(rs, nil)
+	seq, err := rs.p.root.items(rs, nil)
 	if err != nil {
 		return err
 	}

@@ -198,20 +198,30 @@ func (m RankTest) Matches(c *Cols, r int32) bool {
 // The axes are rank arithmetic over the context's tree columns, and a node
 // is built for each match only; a detached node (no tree) has no axes.
 func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
+	return appendStep([]*Node(nil), ctx, axis, test, func(n *Node) *Node { return n })
+}
+
+// AppendStep is Step appending its matches to dst.
+func AppendStep(dst Sequence, ctx *Node, axis Axis, test NodeTest) Sequence {
+	return appendStep(dst, ctx, axis, test, func(n *Node) Item { return n })
+}
+
+// appendStep appends the matches of the step to out, each as elem(node).
+func appendStep[E any](out []E, ctx *Node, axis Axis, test NodeTest, elem func(*Node) E) []E {
 	t := ctx.Doc
 	if t == nil {
-		return nil
+		return out
 	}
 	m := test.On(axis, t)
 	if m.Empty() {
-		return nil
+		return out
 	}
 	c := t.Cols
 	r := int32(ctx.Pre)
-	var out []*Node
+	start := len(out)
 	add := func(p int32) {
 		if m.Matches(c, p) {
-			out = append(out, t.Node(p))
+			out = append(out, elem(t.Node(p)))
 		}
 	}
 	switch axis {
@@ -246,11 +256,11 @@ func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
 		for ; p >= 0; p = c.Parent[p] {
 			add(p)
 		}
-		slices.Reverse(out)
+		slices.Reverse(out[start:])
 	case AxisFollowingSibling, AxisPrecedingSibling:
 		p := c.Parent[r]
 		if p < 0 || Kind(c.Kind[r]) == AttributeNode {
-			return nil
+			return out
 		}
 		if axis == AxisFollowingSibling {
 			for s := c.NextSibling(r); s <= c.End(p); s = c.NextSibling(s) {

@@ -140,14 +140,13 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 		return nil, RunInfo{}, err
 	}
 	ec := execctx.From(ctx, opts.MaxRows, opts.MaxBytes)
-	// The runtime, the run state's header and the default sink share one
-	// allocation, so a plain Query.Run allocates nothing for collecting its
-	// result. Prepared joins belong to the corpus: each lives on the member it
-	// was prepared against (a bound node of some other document is prepared in
-	// the bindings that brought it, for this run only).
+	// The runtime and the default sink share one allocation, so a plain
+	// Query.Run allocates nothing for collecting its result; the run state
+	// comes from the plan's pool. Prepared joins belong to the corpus: each
+	// lives on the member it was prepared against (a bound node of some other
+	// document is prepared in the bindings that brought it, for this run only).
 	var st struct {
 		rt    physical.Runtime
-		rs    physical.RunState
 		col   execctx.Collector
 		count countingSink
 	}
@@ -168,6 +167,7 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 		// context is free because it counts nothing), so the rows a caller's
 		// sink receives are counted on their way to it.
 		st.count.Sink = sink
+		st.count.ranks, _ = sink.(execctx.RankSink)
 		sink = &st.count
 	}
 	info := RunInfo{Members: c.Len()}
@@ -177,10 +177,10 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 		var d *collection.Doc
 		if d, err = c.Loaded(member); err == nil {
 			rt.Root = d.RootSeq()
-			err = p.RunSinkIn(&st.rs, rt, sink)
+			err = p.RunSink(rt, sink)
 		}
 	case p.UsesDocAccess():
-		err = p.RunSinkIn(&st.rs, rt, sink)
+		err = p.RunSink(rt, sink)
 	default:
 		skip, skipped := memberSkipTest(c, p.RequiredSteps())
 		// A deferred member parses and validates on the goroutine that
@@ -188,13 +188,15 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 		// fanned-out member run reaches its own tree only, so the member
 		// answers for its prepared joins directly.
 		if workers := collection.Workers(opts.Workers, c.Len()); workers <= 1 {
+			rs := p.State()
 			err = c.RunEachCtx(ec, skip, func(d *collection.Doc) error {
 				if err := d.Ensure(); err != nil {
 					return err
 				}
 				rt.Root, rt.Preps = d.RootSeq(), d
-				return p.RunSinkIn(&st.rs, rt, sink)
+				return rs.RunSink(rt, sink)
 			})
+			rs.Release()
 		} else {
 			rt.EC = ec.CancelOnly()
 			err = c.RunAllCtx(ec, workers, skip, func(d *collection.Doc) (Sequence, error) {
@@ -210,6 +212,11 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 		}
 		info.Skipped = int(skipped.Load())
 	}
+	if st.count.err != nil {
+		// The caller's sink stopped the run: its error, not a member failure
+		// wrapping it (a metered run records it as the stop error instead).
+		err = st.count.err
+	}
 	switch {
 	case ec != nil:
 		info.Rows, info.Bytes = ec.Rows(), ec.Bytes()
@@ -221,14 +228,28 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 	return st.col.Seq, info, err
 }
 
-// countingSink counts the items it passes on.
+// countingSink counts the items it passes on and keeps the error with which
+// its sink refused one. It takes ranks, and passes them on as ranks when its
+// sink takes them too.
 type countingSink struct {
 	Sink
-	rows int64
+	ranks execctx.RankSink
+	rows  int64
+	err   error
 }
 
-func (s *countingSink) Push(it Item) error {
-	if err := s.Sink.Push(it); err != nil {
+func (s *countingSink) Push(it Item) error { return s.count(s.Sink.Push(it)) }
+
+func (s *countingSink) PushRank(t *xdm.Tree, r int32) error {
+	if s.ranks != nil {
+		return s.count(s.ranks.PushRank(t, r))
+	}
+	return s.count(s.Sink.Push(t.Node(r)))
+}
+
+func (s *countingSink) count(err error) error {
+	if err != nil {
+		s.err = err
 		return err
 	}
 	s.rows++
