@@ -37,7 +37,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 
 	"xqtp"
@@ -48,7 +47,7 @@ func main() {
 		query     = flag.String("query", "", "XQuery expression (required unless -save-snapshot converts)")
 		file      = flag.String("file", "", "XML input file (default: stdin; positional arguments add more)")
 		dir       = flag.String("dir", "", "load every *.xml file of a directory (sorted) into the collection")
-		workers   = flag.Int("workers", runtime.NumCPU(), "collection members ingested and queried at once (<= 0: one per CPU)")
+		workers   = flag.Int("workers", 0, "collection members ingested and queried at once (<= 0: one per CPU, capped at the member count)")
 		withURI   = flag.Bool("with-uri", false, "prefix every result line with the URI of the document holding it")
 		algName   = flag.String("alg", "sc", "tree-pattern algorithm: nl, sc, twig, auto, stream")
 		snapshot  = flag.Bool("snapshot", false, "input is a binary corpus snapshot (see -save-snapshot, xmlgen -format snapshot)")
@@ -118,7 +117,7 @@ func main() {
 	}
 	opts := xqtp.DefaultOptions
 	opts.TreePatterns = !*noTP
-	q, err := xqtp.PrepareCachedWithOptions(*query, opts)
+	q, err := xqtp.PrepareWithOptions(*query, opts)
 	if err != nil {
 		fatal(err)
 	}

@@ -74,7 +74,6 @@ func run() int {
 		cacheEntries  = flag.Int("cache-entries", 1024, "result cache entry bound (0: default)")
 		cacheBytes    = flag.Int64("cache-bytes", 64<<20, "result cache total byte bound (0: default)")
 		noCache       = flag.Bool("no-result-cache", false, "disable the result cache")
-		planCache     = flag.Int("plan-cache", 0, "compiled-query cache size (0: default)")
 		drain         = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
 	)
 	flag.Var(&corpora, "corpus", "name=path to serve (repeatable); path: snapshot file, directory of *.xml, or one XML document")
@@ -97,7 +96,6 @@ func run() int {
 		ResultCacheEntries: *cacheEntries,
 		ResultCacheBytes:   *cacheBytes,
 		NoResultCache:      *noCache,
-		PlanCacheSize:      *planCache,
 	})
 
 	for _, spec := range corpora {

@@ -186,17 +186,10 @@ func (c *Corpus) RunParallel(q *Query, alg Algorithm, workers int) (Sequence, er
 	return seq, err
 }
 
-// RunStats is the member accounting of one RunParallelStats call.
-type RunStats struct {
-	Members int // corpus members
-	Skipped int // members skipped by the emptiness proof, never evaluated
-}
-
-// RunParallelStats is RunParallel, additionally reporting how many members
-// the count-based emptiness proof skipped.
-func (c *Corpus) RunParallelStats(q *Query, alg Algorithm, workers int) (Sequence, RunStats, error) {
-	seq, info, err := c.RunWith(context.Background(), q, alg, RunOptions{Workers: workers})
-	return seq, RunStats{Members: info.Members, Skipped: info.Skipped}, err
+// RunParallelStats is RunParallel, additionally reporting what the run
+// delivered and how many members the count-based emptiness proof skipped.
+func (c *Corpus) RunParallelStats(q *Query, alg Algorithm, workers int) (Sequence, RunInfo, error) {
+	return c.RunWith(context.Background(), q, alg, RunOptions{Workers: workers})
 }
 
 // URIOf attributes a result item back to the member document holding it

@@ -601,8 +601,8 @@ func TestDocumentOpenSnapshotFile(t *testing.T) {
 	if _, err := q.Run(doc2, Auto); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Run after Close = %v, want ErrClosed", err)
 	}
-	if _, err := q.RunWithVars(doc2, Auto, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("RunWithVars after Close = %v, want ErrClosed", err)
+	if _, _, err := q.RunWith(context.Background(), doc2, Auto, RunOptions{Vars: map[string]Sequence{}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("RunWith with Vars after Close = %v, want ErrClosed", err)
 	}
 	// A truncated single-document snapshot is rejected at open (the member
 	// is validated eagerly on this path).

@@ -319,8 +319,9 @@ func TestRunWrappersEqualRunWith(t *testing.T) {
 				run  func() (Sequence, error)
 			}{
 				{"Query.Run", docWant, func() (Sequence, error) { return q.Run(doc, alg) }},
-				{"Query.RunWithVars", docWant, func() (Sequence, error) {
-					return q.RunWithVars(doc, alg, map[string]Sequence{"input": root, "dot": root})
+				{"Query.RunWith/Vars", docWant, func() (Sequence, error) {
+					seq, _, err := q.RunWith(ctx, doc, alg, RunOptions{Vars: map[string]Sequence{"input": root, "dot": root}})
+					return seq, err
 				}},
 				{"Corpus.Run", corpusWant, func() (Sequence, error) { return corpus.Run(q, alg) }},
 				{"Corpus.RunParallel", corpusWant, func() (Sequence, error) { return corpus.RunParallel(q, alg, 8) }},

@@ -194,7 +194,7 @@ func RunTable1(w io.Writer, opts ExperimentOptions, jsonPath string) error {
 	report := Table1Report{Seed: opts.Seed, Repeats: opts.Repeats,
 		CPUs: runtime.NumCPU(), Go: runtime.Version(), Commit: buildCommit()}
 	for _, pq := range QEQueries {
-		q, err := PrepareCached(pq.Query)
+		q, err := Prepare(pq.Query)
 		if err != nil {
 			return fmt.Errorf("%s: %w", pq.Name, err)
 		}
@@ -284,7 +284,7 @@ func RunFigure4(w io.Writer, opts ExperimentOptions) error {
 	if err != nil {
 		return err
 	}
-	newQ, err := PrepareCached(flwor)
+	newQ, err := Prepare(flwor)
 	if err != nil {
 		return err
 	}
@@ -336,7 +336,7 @@ func RunFigure6(w io.Writer, opts ExperimentOptions) error {
 			if err := opts.checkpoint(); err != nil {
 				return err
 			}
-			q, err := PrepareCached(form.src)
+			q, err := Prepare(form.src)
 			if err != nil {
 				return fmt.Errorf("%s: %w", pair.Name, err)
 			}
@@ -376,7 +376,7 @@ func RunSection53(w io.Writer, opts ExperimentOptions) error {
 			if err := opts.checkpoint(); err != nil {
 				return err
 			}
-			q, err := PrepareCached(Section53Query(k))
+			q, err := Prepare(Section53Query(k))
 			if err != nil {
 				return err
 			}
@@ -399,7 +399,7 @@ func RunValidation(w io.Writer) error {
 	var refPlan string
 	identical := 0
 	for i, v := range variants {
-		q, err := PrepareCached(v)
+		q, err := Prepare(v)
 		if err != nil {
 			return fmt.Errorf("variant %d: %w", i, err)
 		}

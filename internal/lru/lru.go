@@ -112,16 +112,6 @@ func (c *Cache[K, V]) RemoveIf(pred func(K, V) bool) {
 	}
 }
 
-// Reset empties the cache and zeroes its counters.
-func (c *Cache[K, V]) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	clear(c.entries)
-	c.weight = 0
-	c.hits, c.misses, c.evictions = 0, 0, 0
-}
-
 // Stats is a snapshot of a cache's occupancy and activity.
 type Stats struct {
 	Size      int    // entries currently cached

@@ -25,7 +25,8 @@ type qgen struct {
 	counter int
 }
 
-var fuzzTags = []string{"a", "b", "c", "d", "name"}
+// fuzzTags are tags randomDoc emits, so every name test can match.
+var fuzzTags = []string{"a", "b", "person", "emailaddress", "name"}
 var fuzzValues = []string{"John", "Mary", "x"}
 
 func (g *qgen) pick(ss []string) string { return ss[g.rng.Intn(len(ss))] }
@@ -76,12 +77,27 @@ func (g *qgen) genPath(depth int) string {
 	}
 	steps := 1 + g.rng.Intn(3)
 	for i := 0; i < steps; i++ {
-		if g.rng.Intn(3) == 0 {
-			b.WriteString("//")
-		} else {
-			b.WriteString("/")
+		last := i == steps-1
+		switch r := g.rng.Intn(16); {
+		case r == 0 && last:
+			b.WriteString("/@id")
+			continue
+		case r == 1 && last:
+			b.WriteString("/text()")
+			continue
+		case r == 2:
+			b.WriteString("/descendant-or-self::node()")
+			continue
+		case r == 3:
+			b.WriteString("/parent::node()")
+			continue
+		case r == 4:
+			fmt.Fprintf(&b, "/%s::%s", g.pick([]string{"parent", "ancestor", "self"}), g.pick(fuzzTags))
+		case r < 9:
+			b.WriteString("//" + g.pick(fuzzTags))
+		default:
+			b.WriteString("/" + g.pick(fuzzTags))
 		}
-		b.WriteString(g.pick(fuzzTags))
 		if depth > 0 && g.rng.Intn(3) == 0 {
 			pred := g.genPred(depth-1, true)
 			pred = strings.ReplaceAll(pred, "##", "")
@@ -94,7 +110,7 @@ func (g *qgen) genPath(depth int) string {
 // genPred produces a predicate body; "##" marks the context prefix for
 // relative paths (filled by the caller).
 func (g *qgen) genPred(depth int, positional bool) string {
-	switch g.rng.Intn(8) {
+	switch g.rng.Intn(11) {
 	case 0:
 		if positional {
 			return fmt.Sprintf("%d", 1+g.rng.Intn(3))
@@ -120,20 +136,40 @@ func (g *qgen) genPred(depth int, positional bool) string {
 		return fmt.Sprintf("not(##%s)", g.pick(fuzzTags))
 	case 7:
 		// Axes outside the pattern fragment keep the fallback honest.
-		axis := []string{"following-sibling", "preceding-sibling", "parent", "ancestor"}[g.rng.Intn(4)]
+		axis := []string{"following-sibling", "preceding-sibling", "parent", "ancestor", "self"}[g.rng.Intn(5)]
 		return fmt.Sprintf("##%s::%s", axis, g.pick(fuzzTags))
+	case 8:
+		return "##@id"
+	case 9:
+		return fmt.Sprintf("##%s/@id = \"x\"", g.pick(fuzzTags))
+	case 10:
+		return fmt.Sprintf("##text() = %q", g.pick(fuzzValues))
 	}
 	return "##" + g.pick(fuzzTags) + "//" + g.pick(fuzzTags)
 }
 
-// genFLWOR produces a for expression, possibly nested, with optional where.
+// genFLWOR produces a for (possibly with a positional variable) or let
+// clause, possibly nested, with optional where.
 func (g *qgen) genFLWOR(depth int) string {
 	v := g.freshVar()
 	in := g.genPath(depth - 1)
+	clause := fmt.Sprintf("for $%s in %s", v, in)
+	var at string
+	switch g.rng.Intn(4) {
+	case 0:
+		clause = fmt.Sprintf("let $%s := %s", v, in)
+	case 1:
+		// The positional variable binds an integer, so it never roots a path.
+		at = g.freshVar()
+		clause = fmt.Sprintf("for $%s at $%s in %s", v, at, in)
+	}
 	g.vars = append(g.vars, v)
 	defer func() { g.vars = g.vars[:len(g.vars)-1] }()
 	var where string
-	if g.rng.Intn(2) == 0 {
+	switch {
+	case at != "" && g.rng.Intn(2) == 0:
+		where = fmt.Sprintf(" where $%s %s %d", at, g.pick([]string{"=", "<", ">"}), 1+g.rng.Intn(3))
+	case g.rng.Intn(2) == 0:
 		pred := g.genPred(depth-1, false)
 		where = " where " + strings.ReplaceAll(pred, "##", "$"+v+"/")
 	}
@@ -143,7 +179,7 @@ func (g *qgen) genFLWOR(depth int) string {
 	} else {
 		ret = g.genPath(depth - 1)
 	}
-	return fmt.Sprintf("for $%s in %s%s return %s", v, in, where, ret)
+	return fmt.Sprintf("%s%s return %s", clause, where, ret)
 }
 
 // TestFuzzPipeline generates random queries and random documents and

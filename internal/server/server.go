@@ -10,7 +10,7 @@
 // counters plus the server's latency histogram.
 //
 // The package deliberately sits above the public xqtp surface: everything it
-// needs — PrepareCached-style plan caching, Corpus.RunWith streaming with
+// needs — a PlanCache of compiled queries, Corpus.RunWith streaming with
 // budgets, Corpus.Epoch — is exported engine API, so the server is a client
 // of the engine, not a backdoor into it.
 package server
@@ -67,9 +67,6 @@ type Config struct {
 	ResultCacheEntries int
 	ResultCacheBytes   int64
 	NoResultCache      bool
-	// PlanCacheSize bounds the compiled-query cache (default:
-	// xqtp.DefaultPlanCacheSize).
-	PlanCacheSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -136,7 +133,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		plans:   xqtp.NewPlanCache(cfg.PlanCacheSize),
+		plans:   xqtp.NewPlanCache(0),
 		adm:     newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueueWait),
 		metrics: newMetrics(),
 		corpora: make(map[string]*xqtp.Corpus),
@@ -393,7 +390,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	maxBytes := capBudget(req.MaxBytes, s.cfg.MaxBytes)
 	workers := s.capWorkers(req.Workers)
 
-	// The compile is cheap to verify before admission (plan-cache hit on
+	// The compile is cheap to verify before admission (a plan cache hit on
 	// every repeat), and a compile error must be a 400, not a consumed
 	// worker slot.
 	q, err := s.plans.Prepare(req.Query)
@@ -649,7 +646,7 @@ func (s *Server) handleCorpora(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the Prometheus text format from stdlib pieces only:
-// the server's own counters plus the engine's plan-cache and prepared-join
+// the server's own counters plus the engine's plan cache and prepared-join
 // counters from the public API — no internal imports, no client library.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {

@@ -147,7 +147,7 @@ func TestQueryStreamsEngineResult(t *testing.T) {
 	items, sum := parseNDJSON(t, rec.Body.String())
 
 	corpus, _ := s.Corpus("main")
-	q, err := xqtp.PrepareCached(`$input//person/name`)
+	q, err := xqtp.Prepare(`$input//person/name`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,7 +184,7 @@ func TestShutdownCancelsViaEngineProtocol(t *testing.T) {
 	}
 
 	corpus, _ := s.Corpus("main")
-	q, err := xqtp.PrepareCached(`$input//person/name`)
+	q, err := xqtp.Prepare(`$input//person/name`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func TestResponseBodyByteIdentity(t *testing.T) {
 	for _, query := range []string{
 		`$input//p`, `$input//p/@*`, `for $p in $input//p return string($p)`, `count($input//p)`,
 	} {
-		q, err := xqtp.PrepareCached(query)
+		q, err := xqtp.Prepare(query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestResponseWriteCount(t *testing.T) {
 // that reads the clock, well before the buffer fills.
 func TestStreamerFlushesAgedBuffer(t *testing.T) {
 	corpus := testCorpus(t, fiveNames)
-	q, _ := xqtp.PrepareCached(`$input//person/name`)
+	q, _ := xqtp.Prepare(`$input//person/name`)
 	seq, err := corpus.Run(q, xqtp.Auto)
 	if err != nil || len(seq) == 0 {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func (d discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // the members' items alternating, as the multi-worker merge may order them.
 func interleave(t *testing.T, corpus *xqtp.Corpus) xqtp.Sequence {
 	t.Helper()
-	q, _ := xqtp.PrepareCached(`$input//person`)
+	q, _ := xqtp.Prepare(`$input//person`)
 	seq, err := corpus.Run(q, xqtp.Auto)
 	if err != nil || len(seq)%2 != 0 {
 		t.Fatalf("run: %d items, %v", len(seq), err)

@@ -231,7 +231,8 @@ func TestDependentPatternsOverNestingContexts(t *testing.T) {
 			if tc.vars == nil {
 				return q.Run(doc, alg)
 			}
-			return q.RunWithVars(doc, alg, tc.vars)
+			seq, _, err := q.RunWith(context.Background(), doc, alg, RunOptions{Vars: tc.vars})
+			return seq, err
 		}
 		want, err := run(std, NestedLoop)
 		if err != nil || len(want) == 0 {

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/plans_pr24.golden from this checkout")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata from this checkout")
 
 // goldenTexts is every query text the benchmark compiles plus the Fig. 6
 // pairs, each once, in first-seen order.

@@ -194,7 +194,7 @@ func TestForeignTreeIsNotRetained(t *testing.T) {
 	round := func(r int) {
 		for i := 0; i < perRound; i++ {
 			other := NewXMarkDocument(int64(r*perRound+i+1), 20)
-			seq, err := q.RunWithVars(target, Auto, map[string]Sequence{"x": {other.Root()}})
+			seq, _, err := q.RunWith(context.Background(), target, Auto, RunOptions{Vars: map[string]Sequence{"x": {other.Root()}}})
 			if err != nil || len(seq) != 20 {
 				t.Fatalf("round %d doc %d: %d items, %v", r, i, len(seq), err)
 			}
@@ -229,7 +229,7 @@ func TestForeignTreeIsIndexedOncePerRun(t *testing.T) {
 	q := MustPrepare(`for $p in $x//person return $p/name`)
 	vars := map[string]Sequence{"x": {other.Root()}}
 	run := func() {
-		if seq, err := q.RunWithVars(target, Auto, vars); err != nil || len(seq) != 200 {
+		if seq, _, err := q.RunWith(context.Background(), target, Auto, RunOptions{Vars: vars}); err != nil || len(seq) != 200 {
 			t.Fatalf("%d items, %v", len(seq), err)
 		}
 	}
@@ -238,7 +238,7 @@ func TestForeignTreeIsIndexedOncePerRun(t *testing.T) {
 	// per-tuple rebuilds would be tens of thousands of allocations.
 	perRun := testing.AllocsPerRun(5, run)
 	own := testing.AllocsPerRun(5, func() {
-		if seq, err := q.RunWithVars(other, Auto, vars); err != nil || len(seq) != 200 {
+		if seq, _, err := q.RunWith(context.Background(), other, Auto, RunOptions{Vars: vars}); err != nil || len(seq) != 200 {
 			t.Fatalf("%d items, %v", len(seq), err)
 		}
 	})

@@ -54,6 +54,12 @@ type RunOptions struct {
 	// the returned Sequence is then nil. A nil Sink collects into the
 	// returned Sequence.
 	Sink Sink
+	// Vars, when non-nil, binds the query's free variables explicitly: a
+	// variable it leaves out is unbound, and the context item is bound only
+	// by a "dot" entry. A Corpus run with Vars evaluates once, with the
+	// corpus as document resolver, as a plan calling fn:collection does: the
+	// bindings are not per member.
+	Vars map[string]Sequence
 }
 
 // RunInfo reports what one context-aware run delivered.
@@ -79,27 +85,27 @@ type RunInfo struct {
 // fn:collection corpus-wide. The run evaluates on the calling goroutine;
 // opts.Workers does not apply.
 func (q *Query) RunWith(ctx context.Context, doc *Document, alg Algorithm, opts RunOptions) (Sequence, RunInfo, error) {
-	return run(ctx, q, doc.c, doc.i, alg, opts, rootBound)
+	return run(ctx, q, doc.c, doc.i, alg, opts)
 }
 
 // RunWith evaluates the query against the corpus, in one of two shapes
-// chosen by the plan itself:
+// chosen by the plan and opts.Vars:
 //
-// Root-bound plans (no fn:doc/fn:collection) fan out one evaluation per
-// member, opts.Workers members at once (<= 0: one per available CPU, capped
-// at the member count) — the context item and every free variable bound to
-// the member's document node, exactly as Query.RunWith binds a single
-// Document — and the per-document results merge in corpus order, so the
-// output is byte-identical at any worker count. Members where
-// some required step of the plan (physical.RequiredSteps over the
-// conjunctive patterns) has an empty rank stream — the name absent entirely,
-// or present only as the wrong node kind — are skipped without evaluation;
-// the members that do run pick their algorithm per member through the cost
-// model when alg is Auto.
+// Root-bound plans (no fn:doc/fn:collection, no opts.Vars) fan out one
+// evaluation per member, opts.Workers members at once (<= 0: one per
+// available CPU, capped at the member count) — the context item and every
+// free variable bound to the member's document node, exactly as
+// Query.RunWith binds a single Document — and the per-document results merge
+// in corpus order, so the output is byte-identical at any worker count.
+// Members where some required step of the plan (physical.RequiredSteps over
+// the conjunctive patterns) has an empty rank stream — the name absent
+// entirely, or present only as the wrong node kind — are skipped without
+// evaluation; the members that do run pick their algorithm per member
+// through the cost model when alg is Auto.
 //
-// Plans that call fn:doc or fn:collection see the whole corpus at once: they
-// evaluate once, on the calling goroutine, with the corpus bound as the
-// document resolver; opts.Workers does not apply.
+// Plans that call fn:doc or fn:collection, and runs with opts.Vars, see the
+// whole corpus at once: they evaluate once, on the calling goroutine, with
+// the corpus bound as the document resolver; opts.Workers does not apply.
 //
 // Results flow to opts.Sink in corpus order as the merge admits them (a nil
 // Sink collects into the returned Sequence). Budgets are charged at the
@@ -107,31 +113,29 @@ func (q *Query) RunWith(ctx context.Context, doc *Document, alg Algorithm, opts 
 // of the full corpus-order result; in-flight member evaluations past the
 // stop are cut short and discarded.
 func (c *Corpus) RunWith(ctx context.Context, q *Query, alg Algorithm, opts RunOptions) (Sequence, RunInfo, error) {
-	return run(ctx, q, c.c, allMembers, alg, opts, rootBound)
+	return run(ctx, q, c.c, allMembers, alg, opts)
 }
 
 // allMembers is run's member argument for a whole-corpus evaluation.
 const allMembers = -1
 
-// rootBound is run's default variable binding: none explicit, so the context
-// item and every free variable are the evaluated member's document node.
-func rootBound(*physical.Plan) *physical.Bindings { return nil }
-
 // run is the one evaluation path behind every public Run*: closed check,
 // physical plan, execution context, runtime, then one of three shapes.
-// member selects one member of c or allMembers; bind resolves the explicit
-// variable bindings against the plan's slots (rootBound, or RunWithVars's).
+// member selects one member of c or allMembers. Without opts.Vars the context
+// item and every free variable are bound to the evaluated member's document
+// node.
 //
-// A single member, and any plan that reaches documents through
-// fn:doc/fn:collection, evaluates once, streaming to the sink under the full
-// execution context. Otherwise the plan fans out. With one worker corpus
-// order is evaluation order: each admitted member's plan streams into the
-// sink like a single member's, budgets charged at delivery, all members in
-// one run state. With more, member evaluations run under a cancel-only view
-// of ec — they observe the stop but never charge the budgets — and the merge
-// charges each delivered item in corpus order, so budget cutoffs land on the
-// exact corpus-order prefix regardless of how the worker pool interleaved.
-func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Algorithm, opts RunOptions, bind func(*physical.Plan) *physical.Bindings) (Sequence, RunInfo, error) {
+// A single member, any plan that reaches documents through
+// fn:doc/fn:collection, and any run with explicit bindings evaluate once,
+// streaming to the sink under the full execution context. Otherwise the plan
+// fans out. With one worker corpus order is evaluation order: each admitted
+// member's plan streams into the sink like a single member's, budgets charged
+// at delivery, all members in one run state. With more, member evaluations
+// run under a cancel-only view of ec — they observe the stop but never charge
+// the budgets — and the merge charges each delivered item in corpus order, so
+// budget cutoffs land on the exact corpus-order prefix regardless of how the
+// worker pool interleaved.
+func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Algorithm, opts RunOptions) (Sequence, RunInfo, error) {
 	if c.Closed() {
 		return nil, RunInfo{}, ErrClosed
 	}
@@ -154,8 +158,10 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 		Catalog: c.Catalog(),
 		Preps:   c,
 		Docs:    c,
-		Vars:    bind(p),
 		EC:      ec,
+	}
+	if opts.Vars != nil {
+		st.rt.Vars = p.BindVars(opts.Vars)
 	}
 	rt := &st.rt
 	sink := opts.Sink
@@ -179,7 +185,7 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 			rt.Root = d.RootSeq()
 			err = p.RunSink(rt, sink)
 		}
-	case p.UsesDocAccess():
+	case p.UsesDocAccess() || opts.Vars != nil:
 		err = p.RunSink(rt, sink)
 	default:
 		skip, skipped := memberSkipTest(c, p.RequiredSteps())

@@ -90,24 +90,9 @@ func TestPlanCacheSharesQueries(t *testing.T) {
 	if q1 != q2 {
 		t.Fatalf("same query text compiled twice")
 	}
-	// Prepare is PrepareWithOptions under DefaultOptions: one entry, not two.
-	q3, err := cache.PrepareWithOptions(`$d//person/name`, DefaultOptions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q3 != q1 {
-		t.Fatalf("Prepare and PrepareWithOptions(DefaultOptions) compiled separately")
-	}
 	st := cache.Stats()
-	if st.Size != 1 || st.Misses != 1 || st.Hits != 2 {
-		t.Fatalf("stats = %+v, want size 1, 1 miss, 2 hits", st)
-	}
-	// Distinct options are distinct plans.
-	if _, err := cache.PrepareWithOptions(`$d//person/name`, StandardEngineOptions); err != nil {
-		t.Fatal(err)
-	}
-	if st := cache.Stats(); st.Size != 2 {
-		t.Fatalf("distinct options shared an entry: %+v", st)
+	if st.Size != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want size 1, 1 miss, 1 hit", st)
 	}
 }
 
@@ -142,9 +127,5 @@ func TestPlanCacheEvictsLRU(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Misses != 4 {
 		t.Fatalf("misses = %d, want 4 (entry 2 was evicted)", st.Misses)
-	}
-	cache.Reset()
-	if st := cache.Stats(); st.Size != 0 || st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 {
-		t.Fatalf("Reset left state: %+v", st)
 	}
 }

@@ -401,14 +401,6 @@ func (q *Query) Run(doc *Document, alg Algorithm) (Sequence, error) {
 	return seq, err
 }
 
-// RunWithVars evaluates the query with explicit variable bindings; a
-// variable vars leaves out is unbound.
-func (q *Query) RunWithVars(doc *Document, alg Algorithm, vars map[string]Sequence) (Sequence, error) {
-	bind := func(p *physical.Plan) *physical.Bindings { return p.BindVars(vars) }
-	seq, _, err := run(context.Background(), q, doc.c, doc.i, alg, RunOptions{}, bind)
-	return seq, err
-}
-
 // Plan returns the optimized plan in the paper's functional notation.
 func (q *Query) Plan() string { return algebra.String(q.optimized) }
 

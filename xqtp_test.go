@@ -1,6 +1,8 @@
 package xqtp
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -184,7 +186,7 @@ func TestRuntimeTypeSwitch(t *testing.T) {
 		}
 	}
 	// Numeric: positional.
-	items, err := q.RunWithVars(doc, NestedLoop, vars(Sequence{Integer(2)}))
+	items, _, err := q.RunWith(context.Background(), doc, NestedLoop, RunOptions{Vars: vars(Sequence{Integer(2)})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestRuntimeTypeSwitch(t *testing.T) {
 		t.Errorf("person[$k=2] = %s", got)
 	}
 	// Boolean-ish: effective boolean value.
-	items, err = q.RunWithVars(doc, NestedLoop, vars(Sequence{Bool(true)}))
+	items, _, err = q.RunWith(context.Background(), doc, NestedLoop, RunOptions{Vars: vars(Sequence{Bool(true)})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,19 +359,76 @@ func TestPrepareErrors(t *testing.T) {
 	}
 }
 
-func TestRunWithVars(t *testing.T) {
+// RunOptions.Vars binds free variables explicitly, composes with a row
+// budget and a caller's sink, and on a Corpus run evaluates once with the
+// corpus as resolver: bindings that reach two members give one result, not
+// one per member.
+func TestRunOptionsVars(t *testing.T) {
+	ctx := context.Background()
 	doc, _ := LoadXMLString(personDoc)
 	q := MustPrepare(`$v//name`)
-	persons, err := MustPrepare(`$d//person[1]`).Run(doc, NestedLoop)
-	if err != nil || len(persons) != 1 {
+	first, err := MustPrepare(`$d//person[1]`).Run(doc, NestedLoop)
+	if err != nil || len(first) != 1 {
 		t.Fatal(err)
 	}
-	items, err := q.RunWithVars(doc, Staircase, map[string]Sequence{"v": persons, "dot": persons})
+	items, _, err := q.RunWith(ctx, doc, Staircase, RunOptions{Vars: map[string]Sequence{"v": first, "dot": first}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Join(values(t, items), ","); got != "John" {
 		t.Errorf("got %s", got)
+	}
+
+	persons, err := MustPrepare(`$d//person`).Run(doc, NestedLoop)
+	if err != nil || len(persons) != 4 {
+		t.Fatalf("%d persons, %v", len(persons), err)
+	}
+	vars := map[string]Sequence{"v": persons}
+	for _, alg := range []Algorithm{NestedLoop, Staircase, Auto} {
+		all, info, err := q.RunWith(ctx, doc, alg, RunOptions{Vars: vars})
+		if got := strings.Join(values(t, all), ","); err != nil || got != "John,Mary,Nested,Outer" || info.Rows != 4 {
+			t.Fatalf("%v: %s (%d rows), %v", alg, got, info.Rows, err)
+		}
+		var sink collectSink
+		seq, info, err := q.RunWith(ctx, doc, alg, RunOptions{Vars: vars, MaxRows: 2, Sink: &sink})
+		if !errors.Is(err, ErrBudgetExceeded) || seq != nil || info.Rows != 2 {
+			t.Fatalf("%v: MaxRows 2 into a sink: seq %v, %d rows, %v", alg, seq, info.Rows, err)
+		}
+		if got := strings.Join(values(t, sink.items), ","); got != "John,Mary" {
+			t.Errorf("%v: sink got %s, want the first two of the full result", alg, got)
+		}
+	}
+
+	corpus, err := LoadCorpus([]CorpusSource{
+		{URI: "a.xml", Data: []byte(`<a><n>1</n></a>`)},
+		{URI: "b.xml", Data: []byte(`<a><n>2</n><n>3</n></a>`)},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer corpus.Close()
+	roots := map[string]Sequence{"x": {corpus.DocumentAt(0).Root(), corpus.DocumentAt(1).Root()}}
+	for _, tc := range []struct{ text, want string }{
+		{`$x//n`, "1,2,3"},
+		{`count($x//n)`, "3"},
+	} {
+		cq := MustPrepare(tc.text)
+		want, _, err := cq.RunWith(ctx, corpus.DocumentAt(0), Auto, RunOptions{Vars: roots})
+		if err != nil || strings.Join(values(t, want), ",") != tc.want {
+			t.Fatalf("%s on one member: %v, %v; want %s", tc.text, want, err, tc.want)
+		}
+		for _, workers := range []int{1, 4} {
+			got, info, err := corpus.RunWith(ctx, cq, Auto, RunOptions{Workers: workers, Vars: roots})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g := strings.Join(values(t, got), ","); g != tc.want {
+				t.Errorf("%s, %d workers: corpus run %s, want one evaluation's %s", tc.text, workers, g, tc.want)
+			}
+			if info.Rows != int64(len(want)) || info.Members != 2 || info.Skipped != 0 {
+				t.Errorf("%s, %d workers: info %+v", tc.text, workers, info)
+			}
+		}
 	}
 }
 
