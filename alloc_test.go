@@ -152,10 +152,12 @@ func TestDependentEvaluationAllocations(t *testing.T) {
 	}
 }
 
-// TestFanOutMemberAllocations pins the per-member cost of a one-worker
-// fan-out: every admitted member's plan streams into the caller's sink from
+// TestFanOutMemberAllocations pins the per-member cost of a fan-out. At one
+// worker every admitted member's plan streams into the caller's sink from
 // the one run state, so a member costs its kernel's rank buffer and little
-// else — no runtime copy, no collected member Sequence, no frame.
+// else — no runtime copy, no collected member Sequence, no frame. At more
+// workers each worker evaluates in its own runtime and run state, so a
+// member costs the Sequence its worker collects for the merge.
 func TestFanOutMemberAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -190,6 +192,22 @@ func TestFanOutMemberAllocations(t *testing.T) {
 	// run state's buffer, which only grows.
 	if perMember > 1 {
 		t.Errorf("%.2f allocations per admitted member, want <= 1", perMember)
+	}
+	for _, workers := range []int{2, 4} {
+		sink := &discardSink{}
+		allocs, bytes := warmCost(t, func() {
+			if _, _, err := c.RunWith(context.Background(), q, Auto, RunOptions{Workers: workers, Sink: sink}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perMember := allocs / float64(admitted)
+		t.Logf("%d workers: %.2f allocations and %.0f B per member", workers, perMember, bytes/float64(admitted))
+		// Before, a member cost 3.03 allocations and 145 B at 2 and at 4
+		// workers: a runtime copy and a collector of its own on top of its
+		// collected Sequence.
+		if perMember > 1.5 {
+			t.Errorf("%d workers: %.2f allocations per admitted member, want <= 1.5", workers, perMember)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"xqtp/internal/execctx"
 	"xqtp/internal/xdm"
 )
 
@@ -148,23 +149,26 @@ func perDocSeq(d *Doc) (xdm.Sequence, error) {
 	return xdm.Sequence{xdm.String(d.URI)}, nil
 }
 
-// runAll collects a fan-out's results without an execution context: what
-// RunAllCtx emits, or with one worker what RunEachCtx's evaluations deliver.
-func runAll(c *Corpus, workers int, skip func(int) bool, eval func(*Doc) (xdm.Sequence, error)) (xdm.Sequence, error) {
-	var out xdm.Sequence
-	if workers == 1 {
-		err := c.RunEachCtx(nil, skip, func(d *Doc) error {
-			seq, err := eval(d)
-			out = append(out, seq...)
-			return err
-		})
-		return out, err
+// seqMember adapts a synthetic evaluation to a fan-out Member that delivers
+// the member's sequence.
+type seqMember func(d *Doc) (xdm.Sequence, error)
+
+func (f seqMember) Eval(d *Doc, ec *execctx.Ctx, sink execctx.Sink) error {
+	seq, err := f(d)
+	if err != nil {
+		return err
 	}
-	err := c.RunAllCtx(nil, workers, skip, eval, func(seq xdm.Sequence) error {
-		out = append(out, seq...)
-		return nil
-	})
-	return out, err
+	return execctx.Deliver(ec, sink, seq)
+}
+
+func (f seqMember) Fork() Member { return f }
+func (seqMember) Release()       {}
+
+// runAll collects a fan-out's results without an execution context.
+func runAll(c *Corpus, workers int, skip func(int) bool, eval func(*Doc) (xdm.Sequence, error)) (xdm.Sequence, error) {
+	var out execctx.Collector
+	err := c.FanOut(nil, workers, skip, &out, seqMember(eval))
+	return out.Seq, err
 }
 
 func TestRunAllMergeOrder(t *testing.T) {

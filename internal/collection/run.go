@@ -21,64 +21,55 @@ func Workers(workers, n int) int {
 	return max(min(workers, n), 1)
 }
 
-// RunEachCtx evaluates eval against every member in corpus order on the
-// calling goroutine: the one-worker fan-out, where corpus order is evaluation
-// order and eval delivers its results itself. skip elides members as in
-// RunAllCtx, a member's failure comes back wrapped with its URI, and a
-// stopped ec ends the walk with its typed error — also when the stop is what
-// cut the failing member short.
-func (c *Corpus) RunEachCtx(ec *execctx.Ctx, skip func(doc int) bool, eval func(d *Doc) error) error {
-	if err := c.closedErr(); err != nil {
-		return err
-	}
-	for i, d := range c.docs {
-		if err := ec.Err(); err != nil {
-			return err
-		}
-		if skip != nil && skip(i) {
-			continue
-		}
-		if err := eval(d); err != nil {
-			if stopErr := ec.Err(); stopErr != nil {
-				return stopErr
-			}
-			return fmt.Errorf("collection: %s: %w", d.URI, err)
-		}
-	}
-	return ec.Err()
+// A Member evaluates corpus members for FanOut, one at a time.
+type Member interface {
+	// Eval evaluates member d, delivering its results to sink under ec.
+	Eval(d *Doc, ec *execctx.Ctx, sink execctx.Sink) error
+	// Fork returns a Member with evaluation state of its own for one worker
+	// goroutine; FanOut calls the fork's Release once that worker is done.
+	Fork() Member
+	Release()
 }
 
-// RunAllCtx evaluates eval against every member on a pool of
-// Workers(workers, members) goroutines, handing each member's result to emit
-// in corpus order. skip, when non-nil, elides members without evaluating
-// them (the caller's name-table pruning hook); a skipped member contributes
-// nothing.
+// FanOut evaluates m against every member of c, delivering the results to
+// sink in corpus order. skip, when non-nil, elides members without
+// evaluating them (the caller's emptiness proof). A member's failure comes
+// back wrapped with its URI, and a stopped ec ends the run with its typed
+// error — also when the stop is what cut the failing member short.
 //
-// Results stream back through a channel bounded at the worker count, and the
-// merger holds out-of-order arrivals in a pending buffer until their corpus
-// position comes up — so emit sees the corpus order no matter how the pool
-// interleaves, and at most workers+len(pending) document results are in
-// flight at once. The first failure (earliest corpus position among the
-// documents that evaluated) cancels the remaining work.
-//
-// The execution context governs the fan-out's lifetime: once ec stops
-// (cancellation, or a budget spent by emit's Deliver), workers admit no new
-// member, in-flight members are cut short by the kernels' own checkpoints,
-// and their abort errors are recognized as stop fallout rather than member
-// failures. The merger always drains the channel to its close, so a
-// canceled run leaks no goroutine; the function then returns ec.Err(). An
-// emit error (budget exhaustion, a sink refusing an item) likewise stops
-// admission, and the sequences already emitted are exactly the corpus-order
-// prefix — emit is only ever called from the merger, in order.
-func (c *Corpus) RunAllCtx(ec *execctx.Ctx, workers int, skip func(doc int) bool, eval func(d *Doc) (xdm.Sequence, error), emit func(seq xdm.Sequence) error) error {
+// With Workers(workers, members) == 1, corpus order is evaluation order: m
+// evaluates each admitted member on the calling goroutine straight into
+// sink, under ec. With more, each worker goroutine evaluates through its own
+// m.Fork() into a per-member collector, under ec.CancelOnly() — members
+// observe the stop but never charge the budgets — and results stream back
+// through a channel bounded at the worker count. The merger holds
+// out-of-order arrivals until their corpus position comes up and delivers
+// each member's items to sink with budget charging, so a stopped run's
+// delivered items are exactly the corpus-order prefix however the pool
+// interleaved. The first failure (earliest corpus position among the members
+// that evaluated), a stop or a sink error ends admission; in-flight members
+// are cut short by the kernels' own checkpoints, and the merger drains the
+// channel to its close, so no goroutine outlives the run.
+func (c *Corpus) FanOut(ec *execctx.Ctx, workers int, skip func(doc int) bool, sink execctx.Sink, m Member) error {
 	if err := c.closedErr(); err != nil {
 		return err
 	}
 	n := len(c.docs)
-	if n == 0 {
+	if workers = Workers(workers, n); workers == 1 {
+		for i := range c.docs {
+			if err := ec.Err(); err != nil {
+				return err
+			}
+			if skip != nil && skip(i) {
+				continue
+			}
+			if err := c.eval(m, i, ec, sink); err != nil {
+				return err
+			}
+		}
 		return ec.Err()
 	}
-	workers = Workers(workers, n)
+	mec := ec.CancelOnly()
 
 	type docResult struct {
 		pos int
@@ -87,26 +78,30 @@ func (c *Corpus) RunAllCtx(ec *execctx.Ctx, workers int, skip func(doc int) bool
 	}
 	results := make(chan docResult, workers)
 	var next atomic.Int64
-	var failed atomic.Bool
+	var halt atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			wm := m.Fork()
+			defer wm.Release()
+			var col execctx.Collector
 			for {
 				pos := int(next.Add(1)) - 1
-				if pos >= n || failed.Load() || ec.Stopped() {
+				if pos >= n || halt.Load() || ec.Stopped() {
 					return
 				}
 				if skip != nil && skip(pos) {
 					results <- docResult{pos: pos}
 					continue
 				}
-				seq, err := eval(c.docs[pos])
+				col.Seq = nil
+				err := c.eval(wm, pos, mec, &col)
 				if err != nil {
-					failed.Store(true)
+					halt.Store(true)
 				}
-				results <- docResult{pos: pos, seq: seq, err: err}
+				results <- docResult{pos: pos, seq: col.Seq, err: err}
 			}
 		}()
 	}
@@ -117,39 +112,28 @@ func (c *Corpus) RunAllCtx(ec *execctx.Ctx, workers int, skip func(doc int) bool
 
 	pending := make(map[int]xdm.Sequence, workers)
 	nextOut := 0
-	var firstErr, emitErr error
+	var firstErr, sinkErr error
 	errPos := n
 	for r := range results {
 		if r.err != nil {
-			if ec.Stopped() {
-				// The stop cut this member short; its abort error is the
-				// run-level stop, not a member failure.
-				continue
-			}
-			if r.pos < errPos {
-				errPos = r.pos
-				firstErr = fmt.Errorf("collection: %s: %w", c.docs[r.pos].URI, r.err)
+			// An error after the stop is the stop cutting the member short,
+			// not a member failure.
+			if r.pos < errPos && !ec.Stopped() {
+				errPos, firstErr = r.pos, r.err
 			}
 			continue
 		}
-		if firstErr != nil || emitErr != nil || ec.Stopped() {
+		if firstErr != nil || sinkErr != nil || ec.Stopped() {
 			continue // drain; the merged prefix is already settled
 		}
 		if r.pos != nextOut {
 			pending[r.pos] = r.seq
 			continue
 		}
-		if emitErr = emit(r.seq); emitErr != nil {
-			continue
-		}
-		nextOut++
-		for {
-			seq, ok := pending[nextOut]
-			if !ok {
-				break
-			}
+		for seq, ok := r.seq, true; ok; seq, ok = pending[nextOut] {
 			delete(pending, nextOut)
-			if emitErr = emit(seq); emitErr != nil {
+			if sinkErr = execctx.Deliver(ec, sink, seq); sinkErr != nil {
+				halt.Store(true)
 				break
 			}
 			nextOut++
@@ -158,8 +142,22 @@ func (c *Corpus) RunAllCtx(ec *execctx.Ctx, workers int, skip func(doc int) bool
 	if firstErr != nil {
 		return firstErr
 	}
-	if emitErr != nil {
-		return emitErr
+	if sinkErr != nil {
+		return sinkErr
 	}
 	return ec.Err()
+}
+
+// eval evaluates member i through m, wrapping a failure with the member's
+// URI unless ec has stopped, whose typed error then comes back instead.
+func (c *Corpus) eval(m Member, i int, ec *execctx.Ctx, sink execctx.Sink) error {
+	d := c.docs[i]
+	err := m.Eval(d, ec, sink)
+	if err == nil {
+		return nil
+	}
+	if stopErr := ec.Err(); stopErr != nil {
+		return stopErr
+	}
+	return fmt.Errorf("collection: %s: %w", d.URI, err)
 }

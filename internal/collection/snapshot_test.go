@@ -263,10 +263,10 @@ func TestOpenSnapshotFile(t *testing.T) {
 	if _, err := c2.ResolveCollection(""); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ResolveCollection after Close = %v, want ErrClosed", err)
 	}
-	err = c2.RunAllCtx(nil, 2, nil, func(d *Doc) (xdm.Sequence, error) { return nil, nil },
-		func(seq xdm.Sequence) error { return nil })
-	if !errors.Is(err, ErrClosed) {
-		t.Fatalf("RunAllCtx after Close = %v, want ErrClosed", err)
+	for _, workers := range []int{1, 2} {
+		if _, err := runAll(c2, workers, nil, perDocSeq); !errors.Is(err, ErrClosed) {
+			t.Fatalf("FanOut at %d workers after Close = %v, want ErrClosed", workers, err)
+		}
 	}
 	if err := c2.WriteSnapshot(&bytes.Buffer{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("WriteSnapshot after Close = %v, want ErrClosed", err)

@@ -78,6 +78,7 @@ type Ctx struct {
 	maxRows  int64 // 0: unlimited
 	maxBytes int64 // 0: unlimited
 	st       *state
+	view     bool // a CancelOnly view
 }
 
 // From builds the execution context for one run. It returns nil — the
@@ -105,16 +106,25 @@ func From(ctx context.Context, maxRows, maxBytes int64) *Ctx {
 	return &Ctx{done: done, ctxErr: ctxErr, maxRows: maxRows, maxBytes: maxBytes, st: &state{}}
 }
 
-// CancelOnly returns a view sharing ec's cancellation and stop state but
-// carrying no budget: corpus member evaluations run under it, so only the
-// corpus-order merge point charges the budget (the delivered prefix is then
-// exactly the document-order prefix), while a budget stop recorded at the
-// merge still halts every member through the shared state.
+// CancelOnly returns a view sharing ec's cancellation and stop state that
+// charges nothing: corpus member evaluations run under it, so only the
+// corpus-order merge point counts rows and charges the budgets (the
+// delivered prefix is then exactly the corpus-order prefix), while a stop
+// recorded at the merge still halts every member through the shared state.
+// Deliver and DeliverNodes under a view push as under the nil context.
 func (ec *Ctx) CancelOnly() *Ctx {
-	if ec == nil || (ec.maxRows == 0 && ec.maxBytes == 0) {
-		return ec
+	if ec == nil {
+		return nil
 	}
-	return &Ctx{done: ec.done, ctxErr: ec.ctxErr, st: ec.st}
+	return &Ctx{done: ec.done, ctxErr: ec.ctxErr, st: ec.st, view: true}
+}
+
+// charged is the context a delivery charges: ec, or nil for a view.
+func (ec *Ctx) charged() *Ctx {
+	if ec != nil && ec.view {
+		return nil
+	}
+	return ec
 }
 
 // Stopped reports whether the run must abort. The fast path is one atomic
@@ -214,6 +224,7 @@ func Deliver(ec *Ctx, sink Sink, items xdm.Sequence) error {
 	if len(items) == 0 {
 		return nil
 	}
+	ec = ec.charged()
 	if ec == nil {
 		_, err := pushAll(sink, items)
 		return err
@@ -293,6 +304,7 @@ func DeliverNodes(ec *Ctx, sink Sink, t *xdm.Tree, ranks []int32, first, stride 
 	if first >= len(ranks) {
 		return nil
 	}
+	ec = ec.charged()
 	budget := false
 	if ec != nil {
 		if err := ec.Err(); err != nil {

@@ -427,7 +427,7 @@ func (o *opMapToItem) tuple(rs *RunState) error {
 	}
 	acc, err := o.dep.items(rs, rs.fr[o.acc])
 	if err == nil && o.toSink {
-		err = execctx.Deliver(rs.charge, rs.sink, acc)
+		err = execctx.Deliver(rs.rt.EC, rs.sink, acc)
 		acc = acc[:0]
 	}
 	rs.fr[o.acc] = acc

@@ -73,7 +73,7 @@ func evalPlan(plan algebra.Expr, alg join.Algorithm, tr *xdm.Tree) (xdm.Sequence
 		return nil, err
 	}
 	c := collection.Single("", xmlstore.BuildIndex(tr))
-	return p.Run(&Runtime{
+	return runPlan(p, &Runtime{
 		Catalog: c.Catalog(),
 		Preps:   c,
 		Vars:    p.BindVars(engineVars(tr)),

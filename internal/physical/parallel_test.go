@@ -38,7 +38,7 @@ func TestConcurrentRunsSharePlan(t *testing.T) {
 					Preps:   c,
 					Vars:    p.BindVars(engineVars(tr)),
 				}
-				want, werr := p.Run(rt)
+				want, werr := runPlan(p, rt)
 				const goroutines = 8
 				outs := make([]xdm.Sequence, goroutines)
 				errs := make([]error, goroutines)
@@ -47,7 +47,7 @@ func TestConcurrentRunsSharePlan(t *testing.T) {
 					wg.Add(1)
 					go func(g int) {
 						defer wg.Done()
-						outs[g], errs[g] = p.Run(rt)
+						outs[g], errs[g] = runPlan(p, rt)
 					}(g)
 				}
 				wg.Wait()
@@ -88,7 +88,7 @@ func TestConcurrentRunsReuseStates(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v: %v", q, alg, err)
 				}
-				wants[i], werrs[i] = fresh.Run(rts[i])
+				wants[i], werrs[i] = runPlan(fresh, rts[i])
 			}
 			const goroutines, runs = 8, 6
 			var wg sync.WaitGroup
@@ -101,7 +101,7 @@ func TestConcurrentRunsReuseStates(t *testing.T) {
 						var got xdm.Sequence
 						var err error
 						if r%2 == 0 {
-							got, err = p.Run(rts[d])
+							got, err = runPlan(p, rts[d])
 						} else {
 							var col execctx.Collector
 							err = p.RunSink(rts[d], &col)

@@ -73,10 +73,8 @@ func (s *stream) to(c consumer) { s.out = c }
 type RunState struct {
 	p  *Plan
 	rt *Runtime
-	// sink receives what a delivering root produces, charged to charge (nil:
-	// uncharged collection, Plan.Run).
-	sink   execctx.Sink
-	charge *execctx.Ctx
+	// sink receives what a delivering root produces, charged to rt.EC.
+	sink execctx.Sink
 
 	fr    frame
 	cells []xdm.Item
@@ -321,7 +319,7 @@ func (p *Plan) State() *RunState {
 // the next garbage collection. Pooling starts with the plan's second run:
 // its first Release drops the state.
 func (rs *RunState) Release() {
-	rs.rt, rs.sink, rs.charge = nil, nil, nil
+	rs.rt, rs.sink = nil, nil
 	p := rs.p
 	if !p.reused.Load() {
 		p.reused.Store(true)
@@ -333,19 +331,6 @@ func (rs *RunState) Release() {
 		pool = p.states.Load()
 	}
 	pool.Put(rs)
-}
-
-// Run evaluates the plan to an item sequence, collected without charging the
-// execution context's budgets (a fan-out's member runs: the merge charges).
-func (p *Plan) Run(rt *Runtime) (xdm.Sequence, error) {
-	var col execctx.Collector
-	rs := p.State()
-	err := rs.exec(rt, &col, nil)
-	rs.Release()
-	if err != nil {
-		return nil, err
-	}
-	return col.Seq, nil
 }
 
 // RunSink evaluates the plan, delivering result items to sink through the
@@ -367,17 +352,13 @@ func (p *Plan) RunSink(rt *Runtime, sink execctx.Sink) error {
 // RunSink is Plan.RunSink in this run state, so that consecutive runs of the
 // plan share one.
 func (rs *RunState) RunSink(rt *Runtime, sink execctx.Sink) error {
-	return rs.exec(rt, sink, rt.EC)
-}
-
-func (rs *RunState) exec(rt *Runtime, sink execctx.Sink, charge *execctx.Ctx) error {
 	if err := rt.EC.Err(); err != nil {
 		return err
 	}
-	rs.rt, rs.sink, rs.charge = rt, sink, charge
+	rs.rt, rs.sink = rt, sink
 	seq, err := rs.p.root.items(rs, nil)
 	if err != nil {
 		return err
 	}
-	return execctx.Deliver(charge, sink, seq)
+	return execctx.Deliver(rt.EC, sink, seq)
 }

@@ -7,6 +7,7 @@ import (
 	"xqtp/internal/algebra"
 	"xqtp/internal/compile"
 	"xqtp/internal/core"
+	"xqtp/internal/execctx"
 	"xqtp/internal/join"
 	"xqtp/internal/optimize"
 	"xqtp/internal/parser"
@@ -17,6 +18,13 @@ import (
 )
 
 var singles = map[string]bool{"d": true, "input": true, "dot": true}
+
+// runPlan evaluates p into a collected sequence.
+func runPlan(p *Plan, rt *Runtime) (xdm.Sequence, error) {
+	var col execctx.Collector
+	err := p.RunSink(rt, &col)
+	return col.Seq, err
+}
 
 // lower runs the full pipeline down to a physical plan.
 func lower(t *testing.T, q string, alg join.Algorithm) *Plan {
@@ -90,7 +98,7 @@ func TestRunAndUniformRootBinding(t *testing.T) {
 
 	// Uniform binding: nil Vars + Root covers every free variable.
 	rt := &Runtime{Root: xdm.Singleton(tr.RootNode())}
-	out, err := p.Run(rt)
+	out, err := runPlan(p, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +108,7 @@ func TestRunAndUniformRootBinding(t *testing.T) {
 
 	// Explicit slot-resolved bindings give the same answer.
 	rt2 := &Runtime{Vars: p.BindVars(map[string]xdm.Sequence{"d": xdm.Singleton(tr.RootNode())})}
-	out2, err := p.Run(rt2)
+	out2, err := runPlan(p, rt2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +122,7 @@ func TestUnboundVariableErrorsLazily(t *testing.T) {
 	// BindVars with a map that misses the variable: compiling and binding
 	// succeed, the error surfaces at evaluation.
 	rt := &Runtime{Vars: p.BindVars(map[string]xdm.Sequence{})}
-	if _, err := p.Run(rt); err == nil || !strings.Contains(err.Error(), "unbound variable") {
+	if _, err := runPlan(p, rt); err == nil || !strings.Contains(err.Error(), "unbound variable") {
 		t.Fatalf("Run with unbound $d: err = %v, want unbound variable", err)
 	}
 }
@@ -131,7 +139,7 @@ func TestCallBindErrorSurfacesAtEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%v) failed eagerly: %v", bad, err)
 		}
-		if _, err := p.Run(&Runtime{}); err == nil || !strings.Contains(err.Error(), "exec:") {
+		if _, err := runPlan(p, &Runtime{}); err == nil || !strings.Contains(err.Error(), "exec:") {
 			t.Fatalf("Run(%v): err = %v, want a lazy exec error", bad, err)
 		}
 	}
@@ -144,7 +152,7 @@ func TestAutoPlanResolvesPerDocument(t *testing.T) {
 		t.Fatalf("Algorithm() = %v, want Auto", p.Algorithm())
 	}
 	rt := &Runtime{Root: xdm.Singleton(tr.RootNode())}
-	out, err := p.Run(rt)
+	out, err := runPlan(p, rt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func TestBorrowedTuples(t *testing.T) {
 					wg.Add(1)
 					go func(g int) {
 						defer wg.Done()
-						outs[g], errs[g] = p.Run(rt)
+						outs[g], errs[g] = runPlan(p, rt)
 					}(g)
 				}
 				wg.Wait()

@@ -111,7 +111,7 @@ func (o *opTTP) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
 	case err != nil:
 		return dst, err
 	case o.toSink:
-		return dst, t.deliver(rs.charge, rs.sink, o.itemField)
+		return dst, t.deliver(rs.rt.EC, rs.sink, o.itemField)
 	}
 	return t.appendItems(dst, o.itemField), nil
 }

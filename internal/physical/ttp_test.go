@@ -59,7 +59,7 @@ func runOver(t *testing.T, plan algebra.Expr, alg join.Algorithm, ctxs xdm.Seque
 	for _, tr := range trees {
 		cat.Register(xmlstore.BuildIndex(tr))
 	}
-	got, err := p.Run(&Runtime{
+	got, err := runPlan(p, &Runtime{
 		Catalog: cat,
 		Vars:    p.BindVars(map[string]xdm.Sequence{"v": ctxs}),
 	})
@@ -237,7 +237,7 @@ func TestItemsModeRootBudgetIsExactPrefix(t *testing.T) {
 	rt := func(ec *execctx.Ctx) *Runtime {
 		return &Runtime{Catalog: c.Catalog(), Preps: c, Vars: p.BindVars(engineVars(tr)), EC: ec}
 	}
-	full, err := p.Run(rt(nil))
+	full, err := runPlan(p, rt(nil))
 	if err != nil || len(full) < 70 {
 		t.Fatalf("full run: %d items, %v", len(full), err)
 	}

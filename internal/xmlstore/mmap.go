@@ -116,42 +116,6 @@ func (m *Mapping) Close() error {
 	return nil
 }
 
-// Advice values for advise.
-const (
-	adviseNormal = iota
-	adviseSequential
-	adviseWillNeed
-)
-
-// AdviseSequential hints that [off, off+n) is about to be read front to
-// back — the deferred member parse, which walks every section once.
-func (m *Mapping) AdviseSequential(off int64, n int) { m.advise(off, n, adviseSequential) }
-
-// AdviseWillNeed asks the OS to start paging in [off, off+n) — the fan-out
-// prefetch when the skip test admits a member that is not yet loaded.
-func (m *Mapping) AdviseWillNeed(off int64, n int) { m.advise(off, n, adviseWillNeed) }
-
-// AdviseNormal resets the kernel's readahead policy for [off, off+n).
-func (m *Mapping) AdviseNormal(off int64, n int) { m.advise(off, n, adviseNormal) }
-
-// advise page-aligns the range, clamps it to the mapping and forwards the
-// hint. Hints are advisory: failures (and closed mappings) are ignored.
-func (m *Mapping) advise(off int64, n int, kind int) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed || !m.mapped || n <= 0 || off < 0 || off >= int64(len(m.data)) {
-		return
-	}
-	end := off + int64(n)
-	if end > int64(len(m.data)) {
-		end = int64(len(m.data))
-	}
-	// madvise wants a page-aligned address; align the range start down to a
-	// page boundary relative to the mapping base (mmap bases are aligned).
-	off -= off % int64(os.Getpagesize())
-	madviseRange(m.data[off:end], kind)
-}
-
 // Resident reports how many bytes of the mapped range are currently in
 // physical memory, summed from /proc/self/smaps. ok is false when the view
 // is not an mmap, already closed, or the platform has no smaps (non-Linux).

@@ -20,5 +20,3 @@ func mapFile(f *os.File, _ int) ([]byte, bool, error) {
 }
 
 func unmap(data []byte) error { return nil }
-
-func madviseRange(b []byte, kind int) {}

@@ -43,10 +43,6 @@ func TestMapFileRoundTrip(t *testing.T) {
 	if m.Path() != path {
 		t.Fatalf("Path() = %q, want %q", m.Path(), path)
 	}
-	// The advise hints must be safe on any range, aligned or not.
-	m.AdviseSequential(3, m.Len()-3)
-	m.AdviseWillNeed(0, m.Len())
-	m.AdviseNormal(0, m.Len())
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +69,7 @@ func TestMapFileCloseSemantics(t *testing.T) {
 	if m.Mapped() {
 		t.Fatal("Mapped true after Close")
 	}
-	// Hints and Resident after Close must be inert, not fault.
-	m.AdviseWillNeed(0, 100)
+	// Resident after Close must be inert, not fault.
 	if _, ok := m.Resident(); ok {
 		t.Fatal("Resident reported ok after Close")
 	}

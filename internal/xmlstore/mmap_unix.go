@@ -21,16 +21,3 @@ func mapFile(f *os.File, size int) ([]byte, bool, error) {
 func unmap(data []byte) error {
 	return syscall.Munmap(data)
 }
-
-// madviseRange forwards a paging hint for b (page-aligned by the caller).
-// Advisory only: errors are dropped.
-func madviseRange(b []byte, kind int) {
-	adv := syscall.MADV_NORMAL
-	switch kind {
-	case adviseSequential:
-		adv = syscall.MADV_SEQUENTIAL
-	case adviseWillNeed:
-		adv = syscall.MADV_WILLNEED
-	}
-	_ = syscall.Madvise(b, adv)
-}

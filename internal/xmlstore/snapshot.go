@@ -565,8 +565,7 @@ func (d *memberDir) expect(r *snapReader, k int) error {
 // member's byte range, the directory cache, and the once-gated full parse.
 type lazyMember struct {
 	data   []byte   // the member's bytes (directory + body), a view of the snapshot buffer
-	m      *Mapping // non-nil for file-mapped snapshots (paging hints, closed check)
-	off    int64    // absolute offset of the member in the snapshot file
+	m      *Mapping // non-nil for file-mapped snapshots (closed check)
 	member int      // member position, for error attribution
 	layout []int    // the file's member layout (memberLayouts)
 
@@ -676,16 +675,6 @@ func (ix *Index) StreamLen(s xdm.Sym, attr bool) (int, bool) {
 	return l.streamLen(s, attr)
 }
 
-// Prefetch asks the OS to start paging in a deferred member's bytes
-// (madvise WILLNEED) — the corpus fan-out calls it when the skip test
-// admits a member, so the load that follows faults against pages already in
-// flight. No-op for loaded members and non-mapped snapshots.
-func (ix *Index) Prefetch() {
-	if l := ix.lazy; l != nil && l.m != nil && !l.loaded.Load() {
-		l.m.AdviseWillNeed(l.off, len(l.data))
-	}
-}
-
 // loadDeferred runs the member's full parse + validation (once, under the
 // Ensure gate). A closed mapping fails with ErrSnapshotClosed before any
 // page is touched.
@@ -695,9 +684,6 @@ func (ix *Index) loadDeferred() error {
 		if _, err := l.m.Bytes(); err != nil {
 			return err
 		}
-		// The parse walks the member front to back exactly once.
-		l.m.AdviseSequential(l.off, len(l.data))
-		defer l.m.AdviseNormal(l.off, len(l.data))
 	}
 	d, err := l.memberDir()
 	if err != nil {
@@ -970,7 +956,6 @@ func OpenCorpus(data []byte, mp *Mapping) (*CorpusSnapshot, error) {
 		lm := &lazyMember{
 			data:     data[memberOff[m]:memberOff[m+1]:memberOff[m+1]],
 			m:        mp,
-			off:      memberOff[m],
 			member:   m,
 			layout:   layout,
 			names:    s.Names,

@@ -533,7 +533,7 @@ func TestSnapshotPortableFallback(t *testing.T) {
 }
 
 // TestSnapshotDeferredFromMapping runs the deferred round trip against a
-// real file mapping, including the prefetch hint and mapping close ordering.
+// real file mapping, including mapping close ordering.
 func TestSnapshotDeferredFromMapping(t *testing.T) {
 	path := writeTempSnapshot(t,
 		[]string{`<a id="1"><b>one</b></a>`, `<c><d x="y">two</d></c>`},
@@ -547,7 +547,6 @@ func TestSnapshotDeferredFromMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ix := range s.Indexes {
-		ix.Prefetch()
 		if err := ix.Ensure(); err != nil {
 			t.Fatalf("member %d: %v", i, err)
 		}

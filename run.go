@@ -150,20 +150,20 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 	// lives on the member it was prepared against (a bound node of some other
 	// document is prepared in the bindings that brought it, for this run only).
 	var st struct {
-		rt    physical.Runtime
+		m     memberRun
 		col   execctx.Collector
 		count countingSink
 	}
-	st.rt = physical.Runtime{
+	st.m.rt = physical.Runtime{
 		Catalog: c.Catalog(),
 		Preps:   c,
 		Docs:    c,
 		EC:      ec,
 	}
 	if opts.Vars != nil {
-		st.rt.Vars = p.BindVars(opts.Vars)
+		st.m.rt.Vars = p.BindVars(opts.Vars)
 	}
-	rt := &st.rt
+	rt := &st.m.rt
 	sink := opts.Sink
 	switch {
 	case sink == nil:
@@ -173,7 +173,6 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 		// context is free because it counts nothing), so the rows a caller's
 		// sink receives are counted on their way to it.
 		st.count.Sink = sink
-		st.count.ranks, _ = sink.(execctx.RankSink)
 		sink = &st.count
 	}
 	info := RunInfo{Members: c.Len()}
@@ -189,33 +188,9 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 		err = p.RunSink(rt, sink)
 	default:
 		skip, skipped := memberSkipTest(c, p.RequiredSteps())
-		// A deferred member parses and validates on the goroutine that
-		// evaluates it; a corrupt member becomes this member's query error. A
-		// fanned-out member run reaches its own tree only, so the member
-		// answers for its prepared joins directly.
-		if workers := collection.Workers(opts.Workers, c.Len()); workers <= 1 {
-			rs := p.State()
-			err = c.RunEachCtx(ec, skip, func(d *collection.Doc) error {
-				if err := d.Ensure(); err != nil {
-					return err
-				}
-				rt.Root, rt.Preps = d.RootSeq(), d
-				return rs.RunSink(rt, sink)
-			})
-			rs.Release()
-		} else {
-			rt.EC = ec.CancelOnly()
-			err = c.RunAllCtx(ec, workers, skip, func(d *collection.Doc) (Sequence, error) {
-				if err := d.Ensure(); err != nil {
-					return nil, err
-				}
-				mrt := *rt
-				mrt.Root, mrt.Preps = d.RootSeq(), d
-				return p.Run(&mrt)
-			}, func(seq Sequence) error {
-				return execctx.Deliver(ec, sink, seq)
-			})
-		}
+		st.m.p = p
+		err = c.FanOut(ec, opts.Workers, skip, sink, &st.m)
+		st.m.Release()
 		info.Skipped = int(skipped.Load())
 	}
 	if st.count.err != nil {
@@ -234,21 +209,53 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 	return st.col.Seq, info, err
 }
 
+// memberRun is a fan-out's Member: it evaluates members in one runtime and
+// one run state — the run's own on the calling goroutine, a fork's on each
+// further worker.
+type memberRun struct {
+	rt physical.Runtime
+	p  *physical.Plan
+	rs *physical.RunState // taken at the first member
+}
+
+// Eval runs the plan against member d. A deferred member parses and
+// validates here, on the goroutine that evaluates it, so a corrupt member
+// becomes this member's query error. A member run reaches its own tree only,
+// so the member answers for its prepared joins directly.
+func (m *memberRun) Eval(d *collection.Doc, ec *execctx.Ctx, sink Sink) error {
+	if err := d.Ensure(); err != nil {
+		return err
+	}
+	if m.rs == nil {
+		m.rs = m.p.State()
+	}
+	m.rt.Root, m.rt.Preps, m.rt.EC = d.RootSeq(), d, ec
+	return m.rs.RunSink(&m.rt, sink)
+}
+
+func (m *memberRun) Fork() collection.Member { return &memberRun{rt: m.rt, p: m.p} }
+
+func (m *memberRun) Release() {
+	if m.rs != nil {
+		m.rs.Release()
+		m.rs = nil
+	}
+}
+
 // countingSink counts the items it passes on and keeps the error with which
 // its sink refused one. It takes ranks, and passes them on as ranks when its
 // sink takes them too.
 type countingSink struct {
 	Sink
-	ranks execctx.RankSink
-	rows  int64
-	err   error
+	rows int64
+	err  error
 }
 
 func (s *countingSink) Push(it Item) error { return s.count(s.Sink.Push(it)) }
 
 func (s *countingSink) PushRank(t *xdm.Tree, r int32) error {
-	if s.ranks != nil {
-		return s.count(s.ranks.PushRank(t, r))
+	if ranks, ok := s.Sink.(execctx.RankSink); ok {
+		return s.count(ranks.PushRank(t, r))
 	}
 	return s.count(s.Sink.Push(t.Node(r)))
 }
@@ -297,9 +304,6 @@ func memberSkipTest(c *collection.Corpus, required []physical.RequiredStep) (fun
 				return true
 			}
 		}
-		// The member will run: hint the kernel to page its region in ahead of
-		// the parse (no-op once loaded or unmapped).
-		ix.Prefetch()
 		return false
 	}, skipped
 }
