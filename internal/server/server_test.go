@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +31,26 @@ func testCorpus(t *testing.T, docs ...string) *xqtp.Corpus {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// reopenedCorpus saves c as a snapshot file and opens it again through
+// OpenCorpusFile: the members' symbol tables come from the snapshot loader.
+func reopenedCorpus(t *testing.T, c *xqtp.Corpus) *xqtp.Corpus {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := xqtp.OpenCorpusFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { re.Close() })
+	return re
 }
 
 // fiveNames is a document with five result rows for $input//person/name.

@@ -70,6 +70,10 @@ var nastyDocs = []string{
 	// A UTF-8 sequence cut by a CDATA section and by a comment: the XML
 	// holds U+2028 whole, which the JSON string escapes.
 	"<r><p>a\xe2\x80<![CDATA[\xa8]]>b</p><p>\xe2<!-- c -->\x80\xa9</p></r>",
+	// Non-ASCII element and attribute names: the one member whose names the
+	// JSON renderer escapes instead of copying. JSON escapes U+2028 in a
+	// name; the others go as they are.
+	"<r><p naïve=\"ü\"><café thé=\"x\">crème<x\u2028/></café></p></r>",
 }
 
 // referenceBody renders seq the way a per-item streamer would: json.Marshal
@@ -153,8 +157,17 @@ func itemLines(t *testing.T, body, format string) string {
 // node and atomic items in both formats, for a limit-K prefix, and for the
 // result cache's replay of each.
 func TestResponseBodyByteIdentity(t *testing.T) {
+	mem := testCorpus(t, nastyDocs...)
+	for _, tc := range []struct {
+		name   string
+		corpus *xqtp.Corpus
+	}{{"memory", mem}, {"snapshot", reopenedCorpus(t, mem)}} {
+		t.Run(tc.name, func(t *testing.T) { responseBodyByteIdentity(t, tc.corpus) })
+	}
+}
+
+func responseBodyByteIdentity(t *testing.T, corpus *xqtp.Corpus) {
 	s := New(Config{})
-	corpus := testCorpus(t, nastyDocs...)
 	s.AddCorpus("main", corpus)
 	for _, query := range []string{
 		`$input//p`, `$input//p/@*`, `for $p in $input//p return string($p)`, `count($input//p)`,

@@ -63,6 +63,9 @@ func checkTreesEqual(t *testing.T, want, got *Tree) {
 	if want.Syms.Len() != got.Syms.Len() {
 		t.Fatalf("symbol count %d != %d", got.Syms.Len(), want.Syms.Len())
 	}
+	if want.Syms.Plain() != got.Syms.Plain() {
+		t.Fatalf("symbol table plain %v != %v", got.Syms.Plain(), want.Syms.Plain())
+	}
 	for s := 0; s < want.Syms.Len(); s++ {
 		if want.Syms.Name(Sym(s)) != got.Syms.Name(Sym(s)) {
 			t.Fatalf("symbol %d: %q != %q", s, got.Syms.Name(Sym(s)), want.Syms.Name(Sym(s)))
@@ -155,13 +158,20 @@ func TestBuilderEmptyRoot(t *testing.T) {
 // random event sequence and checks structural equality, growing the columns
 // well past the zero hint. One builder builds every tree, with a tree
 // abandoned mid-way (Reset) before each, and every tree is checked only
-// after the last is built: no tree may share the builder's scratch.
+// after the last is built: no tree may share the builder's scratch. From
+// seed 3 on, element names may be one with no plain spelling, and the
+// abandoned tree holds one in every seed: each tree's table is plain exactly
+// when its own names are.
 func TestBuilderRandomTrees(t *testing.T) {
 	b := NewTreeBuilder(0)
 	var wants, gots []*Tree
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		b.OpenElement([]byte("abandoned"))
+		elemName := func() string { return fmt.Sprintf("t%d", rng.Intn(7)) }
+		if seed >= 3 {
+			elemName = func() string { return [...]string{"t0", "t1", "t\u00e9", "t\u2028"}[rng.Intn(4)] }
+		}
+		b.OpenElement([]byte("abandoned\xff"))
 		b.Attr([]byte("a0"), "v")
 		b.OpenElement([]byte("t1"))
 		b.Reset()
@@ -171,7 +181,7 @@ func TestBuilderRandomTrees(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			switch op := rng.Intn(10); {
 			case op < 4: // open child
-				name := fmt.Sprintf("t%d", rng.Intn(7))
+				name := elemName()
 				el := NewElement(name)
 				stack[len(stack)-1].AppendChild(el)
 				stack = append(stack, el)
@@ -202,6 +212,34 @@ func TestBuilderRandomTrees(t *testing.T) {
 	}
 	for i := range wants {
 		checkTreesEqual(t, wants[i], gots[i])
+		if plain := i < 3; gots[i].Syms.Plain() != plain {
+			t.Fatalf("seed %d: symbol table plain %v, want %v", i, gots[i].Syms.Plain(), plain)
+		}
+	}
+}
+
+// TestNewSymbolsPlain checks the plain bit on the snapshot loader's path:
+// a table of plain names is plain, and one odd name among them, anywhere in
+// the list, makes it not.
+func TestNewSymbolsPlain(t *testing.T) {
+	plainNames := []string{"site", "person", "id", "a-b_c.d:e", " !#$%'()*+,-./09;=?@AZ[]^_`az{|}~"}
+	if st, err := NewSymbols(plainNames); err != nil || !st.Plain() {
+		t.Fatalf("NewSymbols(%q): plain %v, err %v; want plain", plainNames, st.Plain(), err)
+	}
+	for _, odd := range []string{"\xff", "caf\u00e9", "p\u2028", `q"`, "a&b", `b\`, "<", ">", "tab\t", "\x7f"} {
+		for at := 0; at <= len(plainNames); at++ {
+			names := append(append(append([]string{}, plainNames[:at]...), odd), plainNames[at:]...)
+			st, err := NewSymbols(names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Plain() {
+				t.Fatalf("NewSymbols(%q) is plain", names)
+			}
+		}
+	}
+	if (*Symbols)(nil).Plain() {
+		t.Fatal("a nil table is plain")
 	}
 }
 

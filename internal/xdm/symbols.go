@@ -19,10 +19,11 @@ const NoSym Sym = -1
 type Symbols struct {
 	byName map[string]Sym
 	names  []string
+	plain  bool // every name is plainName: set by symbolsOf, kept by intern
 }
 
 func newSymbols() *Symbols {
-	return &Symbols{byName: make(map[string]Sym)}
+	return &Symbols{byName: make(map[string]Sym), plain: true}
 }
 
 // NewSymbols builds a symbol table over an already-interned name list —
@@ -42,11 +43,33 @@ func NewSymbols(names []string) (*Symbols, error) {
 // symbolsOf builds a table over names that are distinct by construction (a
 // builder's intern scratch), sizing its map exactly. The slice is retained.
 func symbolsOf(names []string) *Symbols {
-	st := &Symbols{byName: make(map[string]Sym, len(names)), names: names}
+	st := &Symbols{byName: make(map[string]Sym, len(names)), names: names, plain: true}
 	for i, n := range names {
 		st.byName[n] = Sym(i)
+		st.plain = st.plain && plainName(n)
 	}
 	return st
+}
+
+// plainName reports whether every byte of name is printable ASCII other than
+// the quote, the backslash and the three XML specials: a byte that an XML
+// tag and a JSON string body both carry as itself.
+func plainName(name string) bool {
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; {
+		case c < 0x20, c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// Plain reports whether every name in the table is plain: printable ASCII
+// (0x20-0x7e) other than '"', '\', '<', '>' and '&'. A serializer may then
+// copy the names as they are in any of its output modes. It is fixed when
+// the table is built.
+func (st *Symbols) Plain() bool {
+	return st != nil && st.plain
 }
 
 // Names returns the interned names indexed by symbol ID. The slice is shared
@@ -66,6 +89,7 @@ func (st *Symbols) intern(name string) Sym {
 	s := Sym(len(st.names))
 	st.byName[name] = s
 	st.names = append(st.names, name)
+	st.plain = st.plain && plainName(name)
 	return s
 }
 

@@ -3,6 +3,7 @@ package xmlstore
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -130,15 +131,53 @@ func requireFusedMatchesJSON(t *testing.T, tr *xdm.Tree) {
 	}
 }
 
+// TestAppendRankJSON holds both ways scan writes names to json.Marshal: as
+// they are under a plain symbol table (the XMark document), escaped under
+// one that is not (the seeds with \xff and U+2028 names). It renders every
+// document once as ingested and once saved and reopened, whose symbol table
+// the snapshot loader builds.
 func TestAppendRankJSON(t *testing.T) {
+	xmark := string(AppendXML(nil, gen.XMarkRoot(gen.XMarkConfig{Seed: 7, People: 20})))
 	docs := append(append([]string{}, jsonSeeds...), differentialCorpus...)
-	docs = append(docs, string(AppendXML(nil, gen.XMarkRoot(gen.XMarkConfig{Seed: 7, People: 20}))))
-	for _, doc := range docs {
+	docs = append(docs, xmark)
+	ixs := make([]*Index, len(docs))
+	uris := make([]string, len(docs))
+	for i, doc := range docs {
 		ix, err := IngestString(doc)
 		if err != nil {
 			t.Fatalf("Ingest(%q): %v", doc, err)
 		}
 		requireFusedMatchesJSON(t, ix.Tree)
+		ixs[i], uris[i] = ix, fmt.Sprintf("doc%d", i)
+	}
+	var buf bytes.Buffer
+	if err := WriteCorpus(&buf, snapshotFromIndexes(uris, ixs)); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := openEager(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := 0
+	for i, doc := range docs {
+		tr := reopened.Indexes[i].Tree
+		requireFusedMatchesJSON(t, tr)
+		plain := ixs[i].Tree.Syms.Plain()
+		if tr.Syms.Plain() != plain {
+			t.Fatalf("%q: reopened symbol table plain %v, ingested %v", doc, tr.Syms.Plain(), plain)
+		}
+		switch {
+		case doc == xmark && !plain:
+			t.Fatal("the XMark document's symbol table is not plain")
+		case strings.HasPrefix(doc, "<a\xff") || strings.HasPrefix(doc, "<a\u2028"):
+			if plain {
+				t.Fatalf("%q: symbol table is plain", doc)
+			}
+			odd++
+		}
+	}
+	if odd != 3 {
+		t.Fatalf("%d seeds with odd names, want the \\xff one and both U+2028 ones", odd)
 	}
 }
 

@@ -194,21 +194,33 @@ func appendEscaped(dst []byte, s string, attr bool) []byte {
 	return append(dst, s[clean:]...)
 }
 
-// jsonEscape[b] is what encoding/json (HTML-safe escaping on) writes inside a
-// string for the ASCII byte b, "" when b goes as itself; jsonText and
-// jsonAttr the same for the XML escape of b in a text or attribute value.
+// jsonEscape.ascii[b] is what encoding/json (HTML-safe escaping on) writes
+// inside a string for the ASCII byte b, "" when b goes as itself; jsonText
+// and jsonAttr the same for the XML escape of b in a text or attribute value.
 var (
 	jsonEscape = jsonTable(func(s string) string { return s })
 	jsonText   = jsonTable(func(s string) string { return string(appendEscaped(nil, s, false)) })
 	jsonAttr   = jsonTable(func(s string) string { return string(appendEscaped(nil, s, true)) })
 )
 
-func jsonTable(xml func(string) string) (t [utf8.RuneSelf]string) {
-	for b := range t {
+// jsonEscapes is one escape table of appendJSONEscaped. special[b] is set
+// for every byte that may not go as itself: an ASCII byte with an escape,
+// and every byte of a multi-byte or invalid UTF-8 sequence, which is decoded.
+type jsonEscapes struct {
+	special [256]uint8
+	ascii   [utf8.RuneSelf]string
+}
+
+func jsonTable(xml func(string) string) (t jsonEscapes) {
+	for b := range t.special {
+		if b >= utf8.RuneSelf {
+			t.special[b] = 1
+			continue
+		}
 		c := string(rune(b))
 		q, _ := json.Marshal(xml(c))
 		if e := string(q[1 : len(q)-1]); e != c {
-			t[b] = e
+			t.ascii[b], t.special[b] = e, 1
 		}
 	}
 	return t
@@ -222,13 +234,19 @@ func AppendJSONString(dst []byte, s string) []byte {
 
 // appendJSONEscaped appends s as the body of a JSON string literal: each
 // ASCII byte as esc gives it, U+2028 and U+2029 escaped, and each byte of
-// invalid UTF-8 replaced by \ufffd, as encoding/json does.
-func appendJSONEscaped(dst []byte, s string, esc *[utf8.RuneSelf]string) []byte {
+// invalid UTF-8 replaced by \ufffd, as encoding/json does. A byte that goes
+// as itself costs one table load; each run of them is copied with one append.
+func appendJSONEscaped(dst []byte, s string, esc *jsonEscapes) []byte {
 	start := 0
 	for i := 0; i < len(s); {
+		b := s[i]
+		if esc.special[b] == 0 {
+			i++
+			continue
+		}
 		e, size := "", 1
-		if b := s[i]; b < utf8.RuneSelf {
-			e = esc[b]
+		if b < utf8.RuneSelf {
+			e = esc.ascii[b]
 		} else {
 			var c rune
 			c, size = utf8.DecodeRuneInString(s[i:])
@@ -291,13 +309,14 @@ func (x *xmlWriter) flush() {
 // Parent column — the innermost open element's parent is the next one out —
 // when the scan reaches a node outside its region, so no recursion and no
 // stack is needed. In json mode each piece is written JSON-escaped: markup as
-// constants, names through jsonEscape, values through jsonText and jsonAttr.
+// constants, values through jsonText and jsonAttr, and names as they are when
+// the tree's symbol table is plain, through jsonEscape when it is not.
 func (x *xmlWriter) scan(t *xdm.Tree, r int32) {
-	c, asJSON := t.Cols, x.json
+	c, asJSON, plain := t.Cols, x.json, t.Syms.Plain()
 	name := func(p int32) string { return t.Syms.Name(xdm.Sym(c.Sym[p])) }
 	if xdm.Kind(c.Kind[r]) == xdm.AttributeNode {
 		if asJSON {
-			x.jsonAttr(name(r), t.Text(r))
+			x.jsonAttr(name(r), t.Text(r), plain)
 		} else {
 			x.buf = appendAttr(x.buf, name(r), t.Text(r))
 		}
@@ -313,7 +332,7 @@ func (x *xmlWriter) scan(t *xdm.Tree, r int32) {
 	for end := c.End(r); x.err == nil; {
 		for open != floor && (p > end || open != c.Parent[p]) {
 			if asJSON {
-				x.buf = append(appendJSONEscaped(append(x.buf, `\u003c/`...), name(open), &jsonEscape), `\u003e`...)
+				x.buf = append(appendJSONName(append(x.buf, `\u003c/`...), name(open), plain), `\u003e`...)
 			} else {
 				x.buf = appendClose(x.buf, name(open))
 			}
@@ -338,7 +357,7 @@ func (x *xmlWriter) scan(t *xdm.Tree, r int32) {
 			p++
 		} else {
 			if asJSON {
-				x.buf = appendJSONEscaped(append(x.buf, `\u003c`...), name(p), &jsonEscape)
+				x.buf = appendJSONName(append(x.buf, `\u003c`...), name(p), plain)
 			} else {
 				x.buf = append(append(x.buf, '<'), name(p)...)
 			}
@@ -346,7 +365,7 @@ func (x *xmlWriter) scan(t *xdm.Tree, r int32) {
 			for ; q <= last && xdm.Kind(c.Kind[q]) == xdm.AttributeNode; q++ {
 				x.buf = append(x.buf, ' ')
 				if asJSON {
-					x.jsonAttr(name(q), t.Text(q))
+					x.jsonAttr(name(q), t.Text(q), plain)
 				} else {
 					x.buf = appendAttr(x.buf, name(q), t.Text(q))
 				}
@@ -369,9 +388,19 @@ func (x *xmlWriter) scan(t *xdm.Tree, r int32) {
 	}
 }
 
-func (x *xmlWriter) jsonAttr(name, value string) {
-	x.buf = appendJSONEscaped(x.buf, name, &jsonEscape)
+func (x *xmlWriter) jsonAttr(name, value string, plain bool) {
+	x.buf = appendJSONName(x.buf, name, plain)
 	x.buf = append(appendJSONEscaped(append(x.buf, `=\"`...), value, &jsonAttr), `\"`...)
+}
+
+// appendJSONName appends an element or attribute name inside a JSON string
+// body: as it is when its symbol table is plain (no byte of it has an
+// escape), through jsonEscape when it is not.
+func appendJSONName(dst []byte, name string, plain bool) []byte {
+	if plain {
+		return append(dst, name...)
+	}
+	return appendJSONEscaped(dst, name, &jsonEscape)
 }
 
 // SerializeString renders the subtree rooted at n as an XML string.
