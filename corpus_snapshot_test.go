@@ -336,8 +336,25 @@ func snapshotFile(t *testing.T, n int) string {
 // query over the corpus → AppendItem on every item. The identity tables
 // must hold exactly the delivered items plus one document node per member
 // the skip test admitted; the skipped members hold none, and the serializer
-// builds nothing. A second run, at several workers, builds nothing more.
+// builds nothing. A second run, at several workers, builds nothing more. It
+// holds for the set-at-a-time kernels (Auto), for the nested loop, and for
+// the nested loop's first-match cursor over a child-only spine (Auto).
 func TestQueryBuildsOnlyDeliveredNodes(t *testing.T) {
+	for _, tc := range []struct {
+		name, query string
+		alg         Algorithm
+	}{
+		{"kernel", `$input//person[emailaddress]/name`, Auto},
+		{"nested-loop", `$input//person[emailaddress]/name`, NestedLoop},
+		{"first-match", `($input/site/people/person/name)[1]`, Auto},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			buildsOnlyDeliveredNodes(t, tc.query, tc.alg)
+		})
+	}
+}
+
+func buildsOnlyDeliveredNodes(t *testing.T, query string, alg Algorithm) {
 	c, err := OpenCorpusFile(snapshotFile(t, 12))
 	if err != nil {
 		t.Fatal(err)
@@ -350,8 +367,8 @@ func TestQueryBuildsOnlyDeliveredNodes(t *testing.T) {
 		}
 		return n
 	}
-	q := MustPrepare(`$input//person[emailaddress]/name`)
-	seq, info, err := c.RunWith(context.Background(), q, Auto, RunOptions{Workers: 1})
+	q := MustPrepare(query)
+	seq, info, err := c.RunWith(context.Background(), q, alg, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +386,7 @@ func TestQueryBuildsOnlyDeliveredNodes(t *testing.T) {
 	if got, want := built(), len(delivered)+admitted; got != want {
 		t.Fatalf("%d nodes built, want %d delivered + %d document nodes", got, len(delivered), admitted)
 	}
-	again, _, err := c.RunWith(context.Background(), q, Auto, RunOptions{Workers: 4})
+	again, _, err := c.RunWith(context.Background(), q, alg, RunOptions{Workers: 4})
 	if err != nil || len(again) != len(seq) {
 		t.Fatalf("second run: %d items, %v", len(again), err)
 	}

@@ -30,7 +30,7 @@ func TestPreparedHitAllocatesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bs := p.Eval(d.Root()); len(bs) != 1 {
+			if bs := p.EvalCtx(nil, d.Root()); len(bs) != 1 {
 				t.Fatalf("%s: %d bindings, want 1", d.URI, len(bs))
 			}
 		}
@@ -59,7 +59,7 @@ func TestPreparedHitAllocatesNothing(t *testing.T) {
 	if _, err := d.Prepared(join.NestedLoop, d.Index, last); err != nil {
 		t.Fatal(err)
 	}
-	if p, err := d.Prepared(join.Auto, c.Doc(0).Index, last); err != nil || len(p.Eval(c.Doc(0).Root())) != 1 {
+	if p, err := d.Prepared(join.Auto, c.Doc(0).Index, last); err != nil || len(p.EvalCtx(nil, c.Doc(0).Root())) != 1 {
 		t.Fatal(p, err)
 	}
 	if got := c.PrepStats(); got.Size != warm.Size+1 || got.Misses != warm.Misses+1 {

@@ -31,7 +31,7 @@ func TestAutoAgreesWithFixedAlgorithms(t *testing.T) {
 				continue
 			}
 			want := nlReference(t, ix, ctx, pat)
-			if got := rankSeq(t, auto.Eval(ctx)); !slices.Equal(got, want) {
+			if got := rankSeq(t, auto.EvalCtx(nil, ctx)); !slices.Equal(got, want) {
 				t.Logf("seed %d from pre=%d: Auto ranks %v, nested loop %v (pattern %s)", seed, ctx.Pre, got, want, pat)
 				return false
 			}
@@ -103,11 +103,11 @@ func TestChooseHeuristics(t *testing.T) {
 	}
 	// First-match over a child spine: Auto takes the NL early exit.
 	p := chain("dot", st(xdm.AxisChild, "a"), st(xdm.AxisChild, "b"))
-	got, ok, err := EvalFirst(Auto, ix, tr.RootNode(), p)
+	got, ok, err := evalFirst(Auto, ix, tr.RootNode(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wok, err := EvalFirst(NestedLoop, ix, tr.RootNode(), p)
+	want, wok, err := evalFirst(NestedLoop, ix, tr.RootNode(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

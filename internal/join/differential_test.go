@@ -11,13 +11,14 @@ import (
 	"xqtp/internal/xmlstore"
 )
 
-// The differential tests pin the integer kernels to the pointer-based
-// nested-loop evaluator: for every pattern, document and context, the rank
-// sequence an integer kernel returns must be byte-for-byte the nested
-// loop's result after document-order sort and duplicate elimination — same
-// pre ranks, same order. The nested loop never touches the columnar store
-// (it navigates Node pointers), so agreement here checks the columns, the
-// index streams, and the kernels against an independent implementation.
+// The differential tests pin the integer kernels to the nested-loop
+// evaluator: for every pattern, document and context, the rank sequence an
+// integer kernel returns must be byte-for-byte the nested loop's result after
+// document-order sort and duplicate elimination — same pre ranks, same order.
+// The nested loop touches no rank stream (it navigates context by context
+// through xdm.EachStepRank, which TestStepMatchesPointerReference holds to the
+// pointer data model's step), so agreement here checks the index streams and
+// the kernels against an independent implementation.
 
 // rankSeq extracts the pre ranks of single-output bindings, in result order.
 func rankSeq(t *testing.T, bs []Binding) []int32 {
@@ -36,7 +37,7 @@ func rankSeq(t *testing.T, bs []Binding) []int32 {
 // reference rank sequence: sorted, duplicate-free.
 func nlReference(t *testing.T, ix *xmlstore.Index, ctx *xdm.Node, pat *pattern.Pattern) []int32 {
 	t.Helper()
-	bs, err := Eval(NestedLoop, ix, ctx, pat)
+	bs, err := eval(NestedLoop, ix, ctx, pat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func checkKernels(t *testing.T, label string, ix *xmlstore.Index, ctx *xdm.Node,
 		if err != nil {
 			t.Fatalf("%s/%s: %v", label, alg, err)
 		}
-		got := rankSeq(t, p.Eval(ctx))
+		got := rankSeq(t, p.EvalCtx(nil, ctx))
 		if !slices.Equal(got, want) {
 			t.Errorf("%s/%s from pre=%d: ranks %v, nested loop %v (pattern %s)",
 				label, alg, ctx.Pre, got, want, pat)

@@ -1,8 +1,8 @@
 // Package join implements the physical tree-pattern algorithms behind the
 // TupleTreePattern operator (paper §5):
 //
-//   - NestedLoop (NLJoin): navigational, node-at-a-time evaluation with
-//     cursor-style early exit — the baseline every XQuery engine has;
+//   - NestedLoop (NLJoin): navigational, one-candidate-at-a-time evaluation
+//     with cursor-style early exit — the baseline every XQuery engine has;
 //   - Staircase (SCJoin, Grust & van Keulen): set-at-a-time staircase join
 //     over the pre/size region encoding, one pass per location step with
 //     context pruning, scanning pre-sorted tag streams;
@@ -10,8 +10,12 @@
 //     one stack per query node, linking candidate matches via region
 //     containment, with a refinement pass that enforces child edges.
 //
-// All three implement the same contract: given a context node and a tree
-// pattern, return the bindings of the pattern's annotated output steps.
+// All of them implement the same contract and answer in the same shape:
+// given a context node and a tree pattern, append the bindings of the
+// pattern's annotated output steps to a slice as int32 pre ranks in the
+// context's tree (Prepared.AppendRanks). The nested loop navigates ranks
+// through xdm.EachStepRank, so no algorithm builds a node; Prepared.EvalCtx is
+// the one exit that resolves ranks to nodes.
 package join
 
 import (
@@ -19,7 +23,6 @@ import (
 
 	"xqtp/internal/pattern"
 	"xqtp/internal/xdm"
-	"xqtp/internal/xmlstore"
 )
 
 // Algorithm selects the physical tree-pattern algorithm.
@@ -70,40 +73,6 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 // Binding is one pattern match: the matched node for each annotated output
 // step, in pattern.OutputFields() order.
 type Binding []*xdm.Node
-
-// Eval returns every binding of pat evaluated from context node ctx. It is
-// the one-shot form of Prepare followed by Prepared.Eval; callers that
-// evaluate the same pattern from many context nodes of one document should
-// Prepare once instead.
-func Eval(alg Algorithm, ix *xmlstore.Index, ctx *xdm.Node, pat *pattern.Pattern) ([]Binding, error) {
-	p, err := Prepare(alg, ix, pat)
-	if err != nil {
-		return nil, err
-	}
-	return p.Eval(ctx), nil
-}
-
-// EvalFirst returns the first binding in document order — the one-shot form
-// of Prepare followed by Prepared.EvalFirst.
-func EvalFirst(alg Algorithm, ix *xmlstore.Index, ctx *xdm.Node, pat *pattern.Pattern) (Binding, bool, error) {
-	p, err := Prepare(alg, ix, pat)
-	if err != nil {
-		return nil, false, err
-	}
-	b, ok := p.EvalFirst(ctx)
-	return b, ok, nil
-}
-
-// wrapNodes views a freshly built node list as single-field bindings (the
-// rank kernels are single-output); the bindings alias the input slice (two
-// allocations for the whole result set instead of one per binding).
-func wrapNodes(nodes []*xdm.Node) []Binding {
-	out := make([]Binding, len(nodes))
-	for i := range nodes {
-		out[i] = nodes[i : i+1 : i+1]
-	}
-	return out
-}
 
 // checkPattern rejects output annotations inside predicate branches, which
 // the operator does not produce bindings for.

@@ -2,6 +2,7 @@ package join
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -40,9 +41,42 @@ func st(axis xdm.Axis, name string) *pattern.Step {
 	return pattern.NewStep(axis, xdm.NameTest(name))
 }
 
+// eval is Prepare followed by EvalCtx.
+func eval(alg Algorithm, ix *xmlstore.Index, ctx *xdm.Node, pat *pattern.Pattern) ([]Binding, error) {
+	p, err := Prepare(alg, ix, pat)
+	if err != nil {
+		return nil, err
+	}
+	return p.EvalCtx(nil, ctx), nil
+}
+
+// evalFirst is Prepare followed by AppendFirst, resolved to the first of the
+// appended bindings in document order.
+func evalFirst(alg Algorithm, ix *xmlstore.Index, ctx *xdm.Node, pat *pattern.Pattern) (Binding, bool, error) {
+	p, err := Prepare(alg, ix, pat)
+	if err != nil {
+		return nil, false, err
+	}
+	ranks, nf := p.AppendFirst(nil, ctx, nil), len(p.OutputFields())
+	if len(ranks) == 0 {
+		return nil, false, nil
+	}
+	first := ranks[:nf]
+	for i := nf; i < len(ranks); i += nf {
+		if slices.Compare(ranks[i:i+nf], first) < 0 {
+			first = ranks[i : i+nf]
+		}
+	}
+	b := make(Binding, nf)
+	for i, r := range first {
+		b[i] = ix.Tree.Node(r)
+	}
+	return b, true, nil
+}
+
 func evalNodes(t *testing.T, alg Algorithm, ix *xmlstore.Index, ctx *xdm.Node, p *pattern.Pattern) []*xdm.Node {
 	t.Helper()
-	bs, err := Eval(alg, ix, ctx, p)
+	bs, err := eval(alg, ix, ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +169,7 @@ func TestEvalFirst(t *testing.T) {
 	ctx := ix.Tree.RootNode()
 	p := chain("dot", st(xdm.AxisChild, "a"), st(xdm.AxisChild, "b"), st(xdm.AxisChild, "c"))
 	for _, alg := range []Algorithm{NestedLoop, Staircase, Twig} {
-		b, ok, err := EvalFirst(alg, ix, ctx, p.Clone())
+		b, ok, err := evalFirst(alg, ix, ctx, p.Clone())
 		if err != nil || !ok {
 			t.Fatalf("%s: %v ok=%v", alg, err, ok)
 		}
@@ -146,7 +180,7 @@ func TestEvalFirst(t *testing.T) {
 	}
 	// No match.
 	p2 := chain("dot", st(xdm.AxisChild, "zz"))
-	if _, ok, _ := EvalFirst(NestedLoop, ix, ctx, p2); ok {
+	if _, ok, _ := evalFirst(NestedLoop, ix, ctx, p2); ok {
 		t.Error("EvalFirst on empty pattern returned a match")
 	}
 }
@@ -157,7 +191,7 @@ func TestOutputInPredicateRejected(t *testing.T) {
 	bad := st(xdm.AxisChild, "c")
 	bad.Out = "leak"
 	p.Root.Preds = []*pattern.Step{bad}
-	if _, err := Eval(NestedLoop, ix, ix.Tree.RootNode(), p); err == nil {
+	if _, err := eval(NestedLoop, ix, ix.Tree.RootNode(), p); err == nil {
 		t.Error("output annotation in predicate should be rejected")
 	}
 }
@@ -213,7 +247,7 @@ func TestAlgorithmAgreementProperty(t *testing.T) {
 			ctx = tr.RootNode()
 		}
 		pat := randomPattern(rng)
-		nl, err := Eval(NestedLoop, ix, ctx, pat)
+		nl, err := eval(NestedLoop, ix, ctx, pat)
 		if err != nil {
 			return false
 		}
@@ -222,7 +256,7 @@ func TestAlgorithmAgreementProperty(t *testing.T) {
 			ref[b[0]] = true
 		}
 		for _, alg := range []Algorithm{Staircase, Twig} {
-			got, err := Eval(alg, ix, ctx, pat)
+			got, err := eval(alg, ix, ctx, pat)
 			if err != nil {
 				return false
 			}
@@ -258,7 +292,7 @@ func TestSetAlgorithmsOrderedProperty(t *testing.T) {
 		ix := xmlstore.BuildIndex(tr)
 		pat := randomPattern(rng)
 		for _, alg := range []Algorithm{Staircase, Twig} {
-			got, err := Eval(alg, ix, tr.RootNode(), pat)
+			got, err := eval(alg, ix, tr.RootNode(), pat)
 			if err != nil {
 				return false
 			}

@@ -57,7 +57,7 @@ func checkMinimized(t *testing.T, label string, ix *xmlstore.Index, ctx *xdm.Nod
 		if err != nil {
 			t.Fatalf("%s/%s: %v", label, alg, err)
 		}
-		got := rankSeq(t, p.Eval(ctx))
+		got := rankSeq(t, p.EvalCtx(nil, ctx))
 		slices.Sort(got)
 		got = slices.Compact(got)
 		if !slices.Equal(got, want) {

@@ -1,168 +1,108 @@
 package join
 
 import (
+	"sync"
+
 	"xqtp/internal/execctx"
-	"xqtp/internal/pattern"
 	"xqtp/internal/xdm"
 )
 
-// nlTick polls the execution context once every 256 candidate nodes: the
-// nested loop's unit of work is one candidate (an axis-step result fed
-// through the predicate checks), so the counter bounds the time between
-// polls without a branch-per-node channel probe. A nil context costs the
-// increment and the mask test only.
-func nlTick(ec *execctx.Ctx, n *int) bool {
-	*n++
-	if *n&255 != 0 || ec == nil {
-		return false
-	}
-	return ec.Stopped()
+// nlState is one nested-loop evaluation's recursion state. It lives in a
+// pool, so a warm evaluation allocates only what it appends to dst.
+type nlState struct {
+	ec    *execctx.Ctx
+	cols  *xdm.Cols
+	tick  int
+	first bool // stop at the first binding (§5.3's cursor)
+	done  bool // the first binding is in, or ec has stopped
+	// outs holds the output ranks of the binding under construction,
+	// root-to-leaf.
+	outs []int32
+	dst  []int32
 }
 
-// nlEval is the nested-loop (navigational) evaluation of a tree pattern:
-// node-at-a-time recursion along the spine, existential early-exit checks
-// for predicate branches. Bindings come out in lexical (context-major)
-// order; the TupleTreePattern operator establishes the output order. A stop
-// of ec cuts the recursion short, returning the bindings found so far
-// (EvalCtx's partial-result contract).
-func nlEval(ec *execctx.Ctx, ctx *xdm.Node, pat *pattern.Pattern) []Binding {
-	var out []Binding
-	tick := 0
-	nlStep(ec, &tick, ctx, pat.Root, nil, &out)
-	return out
-}
+var nlPool = sync.Pool{New: func() any { return new(nlState) }}
 
-// nlRanks appends nlEval's bindings to dst as pre ranks, one per output
-// field. The nested loop navigates node by node through xdm.Step, which is
-// held to the pointer data model's step (xdm's
-// TestStepMatchesPointerReference): it is the oracle the rank kernels are
-// checked against.
-func nlRanks(ec *execctx.Ctx, ctx *xdm.Node, pat *pattern.Pattern, dst []int32) []int32 {
-	for _, b := range nlEval(ec, ctx, pat) {
-		for _, n := range b {
-			dst = append(dst, int32(n.Pre))
-		}
-	}
+// nlAppend is the nested-loop (navigational) evaluation of the pattern from
+// context node ctx: rank-at-a-time recursion along the compiled spine through
+// xdm.EachStepRank, which is held to the pointer data model's step (xdm's
+// TestStepMatchesPointerReference), with existential early-exit checks for
+// predicate branches. It appends each binding's output ranks to dst and
+// builds no node. Bindings come out in lexical (context-major) order,
+// duplicates included; the TupleTreePattern operator establishes the output
+// order. With first set it stops after the lexically first binding — the
+// cursor-style evaluation that makes nested loops win on highly selective
+// positional chains (§5.3).
+//
+// A stop of ec cuts the recursion short: the bindings found so far stay
+// appended (AppendRanks' partial-result contract).
+func (p *Prepared) nlAppend(ec *execctx.Ctx, ctx *xdm.Node, dst []int32, first bool) []int32 {
+	s := nlPool.Get().(*nlState)
+	*s = nlState{ec: ec, cols: p.cols, first: first, outs: s.outs[:0], dst: dst}
+	s.spine(int32(ctx.Pre), p.spine)
+	dst = s.dst
+	*s = nlState{outs: s.outs}
+	nlPool.Put(s)
 	return dst
 }
 
-func nlStep(ec *execctx.Ctx, tick *int, ctx *xdm.Node, s *pattern.Step, prefix Binding, out *[]Binding) bool {
-	for _, cand := range xdm.Step(ctx, s.Axis, s.Test) {
-		if nlTick(ec, tick) {
-			return false
+// stopped counts one candidate (an axis-step match fed through the predicate
+// checks) and reports whether the evaluation is over. The execution context
+// is polled once every 256 candidates, which bounds the time between polls
+// without a channel probe per node; a nil context costs the increment and
+// the mask test only.
+func (s *nlState) stopped() bool {
+	s.tick++
+	if s.tick&255 == 0 && s.ec != nil && s.ec.Stopped() {
+		s.done = true
+	}
+	return s.done
+}
+
+// spine matches chain from rank r, appending every complete binding.
+func (s *nlState) spine(r int32, chain []cstep) {
+	c := &chain[0]
+	xdm.EachStepRank(s.cols, r, c.axis, c.test, func(m int32) bool {
+		if s.stopped() || !s.preds(m, c.preds) {
+			return !s.done
 		}
-		if !nlPreds(ec, tick, cand, s.Preds) {
-			continue
+		if c.out {
+			s.outs = append(s.outs, m)
 		}
-		b := prefix
-		if s.Out != "" {
-			b = append(append(Binding{}, prefix...), cand)
+		if len(chain) > 1 {
+			s.spine(m, chain[1:])
+		} else if len(s.outs) > 0 {
+			s.dst = append(s.dst, s.outs...)
+			s.done = s.first
 		}
-		if s.Next == nil {
-			if len(b) > 0 {
-				*out = append(*out, b)
-			}
-			continue
+		if c.out {
+			s.outs = s.outs[:len(s.outs)-1]
 		}
-		if !nlStep(ec, tick, cand, s.Next, b, out) {
+		return !s.done
+	})
+}
+
+// preds checks every predicate branch from rank r existentially.
+func (s *nlState) preds(r int32, preds [][]cstep) bool {
+	for _, pr := range preds {
+		if !s.exists(r, pr) {
 			return false
 		}
 	}
 	return true
 }
 
-// nlPreds checks every predicate branch existentially.
-func nlPreds(ec *execctx.Ctx, tick *int, ctx *xdm.Node, preds []*pattern.Step) bool {
-	for _, p := range preds {
-		if !nlExists(ec, tick, ctx, p) {
+// exists reports whether chain has at least one match from rank r, with
+// early exit.
+func (s *nlState) exists(r int32, chain []cstep) bool {
+	c := &chain[0]
+	found := false
+	xdm.EachStepRank(s.cols, r, c.axis, c.test, func(m int32) bool {
+		if s.stopped() {
 			return false
 		}
-	}
-	return true
-}
-
-// nlExists reports whether the chain rooted at s has at least one match
-// from ctx, with early exit.
-func nlExists(ec *execctx.Ctx, tick *int, ctx *xdm.Node, s *pattern.Step) bool {
-	for _, cand := range xdm.Step(ctx, s.Axis, s.Test) {
-		if nlTick(ec, tick) {
-			return false
-		}
-		if !nlPreds(ec, tick, cand, s.Preds) {
-			continue
-		}
-		if s.Next == nil || nlExists(ec, tick, cand, s.Next) {
-			return true
-		}
-	}
-	return false
-}
-
-// nlFirst returns the lexically first binding without materializing the
-// rest: the cursor-style evaluation that makes nested loops win on highly
-// selective positional chains (§5.3). spine, when not nil, is the
-// pattern's spine compiled against ctx's tree, so the cursor resolves no
-// name per call.
-func nlFirst(ec *execctx.Ctx, ctx *xdm.Node, pat *pattern.Pattern, spine []cstep) (Binding, bool) {
-	tick := 0
-	return nlFirstStep(ec, &tick, ctx, pat.Root, spine, nil)
-}
-
-func nlFirstStep(ec *execctx.Ctx, tick *int, ctx *xdm.Node, s *pattern.Step, spine []cstep, prefix Binding) (Binding, bool) {
-	// Child and attribute steps walk the context's columns so the cursor
-	// stops at the first match, testing each candidate rank before a node is
-	// built for it. An element's attributes are the ranks between it and its
-	// first child; NextSibling steps over an attribute's empty region.
-	if t := ctx.Doc; t != nil && (s.Axis == xdm.AxisChild || s.Axis == xdm.AxisAttribute) {
-		var m xdm.RankTest
-		if spine != nil {
-			m = spine[0].test
-		} else {
-			m = s.Test.On(s.Axis, t)
-		}
-		c, r := t.Cols, int32(ctx.Pre)
-		p, stop := c.FirstChild(r), c.End(r)+1
-		if s.Axis == xdm.AxisAttribute {
-			p, stop = r+1, p
-		}
-		for ; p < stop && !m.Empty(); p = c.NextSibling(p) {
-			if nlTick(ec, tick) {
-				return nil, false
-			}
-			if !m.Matches(c, p) {
-				continue
-			}
-			if b, ok := nlFirstFrom(ec, tick, t.Node(p), s, spine, prefix); ok {
-				return b, true
-			}
-		}
-		return nil, false
-	}
-	for _, cand := range xdm.Step(ctx, s.Axis, s.Test) {
-		if nlTick(ec, tick) {
-			return nil, false
-		}
-		if b, ok := nlFirstFrom(ec, tick, cand, s, spine, prefix); ok {
-			return b, true
-		}
-	}
-	return nil, false
-}
-
-// nlFirstFrom continues the cursor from cand, a match of step s.
-func nlFirstFrom(ec *execctx.Ctx, tick *int, cand *xdm.Node, s *pattern.Step, spine []cstep, prefix Binding) (Binding, bool) {
-	if !nlPreds(ec, tick, cand, s.Preds) {
-		return nil, false
-	}
-	b := prefix
-	if s.Out != "" {
-		b = append(append(Binding{}, prefix...), cand)
-	}
-	if s.Next == nil {
-		return b, len(b) > 0
-	}
-	if spine != nil {
-		spine = spine[1:]
-	}
-	return nlFirstStep(ec, tick, cand, s.Next, spine, b)
+		found = s.preds(m, c.preds) && (len(chain) == 1 || s.exists(m, chain[1:]))
+		return !found && !s.done
+	})
+	return found
 }

@@ -13,17 +13,17 @@ import (
 // pattern is validated once, algorithm applicability is decided once, and
 // every step's node test is resolved to its pre-sorted integer rank stream
 // and its columnar test (interned symbol + principal kind) once — the
-// compile-once half of the serving path. After that, Eval per context node
-// does no string hashing and no per-run setup, and the set-at-a-time kernels
-// run entirely on int32 ranks against the tree's columns and answer in ranks
-// (AppendRanks); nodes appear only when a caller asks for bindings.
+// compile-once half of the serving path. After that, evaluation from a
+// context node does no string hashing and no per-run setup: every algorithm,
+// the nested loop included, runs on int32 ranks against the tree's columns
+// and answers in ranks (AppendRanks, AppendFirst); nodes appear only when a
+// caller asks for bindings (EvalCtx).
 //
-// A Prepared is immutable and safe for concurrent Eval/EvalFirst calls from
-// many goroutines (the evaluation scratch comes from internal pools).
+// A Prepared is immutable and safe for concurrent evaluation from many
+// goroutines (the evaluation scratch comes from internal pools).
 type Prepared struct {
 	alg Algorithm
 	ix  *xmlstore.Index
-	pat *pattern.Pattern
 
 	fields    []string // output fields, root-to-leaf (cached: OutputFields walks)
 	childOnly bool     // spine has child/attribute/self steps only
@@ -91,51 +91,44 @@ func chainStream(chain []cstep) int {
 	return n
 }
 
-// Prepare resolves pat against ix for evaluation under alg. The index may be
-// nil only for algorithms that never touch streams (pure nested-loop
-// evaluation).
+// Prepare resolves pat against ix for evaluation under alg.
 func Prepare(alg Algorithm, ix *xmlstore.Index, pat *pattern.Pattern) (*Prepared, error) {
 	if err := checkPattern(pat); err != nil {
 		return nil, err
 	}
 	// A deferred snapshot member loads and validates here, on its first
-	// preparation — the error-returning boundary every kernel path passes
+	// preparation — the error-returning boundary every evaluation passes
 	// through, so a corrupt member turns into a query error instead of a
 	// fault inside a join loop.
-	if ix != nil {
-		if err := ix.Ensure(); err != nil {
-			return nil, err
-		}
+	if err := ix.Ensure(); err != nil {
+		return nil, err
 	}
-	p := &Prepared{alg: alg, ix: ix, pat: pat}
+	p := &Prepared{alg: alg, ix: ix, cols: ix.Tree.Cols}
 	p.fields = pat.OutputFields()
 	p.childOnly = spineChildOnly(pat.Root)
-	if ix != nil && alg != NestedLoop {
-		p.cols = ix.Tree.Cols
-		p.spine = compileChain(ix, pat.Root)
-		// The conjunctive emptiness proof: one required step with an empty
-		// document-wide stream means no binding can exist anywhere in this
-		// document, so the kernels never need to run (generalizes the
-		// corpus layer's name-presence skip to counts). Plain NestedLoop
-		// stays fully general — it is the differential oracle — so only the
-		// other algorithms, Auto included, take the skip.
-		p.empty = provablyEmpty(p.spine)
-		if _, single := pat.SingleOutput(); single {
-			switch {
-			case (alg == Staircase || alg == Auto) && scSupported(pat.Root):
-				p.kernel = scEval
-			case alg == Twig && twigSupported(pat.Root):
-				p.kernel = twigEval
-			case alg == Streaming && streamSupported(pat):
-				p.kernel = streamEval
-			}
+	p.spine = compileChain(ix, pat.Root)
+	if alg == NestedLoop {
+		// Plain NestedLoop stays fully general — it is the differential
+		// oracle — so it takes neither the emptiness skip nor a kernel.
+		return p, nil
+	}
+	// The conjunctive emptiness proof: one required step with an empty
+	// document-wide stream means no binding can exist anywhere in this
+	// document, so the kernels never need to run (generalizes the corpus
+	// layer's name-presence skip to counts).
+	p.empty = provablyEmpty(p.spine)
+	if _, single := pat.SingleOutput(); single {
+		switch {
+		case (alg == Staircase || alg == Auto) && scSupported(pat.Root):
+			p.kernel = scEval
+		case alg == Twig && twigSupported(pat.Root):
+			p.kernel = twigEval
+		case alg == Streaming && streamSupported(pat):
+			p.kernel = streamEval
 		}
 	}
 	return p, nil
 }
-
-// Pattern returns the prepared pattern.
-func (p *Prepared) Pattern() *pattern.Pattern { return p.pat }
 
 // OutputFields returns the pattern's output fields, root-to-leaf, resolved
 // once at preparation time.
@@ -144,84 +137,57 @@ func (p *Prepared) OutputFields() []string { return p.fields }
 // AppendRanks appends every binding of the pattern from context node ctx to
 // dst as int32 pre ranks in ctx's tree — len(OutputFields()) ranks per
 // binding, root-to-leaf — and returns the extended slice. It is the one exit
-// of the set-at-a-time kernels: they finish in a pooled arena of ranks and
-// copy the final list out here, so no node is touched and, when dst has
-// room, nothing is allocated. Patterns outside the algorithm's fragment fall
-// back to nested-loop evaluation, which is fully general and converts its
-// node bindings on the way out.
+// of every algorithm: the set-at-a-time kernels finish in a pooled arena of
+// ranks and copy the final list out here, in document order; the nested
+// loop, which also takes the patterns outside the selected algorithm's
+// fragment, appends its bindings in lexical order as it meets them. No node
+// is touched and, when dst has room, nothing is allocated.
 //
-// The kernels poll ec at bounded intervals and bail out once it stops. A
-// stopped evaluation appends a partial (possibly empty) result — callers that
-// thread a non-nil ec must check ec.Err() afterwards and discard the ranks on
-// stop (the physical operator layer does exactly that).
+// Every algorithm polls ec at bounded intervals and bails out once it stops.
+// A stopped evaluation appends a partial (possibly empty) result — callers
+// that thread a non-nil ec must check ec.Err() afterwards and discard the
+// ranks on stop (the physical operator layer does exactly that).
 func (p *Prepared) AppendRanks(ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int32 {
-	if p.empty {
+	switch {
+	case p.empty:
 		return dst
-	}
-	if p.kernel == nil {
-		return nlRanks(ec, ctx, p.pat, dst)
+	case p.kernel == nil:
+		return p.nlAppend(ec, ctx, dst, false)
 	}
 	return p.kernel(p, ec, ctx, dst)
 }
 
-// Eval returns every binding of the pattern from context node ctx.
-func (p *Prepared) Eval(ctx *xdm.Node) []Binding { return p.EvalCtx(nil, ctx) }
+// AppendFirst appends to dst bindings from context node ctx among which is
+// the first in document order; the caller takes it by ordering what was
+// appended (the TupleTreePattern operator's sort and keepFirst). Under
+// NestedLoop and Auto, a spine of child and attribute steps takes the nested
+// loop's cursor-style early exit and appends that binding alone (§5.3): its
+// results cannot nest, so the lexically first binding is the document-order
+// first. Everywhere else it appends what AppendRanks appends — the
+// set-at-a-time algorithms evaluate fully, and that cost difference is
+// precisely the paper's §5.3 observation. It has AppendRanks'
+// partial-result contract.
+func (p *Prepared) AppendFirst(ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int32 {
+	if p.childOnly && !p.empty && (p.alg == NestedLoop || p.alg == Auto) {
+		return p.nlAppend(ec, ctx, dst, true)
+	}
+	return p.AppendRanks(ec, ctx, dst)
+}
 
-// EvalCtx is AppendRanks resolved to nodes: each rank becomes its tree's
-// node (Tree.Node, built on first request) and is viewed as a binding. The
-// nested loop's bindings are returned as they are. A stopped evaluation has
+// EvalCtx is AppendRanks resolved to nodes, the join layer's one node-shaped
+// exit: each rank becomes its tree's node (Tree.Node, built on first
+// request), grouped len(OutputFields()) per binding. A stopped evaluation has
 // AppendRanks' partial-result contract.
 func (p *Prepared) EvalCtx(ec *execctx.Ctx, ctx *xdm.Node) []Binding {
-	if p.kernel == nil && !p.empty {
-		return nlEval(ec, ctx, p.pat)
-	}
 	ranks := p.AppendRanks(ec, ctx, nil)
 	nodes := make([]*xdm.Node, len(ranks))
 	for i, r := range ranks {
 		nodes[i] = p.ix.Tree.Node(r)
 	}
-	return wrapNodes(nodes)
-}
-
-// EvalFirst returns the first binding in document order, allowing the
-// nested-loop algorithm its cursor-style early exit (§5.3). The
-// set-at-a-time algorithms evaluate fully and take the head — that cost
-// difference is precisely the paper's §5.3 observation. The early exit is
-// only taken for child/attribute-only spines, where the nested loop's
-// lexical first binding is also the document-order first.
-func (p *Prepared) EvalFirst(ctx *xdm.Node) (Binding, bool) { return p.EvalFirstCtx(nil, ctx) }
-
-// EvalFirstCtx is EvalFirst under an execution context, with the same
-// partial-result contract as EvalCtx.
-func (p *Prepared) EvalFirstCtx(ec *execctx.Ctx, ctx *xdm.Node) (Binding, bool) {
-	alg := p.alg
-	if p.empty {
-		return nil, false
+	nf := len(p.fields)
+	bs := make([]Binding, 0, len(nodes)/max(nf, 1))
+	for i := 0; i < len(nodes); i += nf {
+		bs = append(bs, nodes[i:i+nf:i+nf])
 	}
-	if alg == Auto && p.childOnly {
-		// First-match over a non-nesting spine: the §5.3 heuristic —
-		// always take the nested loop's cursor-style early exit.
-		alg = NestedLoop
-	}
-	if alg == NestedLoop && p.childOnly {
-		var spine []cstep
-		if p.spine != nil && ctx.Doc == p.ix.Tree {
-			spine = p.spine
-		}
-		return nlFirst(ec, ctx, p.pat, spine)
-	}
-	if p.kernel != nil {
-		// The head of the kernel's ranks is the only node built: the rest
-		// are never delivered.
-		ranks := p.AppendRanks(ec, ctx, nil)
-		if len(ranks) == 0 {
-			return nil, false
-		}
-		return Binding{p.ix.Tree.Node(ranks[0])}, true
-	}
-	all := nlEval(ec, ctx, p.pat)
-	if len(all) == 0 {
-		return nil, false
-	}
-	return all[0], true
+	return bs
 }

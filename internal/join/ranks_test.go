@@ -21,7 +21,7 @@ func TestAppendRanksMultiOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want []int32
-		for _, b := range p.Eval(ix.Tree.RootNode()) {
+		for _, b := range p.EvalCtx(nil, ix.Tree.RootNode()) {
 			if len(b) != 2 {
 				t.Fatalf("%s: binding width %d, want 2", alg, len(b))
 			}
@@ -36,9 +36,10 @@ func TestAppendRanksMultiOutput(t *testing.T) {
 	}
 }
 
-// A kernel's tail allocates no []*Node — and nothing else: SCJoin, alone or
-// as Auto's choice, finishes in its pooled arena and copies the ranks into
-// the caller's slice, so a call into a slice with room allocates nothing and
+// An algorithm's tail allocates no []*Node — and nothing else: SCJoin, alone
+// or as Auto's choice, finishes in its pooled arena and copies the ranks into
+// the caller's slice, and the nested loop navigates ranks with its recursion
+// state from a pool, so a call into a slice with room allocates nothing and
 // never forces the tree's nodes.
 func TestAppendRanksAllocatesNothing(t *testing.T) {
 	if raceEnabled {
@@ -48,7 +49,7 @@ func TestAppendRanksAllocatesNothing(t *testing.T) {
 	root := ix.Tree.RootNode()
 	pat := chain("dot", st(xdm.AxisDescendant, "person"), st(xdm.AxisChild, "name"))
 	pat.Root.Preds = append(pat.Root.Preds, st(xdm.AxisChild, "emailaddress"))
-	for _, alg := range []Algorithm{Staircase, Auto} {
+	for _, alg := range []Algorithm{NestedLoop, Staircase, Auto} {
 		p, err := Prepare(alg, ix, pat)
 		if err != nil {
 			t.Fatal(err)

@@ -65,7 +65,7 @@ func streamEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int3
 		// Absurdly deep pattern: fall back to the nested loop's bindings, put
 		// into the order the scan would have met them in.
 		start := len(dst)
-		dst = nlRanks(ec, ctx, p.pat, dst)
+		dst = p.nlAppend(ec, ctx, dst, false)
 		slices.Sort(dst[start:])
 		return dst[:start+len(dedupRanks(dst[start:]))]
 	}

@@ -69,7 +69,7 @@ func TestStreamingAgreementProperty(t *testing.T) {
 		cur.Out = "out"
 		pat := pattern.New("dot", first)
 
-		nl, err := Eval(NestedLoop, ix, ctx, pat)
+		nl, err := eval(NestedLoop, ix, ctx, pat)
 		if err != nil {
 			return false
 		}
@@ -77,7 +77,7 @@ func TestStreamingAgreementProperty(t *testing.T) {
 		for _, b := range nl {
 			ref[b[0]] = true
 		}
-		got, err := Eval(Streaming, ix, ctx, pat)
+		got, err := eval(Streaming, ix, ctx, pat)
 		if err != nil {
 			return false
 		}

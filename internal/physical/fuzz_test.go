@@ -36,10 +36,15 @@ func (g *qgen) freshVar() string {
 	return fmt.Sprintf("v%d", g.counter)
 }
 
-// genQuery produces a top-level expression.
+// genQuery produces a top-level expression. One in three is the filter
+// (path)[k], k ∈ {1, 2}: over a path whose matches can nest, the head of
+// (path) is the document-order first, not the nested loop's first binding.
 func (g *qgen) genQuery(depth int) string {
 	if depth <= 0 {
 		return g.genPath(depth)
+	}
+	if g.rng.Intn(3) == 0 {
+		return fmt.Sprintf("(%s)[%d]", g.genPath(depth), 1+g.rng.Intn(2))
 	}
 	switch g.rng.Intn(10) {
 	case 0:

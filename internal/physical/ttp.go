@@ -196,27 +196,20 @@ func (o *opTTP) bind(rs *RunState) (*rankTable, error) {
 		}
 		ctxs = rs.fr[o.tmp]
 	}
-	var err error
-	switch {
-	case o.first && len(ctxs) == 1:
-		// First-match from one context node: the prepared join's cursor-style
-		// early exit (§5.3) where the algorithm has one.
-		err = o.eachContext(rt, ctxs, ps.ends, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
-			if b, found := prep.EvalFirstCtx(rt.EC, ctx); found {
-				for _, n := range b {
-					t.ranks = append(t.ranks, int32(n.Pre))
-				}
-				t.seal(fi, ctx.Doc)
-			}
-		})
-	default:
-		err = o.eachContext(rt, ctxs, ps.ends, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
-			if !rt.EC.Stopped() {
-				t.ranks = prep.AppendRanks(rt.EC, ctx, t.ranks)
-				t.seal(fi, ctx.Doc)
-			}
-		})
-	}
+	err := o.eachContext(rt, ctxs, ps.ends, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
+		switch {
+		case rt.EC.Stopped():
+			return
+		case o.first:
+			// First-match: the prepared join's cursor-style early exit
+			// (§5.3) where it has one; the sort and keepFirst below pick
+			// the document-order first of whatever it appends.
+			t.ranks = prep.AppendFirst(rt.EC, ctx, t.ranks)
+		default:
+			t.ranks = prep.AppendRanks(rt.EC, ctx, t.ranks)
+		}
+		t.seal(fi, ctx.Doc)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,6 @@
 package xdm
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Axis is an XPath axis. Tree patterns use the forward subset (child,
 // descendant, descendant-or-self, attribute, self); the navigational
@@ -148,9 +145,8 @@ func (t NodeTest) String() string {
 // RankTest is a node test compiled against one tree: the name resolved to
 // its interned symbol, the principal node kind fixed by the axis. It tests a
 // rank on the columns — at most two integer compares — so a candidate is
-// accepted or rejected before any node is built for it. The join kernels
-// compile one per pattern step; Step and the nested loop's cursor one per
-// call.
+// accepted or rejected before any node is built for it. The join algorithms,
+// the nested loop included, compile one per pattern step; Step one per call.
 type RankTest struct {
 	kind      TestKind
 	principal Kind // element, or attribute on the attribute axis
@@ -193,99 +189,120 @@ func (m RankTest) Matches(c *Cols, r int32) bool {
 }
 
 // Step performs a navigational axis step from a single context node and
-// returns the matching nodes in document order, duplicate-free. This is the
-// primitive that nested-loop evaluation (TreeJoin / NLJoin) is built from.
-// The axes are rank arithmetic over the context's tree columns, and a node
-// is built for each match only; a detached node (no tree) has no axes.
+// returns the matching nodes in document order, duplicate-free: EachStepRank
+// with a node built for each match only. A detached node (no tree) has no
+// axes.
 func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
-	return appendStep([]*Node(nil), ctx, axis, test, func(n *Node) *Node { return n })
+	var out []*Node
+	if t := ctx.Doc; t != nil {
+		EachStepRank(t.Cols, int32(ctx.Pre), axis, test.On(axis, t), func(p int32) bool {
+			out = append(out, t.Node(p))
+			return true
+		})
+	}
+	return out
 }
 
 // AppendStep is Step appending its matches to dst.
 func AppendStep(dst Sequence, ctx *Node, axis Axis, test NodeTest) Sequence {
-	return appendStep(dst, ctx, axis, test, func(n *Node) Item { return n })
+	if t := ctx.Doc; t != nil {
+		EachStepRank(t.Cols, int32(ctx.Pre), axis, test.On(axis, t), func(p int32) bool {
+			dst = append(dst, t.Node(p))
+			return true
+		})
+	}
+	return dst
 }
 
-// appendStep appends the matches of the step to out, each as elem(node).
-func appendStep[E any](out []E, ctx *Node, axis Axis, test NodeTest, elem func(*Node) E) []E {
-	t := ctx.Doc
-	if t == nil {
-		return out
-	}
-	m := test.On(axis, t)
+// EachStepRank performs the axis step from rank r of the columns c: it calls
+// yield with every rank the step selects and m accepts, in document order and
+// duplicate-free, until yield returns false. The axes are rank arithmetic
+// over the region encoding and no node is built: this is the primitive that
+// nested-loop evaluation (TreeJoin / NLJoin) navigates by.
+func EachStepRank(c *Cols, r int32, axis Axis, m RankTest, yield func(int32) bool) {
 	if m.Empty() {
-		return out
+		return
 	}
-	c := t.Cols
-	r := int32(ctx.Pre)
-	start := len(out)
-	add := func(p int32) {
-		if m.Matches(c, p) {
-			out = append(out, elem(t.Node(p)))
-		}
-	}
+	try := func(p int32) bool { return !m.Matches(c, p) || yield(p) }
 	switch axis {
 	case AxisChild:
 		for ch := c.FirstChild(r); ch <= c.End(r); ch = c.NextSibling(ch) {
-			add(ch)
+			if !try(ch) {
+				return
+			}
 		}
 	case AxisDescendant, AxisDescendantOrSelf:
-		if axis == AxisDescendantOrSelf {
-			add(r)
+		if axis == AxisDescendantOrSelf && !try(r) {
+			return
 		}
 		for d := r + 1; d <= c.End(r); d++ {
-			if Kind(c.Kind[d]) != AttributeNode {
-				add(d)
+			if Kind(c.Kind[d]) != AttributeNode && !try(d) {
+				return
 			}
 		}
 	case AxisAttribute:
 		for a := r + 1; a <= c.End(r) && Kind(c.Kind[a]) == AttributeNode; a++ {
-			add(a)
+			if !try(a) {
+				return
+			}
 		}
 	case AxisSelf:
-		add(r)
+		try(r)
 	case AxisParent:
 		if p := c.Parent[r]; p >= 0 {
-			add(p)
+			try(p)
 		}
 	case AxisAncestor, AxisAncestorOrSelf:
+		// The parent chain runs bottom-up: collect the matches, then yield
+		// them top-down.
+		var buf [32]int32
+		anc := buf[:0]
 		p := c.Parent[r]
 		if axis == AxisAncestorOrSelf {
 			p = r
 		}
 		for ; p >= 0; p = c.Parent[p] {
-			add(p)
+			if m.Matches(c, p) {
+				anc = append(anc, p)
+			}
 		}
-		slices.Reverse(out[start:])
+		for i := len(anc) - 1; i >= 0; i-- {
+			if !yield(anc[i]) {
+				return
+			}
+		}
 	case AxisFollowingSibling, AxisPrecedingSibling:
 		p := c.Parent[r]
 		if p < 0 || Kind(c.Kind[r]) == AttributeNode {
-			return out
+			return
 		}
 		if axis == AxisFollowingSibling {
 			for s := c.NextSibling(r); s <= c.End(p); s = c.NextSibling(s) {
-				add(s)
+				if !try(s) {
+					return
+				}
 			}
 		} else {
 			for s := c.FirstChild(p); s < r; s = c.NextSibling(s) {
-				add(s)
+				if !try(s) {
+					return
+				}
 			}
 		}
 	case AxisFollowing:
-		// All nodes after the end of ctx's region, in document order
+		// All nodes after the end of r's region, in document order
 		// (attributes are not on the following axis).
 		for f := c.End(r) + 1; int(f) < len(c.Kind); f++ {
-			if Kind(c.Kind[f]) != AttributeNode {
-				add(f)
+			if Kind(c.Kind[f]) != AttributeNode && !try(f) {
+				return
 			}
 		}
 	case AxisPreceding:
-		// All nodes strictly before ctx that are not its ancestors.
+		// All nodes strictly before r that are not its ancestors.
 		for p := int32(1); p < r; p++ {
-			if Kind(c.Kind[p]) != AttributeNode && !c.Contains(p, r) {
-				add(p)
+			if Kind(c.Kind[p]) != AttributeNode && !c.Contains(p, r) && !try(p) {
+				return
 			}
 		}
 	}
-	return out
 }

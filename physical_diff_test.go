@@ -42,8 +42,8 @@ func sameItems(a, b Sequence) error {
 }
 
 // The physical executor under every set-at-a-time algorithm and the cost
-// based chooser matches the pointer-based nested-loop oracle item for item,
-// on every corpus query over both document families.
+// based chooser matches the nested-loop oracle item for item, on every
+// corpus query over both document families.
 func TestPhysicalDifferentialCorpus(t *testing.T) {
 	docs := []struct {
 		name string
@@ -146,4 +146,36 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// A first-match filter must return the document-order first of its path,
+// under every algorithm. On this document the nested loop meets the matches
+// of //a/b and //b/parent::a out of document order (the outer a's child b
+// before the inner a's), so its lexically first binding is not the answer
+// unless the spine is child-only.
+func TestFirstMatchIsDocumentOrderFirst(t *testing.T) {
+	doc, err := LoadXMLString(`<r><a><a><b>1</b></a><b>2</b></a></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{`($d//a/b)[1]`, `($d//b/parent::a)[1]`, `($d//a//b)[1]`, `($d//b/ancestor::a)[1]`} {
+		std, err := PrepareWithOptions(text, StandardEngineOptions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := std.Run(doc, NestedLoop)
+		if err != nil || len(want) != 1 {
+			t.Fatalf("%s: standard engine %v, %v", text, want, err)
+		}
+		q := MustPrepare(text)
+		for _, alg := range []Algorithm{NestedLoop, Staircase, Twig, Streaming, Auto} {
+			got, err := q.Run(doc, alg)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", text, alg, err)
+			}
+			if err := sameItems(want, got); err != nil {
+				t.Errorf("%s/%v: %v (standard engine first)", text, alg, err)
+			}
+		}
+	}
 }
