@@ -39,8 +39,8 @@ func LoadCorpusFiles(paths []string, workers int) (*Corpus, error) {
 }
 
 // LoadCorpus ingests in-memory or file-backed sources, workers as in
-// LoadCorpusFiles. As with LoadXMLBytes, the corpus takes ownership of the
-// data slices.
+// LoadCorpusFiles. As with LoadXMLBytes, the corpus keeps no reference to
+// the data slices: the caller may reuse them once LoadCorpus returns.
 func LoadCorpus(sources []CorpusSource, workers int) (*Corpus, error) {
 	c, err := collection.Ingest(internalSources(sources), workers)
 	if err != nil {

@@ -397,6 +397,42 @@ func TestStandaloneDocumentIsOneMemberCorpus(t *testing.T) {
 	}
 }
 
+// LoadCorpus keeps no reference to its sources' data: overwriting every
+// input byte once it returns leaves each member as a corpus loaded from
+// copies serializes it.
+func TestLoadCorpusRetainsNoInput(t *testing.T) {
+	srcs := genCorpusSources(6, 11)
+	srcs = append(srcs, CorpusSource{
+		URI: "mem://entities.xml",
+		Data: []byte(`<r xmlns="urn:d" xmlns:p="urn:p"><p:a p:k="v &amp; w" k="plain">clean<![CDATA[c<d]]>t &lt; u&#x41;</p:a>` +
+			`<b xml:lang="en">text</b><?pi data?><!--note--></r>`),
+	})
+	copies := make([]CorpusSource, len(srcs))
+	for i, s := range srcs {
+		copies[i] = CorpusSource{URI: s.URI, Data: []byte(string(s.Data))}
+	}
+	want, err := LoadCorpus(copies, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Close()
+	got, err := LoadCorpus(srcs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	for _, s := range srcs {
+		for i := range s.Data {
+			s.Data[i] = 'X'
+		}
+	}
+	for i := 0; i < want.Len(); i++ {
+		if w, g := want.DocumentAt(i).XML(), got.DocumentAt(i).XML(); w != g {
+			t.Fatalf("member %d changed after its input was overwritten:\n%s\n%s", i, w, g)
+		}
+	}
+}
+
 // collectSink keeps the items pushed to it (a caller's sink, unlike the
 // default collector, is pushed to item by item).
 type collectSink struct{ items Sequence }

@@ -4,26 +4,44 @@ package xdm
 // of the region encoding is emitted the moment it is known (kind, sym and
 // parent at element open, size at element close), names are interned as
 // they are first seen, and the values of text and attribute nodes are
-// collected in preorder. That is the whole tree — a node is built
+// appended in preorder to one blob. That is the whole tree — a node is built
 // from it only when someone asks for its rank (Tree.Node), so building an
 // n-node tree costs the amortized column appends and nothing per node.
 //
-// The columns, text values and intern table grow in scratch the builder
+// The columns, the text blob and its offsets grow in scratch the builder
 // owns; Finish copies them out at their exact size, so a builder kept across
 // documents stops growing at its largest one and no two trees share memory.
+// Names are the exception: a builder keeps one dictionary for its lifetime,
+// so a name is copied to a string the first time any of its documents uses
+// it, and every later tree's symbol table shares that string (strings are
+// immutable, so sharing them is sharing nothing mutable).
 //
 // The caller drives it like a SAX handler and must respect document order:
 // OpenElement, then that element's Attr calls, then its children (nested
 // OpenElement/CloseElement pairs and Text calls), then CloseElement. The
 // builder itself performs no well-formedness checking beyond what Depth
 // exposes — the xmlstore scanner is responsible for rejecting malformed
-// input before it reaches the builder.
+// input, and a document whose text values outgrow the u32 offsets
+// (TextBytes), before it reaches the builder.
 type TreeBuilder struct {
 	cols    Cols
 	textOrd []int32
-	texts   []string
-	syms    Symbols // scratch intern table
-	open    []int32 // preorder ranks of the open elements, document node first
+	textOff []uint32 // cumulative end of each text value in blob, after a leading 0
+	blob    []byte   // the text values, concatenated in preorder
+	open    []int32  // preorder ranks of the open elements, document node first
+
+	// The name dictionary lives as long as the builder: dict maps each name
+	// seen to its dictionary ID, names[id] is its owned string. The tree in
+	// progress numbers its names densely in first-occurrence order: dictSym
+	// maps a dictionary ID to the tree symbol, NoSym until the tree uses
+	// it, and symDict and symNames map a tree symbol back to its dictionary
+	// ID and its name. symDict is also the list of dictSym entries to reset
+	// when the tree is done.
+	dict     map[string]int32
+	names    []string
+	dictSym  []Sym
+	symDict  []int32
+	symNames []string
 }
 
 // minNodeHint floors the column capacity so tiny documents do not start
@@ -44,26 +62,51 @@ func NewTreeBuilder(nodeHint int) *TreeBuilder {
 			Sym:    make([]int32, 0, nodeHint),
 		},
 		textOrd: make([]int32, 0, nodeHint),
-		syms:    *newSymbols(),
+		textOff: make([]uint32, 1, nodeHint),
 		open:    make([]int32, 0, 32),
+		dict:    make(map[string]int32),
 	}
 	b.Reset()
 	return b
 }
 
-// Reset discards the tree in progress, keeping the scratch's capacity, and
-// opens a fresh document node. The scratch keeps no text value afterwards,
-// so it holds no reference into the previous document's input.
+// Reset discards the tree in progress, keeping the scratch's capacity and
+// the name dictionary, and opens a fresh document node. The scratch holds
+// no reference into the previous document's input.
 func (b *TreeBuilder) Reset() {
 	c := &b.cols
 	c.Size, c.Parent, c.Kind, c.Sym = c.Size[:0], c.Parent[:0], c.Kind[:0], c.Sym[:0]
 	b.textOrd = b.textOrd[:0]
-	clear(b.texts)
-	clear(b.syms.byName)
-	clear(b.syms.names)
-	b.texts, b.syms.names = b.texts[:0], b.syms.names[:0]
+	b.textOff, b.blob = b.textOff[:1], b.blob[:0]
+	for _, id := range b.symDict {
+		b.dictSym[id] = NoSym
+	}
+	b.symDict, b.symNames = b.symDict[:0], b.symNames[:0]
 	b.open = b.open[:0]
 	b.open = append(b.open, b.add(DocumentNode, NoSym))
+}
+
+// intern returns the tree symbol of name (still in the scanner's buffer).
+// The dictionary lookup on string(name) does not allocate (the compiler
+// recognizes the pattern); the name is copied to a string only the first
+// time the builder ever sees it.
+func (b *TreeBuilder) intern(name []byte) Sym {
+	id, ok := b.dict[string(name)]
+	if !ok {
+		id = int32(len(b.names))
+		owned := string(name)
+		b.dict[owned] = id
+		b.names = append(b.names, owned)
+		b.dictSym = append(b.dictSym, NoSym)
+	}
+	s := b.dictSym[id]
+	if s == NoSym {
+		s = Sym(len(b.symDict))
+		b.dictSym[id] = s
+		b.symDict = append(b.symDict, id)
+		b.symNames = append(b.symNames, b.names[id])
+	}
+	return s
 }
 
 // add emits the open-time column values of the next node in preorder, a
@@ -80,27 +123,34 @@ func (b *TreeBuilder) add(kind Kind, sym Sym) int32 {
 	c.Parent = append(c.Parent, parent)
 	c.Kind = append(c.Kind, uint8(kind))
 	c.Sym = append(c.Sym, int32(sym))
-	b.textOrd = append(b.textOrd, int32(len(b.texts)))
+	b.textOrd = append(b.textOrd, int32(len(b.textOff)-1))
 	return pre
 }
 
-// leaf emits a text-bearing node: no subtree, so it is complete at once.
+// leaf emits a text-bearing node: no subtree, so it is complete at once. Its
+// value is copied into the blob, so it need not outlive the call.
 func (b *TreeBuilder) leaf(kind Kind, sym Sym, value string) {
 	b.add(kind, sym)
-	b.texts = append(b.texts, value)
+	b.blob = append(b.blob, value...)
+	b.textOff = append(b.textOff, uint32(len(b.blob)))
 }
+
+// TextBytes returns the bytes of text values the tree in progress holds.
+// The offsets into them are u32: a caller must stop before this passes
+// math.MaxUint32.
+func (b *TreeBuilder) TextBytes() int { return len(b.blob) }
 
 // OpenElement starts an element named name (still in the scanner's buffer;
 // interned here) as the next child of the current open element.
 func (b *TreeBuilder) OpenElement(name []byte) {
-	b.open = append(b.open, b.add(ElementNode, b.syms.internBytes(name)))
+	b.open = append(b.open, b.add(ElementNode, b.intern(name)))
 }
 
 // Attr adds an attribute to the current open element. Attributes must be
 // added before any of the element's children, matching their position in
 // the preorder numbering (directly after the owner, before its children).
 func (b *TreeBuilder) Attr(name []byte, value string) {
-	b.leaf(AttributeNode, b.syms.internBytes(name), value)
+	b.leaf(AttributeNode, b.intern(name), value)
 }
 
 // Text adds a text node under the current open element.
@@ -120,12 +170,17 @@ func (b *TreeBuilder) Depth() int { return len(b.open) - 1 }
 // CurrentName returns the name of the innermost open element, "" at the
 // document level (the scanner's end-tag matching and error messages).
 func (b *TreeBuilder) CurrentName() string {
-	return b.syms.Name(Sym(b.cols.Sym[b.open[len(b.open)-1]]))
+	s := b.cols.Sym[b.open[len(b.open)-1]]
+	if s < 0 {
+		return ""
+	}
+	return b.symNames[s]
 }
 
 // Finish closes the document node and returns the completed tree: the four
 // int32 columns (the text ordinal included) cut from one exactly-sized slab,
-// the kinds, text values and symbol table each at their exact size. All
+// the kinds, the text offsets, the text blob (one string) and the symbol
+// table each at their exact size, the table's names the dictionary's. All
 // elements must have been closed (Depth() == 0); the tree must not be
 // mutated afterwards. The builder is Reset, ready for the next tree.
 func (b *TreeBuilder) Finish() *Tree {
@@ -140,12 +195,13 @@ func (b *TreeBuilder) Finish() *Tree {
 	}
 	t := &Tree{
 		ID:   int(nextTreeID.Add(1)),
-		Syms: symbolsOf(exact(b.syms.names)),
+		Syms: symbolsOf(exact(b.symNames)),
 		Cols: &Cols{
 			Size: cut(0, c.Size), Parent: cut(1, c.Parent), Sym: cut(2, c.Sym), Kind: exact(c.Kind),
 		},
-		texts:   exact(b.texts),
-		textOrd: cut(3, b.textOrd),
+		textOrd:  cut(3, b.textOrd),
+		textOff:  exact(b.textOff),
+		textBlob: string(b.blob),
 	}
 	b.Reset()
 	return t

@@ -73,11 +73,14 @@ type Tree struct {
 	Syms *Symbols // interned element/attribute names (immutable once built)
 	Cols *Cols    // structure-of-arrays region encoding, indexed by Pre
 
-	texts   []string     // values of the text and attribute nodes, in preorder
-	textOrd []int32      // per rank: the text-bearing nodes before it (derived, never stored)
-	load    func() error // shell trees: fills Cols/Syms/texts on first use
-	once    sync.Once    // gates load and the document node
-	root    *Node        // the document node, built by force
+	// The values of the text and attribute nodes, in preorder, as the
+	// snapshot stores them: value i is textBlob[textOff[i]:textOff[i+1]].
+	textOff  []uint32
+	textBlob string
+	textOrd  []int32      // per rank: the text-bearing nodes before it (derived, never stored)
+	load     func() error // shell trees: fills Cols/Syms/the text table on first use
+	once     sync.Once    // gates load and the document node
+	root     *Node        // the document node, built by force
 	// ids is the identity table, one slot per rank, allocated on the first
 	// request for a rank other than 0 (Finalize: the adopted nodes); a slot
 	// is published by CAS so racing first requests agree on one node.
@@ -111,10 +114,10 @@ func (t *Tree) poison() {
 	b.OpenElement(nil)
 	b.CloseElement()
 	p := b.Finish()
-	t.Cols, t.Syms, t.texts, t.textOrd = p.Cols, p.Syms, nil, p.textOrd
+	t.Cols, t.Syms, t.textOff, t.textBlob, t.textOrd = p.Cols, p.Syms, p.textOff, p.textBlob, p.textOrd
 }
 
-// NewShellTree returns an empty tree whose columns, symbols and text values
+// NewShellTree returns an empty tree whose columns, symbols and text table
 // arrive later through load. The snapshot loader builds one shell per member
 // at open time: the shell gives the corpus layer a stable identity (tree
 // pointer and ID, the keys of the catalog and preparation caches) while the
@@ -197,13 +200,17 @@ func (t *Tree) Nodes() []*Node {
 }
 
 // Text returns the value of the text-bearing (text or attribute) node at
-// rank r.
-func (t *Tree) Text(r int32) string { return t.texts[t.textOrd[r]] }
+// rank r: a slice of the text blob, no copy.
+func (t *Tree) Text(r int32) string {
+	i := t.textOrd[r]
+	return t.textBlob[t.textOff[i]:t.textOff[i+1]]
+}
 
-// TextValues returns the values of the text-bearing nodes (text and
-// attribute nodes) in preorder — what the snapshot writer stores beside the
-// columns. It never builds a node.
-func (t *Tree) TextValues() []string { return t.texts }
+// TextTable returns the values of the text-bearing nodes (text and attribute
+// nodes) in preorder as the snapshot stores them: cumulative offsets that
+// start at 0, one more than there are values, and the blob they index. Both
+// are shared and must not be modified. It never builds a node.
+func (t *Tree) TextTable() (off []uint32, blob string) { return t.textOff, t.textBlob }
 
 // Cols is the tree's region encoding as structure-of-arrays: one flat column
 // per field, all indexed by preorder rank. The columns are the native
@@ -284,6 +291,12 @@ func Finalize(root *Node) *Tree {
 	doc.AppendChild(root)
 	t := &Tree{root: doc, ID: int(nextTreeID.Add(1)), Syms: newSymbols()}
 	var nodes []*Node
+	var blob []byte
+	textOff := []uint32{0}
+	addText := func(s string) {
+		blob = append(blob, s...)
+		textOff = append(textOff, uint32(len(blob)))
+	}
 	pre := 0
 	var walk func(n *Node)
 	walk = func(n *Node) {
@@ -296,7 +309,7 @@ func Finalize(root *Node) *Tree {
 			n.Sym = NoSym
 		}
 		if n.Kind == TextNode {
-			t.texts = append(t.texts, n.Text)
+			addText(n.Text)
 		}
 		pre++
 		nodes = append(nodes, n)
@@ -307,7 +320,7 @@ func Finalize(root *Node) *Tree {
 			a.Size = 0
 			pre++
 			nodes = append(nodes, a)
-			t.texts = append(t.texts, a.Text)
+			addText(a.Text)
 		}
 		for _, c := range n.Children {
 			walk(c)
@@ -315,6 +328,7 @@ func Finalize(root *Node) *Tree {
 		n.Size = pre - n.Pre - 1
 	}
 	walk(doc)
+	t.textOff, t.textBlob = textOff, string(blob)
 	t.adopt(nodes)
 	t.once.Do(func() {}) // the root is the caller's: nothing left to force
 	return t

@@ -7,15 +7,16 @@ import "fmt"
 // member's first use forces its parse, so the tree keeps the pointer
 // identity every cache is keyed on. No region encoding is recomputed;
 // Size/Parent/Kind/Sym come straight from the columns, names resolve
-// through syms, and texts supplies the string values of the text-bearing
-// nodes (text and attribute nodes, in preorder). All three are retained.
+// through syms, and textOff and textBlob are the text table of the
+// text-bearing nodes (text and attribute nodes, in preorder), laid out as
+// Tree.TextTable returns it. All four are retained.
 //
 // The columns are validated structurally here — regions that nest, each
 // parent rank the innermost region around its child, kinds that can nest,
 // symbol bounds — so a corrupted snapshot turns into an error at load time
 // instead of an out-of-range panic inside a join kernel or a column reader.
 // (TreeBuilder output is correct by construction and skips this.)
-func (t *Tree) FillColumns(cols *Cols, syms *Symbols, texts []string) error {
+func (t *Tree) FillColumns(cols *Cols, syms *Symbols, textOff []uint32, textBlob string) error {
 	n := len(cols.Kind)
 	if len(cols.Size) != n || len(cols.Parent) != n || len(cols.Sym) != n {
 		return fmt.Errorf("xdm: column lengths disagree")
@@ -97,8 +98,19 @@ func (t *Tree) FillColumns(cols *Cols, syms *Symbols, texts []string) error {
 			docChildren++
 		}
 	}
-	if nTexts != len(texts) {
-		return fmt.Errorf("xdm: %d text values for %d text-bearing nodes", len(texts), nTexts)
+	if nTexts != len(textOff)-1 {
+		return fmt.Errorf("xdm: %d text values for %d text-bearing nodes", len(textOff)-1, nTexts)
+	}
+	if textOff[0] != 0 {
+		return fmt.Errorf("xdm: text offsets do not start at 0")
+	}
+	for i := 1; i < len(textOff); i++ {
+		if textOff[i] < textOff[i-1] {
+			return fmt.Errorf("xdm: text offset %d decreases", i)
+		}
+	}
+	if int64(textOff[nTexts]) != int64(len(textBlob)) {
+		return fmt.Errorf("xdm: text offsets end at %d, but the blob holds %d bytes", textOff[nTexts], len(textBlob))
 	}
 	if docChildren != 1 {
 		return fmt.Errorf("xdm: document node must hold exactly one root element")
@@ -109,7 +121,7 @@ func (t *Tree) FillColumns(cols *Cols, syms *Symbols, texts []string) error {
 
 	t.Syms = syms
 	t.Cols = cols
-	t.texts = texts
+	t.textOff, t.textBlob = textOff, textBlob
 	t.textOrd = textOrd
 	return nil
 }

@@ -22,7 +22,8 @@ func TestFillColumnsRejectsParentOutsideInnermostRegion(t *testing.T) {
 		c := *src.Cols
 		c.Parent = slices.Clone(c.Parent)
 		c.Parent[3] = parent3
-		return NewShellTree(nil).FillColumns(&c, src.Syms, src.TextValues())
+		off, blob := src.TextTable()
+		return NewShellTree(nil).FillColumns(&c, src.Syms, off, blob)
 	}
 	if err := fill(2); err != nil {
 		t.Fatalf("the builder's own columns: %v", err)

@@ -41,7 +41,7 @@ func NewSymbols(names []string) (*Symbols, error) {
 }
 
 // symbolsOf builds a table over names that are distinct by construction (a
-// builder's intern scratch), sizing its map exactly. The slice is retained.
+// builder's tree symbols), sizing its map exactly. The slice is retained.
 func symbolsOf(names []string) *Symbols {
 	st := &Symbols{byName: make(map[string]Sym, len(names)), names: names, plain: true}
 	for i, n := range names {
@@ -90,21 +90,6 @@ func (st *Symbols) intern(name string) Sym {
 	st.byName[name] = s
 	st.names = append(st.names, name)
 	st.plain = st.plain && plainName(name)
-	return s
-}
-
-// internBytes is intern for a name still sitting in a scanner's input
-// buffer. The map lookup on string(name) does not allocate (the compiler
-// recognizes the pattern); the name is copied to a string only on first
-// occurrence, so a scan interns each distinct tag exactly once.
-func (st *Symbols) internBytes(name []byte) Sym {
-	if s, ok := st.byName[string(name)]; ok {
-		return s
-	}
-	s := Sym(len(st.names))
-	owned := string(name)
-	st.byName[owned] = s
-	st.names = append(st.names, owned)
 	return s
 }
 

@@ -53,8 +53,10 @@ func requireTreesEqual(t *testing.T, want, got *xdm.Tree) {
 			t.Fatalf("symbol %d: fast %q, std %q", s, got.Syms.Name(xdm.Sym(s)), want.Syms.Name(xdm.Sym(s)))
 		}
 	}
-	if !slices.Equal(want.TextValues(), got.TextValues()) {
-		t.Fatalf("text values: fast %q, std %q", got.TextValues(), want.TextValues())
+	wOff, wBlob := want.TextTable()
+	gOff, gBlob := got.TextTable()
+	if !slices.Equal(wOff, gOff) || wBlob != gBlob {
+		t.Fatalf("text table: fast %v %q, std %v %q", gOff, gBlob, wOff, wBlob)
 	}
 	wc, gc := want.Cols, got.Cols
 	for pre := range wc.Kind {

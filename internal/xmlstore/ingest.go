@@ -2,12 +2,12 @@ package xmlstore
 
 // The ingest fast path: a non-validating, zero-copy streaming scan over the
 // raw document bytes feeding the xdm.TreeBuilder. One walk over the input
-// interns tag and attribute names and emits the size/parent/kind/sym
-// columns plus the text values into a Loader's reusable scratch;
-// Finish copies them out at their exact size, and BuildIndex derives the
-// rank streams from the kind/sym columns into one exactly-sized slab. No
-// node is allocated — the tree builds a node from the columns when somebody
-// asks for its rank.
+// interns tag and attribute names in the loader's name dictionary and emits
+// the size/parent/kind/sym columns plus the text blob into a Loader's
+// reusable scratch; Finish copies them out at their exact size, and
+// BuildIndex derives the rank streams from the kind/sym columns into one
+// exactly-sized slab. No node is allocated — the tree builds a node from
+// the columns when somebody asks for its rank.
 //
 // The scanner accepts a superset of what ParseStd accepts (no UTF-8
 // validation, no name-character checks, '<' allowed in attribute values,
@@ -21,6 +21,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"unicode/utf8"
 
@@ -29,25 +30,26 @@ import (
 
 // Ingest scans an XML document held in data and returns its tree (columns,
 // symbols, text values) and index. Whitespace-only text between elements is
-// dropped (data-oriented parsing); mixed content text is preserved. Ingest
-// takes ownership of data: the tree's text and attribute values alias the
-// buffer, so the caller must not modify it afterwards. It is a fresh Loader
-// used once.
+// dropped (data-oriented parsing); mixed content text is preserved. Nothing
+// retains data after Ingest returns: names and text values are copied out,
+// so the caller may reuse it. It is a fresh Loader used once.
 func Ingest(data []byte) (*Index, error) { return new(Loader).Ingest(data) }
 
 // Loader ingests documents one after another through one scratch: the
-// builder's columns, text values and intern table, the entity decode buffer
-// and the attribute spans. Each tree is copied out of the scratch at its
-// exact size, so a loader stops growing at its largest member. A Loader is
-// not safe for concurrent use (the corpus ingest gives each worker its own);
-// the zero value is ready to use.
+// builder's columns and text blob, the entity decode buffer and the
+// attribute spans. Each tree is copied out of the scratch at its exact size,
+// so a loader stops growing at its largest member. The builder's name
+// dictionary lives as long as the loader: a name is copied to a string the
+// first time the loader meets it, and every later member's symbol table
+// shares that string. A Loader is not safe for concurrent use (the corpus
+// ingest gives each worker its own); the zero value is ready to use.
 type Loader struct {
 	in ingester
 }
 
-// Ingest is the package-level Ingest on the loader's scratch. Between calls
-// — after a failure too — the scratch holds no reference into a document's
-// bytes.
+// Ingest is the package-level Ingest on the loader's scratch. As there,
+// nothing retains data after return: between calls — after a failure too —
+// the scratch holds no reference into a document's bytes.
 func (l *Loader) Ingest(data []byte) (*Index, error) {
 	in := &l.in
 	if in.b == nil {
@@ -74,9 +76,8 @@ func IngestReader(r io.Reader) (*Index, error) {
 	return Ingest(data)
 }
 
-// IngestString ingests an XML document held in a string (copy-free: strings
-// are immutable, so the ownership condition of Ingest holds trivially, and
-// the scanner never writes to its input).
+// IngestString ingests an XML document held in a string, scanning the
+// string's bytes in place (the scanner never writes to its input).
 func IngestString(s string) (*Index, error) { return Ingest(stringBytes(s)) }
 
 // ParseString is IngestString for callers that want only the tree.
@@ -217,25 +218,38 @@ func (in *ingester) segment(raw []byte, cdata bool) error {
 		return nil
 	}
 	simple, wsOnly, hasHigh := scanSegment(raw, cdata)
+	var s string
 	if simple {
 		if wsOnly {
 			return nil
 		}
-		s := byteString(raw)
+		s = byteString(raw)
 		if hasHigh && strings.TrimSpace(s) == "" {
 			return nil // non-ASCII Unicode whitespace, e.g. NBSP
 		}
-		in.b.Text(s)
-		return nil
+	} else {
+		var err error
+		if s, err = in.decode(raw, cdata); err != nil {
+			return err
+		}
+		if strings.TrimSpace(s) == "" {
+			return nil
+		}
 	}
-	decoded, err := in.decode(raw, cdata)
-	if err != nil {
+	if err := checkTextBytes(in.b.TextBytes(), len(s)); err != nil {
 		return err
 	}
-	if strings.TrimSpace(decoded) == "" {
-		return nil
+	in.b.Text(s)
+	return nil
+}
+
+// checkTextBytes rejects a text value of add bytes for a document already
+// holding have bytes of text values when the sum would pass MaxUint32: the
+// text table's offsets are u32 and would wrap.
+func checkTextBytes(have, add int) error {
+	if int64(have)+int64(add) > math.MaxUint32 {
+		return fmt.Errorf("xmlstore: text values of one document exceed %d bytes", uint64(math.MaxUint32))
 	}
-	in.b.Text(decoded)
 	return nil
 }
 
@@ -261,7 +275,8 @@ func scanSegment(raw []byte, cdata bool) (simple, wsOnly, hasHigh bool) {
 
 // decode rewrites a segment with entities expanded (unless cdata) and line
 // endings normalized ("\r\n" and "\r" become "\n", matching encoding/xml;
-// decoded character references are exempt).
+// decoded character references are exempt). The result aliases the decode
+// scratch: it is valid until the next decode, and the builder copies it.
 func (in *ingester) decode(raw []byte, cdata bool) (string, error) {
 	buf := in.scratch[:0]
 	for i := 0; i < len(raw); {
@@ -285,7 +300,7 @@ func (in *ingester) decode(raw []byte, cdata bool) (string, error) {
 		}
 	}
 	in.scratch = buf
-	return string(buf), nil
+	return byteString(buf), nil
 }
 
 // startTag parses a start or empty-element tag at pos ('<'). Attribute
@@ -396,6 +411,9 @@ scan:
 		if err != nil {
 			return err
 		}
+		if err := checkTextBytes(in.b.TextBytes(), len(value)); err != nil {
+			return err
+		}
 		in.b.Attr(alocal, value)
 	}
 	if selfClose {
@@ -424,8 +442,8 @@ func (in *ingester) popBindings(depth int) {
 	}
 }
 
-// attrValue materializes an attribute value, aliasing the input when no
-// decoding is needed.
+// attrValue returns an attribute value, aliasing the input when no decoding
+// is needed and the decode scratch (as decode does) when it is.
 func (in *ingester) attrValue(raw []byte) (string, error) {
 	for _, c := range raw {
 		if c == '&' || c == '\r' {

@@ -15,8 +15,9 @@ import (
 )
 
 // byteString returns a string aliasing b without copying. Callers must
-// guarantee that b is never modified afterwards — the ingest entry points
-// take ownership of their input buffer for exactly this reason.
+// guarantee that b is not modified while the string is in use: the scanner
+// hands such strings to the tree builder, which copies them at once, and the
+// snapshot reader to trees that own the snapshot buffer.
 func byteString(b []byte) string {
 	if len(b) == 0 {
 		return ""

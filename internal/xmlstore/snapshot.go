@@ -57,7 +57,8 @@ package xmlstore
 //	              four merged int32 streams (each padded)
 //
 //	string table (count): u32 offsets[count+1] (cumulative, offsets[0]=0),
-//	         then the blob bytes; strings alias the blob on load
+//	         then the blob bytes; strings alias the blob on load, and the
+//	         text table is installed whole (xdm.Tree.TextTable)
 //
 // Version 3 is read, never written: its body also holds a postorder column
 // before Size and a depth column before Parent (a 128-byte directory), which
@@ -234,7 +235,16 @@ func (w *snapWriter) align8() {
 	}
 }
 
-// stringTable writes count strings as cumulative offsets plus one blob.
+// textTable writes a string table held in its stored shape: the cumulative
+// offsets (count+1 of them, from 0), padding, the blob, padding.
+func (w *snapWriter) textTable(off []uint32, blob string) {
+	w.i32s(unsafe.Slice((*int32)(unsafe.Pointer(&off[0])), len(off)))
+	w.align8()
+	w.bytes(stringBytes(blob))
+	w.align8()
+}
+
+// stringTable writes count strings in textTable's layout, one at a time.
 func (w *snapWriter) stringTable(ss []string) {
 	off := uint32(0)
 	w.u32(0)
@@ -325,7 +335,8 @@ func writeMemberDir(w *snapWriter, ix *Index, sect []int64) {
 	t := ix.Tree
 	w.u32(uint32(len(t.Cols.Kind)))
 	w.u32(uint32(t.Syms.Len()))
-	w.u32(uint32(len(t.TextValues())))
+	off, _ := t.TextTable()
+	w.u32(uint32(len(off) - 1))
 	w.u32(0)
 	for _, s := range sect {
 		w.u64(uint64(s))
@@ -335,10 +346,6 @@ func writeMemberDir(w *snapWriter, ix *Index, sect []int64) {
 func writeMemberBody(w *snapWriter, ix *Index) {
 	t := ix.Tree
 	cols := t.Cols
-	// The text-bearing values in preorder — the same order the loader hands
-	// back to FillColumns. The tree stores them beside its columns, so
-	// writing a snapshot never builds a node.
-	texts := t.TextValues()
 	syms := t.Syms.Names()
 	w.mark() // secSymbols
 	w.stringTable(syms)
@@ -351,7 +358,9 @@ func writeMemberBody(w *snapWriter, ix *Index) {
 	w.bytes(cols.Kind)
 	w.align8()
 	w.mark() // secTexts
-	w.stringTable(texts)
+	// The tree keeps its text values as the string table stores them, so
+	// they go out as two arrays, and writing a snapshot never builds a node.
+	w.textTable(t.TextTable())
 	writeStreams(w, ix.elemBySym) // secElemOff, secElemData
 	writeStreams(w, ix.attrBySym) // secAttrOff, secAttrData
 	w.mark()                      // secMerged
@@ -446,38 +455,48 @@ func (r *snapReader) i32s(n int) ([]int32, error) {
 	return out, nil
 }
 
+// textTable reads a string table of count values in the shape
+// xdm.Tree.TextTable returns: the offsets through i32s (aliased where the
+// int32 columns are), the blob aliased. Only the blob length is checked
+// here; stringTable checks the offsets itself, FillColumns checks a member's
+// text offsets against its columns.
+func (r *snapReader) textTable(count int) ([]uint32, string, error) {
+	if count < 0 {
+		return nil, "", fmt.Errorf("xmlstore: snapshot string table of %d values", count)
+	}
+	a, err := r.i32s(count + 1)
+	if err != nil {
+		return nil, "", err
+	}
+	if err := r.align8(); err != nil {
+		return nil, "", err
+	}
+	off := unsafe.Slice((*uint32)(unsafe.Pointer(&a[0])), len(a))
+	b, err := r.take(int(off[count]))
+	if err != nil {
+		return nil, "", err
+	}
+	if err := r.align8(); err != nil {
+		return nil, "", err
+	}
+	return off, byteString(b), nil
+}
+
 // stringTable reads a table of count strings; the strings alias the buffer.
 func (r *snapReader) stringTable(count int) ([]string, error) {
-	if count < 0 || count+1 > r.remaining()/4 {
-		return nil, fmt.Errorf("xmlstore: snapshot truncated: string table of %d at offset %d", count, r.off)
-	}
-	offb, err := r.take((count + 1) * 4)
+	off, blob, err := r.textTable(count)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.align8(); err != nil {
-		return nil, err
-	}
-	if first := binary.LittleEndian.Uint32(offb); first != 0 {
+	if off[0] != 0 {
 		return nil, fmt.Errorf("xmlstore: snapshot string table does not start at 0")
 	}
-	blobLen := binary.LittleEndian.Uint32(offb[count*4:])
-	blob, err := r.take(int(blobLen))
-	if err != nil {
-		return nil, err
-	}
-	if err := r.align8(); err != nil {
-		return nil, err
-	}
 	out := make([]string, count)
-	prev := uint32(0)
-	for i := 0; i < count; i++ {
-		end := binary.LittleEndian.Uint32(offb[(i+1)*4:])
-		if end < prev || end > blobLen {
+	for i := range out {
+		if off[i+1] < off[i] || int(off[i+1]) > len(blob) {
 			return nil, fmt.Errorf("xmlstore: snapshot string table offsets out of order")
 		}
-		out[i] = byteString(blob[prev:end])
-		prev = end
+		out[i] = blob[off[i]:off[i+1]]
 	}
 	return out, nil
 }
@@ -767,7 +786,7 @@ func (ix *Index) readMemberInto(r *snapReader, d *memberDir) error {
 	if err := d.expect(r, secTexts); err != nil {
 		return err
 	}
-	texts, err := r.stringTable(d.nTexts)
+	textOff, textBlob, err := r.textTable(d.nTexts)
 	if err != nil {
 		return err
 	}
@@ -807,7 +826,7 @@ func (ix *Index) readMemberInto(r *snapReader, d *memberDir) error {
 	if r.remaining() != 0 {
 		return fmt.Errorf("xmlstore: snapshot member has %d trailing bytes", r.remaining())
 	}
-	if err := ix.Tree.FillColumns(cols, syms, texts); err != nil {
+	if err := ix.Tree.FillColumns(cols, syms, textOff, textBlob); err != nil {
 		return err
 	}
 	ix.elemBySym = elemBySym

@@ -52,6 +52,9 @@ func FuzzSnapshot(f *testing.F) {
 	corrupt := bytes.Clone(single)
 	corrupt[20] ^= 0xff
 	f.Add(corrupt)
+	for _, c := range textTableCorruptions() {
+		f.Add(c.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The no-panic contract holds through the probe-then-load stages of
 		// a deferred member, failed loads included.

@@ -2,6 +2,7 @@ package xmlstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"xqtp/internal/gen"
 	"xqtp/internal/xdm"
 )
 
@@ -33,8 +35,10 @@ func indexesEqual(t *testing.T, a, b *Index) {
 			t.Fatalf("node %d differs: %+v vs %+v", i, x, y)
 		}
 	}
-	if !reflect.DeepEqual(ta.TextValues(), tb.TextValues()) {
-		t.Fatalf("text values differ")
+	offA, blobA := ta.TextTable()
+	offB, blobB := tb.TextTable()
+	if !reflect.DeepEqual(offA, offB) || blobA != blobB {
+		t.Fatalf("text tables differ")
 	}
 	if xa, xb := SerializeString(na[0]), SerializeString(nb[0]); xa != xb {
 		t.Fatalf("serializations differ:\n%s\n%s", xa, xb)
@@ -601,5 +605,129 @@ func requirePlaceholder(t *testing.T, tr *xdm.Tree) {
 	}
 	if got := xdm.Step(root, xdm.AxisDescendant, xdm.AnyNodeTest()); len(got) != 1 || got[0] != el {
 		t.Fatalf("placeholder descendants = %v", got)
+	}
+}
+
+// textTableCorruption is one way to corrupt the text table of a snapshot's
+// first member; want is a fragment of the error it must draw.
+type textTableCorruption struct {
+	name, want string
+	data       []byte
+}
+
+// textTableCorruptions writes `<a id="1"><b x="y"><c>hello</c></b><c>world</c></a>`
+// (text values 1, y, hello, world: offsets 0 1 2 7 12) as a one-member
+// snapshot and corrupts its text table four ways, each past every check but
+// the one it names.
+func textTableCorruptions() []textTableCorruption {
+	good := fuzzSeedSnapshot([]string{`<a id="1"><b x="y"><c>hello</c></b><c>world</c></a>`}, []string{""})
+	le := binary.LittleEndian
+	member := int(le.Uint64(good[16:]))
+	texts := member + int(le.Uint64(good[member+16+8*secTexts:]))
+	nTexts := int(le.Uint32(good[member+8:]))
+	offset := func(data []byte, i int) []byte { return data[texts+4*i:] }
+	align8 := func(n int) int { return (n + 7) &^ 7 }
+	corrupt := func(name, want string, edit func(data []byte)) textTableCorruption {
+		data := bytes.Clone(good)
+		edit(data)
+		return textTableCorruption{name, want, data}
+	}
+	return []textTableCorruption{
+		corrupt("first offset not 0", "do not start at 0", func(data []byte) {
+			le.PutUint32(offset(data, 0), 1)
+		}),
+		corrupt("decreasing offset", "decreases", func(data []byte) {
+			le.PutUint32(offset(data, 2), 0)
+		}),
+		corrupt("offset past the blob", "truncated", func(data []byte) {
+			le.PutUint32(offset(data, nTexts), 1<<31)
+		}),
+		// Two values fewer in the directory and the offsets, and the blob
+		// eight bytes longer: the section keeps its size and every offset
+		// is in order, but the columns hold four text-bearing nodes.
+		corrupt("text count", "2 text values for 4 text-bearing nodes", func(data []byte) {
+			blobLen := le.Uint32(offset(data, nTexts))
+			start := align8(texts + (nTexts+1)*4)
+			blob := bytes.Clone(data[start : start+int(blobLen)])
+			le.PutUint32(data[member+8:], uint32(nTexts-2))
+			le.PutUint32(offset(data, nTexts-2), blobLen+8)
+			copy(data[align8(texts+(nTexts-1)*4):], append(blob, "12345678"...))
+		}),
+	}
+}
+
+// A corrupted text table fails the member's load with the error of the
+// check it breaks — never a panic, never a tree — whether the table is
+// aliased or copied.
+func TestSnapshotTextTableCorruption(t *testing.T) {
+	defer func(prev bool) { forcePortable = prev }(forcePortable)
+	for _, portable := range []bool{false, true} {
+		forcePortable = portable
+		for _, c := range textTableCorruptions() {
+			t.Run(fmt.Sprintf("%s/portable=%v", c.name, portable), func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				s, err := OpenCorpus(c.data, nil)
+				if err == nil {
+					err = s.Indexes[0].Ensure()
+					requirePlaceholder(t, s.Indexes[0].Tree)
+				}
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("error %v, want one saying %q", err, c.want)
+				}
+			})
+		}
+	}
+}
+
+// storeMembers returns generated members as store_cycle mixes them, plus
+// one whose text and attribute values need decoding.
+func storeMembers(n int) [][]byte {
+	docs := make([][]byte, 0, n+1)
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			docs = append(docs, AppendXML(nil, gen.MemberRoot(gen.MemberConfig{Seed: int64(i + 1), Depth: 4, NumTags: 20, NumNodes: 300})))
+		} else {
+			docs = append(docs, AppendXML(nil, gen.XMarkRoot(gen.XMarkConfig{Seed: int64(i + 1), People: 8})))
+		}
+	}
+	return append(docs, []byte(`<r k="a&amp;b"><t>x &lt; y</t><![CDATA[z]]><e/></r>`))
+}
+
+// A snapshot reopened and written again gives the same bytes, whether the
+// reopened members alias the file's bytes or copy them, and whether the
+// writer emits the int32 arrays as they sit in memory or encodes each one.
+func TestSnapshotRewriteByteIdentical(t *testing.T) {
+	defer func(prev bool) { forcePortable = prev }(forcePortable)
+	s := ingestAll(t, storeMembers(20))
+	write := func(s *CorpusSnapshot) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := WriteCorpus(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	forcePortable = false
+	a := write(s)
+	forcePortable = true
+	if p := write(s); !bytes.Equal(a, p) {
+		t.Fatalf("the portable writer wrote %d bytes unlike the aliasing writer's %d", len(p), len(a))
+	}
+	for _, portable := range []bool{false, true} {
+		forcePortable = portable
+		reopened, err := OpenCorpus(bytes.Clone(a), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := write(reopened); !bytes.Equal(a, b) {
+			t.Fatalf("portable=%v: written, reopened and written again, %d bytes become %d unlike them", portable, len(a), len(b))
+		}
+		for m, ix := range reopened.Indexes {
+			indexesEqual(t, s.Indexes[m], ix)
+		}
 	}
 }

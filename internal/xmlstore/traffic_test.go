@@ -7,8 +7,10 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"xqtp/internal/gen"
+	"xqtp/internal/xdm"
 )
 
 // countingWriter counts the writes the snapshot writer issues and the bytes
@@ -149,5 +151,63 @@ func TestLoaderReuseCannotAlias(t *testing.T) {
 	}
 	if s, l := allocs(small), allocs(large); s != l {
 		t.Fatalf("a warm loader allocates %v times for 300 elements, %v for 3000", s, l)
+	}
+
+	// Values that need decoding cost no allocation each either: they are
+	// decoded into the loader's scratch and copied into the text blob.
+	entities := func(n int) []byte {
+		return []byte("<r>" + strings.Repeat(`<a k="1&amp;2">t &lt; u&#x9;</a>`, n) + "</r>")
+	}
+	if _, err := ld.Ingest(entities(1000)); err != nil {
+		t.Fatal(err)
+	}
+	if s, l := allocs(entities(10)), allocs(entities(1000)); s != l {
+		t.Fatalf("a warm loader allocates %v times for 10 entity-bearing texts and attribute values, %v for 1000", s, l)
+	}
+
+	// Names the loader has seen before are not copied again: a re-ingested
+	// member's symbol table holds the very strings the first one held.
+	a2, err := ld.Ingest(bytes.Clone(docA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexesEqual(t, freshA, a2)
+	for s := xdm.Sym(0); int(s) < a.Tree.Syms.Len(); s++ {
+		if n1, n2 := a.Tree.Syms.Name(s), a2.Tree.Syms.Name(s); unsafe.StringData(n1) != unsafe.StringData(n2) {
+			t.Fatalf("re-ingesting the member allocated its name %q again", n2)
+		}
+	}
+}
+
+// Nothing an ingest returns aliases its input: once Ingest or Loader.Ingest
+// returns, every byte of the input may be overwritten and the index still
+// equals a fresh ingest of a copy — names, clean and entity-decoded text,
+// attribute values and namespace declarations alike.
+func TestIngestRetainsNoInput(t *testing.T) {
+	docs := [][]byte{
+		[]byte(`<r xmlns="urn:d" xmlns:p="urn:p"><p:a p:k="v &amp; w" k="plain">clean<![CDATA[c<d]]>t &lt; u&#x41;</p:a>` +
+			`<b xml:lang="en">text</b><?pi data?><!--note--><p:a/></r>`),
+		AppendXML(nil, gen.XMarkRoot(gen.XMarkConfig{Seed: 7, People: 10})),
+	}
+	var ld Loader
+	for _, ingest := range []struct {
+		name string
+		f    func([]byte) (*Index, error)
+	}{{"Ingest", Ingest}, {"Loader.Ingest", ld.Ingest}} {
+		for i, doc := range docs {
+			want, err := Ingest(bytes.Clone(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := bytes.Clone(doc)
+			got, err := ingest.f(buf)
+			if err != nil {
+				t.Fatalf("%s, document %d: %v", ingest.name, i, err)
+			}
+			for j := range buf {
+				buf[j] = 'X'
+			}
+			indexesEqual(t, want, got)
+		}
 	}
 }

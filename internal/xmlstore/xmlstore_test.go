@@ -140,3 +140,28 @@ func nodesAt(tr *xdm.Tree, ranks []int32) []*xdm.Node {
 	}
 	return out
 }
+
+// The text table's offsets are u32, so a document's text values may fill
+// at most MaxUint32 bytes: ingest rejects the value that would pass that,
+// before any offset wraps. Checked on lengths, not on a 4 GiB document.
+func TestTextBytesGuard(t *testing.T) {
+	const limit = 1<<32 - 1
+	for _, c := range []struct {
+		have, add int
+		ok        bool
+	}{
+		{0, 0, true},
+		{0, limit, true},
+		{limit - 5, 5, true},
+		{limit, 0, true},
+		{limit - 5, 6, false},
+		{limit, 1, false},
+		{0, limit + 1, false},
+		{1 << 40, 1, false},
+	} {
+		err := checkTextBytes(c.have, c.add)
+		if (err == nil) != c.ok || err != nil && !strings.HasPrefix(err.Error(), "xmlstore: ") {
+			t.Errorf("checkTextBytes(%d, %d) = %v, want ok=%v", c.have, c.add, err, c.ok)
+		}
+	}
+}

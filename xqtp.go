@@ -107,9 +107,9 @@ func LoadXML(r io.Reader) (*Document, error) {
 	return newDocument(xmlstore.IngestReader(r))
 }
 
-// LoadXMLBytes ingests an XML document held in a byte slice. It takes
-// ownership of data: the document's text values alias the buffer, so the
-// caller must not modify it afterwards.
+// LoadXMLBytes ingests an XML document held in a byte slice. The document
+// keeps no reference to data: its names and text values are copied out, so
+// the caller may reuse the slice once LoadXMLBytes returns.
 func LoadXMLBytes(data []byte) (*Document, error) {
 	return newDocument(xmlstore.Ingest(data))
 }
