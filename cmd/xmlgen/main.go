@@ -13,23 +13,32 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"xqtp"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and output streams passed in; it
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("xmlgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		kind   = flag.String("kind", "member", "document kind: member, xmark, deep")
-		seed   = flag.Int64("seed", 1, "generator seed")
-		bytes_ = flag.Int("bytes", 2_100_000, "target serialized size (member)")
-		people = flag.Int("people", 255, "number of persons (xmark)")
-		nodes  = flag.Int("nodes", 50_000, "number of elements (deep)")
-		depth  = flag.Int("depth", 15, "maximum depth (deep)")
-		tag    = flag.String("tag", "t1", "element tag (deep)")
-		format = flag.String("format", "xml", "output format: xml, snapshot (one-member corpus snapshot: xq -snapshot, xqd, OpenSnapshotFile, OpenCorpusFile)")
+		kind   = fs.String("kind", "member", "document kind: member, xmark, deep")
+		seed   = fs.Int64("seed", 1, "generator seed")
+		bytes_ = fs.Int("bytes", 2_100_000, "target serialized size (member)")
+		people = fs.Int("people", 255, "number of persons (xmark)")
+		nodes  = fs.Int("nodes", 50_000, "number of elements (deep)")
+		depth  = fs.Int("depth", 15, "maximum depth (deep)")
+		tag    = fs.String("tag", "t1", "element tag (deep)")
+		format = fs.String("format", "xml", "output format: xml, snapshot (one-member corpus snapshot: xq -snapshot, xqd, OpenSnapshotFile, OpenCorpusFile)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var doc *xqtp.Document
 	switch *kind {
@@ -40,30 +49,31 @@ func main() {
 	case "deep":
 		doc = xqtp.NewDeepDocument(*seed, *nodes, *depth, *tag)
 	default:
-		fmt.Fprintf(os.Stderr, "xmlgen: unknown kind %q\n", *kind)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "xmlgen: unknown kind %q\n", *kind)
+		return 2
 	}
-	w := bufio.NewWriter(os.Stdout)
+	w := bufio.NewWriter(stdout)
 	switch *format {
 	case "xml":
 		if err := doc.WriteXML(w); err != nil {
-			fmt.Fprintln(os.Stderr, "xmlgen:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "xmlgen:", err)
+			return 1
 		}
 		fmt.Fprintln(w)
 	case "snapshot":
 		if err := doc.SaveSnapshot(w); err != nil {
-			fmt.Fprintln(os.Stderr, "xmlgen:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "xmlgen:", err)
+			return 1
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "xmlgen: unknown format %q\n", *format)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "xmlgen: unknown format %q\n", *format)
+		return 2
 	}
 	// Output smaller than the buffer reaches stdout only here.
 	if err := w.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, "xmlgen:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "xmlgen:", err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "xmlgen: %d nodes, %d bytes of XML\n", doc.NumNodes(), doc.SizeBytes())
+	fmt.Fprintf(stderr, "xmlgen: %d nodes, %d bytes of XML\n", doc.NumNodes(), doc.SizeBytes())
+	return 0
 }
