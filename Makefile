@@ -19,8 +19,9 @@ vet:
 	$(GO) vet -tags race ./...
 	$(GO) build -tags nommap ./...
 	GOOS=windows GOARCH=amd64 $(GO) build ./...
-	@# No library file may pull package testing into the shipped binaries.
-	! $(GO) list -deps ./cmd/xq ./cmd/xqd | grep -qx testing
+	@# No library file may pull package testing, or the linked reference tree
+	@# model the tests compare against, into the shipped binaries.
+	! $(GO) list -deps ./cmd/xq ./cmd/xqd | grep -qxE 'testing|xqtp/internal/xdm/xdmref'
 	@# Every alternative of a `make race` -run pattern must name a test in that
 	@# line's packages: a deleted or renamed test fails here instead of
 	@# dropping silently out of its race loop.

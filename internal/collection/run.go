@@ -8,6 +8,7 @@ import (
 
 	"xqtp/internal/execctx"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xmlstore"
 )
 
 // Workers is the one meaning of a worker-count argument, for ingest and
@@ -60,10 +61,7 @@ func (c *Corpus) FanOut(ec *execctx.Ctx, workers int, skip func(doc int) bool, s
 			if err := ec.Err(); err != nil {
 				return err
 			}
-			if skip != nil && skip(i) {
-				continue
-			}
-			if err := c.eval(m, i, ec, sink); err != nil {
+			if err := c.eval(m, i, skip, ec, sink); err != nil {
 				return err
 			}
 		}
@@ -92,12 +90,8 @@ func (c *Corpus) FanOut(ec *execctx.Ctx, workers int, skip func(doc int) bool, s
 				if pos >= n || halt.Load() || ec.Stopped() {
 					return
 				}
-				if skip != nil && skip(pos) {
-					results <- docResult{pos: pos}
-					continue
-				}
 				col.Seq = nil
-				err := c.eval(wm, pos, mec, &col)
+				err := c.eval(wm, pos, skip, mec, &col)
 				if err != nil {
 					halt.Store(true)
 				}
@@ -148,11 +142,12 @@ func (c *Corpus) FanOut(ec *execctx.Ctx, workers int, skip func(doc int) bool, s
 	return ec.Err()
 }
 
-// eval evaluates member i through m, wrapping a failure with the member's
-// URI unless ec has stopped, whose typed error then comes back instead.
-func (c *Corpus) eval(m Member, i int, ec *execctx.Ctx, sink execctx.Sink) error {
+// eval evaluates member i through m unless skip elides it, wrapping a
+// failure with the member's URI unless ec has stopped, whose typed error
+// then comes back instead.
+func (c *Corpus) eval(m Member, i int, skip func(doc int) bool, ec *execctx.Ctx, sink execctx.Sink) error {
 	d := c.docs[i]
-	err := m.Eval(d, ec, sink)
+	err := evalMember(m, d, i, skip, ec, sink)
 	if err == nil {
 		return nil
 	}
@@ -160,4 +155,15 @@ func (c *Corpus) eval(m Member, i int, ec *execctx.Ctx, sink execctx.Sink) error
 		return stopErr
 	}
 	return fmt.Errorf("collection: %s: %w", d.URI, err)
+}
+
+// evalMember is eval's skip probe and member run. Both may read a mapped
+// member's pages, so both run under one fault guard: a member whose file was
+// truncated under the mapping fails alone.
+func evalMember(m Member, d *Doc, i int, skip func(doc int) bool, ec *execctx.Ctx, sink execctx.Sink) (err error) {
+	defer xmlstore.CatchFault(xmlstore.ArmFaults(), &err)
+	if skip != nil && skip(i) {
+		return nil
+	}
+	return m.Eval(d, ec, sink)
 }

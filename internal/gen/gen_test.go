@@ -9,12 +9,16 @@ import (
 
 func maxDepth(n *xdm.Node) int {
 	d := 0
-	for _, c := range n.Children {
+	for _, c := range xdm.Step(n, xdm.AxisChild, xdm.StarTest()) {
 		if cd := maxDepth(c); cd > d {
 			d = cd
 		}
 	}
 	return d + 1
+}
+
+func parentName(n *xdm.Node) string {
+	return xdm.Step(n, xdm.AxisParent, xdm.StarTest())[0].Name
 }
 
 func TestMemberShape(t *testing.T) {
@@ -73,10 +77,11 @@ func TestDeepShape(t *testing.T) {
 	// First-child chain reaches the bottom.
 	n := tr.DocElem()
 	for i := 1; i < 15; i++ {
-		if len(n.Children) == 0 {
+		kids := xdm.Step(n, xdm.AxisChild, xdm.StarTest())
+		if len(kids) == 0 {
 			t.Fatalf("first-child chain broke at depth %d", i)
 		}
-		n = n.Children[0]
+		n = kids[0]
 	}
 }
 
@@ -92,7 +97,7 @@ func TestXMarkShape(t *testing.T) {
 	}
 	withEmail := 0
 	for _, p := range persons {
-		if p.Parent.Name != "people" {
+		if parentName(p) != "people" {
 			t.Fatal("person not under people")
 		}
 		if len(xdm.Step(p, xdm.AxisChild, xdm.NameTest("emailaddress"))) > 0 {
@@ -115,7 +120,7 @@ func TestXMarkShape(t *testing.T) {
 		t.Error("no interests generated")
 	}
 	for _, in := range interests {
-		if in.Parent.Name != "profile" {
+		if parentName(in) != "profile" {
 			t.Fatal("interest not under profile")
 		}
 	}

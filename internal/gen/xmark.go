@@ -27,11 +27,7 @@ var interests = []string{"sports", "music", "books", "travel", "food", "movies",
 //	site/open_auctions/open_auction/(initial, bidder*/(date,increase), current, itemref)
 //	site/closed_auctions/closed_auction/(seller, buyer, price, date)
 //	site/categories/category/(name, description)
-func XMark(cfg XMarkConfig) *xdm.Tree { return xdm.Finalize(XMarkRoot(cfg)) }
-
-// XMarkRoot generates the auction document as an unfinalized node skeleton
-// (see MemberRoot).
-func XMarkRoot(cfg XMarkConfig) *xdm.Node {
+func XMark(cfg XMarkConfig) *xdm.Tree {
 	if cfg.People <= 0 {
 		cfg.People = 255
 	}
@@ -40,111 +36,138 @@ func XMarkRoot(cfg XMarkConfig) *xdm.Node {
 	nOpen := cfg.People / 2
 	nClosed := cfg.People / 3
 	nCategories := cfg.People / 10
+	x := xmarkBuilder{xdm.NewTreeBuilder(0)}
 
-	site := xdm.NewElement("site")
-
-	regions := xdm.NewElement("regions")
-	site.AppendChild(regions)
-	regionEls := make([]*xdm.Node, len(xmarkRegions))
-	for i, r := range xmarkRegions {
-		regionEls[i] = xdm.NewElement(r)
-		regions.AppendChild(regionEls[i])
+	// An item's region is drawn after its content, so the items are drawn
+	// first and emitted region by region.
+	type item struct {
+		i        int
+		location string
+		quantity int // 0: none
 	}
+	byRegion := make([][]item, len(xmarkRegions))
 	for i := 0; i < nItems; i++ {
-		item := xdm.NewElement("item")
-		item.SetAttr("id", fmt.Sprintf("item%d", i))
-		item.AppendChild(textEl("location", pick(rng, "United States", "Germany", "Japan", "Belgium")))
-		item.AppendChild(textEl("name", fmt.Sprintf("thing %d", i)))
-		item.AppendChild(textEl("description", "great condition"))
+		it := item{i: i, location: pick(rng, "United States", "Germany", "Japan", "Belgium")}
 		if rng.Intn(3) == 0 {
-			item.AppendChild(textEl("quantity", fmt.Sprintf("%d", 1+rng.Intn(5))))
+			it.quantity = 1 + rng.Intn(5)
 		}
-		regionEls[rng.Intn(len(regionEls))].AppendChild(item)
+		r := rng.Intn(len(xmarkRegions))
+		byRegion[r] = append(byRegion[r], it)
 	}
+	x.open("site")
+	x.open("regions")
+	for r, name := range xmarkRegions {
+		x.open(name)
+		for _, it := range byRegion[r] {
+			x.open("item")
+			x.attr("id", fmt.Sprintf("item%d", it.i))
+			x.textEl("location", it.location)
+			x.textEl("name", fmt.Sprintf("thing %d", it.i))
+			x.textEl("description", "great condition")
+			if it.quantity > 0 {
+				x.textEl("quantity", fmt.Sprintf("%d", it.quantity))
+			}
+			x.CloseElement()
+		}
+		x.CloseElement()
+	}
+	x.CloseElement()
 
-	people := xdm.NewElement("people")
-	site.AppendChild(people)
+	x.open("people")
 	for i := 0; i < cfg.People; i++ {
-		p := xdm.NewElement("person")
-		p.SetAttr("id", fmt.Sprintf("person%d", i))
-		p.AppendChild(textEl("name", fmt.Sprintf("Person %d", i)))
+		x.open("person")
+		x.attr("id", fmt.Sprintf("person%d", i))
+		x.textEl("name", fmt.Sprintf("Person %d", i))
 		if rng.Intn(10) < 8 { // 80% have an email address, like XMark
-			p.AppendChild(textEl("emailaddress", fmt.Sprintf("mailto:p%d@example.com", i)))
+			x.textEl("emailaddress", fmt.Sprintf("mailto:p%d@example.com", i))
 		}
 		if rng.Intn(2) == 0 {
-			p.AppendChild(textEl("phone", fmt.Sprintf("+1 555 01%02d", i%100)))
+			x.textEl("phone", fmt.Sprintf("+1 555 01%02d", i%100))
 		}
-		prof := xdm.NewElement("profile")
-		prof.SetAttr("income", fmt.Sprintf("%d", 20000+rng.Intn(80000)))
+		x.open("profile")
+		x.attr("income", fmt.Sprintf("%d", 20000+rng.Intn(80000)))
 		for k := rng.Intn(4); k > 0; k-- {
-			in := xdm.NewElement("interest")
-			in.SetAttr("category", pick(rng, interests...))
-			prof.AppendChild(in)
+			x.open("interest")
+			x.attr("category", pick(rng, interests...))
+			x.CloseElement()
 		}
 		if rng.Intn(3) == 0 {
-			prof.AppendChild(textEl("education", pick(rng, "High School", "College", "Graduate School")))
+			x.textEl("education", pick(rng, "High School", "College", "Graduate School"))
 		}
-		p.AppendChild(prof)
+		x.CloseElement()
 		if rng.Intn(2) == 0 {
-			addr := xdm.NewElement("address")
-			addr.AppendChild(textEl("city", pick(rng, "Antwerp", "Yorktown", "Brussels", "New York")))
-			addr.AppendChild(textEl("country", pick(rng, "Belgium", "United States")))
-			p.AppendChild(addr)
+			x.open("address")
+			x.textEl("city", pick(rng, "Antwerp", "Yorktown", "Brussels", "New York"))
+			x.textEl("country", pick(rng, "Belgium", "United States"))
+			x.CloseElement()
 		}
-		people.AppendChild(p)
+		x.CloseElement()
 	}
+	x.CloseElement()
 
-	open := xdm.NewElement("open_auctions")
-	site.AppendChild(open)
+	x.open("open_auctions")
 	for i := 0; i < nOpen; i++ {
-		oa := xdm.NewElement("open_auction")
-		oa.SetAttr("id", fmt.Sprintf("open%d", i))
-		oa.AppendChild(textEl("initial", fmt.Sprintf("%d.00", 5+rng.Intn(100))))
-		for b := rng.Intn(5); b > 0; b-- {
-			bid := xdm.NewElement("bidder")
-			bid.AppendChild(textEl("date", fmt.Sprintf("2006-0%d-1%d", 1+rng.Intn(9), rng.Intn(9))))
-			bid.AppendChild(textEl("increase", fmt.Sprintf("%d.50", 1+rng.Intn(20))))
-			oa.AppendChild(bid)
+		x.open("open_auction")
+		x.attr("id", fmt.Sprintf("open%d", i))
+		x.textEl("initial", fmt.Sprintf("%d.00", 5+rng.Intn(100)))
+		for k := rng.Intn(5); k > 0; k-- {
+			x.open("bidder")
+			x.textEl("date", fmt.Sprintf("2006-0%d-1%d", 1+rng.Intn(9), rng.Intn(9)))
+			x.textEl("increase", fmt.Sprintf("%d.50", 1+rng.Intn(20)))
+			x.CloseElement()
 		}
-		oa.AppendChild(textEl("current", fmt.Sprintf("%d.00", 10+rng.Intn(300))))
-		ir := xdm.NewElement("itemref")
-		ir.SetAttr("item", fmt.Sprintf("item%d", rng.Intn(nItems)))
-		oa.AppendChild(ir)
-		open.AppendChild(oa)
+		x.textEl("current", fmt.Sprintf("%d.00", 10+rng.Intn(300)))
+		x.open("itemref")
+		x.attr("item", fmt.Sprintf("item%d", rng.Intn(nItems)))
+		x.CloseElement()
+		x.CloseElement()
 	}
+	x.CloseElement()
 
-	closed := xdm.NewElement("closed_auctions")
-	site.AppendChild(closed)
+	x.open("closed_auctions")
 	for i := 0; i < nClosed; i++ {
-		ca := xdm.NewElement("closed_auction")
-		seller := xdm.NewElement("seller")
-		seller.SetAttr("person", fmt.Sprintf("person%d", rng.Intn(cfg.People)))
-		buyer := xdm.NewElement("buyer")
-		buyer.SetAttr("person", fmt.Sprintf("person%d", rng.Intn(cfg.People)))
-		ca.AppendChild(seller)
-		ca.AppendChild(buyer)
-		ca.AppendChild(textEl("price", fmt.Sprintf("%d.00", 10+rng.Intn(500))))
-		ca.AppendChild(textEl("date", fmt.Sprintf("2006-1%d-0%d", rng.Intn(2), 1+rng.Intn(9))))
-		closed.AppendChild(ca)
+		x.open("closed_auction")
+		x.open("seller")
+		x.attr("person", fmt.Sprintf("person%d", rng.Intn(cfg.People)))
+		x.CloseElement()
+		x.open("buyer")
+		x.attr("person", fmt.Sprintf("person%d", rng.Intn(cfg.People)))
+		x.CloseElement()
+		x.textEl("price", fmt.Sprintf("%d.00", 10+rng.Intn(500)))
+		x.textEl("date", fmt.Sprintf("2006-1%d-0%d", rng.Intn(2), 1+rng.Intn(9)))
+		x.CloseElement()
 	}
+	x.CloseElement()
 
-	cats := xdm.NewElement("categories")
-	site.AppendChild(cats)
+	x.open("categories")
 	for i := 0; i < nCategories; i++ {
-		c := xdm.NewElement("category")
-		c.SetAttr("id", fmt.Sprintf("cat%d", i))
-		c.AppendChild(textEl("name", pick(rng, interests...)))
-		c.AppendChild(textEl("description", "all sorts"))
-		cats.AppendChild(c)
+		x.open("category")
+		x.attr("id", fmt.Sprintf("cat%d", i))
+		x.textEl("name", pick(rng, interests...))
+		x.textEl("description", "all sorts")
+		x.CloseElement()
 	}
+	x.CloseElement()
 
-	return site
+	x.CloseElement() // site
+	return x.Finish()
 }
 
-func textEl(name, text string) *xdm.Node {
-	el := xdm.NewElement(name)
-	el.AppendChild(xdm.NewText(text))
-	return el
+// XMarkRoot returns the root element of XMark(cfg) (see MemberRoot).
+func XMarkRoot(cfg XMarkConfig) *xdm.Node { return XMark(cfg).DocElem() }
+
+// xmarkBuilder is a TreeBuilder that takes element and attribute names as
+// strings.
+type xmarkBuilder struct{ *xdm.TreeBuilder }
+
+func (x xmarkBuilder) open(name string)        { x.OpenElement([]byte(name)) }
+func (x xmarkBuilder) attr(name, value string) { x.Attr([]byte(name), value) }
+
+// textEl emits <name>text</name>.
+func (x xmarkBuilder) textEl(name, text string) {
+	x.open(name)
+	x.Text(text)
+	x.CloseElement()
 }
 
 func pick(rng *rand.Rand, options ...string) string { return options[rng.Intn(len(options))] }

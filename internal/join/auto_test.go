@@ -51,7 +51,7 @@ func TestAutoAllocatesLikeStaircase(t *testing.T) {
 	ix := xmlstore.BuildIndex(tr)
 	pat := chain("dot", st(xdm.AxisDescendant, "b"), st(xdm.AxisChild, "c"))
 	pat.Root.Preds = []*pattern.Step{st(xdm.AxisChild, "d")}
-	ctx := tr.RootNode().Children[0].Children[0]
+	ctx := xdm.Step(tr.DocElem(), xdm.AxisChild, xdm.AnyNodeTest())[0]
 	if ctx.Kind != xdm.ElementNode || ctx.Size < 30 {
 		t.Fatalf("context pre=%d is not an inner element (size %d)", ctx.Pre, ctx.Size)
 	}

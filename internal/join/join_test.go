@@ -8,6 +8,7 @@ import (
 
 	"xqtp/internal/pattern"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xdm/xdmref"
 	"xqtp/internal/xmlstore"
 )
 
@@ -224,15 +225,15 @@ func randomPattern(rng *rand.Rand) *pattern.Pattern {
 
 func randomTree(rng *rand.Rand, n int) *xdm.Tree {
 	tags := []string{"a", "b", "c", "d"}
-	root := xdm.NewElement("a")
-	nodes := []*xdm.Node{root}
+	root := xdmref.NewElement("a")
+	nodes := []*xdmref.Node{root}
 	for i := 0; i < n; i++ {
 		parent := nodes[rng.Intn(len(nodes))]
-		el := xdm.NewElement(tags[rng.Intn(len(tags))])
+		el := xdmref.NewElement(tags[rng.Intn(len(tags))])
 		parent.AppendChild(el)
 		nodes = append(nodes, el)
 	}
-	return xdm.Finalize(root)
+	return xdmref.Finalize(root).Tree
 }
 
 // Property: the three algorithms agree (as node sets) on random patterns

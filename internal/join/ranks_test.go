@@ -45,7 +45,7 @@ func TestAppendRanksAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	ix := xmlstore.BuildIndex(xdm.Finalize(gen.XMarkRoot(gen.XMarkConfig{Seed: 3, People: 200})))
+	ix := xmlstore.BuildIndex(gen.XMark(gen.XMarkConfig{Seed: 3, People: 200}))
 	root := ix.Tree.RootNode()
 	pat := chain("dot", st(xdm.AxisDescendant, "person"), st(xdm.AxisChild, "name"))
 	pat.Root.Preds = append(pat.Root.Preds, st(xdm.AxisChild, "emailaddress"))

@@ -13,6 +13,7 @@ import (
 	"xqtp/internal/parser"
 	"xqtp/internal/rewrite"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xdm/xdmref"
 	"xqtp/internal/xmlstore"
 )
 
@@ -94,21 +95,21 @@ func seqEqual(a, b xdm.Sequence) bool {
 
 func randomDoc(rng *rand.Rand, n int) *xdm.Tree {
 	tags := []string{"person", "name", "emailaddress", "profile", "interest", "site", "people", "t1", "a", "b"}
-	root := xdm.NewElement("site")
-	nodes := []*xdm.Node{root}
+	root := xdmref.NewElement("site")
+	nodes := []*xdmref.Node{root}
 	for i := 0; i < n; i++ {
 		parent := nodes[rng.Intn(len(nodes))]
-		el := xdm.NewElement(tags[rng.Intn(len(tags))])
+		el := xdmref.NewElement(tags[rng.Intn(len(tags))])
 		if rng.Intn(4) == 0 {
 			el.SetAttr("id", "x")
 		}
 		if rng.Intn(3) == 0 {
-			el.AppendChild(xdm.NewText([]string{"John", "Mary", "x"}[rng.Intn(3)]))
+			el.AppendChild(xdmref.NewText([]string{"John", "Mary", "x"}[rng.Intn(3)]))
 		}
 		parent.AppendChild(el)
 		nodes = append(nodes, el)
 	}
-	return xdm.Finalize(root)
+	return xdmref.Finalize(root).Tree
 }
 
 var differentialQueries = []string{

@@ -11,6 +11,7 @@ import (
 	"xqtp/internal/join"
 	"xqtp/internal/pattern"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xdm/xdmref"
 	"xqtp/internal/xmlstore"
 )
 
@@ -33,24 +34,24 @@ func personsWithEmail() algebra.Expr {
 // personDoc is a random document of nested person elements with name and
 // emailaddress children: every query here finds bindings that nest.
 func personDoc(rng *rand.Rand, n int) *xdm.Tree {
-	root := xdm.NewElement("site")
-	persons := []*xdm.Node{root}
+	root := xdmref.NewElement("site")
+	persons := []*xdmref.Node{root}
 	for i := 0; i < n; i++ {
 		parent := persons[rng.Intn(len(persons))]
 		switch rng.Intn(4) {
 		case 0:
-			el := xdm.NewElement("name")
-			el.AppendChild(xdm.NewText([]string{"John", "Mary", "x"}[rng.Intn(3)]))
+			el := xdmref.NewElement("name")
+			el.AppendChild(xdmref.NewText([]string{"John", "Mary", "x"}[rng.Intn(3)]))
 			parent.AppendChild(el)
 		case 1:
-			parent.AppendChild(xdm.NewElement("emailaddress"))
+			parent.AppendChild(xdmref.NewElement("emailaddress"))
 		default:
-			el := xdm.NewElement("person")
+			el := xdmref.NewElement("person")
 			parent.AppendChild(el)
 			persons = append(persons, el)
 		}
 	}
-	return xdm.Finalize(root)
+	return xdmref.Finalize(root).Tree
 }
 
 // The executor's tuples are borrowed: one frame per run, every binder writing

@@ -9,6 +9,7 @@ import (
 	"xqtp/internal/core"
 	"xqtp/internal/parser"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xdm/xdmref"
 )
 
 var testSingletons = map[string]bool{"d": true, "input": true, "dot": true}
@@ -162,18 +163,18 @@ func TestQ2Shape(t *testing.T) {
 // including nested persons (the Q5 discriminator).
 func randomDoc(rng *rand.Rand, n int) *xdm.Tree {
 	tags := []string{"person", "name", "emailaddress", "profile", "interest", "site", "people", "a", "b"}
-	root := xdm.NewElement("site")
-	nodes := []*xdm.Node{root}
+	root := xdmref.NewElement("site")
+	nodes := []*xdmref.Node{root}
 	for i := 0; i < n; i++ {
 		parent := nodes[rng.Intn(len(nodes))]
-		el := xdm.NewElement(tags[rng.Intn(len(tags))])
+		el := xdmref.NewElement(tags[rng.Intn(len(tags))])
 		if rng.Intn(3) == 0 {
-			el.AppendChild(xdm.NewText([]string{"John", "Mary", "x"}[rng.Intn(3)]))
+			el.AppendChild(xdmref.NewText([]string{"John", "Mary", "x"}[rng.Intn(3)]))
 		}
 		parent.AppendChild(el)
 		nodes = append(nodes, el)
 	}
-	return xdm.Finalize(root)
+	return xdmref.Finalize(root).Tree
 }
 
 // Differential test: rewriting preserves semantics on randomized documents.

@@ -108,11 +108,10 @@ func (st *streamer) begin() {
 	st.w.WriteHeader(http.StatusOK)
 }
 
-// Push implements execctx.Sink. A node of a tree goes to PushRank; atomics
-// and detached nodes, which belong to no member, are rendered here.
+// Push implements execctx.Sink. A node goes to PushRank; atomics, which
+// belong to no member, are rendered here.
 func (st *streamer) Push(it xqtp.Item) error {
-	n, isNode := it.(*xqtp.Node)
-	if isNode && n.Doc != nil {
+	if n, ok := it.(*xqtp.Node); ok {
 		return st.PushRank(n.Doc, int32(n.Pre))
 	}
 	if st.err != nil {
@@ -120,18 +119,11 @@ func (st *streamer) Push(it xqtp.Item) error {
 	}
 	st.begin()
 	out := st.out
-	switch {
-	case st.format != "xml":
+	if st.format != "xml" {
 		// {"value":…} as json.Marshal renders a wireItem with no URI (the
 		// benchmark oracle checksums exactly that).
-		v := xqtp.ItemString(it)
-		if isNode {
-			v = xqtp.SerializeItem(it)
-		}
-		out = append(xmlstore.AppendJSONString(append(out, `{"value":`...), v), "}\n"...)
-	case isNode:
-		out = append(xqtp.AppendItem(append(out, "<item>"...), it), "</item>\n"...)
-	default:
+		out = append(xmlstore.AppendJSONString(append(out, `{"value":`...), xqtp.ItemString(it)), "}\n"...)
+	} else {
 		out = append(appendXMLEscaped(append(out, "<item>"...), xqtp.ItemString(it), false), "</item>\n"...)
 	}
 	return st.appended(out)

@@ -69,9 +69,11 @@ func TestArithmeticEmptyAndErrors(t *testing.T) {
 }
 
 func TestArithmeticAtomizesNodes(t *testing.T) {
-	n := NewElement("price")
-	n.AppendChild(NewText("10"))
-	Finalize(n)
+	b := NewTreeBuilder(0)
+	b.OpenElement([]byte("price"))
+	b.Text("10")
+	b.CloseElement()
+	n := b.Finish().DocElem()
 	got, err := Arithmetic(OpMul, Singleton(n), Singleton(Integer(2)))
 	if err != nil || len(got) != 1 || got[0] != Float(20) {
 		t.Errorf("node * 2 = %v, %v", got, err)

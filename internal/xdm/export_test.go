@@ -1,9 +1,5 @@
 package xdm
 
-// RefStep exposes the pointer reference step to the external differential
-// test (step_diff_test.go), which needs the generator and both parsers.
-var RefStep = refStep
-
 // TextValues returns the tree's text values in preorder, one string each,
 // cut from its text table.
 func (t *Tree) TextValues() []string {
@@ -13,3 +9,7 @@ func (t *Tree) TextValues() []string {
 	}
 	return out
 }
+
+// Untouched reports whether the tree holds no node at all, not even its
+// document node, and no identity table.
+func (t *Tree) Untouched() bool { return t.root == nil && t.ids.Load() == nil }

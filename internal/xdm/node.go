@@ -33,28 +33,25 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Node is a node in an XML tree. Nodes have identity (pointer identity) and
-// carry a region encoding assigned by Finalize (or read off the columns by
-// Tree.Node):
+// Node is a view of one rank of a tree's columns: kind, name, symbol and
+// text read off them, plus the rank's region encoding:
 //
 //	Pre    preorder rank in the document (document node = 0); attributes are
 //	       numbered directly after their owner element, before its children
 //	Size   number of nodes in the subtree below (attributes included), so a
 //	       node n contains node d iff n.Pre < d.Pre && d.Pre <= n.Pre+n.Size
 //
-// Parent, Children and Attrs are the links of a hand-built skeleton
-// (NewElement, AppendChild, SetAttr), which Finalize reads; a node built from
-// columns leaves them nil and is navigated through its tree's columns.
+// Nodes have identity (pointer identity): Tree.Node builds the node of a
+// rank once and returns that same pointer on every later request. A node
+// has no links of its own; it is navigated through its tree's columns
+// (Step, StringValue, the serializer).
 type Node struct {
-	Kind     Kind
-	Name     string // element/attribute name
-	Text     string // text content (text and attribute nodes)
-	Parent   *Node
-	Children []*Node // element and text children, in document order
-	Attrs    []*Node // attribute nodes
+	Kind Kind
+	Sym  Sym    // interned Name (NoSym if unnamed)
+	Name string // element/attribute name
+	Text string // text content (text and attribute nodes)
 
 	Pre, Size int
-	Sym       Sym // interned Name (assigned by Finalize; NoSym if unnamed)
 	Doc       *Tree
 }
 
@@ -65,9 +62,7 @@ type Node struct {
 // kept in the tree's identity table so every later request for that rank
 // returns the same pointer; a tree nobody navigates builds its document node
 // and nothing else. Navigation reads the columns (Step, StringValue,
-// DocElem, the serializer). Finalize is the exception: it adopts the
-// caller's hand-built, linked nodes as the identity table and derives the
-// columns from them.
+// DocElem, the serializer).
 type Tree struct {
 	ID   int      // document identifier for cross-document ordering
 	Syms *Symbols // interned element/attribute names (immutable once built)
@@ -82,8 +77,8 @@ type Tree struct {
 	once     sync.Once    // gates load and the document node
 	root     *Node        // the document node, built by force
 	// ids is the identity table, one slot per rank, allocated on the first
-	// request for a rank other than 0 (Finalize: the adopted nodes); a slot
-	// is published by CAS so racing first requests agree on one node.
+	// request for a rank other than 0; a slot is published by CAS so racing
+	// first requests agree on one node.
 	ids atomic.Pointer[[]atomic.Pointer[Node]]
 }
 
@@ -219,7 +214,7 @@ func (t *Tree) TextTable() (off []uint32, blob string) { return t.textOff, t.tex
 // they pack 13 bytes per node against the cache instead of scattering the
 // encoding across heap objects. (pre, size) is the whole region encoding:
 // postorder rank and depth would encode the same containment test again.
-// Built by TreeBuilder.Finish, Finalize or FillColumns; immutable afterwards.
+// Built by TreeBuilder.Finish or FillColumns; immutable afterwards.
 type Cols struct {
 	Size   []int32
 	Parent []int32 // preorder rank of the parent; -1 for the document node
@@ -252,119 +247,7 @@ func (c *Cols) FirstChild(n int32) int32 {
 // sibling whenever one exists under the same parent.
 func (c *Cols) NextSibling(n int32) int32 { return n + c.Size[n] + 1 }
 
-// NewElement returns a detached element node.
-func NewElement(name string) *Node { return &Node{Kind: ElementNode, Name: name} }
-
-// NewText returns a detached text node.
-func NewText(text string) *Node { return &Node{Kind: TextNode, Text: text} }
-
-// NewAttr returns a detached attribute node.
-func NewAttr(name, value string) *Node {
-	return &Node{Kind: AttributeNode, Name: name, Text: value}
-}
-
-// AppendChild appends c (an element or text node) to n and sets its parent.
-func (n *Node) AppendChild(c *Node) *Node {
-	c.Parent = n
-	n.Children = append(n.Children, c)
-	return n
-}
-
-// SetAttr appends an attribute node to n.
-func (n *Node) SetAttr(name, value string) *Node {
-	a := NewAttr(name, value)
-	a.Parent = n
-	n.Attrs = append(n.Attrs, a)
-	return n
-}
-
 var nextTreeID atomic.Int64
-
-// Finalize wraps root (an element) in a document node, assigns region
-// encodings to every node and returns the resulting Tree, whose identity
-// table adopts the caller's nodes — the only tree whose nodes keep their
-// Parent/Children/Attrs links. It is the independent reference the
-// TreeBuilder path is tested against. The tree must not be mutated
-// afterwards.
-func Finalize(root *Node) *Tree {
-	doc := &Node{Kind: DocumentNode, Sym: NoSym}
-	doc.AppendChild(root)
-	t := &Tree{root: doc, ID: int(nextTreeID.Add(1)), Syms: newSymbols()}
-	var nodes []*Node
-	var blob []byte
-	textOff := []uint32{0}
-	addText := func(s string) {
-		blob = append(blob, s...)
-		textOff = append(textOff, uint32(len(blob)))
-	}
-	pre := 0
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		n.Pre = pre
-		n.Doc = t
-		switch n.Kind {
-		case ElementNode, AttributeNode:
-			n.Sym = t.Syms.intern(n.Name)
-		default:
-			n.Sym = NoSym
-		}
-		if n.Kind == TextNode {
-			addText(n.Text)
-		}
-		pre++
-		nodes = append(nodes, n)
-		for _, a := range n.Attrs {
-			a.Pre = pre
-			a.Doc = t
-			a.Sym = t.Syms.intern(a.Name)
-			a.Size = 0
-			pre++
-			nodes = append(nodes, a)
-			addText(a.Text)
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-		n.Size = pre - n.Pre - 1
-	}
-	walk(doc)
-	t.textOff, t.textBlob = textOff, string(blob)
-	t.adopt(nodes)
-	t.once.Do(func() {}) // the root is the caller's: nothing left to force
-	return t
-}
-
-// adopt derives the columns and the text ordinal from the finalized nodes
-// and makes them the tree's identity table.
-func (t *Tree) adopt(nodes []*Node) {
-	n := len(nodes)
-	c := &Cols{
-		Size:   make([]int32, n),
-		Parent: make([]int32, n),
-		Kind:   make([]uint8, n),
-		Sym:    make([]int32, n),
-	}
-	t.textOrd = make([]int32, n)
-	ids := make([]atomic.Pointer[Node], n)
-	texts := int32(0)
-	for i, nd := range nodes {
-		c.Size[i] = int32(nd.Size)
-		if nd.Parent != nil {
-			c.Parent[i] = int32(nd.Parent.Pre)
-		} else {
-			c.Parent[i] = -1
-		}
-		c.Kind[i] = uint8(nd.Kind)
-		c.Sym[i] = int32(nd.Sym)
-		t.textOrd[i] = texts
-		if nd.Kind == TextNode || nd.Kind == AttributeNode {
-			texts++
-		}
-		ids[i].Store(nd)
-	}
-	t.Cols = c
-	t.ids.Store(&ids)
-}
 
 // Contains reports whether d is a proper descendant of n (attributes of a
 // contained element count as contained).
@@ -378,20 +261,18 @@ func (n *Node) End() int { return n.Pre + n.Size }
 // StringValue returns the XPath string value of the node: the
 // concatenation of all descendant text for documents and elements (read off
 // the columns of the node's region, attributes skipped), the stored text for
-// text and attribute nodes. A detached element (no tree yet) has no region
-// and reads as empty.
+// text and attribute nodes.
 func (n *Node) StringValue() string {
 	switch n.Kind {
 	case TextNode, AttributeNode:
 		return n.Text
 	}
 	var b strings.Builder
-	if t := n.Doc; t != nil {
-		c := t.Cols
-		for r, end := int32(n.Pre)+1, c.End(int32(n.Pre)); r <= end; r++ {
-			if Kind(c.Kind[r]) == TextNode {
-				b.WriteString(t.Text(r))
-			}
+	t := n.Doc
+	c := t.Cols
+	for r, end := int32(n.Pre)+1, c.End(int32(n.Pre)); r <= end; r++ {
+		if Kind(c.Kind[r]) == TextNode {
+			b.WriteString(t.Text(r))
 		}
 	}
 	return b.String()

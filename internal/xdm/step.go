@@ -190,27 +190,24 @@ func (m RankTest) Matches(c *Cols, r int32) bool {
 
 // Step performs a navigational axis step from a single context node and
 // returns the matching nodes in document order, duplicate-free: EachStepRank
-// with a node built for each match only. A detached node (no tree) has no
-// axes.
+// with a node built for each match only.
 func Step(ctx *Node, axis Axis, test NodeTest) []*Node {
 	var out []*Node
-	if t := ctx.Doc; t != nil {
-		EachStepRank(t.Cols, int32(ctx.Pre), axis, test.On(axis, t), func(p int32) bool {
-			out = append(out, t.Node(p))
-			return true
-		})
-	}
+	t := ctx.Doc
+	EachStepRank(t.Cols, int32(ctx.Pre), axis, test.On(axis, t), func(p int32) bool {
+		out = append(out, t.Node(p))
+		return true
+	})
 	return out
 }
 
 // AppendStep is Step appending its matches to dst.
 func AppendStep(dst Sequence, ctx *Node, axis Axis, test NodeTest) Sequence {
-	if t := ctx.Doc; t != nil {
-		EachStepRank(t.Cols, int32(ctx.Pre), axis, test.On(axis, t), func(p int32) bool {
-			dst = append(dst, t.Node(p))
-			return true
-		})
-	}
+	t := ctx.Doc
+	EachStepRank(t.Cols, int32(ctx.Pre), axis, test.On(axis, t), func(p int32) bool {
+		dst = append(dst, t.Node(p))
+		return true
+	})
 	return dst
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"xqtp/internal/gen"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xdm/xdmref"
 	"xqtp/internal/xmlstore"
 )
 
@@ -24,12 +25,13 @@ func stepTests(elem, attr string) []xdm.NodeTest {
 }
 
 // TestStepMatchesPointerReference holds the column Step to the pointer
-// data model's step (RefStep, the pre-columns implementation) on every
+// data model's step (xdmref.Step, the pre-columns implementation) on every
 // rank of generated and parsed documents — attributes and texts included as
-// contexts — for all 12 axes and every kind of node test. A Finalize tree
-// carries both representations, so the two must agree pointer for pointer;
-// the same document ingested by the scanner (columns only, nodes built on
-// request) must agree rank for rank.
+// contexts — for all 12 axes and every kind of node test. The reference
+// parse carries both representations, the linked nodes and the columns
+// derived from them, so the two must agree rank for rank, each match the
+// column tree's one node of its rank; the same document ingested by the
+// scanner (columns only, nodes built on request) must agree rank for rank.
 func TestStepMatchesPointerReference(t *testing.T) {
 	const mixed = `<r a="1" b="2">lead<x>hi<y c="3"/>mid<y/></x>tail<z b="4"><x>deep<y>er</y></x></z></r>`
 	docs := map[string]string{
@@ -39,7 +41,7 @@ func TestStepMatchesPointerReference(t *testing.T) {
 	}
 	names := map[string][2]string{"xmark": {"person", "id"}, "member": {"t02", "none"}, "mixed": {"y", "b"}}
 	for label, text := range docs {
-		ref, err := xmlstore.ParseStd(strings.NewReader(text))
+		ref, err := xdmref.ParseStd(strings.NewReader(text))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,17 +51,17 @@ func TestStepMatchesPointerReference(t *testing.T) {
 		}
 		cols := ix.Tree
 		nm := names[label]
-		for r := int32(0); int(r) < ref.CountNodes(); r++ {
+		for r := int32(0); int(r) < ref.Tree.CountNodes(); r++ {
 			for _, axis := range allAxes {
 				for _, test := range stepTests(nm[0], nm[1]) {
-					want := xdm.RefStep(ref.Node(r), axis, test)
-					got := xdm.Step(ref.Node(r), axis, test)
+					want := xdmref.Step(ref.Nodes[r], axis, test)
+					got := xdm.Step(ref.Tree.Node(r), axis, test)
 					what := fmt.Sprintf("%s: rank %d %s::%s", label, r, axis, test)
 					if len(got) != len(want) {
 						t.Fatalf("%s: column step %v, pointer step %v", what, got, want)
 					}
 					for i := range want {
-						if got[i] != want[i] {
+						if got[i].Pre != want[i].Pre || got[i] != ref.Tree.Node(int32(want[i].Pre)) {
 							t.Fatalf("%s: item %d is %v, pointer step has %v", what, i, got[i], want[i])
 						}
 					}
@@ -75,14 +77,5 @@ func TestStepMatchesPointerReference(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestStepDetached: a node outside any tree has no axes.
-func TestStepDetached(t *testing.T) {
-	el := xdm.NewElement("a")
-	el.AppendChild(xdm.NewElement("b"))
-	if got := xdm.Step(el, xdm.AxisChild, xdm.StarTest()); got != nil {
-		t.Fatalf("detached child step = %v", got)
 	}
 }

@@ -3,7 +3,7 @@ package xdm
 import "fmt"
 
 // Sym is an interned element/attribute name: a small integer assigned per
-// tree at Finalize time. Symbol IDs index the per-tag stream tables of the
+// tree as the tree is built. Symbol IDs index the per-tag stream tables of the
 // store directly, so the join loops never hash name strings — the same
 // access-structure trick native XML engines use for their label paths.
 type Sym int32
@@ -14,16 +14,12 @@ const NoSym Sym = -1
 
 // Symbols is a tree's symbol table: a bijection between the element and
 // attribute names occurring in the document and the dense ID range
-// [0, Len()). The table is immutable after Finalize, so concurrent readers
-// need no synchronization.
+// [0, Len()). The table is immutable once built, so concurrent readers need
+// no synchronization.
 type Symbols struct {
 	byName map[string]Sym
 	names  []string
-	plain  bool // every name is plainName: set by symbolsOf, kept by intern
-}
-
-func newSymbols() *Symbols {
-	return &Symbols{byName: make(map[string]Sym), plain: true}
+	plain  bool // every name is plainName, set by symbolsOf
 }
 
 // NewSymbols builds a symbol table over an already-interned name list —
@@ -79,18 +75,6 @@ func (st *Symbols) Names() []string {
 		return nil
 	}
 	return st.names
-}
-
-// intern returns the ID for name, assigning the next free ID on first use.
-func (st *Symbols) intern(name string) Sym {
-	if s, ok := st.byName[name]; ok {
-		return s
-	}
-	s := Sym(len(st.names))
-	st.byName[name] = s
-	st.names = append(st.names, name)
-	st.plain = st.plain && plainName(name)
-	return s
 }
 
 // Lookup resolves a name to its symbol. Names that do not occur in the tree

@@ -8,10 +8,11 @@ import (
 
 	"xqtp/internal/gen"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xdm/xdmref"
 )
 
 // The differential contract of the ingest path: for every input that
-// ParseStd (the encoding/xml reference) accepts, the scanner must accept it
+// xdmref.ParseStd (the encoding/xml reference) accepts, the scanner must accept it
 // too and produce a bit-identical tree — same symbol table, same columns,
 // same text values, and, rank by rank, built nodes equal to the ones
 // Finalize adopted, whose links the columns must reproduce — and Ingest's
@@ -21,27 +22,28 @@ import (
 // it must never reject what ParseStd accepts.
 
 // parseStdString runs the reference path over a string.
-func parseStdString(s string) (*xdm.Tree, error) { return ParseStd(strings.NewReader(s)) }
+func parseStdString(s string) (*xdmref.Doc, error) { return xdmref.ParseStd(strings.NewReader(s)) }
 
 // requireIngestMatchesStd holds Ingest (scan → columns → BuildIndex → nodes
 // on request) to the reference (ParseStd → Finalize → BuildIndex), rank for
 // rank, node for node and byte for byte.
-func requireIngestMatchesStd(t *testing.T, want *xdm.Tree, data []byte) {
+func requireIngestMatchesStd(t *testing.T, want *xdmref.Doc, data []byte) {
 	t.Helper()
 	ix, err := Ingest(data)
 	if err != nil {
 		t.Fatalf("Ingest rejected input accepted by ParseStd: %v\ninput: %q", err, data)
 	}
-	requireIndexesEqual(t, BuildIndex(want), ix)
+	requireIndexesEqual(t, BuildIndex(want.Tree), ix)
 	requireTreesEqual(t, want, ix.Tree)
 	requireSerializationsAgree(t, want, ix.Tree)
 }
 
 // requireTreesEqual compares two trees column for column and node for node;
-// want must be a Finalize tree, whose Parent/Children/Attrs links are checked
-// against got's columns.
-func requireTreesEqual(t *testing.T, want, got *xdm.Tree) {
+// std is a Finalize tree, whose columns and nodes are compared with got's and
+// whose Parent/Children/Attrs links are checked against got's columns.
+func requireTreesEqual(t *testing.T, std *xdmref.Doc, got *xdm.Tree) {
 	t.Helper()
+	want := std.Tree
 	if want.CountNodes() != got.CountNodes() {
 		t.Fatalf("node count: fast %d, std %d", got.CountNodes(), want.CountNodes())
 	}
@@ -69,7 +71,7 @@ func requireTreesEqual(t *testing.T, want, got *xdm.Tree) {
 	}
 	for pre := range wc.Kind {
 		r := int32(pre)
-		w, g := want.Node(r), got.Node(r)
+		w, g := std.Nodes[r], got.Node(r)
 		if w.Kind != g.Kind || w.Name != g.Name || w.Text != g.Text || w.Sym != g.Sym {
 			t.Fatalf("pre %d: fast {kind=%v name=%q text=%q sym=%d}, std {kind=%v name=%q text=%q sym=%d}",
 				pre, g.Kind, g.Name, g.Text, g.Sym, w.Kind, w.Name, w.Text, w.Sym)
@@ -96,7 +98,7 @@ func requireTreesEqual(t *testing.T, want, got *xdm.Tree) {
 	}
 }
 
-func pres(ns []*xdm.Node) []int {
+func pres(ns []*xdmref.Node) []int {
 	out := make([]int, len(ns))
 	for i, n := range ns {
 		out[i] = n.Pre
@@ -106,14 +108,15 @@ func pres(ns []*xdm.Node) []int {
 
 // requireSerializationsAgree holds the column serializer to the link walk:
 // for every rank, AppendXML over the columns of the reference tree and of
-// the ingested one must be the bytes appendLinked walks from the reference
-// node, and Serialize (flushing through the same scan) must write the
-// document's bytes.
-func requireSerializationsAgree(t *testing.T, want, got *xdm.Tree) {
+// the ingested one must be the bytes xdmref.AppendLinked walks from the
+// reference node, and Serialize (flushing through the same scan) must write
+// the document's bytes.
+func requireSerializationsAgree(t *testing.T, std *xdmref.Doc, got *xdm.Tree) {
 	t.Helper()
+	want := std.Tree
 	for pre := range want.Cols.Kind {
 		r := int32(pre)
-		ref := appendLinked(nil, want.Node(r))
+		ref := xdmref.AppendLinked(nil, std.Nodes[r], appendEscaped)
 		if out := AppendXML(nil, want.Node(r)); !bytes.Equal(out, ref) {
 			t.Fatalf("pre %d: column AppendXML %q, link walk %q", pre, out, ref)
 		}
@@ -125,7 +128,7 @@ func requireSerializationsAgree(t *testing.T, want, got *xdm.Tree) {
 	if err := Serialize(&buf, got.RootNode()); err != nil {
 		t.Fatal(err)
 	}
-	if ref := appendLinked(nil, want.RootNode()); !bytes.Equal(buf.Bytes(), ref) {
+	if ref := xdmref.AppendLinked(nil, std.Nodes[0], appendEscaped); !bytes.Equal(buf.Bytes(), ref) {
 		t.Fatalf("Serialize wrote %d bytes differing from the link walk's %d", buf.Len(), len(ref))
 	}
 }
@@ -161,7 +164,7 @@ func requireIndexesEqual(t *testing.T, want, got *Index) {
 	requireStreams("allAttrs", want.allAttrs, got.allAttrs)
 }
 
-// differentialCorpus exercises the scanner against ParseStd: every entry is
+// differentialCorpus exercises the scanner against xdmref.ParseStd: every entry is
 // accepted by encoding/xml.
 var differentialCorpus = []string{
 	`<a/>`,
@@ -225,7 +228,7 @@ func TestFastVsStdGenerated(t *testing.T) {
 	}
 	for name, data := range docs {
 		t.Run(name, func(t *testing.T) {
-			want, err := ParseStd(bytes.NewReader(data))
+			want, err := xdmref.ParseStd(bytes.NewReader(data))
 			if err != nil {
 				t.Fatalf("ParseStd: %v", err)
 			}
@@ -264,7 +267,7 @@ func TestMalformedRejected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseStd(strings.NewReader(tc.doc)); err == nil {
+			if _, err := xdmref.ParseStd(strings.NewReader(tc.doc)); err == nil {
 				t.Fatalf("ParseStd accepted %q", tc.doc)
 			} else if !strings.HasPrefix(err.Error(), "xmlstore:") {
 				t.Fatalf("ParseStd error not xmlstore-prefixed: %v", err)
@@ -276,6 +279,15 @@ func TestMalformedRejected(t *testing.T) {
 			}
 		})
 	}
+}
+
+// parseStdTree is parseStdString's column tree.
+func parseStdTree(s string) (*xdm.Tree, error) {
+	d, err := parseStdString(s)
+	if err != nil {
+		return nil, err
+	}
+	return d.Tree, nil
 }
 
 // TestXmlnsDropSymmetry pins the namespace-declaration handling both
@@ -299,7 +311,7 @@ func TestXmlnsDropSymmetry(t *testing.T) {
 		for _, parse := range []struct {
 			label string
 			fn    func(string) (*xdm.Tree, error)
-		}{{"std", parseStdString}, {"fast", ParseString}} {
+		}{{"std", parseStdTree}, {"fast", ParseString}} {
 			tr, err := parse.fn(tc.doc)
 			if err != nil {
 				t.Fatalf("%s rejected %q: %v", parse.label, tc.doc, err)
@@ -331,7 +343,7 @@ func FuzzScanVsStd(f *testing.F) {
 	f.Add([]byte("<a><b><c/></b><b/></a>"))
 	f.Add([]byte("<!DOCTYPE a SYSTEM \"x\"><a/>"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want, stdErr := ParseStd(bytes.NewReader(data))
+		want, stdErr := xdmref.ParseStd(bytes.NewReader(data))
 		if stdErr != nil {
 			// ParseStd rejects; the non-validating scanner may go either way.
 			return

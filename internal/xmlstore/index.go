@@ -42,8 +42,8 @@ type Index struct {
 // touching a single node pointer. Every stream, per-symbol and merged, is
 // cut from one exactly-sized slab with a full-slice expression, so filling
 // one can never spill into its neighbour. It is the only index builder:
-// Ingest and the Finalize-built reference and generator trees all come
-// through here.
+// Ingest, the generators and the tests' reference trees all come through
+// here.
 func BuildIndex(t *xdm.Tree) *Index {
 	nsyms := t.Syms.Len()
 	cols := t.Cols

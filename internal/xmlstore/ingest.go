@@ -9,11 +9,11 @@ package xmlstore
 // exactly-sized slab. No node is allocated — the tree builds a node from
 // the columns when somebody asks for its rank.
 //
-// The scanner accepts a superset of what ParseStd accepts (no UTF-8
+// The scanner accepts a superset of what encoding/xml accepts (no UTF-8
 // validation, no name-character checks, '<' allowed in attribute values,
 // ']]>' allowed in text) but produces a bit-identical tree and index for
-// every input ParseStd accepts; the differential and fuzz suites enforce
-// that contract. Structural errors — unbalanced or mismatched tags, stray
+// every input the encoding/xml reference parser (xdmref.ParseStd, test
+// only) accepts; the differential and fuzz suites enforce that contract. Structural errors — unbalanced or mismatched tags, stray
 // end elements, multiple or missing roots — are rejected with xmlstore:-
 // prefixed errors either way.
 
@@ -104,7 +104,7 @@ type ingester struct {
 	// each whether the bound URI is the literal string "xmlns". encoding/xml
 	// resolves a prefixed attribute to its namespace URI before the drop
 	// decision, so an attribute whose prefix maps to the URI "xmlns" becomes
-	// indistinguishable from a real declaration and ParseStd drops it; the
+	// indistinguishable from a real declaration and encoding/xml drops it; the
 	// scanner mirrors that by resolving prefixes against this stack. Empty
 	// for documents without prefixed namespace declarations (the common
 	// case), where it costs nothing.
@@ -209,11 +209,12 @@ func (in *ingester) text() error {
 
 // segment handles one character-data segment — a text run, or the contents
 // of one CDATA section (cdata true: '&' is literal there). Segments are
-// dropped when whitespace-only or outside the root, matching ParseStd.
+// dropped when whitespace-only or outside the root, matching the reference
+// parser.
 func (in *ingester) segment(raw []byte, cdata bool) error {
 	if in.b.Depth() == 0 || len(raw) == 0 {
-		// Character data outside the root element carries no node. ParseStd
-		// ignores it the same way (without even decoding its entities, which
+		// Character data outside the root element carries no node. The
+		// reference parser ignores it the same way (without even decoding its entities, which
 		// makes the fast path strictly more lenient there).
 		return nil
 	}
@@ -492,7 +493,7 @@ var (
 
 // bang dispatches the markup at pos ("<!"): comment, CDATA section, or
 // directive (DOCTYPE and friends, skipped like encoding/xml's Directive
-// tokens are by ParseStd).
+// tokens are by the reference parser).
 func (in *ingester) bang() error {
 	data := in.data
 	rest := data[in.pos:]

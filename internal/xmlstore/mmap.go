@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,10 +42,12 @@ type Mapping struct {
 }
 
 // MapFile maps the file at path read-only. The file's length is fixed at
-// map time; a file that later shrinks on disk can still SIGBUS a mapped
-// reader on Unix — snapshots are immutable by contract, and the open-time
-// length validation (OpenCorpus) rejects files already shorter than
-// their offset table claims.
+// map time; a file that later shrinks on disk faults (SIGBUS) a mapped
+// reader of the pages past its new end on Unix. Snapshots are immutable by
+// contract, and the open-time length validation (OpenCorpus) rejects files
+// already shorter than their offset table claims; a reader that may touch
+// pages after open runs under ArmFaults and CatchFault, which turn the fault
+// into an error.
 func MapFile(path string) (*Mapping, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -170,4 +173,25 @@ func (m *Mapping) Resident() (int64, bool) {
 		return 0, false
 	}
 	return total, true
+}
+
+// ArmFaults makes a memory fault on the calling goroutine — a read of a
+// mapped page whose file was truncated under the mapping — panic instead of
+// killing the process, and returns the previous setting for CatchFault. Arm
+// it once around a whole member load or member run, never per tuple:
+//
+//	defer xmlstore.CatchFault(xmlstore.ArmFaults(), &err)
+func ArmFaults() bool { return debug.SetPanicOnFault(true) }
+
+// CatchFault, deferred, restores the setting ArmFaults returned and turns a
+// fault's panic into *err. Any other panic goes on.
+func CatchFault(prev bool, err *error) {
+	debug.SetPanicOnFault(prev)
+	if r := recover(); r != nil {
+		fault, ok := r.(interface{ Addr() uintptr })
+		if !ok {
+			panic(r)
+		}
+		*err = fmt.Errorf("xmlstore: fault at %#x reading a mapped snapshot (was the file truncated?)", fault.Addr())
+	}
 }

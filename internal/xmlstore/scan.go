@@ -4,8 +4,7 @@ package xmlstore
 // namespace name-splitting rule of encoding/xml, and character-data decoding
 // (predefined entities, numeric character references, newline
 // normalization). The scan loop feeding the tree builder lives in ingest.go;
-// ParseStd in parse.go remains the encoding/xml reference oracle the scanner
-// is differentially tested against.
+// the tests hold it to an encoding/xml reference parser (xdmref.ParseStd).
 
 import (
 	"bytes"
@@ -80,7 +79,7 @@ func splitName(name []byte) (prefix, local []byte) {
 
 // isNSDecl reports whether an attribute name declares a namespace — a
 // literal xmlns or an xmlns: prefix that actually splits — matching the
-// attributes ParseStd drops.
+// attributes encoding/xml's reference parser drops.
 func isNSDecl(name []byte) bool {
 	if string(name) == "xmlns" {
 		return true

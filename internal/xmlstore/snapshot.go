@@ -604,9 +604,13 @@ type lazyMember struct {
 	loaded atomic.Bool // set after a successful load (advisory fast path)
 }
 
-// memberDir parses and caches the member's directory.
+// memberDir parses and caches the member's directory. A fault on a page the
+// file no longer backs is the directory's error, like a corrupt one.
 func (l *lazyMember) memberDir() (*memberDir, error) {
-	l.dirOnce.Do(func() { l.dirErr = parseMemberDir(l.data, l.layout, &l.dir) })
+	l.dirOnce.Do(func() {
+		defer CatchFault(ArmFaults(), &l.dirErr)
+		l.dirErr = parseMemberDir(l.data, l.layout, &l.dir)
+	})
 	if l.dirErr != nil {
 		return nil, l.dirErr
 	}
@@ -696,7 +700,8 @@ func (ix *Index) StreamLen(s xdm.Sym, attr bool) (int, bool) {
 
 // loadDeferred runs the member's full parse + validation (once, under the
 // Ensure gate). A closed mapping fails with ErrSnapshotClosed before any
-// page is touched.
+// page is touched; a fault on a page the file no longer backs becomes the
+// member's error.
 func (ix *Index) loadDeferred() error {
 	l := ix.lazy
 	if l.m != nil {
@@ -704,15 +709,22 @@ func (ix *Index) loadDeferred() error {
 			return err
 		}
 	}
-	d, err := l.memberDir()
-	if err != nil {
-		return fmt.Errorf("xmlstore: snapshot member %d: %w", l.member, err)
-	}
-	r := &snapReader{data: l.data, off: d.size}
-	if err := ix.readMemberInto(r, d); err != nil {
+	if err := ix.readDeferred(); err != nil {
 		return fmt.Errorf("xmlstore: snapshot member %d: %w", l.member, err)
 	}
 	return nil
+}
+
+// readDeferred parses the member's directory and body into the index, under
+// one fault guard.
+func (ix *Index) readDeferred() (err error) {
+	defer CatchFault(ArmFaults(), &err)
+	l := ix.lazy
+	d, err := l.memberDir()
+	if err != nil {
+		return err
+	}
+	return ix.readMemberInto(&snapReader{data: l.data, off: d.size}, d)
 }
 
 // readMemberInto parses the member body into the index's shell tree,

@@ -16,6 +16,7 @@ import (
 
 	"xqtp/internal/gen"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xdm/xdmref"
 )
 
 // indexesEqual compares two indexes node for node and stream for stream:
@@ -299,21 +300,21 @@ func TestSnapshotProperty(t *testing.T) {
 	tags := []string{"a", "b", "c-long-name", "d"}
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		root := xdm.NewElement("root")
-		nodes := []*xdm.Node{root}
+		root := xdmref.NewElement("root")
+		nodes := []*xdmref.Node{root}
 		for i := 0; i < 5+rng.Intn(80); i++ {
 			parent := nodes[rng.Intn(len(nodes))]
-			el := xdm.NewElement(tags[rng.Intn(len(tags))])
+			el := xdmref.NewElement(tags[rng.Intn(len(tags))])
 			if rng.Intn(3) == 0 {
 				el.SetAttr("k", strings.Repeat("v", rng.Intn(5)))
 			}
 			if rng.Intn(4) == 0 {
-				el.AppendChild(xdm.NewText("text & <stuff>"))
+				el.AppendChild(xdmref.NewText("text & <stuff>"))
 			}
 			parent.AppendChild(el)
 			nodes = append(nodes, el)
 		}
-		tr := xdm.Finalize(root)
+		tr := xdmref.Finalize(root).Tree
 		ix := BuildIndex(tr)
 		var buf bytes.Buffer
 		if err := writeSingle(&buf, ix); err != nil {
