@@ -183,6 +183,41 @@ func TestCorpusSnapshotExtend(t *testing.T) {
 	}
 }
 
+// A corpus reopened from its snapshot and extended saves the same bytes as
+// the corpus ingested whole: the stored name table grows by the added
+// members' names in sorted rows, as a from-scratch build lays them out.
+func TestSnapshotExtendSavesIngestBytes(t *testing.T) {
+	all := genCorpusSources(6, 5)
+	all = append(all, CorpusSource{URI: "mem://extra.xml", Data: []byte(`<doc><aaa k="v"/><zzz>x</zzz><t01/></doc>`)})
+	save := func(c *Corpus) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := c.SaveSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	prefix, err := LoadCorpus(all[:4], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenCorpusSnapshot(save(prefix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := reopened.Extend(all[4:], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := LoadCorpus(all, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := save(grown), save(whole); !bytes.Equal(a, b) {
+		t.Fatalf("extended snapshot saves %d bytes unlike the whole ingest's %d", len(a), len(b))
+	}
+}
+
 // The file-mapped open is the same corpus again: identical query results,
 // identical skip accounting (the deferred members answer the emptiness probe
 // from their section directories), and a typed error after Close. This is

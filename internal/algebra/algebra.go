@@ -233,15 +233,8 @@ func EachChild(e Expr, f func(Expr)) {
 	}
 }
 
-// Children returns the direct sub-expressions of e.
-func Children(e Expr) []Expr {
-	var out []Expr
-	EachChild(e, func(c Expr) { out = append(out, c) })
-	return out
-}
-
 // MapChildren returns e with each direct sub-expression c replaced by f(c),
-// f being called in Children order. When f returns every child unchanged, e
+// f being called in EachChild order. When f returns every child unchanged, e
 // itself is returned; otherwise a new node of the same kind that shares the
 // unchanged children (and e's pattern). e is never mutated.
 func MapChildren(e Expr, f func(Expr) Expr) Expr {

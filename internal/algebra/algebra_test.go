@@ -112,9 +112,7 @@ func TestChildrenCoverage(t *testing.T) {
 	var count func(Expr) int
 	count = func(e Expr) int {
 		n := 1
-		for _, c := range Children(e) {
-			n += count(c)
-		}
+		EachChild(e, func(c Expr) { n += count(c) })
 		return n
 	}
 	if got := count(p); got != 5 {

@@ -51,9 +51,12 @@ func (d *Doc) Tree() *xdm.Tree { return d.Index.Tree }
 func (d *Doc) Root() *xdm.Node { return d.Index.Tree.RootNode() }
 
 // RootSeq returns the document node as a singleton sequence, allocated once:
-// the uniform binding a run hands to every free variable.
+// the uniform binding a run hands to every free variable. The node is built
+// before the once: building it may read a mapped page, and a fault inside
+// the once would settle it on a nil sequence.
 func (d *Doc) RootSeq() xdm.Sequence {
-	d.rootOnce.Do(func() { d.rootSeq = xdm.Singleton(d.Root()) })
+	root := d.Root()
+	d.rootOnce.Do(func() { d.rootSeq = xdm.Singleton(root) })
 	return d.rootSeq
 }
 
@@ -75,7 +78,7 @@ type Corpus struct {
 	// catalog registers every member index so any engine run against the
 	// corpus resolves indexes without rebuilding them.
 	catalog *xmlstore.Catalog
-	// names is the corpus name table: decoded from a snapshot, grown from the
+	// names is the corpus name table: installed from a snapshot, grown from the
 	// parent's by Extend, or else built by the first Names call — so a
 	// one-member corpus behind a standalone document never pays for it.
 	names     *NameTable
@@ -159,7 +162,7 @@ func (c *Corpus) SetURI(i int, uri string) {
 // assemble builds the corpus structures over a member slice already in
 // ascending tree-ID order. names is an already-built name table (Extend
 // grows the previous corpus's table incrementally; the snapshot loader
-// decodes a stored one) or nil, which defers the build to the first Names
+// installs a stored one) or nil, which defers the build to the first Names
 // call.
 func assemble(members []*Doc, names *NameTable) (*Corpus, error) {
 	c := &Corpus{
@@ -220,7 +223,7 @@ func (c *Corpus) Catalog() *xmlstore.Catalog { return c.catalog }
 func (c *Corpus) Names() *NameTable {
 	c.namesOnce.Do(func() {
 		if c.names == nil {
-			c.names = buildNameTable(c.docs)
+			c.names = new(NameTable).extend(c.docs)
 		}
 	})
 	return c.names
@@ -267,6 +270,9 @@ func (c *Corpus) ResolveCollection(name string) (xdm.Sequence, error) {
 		return nil, err
 	}
 	c.rootsOnce.Do(func() {
+		// Building the document nodes reads member pages: a fault is the
+		// collection's error, like a member's load failure.
+		defer xmlstore.CatchFault(xmlstore.ArmFaults(), &c.rootsErr)
 		roots := make(xdm.Sequence, len(c.docs))
 		for i, d := range c.docs {
 			if err := d.Ensure(); err != nil {

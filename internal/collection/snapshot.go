@@ -23,17 +23,11 @@ func (c *Corpus) WriteSnapshot(w io.Writer) error {
 		ixs[i] = d.Index
 	}
 	nt := c.Names()
-	names := nt.Names()
-	cells := make([]xdm.Sym, len(names)*len(c.docs))
-	for i, name := range names {
-		col := nt.byName[name]
-		copy(cells[i*len(c.docs):], col)
-	}
 	return xmlstore.WriteCorpus(w, &xmlstore.CorpusSnapshot{
 		URIs:     uris,
 		Indexes:  ixs,
-		Names:    names,
-		NameSyms: cells,
+		Names:    nt.names,
+		NameSyms: nt.cells,
 	})
 }
 
@@ -81,8 +75,9 @@ func OpenSnapshotFile(path string) (*Corpus, error) {
 // openSnapshot is the one open: deferred members over a byte slice, wherever
 // the bytes came from. The members get a fresh contiguous tree-ID block in
 // stored order, re-establishing the corpus-order invariant exactly as
-// parallel ingest does; the name table comes from the snapshot, so no member
-// symbol table is re-walked (unless the file carries no table at all).
+// parallel ingest does; the name table is the snapshot's, installed as
+// stored, so no member symbol table is re-walked (unless the file carries no
+// table at all).
 func openSnapshot(data []byte, m *xmlstore.Mapping) (*Corpus, error) {
 	s, err := xmlstore.OpenCorpus(data, m)
 	if err != nil {
@@ -99,29 +94,15 @@ func openSnapshot(data []byte, m *xmlstore.Mapping) (*Corpus, error) {
 		// Every member has a root element, so members without a single name
 		// means the file was written without its name table (document
 		// snapshots before the table became mandatory): unknown, not absent.
-		// Load the members and let Names build the table from their symbols,
-		// or the fan-out's skip test would exclude every one of them.
+		// Load the members and build the table from their symbols now, or the
+		// fan-out's skip test would exclude every one of them. Building it at
+		// open keeps the member pages it reads out of Names' once.
 		for _, d := range docs {
 			if err := d.Ensure(); err != nil {
 				return nil, err
 			}
 		}
-		return assemble(docs, nil)
+		return assemble(docs, new(NameTable).extend(docs))
 	}
-	return assemble(docs, nameTableFromSnapshot(s))
-}
-
-// nameTableFromSnapshot decodes the flat row-major name-table cells back
-// into the per-name column map.
-func nameTableFromSnapshot(s *xmlstore.CorpusSnapshot) *NameTable {
-	nt := &NameTable{
-		byName: make(map[string][]xdm.Sym, len(s.Names)),
-		ndocs:  len(s.Indexes),
-	}
-	for i, name := range s.Names {
-		col := make([]xdm.Sym, nt.ndocs)
-		copy(col, s.NameSyms[i*nt.ndocs:(i+1)*nt.ndocs])
-		nt.byName[name] = col
-	}
-	return nt
+	return assemble(docs, newNameTable(s.Names, s.NameSyms, len(docs)))
 }

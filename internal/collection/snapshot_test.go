@@ -2,12 +2,14 @@ package collection
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"xqtp/internal/xdm"
 	"xqtp/internal/xmlstore"
@@ -105,15 +107,15 @@ func TestExtendNameTableMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := buildNameTable(next.Docs())
+		want := new(NameTable).extend(next.Docs())
 		got := next.Names()
 		if !reflect.DeepEqual(got.Names(), want.Names()) {
 			t.Fatalf("round %d: names %v, want %v", round, got.Names(), want.Names())
 		}
 		for _, name := range want.Names() {
-			if !reflect.DeepEqual(got.byName[name], want.byName[name]) {
+			if !reflect.DeepEqual(got.SymColumn(name), want.SymColumn(name)) {
 				t.Fatalf("round %d: column for %q is %v, want %v",
-					round, name, got.byName[name], want.byName[name])
+					round, name, got.SymColumn(name), want.SymColumn(name))
 			}
 		}
 		if got.ndocs != next.Len() {
@@ -343,5 +345,49 @@ func TestOpenSnapshotFileTruncated(t *testing.T) {
 		if _, err := OpenSnapshotFile(path); err == nil {
 			t.Errorf("open of snapshot truncated by %d bytes should fail", cut)
 		}
+	}
+}
+
+// A corpus opened from a snapshot file holds the name table as stored: the
+// cells are the file's own bytes (on a little-endian host, where int32
+// arrays alias the snapshot), and the table equals the one built from the
+// members' symbol tables.
+func TestMappedNameTableInstalledWhole(t *testing.T) {
+	c, err := Ingest(genSources(12), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "corpus.xqts")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	data, err := c2.Mapping().Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := c2.Names()
+	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
+		base, cell := uintptr(unsafe.Pointer(&data[0])), uintptr(unsafe.Pointer(&got.cells[0]))
+		if cell < base || cell >= base+uintptr(len(data)) {
+			t.Fatal("the name cells are a copy, not the snapshot's bytes")
+		}
+	}
+	for _, d := range c2.Docs() {
+		if err := d.Ensure(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := new(NameTable).extend(c2.Docs())
+	if !reflect.DeepEqual(got.names, want.names) || !reflect.DeepEqual(got.cells, want.cells) || got.ndocs != want.ndocs {
+		t.Fatalf("installed name table differs from the rebuilt one:\n%v %v\n%v %v", got.names, got.cells, want.names, want.cells)
 	}
 }

@@ -637,10 +637,3 @@ func (p *parser) parseCall() (ast.Expr, error) {
 	call := &ast.Call{Name: local, Args: args}
 	return p.filtered(call)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -102,15 +102,6 @@ func (p *Pattern) SingleOutput() (string, bool) {
 	return "", false
 }
 
-// SpineLen returns the number of spine steps.
-func (p *Pattern) SpineLen() int {
-	n := 0
-	for s := p.Root; s != nil; s = s.Next {
-		n++
-	}
-	return n
-}
-
 // Size returns the total number of steps including predicate branches.
 func (p *Pattern) Size() int {
 	var count func(*Step) int
@@ -125,22 +116,6 @@ func (p *Pattern) Size() int {
 		return n + count(s.Next)
 	}
 	return count(p.Root)
-}
-
-// HasBranches reports whether any step carries predicate branches (a twig,
-// as opposed to a linear path).
-func (p *Pattern) HasBranches() bool {
-	var walk func(*Step) bool
-	walk = func(s *Step) bool {
-		if s == nil {
-			return false
-		}
-		if len(s.Preds) > 0 {
-			return true
-		}
-		return walk(s.Next)
-	}
-	return walk(p.Root)
 }
 
 // ClearOutputs removes all output annotations from a step chain (used when

@@ -69,18 +69,8 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestSizeAndShape(t *testing.T) {
 	p := q1a()
-	if p.SpineLen() != 2 {
-		t.Errorf("SpineLen = %d", p.SpineLen())
-	}
 	if p.Size() != 3 {
 		t.Errorf("Size = %d", p.Size())
-	}
-	if !p.HasBranches() {
-		t.Error("HasBranches = false")
-	}
-	linear := New("dot", NewStep(xdm.AxisChild, xdm.NameTest("a")))
-	if linear.HasBranches() {
-		t.Error("linear pattern reports branches")
 	}
 }
 

@@ -12,4 +12,4 @@ func (t *Tree) TextValues() []string {
 
 // Untouched reports whether the tree holds no node at all, not even its
 // document node, and no identity table.
-func (t *Tree) Untouched() bool { return t.root == nil && t.ids.Load() == nil }
+func (t *Tree) Untouched() bool { return t.root.Load() == nil && t.ids.Load() == nil }

@@ -72,19 +72,20 @@ type Tree struct {
 	// snapshot stores them: value i is textBlob[textOff[i]:textOff[i+1]].
 	textOff  []uint32
 	textBlob string
-	textOrd  []int32      // per rank: the text-bearing nodes before it (derived, never stored)
-	load     func() error // shell trees: fills Cols/Syms/the text table on first use
-	once     sync.Once    // gates load and the document node
-	root     *Node        // the document node, built by force
+	textOrd  []int32              // per rank: the text-bearing nodes before it (derived, never stored)
+	load     func() error         // shell trees: fills Cols/Syms/the text table on first use
+	once     sync.Once            // gates load
+	root     atomic.Pointer[Node] // the document node, built on first request
 	// ids is the identity table, one slot per rank, allocated on the first
 	// request for a rank other than 0; a slot is published by CAS so racing
 	// first requests agree on one node.
 	ids atomic.Pointer[[]atomic.Pointer[Node]]
 }
 
-// force runs a shell tree's loader and builds the document node, once. Safe
-// for concurrent use: Once.Do publishes the columns and the root to every
-// caller.
+// force runs a shell tree's loader, once. Safe for concurrent use: Once.Do
+// publishes the columns to every caller. The loader guards its own reads of
+// a mapped snapshot, so nothing in the once can fault and leave it settled
+// on a half-built tree.
 //
 // force cannot return an error, so a failed load installs a minimal
 // placeholder document: navigation through a poisoned tree yields an empty
@@ -96,8 +97,18 @@ func (t *Tree) force() {
 		if t.load != nil && t.load() != nil {
 			t.poison()
 		}
-		t.root = t.build(0)
 	})
+}
+
+// rootNode returns the document node, building it on the first request. It
+// is built outside force's once: a fault reading a truncated mapping leaves
+// the root unbuilt, and the next request faults again.
+func (t *Tree) rootNode() *Node {
+	if n := t.root.Load(); n != nil {
+		return n
+	}
+	t.root.CompareAndSwap(nil, t.build(0))
+	return t.root.Load()
 }
 
 // poison installs the columns of a minimal two-node document (document node
@@ -134,10 +145,10 @@ func (t *Tree) Node(r int32) *Node {
 	if ids == nil {
 		// Nothing but the root asked for yet; the tree may not be loaded.
 		if t.force(); r == 0 {
-			return t.root
+			return t.rootNode()
 		}
 		fresh := make([]atomic.Pointer[Node], len(t.Cols.Kind))
-		fresh[0].Store(t.root)
+		fresh[0].Store(t.rootNode())
 		if !t.ids.CompareAndSwap(nil, &fresh) {
 			fresh = *t.ids.Load()
 		}
@@ -177,7 +188,7 @@ func (t *Tree) NodesBuilt() int {
 				n++
 			}
 		}
-	} else if t.root != nil {
+	} else if t.root.Load() != nil {
 		n = 1
 	}
 	return n

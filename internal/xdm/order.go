@@ -75,20 +75,6 @@ func IsDocOrdered(s Sequence) bool {
 	return true
 }
 
-// NodesOf extracts the node pointers from a sequence; it returns false if
-// any item is not a node.
-func NodesOf(s Sequence) ([]*Node, bool) {
-	ns := make([]*Node, len(s))
-	for i, it := range s {
-		n, ok := it.(*Node)
-		if !ok {
-			return nil, false
-		}
-		ns[i] = n
-	}
-	return ns, true
-}
-
 // SequenceOf converts a node slice into a Sequence.
 func SequenceOf(ns []*Node) Sequence {
 	s := make(Sequence, len(ns))

@@ -148,15 +148,13 @@ func requireIndexesEqual(t *testing.T, want, got *Index) {
 			}
 		}
 	}
-	if len(want.elemBySym) != len(got.elemBySym) || len(want.attrBySym) != len(got.attrBySym) {
+	if len(want.elems.off) != len(got.elems.off) || len(want.attrs.off) != len(got.attrs.off) {
 		t.Fatalf("per-symbol table sizes: fast %d/%d, reference %d/%d",
-			len(got.elemBySym), len(got.attrBySym), len(want.elemBySym), len(want.attrBySym))
+			len(got.elems.off), len(got.attrs.off), len(want.elems.off), len(want.attrs.off))
 	}
-	for s := range want.elemBySym {
-		requireStreams("elem sym "+want.Tree.Syms.Name(xdm.Sym(s)), want.elemBySym[s], got.elemBySym[s])
-	}
-	for s := range want.attrBySym {
-		requireStreams("attr sym "+want.Tree.Syms.Name(xdm.Sym(s)), want.attrBySym[s], got.attrBySym[s])
+	for s := xdm.Sym(0); int(s) < len(want.elems.off)-1; s++ {
+		requireStreams("elem sym "+want.Tree.Syms.Name(s), want.ElementRanksSym(s), got.ElementRanksSym(s))
+		requireStreams("attr sym "+want.Tree.Syms.Name(s), want.AttributeRanksSym(s), got.AttributeRanksSym(s))
 	}
 	requireStreams("allElems", want.allElems, got.allElems)
 	requireStreams("allText", want.allText, got.allText)

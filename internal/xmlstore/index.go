@@ -7,28 +7,30 @@ import (
 )
 
 // Index holds the access structures built over one document: per-tag element
-// streams and per-name attribute streams, each a []int32 slice of preorder
-// ranks sorted ascending. These streams are the inputs of the staircase and
-// twig join algorithms — the moral equivalent of an element-tag B-tree in a
+// streams and per-name attribute streams, each a run of preorder ranks
+// sorted ascending. These streams are the inputs of the staircase and twig
+// join algorithms — the moral equivalent of an element-tag B-tree in a
 // disk-based store, flattened to integers so a region scan touches packed
 // ranks instead of chasing GC-scanned node pointers (the columns of
 // xdm.Tree.Cols carry the per-rank encoding).
 //
 // Streams are keyed by the tree's interned symbol IDs (xdm.Sym), so a
-// resolved name test reaches its stream by a slice index instead of a string
-// hash; names absent from the document resolve to the empty stream via the
-// symbol-table lookup. The merged streams (node() over elements+text, the
-// all-attributes stream) are precomputed once here. An Index is immutable
-// after BuildIndex and safe for concurrent readers.
+// resolved name test reaches its stream by two slice indexes instead of a
+// string hash; names absent from the document resolve to the empty stream
+// via the symbol-table lookup. The per-symbol tables are held as the
+// snapshot stores them (symStreams), so a loaded member installs them whole.
+// The merged streams (node() over elements+text, the all-attributes stream)
+// are precomputed once here. An Index is immutable after BuildIndex and safe
+// for concurrent readers.
 type Index struct {
 	Tree *xdm.Tree
 
-	elemBySym [][]int32 // element rank streams, indexed by xdm.Sym
-	attrBySym [][]int32 // attribute rank streams, indexed by xdm.Sym
-	allElems  []int32
-	allText   []int32
-	allNodes  []int32 // elements and texts merged by pre (node() stream)
-	allAttrs  []int32 // every attribute, by pre (attribute::* stream)
+	elems    symStreams // element rank streams, by xdm.Sym
+	attrs    symStreams // attribute rank streams, by xdm.Sym
+	allElems []int32
+	allText  []int32
+	allNodes []int32 // elements and texts merged by pre (node() stream)
+	allAttrs []int32 // every attribute, by pre (attribute::* stream)
 
 	// lazy is the deferred-load state of a snapshot member (snapshot.go);
 	// nil on eagerly built indexes. While unloaded, the streams above are
@@ -37,92 +39,110 @@ type Index struct {
 	lazy *lazyMember
 }
 
+// symStreams is a per-symbol rank stream table in the layout of its two
+// snapshot sections (secElemOff/secElemData, secAttrOff/secAttrData):
+// symbol s's stream is data[off[s]:off[s+1]], off holding nsyms+1 cumulative
+// offsets from 0.
+type symStreams struct {
+	off  []uint32
+	data []int32
+}
+
+// stream returns symbol s's stream, nil for a symbol out of the table's
+// range (xdm.NoSym included). The full-slice expression keeps an append on
+// the result from writing into the next symbol's stream.
+func (t *symStreams) stream(s xdm.Sym) []int32 {
+	if s < 0 || int(s) >= len(t.off)-1 {
+		return nil
+	}
+	lo, hi := t.off[s], t.off[s+1]
+	return t.data[lo:hi:hi]
+}
+
 // BuildIndex scans the tree's kind/sym columns twice — once to size every
 // stream exactly, once to fill them — and constructs its index without
-// touching a single node pointer. Every stream, per-symbol and merged, is
-// cut from one exactly-sized slab with a full-slice expression, so filling
-// one can never spill into its neighbour. It is the only index builder:
-// Ingest, the generators and the tests' reference trees all come through
-// here.
+// touching a single node pointer. Every stream is cut from one exactly-sized
+// slab, so filling one can never spill into its neighbour. It is the only
+// index builder: Ingest, the generators and the tests' reference trees all
+// come through here.
 func BuildIndex(t *xdm.Tree) *Index {
 	nsyms := t.Syms.Len()
 	cols := t.Cols
-	bySym := make([][]int32, 2*nsyms)
+	off := make([]uint32, 2*(nsyms+1))
 	ix := &Index{
-		Tree:      t,
-		elemBySym: bySym[:nsyms:nsyms],
-		attrBySym: bySym[nsyms:],
+		Tree:  t,
+		elems: symStreams{off: off[: nsyms+1 : nsyms+1]},
+		attrs: symStreams{off: off[nsyms+1:]},
 	}
-	count := make([]int, 2*nsyms) // stream lengths, laid out as bySym
-	var nElems, nTexts, nAttrs int
+	// Counting pass: symbol s's stream length goes to off[s+1], so the
+	// running sums below turn each table into its cumulative offsets.
+	var nTexts int
 	for pre := range cols.Kind {
 		switch xdm.Kind(cols.Kind[pre]) {
 		case xdm.ElementNode:
-			count[cols.Sym[pre]]++
-			nElems++
+			ix.elems.off[cols.Sym[pre]+1]++
 		case xdm.AttributeNode:
-			count[nsyms+int(cols.Sym[pre])]++
-			nAttrs++
+			ix.attrs.off[cols.Sym[pre]+1]++
 		case xdm.TextNode:
 			nTexts++
 		}
 	}
-	// Per-symbol streams hold every element and attribute once; the merged
-	// ones hold elements twice (allElems, allNodes) and texts twice.
+	for s := 1; s <= nsyms; s++ {
+		ix.elems.off[s] += ix.elems.off[s-1]
+		ix.attrs.off[s] += ix.attrs.off[s-1]
+	}
+	nElems, nAttrs := int(ix.elems.off[nsyms]), int(ix.attrs.off[nsyms])
+	// The per-symbol tables hold every element and attribute once; the merged
+	// streams hold elements twice (allElems, allNodes) and texts twice.
 	slab := make([]int32, 3*nElems+2*nAttrs+2*nTexts)
-	off := 0
+	at := 0
 	take := func(n int) []int32 {
-		s := slab[off : off : off+n]
-		off += n
+		s := slab[at : at+n : at+n]
+		at += n
 		return s
 	}
-	for i, n := range count {
-		if n > 0 {
-			bySym[i] = take(n)
-		}
-	}
-	ix.allElems = take(nElems)
-	ix.allText = take(nTexts)
-	ix.allNodes = take(nElems + nTexts)
-	ix.allAttrs = take(nAttrs)
-	// The columns are in preorder, so appending in scan order leaves every
+	ix.elems.data = take(nElems)
+	ix.attrs.data = take(nAttrs)
+	ix.allElems = take(nElems)[:0]
+	ix.allText = take(nTexts)[:0]
+	ix.allNodes = take(nElems + nTexts)[:0]
+	ix.allAttrs = take(nAttrs)[:0]
+	// The columns are in preorder, so filling in scan order leaves every
 	// stream — including the merged ones — sorted by pre with no sort pass.
+	// off[s] serves as symbol s's fill cursor and ends at its stream's end.
 	for pre := range cols.Kind {
 		r := int32(pre)
 		switch xdm.Kind(cols.Kind[pre]) {
 		case xdm.ElementNode:
 			s := cols.Sym[pre]
-			ix.elemBySym[s] = append(ix.elemBySym[s], r)
+			ix.elems.data[ix.elems.off[s]] = r
+			ix.elems.off[s]++
 			ix.allElems = append(ix.allElems, r)
 			ix.allNodes = append(ix.allNodes, r)
 		case xdm.AttributeNode:
 			s := cols.Sym[pre]
-			ix.attrBySym[s] = append(ix.attrBySym[s], r)
+			ix.attrs.data[ix.attrs.off[s]] = r
+			ix.attrs.off[s]++
 			ix.allAttrs = append(ix.allAttrs, r)
 		case xdm.TextNode:
 			ix.allText = append(ix.allText, r)
 			ix.allNodes = append(ix.allNodes, r)
 		}
 	}
+	// Each cursor sits at the start of the next stream: shift them back one.
+	for _, o := range [][]uint32{ix.elems.off, ix.attrs.off} {
+		copy(o[1:nsyms+1], o[:nsyms])
+		o[0] = 0
+	}
 	return ix
 }
 
 // ElementRanksSym returns the element rank stream for an interned name. Pass
 // xdm.NoSym (or any out-of-range symbol) for the empty stream.
-func (ix *Index) ElementRanksSym(s xdm.Sym) []int32 {
-	if s < 0 || int(s) >= len(ix.elemBySym) {
-		return nil
-	}
-	return ix.elemBySym[s]
-}
+func (ix *Index) ElementRanksSym(s xdm.Sym) []int32 { return ix.elems.stream(s) }
 
 // AttributeRanksSym returns the attribute rank stream for an interned name.
-func (ix *Index) AttributeRanksSym(s xdm.Sym) []int32 {
-	if s < 0 || int(s) >= len(ix.attrBySym) {
-		return nil
-	}
-	return ix.attrBySym[s]
-}
+func (ix *Index) AttributeRanksSym(s xdm.Sym) []int32 { return ix.attrs.stream(s) }
 
 // ResolveName resolves a name test to this document's symbol ID (xdm.NoSym
 // when the name does not occur, i.e. its streams are empty).
@@ -200,8 +220,8 @@ func searchRanks(a []int32, x int32) int {
 // Tags returns the distinct element names in the index.
 func (ix *Index) Tags() []string {
 	var out []string
-	for s, stream := range ix.elemBySym {
-		if len(stream) > 0 {
+	for s := 0; s < len(ix.elems.off)-1; s++ {
+		if ix.elems.off[s+1] > ix.elems.off[s] {
 			out = append(out, ix.Tree.Syms.Name(xdm.Sym(s)))
 		}
 	}

@@ -226,6 +226,13 @@ func (w *snapWriter) i32s(a []int32) {
 	}
 }
 
+// u32s writes an offset array in i32s' encoding.
+func (w *snapWriter) u32s(a []uint32) {
+	if len(a) > 0 {
+		w.i32s(unsafe.Slice((*int32)(unsafe.Pointer(&a[0])), len(a)))
+	}
+}
+
 var snapPad [8]byte
 
 // align8 pads the stream to the next 8-byte boundary.
@@ -238,7 +245,7 @@ func (w *snapWriter) align8() {
 // textTable writes a string table held in its stored shape: the cumulative
 // offsets (count+1 of them, from 0), padding, the blob, padding.
 func (w *snapWriter) textTable(off []uint32, blob string) {
-	w.i32s(unsafe.Slice((*int32)(unsafe.Pointer(&off[0])), len(off)))
+	w.u32s(off)
 	w.align8()
 	w.bytes(stringBytes(blob))
 	w.align8()
@@ -361,9 +368,9 @@ func writeMemberBody(w *snapWriter, ix *Index) {
 	// The tree keeps its text values as the string table stores them, so
 	// they go out as two arrays, and writing a snapshot never builds a node.
 	w.textTable(t.TextTable())
-	writeStreams(w, ix.elemBySym) // secElemOff, secElemData
-	writeStreams(w, ix.attrBySym) // secAttrOff, secAttrData
-	w.mark()                      // secMerged
+	writeStreams(w, &ix.elems) // secElemOff, secElemData
+	writeStreams(w, &ix.attrs) // secAttrOff, secAttrData
+	w.mark()                   // secMerged
 	w.u32(uint32(len(ix.allElems)))
 	w.u32(uint32(len(ix.allText)))
 	w.u32(uint32(len(ix.allNodes)))
@@ -374,23 +381,16 @@ func writeMemberBody(w *snapWriter, ix *Index) {
 	}
 }
 
-// writeStreams writes per-symbol rank streams as two sections: cumulative
-// offsets, then one concatenated data array. Keeping the offsets in their
-// own section lets the deferred reader answer stream lengths from the
-// directory without touching the data pages.
-func writeStreams(w *snapWriter, streams [][]int32) {
+// writeStreams writes a per-symbol stream table as held: the offsets
+// section, then the data section. Keeping the offsets in their own section
+// lets the deferred reader answer stream lengths from the directory without
+// touching the data pages.
+func writeStreams(w *snapWriter, t *symStreams) {
 	w.mark() // offsets section
-	off := uint32(0)
-	w.u32(0)
-	for _, s := range streams {
-		off += uint32(len(s))
-		w.u32(off)
-	}
+	w.u32s(t.off)
 	w.align8()
 	w.mark() // data section
-	for _, s := range streams {
-		w.i32s(s)
-	}
+	w.i32s(t.data)
 	w.align8()
 }
 
@@ -455,23 +455,31 @@ func (r *snapReader) i32s(n int) ([]int32, error) {
 	return out, nil
 }
 
+// u32s reads an offset array of n values through i32s: aliased where the
+// int32 columns are.
+func (r *snapReader) u32s(n int) ([]uint32, error) {
+	a, err := r.i32s(n)
+	if err != nil || len(a) == 0 {
+		return nil, err
+	}
+	return unsafe.Slice((*uint32)(unsafe.Pointer(&a[0])), len(a)), nil
+}
+
 // textTable reads a string table of count values in the shape
-// xdm.Tree.TextTable returns: the offsets through i32s (aliased where the
-// int32 columns are), the blob aliased. Only the blob length is checked
+// xdm.Tree.TextTable returns: the offsets through u32s, the blob aliased. Only the blob length is checked
 // here; stringTable checks the offsets itself, FillColumns checks a member's
 // text offsets against its columns.
 func (r *snapReader) textTable(count int) ([]uint32, string, error) {
 	if count < 0 {
 		return nil, "", fmt.Errorf("xmlstore: snapshot string table of %d values", count)
 	}
-	a, err := r.i32s(count + 1)
+	off, err := r.u32s(count + 1)
 	if err != nil {
 		return nil, "", err
 	}
 	if err := r.align8(); err != nil {
 		return nil, "", err
 	}
-	off := unsafe.Slice((*uint32)(unsafe.Pointer(&a[0])), len(a))
 	b, err := r.take(int(off[count]))
 	if err != nil {
 		return nil, "", err
@@ -802,11 +810,11 @@ func (ix *Index) readMemberInto(r *snapReader, d *memberDir) error {
 	if err != nil {
 		return err
 	}
-	elemBySym, err := readStreams(r, d, secElemOff, n)
+	elems, err := readStreams(r, d, secElemOff, n)
 	if err != nil {
 		return err
 	}
-	attrBySym, err := readStreams(r, d, secAttrOff, n)
+	attrs, err := readStreams(r, d, secAttrOff, n)
 	if err != nil {
 		return err
 	}
@@ -841,8 +849,8 @@ func (ix *Index) readMemberInto(r *snapReader, d *memberDir) error {
 	if err := ix.Tree.FillColumns(cols, syms, textOff, textBlob); err != nil {
 		return err
 	}
-	ix.elemBySym = elemBySym
-	ix.attrBySym = attrBySym
+	ix.elems = elems
+	ix.attrs = attrs
 	ix.allElems = allElems
 	ix.allText = allText
 	ix.allNodes = allNodes
@@ -850,56 +858,50 @@ func (ix *Index) readMemberInto(r *snapReader, d *memberDir) error {
 	return nil
 }
 
-// readStreams reads a per-symbol stream pair (offsets section, data
-// section), returning subslices of one shared array. offSec names the
-// offsets section; the data section is offSec+1.
-func readStreams(r *snapReader, d *memberDir, offSec, nNodes int) ([][]int32, error) {
+// readStreams reads a per-symbol stream table (offsets section, data
+// section) and installs both sections whole, through u32s and i32s: aliased
+// where the int32 columns are. offSec names the offsets section; the data
+// section is offSec+1. The offsets must start at 0, never decrease and end at the data
+// length; each symbol's stream must be ascending and in range.
+func readStreams(r *snapReader, d *memberDir, offSec, nNodes int) (symStreams, error) {
+	var t symStreams
 	if err := d.expect(r, offSec); err != nil {
-		return nil, err
+		return t, err
 	}
 	nsyms := d.nSyms
-	if nsyms < 0 || nsyms+1 > r.remaining()/4 {
-		return nil, fmt.Errorf("xmlstore: snapshot truncated: stream table of %d at offset %d", nsyms, r.off)
+	if nsyms < 0 {
+		return t, fmt.Errorf("xmlstore: snapshot stream table of %d symbols", nsyms)
 	}
-	offb, err := r.take((nsyms + 1) * 4)
-	if err != nil {
-		return nil, err
+	var err error
+	if t.off, err = r.u32s(nsyms + 1); err != nil {
+		return t, err
 	}
 	if err := r.align8(); err != nil {
-		return nil, err
+		return t, err
 	}
-	if first := binary.LittleEndian.Uint32(offb); first != 0 {
-		return nil, fmt.Errorf("xmlstore: snapshot stream offsets do not start at 0")
+	if t.off[0] != 0 {
+		return t, fmt.Errorf("xmlstore: snapshot stream offsets do not start at 0")
 	}
 	if err := d.expect(r, offSec+1); err != nil {
-		return nil, err
+		return t, err
 	}
-	total := binary.LittleEndian.Uint32(offb[nsyms*4:])
-	data, err := r.i32s(int(total))
-	if err != nil {
-		return nil, err
+	if t.data, err = r.i32s(int(t.off[nsyms])); err != nil {
+		return t, err
 	}
 	if err := r.align8(); err != nil {
-		return nil, err
+		return t, err
 	}
-	out := make([][]int32, nsyms)
-	prev := uint32(0)
-	for i := 0; i < nsyms; i++ {
-		end := binary.LittleEndian.Uint32(offb[(i+1)*4:])
-		if end < prev || end > total {
-			return nil, fmt.Errorf("xmlstore: snapshot stream offsets out of order")
+	for s := 0; s < nsyms; s++ {
+		if t.off[s+1] < t.off[s] || t.off[s+1] > t.off[nsyms] {
+			return t, fmt.Errorf("xmlstore: snapshot stream offsets out of order")
 		}
-		if end > prev {
-			// Each symbol's stream is ascending on its own; the concatenation
-			// across symbols is not.
-			if err := checkRanks(data[prev:end], nNodes); err != nil {
-				return nil, err
-			}
-			out[i] = data[prev:end:end]
+		// Each symbol's stream is ascending on its own; the concatenation
+		// across symbols is not.
+		if err := checkRanks(t.stream(xdm.Sym(s)), nNodes); err != nil {
+			return t, err
 		}
-		prev = end
 	}
-	return out, nil
+	return t, nil
 }
 
 // ---------------------------------------------------------------------------

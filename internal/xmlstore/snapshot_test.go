@@ -9,10 +9,12 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"xqtp/internal/gen"
 	"xqtp/internal/xdm"
@@ -729,6 +731,56 @@ func TestSnapshotRewriteByteIdentical(t *testing.T) {
 		}
 		for m, ix := range reopened.Indexes {
 			indexesEqual(t, s.Indexes[m], ix)
+		}
+	}
+}
+
+// A loaded member holds its per-symbol stream tables in the layout the
+// snapshot stores, and the corpus name cells are read the same way: with
+// aliasing on, every one of those arrays is a view of the snapshot buffer;
+// under the portable decode they are copies, equal to the tables BuildIndex
+// builds over the loaded tree and to the name cells that were written.
+func TestStreamTablesInstalledWhole(t *testing.T) {
+	defer func(prev bool) { forcePortable = prev }(forcePortable)
+	s := ingestAll(t, storeMembers(6))
+	var buf bytes.Buffer
+	if err := WriteCorpus(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	inData := func(p unsafe.Pointer) bool {
+		a := uintptr(p)
+		base := uintptr(unsafe.Pointer(&data[0]))
+		return a >= base && a < base+uintptr(len(data))
+	}
+	for _, portable := range []bool{false, true} {
+		forcePortable = portable
+		got, err := openEager(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.NameSyms, s.NameSyms) {
+			t.Fatalf("portable=%v: name cells differ from the written ones", portable)
+		}
+		if aliased := inData(unsafe.Pointer(&got.NameSyms[0])); aliased != aliasInt32() {
+			t.Fatalf("portable=%v: name cells in the snapshot buffer: %v", portable, aliased)
+		}
+		for m, ix := range got.Indexes {
+			want := BuildIndex(ix.Tree)
+			for _, tab := range []struct {
+				name      string
+				got, want symStreams
+			}{{"element", ix.elems, want.elems}, {"attribute", ix.attrs, want.attrs}} {
+				if !reflect.DeepEqual(tab.got.off, tab.want.off) || !slices.Equal(tab.got.data, tab.want.data) {
+					t.Fatalf("portable=%v member %d: %s stream table differs from BuildIndex's", portable, m, tab.name)
+				}
+				if aliased := inData(unsafe.Pointer(&tab.got.off[0])); aliased != aliasInt32() {
+					t.Fatalf("portable=%v member %d: %s offsets in the snapshot buffer: %v", portable, m, tab.name, aliased)
+				}
+				if len(tab.got.data) > 0 && inData(unsafe.Pointer(&tab.got.data[0])) != aliasInt32() {
+					t.Fatalf("portable=%v member %d: %s data not where aliasing puts it", portable, m, tab.name)
+				}
+			}
 		}
 	}
 }

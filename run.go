@@ -8,6 +8,7 @@ import (
 	"xqtp/internal/execctx"
 	"xqtp/internal/physical"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xmlstore"
 )
 
 // ErrCanceled reports a run cut short by its context: cancellation or an
@@ -135,7 +136,11 @@ const allMembers = -1
 // the budgets — and the merge charges each delivered item in corpus order, so
 // budget cutoffs land on the exact corpus-order prefix regardless of how the
 // worker pool interleaved.
-func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Algorithm, opts RunOptions) (Sequence, RunInfo, error) {
+func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Algorithm, opts RunOptions) (_ Sequence, _ RunInfo, err error) {
+	// Every shape may read the pages of a mapped snapshot on this goroutine:
+	// a fault on a page the file no longer backs is the run's error. (Fan-out
+	// members guard their own runs, on whichever goroutine evaluates them.)
+	defer xmlstore.CatchFault(xmlstore.ArmFaults(), &err)
 	if c.Closed() {
 		return nil, RunInfo{}, ErrClosed
 	}
@@ -221,16 +226,22 @@ type memberRun struct {
 // Eval runs the plan against member d. A deferred member parses and
 // validates here, on the goroutine that evaluates it, so a corrupt member
 // becomes this member's query error. A member run reaches its own tree only,
-// so the member answers for its prepared joins directly.
+// so the member answers for its prepared joins directly. The run state is
+// off m while it runs: a run that faults panics out of RunSink and leaves it
+// off, so Release never pools the state of a run that panicked.
 func (m *memberRun) Eval(d *collection.Doc, ec *execctx.Ctx, sink Sink) error {
 	if err := d.Ensure(); err != nil {
 		return err
 	}
-	if m.rs == nil {
-		m.rs = m.p.State()
+	rs := m.rs
+	if rs == nil {
+		rs = m.p.State()
 	}
+	m.rs = nil
 	m.rt.Root, m.rt.Preps, m.rt.EC = d.RootSeq(), d, ec
-	return m.rs.RunSink(&m.rt, sink)
+	err := rs.RunSink(&m.rt, sink)
+	m.rs = rs
+	return err
 }
 
 func (m *memberRun) Fork() collection.Member { return &memberRun{rt: m.rt, p: m.p} }
