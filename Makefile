@@ -100,9 +100,12 @@ bench-check:
 # against encoding/json of the XML, and of the server's JSON string encoder
 # against encoding/json (the committed seed corpus always runs as part of
 # `make test`; this also explores new inputs for a bounded time).
+# FuzzSnapshot bounds minimization at 100 calls: its seeds run to 95 KB, and
+# under the default 60 s limit minimizing the first new input derived from
+# one stalled every worker for the rest of the 30 s window.
 fuzz-smoke:
 	$(GO) test ./internal/xmlstore -run FuzzScanVsStd -fuzz FuzzScanVsStd -fuzztime 30s
-	$(GO) test ./internal/xmlstore -run FuzzSnapshot -fuzz FuzzSnapshot -fuzztime 30s
+	$(GO) test ./internal/xmlstore -run FuzzSnapshot -fuzz FuzzSnapshot -fuzztime 30s -fuzzminimizetime 100x
 	$(GO) test ./internal/xmlstore -run FuzzAppendEscaped -fuzz FuzzAppendEscaped -fuzztime 30s
 	$(GO) test ./internal/xmlstore -run FuzzAppendRankJSON -fuzz FuzzAppendRankJSON -fuzztime 30s
 	$(GO) test ./internal/server -run FuzzAppendJSONString -fuzz FuzzAppendJSONString -fuzztime 30s

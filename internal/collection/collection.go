@@ -216,6 +216,23 @@ func (c *Corpus) ByTree(t *xdm.Tree) (*Doc, bool) {
 	return c.docs[i], true
 }
 
+// NameFault names the snapshot member behind a fault a run's guard caught:
+// a bare *xmlstore.FaultError whose address lies in a member's bytes comes
+// back wrapped with that member's number and URI. Any other error, a fault
+// a member load already attributed included, comes back as it is.
+func (c *Corpus) NameFault(err error) error {
+	fault, ok := err.(*xmlstore.FaultError)
+	if !ok {
+		return err
+	}
+	for _, d := range c.docs {
+		if m, ok := d.Index.SnapshotMember(fault.Addr); ok {
+			return fmt.Errorf("xmlstore: snapshot member %d (%s): %w", m, d.URI, err)
+		}
+	}
+	return err
+}
+
 // Catalog returns the corpus catalog, with every member index registered.
 func (c *Corpus) Catalog() *xmlstore.Catalog { return c.catalog }
 

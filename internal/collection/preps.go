@@ -3,6 +3,7 @@ package collection
 import (
 	"xqtp/internal/join"
 	"xqtp/internal/pattern"
+	"xqtp/internal/xdm"
 	"xqtp/internal/xmlstore"
 )
 
@@ -80,6 +81,28 @@ func (d *Doc) Prepared(alg join.Algorithm, ix *xmlstore.Index, pat *pattern.Patt
 			return p, nil
 		}
 	}
+}
+
+// PreparedFor is Prepared for the member's own tree, found without a catalog
+// lookup; owned is false for any other tree.
+func (d *Doc) PreparedFor(alg join.Algorithm, t *xdm.Tree, pat *pattern.Pattern) (p *join.Prepared, owned bool, err error) {
+	if t != d.Index.Tree {
+		return nil, false, nil
+	}
+	p, err = d.Prepared(alg, d.Index, pat)
+	return p, true, err
+}
+
+// PreparedFor is Prepared for the tree of a member, found by one map lookup
+// on the tree; owned is false for a tree of no member.
+func (c *Corpus) PreparedFor(alg join.Algorithm, t *xdm.Tree, pat *pattern.Pattern) (p *join.Prepared, owned bool, err error) {
+	i, ok := c.byTree[t]
+	if !ok {
+		return nil, false, nil
+	}
+	d := c.docs[i]
+	p, err = d.Prepared(alg, d.Index, pat)
+	return p, true, err
 }
 
 // Prepared implements physical.PrepSource on the corpus, for runs that reach

@@ -12,7 +12,7 @@ import (
 //  1. a pattern that is provably empty in the document (provablyEmpty) is
 //     not evaluated at all;
 //  2. a first-match evaluation over a child-only spine takes the nested
-//     loop's cursor-style early exit (§5.3; AppendFirst), the one place its
+//     loop's cursor-style early exit (§5.3; AppendFirstFor), the one place its
 //     lexically first binding is the document-order first;
 //  3. otherwise SCJoin when the pattern is single-output and inside the
 //     staircase join's fragment (forward axes), NLJoin when it is not.
@@ -43,7 +43,7 @@ func ChooseEstimate(ix *xmlstore.Index, ctx *xdm.Node, pat *pattern.Pattern) Est
 		return Estimate{Alg: NestedLoop}
 	}
 	e := Estimate{Alg: NestedLoop, Empty: p.empty}
-	if p.kernel != nil {
+	if p.kernel != nestedLoop {
 		e.Alg = Staircase
 	}
 	return e

@@ -51,14 +51,15 @@ func eval(alg Algorithm, ix *xmlstore.Index, ctx *xdm.Node, pat *pattern.Pattern
 	return p.EvalCtx(nil, ctx), nil
 }
 
-// evalFirst is Prepare followed by AppendFirst, resolved to the first of the
-// appended bindings in document order.
+// evalFirst is Prepare followed by AppendFirstFor from ctx alone, resolved to
+// the first of the appended bindings in document order.
 func evalFirst(alg Algorithm, ix *xmlstore.Index, ctx *xdm.Node, pat *pattern.Pattern) (Binding, bool, error) {
 	p, err := Prepare(alg, ix, pat)
 	if err != nil {
 		return nil, false, err
 	}
-	ranks, nf := p.AppendFirst(nil, ctx, nil), len(p.OutputFields())
+	ranks, _ := p.AppendFirstFor(nil, []int32{int32(ctx.Pre)}, nil, nil)
+	nf := len(p.OutputFields())
 	if len(ranks) == 0 {
 		return nil, false, nil
 	}

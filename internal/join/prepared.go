@@ -16,8 +16,8 @@ import (
 // compile-once half of the serving path. After that, evaluation from a
 // context node does no string hashing and no per-run setup: every algorithm,
 // the nested loop included, runs on int32 ranks against the tree's columns
-// and answers in ranks (AppendRanks, AppendFirst); nodes appear only when a
-// caller asks for bindings (EvalCtx).
+// and answers in ranks (AppendRanks, AppendRanksFor, AppendFirstFor); nodes
+// appear only when a caller asks for bindings (EvalCtx).
 //
 // A Prepared is immutable and safe for concurrent evaluation from many
 // goroutines (the evaluation scratch comes from internal pools).
@@ -28,14 +28,24 @@ type Prepared struct {
 	fields    []string // output fields, root-to-leaf (cached: OutputFields walks)
 	childOnly bool     // spine has child/attribute/self steps only
 	empty     bool     // some required step's stream is empty document-wide (never set for NestedLoop)
-	// kernel is the set-at-a-time kernel the pattern runs on, nil for the
-	// nested loop: single-output patterns inside the selected algorithm's
-	// fragment, with Auto taking SCJoin (rule 3, auto.go).
-	kernel func(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int32
+	// kernel is the set-at-a-time kernel the pattern runs on, nestedLoop for
+	// none: single-output patterns inside the selected algorithm's fragment,
+	// with Auto taking SCJoin (rule 3, auto.go).
+	kernel kernel
 
 	cols  *xdm.Cols // the document's region-encoding columns
 	spine []cstep   // compiled steps, spine order
 }
+
+// kernel names the evaluation a Prepared runs a context through.
+type kernel uint8
+
+const (
+	nestedLoop kernel = iota // the nested loop (nl.go), which takes every pattern
+	staircase                // scFrom
+	twig                     // twigEval
+	streaming                // streamEval
+)
 
 // cstep is one compiled pattern step: the axis, the columnar node test, the
 // resolved rank stream, and the compiled predicate chains. The spine and
@@ -120,11 +130,11 @@ func Prepare(alg Algorithm, ix *xmlstore.Index, pat *pattern.Pattern) (*Prepared
 	if _, single := pat.SingleOutput(); single {
 		switch {
 		case (alg == Staircase || alg == Auto) && scSupported(pat.Root):
-			p.kernel = scEval
+			p.kernel = staircase
 		case alg == Twig && twigSupported(pat.Root):
-			p.kernel = twigEval
+			p.kernel = twig
 		case alg == Streaming && streamSupported(pat):
-			p.kernel = streamEval
+			p.kernel = streaming
 		}
 	}
 	return p, nil
@@ -148,30 +158,72 @@ func (p *Prepared) OutputFields() []string { return p.fields }
 // that thread a non-nil ec must check ec.Err() afterwards and discard the
 // ranks on stop (the physical operator layer does exactly that).
 func (p *Prepared) AppendRanks(ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int32 {
-	switch {
-	case p.empty:
-		return dst
-	case p.kernel == nil:
-		return p.nlAppend(ec, ctx, dst, false)
-	}
-	return p.kernel(p, ec, ctx, dst)
+	one, end := [1]int32{int32(ctx.Pre)}, [1]int32{}
+	dst, _ = p.AppendRanksFor(ec, one[:], dst, end[:0])
+	return dst
 }
 
-// AppendFirst appends to dst bindings from context node ctx among which is
-// the first in document order; the caller takes it by ordering what was
-// appended (the TupleTreePattern operator's sort and keepFirst). Under
-// NestedLoop and Auto, a spine of child and attribute steps takes the nested
-// loop's cursor-style early exit and appends that binding alone (§5.3): its
-// results cannot nest, so the lexically first binding is the document-order
-// first. Everywhere else it appends what AppendRanks appends — the
-// set-at-a-time algorithms evaluate fully, and that cost difference is
-// precisely the paper's §5.3 observation. It has AppendRanks'
-// partial-result contract.
-func (p *Prepared) AppendFirst(ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int32 {
-	if p.childOnly && !p.empty && (p.alg == NestedLoop || p.alg == Auto) {
-		return p.nlAppend(ec, ctx, dst, true)
+// cursor reports whether AppendFirstFor takes the nested loop's early exit.
+func (p *Prepared) cursor() bool {
+	return p.childOnly && !p.empty && (p.alg == NestedLoop || p.alg == Auto)
+}
+
+// AppendRanksFor is AppendRanks from every context of a set: ctxs are pre
+// ranks in the prepared document's tree, and context i's bindings are
+// appended to dst after context i-1's, in AppendRanks' shape and order. It
+// appends to ends, per context, len(dst) once that context's bindings are in,
+// and returns both slices. The set is evaluated in one call — the staircase
+// join in one pooled arena, the nested loop in one recursion state — with
+// AppendRanks' poll schedule and partial-result contract: on a stop the
+// remaining contexts append nothing, and every context still gets its end.
+func (p *Prepared) AppendRanksFor(ec *execctx.Ctx, ctxs, dst, ends []int32) ([]int32, []int32) {
+	return p.appendFor(ec, ctxs, dst, ends, false)
+}
+
+// AppendFirstFor is AppendRanksFor for first-match evaluation: per context,
+// bindings among which is its first in document order; the caller takes it
+// by ordering what was appended (the TupleTreePattern operator's sort and
+// keepFirst). Under NestedLoop and Auto, a spine of child and attribute
+// steps takes the nested loop's cursor-style early exit and appends that
+// binding alone (§5.3): its results cannot nest, so the lexically first
+// binding is the document-order first. Everywhere else it appends what
+// AppendRanksFor appends — the set-at-a-time algorithms evaluate fully, and
+// that cost difference is precisely the paper's §5.3 observation.
+func (p *Prepared) AppendFirstFor(ec *execctx.Ctx, ctxs, dst, ends []int32) ([]int32, []int32) {
+	return p.appendFor(ec, ctxs, dst, ends, p.cursor())
+}
+
+func (p *Prepared) appendFor(ec *execctx.Ctx, ctxs, dst, ends []int32, first bool) ([]int32, []int32) {
+	switch {
+	case p.empty:
+		for range ctxs {
+			ends = append(ends, int32(len(dst)))
+		}
+	case first || p.kernel == nestedLoop:
+		s := p.nl(ec, first)
+		for _, c := range ctxs {
+			dst = s.from(c, p.spine, dst)
+			ends = append(ends, int32(len(dst)))
+		}
+		s.release()
+	case p.kernel == staircase:
+		arena := scArenaPool.Get().(*scArena)
+		for _, c := range ctxs {
+			dst = scFrom(p, ec, arena, c, dst)
+			ends = append(ends, int32(len(dst)))
+		}
+		scArenaPool.Put(arena)
+	default:
+		for _, c := range ctxs {
+			if p.kernel == twig {
+				dst = twigEval(p, ec, c, dst)
+			} else {
+				dst = streamEval(p, ec, c, dst)
+			}
+			ends = append(ends, int32(len(dst)))
+		}
 	}
-	return p.AppendRanks(ec, ctx, dst)
+	return dst, ends
 }
 
 // EvalCtx is AppendRanks resolved to nodes, the join layer's one node-shaped

@@ -11,10 +11,10 @@ import (
 // scArena is the per-evaluation scratch of the staircase join: a stack of
 // candidate-list buffers handed out in LIFO order. Buffers hold int32 pre
 // ranks, not node pointers — half the bytes per candidate and nothing for
-// the GC to scan. One arena is fetched from a pool per scEval call, so the
-// per-candidate existential semi-joins (scExists runs once per candidate per
-// predicate) reuse buffers with plain integer bookkeeping instead of hitting
-// the pool in the hot loop.
+// the GC to scan. One arena is fetched from a pool per context set
+// (AppendRanksFor), so the per-candidate existential semi-joins
+// (scExists runs once per candidate per predicate) reuse buffers with plain
+// integer bookkeeping instead of hitting the pool in the hot loop.
 type scArena struct {
 	bufs [][]int32
 	next int
@@ -37,7 +37,7 @@ func (a *scArena) giveBack(i int, b []int32) { a.bufs[i] = b[:0] }
 
 var scArenaPool = sync.Pool{New: func() any { return new(scArena) }}
 
-// scEval is the staircase-join evaluation of a single-output tree pattern:
+// scFrom is the staircase-join evaluation of a single-output tree pattern:
 // one set-at-a-time pass per location step. Descendant steps prune the
 // context staircase (contexts covered by an earlier context are skipped)
 // and scan the pre-resolved integer rank stream region by region, producing
@@ -49,7 +49,7 @@ var scArenaPool = sync.Pool{New: func() any { return new(scArena) }}
 // while it shines on linear paths (paper §5.2).
 //
 // The per-step candidate lists live in arena buffers (two, swapped each
-// step); the final list is appended to dst before the arena is released.
+// step); the final list is appended to dst before the buffers go back.
 //
 // The execution context is polled once per spine step, once per 64 contexts
 // inside the descendant scans, and once per 64 candidates in the predicate
@@ -57,11 +57,12 @@ var scArenaPool = sync.Pool{New: func() any { return new(scArena) }}
 // inner region scans stay branch-free. A stopped evaluation appends nothing
 // (AppendRanks' partial-result contract); the arena goes back to the pool
 // through the same path as a completed run, so cancellation never leaks or
-// corrupts pooled scratch.
-func scEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int32 {
-	arena := scArenaPool.Get().(*scArena)
+// corrupts pooled scratch. It runs from context rank ctx in an arena the
+// caller holds, so that the contexts of a set (AppendRanksFor) share one.
+func scFrom(p *Prepared, ec *execctx.Ctx, arena *scArena, ctx int32, dst []int32) []int32 {
+	mark := arena.next
 	ai, bi := arena.take(), arena.take()
-	cur := append(arena.bufs[ai][:0], int32(ctx.Pre))
+	cur := append(arena.bufs[ai][:0], ctx)
 	next := arena.bufs[bi][:0]
 	stopped := false
 	for i := range p.spine {
@@ -93,8 +94,7 @@ func scEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int32 {
 	}
 	arena.giveBack(ai, cur)
 	arena.giveBack(bi, next)
-	arena.next = 0
-	scArenaPool.Put(arena)
+	arena.next = mark
 	return dst
 }
 

@@ -52,7 +52,7 @@ func streamSupported(p *pattern.Pattern) bool {
 // them. The execution context is polled once per 8192 preorder ranks — the
 // scan's batch boundary; a stopped scan appends nothing (AppendRanks'
 // partial-result contract).
-func streamEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int32 {
+func streamEval(p *Prepared, ec *execctx.Ctx, ctx int32, dst []int32) []int32 {
 	spine := p.spine
 	var descMask uint64
 	for i := range spine {
@@ -65,7 +65,7 @@ func streamEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int3
 		// Absurdly deep pattern: fall back to the nested loop's bindings, put
 		// into the order the scan would have met them in.
 		start := len(dst)
-		dst = p.nlAppend(ec, ctx, dst, false)
+		dst = p.nlAppend(ec, ctx, dst)
 		slices.Sort(dst[start:])
 		return dst[:start+len(dedupRanks(dst[start:]))]
 	}
@@ -77,10 +77,11 @@ func streamEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int3
 	}
 	cols := p.cols
 	kindCol, sizeCol := cols.Kind, cols.Size
-	stack := []frame{{until: int32(ctx.End()), states: 1}}
+	end := cols.End(ctx)
+	stack := []frame{{until: end, states: 1}}
 	start := len(dst)
 
-	lo, hi := int32(ctx.Pre)+1, int32(ctx.End())
+	lo, hi := ctx+1, end
 	for pre := lo; pre <= hi; pre++ {
 		if pre&8191 == 0 && ec.Stopped() {
 			return dst[:start]

@@ -31,7 +31,7 @@ import (
 // is the twig join's unit of progress). A stopped run skips refinement and
 // appends nothing; the arena is released through the same path as a
 // completed run, so cancellation leaves the pool clean.
-func twigEval(p *Prepared, ec *execctx.Ctx, ctx *xdm.Node, dst []int32) []int32 {
+func twigEval(p *Prepared, ec *execctx.Ctx, ctx int32, dst []int32) []int32 {
 	arena := getTwigBufs()
 	q := buildQuery(p, ctx, arena)
 	cols := p.cols
@@ -100,8 +100,8 @@ func (a *twigBufs) release(root *qnode) {
 
 // buildQuery turns the pattern into a query tree with region-restricted
 // streams. The virtual root is the context node itself.
-func buildQuery(p *Prepared, ctx *xdm.Node, arena *twigBufs) *qnode {
-	ctxPre, ctxEnd := int32(ctx.Pre), int32(ctx.End())
+func buildQuery(p *Prepared, ctx int32, arena *twigBufs) *qnode {
+	ctxPre, ctxEnd := ctx, p.cols.End(ctx)
 	root := &qnode{}
 	root.cand = append(arena.get(), ctxPre)
 	root.valid = append(arena.get(), ctxPre)

@@ -329,8 +329,15 @@ func (c *compiler) items(e algebra.Expr, en *env) (itemOp, error) {
 				}
 			}
 		}
-		o := &opMapToItem{dep: dep, input: in, acc: c.newTmps(1)}
+		o := &opMapToItem{dep: dep, input: in, acc: c.newTmps(1), batch: c.batchOf(dep)}
 		in.to(o)
+		if ttp, ok := in.(*opTTP); ok && o.batch != nil {
+			// The batch reads one output field of the pattern's bindings: it
+			// takes them as ranks, and no tuple is built for it.
+			if k := slices.Index(ttp.outSlots, o.batch.slot); k >= 0 {
+				ttp.feed, ttp.feedField = o, k
+			}
+		}
 		return o, nil
 
 	case *algebra.In, *algebra.MapFromItem, *algebra.Select, *algebra.MapIndex, *algebra.Head, *algebra.TupleTreePattern:
@@ -419,7 +426,6 @@ func (c *compiler) tuples(e algebra.Expr, en *env) (tupleOp, *env, error) {
 			o.dependent = true
 		} else {
 			in.to(o)
-			o.tmp = c.newTmps(1)
 		}
 		if slot, ok := inEnv.lookup(x.Pattern.Input); ok {
 			o.inSlot = slot

@@ -403,27 +403,53 @@ func (o *opMapFromItem) run(rs *RunState) error {
 // the length of one evaluation. At the plan root (toSink) each tuple's items
 // go to the run's sink before the next tuple is produced, and acc is the run
 // state's own buffer, kept with its capacity from one run to the next.
+//
+// A dependency of paths from one field (batch) is evaluated a batch of tuples
+// at a time instead (batch.go): per tuple the same items, in the same order.
 type opMapToItem struct {
 	dep    itemOp
 	input  tupleOp
 	acc    int
 	toSink bool
+	batch  *mapBatch
 }
 
 func (o *opMapToItem) items(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error) {
+	if o.batch != nil {
+		rs.maps[o.batch.id].ctxs.reset()
+	}
 	if o.toSink {
 		rs.fr[o.acc] = rs.fr[o.acc][:0]
-		return dst, o.input.run(rs)
+		_, err := o.finish(rs, nil, o.input.run(rs))
+		return dst, err
 	}
 	rs.fr[o.acc] = dst
 	err := o.input.run(rs)
-	dst, rs.fr[o.acc] = rs.fr[o.acc], nil
+	dst, err = o.finish(rs, rs.fr[o.acc], err)
+	rs.fr[o.acc] = nil
+	return dst, err
+}
+
+// finish ends the input stream of a batched map, whose run returned err:
+// the tuples still gathered are evaluated and emitted first, as they would
+// have been before the input failed, and an error among them comes first.
+func (o *opMapToItem) finish(rs *RunState, dst xdm.Sequence, err error) (xdm.Sequence, error) {
+	if o.batch == nil {
+		return dst, err
+	}
+	dst, ferr := o.flush(rs, dst)
+	if ferr != nil {
+		return dst, ferr
+	}
 	return dst, err
 }
 
 func (o *opMapToItem) tuple(rs *RunState) error {
 	if ec := rs.rt.EC; ec != nil && ec.Stopped() {
 		return ec.Err()
+	}
+	if o.batch != nil {
+		return o.gather(rs)
 	}
 	acc, err := o.dep.items(rs, rs.fr[o.acc])
 	if err == nil && o.toSink {

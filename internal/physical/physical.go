@@ -79,6 +79,7 @@ type RunState struct {
 	fr    frame
 	cells []xdm.Item
 	pats  []patState
+	maps  []mapState
 }
 
 // seq evaluates an operand into the scratch slot tmp of the operator that
@@ -110,6 +111,14 @@ func (rs *RunState) ebv(o itemOp, tmp int) (bool, error) {
 // join lives exactly as long as the index it was resolved against.
 type PrepSource interface {
 	Prepared(alg join.Algorithm, ix *xmlstore.Index, pat *pattern.Pattern) (*join.Prepared, error)
+}
+
+// treePreps is the PrepSource of an owner that knows its documents' trees
+// (collection.Doc, collection.Corpus): it resolves a tree it holds to the
+// prepared join of that document without a catalog lookup. owned is false
+// for a tree it does not hold.
+type treePreps interface {
+	PreparedFor(alg join.Algorithm, t *xdm.Tree, pat *pattern.Pattern) (p *join.Prepared, owned bool, err error)
 }
 
 // Runtime is the per-run execution environment of a compiled plan. It
@@ -173,6 +182,9 @@ type Plan struct {
 	varNames []string
 	// ttps lists the plan's pattern operators in lowering order (explain).
 	ttps []*opTTP
+	// batches lists the batched dependencies of MapToItem operators, one
+	// mapState each.
+	batches []*mapBatch
 	// usesDocs records (at lowering time) whether the plan contains an
 	// fn:doc/fn:collection operator, i.e. needs a Runtime document resolver
 	// and may reach nodes outside its root binding.
@@ -309,6 +321,12 @@ func (p *Plan) State() *RunState {
 	}
 	if len(p.ttps) > 0 {
 		rs.pats = make([]patState, len(p.ttps))
+	}
+	if len(p.batches) > 0 {
+		rs.maps = make([]mapState, len(p.batches))
+		for i, b := range p.batches {
+			rs.maps[i].outs = make([]partOut, len(b.parts))
+		}
 	}
 	return rs
 }

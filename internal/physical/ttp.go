@@ -61,33 +61,42 @@ type opTTP struct {
 	// lowering time (explain annotation only).
 	minimized bool
 
-	// Run-state layout: the operator's patState, the scratch slot of its
-	// gathered contexts, and its singleton cells — one per output slot, then
-	// one per kept slot.
-	id, tmp, cell int
+	// Run-state layout: the operator's patState and its singleton cells —
+	// one per output slot, then one per kept slot.
+	id, cell int
 	// keep lists the slots bound by the input stream that the operator's
 	// consumers read.
 	keep []int
+	// feed, when set, is the operator's consumer: a batched MapToItem over
+	// the output field feedField, which takes the bindings as contexts
+	// straight from the ranks instead of as tuples (opMapToItem.gatherTable).
+	feed      *opMapToItem
+	feedField int
 }
 
 // patState is what a pattern operator keeps within a run: its rank table
-// (the rank buffer is reused from one dependent evaluation to the next) and,
-// when it streams tuples over a tuple stream, per input tuple the end of its
-// contexts (ends) and the items of the kept slots (saved, len(keep) each).
+// (the rank buffer is reused from one dependent evaluation to the next), its
+// contexts and, when it streams tuples over a tuple stream, per input tuple
+// the end of its contexts (ctxs.ends) and the items of the kept slots (saved,
+// len(keep) each).
 type patState struct {
 	t     rankTable
-	ends  []int32
+	ctxs  ctxSet
 	saved []xdm.Item
-	// one backs the gathered contexts while there is a single one, the usual
-	// root-bound input.
-	one [1]xdm.Item
 }
 
-// prepFor resolves the prepared join for one document: a tree of the
-// runtime's catalog through the runtime's prepared-join owner, any other
-// tree through the explicit bindings that brought it in (one-shot index
-// build and preparation when the runtime carries neither).
+// prepFor resolves the prepared join for one document: from the runtime's
+// prepared-join source when that owns the tree (the member of a member run,
+// the member holding it in a corpus-wide run), through the runtime's catalog
+// for another tree the catalog holds, and through the explicit bindings that
+// brought it in for any other tree (one-shot index build and preparation
+// when the runtime carries neither).
 func (o *opTTP) prepFor(rt *Runtime, t *xdm.Tree) (*join.Prepared, error) {
+	if tp, ok := rt.Preps.(treePreps); ok {
+		if p, owned, err := tp.PreparedFor(o.alg, t, o.pat); owned {
+			return p, err
+		}
+	}
 	if rt.Catalog != nil {
 		if ix, ok := rt.Catalog.Lookup(t); ok {
 			if rt.Preps != nil {
@@ -123,6 +132,9 @@ func (o *opTTP) run(rs *RunState) error {
 	if err != nil {
 		return err
 	}
+	if o.feed != nil {
+		return o.feed.gatherTable(rs, t, o.feedField)
+	}
 	nf, nk := len(o.outSlots), len(o.keep)
 	cells := rs.cells[o.cell : o.cell+nf+nk]
 	for k, slot := range o.outSlots {
@@ -156,10 +168,10 @@ func (o *opTTP) tuple(rs *RunState) error {
 	if o.inSlot < 0 {
 		return fmt.Errorf("exec: pattern input field %s unbound", o.pat.Input)
 	}
-	rs.fr[o.tmp] = append(rs.fr[o.tmp], rs.fr[o.inSlot]...)
+	ps := &rs.pats[o.id]
+	ps.ctxs.add(rs.fr[o.inSlot])
 	if len(o.keep) > 0 {
-		ps := &rs.pats[o.id]
-		ps.ends = append(ps.ends, int32(len(rs.fr[o.tmp])))
+		ps.ctxs.endTuple()
 		for _, slot := range o.keep {
 			ps.saved = append(ps.saved, rs.fr[slot][0])
 		}
@@ -180,37 +192,19 @@ func (o *opTTP) bind(rs *RunState) (*rankTable, error) {
 	ps := &rs.pats[o.id]
 	t := &ps.t
 	t.reset(len(o.outSlots))
-	var ctxs xdm.Sequence
+	ps.ctxs.reset()
 	if o.dependent {
 		if o.inSlot < 0 {
 			return nil, fmt.Errorf("exec: pattern input field %s unbound", o.pat.Input)
 		}
-		ctxs = rs.fr[o.inSlot]
+		ps.ctxs.add(rs.fr[o.inSlot])
 	} else {
-		if rs.fr[o.tmp] == nil {
-			rs.fr[o.tmp] = ps.one[:]
-		}
-		rs.fr[o.tmp], ps.ends, ps.saved = rs.fr[o.tmp][:0], ps.ends[:0], ps.saved[:0]
+		ps.saved = ps.saved[:0]
 		if err := o.input.run(rs); err != nil {
 			return nil, err
 		}
-		ctxs = rs.fr[o.tmp]
 	}
-	err := o.eachContext(rt, ctxs, ps.ends, func(fi int, ctx *xdm.Node, prep *join.Prepared) {
-		switch {
-		case rt.EC.Stopped():
-			return
-		case o.first:
-			// First-match: the prepared join's cursor-style early exit
-			// (§5.3) where it has one; the sort and keepFirst below pick
-			// the document-order first of whatever it appends.
-			t.ranks = prep.AppendFirst(rt.EC, ctx, t.ranks)
-		default:
-			t.ranks = prep.AppendRanks(rt.EC, ctx, t.ranks)
-		}
-		t.seal(fi, ctx.Doc)
-	})
-	if err != nil {
+	if _, err := o.bindRuns(rt, t, &ps.ctxs, len(ps.ctxs.ranks)); err != nil {
 		return nil, err
 	}
 	if err := rt.EC.Err(); err != nil {
@@ -225,34 +219,117 @@ func (o *opTTP) bind(rs *RunState) (*rankTable, error) {
 	return t, nil
 }
 
-// eachContext calls fn for every context node (fi is the position of its
-// input tuple: ends[fi-1] <= its position in ctxs < ends[fi]; 0 without ends,
-// when nothing tells the input tuples apart)
-// with the prepared join of the node's document, resolved once per run of
-// contexts in the same document — with a single document, the common case,
-// one lookup for the whole input.
-func (o *opTTP) eachContext(rt *Runtime, ctxs xdm.Sequence, ends []int32, fn func(fi int, ctx *xdm.Node, prep *join.Prepared)) error {
-	var prep *join.Prepared
-	var tree *xdm.Tree
-	fi := 0
-	for i, it := range ctxs {
-		for fi < len(ends) && i >= int(ends[fi]) {
-			fi++
-		}
-		ctx, ok := it.(*xdm.Node)
-		if !ok {
-			return fmt.Errorf("exec: pattern context is atomic value %T", it)
-		}
-		if ctx.Doc != tree {
-			var err error
-			if prep, err = o.prepFor(rt, ctx.Doc); err != nil {
-				return err
-			}
-			tree = ctx.Doc
-		}
-		fn(fi, ctx, prep)
+// ctxSet is the context nodes of a pattern evaluation in the shape the
+// prepared join takes a set in (join.Prepared.AppendRanksFor): pre ranks in
+// input order, in runs of one tree, and — when the input tuples must be told
+// apart — where each tuple's contexts end (ends[fi] is one past the fi-th
+// tuple's last). An atomic item keeps its place as a rank in a run of its
+// own without a tree, so that its error is raised at its tuple; atom is the
+// first one.
+type ctxSet struct {
+	ranks []int32
+	runs  []ctxRun
+	ends  []int32
+	atom  xdm.Item
+	// kends is the scratch of bindRuns: the kernel's per-context ends.
+	kends []int32
+	// oneRank, oneRun and oneEnd back ranks, runs and kends until a second
+	// context comes: a root-bound pattern has one, and a plan that runs once
+	// (an ad-hoc query) then allocates nothing for it.
+	oneRank, oneEnd [1]int32
+	oneRun          [1]ctxRun
+}
+
+// ctxRun is a run of contexts in one tree (nil: an atomic item), ending one
+// before ranks[end].
+type ctxRun struct {
+	tree *xdm.Tree
+	end  int32
+}
+
+func (c *ctxSet) reset() {
+	if c.ranks == nil {
+		c.ranks, c.runs, c.kends = c.oneRank[:0], c.oneRun[:0], c.oneEnd[:0]
 	}
-	return nil
+	c.ranks, c.runs, c.ends, c.atom = c.ranks[:0], c.runs[:0], c.ends[:0], nil
+}
+
+// addNode appends the context of rank r in tree t.
+func (c *ctxSet) addNode(t *xdm.Tree, r int32) {
+	c.ranks = append(c.ranks, r)
+	if n := len(c.runs); n > 0 && c.runs[n-1].tree == t {
+		c.runs[n-1].end++
+		return
+	}
+	c.runs = append(c.runs, ctxRun{tree: t, end: int32(len(c.ranks))})
+}
+
+// add appends the items of one tuple's context field.
+func (c *ctxSet) add(items xdm.Sequence) {
+	for _, it := range items {
+		if n, ok := it.(*xdm.Node); ok {
+			c.addNode(n.Doc, int32(n.Pre))
+			continue
+		}
+		if c.atom == nil {
+			c.atom = it
+		}
+		c.ranks = append(c.ranks, -1)
+		c.runs = append(c.runs, ctxRun{end: int32(len(c.ranks))})
+	}
+}
+
+// endTuple ends the contexts of one input tuple.
+func (c *ctxSet) endTuple() { c.ends = append(c.ends, int32(len(c.ranks))) }
+
+// tupleOf returns the input tuple of the context at position i, moving the
+// cursor *fi (which only moves forward) there.
+func (c *ctxSet) tupleOf(i int32, fi *int) int {
+	for *fi < len(c.ends) && i >= c.ends[*fi] {
+		*fi++
+	}
+	return *fi
+}
+
+// bindRuns appends to t the bindings from the contexts of cs before
+// position upto, each filed under its input tuple (tuple 0 without ends).
+// Each run of contexts in one document goes through that document's
+// prepared join in one call — with a single document, the common case, one
+// call for the whole input. An atomic context, or a document whose join
+// cannot be prepared, fails its tuple: bindRuns then returns that tuple with
+// the error.
+func (o *opTTP) bindRuns(rt *Runtime, t *rankTable, cs *ctxSet, upto int) (int, error) {
+	fi, start := 0, int32(0)
+	for _, run := range cs.runs {
+		if int(start) >= upto {
+			break
+		}
+		if run.tree == nil {
+			return cs.tupleOf(start, &fi), fmt.Errorf("exec: pattern context is atomic value %T", cs.atom)
+		}
+		prep, err := o.prepFor(rt, run.tree)
+		if err != nil {
+			return cs.tupleOf(start, &fi), err
+		}
+		ranks := cs.ranks[start:min(int(run.end), upto)]
+		// First-match: the prepared join's cursor-style early exit (§5.3)
+		// where it has one; the sort and keepFirst pick the document-order
+		// first of whatever it appends.
+		if o.first {
+			t.ranks, cs.kends = prep.AppendFirstFor(rt.EC, ranks, t.ranks, cs.kends[:0])
+		} else {
+			t.ranks, cs.kends = prep.AppendRanksFor(rt.EC, ranks, t.ranks, cs.kends[:0])
+		}
+		if len(cs.ends) == 0 {
+			t.seal(0, run.tree, len(t.ranks))
+		} else {
+			for k, end := range cs.kends {
+				t.seal(cs.tupleOf(start+int32(k), &fi), run.tree, int(end))
+			}
+		}
+		start = run.end
+	}
+	return cs.tupleOf(int32(upto), &fi), nil
 }
 
 // rankTable is the bindings of one pattern evaluation: nf int32 pre ranks per
@@ -264,8 +341,11 @@ func (o *opTTP) eachContext(rt *Runtime, ctxs xdm.Sequence, ends []int32, fn fun
 // inline in it, so a dependent pattern's evaluation allocates what it returns
 // and, once the rank buffer has grown to its largest result, nothing else.
 type rankTable struct {
-	nf    int
-	ranks []int32
+	nf int
+	// perTuple orders and deduplicates the bindings within each input tuple
+	// only: a batched MapToItem's table holds one evaluation per tuple.
+	perTuple bool
+	ranks    []int32
 	// Segment i is done[i], the last one is last (seg, nseg).
 	done []rankSeg
 	last rankSeg
@@ -300,11 +380,10 @@ func (t *rankTable) reset(nf int) {
 	*t = rankTable{nf: nf, ranks: t.ranks[:0], done: t.done[:0]}
 }
 
-// seal files the ranks appended since the previous seal as bindings of the
-// fi-th input tuple in tree: more of the last segment when that is the same
-// tuple's and tree's, a new segment otherwise.
-func (t *rankTable) seal(fi int, tree *xdm.Tree) {
-	end := len(t.ranks)
+// seal files the ranks from the previous seal's end to end as bindings of
+// the fi-th input tuple in tree: more of the last segment when that is the
+// same tuple's and tree's, a new segment otherwise.
+func (t *rankTable) seal(fi int, tree *xdm.Tree, end int) {
 	switch {
 	case end == t.last.end:
 		return
@@ -320,8 +399,9 @@ func (t *rankTable) seal(fi int, tree *xdm.Tree) {
 
 // ordered reports whether the table already has the operator's output order:
 // bindings strictly increasing on (tree ID, ranks…), which is root-to-leaf
-// lexical document order without duplicates. It is one pass over the integers;
-// bind sorts only when it fails. One kernel call from one context answers in
+// lexical document order without duplicates — within each input tuple when
+// perTuple is set. It is one pass over the integers; bind sorts only when it
+// fails. One kernel call from one context answers in
 // order, and so do contexts met in document order whose results do not
 // interleave — but nothing here relies on what a kernel returns.
 func (t *rankTable) ordered() bool {
@@ -333,7 +413,9 @@ func (t *rankTable) ordered() bool {
 	for si := 0; si < t.nseg; si++ {
 		s := t.seg(si)
 		if si > 0 {
-			if prev := t.seg(si - 1).tree; prev.ID > s.tree.ID || prev.ID == s.tree.ID && !increasing(start) {
+			prev := t.seg(si - 1)
+			sameOrder := !t.perTuple || prev.fi == s.fi
+			if sameOrder && (prev.tree.ID > s.tree.ID || prev.tree.ID == s.tree.ID && !increasing(start)) {
 				return false
 			}
 		}
@@ -350,6 +432,8 @@ func (t *rankTable) ordered() bool {
 // sort rebuilds the table in order: a permutation of the bindings sorted on
 // (tree ID, ranks…, input position), equal keys dropped after their first —
 // the binding of the earliest input tuple survives, as under a stable sort.
+// With perTuple the input tuple leads the key, so each tuple's bindings are
+// sorted and deduplicated among themselves.
 func (t *rankTable) sort() {
 	nf, n := t.nf, t.len()
 	owner := make([]int32, n) // segment of each binding
@@ -362,8 +446,12 @@ func (t *rankTable) sort() {
 	}
 	key := func(b int32) []int32 { return t.ranks[int(b)*nf : int(b)*nf+nf] }
 	cmp := func(a, b int32) int {
-		if ta, tb := t.seg(int(owner[a])).tree, t.seg(int(owner[b])).tree; ta.ID != tb.ID {
-			return ta.ID - tb.ID
+		sa, sb := t.seg(int(owner[a])), t.seg(int(owner[b]))
+		if t.perTuple && sa.fi != sb.fi {
+			return sa.fi - sb.fi
+		}
+		if sa.tree.ID != sb.tree.ID {
+			return sa.tree.ID - sb.tree.ID
 		}
 		return slices.Compare(key(a), key(b))
 	}
@@ -373,25 +461,48 @@ func (t *rankTable) sort() {
 		}
 		return int(a - b)
 	})
-	sorted := rankTable{nf: nf, ranks: make([]int32, 0, len(t.ranks))}
+	sorted := rankTable{nf: nf, perTuple: t.perTuple, ranks: make([]int32, 0, len(t.ranks))}
 	for i, b := range perm {
 		if i > 0 && cmp(perm[i-1], b) == 0 {
 			continue
 		}
 		sorted.ranks = append(sorted.ranks, key(b)...)
 		s := t.seg(int(owner[b]))
-		sorted.seal(s.fi, s.tree)
+		sorted.seal(s.fi, s.tree, len(sorted.ranks))
 	}
 	*t = sorted
 }
 
-// keepFirst drops every binding but the first.
+// keepFirst drops every binding but the first — of each input tuple when
+// perTuple is set.
 func (t *rankTable) keepFirst() {
+	if t.perTuple {
+		t.keepFirstEach()
+		return
+	}
 	if t.len() > 1 {
 		first := *t.seg(0)
 		first.end = t.nf
 		*t = rankTable{nf: t.nf, ranks: t.ranks[:t.nf], last: first, nseg: 1}
 	}
+}
+
+// keepFirstEach keeps the first binding of each input tuple, in place: the
+// bindings and segments it keeps are written at or before where they are
+// read.
+func (t *rankTable) keepFirstEach() {
+	nf, n := t.nf, t.nseg
+	kept := rankTable{nf: nf, perTuple: true, ranks: t.ranks[:0], done: t.done[:0]}
+	start := 0
+	for si := 0; si < n; si++ {
+		s := *t.seg(si)
+		if kept.nseg == 0 || kept.last.fi != s.fi {
+			kept.ranks = append(kept.ranks, t.ranks[start:start+nf]...)
+			kept.seal(s.fi, s.tree, len(kept.ranks))
+		}
+		start = s.end
+	}
+	*t = kept
 }
 
 // appendItems reads the table as the item sequence of output field k,

@@ -184,7 +184,7 @@ func (m *Mapping) Resident() (int64, bool) {
 func ArmFaults() bool { return debug.SetPanicOnFault(true) }
 
 // CatchFault, deferred, restores the setting ArmFaults returned and turns a
-// fault's panic into *err. Any other panic goes on.
+// fault's panic into *err, a *FaultError. Any other panic goes on.
 func CatchFault(prev bool, err *error) {
 	debug.SetPanicOnFault(prev)
 	if r := recover(); r != nil {
@@ -192,6 +192,15 @@ func CatchFault(prev bool, err *error) {
 		if !ok {
 			panic(r)
 		}
-		*err = fmt.Errorf("xmlstore: fault at %#x reading a mapped snapshot (was the file truncated?)", fault.Addr())
+		*err = &FaultError{Addr: fault.Addr()}
 	}
+}
+
+// FaultError is a memory fault CatchFault caught: a read at Addr of a mapped
+// page the snapshot file no longer backs. Index.SnapshotMember tells which
+// member's bytes the address is in.
+type FaultError struct{ Addr uintptr }
+
+func (e *FaultError) Error() string {
+	return fmt.Sprintf("xmlstore: fault at %#x reading a mapped snapshot (was the file truncated?)", e.Addr)
 }

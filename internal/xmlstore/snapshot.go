@@ -706,6 +706,18 @@ func (ix *Index) StreamLen(s xdm.Sym, attr bool) (int, bool) {
 	return l.streamLen(s, attr)
 }
 
+// SnapshotMember reports the member number of a snapshot member index whose
+// bytes — memberOff[m] up to memberOff[m+1] of the snapshot — hold addr; ok
+// is false for any other address and for an index built in memory.
+func (ix *Index) SnapshotMember(addr uintptr) (m int, ok bool) {
+	l := ix.lazy
+	if l == nil || len(l.data) == 0 {
+		return 0, false
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(l.data)))
+	return l.member, addr >= lo && addr-lo < uintptr(len(l.data))
+}
+
 // loadDeferred runs the member's full parse + validation (once, under the
 // Ensure gate). A closed mapping fails with ErrSnapshotClosed before any
 // page is touched; a fault on a page the file no longer backs becomes the

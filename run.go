@@ -138,8 +138,10 @@ const allMembers = -1
 // worker pool interleaved.
 func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Algorithm, opts RunOptions) (_ Sequence, _ RunInfo, err error) {
 	// Every shape may read the pages of a mapped snapshot on this goroutine:
-	// a fault on a page the file no longer backs is the run's error. (Fan-out
-	// members guard their own runs, on whichever goroutine evaluates them.)
+	// a fault on a page the file no longer backs is the run's error, naming
+	// the member whose bytes it hit. (Fan-out members guard their own runs, on
+	// whichever goroutine evaluates them.)
+	defer func() { err = c.NameFault(err) }()
 	defer xmlstore.CatchFault(xmlstore.ArmFaults(), &err)
 	if c.Closed() {
 		return nil, RunInfo{}, ErrClosed

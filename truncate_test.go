@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"xqtp/internal/gen"
@@ -76,11 +77,20 @@ func TestTruncatedSnapshotFaultsPerMember(t *testing.T) {
 	if err := os.Truncate(path, int64(buf.Len()/2)); err != nil {
 		t.Fatal(err)
 	}
-	for _, past := range []string{loaded, `fn:doc("m18.xml")//person/name`} {
+	for _, past := range []struct{ query, member string }{
+		{loaded, "snapshot member 19 (m19.xml): "},
+		{`fn:doc("m18.xml")//person/name`, "snapshot member 18"},
+	} {
+		past, member := past.query, past.member
 		got, err := run(c, past)
 		if c.Mapped() {
 			if err == nil {
 				t.Fatalf("%s on a member past the cut answered %d items, want an error", past, len(got))
+			}
+			// The error names the member whose bytes faulted, also when the
+			// member was loaded before the cut and the fault is the run's.
+			if !strings.Contains(err.Error(), member) {
+				t.Errorf("%s: error %q does not name %q", past, err, member)
 			}
 			_, again := run(c, past)
 			if again == nil || again.Error() != err.Error() {
