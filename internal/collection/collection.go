@@ -34,13 +34,14 @@ type Doc struct {
 	URI   string
 	Index *xmlstore.Index
 
-	rootOnce sync.Once
-	rootSeq  xdm.Sequence
+	rootSeq atomic.Pointer[xdm.Sequence]
 
 	// preps is the member's prepared-join table (preps.go): an immutable
 	// slice replaced whole on insert, so the per-tuple lookup takes no lock.
 	preps                               atomic.Pointer[[]prepEntry]
 	prepHits, prepMisses, prepEvictions atomic.Uint64
+	// syms is the member's list of resolved names (SymFor).
+	syms atomic.Pointer[nameSym]
 }
 
 // Tree returns the member's document tree.
@@ -50,14 +51,20 @@ func (d *Doc) Tree() *xdm.Tree { return d.Index.Tree }
 // data model from its columns on first use.
 func (d *Doc) Root() *xdm.Node { return d.Index.Tree.RootNode() }
 
-// RootSeq returns the document node as a singleton sequence, allocated once:
-// the uniform binding a run hands to every free variable. The node is built
-// before the once: building it may read a mapped page, and a fault inside
-// the once would settle it on a nil sequence.
+// RootSeq returns the document node as a singleton sequence, stored once:
+// the uniform binding a run hands to every free variable. A stored sequence
+// is returned as it is; only a call that finds none builds the node, and it
+// builds it before storing anything: building it may read a mapped page, and
+// a fault there must leave nothing stored, not a nil sequence.
 func (d *Doc) RootSeq() xdm.Sequence {
-	root := d.Root()
-	d.rootOnce.Do(func() { d.rootSeq = xdm.Singleton(root) })
-	return d.rootSeq
+	if s := d.rootSeq.Load(); s != nil {
+		return *s
+	}
+	s := xdm.Singleton(d.Root())
+	if !d.rootSeq.CompareAndSwap(nil, &s) {
+		return *d.rootSeq.Load()
+	}
+	return s
 }
 
 // Ensure forces a deferred snapshot member's parse + validation (no-op for

@@ -2,12 +2,16 @@ package collection
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"xqtp/internal/execctx"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xmlstore"
 )
 
 // genSources builds n small documents with per-document distinguishable
@@ -107,6 +111,49 @@ func TestIngestErrorIsDeterministic(t *testing.T) {
 		if !strings.Contains(err.Error(), "doc-007") {
 			t.Fatalf("workers=%d: error should name the first bad source, got: %v", workers, err)
 		}
+	}
+}
+
+// A panic while ingesting one source is that source's error, from Ingest
+// (LoadCorpus) and from Extend alike: the pool stops as for a malformed
+// source, and every worker has exited when the call returns.
+func TestIngestPanicIsSourceError(t *testing.T) {
+	defer func(f func(*xmlstore.Loader, Source) (*xmlstore.Index, error)) { ingestSource = f }(ingestSource)
+	var ingested atomic.Int64
+	ingestSource = func(ld *xmlstore.Loader, s Source) (*xmlstore.Index, error) {
+		if s.URI == "mem://doc-005.xml" {
+			panic("injected fault")
+		}
+		ingested.Add(1)
+		return ingestOne(ld, s)
+	}
+	base, err := Ingest(genSources(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutines := runtime.NumGoroutine()
+	check := func(label string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), `ingest "mem://doc-005.xml": panic: injected fault`) {
+			t.Fatalf("%s: error %v, want the panicking source's", label, err)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		ingested.Store(0)
+		_, err := Ingest(genSources(40), workers)
+		check(fmt.Sprintf("Ingest workers=%d", workers), err)
+		if n := ingested.Load(); workers == 1 && n != 5 {
+			t.Errorf("Ingest workers=1: %d sources ingested, want the 5 before the panic", n)
+		}
+		_, err = base.Extend(genSources(40), workers)
+		check(fmt.Sprintf("Extend workers=%d", workers), err)
+	}
+	// The workers call wg.Done before they return: give them the moment.
+	for i := 0; runtime.NumGoroutine() > goroutines; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines after the failed ingests, %d before", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -85,7 +85,9 @@ func trees(docs []*Doc) []*xdm.Tree {
 // source order, for a deterministic message) stops the remaining work. Each
 // worker owns one xmlstore.Loader, so its ingest scratch is reused member
 // after member without a pool: the allocation count of an ingest never
-// depends on GC timing.
+// depends on GC timing. A panic while ingesting a source is that source's
+// error (ingestGuarded): it stops the pool as a failed source does, so it
+// cannot take the process down from a worker goroutine.
 func ingestDocs(sources []Source, workers int) ([]*Doc, error) {
 	n := len(sources)
 	if n == 0 {
@@ -107,7 +109,7 @@ func ingestDocs(sources []Source, workers int) ([]*Doc, error) {
 				if pos >= n || failed.Load() {
 					return
 				}
-				ix, err := ingestOne(&ld, sources[pos])
+				ix, err := ingestGuarded(&ld, sources[pos])
 				if err != nil {
 					errs[pos] = err
 					failed.Store(true)
@@ -127,6 +129,22 @@ func ingestDocs(sources []Source, workers int) ([]*Doc, error) {
 	// an error, so every doc is populated here.
 	return docs, nil
 }
+
+// ingestGuarded is ingestSource with a panic recovered into the source's
+// error. The loader is dropped with it: its scratch may be half-written.
+func ingestGuarded(ld *xmlstore.Loader, s Source) (ix *xmlstore.Index, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			*ld = xmlstore.Loader{}
+			ix, err = nil, fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return ingestSource(ld, s)
+}
+
+// ingestSource reads and ingests one source; a variable, so that a test can
+// make one source's ingest panic.
+var ingestSource = ingestOne
 
 func ingestOne(ld *xmlstore.Loader, s Source) (*xmlstore.Index, error) {
 	data := s.Data

@@ -93,6 +93,57 @@ func (d *Doc) PreparedFor(alg join.Algorithm, t *xdm.Tree, pat *pattern.Pattern)
 	return p, true, err
 }
 
+// memberSymCap bounds a member's list of resolved names. serve_corpus's
+// batched steps resolve one name per member; past the bound a name is looked
+// up in the tree's symbol table each time.
+const memberSymCap = 16
+
+// nameSym is a name a step resolved against the member, and its symbol: an
+// immutable list, newest first, that an insert extends at its head.
+type nameSym struct {
+	name string
+	sym  xdm.Sym
+	next *nameSym
+}
+
+// SymFor resolves a name to its symbol in the member's own tree (xdm.NoSym
+// when the tree lacks it), for a step that runs over the member on every run
+// of a plan (a batched TreeJoin): from the member's list of resolved names,
+// which a string compare searches — a pointer compare for the plan's own name
+// string — or else from the tree's symbol table, adding the name to the list
+// as the prepared-join table adds a join. The list's cache lines are the
+// member's, which the run has just read, where the tree's symbol map is cold.
+// owned is false for any other tree.
+func (d *Doc) SymFor(t *xdm.Tree, name string) (s xdm.Sym, owned bool) {
+	if t != d.Index.Tree {
+		return xdm.NoSym, false
+	}
+	head := d.syms.Load()
+	n := 0
+	for e := head; e != nil; e = e.next {
+		if e.name == name {
+			return e.sym, true
+		}
+		n++
+	}
+	s, _ = t.Syms.Lookup(name)
+	if n < memberSymCap {
+		// A lost race drops this entry only: a later run adds it again.
+		d.syms.CompareAndSwap(head, &nameSym{name: name, sym: s, next: head})
+	}
+	return s, true
+}
+
+// SymFor is Doc.SymFor for the tree of a member, found by one map lookup on
+// the tree; owned is false for a tree of no member.
+func (c *Corpus) SymFor(t *xdm.Tree, name string) (xdm.Sym, bool) {
+	i, ok := c.byTree[t]
+	if !ok {
+		return xdm.NoSym, false
+	}
+	return c.docs[i].SymFor(t, name)
+}
+
 // PreparedFor is Prepared for the tree of a member, found by one map lookup
 // on the tree; owned is false for a tree of no member.
 func (c *Corpus) PreparedFor(alg join.Algorithm, t *xdm.Tree, pat *pattern.Pattern) (p *join.Prepared, owned bool, err error) {

@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"fmt"
 	"testing"
 
 	"xqtp/internal/join"
@@ -65,4 +66,57 @@ func TestPreparedHitAllocatesNothing(t *testing.T) {
 	if got := c.PrepStats(); got.Size != warm.Size+1 || got.Misses != warm.Misses+1 {
 		t.Fatalf("after one new (pattern, algorithm) and one foreign index: %+v", got)
 	}
+}
+
+// A member resolves a name to its tree's symbol once: later lookups find it
+// in the member's table without allocating, through the member (fan-out) and
+// through the corpus (fn:collection); a name the tree lacks resolves to
+// NoSym, a tree of no member is not owned, and the table stops growing at its
+// bound.
+func TestSymForResolvesOncePerMember(t *testing.T) {
+	c, err := Ingest(genSources(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range c.Docs() {
+		tr := d.Tree()
+		for _, name := range []string{"id", "doc", "alpha", "nosuch"} {
+			want, _ := tr.Syms.Lookup(name)
+			for k := 0; k < 2; k++ {
+				if s, owned := d.SymFor(tr, name); !owned || s != want {
+					t.Fatalf("%s: SymFor(%q) = %d, %v; want %d, true", d.URI, name, s, owned, want)
+				}
+				if s, owned := c.SymFor(tr, name); !owned || s != want {
+					t.Fatalf("%s: corpus SymFor(%q) = %d, %v; want %d, true", d.URI, name, s, owned, want)
+				}
+			}
+		}
+		if n := resolvedNames(d); n != 4 {
+			t.Fatalf("%s: %d resolved names, want 4", d.URI, n)
+		}
+	}
+	d, other := c.Doc(0), c.Doc(1).Tree()
+	if _, owned := d.SymFor(other, "id"); owned {
+		t.Fatal("a member owns another member's tree")
+	}
+	if _, owned := c.SymFor(xdm.NewTreeBuilder(1).Finish(), "id"); owned {
+		t.Fatal("the corpus owns a tree of no member")
+	}
+	if avg := testing.AllocsPerRun(100, func() { d.SymFor(d.Tree(), "id") }); avg != 0 {
+		t.Fatalf("%v allocations per resolved-name hit, want 0", avg)
+	}
+	for i := 0; i < 2*memberSymCap; i++ {
+		d.SymFor(d.Tree(), fmt.Sprintf("n%d", i))
+	}
+	if n := resolvedNames(d); n != memberSymCap {
+		t.Fatalf("%d resolved names after %d more, want the bound %d", n, 2*memberSymCap, memberSymCap)
+	}
+}
+
+func resolvedNames(d *Doc) int {
+	n := 0
+	for e := d.syms.Load(); e != nil; e = e.next {
+		n++
+	}
+	return n
 }

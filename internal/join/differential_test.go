@@ -1,6 +1,7 @@
 package join
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -83,18 +84,23 @@ var corpusDocs = []string{
 	`<a><b><a><b><a/></b></a></b></a>`,
 	`<a><b x="1"/><b x="2"><c/></b><c><b/></c></a>`,
 	twigDoc,
+	// Same-name elements nest recursively, so that a candidate failing a
+	// descendant branch covers candidates inside it, and a descendant
+	// step's entry failing the rest of its branch covers entries inside it.
+	`<a><b><a><b><a k="2"><c/></a></b></a><c>t</c></b><b id="1"><b><d/></b><a><a><b/></a></a></b></a>`,
+	`<r><a k="1"><a><b><c/></b></a><b/></a><a><x><b><c/></b></x></a><a><b/><y><c/></y></a></r>`,
 }
 
 // corpusPatterns builds the fixed pattern set run against every corpus
-// document: linear spines, star tests, predicate branches and attribute
-// steps over the corpus tags.
+// document: linear spines, star tests, predicate branches (branchPatterns)
+// and attribute steps over the corpus tags.
 func corpusPatterns() []*pattern.Pattern {
 	mk := func(steps ...*pattern.Step) *pattern.Pattern { return chain("dot", steps...) }
 	withPred := func(p *pattern.Pattern, pred *pattern.Step) *pattern.Pattern {
 		p.Root.Preds = []*pattern.Step{pred}
 		return p
 	}
-	return []*pattern.Pattern{
+	return append([]*pattern.Pattern{
 		mk(st(xdm.AxisChild, "a")),
 		mk(st(xdm.AxisDescendant, "a")),
 		mk(st(xdm.AxisDescendant, "b")),
@@ -107,6 +113,67 @@ func corpusPatterns() []*pattern.Pattern {
 		withPred(mk(st(xdm.AxisDescendant, "b")), st(xdm.AxisChild, "c")),
 		withPred(mk(st(xdm.AxisDescendant, "b")), pattern.NewStep(xdm.AxisAttribute, xdm.NameTest("x"))),
 		withPred(mk(st(xdm.AxisDescendant, "a")), st(xdm.AxisDescendant, "a")),
+	}, branchPatterns()...)
+}
+
+// branchPatterns are corpusPatterns' predicate-branch shapes: branches of
+// two and three steps, nested predicates, descendant-or-self, self,
+// attribute, star and text() branches, several branches on one step,
+// predicates on more than one spine step, and the spine's self and
+// attribute steps behind a predicate.
+func branchPatterns() []*pattern.Pattern {
+	mk := func(steps ...*pattern.Step) *pattern.Pattern { return chain("dot", steps...) }
+	path := func(steps ...*pattern.Step) *pattern.Step {
+		for i := 0; i < len(steps)-1; i++ {
+			steps[i].Next = steps[i+1]
+		}
+		return steps[0]
+	}
+	with := func(s *pattern.Step, preds ...*pattern.Step) *pattern.Step {
+		s.Preds = append(s.Preds, preds...)
+		return s
+	}
+	ch := func(name string) *pattern.Step { return st(xdm.AxisChild, name) }
+	de := func(name string) *pattern.Step { return st(xdm.AxisDescendant, name) }
+	dos := func(test xdm.NodeTest) *pattern.Step { return pattern.NewStep(xdm.AxisDescendantOrSelf, test) }
+	attr := func(name string) *pattern.Step { return pattern.NewStep(xdm.AxisAttribute, xdm.NameTest(name)) }
+	self := func(name string) *pattern.Step { return pattern.NewStep(xdm.AxisSelf, xdm.NameTest(name)) }
+	star := func(axis xdm.Axis) *pattern.Step { return pattern.NewStep(axis, xdm.StarTest()) }
+	text := func(axis xdm.Axis) *pattern.Step { return pattern.NewStep(axis, xdm.TextTest()) }
+	return []*pattern.Pattern{
+		mk(with(de("a"), path(ch("b"), ch("c")))),                         // a[b/c]
+		mk(with(de("a"), path(de("b"), ch("c")))),                         // a[.//b/c]
+		mk(with(de("a"), path(ch("b"), de("c")))),                         // a[b//c]
+		mk(with(de("a"), path(de("a"), de("c")))),                         // a[.//a//c]
+		mk(with(de("a"), path(de("b"), de("d")))),                         // a[.//b//d]
+		mk(with(de("a"), path(ch("b"), ch("c"), ch("d")))),                // a[b/c/d]
+		mk(with(de("a"), path(de("b"), ch("b"), de("d")))),                // a[.//b/b//d]
+		mk(with(de("a"), with(ch("b"), ch("c")))),                         // a[b[c]]
+		mk(with(de("a"), path(with(de("b"), ch("c")), ch("d")))),          // a[.//b[c]/d]
+		mk(with(de("a"), path(with(de("b"), de("d")), ch("d")))),          // a[.//b[.//d]/d]
+		mk(with(de("a"), with(de("a"), with(de("b"), de("c"))))),          // a[.//a[.//b[.//c]]]
+		mk(with(de("a"), dos(xdm.NameTest("b")))),                         // a[descendant-or-self::b]
+		mk(with(de("a"), path(dos(xdm.NameTest("a")), ch("c")))),          // a[descendant-or-self::a/c]
+		mk(with(de("b"), path(dos(xdm.AnyNodeTest()), ch("d")))),          // b[.//d] the long way
+		mk(with(de("b"), self("b"))),                                      // b[self::b]
+		mk(with(de("b"), self("a"))),                                      // b[self::a]
+		mk(with(de("a"), attr("k"))),                                      // a[@k]
+		mk(with(de("a"), path(ch("b"), attr("id")))),                      // a[b/@id]
+		mk(with(de("a"), path(de("a"), attr("k")))),                       // a[.//a/@k]
+		mk(with(de("a"), star(xdm.AxisChild))),                            // a[*]
+		mk(with(de("a"), path(star(xdm.AxisDescendant), ch("c")))),        // a[.//*/c]
+		mk(with(de("b"), star(xdm.AxisAttribute))),                        // b[@*]
+		mk(with(de("b"), text(xdm.AxisChild))),                            // b[text()]
+		mk(with(de("a"), text(xdm.AxisDescendant))),                       // a[.//text()]
+		mk(with(de("a"), path(ch("c"), text(xdm.AxisChild)))),             // a[c/text()]
+		mk(with(de("a"), ch("b"), de("c"))),                               // a[b][.//c]
+		mk(with(de("a"), de("d"), de("c"), attr("k"))),                    // a[.//d][.//c][@k]
+		mk(with(de("a"), de("b"), ch("zz"))),                              // a[.//b][zz]
+		mk(with(de("a"), de("b")), with(ch("b"), ch("c"))),                // a[.//b]/b[c]
+		mk(de("a"), with(de("b"), de("d"))),                               // a//b[.//d]
+		mk(with(ch("a"), de("c")), with(de("b"), path(de("a"), de("c")))), // a[.//c]//b[.//a//c]
+		mk(de("b"), with(self("b"), ch("d"))),                             // b/self::b[d]
+		mk(with(de("b"), de("d")), attr("id")),                            // b[.//d]/@id
 	}
 }
 
@@ -184,5 +251,47 @@ func TestDifferentialXMarkFragments(t *testing.T) {
 			ctx = tr.RootNode()
 		}
 		checkKernels(t, "xmark", ix, ctx, pat)
+	}
+}
+
+// qeShapes are the tree patterns of Table 1's QE1–QE6 (Fig. 5) from the
+// document node. QE2 and QE5 carry a positional predicate, which splits the
+// plan's pattern there; their shapes here drop it and run as one pattern.
+func qeShapes() []*pattern.Pattern {
+	t := func(axis xdm.Axis, i int) *pattern.Step { return st(axis, fmt.Sprintf("t%02d", i)) }
+	with := func(s *pattern.Step, preds ...*pattern.Step) *pattern.Step {
+		s.Preds = append(s.Preds, preds...)
+		return s
+	}
+	var out []*pattern.Pattern
+	for _, ax := range []xdm.Axis{xdm.AxisChild, xdm.AxisDescendant} {
+		d := xdm.AxisDescendant
+		// QE1 / QE4: t01[t02[t03[t04]]]
+		out = append(out, chain("dot", with(t(d, 1), with(t(ax, 2), with(t(ax, 3), t(ax, 4))))))
+		// QE2 / QE5: t01/t02/t03[t04]
+		out = append(out, chain("dot", t(d, 1), t(ax, 2), with(t(ax, 3), t(ax, 4))))
+		// QE3 / QE6: t01[t02[t03]/t04[t03]]
+		t02 := with(t(ax, 2), t(ax, 3))
+		t02.Next = with(t(ax, 4), t(ax, 3))
+		out = append(out, chain("dot", with(t(d, 1), t02)))
+	}
+	return out
+}
+
+// TestDifferentialQEShapes runs Table 1's pattern shapes on a MemBeR
+// document with few tags, so that the names nest into one another and most
+// candidates have witnesses to find, from the document node and from every
+// element.
+func TestDifferentialQEShapes(t *testing.T) {
+	tr := gen.Member(gen.MemberConfig{Seed: 5, Depth: 6, NumTags: 5, NumNodes: 400})
+	ix := xmlstore.BuildIndex(tr)
+	for i, pat := range qeShapes() {
+		label := fmt.Sprintf("QE%d", i+1)
+		checkKernels(t, label, ix, tr.RootNode(), pat.Clone())
+		for _, n := range tr.Nodes() {
+			if n.Kind == xdm.ElementNode {
+				checkKernels(t, label, ix, n, pat.Clone())
+			}
+		}
 	}
 }

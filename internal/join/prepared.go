@@ -63,7 +63,7 @@ type cstep struct {
 // Each step's predicate branches are ordered smallest total stream first:
 // predicates are conjunctive existential checks (patterns cannot carry
 // outputs inside predicates), so their order is free, and checking the
-// scarcest branch first fail-fasts both the staircase semi-joins and the
+// scarcest branch first fail-fasts both the staircase existence checks and the
 // twig stack's child-support probes. The pattern itself is never mutated —
 // only the compiled form is reordered.
 func compileChain(ix *xmlstore.Index, s *pattern.Step) []cstep {

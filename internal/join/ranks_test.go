@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xqtp/internal/gen"
+	"xqtp/internal/pattern"
 	"xqtp/internal/xdm"
 	"xqtp/internal/xmlstore"
 )
@@ -50,17 +51,25 @@ func TestAppendRanksAllocatesNothing(t *testing.T) {
 	root := ix.Tree.RootNode()
 	pat := chain("dot", st(xdm.AxisDescendant, "person"), st(xdm.AxisChild, "name"))
 	pat.Root.Preds = append(pat.Root.Preds, st(xdm.AxisChild, "emailaddress"))
-	for _, alg := range []Algorithm{NestedLoop, Staircase, Auto} {
-		p, err := Prepare(alg, ix, pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst := p.AppendRanks(nil, root, nil) // sizes dst, warms the arena pool
-		if len(dst) < 50 {
-			t.Fatalf("%s: %d bindings, expected a real result", alg, len(dst))
-		}
-		if allocs := testing.AllocsPerRun(50, func() { dst = p.AppendRanks(nil, root, dst[:0]) }); allocs != 0 {
-			t.Errorf("%s: AppendRanks into a slice with room allocates %.1f objects per call, want 0", alg, allocs)
+	// person[profile[interest]][.//city]/name: nested and several branches,
+	// the staircase's existence check recursing.
+	multi := chain("dot", st(xdm.AxisDescendant, "person"), st(xdm.AxisChild, "name"))
+	profile := st(xdm.AxisChild, "profile")
+	profile.Preds = append(profile.Preds, st(xdm.AxisChild, "interest"))
+	multi.Root.Preds = append(multi.Root.Preds, profile, st(xdm.AxisDescendant, "city"))
+	for _, pat := range []*pattern.Pattern{pat, multi} {
+		for _, alg := range []Algorithm{NestedLoop, Staircase, Auto} {
+			p, err := Prepare(alg, ix, pat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := p.AppendRanks(nil, root, nil) // sizes dst, warms the arena pool
+			if len(dst) < 50 {
+				t.Fatalf("%s: %d bindings, expected a real result", alg, len(dst))
+			}
+			if allocs := testing.AllocsPerRun(50, func() { dst = p.AppendRanks(nil, root, dst[:0]) }); allocs != 0 {
+				t.Errorf("%s: AppendRanks into a slice with room allocates %.1f objects per call, want 0", alg, allocs)
+			}
 		}
 	}
 }

@@ -8,32 +8,15 @@ import (
 	"xqtp/internal/xdm"
 )
 
-// scArena is the per-evaluation scratch of the staircase join: a stack of
-// candidate-list buffers handed out in LIFO order. Buffers hold int32 pre
-// ranks, not node pointers — half the bytes per candidate and nothing for
-// the GC to scan. One arena is fetched from a pool per context set
-// (AppendRanksFor), so the per-candidate existential semi-joins
-// (scExists runs once per candidate per predicate) reuse buffers with plain
-// integer bookkeeping instead of hitting the pool in the hot loop.
+// scArena is the per-set scratch of the staircase join: the two candidate
+// lists a spine pass swaps between, as int32 pre ranks — half the bytes per
+// candidate of a node pointer and nothing for the GC to scan. One arena is
+// fetched from a pool per context set (AppendRanksFor) and keeps the
+// capacity its largest list needed; predicate branches are existence checks
+// (scHas) and take no list at all.
 type scArena struct {
-	bufs [][]int32
-	next int
+	cur, next []int32
 }
-
-// take hands out the index of a fresh (empty) buffer.
-func (a *scArena) take() int {
-	if a.next == len(a.bufs) {
-		a.bufs = append(a.bufs, make([]int32, 0, 64))
-	}
-	i := a.next
-	a.next++
-	return i
-}
-
-// giveBack writes a possibly-grown buffer back to its slot so the arena
-// keeps the capacity for the next use; callers then restore a.next to their
-// saved mark.
-func (a *scArena) giveBack(i int, b []int32) { a.bufs[i] = b[:0] }
 
 var scArenaPool = sync.Pool{New: func() any { return new(scArena) }}
 
@@ -44,26 +27,25 @@ var scArenaPool = sync.Pool{New: func() any { return new(scArena) }}
 // duplicate-free results in document order without an explicit sort.
 // Containment and node tests are integer compares against the tree's
 // columns; the kernel ends in ranks and never touches a node.
-// Predicate branches are evaluated as existential semi-joins per candidate
-// — the per-candidate work is what makes SCJoin degrade on complex twigs
-// while it shines on linear paths (paper §5.2).
+// Predicate branches are existence checks per candidate (scFilter) — the
+// per-candidate work is what makes SCJoin degrade on complex twigs while it
+// shines on linear paths (paper §5.2), so each check stops at its first
+// witness.
 //
-// The per-step candidate lists live in arena buffers (two, swapped each
-// step); the final list is appended to dst before the buffers go back.
+// The per-step candidate lists live in the arena's two buffers, swapped each
+// step; the final list is appended to dst before the buffers go back.
 //
 // The execution context is polled once per spine step, once per 64 contexts
 // inside the descendant scans, and once per 64 candidates in the predicate
-// semi-join loop — the stream-advance batch boundaries, so the unchunked
-// inner region scans stay branch-free. A stopped evaluation appends nothing
-// (AppendRanks' partial-result contract); the arena goes back to the pool
+// filter — the stream-advance batch boundaries, so the unchunked inner
+// region scans stay branch-free. A stopped evaluation appends nothing
+// (AppendRanks' partial-result contract); the buffers go back to the arena
 // through the same path as a completed run, so cancellation never leaks or
 // corrupts pooled scratch. It runs from context rank ctx in an arena the
 // caller holds, so that the contexts of a set (AppendRanksFor) share one.
 func scFrom(p *Prepared, ec *execctx.Ctx, arena *scArena, ctx int32, dst []int32) []int32 {
-	mark := arena.next
-	ai, bi := arena.take(), arena.take()
-	cur := append(arena.bufs[ai][:0], ctx)
-	next := arena.bufs[bi][:0]
+	cur := append(arena.cur[:0], ctx)
+	next := arena.next[:0]
 	stopped := false
 	for i := range p.spine {
 		if ec.Stopped() {
@@ -73,16 +55,7 @@ func scFrom(p *Prepared, ec *execctx.Ctx, arena *scArena, ctx int32, dst []int32
 		s := &p.spine[i]
 		next = scStep(p, ec, cur, s, next[:0])
 		if len(s.preds) > 0 {
-			kept := next[:0]
-			for ci, cand := range next {
-				if ci&63 == 63 && ec.Stopped() {
-					break
-				}
-				if scPreds(p, arena, cand, s.preds) {
-					kept = append(kept, cand)
-				}
-			}
-			next = kept
+			next = scFilter(p, ec, next, s.preds)
 		}
 		cur, next = next, cur
 		if len(cur) == 0 {
@@ -92,9 +65,7 @@ func scFrom(p *Prepared, ec *execctx.Ctx, arena *scArena, ctx int32, dst []int32
 	if !stopped {
 		dst = append(dst, cur...)
 	}
-	arena.giveBack(ai, cur)
-	arena.giveBack(bi, next)
-	arena.next = mark
+	arena.cur, arena.next = cur[:0], next[:0]
 	return dst
 }
 
@@ -178,47 +149,107 @@ func scStep(p *Prepared, ec *execctx.Ctx, ctxs []int32, s *cstep, dst []int32) [
 	return out
 }
 
-// scPreds checks the predicate branches of a candidate as existential
-// semi-joins using the same staircase primitives from a singleton context.
-func scPreds(p *Prepared, arena *scArena, cand int32, preds [][]cstep) bool {
-	for _, pr := range preds {
-		if !scExists(p, arena, cand, pr) {
-			return false
-		}
-	}
-	return true
-}
-
-func scExists(p *Prepared, arena *scArena, ctx int32, chain []cstep) bool {
-	mark := arena.next
-	ai, bi := arena.take(), arena.take()
-	cur := append(arena.bufs[ai][:0], ctx)
-	next := arena.bufs[bi][:0]
-	found := true
-	for i := range chain {
-		s := &chain[i]
-		// Predicate semi-joins run from singleton contexts, so their scans
-		// are short; the execution context is polled by the outer loops.
-		next = scStep(p, nil, cur, s, next[:0])
-		if len(s.preds) > 0 {
-			kept := next[:0]
-			for _, cand := range next {
-				if scPreds(p, arena, cand, s.preds) {
-					kept = append(kept, cand)
-				}
-			}
-			next = kept
-		}
-		cur, next = next, cur
-		if len(cur) == 0 {
-			found = false
+// scFilter keeps, in place, the candidates that pass every predicate
+// branch. The candidates are in document order, so one cover suffices for
+// the pruning rule: a candidate that failed a branch starting with a
+// descendant step rejects, unevaluated, every later candidate inside its
+// region (scPasses).
+func scFilter(p *Prepared, ec *execctx.Ctx, cands []int32, preds [][]cstep) []int32 {
+	kept := cands[:0]
+	covered := int32(-1)
+	for ci, c := range cands {
+		if ci&63 == 63 && ec.Stopped() {
 			break
 		}
+		if c <= covered {
+			continue
+		}
+		if ok, cover := scPasses(p, c, preds); ok {
+			kept = append(kept, c)
+		} else if cover {
+			covered = p.cols.End(c)
+		}
 	}
-	arena.giveBack(ai, cur)
-	arena.giveBack(bi, next)
-	arena.next = mark
-	return found
+	return kept
+}
+
+// scPasses checks the predicate branches of rank r, scarcest first, each up
+// to its first witness. When one fails, cover reports that it starts with a
+// descendant or descendant-or-self step: every node inside r's region then
+// fails it too, since such a node's witnesses are a subset of r's.
+func scPasses(p *Prepared, r int32, preds [][]cstep) (ok, cover bool) {
+	for _, pr := range preds {
+		if !scHas(p, r, pr) {
+			return false, descends(pr[0].axis)
+		}
+	}
+	return true, false
+}
+
+// descends reports whether a chain starting with an axis-a step reaches, from
+// a node inside another's region, only nodes that it reaches from the other.
+func descends(a xdm.Axis) bool {
+	return a == xdm.AxisDescendant || a == xdm.AxisDescendantOrSelf
+}
+
+// scHas reports whether chain has a match from rank ctx: a depth-first
+// existence check that returns at the first witness and takes no buffer,
+// sort or dedup. A child or attribute step walks ctx's children or
+// attributes only until one passes the test, its own predicates and the rest
+// of the chain. A descendant step probes its rank stream from ctx+1, so a
+// last step without predicates costs one binary search; inside the region it
+// skips the entries that lie inside an entry which failed a predicate branch
+// or a rest of the chain starting with a descendant step (scPasses' cover).
+// Branches run from single candidates, so their scans are short; the
+// execution context is polled by the outer loops.
+func scHas(p *Prepared, ctx int32, chain []cstep) bool {
+	cols := p.cols
+	s, rest := &chain[0], chain[1:]
+	end := cols.End(ctx)
+	switch s.axis {
+	case xdm.AxisChild:
+		for ch := cols.FirstChild(ctx); ch <= end; ch = cols.NextSibling(ch) {
+			if s.test.Matches(cols, ch) && scWitness(p, ch, s, rest) {
+				return true
+			}
+		}
+	case xdm.AxisAttribute:
+		for a := ctx + 1; a <= end && cols.Kind[a] == uint8(xdm.AttributeNode); a++ {
+			if s.test.Matches(cols, a) && scWitness(p, a, s, rest) {
+				return true
+			}
+		}
+	case xdm.AxisSelf:
+		return s.test.Matches(cols, ctx) && scWitness(p, ctx, s, rest)
+	case xdm.AxisDescendant, xdm.AxisDescendantOrSelf:
+		if s.axis == xdm.AxisDescendantOrSelf && s.test.Matches(cols, ctx) && scWitness(p, ctx, s, rest) {
+			return true
+		}
+		stream := s.stream
+		for pos := searchGE(stream, ctx+1); pos < len(stream) && stream[pos] <= end; {
+			r := stream[pos]
+			ok, cover := scPasses(p, r, s.preds)
+			if ok {
+				if len(rest) == 0 || scHas(p, r, rest) {
+					return true
+				}
+				cover = descends(rest[0].axis)
+			}
+			if cover {
+				pos = gallopRanks(stream, pos+1, cols.End(r)+1)
+			} else {
+				pos++
+			}
+		}
+	}
+	return false
+}
+
+// scWitness reports whether rank r, which passed step s's test, passes s's
+// predicates and has a match of the rest of the chain.
+func scWitness(p *Prepared, r int32, s *cstep, rest []cstep) bool {
+	ok, _ := scPasses(p, r, s.preds)
+	return ok && (len(rest) == 0 || scHas(p, r, rest))
 }
 
 // sortedRanks reports whether the ranks are strictly ascending.

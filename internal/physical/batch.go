@@ -160,7 +160,7 @@ func (o *opMapToItem) flush(rs *RunState, dst xdm.Sequence) (xdm.Sequence, error
 		case *opTTP:
 			at, err = x.bindBatch(rs.rt, &out.t, cs, upto)
 		case *opTreeJoin:
-			at, err = x.stepBatch(&out.t, cs, upto)
+			at, err = x.stepBatch(rs.rt, &out.t, cs, upto)
 		}
 		if err != nil {
 			stop, failure = at, err
@@ -220,15 +220,16 @@ func (o *opTTP) bindBatch(rt *Runtime, t *rankTable, cs *ctxSet, upto int) (int,
 
 // stepBatch fills t with the step's ranks from the contexts of cs before
 // position upto, each filed under its tuple, in the order the TreeJoin
-// appends them per tuple. The step's RankTest is resolved once per run of
-// contexts in one tree. It returns the tuple of the first atomic context with
-// its error.
-func (o *opTreeJoin) stepBatch(t *rankTable, cs *ctxSet, upto int) (int, error) {
+// appends them per tuple. The step's RankTest is compiled once per run of
+// contexts in one tree (rankTest). It returns the tuple of the first atomic
+// context with its error.
+func (o *opTreeJoin) stepBatch(rt *Runtime, t *rankTable, cs *ctxSet, upto int) (int, error) {
 	t.reset(1)
 	yield := func(r int32) bool {
 		t.ranks = append(t.ranks, r)
 		return true
 	}
+	tp, _ := rt.Preps.(treePreps)
 	fi, start := 0, int32(0)
 	for _, run := range cs.runs {
 		if int(start) >= upto {
@@ -237,7 +238,7 @@ func (o *opTreeJoin) stepBatch(t *rankTable, cs *ctxSet, upto int) (int, error) 
 		if run.tree == nil {
 			return cs.tupleOf(start, &fi), fmt.Errorf("exec: TreeJoin applied to atomic value %T", cs.atom)
 		}
-		cols, test := run.tree.Cols, o.test.On(o.axis, run.tree)
+		cols, test := run.tree.Cols, o.rankTest(tp, run.tree)
 		for i := start; i < min(run.end, int32(upto)); i++ {
 			xdm.EachStepRank(cols, cs.ranks[i], o.axis, test, yield)
 			t.seal(cs.tupleOf(i, &fi), run.tree, len(t.ranks))
@@ -245,4 +246,18 @@ func (o *opTreeJoin) stepBatch(t *rankTable, cs *ctxSet, upto int) (int, error) 
 		start = run.end
 	}
 	return 0, nil
+}
+
+// rankTest compiles the step's node test in tree t. A name test takes its
+// symbol from the tree's owner when the runtime's prepared-join source holds
+// the tree (a corpus member keeps the names its steps resolved, so a name is
+// hashed once per member, not on every run), else from the tree's symbol
+// table.
+func (o *opTreeJoin) rankTest(tp treePreps, t *xdm.Tree) xdm.RankTest {
+	if tp != nil && o.test.Kind == xdm.TestName {
+		if s, owned := tp.SymFor(t, o.test.Name); owned {
+			return o.test.OnSym(o.axis, s)
+		}
+	}
+	return o.test.On(o.axis, t)
 }

@@ -115,10 +115,12 @@ type PrepSource interface {
 
 // treePreps is the PrepSource of an owner that knows its documents' trees
 // (collection.Doc, collection.Corpus): it resolves a tree it holds to the
-// prepared join of that document without a catalog lookup. owned is false
+// prepared join of that document without a catalog lookup, and a name to its
+// symbol in that tree without hashing the name on every run. owned is false
 // for a tree it does not hold.
 type treePreps interface {
 	PreparedFor(alg join.Algorithm, t *xdm.Tree, pat *pattern.Pattern) (p *join.Prepared, owned bool, err error)
+	SymFor(t *xdm.Tree, name string) (s xdm.Sym, owned bool)
 }
 
 // Runtime is the per-run execution environment of a compiled plan. It

@@ -155,12 +155,22 @@ type RankTest struct {
 
 // On compiles the test for an axis step in tree t.
 func (test NodeTest) On(axis Axis, t *Tree) RankTest {
+	s := NoSym
+	if test.Kind == TestName {
+		s, _ = t.Syms.Lookup(test.Name)
+	}
+	return test.OnSym(axis, s)
+}
+
+// OnSym is On with a name test's name already resolved to its symbol s in
+// the tree (NoSym when the tree lacks it); other tests ignore s.
+func (test NodeTest) OnSym(axis Axis, s Sym) RankTest {
 	m := RankTest{kind: test.Kind, principal: ElementNode, sym: NoSym}
 	if axis == AxisAttribute {
 		m.principal = AttributeNode
 	}
 	if test.Kind == TestName {
-		m.sym, _ = t.Syms.Lookup(test.Name)
+		m.sym = s
 	}
 	return m
 }
