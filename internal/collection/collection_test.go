@@ -357,3 +357,44 @@ func TestExtendSnapshotUnderQueries(t *testing.T) {
 		prevID = d.Tree().ID
 	}
 }
+
+// A claimed position below the lowest failure is evaluated even when a later
+// member failed first, so the run reports the earliest failure in corpus
+// order. Two workers: the one that claims position 1 is held there until the
+// other has failed position 3 and claimed past it; position 1 fails too, and
+// its failure is the run's.
+func TestFanOutFirstFailureInCorpusOrder(t *testing.T) {
+	c, err := Ingest(genSources(6), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing := func(d *Doc) (xdm.Sequence, error) {
+		if strings.Contains(d.URI, "doc-001") || strings.Contains(d.URI, "doc-003") {
+			return nil, fmt.Errorf("poisoned")
+		}
+		return perDocSeq(d)
+	}
+	past := make(chan struct{})
+	var pastOnce sync.Once
+	claimHook = func(pos int) {
+		switch {
+		case pos == 1:
+			select {
+			case <-past:
+			case <-time.After(10 * time.Second):
+				t.Error("no position past 3 was claimed while position 1 was held")
+			}
+		case pos > 3:
+			pastOnce.Do(func() { close(past) })
+		}
+	}
+	defer func() { claimHook = nil }()
+	_, err = runAll(c, 2, nil, failing)
+	if err == nil || !strings.Contains(err.Error(), "doc-001") {
+		t.Fatalf("error %v, want position 1's (doc-001)", err)
+	}
+	claimHook = nil
+	if _, err := runAll(c, 1, nil, failing); err == nil || !strings.Contains(err.Error(), "doc-001") {
+		t.Fatalf("one worker: error %v, want doc-001's", err)
+	}
+}

@@ -47,10 +47,12 @@ type Member interface {
 // out-of-order arrivals until their corpus position comes up and delivers
 // each member's items to sink with budget charging, so a stopped run's
 // delivered items are exactly the corpus-order prefix however the pool
-// interleaved. The first failure (earliest corpus position among the members
-// that evaluated), a stop or a sink error ends admission; in-flight members
-// are cut short by the kernels' own checkpoints, and the merger drains the
-// channel to its close, so no goroutine outlives the run.
+// interleaved. A failure ends admission past its position, and the run
+// returns the failure of the earliest position in corpus order: a position
+// claimed below the lowest failure so far is always evaluated. A stop or a
+// sink error ends admission outright; in-flight members are cut short by
+// the kernels' own checkpoints, and the merger drains the channel to its
+// close, so no goroutine outlives the run.
 func (c *Corpus) FanOut(ec *execctx.Ctx, workers int, skip func(doc int) bool, sink execctx.Sink, m Member) error {
 	if err := c.closedErr(); err != nil {
 		return err
@@ -76,7 +78,9 @@ func (c *Corpus) FanOut(ec *execctx.Ctx, workers int, skip func(doc int) bool, s
 	}
 	results := make(chan docResult, workers)
 	var next atomic.Int64
-	var halt atomic.Bool
+	var failAt atomic.Int64 // the lowest position that failed; n while none has
+	failAt.Store(int64(n))
+	var halt atomic.Bool // a sink error
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -87,13 +91,16 @@ func (c *Corpus) FanOut(ec *execctx.Ctx, workers int, skip func(doc int) bool, s
 			var col execctx.Collector
 			for {
 				pos := int(next.Add(1)) - 1
-				if pos >= n || halt.Load() || ec.Stopped() {
+				if claimHook != nil {
+					claimHook(pos)
+				}
+				if pos >= n || int64(pos) > failAt.Load() || halt.Load() || ec.Stopped() {
 					return
 				}
 				col.Seq = nil
 				err := c.eval(wm, pos, skip, mec, &col)
 				if err != nil {
-					halt.Store(true)
+					lowerTo(&failAt, int64(pos))
 				}
 				results <- docResult{pos: pos, seq: col.Seq, err: err}
 			}
@@ -141,6 +148,17 @@ func (c *Corpus) FanOut(ec *execctx.Ctx, workers int, skip func(doc int) bool, s
 	}
 	return ec.Err()
 }
+
+// lowerTo sets v to x unless v is already lower.
+func lowerTo(v *atomic.Int64, x int64) {
+	for cur := v.Load(); x < cur && !v.CompareAndSwap(cur, x); cur = v.Load() {
+	}
+}
+
+// claimHook, when set, is called by a fan-out worker with each position it
+// claims, before it decides whether to evaluate it: tests hold a claim
+// there to force an interleaving.
+var claimHook func(pos int)
 
 // eval evaluates member i through m unless skip elides it, wrapping a
 // failure with the member's URI unless ec has stopped, whose typed error

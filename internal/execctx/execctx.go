@@ -2,8 +2,8 @@
 // evaluation: cancellation (a context.Context's done channel), row and byte
 // budgets, and the streaming result sink. One *Ctx is threaded from the
 // public entry points through the physical operators down into the join
-// kernels, which poll it at bounded intervals — a sticky-flag load on the
-// hot path, a non-blocking channel probe only when the flag is still clear.
+// kernels, which poll it at bounded intervals with atomic loads only: the
+// context's cancellation raises a flag of its own (context.AfterFunc).
 //
 // Every method is nil-receiver-safe: entry points without a deadline or
 // budget thread a nil *Ctx, so the pre-existing Run paths pay exactly one
@@ -62,35 +62,45 @@ func (e *Error) Unwrap() error { return e.Cause }
 // a Ctx (corpus member evaluations) alias it, so a budget stop observed at
 // the merge point halts every in-flight member.
 type state struct {
-	stopped atomic.Bool
-	rows    atomic.Int64
-	bytes   atomic.Int64
+	stopped  atomic.Bool
+	canceled atomic.Bool // raised once the context is done; stopped follows at the next check
+	rows     atomic.Int64
+	bytes    atomic.Int64
 
 	mu  sync.Mutex
 	err error // the first stop error; returned by every Err call after it
 }
 
-// Ctx is one run's execution context. The zero-value-free constructor is
-// From; a nil *Ctx is the valid "no limits" context.
+// Ctx is one run's execution context, built by From; a nil *Ctx is the
+// valid "no limits" context.
 type Ctx struct {
+	ctx      context.Context // nil when done is
 	done     <-chan struct{}
-	ctxErr   func() error
-	maxRows  int64 // 0: unlimited
-	maxBytes int64 // 0: unlimited
+	raise    func()      // raises own.canceled; made once per pooled Ctx
+	release  func() bool // unregisters raise from ctx (Release)
+	maxRows  int64       // 0: unlimited
+	maxBytes int64       // 0: unlimited
 	st       *state
-	view     bool // a CancelOnly view
+	own      state // st of a run's own context; a view points at its run's
+	view     bool  // a CancelOnly view
 }
+
+// ctxPool recycles the contexts From builds together with their raise
+// callbacks, so a run's context costs no allocation of its own.
+var ctxPool = sync.Pool{New: func() any {
+	ec := &Ctx{}
+	ec.st = &ec.own
+	ec.raise = func() { ec.own.canceled.Store(true) }
+	return ec
+}}
 
 // From builds the execution context for one run. It returns nil — the
 // zero-overhead context — when ctx can never be canceled and no budget is
-// set, so the legacy entry points stay genuinely free wrappers.
+// set, so the legacy entry points stay genuinely free wrappers. A context
+// that can be canceled gets a callback that raises the run's canceled flag
+// (context.AfterFunc); the run releases it when it ends (Release).
 func From(ctx context.Context, maxRows, maxBytes int64) *Ctx {
-	if maxRows < 0 {
-		maxRows = 0
-	}
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
+	maxRows, maxBytes = max(maxRows, 0), max(maxBytes, 0)
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -98,12 +108,32 @@ func From(ctx context.Context, maxRows, maxBytes int64) *Ctx {
 	if done == nil && maxRows == 0 && maxBytes == 0 {
 		return nil
 	}
-	// Bound only past the nil return: the method value is an allocation.
-	ctxErr := func() error { return nil }
-	if ctx != nil {
-		ctxErr = ctx.Err
+	ec := ctxPool.Get().(*Ctx)
+	ec.maxRows, ec.maxBytes = maxRows, maxBytes
+	if done != nil {
+		ec.ctx, ec.done = ctx, done
+		// The callback runs on a goroutine of its own; a context done
+		// already is flagged here, before the run's first check.
+		ec.release = context.AfterFunc(ctx, ec.raise)
+		if ctx.Err() != nil {
+			ec.own.canceled.Store(true)
+		}
 	}
-	return &Ctx{done: done, ctxErr: ctxErr, maxRows: maxRows, maxBytes: maxBytes, st: &state{}}
+	return ec
+}
+
+// Release ends the run's use of ec, which must not be used afterwards: it
+// unregisters the cancellation callback and recycles ec — unless the
+// callback has started, which may still raise the flag, and then ec is left
+// to the collector. The run that called From calls it once, when it ends;
+// views release nothing.
+func (ec *Ctx) Release() {
+	if ec == nil || ec.view || ec.release != nil && !ec.release() {
+		return
+	}
+	*ec = Ctx{raise: ec.raise}
+	ec.st = &ec.own
+	ctxPool.Put(ec)
 }
 
 // CancelOnly returns a view sharing ec's cancellation and stop state that
@@ -116,7 +146,7 @@ func (ec *Ctx) CancelOnly() *Ctx {
 	if ec == nil {
 		return nil
 	}
-	return &Ctx{done: ec.done, ctxErr: ec.ctxErr, st: ec.st, view: true}
+	return &Ctx{ctx: ec.ctx, done: ec.done, st: ec.st, view: true}
 }
 
 // charged is the context a delivery charges: ec, or nil for a view.
@@ -127,12 +157,12 @@ func (ec *Ctx) charged() *Ctx {
 	return ec
 }
 
-// Stopped reports whether the run must abort. The fast path is one atomic
-// load of the sticky flag; the done channel is probed (without blocking)
-// only while the flag is clear. Kernels poll this at bounded intervals and
-// bail out returning partial scratch results; the operator layer above
-// converts the stop into the typed error, so partial kernel output is never
-// observed by callers.
+// Stopped reports whether the run must abort: atomic loads of the sticky
+// stop flag and of the canceled flag. The first call that sees the canceled
+// flag records ErrCanceled with the progress counters of that moment.
+// Kernels poll this at bounded intervals and bail out returning partial
+// scratch results; the operator layer above converts the stop into the
+// typed error, so partial kernel output is never observed by callers.
 func (ec *Ctx) Stopped() bool {
 	if ec == nil {
 		return false
@@ -140,31 +170,45 @@ func (ec *Ctx) Stopped() bool {
 	if ec.st.stopped.Load() {
 		return true
 	}
-	if ec.done != nil {
-		select {
-		case <-ec.done:
-			ec.stopWith(&Error{
-				Reason: ErrCanceled,
-				Rows:   ec.st.rows.Load(),
-				Bytes:  ec.st.bytes.Load(),
-				Cause:  ec.ctxErr(),
-			})
-			return true
-		default:
-		}
+	if ec.st.canceled.Load() {
+		ec.stopCanceled()
+		return true
 	}
 	return false
 }
 
 // Err returns the run's stop error: nil while the run may continue, the
-// first recorded abort error once it must stop.
+// first recorded abort error once it must stop. Unlike Stopped it also
+// probes the done channel (without blocking) while both flags are clear:
+// the callback that raises the canceled flag runs on a goroutine of its
+// own, and a cancel issued on the run's own goroutine must still be seen
+// at the next boundary (before a delivery, after a kernel), so no result
+// computed after it reaches the sink.
 func (ec *Ctx) Err() error {
-	if ec == nil || !ec.Stopped() {
+	if ec == nil {
 		return nil
+	}
+	if !ec.Stopped() {
+		select {
+		case <-ec.done: // a nil channel never fires
+			ec.stopCanceled()
+		default:
+			return nil
+		}
 	}
 	ec.st.mu.Lock()
 	defer ec.st.mu.Unlock()
 	return ec.st.err
+}
+
+// stopCanceled records the context's cancellation as the run's stop.
+func (ec *Ctx) stopCanceled() {
+	ec.stopWith(&Error{
+		Reason: ErrCanceled,
+		Rows:   ec.st.rows.Load(),
+		Bytes:  ec.st.bytes.Load(),
+		Cause:  ec.ctx.Err(),
+	})
 }
 
 // Rows returns the number of rows delivered to the sink so far.

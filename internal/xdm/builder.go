@@ -1,5 +1,7 @@
 package xdm
 
+import "unsafe"
+
 // TreeBuilder assembles a Tree in one pass, in document order: every column
 // of the region encoding is emitted the moment it is known (kind, sym and
 // parent at element open, size at element close), names are interned as
@@ -25,19 +27,20 @@ package xdm
 // (TextBytes), before it reaches the builder.
 type TreeBuilder struct {
 	cols    Cols
-	textOrd []int32
 	textOff []uint32 // cumulative end of each text value in blob, after a leading 0
 	blob    []byte   // the text values, concatenated in preorder
 	open    []int32  // preorder ranks of the open elements, document node first
 
-	// The name dictionary lives as long as the builder: dict maps each name
-	// seen to its dictionary ID, names[id] is its owned string. The tree in
-	// progress numbers its names densely in first-occurrence order: dictSym
-	// maps a dictionary ID to the tree symbol, NoSym until the tree uses
-	// it, and symDict and symNames map a tree symbol back to its dictionary
-	// ID and its name. symDict is also the list of dictSym entries to reset
-	// when the tree is done.
-	dict     map[string]int32
+	// The name dictionary lives as long as the builder: names[id] is the
+	// owned string of dictionary ID id, and dict is the slot index over
+	// names (slotIndex, as a symbol table's), rebuilt at twice the size
+	// whenever names outgrows half of it. The tree in progress numbers its
+	// names densely in first-occurrence order: dictSym maps a dictionary ID
+	// to the tree symbol, NoSym until the tree uses it, and symDict and
+	// symNames map a tree symbol back to its dictionary ID and its name.
+	// symDict is also the list of dictSym entries to reset when the tree is
+	// done.
+	dict     []int32
 	names    []string
 	dictSym  []Sym
 	symDict  []int32
@@ -61,11 +64,10 @@ func NewTreeBuilder(nodeHint int) *TreeBuilder {
 			Kind:   make([]uint8, 0, nodeHint),
 			Sym:    make([]int32, 0, nodeHint),
 		},
-		textOrd: make([]int32, 0, nodeHint),
 		textOff: make([]uint32, 1, nodeHint),
 		open:    make([]int32, 0, 32),
-		dict:    make(map[string]int32),
 	}
+	b.dict, _ = slotIndex(nil)
 	b.Reset()
 	return b
 }
@@ -76,7 +78,6 @@ func NewTreeBuilder(nodeHint int) *TreeBuilder {
 func (b *TreeBuilder) Reset() {
 	c := &b.cols
 	c.Size, c.Parent, c.Kind, c.Sym = c.Size[:0], c.Parent[:0], c.Kind[:0], c.Sym[:0]
-	b.textOrd = b.textOrd[:0]
 	b.textOff, b.blob = b.textOff[:1], b.blob[:0]
 	for _, id := range b.symDict {
 		b.dictSym[id] = NoSym
@@ -87,17 +88,20 @@ func (b *TreeBuilder) Reset() {
 }
 
 // intern returns the tree symbol of name (still in the scanner's buffer).
-// The dictionary lookup on string(name) does not allocate (the compiler
-// recognizes the pattern); the name is copied to a string only the first
-// time the builder ever sees it.
+// The dictionary probe reads name in place; the name is copied to a string
+// only the first time the builder ever sees it.
 func (b *TreeBuilder) intern(name []byte) Sym {
-	id, ok := b.dict[string(name)]
-	if !ok {
+	at, v := probe(b.dict, b.names, unsafe.String(unsafe.SliceData(name), len(name)))
+	id := v - 1
+	if v == 0 {
 		id = int32(len(b.names))
-		owned := string(name)
-		b.dict[owned] = id
-		b.names = append(b.names, owned)
+		b.names = append(b.names, string(name))
 		b.dictSym = append(b.dictSym, NoSym)
+		if 2*len(b.names) > len(b.dict) {
+			b.dict, _ = slotIndex(b.names) // names are distinct
+		} else {
+			b.dict[at] = id + 1
+		}
 	}
 	s := b.dictSym[id]
 	if s == NoSym {
@@ -123,7 +127,6 @@ func (b *TreeBuilder) add(kind Kind, sym Sym) int32 {
 	c.Parent = append(c.Parent, parent)
 	c.Kind = append(c.Kind, uint8(kind))
 	c.Sym = append(c.Sym, int32(sym))
-	b.textOrd = append(b.textOrd, int32(len(b.textOff)-1))
 	return pre
 }
 
@@ -177,32 +180,26 @@ func (b *TreeBuilder) CurrentName() string {
 	return b.symNames[s]
 }
 
-// Finish closes the document node and returns the completed tree: the four
-// int32 columns (the text ordinal included) cut from one exactly-sized slab,
-// the kinds, the text offsets, the text blob (one string) and the symbol
-// table each at their exact size, the table's names the dictionary's. All
-// elements must have been closed (Depth() == 0); the tree must not be
-// mutated afterwards. The builder is Reset, ready for the next tree.
+// Finish closes the document node and returns the completed tree: the
+// three int32 columns cut from one exactly-sized slab, the kinds, the text
+// offsets, the text blob (one string) and the symbol names each at their
+// exact size, the names the dictionary's, and the two directories install
+// derives from them. All elements must have been closed (Depth() == 0); the
+// tree must not be mutated afterwards. The builder is Reset, ready for the
+// next tree.
 func (b *TreeBuilder) Finish() *Tree {
 	b.CloseElement()
 	c := &b.cols
 	n := len(c.Kind)
-	slab := make([]int32, 4*n)
+	slab := make([]int32, 3*n)
 	cut := func(k int, src []int32) []int32 {
 		dst := slab[k*n : (k+1)*n : (k+1)*n]
 		copy(dst, src)
 		return dst
 	}
-	t := &Tree{
-		ID:   int(nextTreeID.Add(1)),
-		Syms: symbolsOf(exact(b.symNames)),
-		Cols: &Cols{
-			Size: cut(0, c.Size), Parent: cut(1, c.Parent), Sym: cut(2, c.Sym), Kind: exact(c.Kind),
-		},
-		textOrd:  cut(3, b.textOrd),
-		textOff:  exact(b.textOff),
-		textBlob: string(b.blob),
-	}
+	t := &Tree{ID: int(nextTreeID.Add(1))}
+	cols := &Cols{Size: cut(0, c.Size), Parent: cut(1, c.Parent), Sym: cut(2, c.Sym), Kind: exact(c.Kind)}
+	_ = t.install(exact(b.symNames), cols, exact(b.textOff), string(b.blob)) // tree symbols are distinct
 	b.Reset()
 	return t
 }

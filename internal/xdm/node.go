@@ -2,6 +2,7 @@ package xdm
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,7 +73,7 @@ type Tree struct {
 	// snapshot stores them: value i is textBlob[textOff[i]:textOff[i+1]].
 	textOff  []uint32
 	textBlob string
-	textOrd  []int32              // per rank: the text-bearing nodes before it (derived, never stored)
+	textDir  []textBlock          // which ranks bear a text value (derived, never stored)
 	load     func() error         // shell trees: fills Cols/Syms/the text table on first use
 	once     sync.Once            // gates load
 	root     atomic.Pointer[Node] // the document node, built on first request
@@ -112,15 +113,52 @@ func (t *Tree) rootNode() *Node {
 }
 
 // poison installs the columns of a minimal two-node document (document node
-// over one empty, unnamed element) after a failed deferred load, so every
+// over one empty element named "") after a failed deferred load, so every
 // column reader stays in range. The member's index streams stay empty;
 // queries reach the load error before any kernel runs.
 func (t *Tree) poison() {
-	b := NewTreeBuilder(2)
-	b.OpenElement(nil)
-	b.CloseElement()
-	p := b.Finish()
-	t.Cols, t.Syms, t.textOff, t.textBlob, t.textOrd = p.Cols, p.Syms, p.textOff, p.textBlob, p.textOrd
+	cols := &Cols{Size: []int32{1, 0}, Parent: []int32{-1, 0}, Kind: []uint8{uint8(DocumentNode), uint8(ElementNode)}, Sym: []int32{int32(NoSym), 0}}
+	_ = t.install([]string{""}, cols, []uint32{0}, "") // one name: no duplicate
+}
+
+// install sets t's columns, names and text table and derives the tree's two
+// directories over them: the symbol table's slot index from names and the
+// text directory from the Kind column. TreeBuilder.Finish, FillColumns and
+// poison build every tree through it. Its one error is a duplicate name.
+func (t *Tree) install(names []string, cols *Cols, textOff []uint32, textBlob string) error {
+	syms, err := NewSymbols(names)
+	if err != nil {
+		return err
+	}
+	t.Syms, t.Cols, t.textOff, t.textBlob = syms, cols, textOff, textBlob
+	t.textDir = textDirOf(cols.Kind)
+	return nil
+}
+
+// textBlock is the text directory's entry for the 64 ranks 64k … 64k+63:
+// base counts the text-bearing (text and attribute) ranks before 64k, and
+// bit i of bits is set when rank 64k+i bears a text value: 16 bytes per 64
+// ranks.
+type textBlock struct {
+	base int32
+	bits uint64
+}
+
+// textDirOf derives the text directory of a Kind column.
+func textDirOf(kinds []uint8) []textBlock {
+	dir := make([]textBlock, (len(kinds)+63)/64)
+	n := int32(0)
+	for b := range dir {
+		var set uint64
+		for i, k := range kinds[b*64 : min(b*64+64, len(kinds))] {
+			if Kind(k) == TextNode || Kind(k) == AttributeNode {
+				set |= 1 << i
+			}
+		}
+		dir[b] = textBlock{base: n, bits: set}
+		n += int32(bits.OnesCount64(set))
+	}
+	return dir
 }
 
 // NewShellTree returns an empty tree whose columns, symbols and text table
@@ -207,10 +245,18 @@ func (t *Tree) Nodes() []*Node {
 
 // Text returns the value of the text-bearing (text or attribute) node at
 // rank r: a slice of the text blob, no copy.
-func (t *Tree) Text(r int32) string {
-	i := t.textOrd[r]
-	return t.textBlob[t.textOff[i]:t.textOff[i+1]]
+func (t *Tree) Text(r int32) string { return t.textValue(t.TextIndex(r)) }
+
+// TextIndex returns how many ranks before r bear a text value: the index in
+// the text table (TextTable) of r's value when r bears one. A reader that
+// walks ranks in preorder takes it once and counts on from it.
+func (t *Tree) TextIndex(r int32) int {
+	b := &t.textDir[r>>6]
+	return int(b.base) + bits.OnesCount64(b.bits&(1<<(r&63)-1))
 }
+
+// textValue returns value i of the text table.
+func (t *Tree) textValue(i int) string { return t.textBlob[t.textOff[i]:t.textOff[i+1]] }
 
 // TextTable returns the values of the text-bearing nodes (text and attribute
 // nodes) in preorder as the snapshot stores them: cumulative offsets that
@@ -278,12 +324,20 @@ func (n *Node) StringValue() string {
 	case TextNode, AttributeNode:
 		return n.Text
 	}
-	var b strings.Builder
 	t := n.Doc
 	c := t.Cols
+	if n.Size == 0 {
+		return ""
+	}
+	var b strings.Builder
+	i := t.TextIndex(int32(n.Pre) + 1)
 	for r, end := int32(n.Pre)+1, c.End(int32(n.Pre)); r <= end; r++ {
-		if Kind(c.Kind[r]) == TextNode {
-			b.WriteString(t.Text(r))
+		switch Kind(c.Kind[r]) {
+		case TextNode:
+			b.WriteString(t.textValue(i))
+			i++
+		case AttributeNode:
+			i++
 		}
 	}
 	return b.String()

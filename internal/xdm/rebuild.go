@@ -6,17 +6,19 @@ import "fmt"
 // on t, an unfilled shell tree (NewShellTree): the loader calls it when a
 // member's first use forces its parse, so the tree keeps the pointer
 // identity every cache is keyed on. No region encoding is recomputed;
-// Size/Parent/Kind/Sym come straight from the columns, names resolve
-// through syms, and textOff and textBlob are the text table of the
-// text-bearing nodes (text and attribute nodes, in preorder), laid out as
-// Tree.TextTable returns it. All four are retained.
+// Size/Parent/Kind/Sym come straight from the columns, names are the
+// symbol names by ID (a duplicate is an error), and textOff and textBlob
+// are the text table of the text-bearing nodes (text and attribute nodes,
+// in preorder), laid out as Tree.TextTable returns it. All four are
+// retained; the symbol table's slot index and the text directory are
+// derived from them (install).
 //
 // The columns are validated structurally here — regions that nest, each
 // parent rank the innermost region around its child, kinds that can nest,
 // symbol bounds — so a corrupted snapshot turns into an error at load time
 // instead of an out-of-range panic inside a join kernel or a column reader.
 // (TreeBuilder output is correct by construction and skips this.)
-func (t *Tree) FillColumns(cols *Cols, syms *Symbols, textOff []uint32, textBlob string) error {
+func (t *Tree) FillColumns(cols *Cols, names []string, textOff []uint32, textBlob string) error {
 	n := len(cols.Kind)
 	if len(cols.Size) != n || len(cols.Parent) != n || len(cols.Sym) != n {
 		return fmt.Errorf("xdm: column lengths disagree")
@@ -30,20 +32,17 @@ func (t *Tree) FillColumns(cols *Cols, syms *Symbols, textOff []uint32, textBlob
 	if int(cols.Size[0]) != n-1 {
 		return fmt.Errorf("xdm: document region does not span the tree")
 	}
-	nsyms := int32(syms.Len())
+	nsyms := int32(len(names))
 
 	// Validate every node against its parent, counting the document node's
-	// children and the text-bearing nodes for the invariants checked below,
-	// and derive each rank's text ordinal on the way. (This pass is about
-	// rejecting corrupted columns while errors can still be returned; the
-	// column readers trust what passed it.)
+	// children and the text-bearing nodes for the invariants checked below.
+	// (This pass is about rejecting corrupted columns while errors can still
+	// be returned; the column readers trust what passed it.)
 	docChildren, nTexts := 0, 0
-	textOrd := make([]int32, n)
 	// open holds the ranks whose regions contain the current node, innermost
 	// last; the document node's region spans the tree, so it is never popped.
 	open := make([]int32, 1, 32)
 	for i := 1; i < n; i++ {
-		textOrd[i] = int32(nTexts)
 		for cols.End(open[len(open)-1]) < int32(i) {
 			open = open[:len(open)-1]
 		}
@@ -118,10 +117,5 @@ func (t *Tree) FillColumns(cols *Cols, syms *Symbols, textOff []uint32, textBlob
 	if Kind(cols.Kind[1]) != ElementNode {
 		return fmt.Errorf("xdm: root of the document is not an element")
 	}
-
-	t.Syms = syms
-	t.Cols = cols
-	t.textOff, t.textBlob = textOff, textBlob
-	t.textOrd = textOrd
-	return nil
+	return t.install(names, cols, textOff, textBlob)
 }

@@ -23,7 +23,7 @@ func TestFillColumnsRejectsParentOutsideInnermostRegion(t *testing.T) {
 		c.Parent = slices.Clone(c.Parent)
 		c.Parent[3] = parent3
 		off, blob := src.TextTable()
-		return NewShellTree(nil).FillColumns(&c, src.Syms, off, blob)
+		return NewShellTree(nil).FillColumns(&c, src.Syms.Names(), off, blob)
 	}
 	if err := fill(2); err != nil {
 		t.Fatalf("the builder's own columns: %v", err)

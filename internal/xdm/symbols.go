@@ -1,6 +1,9 @@
 package xdm
 
-import "fmt"
+import (
+	"fmt"
+	"hash/maphash"
+)
 
 // Sym is an interned element/attribute name: a small integer assigned per
 // tree as the tree is built. Symbol IDs index the per-tag stream tables of the
@@ -14,37 +17,69 @@ const NoSym Sym = -1
 
 // Symbols is a tree's symbol table: a bijection between the element and
 // attribute names occurring in the document and the dense ID range
-// [0, Len()). The table is immutable once built, so concurrent readers need
-// no synchronization.
+// [0, Len()). The name→ID direction is an open-addressing slot index over
+// the names (slotIndex): no map, one pointer-free allocation. The table is
+// immutable once built, so concurrent readers need no synchronization.
 type Symbols struct {
-	byName map[string]Sym
-	names  []string
-	plain  bool // every name is plainName, set by symbolsOf
+	slots []int32 // slotIndex over names
+	names []string
+	plain bool // every name is plainName, set by NewSymbols
 }
 
-// NewSymbols builds a symbol table over an already-interned name list —
-// the snapshot load path, where the dense ID assignment is part of the
-// stored format. The slice is retained; duplicate names are rejected (they
-// would break the name→ID bijection).
+// NewSymbols builds a symbol table over an already-interned name list: the
+// builder's tree symbols, or the snapshot load path, where the dense ID
+// assignment is part of the stored format. The slice is retained; duplicate
+// names are rejected (they would break the name→ID bijection).
 func NewSymbols(names []string) (*Symbols, error) {
-	st := symbolsOf(names)
-	for i, n := range names {
-		if st.byName[n] != Sym(i) {
-			return nil, fmt.Errorf("xdm: duplicate symbol name %q", n)
-		}
+	slots, dup := slotIndex(names)
+	if dup >= 0 {
+		return nil, fmt.Errorf("xdm: duplicate symbol name %q", names[dup])
+	}
+	st := &Symbols{slots: slots, names: names, plain: true}
+	for _, n := range names {
+		st.plain = st.plain && plainName(n)
 	}
 	return st, nil
 }
 
-// symbolsOf builds a table over names that are distinct by construction (a
-// builder's tree symbols), sizing its map exactly. The slice is retained.
-func symbolsOf(names []string) *Symbols {
-	st := &Symbols{byName: make(map[string]Sym, len(names)), names: names, plain: true}
-	for i, n := range names {
-		st.byName[n] = Sym(i)
-		st.plain = st.plain && plainName(n)
+// symSeed seeds the name hash of every slot index in the process.
+var symSeed = maphash.MakeSeed()
+
+// slotIndex returns an open-addressing index over names: a power-of-two
+// table of at least 2×len(names) slots, hashed with maphash and probed
+// linearly, where a slot holds a name's position + 1 and 0 marks it empty.
+// Half the slots stay empty, so every probe ends. dup is the position of
+// the first name that repeats an earlier one (-1 if none); it is left out
+// of the index.
+func slotIndex(names []string) (slots []int32, dup int) {
+	size := 1
+	for size < 2*len(names) {
+		size <<= 1
 	}
-	return st
+	slots, dup = make([]int32, size), -1
+	for i, n := range names {
+		at, v := probe(slots, names, n)
+		if v != 0 {
+			if dup < 0 {
+				dup = i
+			}
+			continue
+		}
+		slots[at] = int32(i + 1)
+	}
+	return slots, dup
+}
+
+// probe finds name in a slot index over names: it returns the slot holding
+// name's position + 1 and that value, or the empty slot where name would go
+// and 0.
+func probe(slots []int32, names []string, name string) (at int, v int32) {
+	mask := uint64(len(slots) - 1)
+	for i := maphash.String(symSeed, name) & mask; ; i = (i + 1) & mask {
+		if v = slots[i]; v == 0 || names[v-1] == name {
+			return int(i), v
+		}
+	}
 }
 
 // plainName reports whether every byte of name is printable ASCII other than
@@ -85,11 +120,10 @@ func (st *Symbols) Lookup(name string) (Sym, bool) {
 	if st == nil {
 		return NoSym, false
 	}
-	s, ok := st.byName[name]
-	if !ok {
-		return NoSym, false
+	if _, v := probe(st.slots, st.names, name); v != 0 {
+		return Sym(v - 1), true
 	}
-	return s, true
+	return NoSym, false
 }
 
 // Name returns the string for a symbol.

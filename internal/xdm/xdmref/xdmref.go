@@ -148,13 +148,10 @@ func Finalize(root *Node) *Doc {
 		c.Kind[i] = uint8(n.Kind)
 		c.Sym[i] = int32(n.Sym)
 	}
-	syms, err := xdm.NewSymbols(names)
-	if err != nil {
-		panic(err)
-	}
 	var t *xdm.Tree
+	var err error
 	t = xdm.NewShellTree(func() error {
-		err = t.FillColumns(c, syms, textOff, string(blob))
+		err = t.FillColumns(c, names, textOff, string(blob))
 		return err
 	})
 	if t.RootNode(); err != nil {

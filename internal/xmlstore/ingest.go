@@ -116,6 +116,7 @@ type ingester struct {
 type attrSpan struct {
 	ns, ne int
 	vs, ve int
+	colon  bool // the name holds a colon (scanName)
 }
 
 // nsBinding is one xmlns:prefix declaration in scope.
@@ -311,11 +312,14 @@ func (in *ingester) decode(raw []byte, cdata bool) (string, error) {
 func (in *ingester) startTag() error {
 	data := in.data
 	i := in.pos + 1
-	e := scanName(data, i)
+	e, colon := scanName(data, i)
 	if e == i {
 		return fmt.Errorf("xmlstore: expected element name after < at offset %d", in.pos)
 	}
-	_, local := splitName(data[i:e])
+	local := data[i:e]
+	if colon {
+		_, local = splitName(local)
+	}
 	if in.b.Depth() == 0 {
 		if in.sawRoot {
 			return fmt.Errorf("xmlstore: multiple root elements")
@@ -347,7 +351,7 @@ scan:
 			in.pos = i + 2
 			break scan
 		}
-		ae := scanName(data, i)
+		ae, acolon := scanName(data, i)
 		if ae == i {
 			return fmt.Errorf("xmlstore: expected attribute name in element at offset %d", i)
 		}
@@ -375,14 +379,18 @@ scan:
 		if i >= len(data) {
 			return in.errEOF()
 		}
-		attrs = append(attrs, attrSpan{ns: ns, ne: ae, vs: vs, ve: i})
+		attrs = append(attrs, attrSpan{ns: ns, ne: ae, vs: vs, ve: i, colon: acolon})
 		i++
 	}
 	in.attrSpans = attrs
 	depth := in.b.Depth()
 	// Pass 1: register this tag's prefixed namespace declarations so the
-	// drop decisions below see them regardless of attribute order.
+	// drop decisions below see them regardless of attribute order. Only a
+	// name with a colon can have a prefix.
 	for _, a := range attrs {
+		if !a.colon {
+			continue
+		}
 		prefix, plocal := splitName(data[a.ns:a.ne])
 		if string(prefix) != "xmlns" {
 			continue
@@ -397,15 +405,18 @@ scan:
 			depth:   depth,
 		})
 	}
-	// Pass 2: emit attribute nodes, dropping the namespace declarations and
-	// any attribute whose prefix resolves to the xmlns space.
+	// Pass 2: emit attribute nodes, dropping the namespace declarations (a
+	// literal xmlns, or an xmlns: prefix that actually splits, as
+	// encoding/xml drops them) and any attribute whose prefix resolves to
+	// the xmlns space.
 	for _, a := range attrs {
-		aname := data[a.ns:a.ne]
-		if isNSDecl(aname) {
-			continue // namespace declarations carry no attribute node
-		}
-		aprefix, alocal := splitName(aname)
-		if len(aprefix) > 0 && in.prefixIsXmlns(aprefix) {
+		alocal := data[a.ns:a.ne]
+		if a.colon {
+			var aprefix []byte
+			if aprefix, alocal = splitName(alocal); string(aprefix) == "xmlns" || len(aprefix) > 0 && in.prefixIsXmlns(aprefix) {
+				continue
+			}
+		} else if string(alocal) == "xmlns" {
 			continue
 		}
 		value, err := in.attrValue(data[a.vs:a.ve])
@@ -454,27 +465,36 @@ func (in *ingester) attrValue(raw []byte) (string, error) {
 	return byteString(raw), nil
 }
 
-// endTag parses an end tag at pos ("</").
+// endTag parses an end tag at pos ("</"). An end tag whose name bytes are
+// the open element's (its local name) closes it at once; any other goes the
+// general way, comparing local names. (The first implies the second: a name
+// that splits has a colon-free local part.)
 func (in *ingester) endTag() error {
 	data := in.data
 	i := in.pos + 2
-	e := scanName(data, i)
+	e, colon := scanName(data, i)
 	if e == i {
 		return fmt.Errorf("xmlstore: expected element name after </ at offset %d", in.pos)
 	}
-	_, local := splitName(data[i:e])
+	name := data[i:e]
 	i = skipWS(data, e)
 	if i >= len(data) {
 		return in.errEOF()
 	}
-	if data[i] != '>' {
-		return fmt.Errorf("xmlstore: invalid characters between </%s and > at offset %d", local, i)
-	}
-	if in.b.Depth() == 0 {
-		return fmt.Errorf("xmlstore: unbalanced end element %s", local)
-	}
-	if open := in.b.CurrentName(); open != string(local) {
-		return fmt.Errorf("xmlstore: element <%s> closed by </%s>", open, local)
+	if data[i] != '>' || in.b.Depth() == 0 || in.b.CurrentName() != string(name) {
+		local := name
+		if colon {
+			_, local = splitName(name)
+		}
+		if data[i] != '>' {
+			return fmt.Errorf("xmlstore: invalid characters between </%s and > at offset %d", local, i)
+		}
+		if in.b.Depth() == 0 {
+			return fmt.Errorf("xmlstore: unbalanced end element %s", local)
+		}
+		if open := in.b.CurrentName(); open != string(local) {
+			return fmt.Errorf("xmlstore: element <%s> closed by </%s>", open, local)
+		}
 	}
 	if len(in.nsBindings) > 0 {
 		in.popBindings(in.b.Depth())

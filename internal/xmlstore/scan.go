@@ -33,23 +33,36 @@ func stringBytes(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
-// nameDelim marks the bytes that terminate a tag or attribute name.
-var nameDelim [256]bool
+// nameByte classes the bytes of a tag or attribute name: nameEnd for the
+// bytes that terminate one, nameColon for ':', 0 for the rest.
+var nameByte [256]uint8
+
+const (
+	nameEnd = 1 + iota
+	nameColon
+)
 
 func init() {
 	for _, c := range []byte{' ', '\t', '\n', '\r', '/', '>', '=', '<', '"', '\''} {
-		nameDelim[c] = true
+		nameByte[c] = nameEnd
 	}
+	nameByte[':'] = nameColon
 }
 
-// scanName returns the end offset of the name starting at i. The scanner is
-// non-validating: any run of non-delimiter bytes is a name; inputs that
+// scanName returns the end offset of the name starting at i and whether the
+// name holds a colon: only then can splitName give it a prefix. The scanner
+// is non-validating: any run of non-delimiter bytes is a name; inputs that
 // encoding/xml would reject for bad name characters simply parse leniently.
-func scanName(data []byte, i int) int {
-	for i < len(data) && !nameDelim[data[i]] {
-		i++
+func scanName(data []byte, i int) (end int, colon bool) {
+	for ; i < len(data); i++ {
+		switch nameByte[data[i]] {
+		case nameEnd:
+			return i, colon
+		case nameColon:
+			colon = true
+		}
 	}
-	return i
+	return i, colon
 }
 
 // skipWS returns the first offset at or after i holding a non-whitespace
@@ -75,17 +88,6 @@ func splitName(name []byte) (prefix, local []byte) {
 		return nil, name
 	}
 	return name[:i], name[i+1:]
-}
-
-// isNSDecl reports whether an attribute name declares a namespace — a
-// literal xmlns or an xmlns: prefix that actually splits — matching the
-// attributes encoding/xml's reference parser drops.
-func isNSDecl(name []byte) bool {
-	if string(name) == "xmlns" {
-		return true
-	}
-	prefix, _ := splitName(name)
-	return string(prefix) == "xmlns"
 }
 
 // decodeEntity decodes the entity or character reference starting at b[0]

@@ -205,15 +205,23 @@ func (x *xmlWriter) flush() {
 // when the scan reaches a node outside its region, so no recursion and no
 // stack is needed. In json mode each piece is written JSON-escaped: markup as
 // constants, values through jsonText and jsonAttr, and names as they are when
-// the tree's symbol table is plain, through jsonEscape when it is not.
+// the tree's symbol table is plain, through jsonEscape when it is not. The
+// scan meets the text-bearing ranks in preorder, so it counts its way
+// through the text table from the index of the first one.
 func (x *xmlWriter) scan(t *xdm.Tree, r int32) {
 	c, asJSON, plain := t.Cols, x.json, t.Syms.Plain()
 	name := func(p int32) string { return t.Syms.Name(xdm.Sym(c.Sym[p])) }
+	off, blob := t.TextTable()
+	ti := t.TextIndex(r) // the value of the next text-bearing rank
+	next := func() string {
+		ti++
+		return blob[off[ti-1]:off[ti]]
+	}
 	if xdm.Kind(c.Kind[r]) == xdm.AttributeNode {
 		if asJSON {
-			x.jsonAttr(name(r), t.Text(r), plain)
+			x.jsonAttr(name(r), next(), plain)
 		} else {
-			x.buf = appendAttr(x.buf, name(r), t.Text(r))
+			x.buf = appendAttr(x.buf, name(r), next())
 		}
 		return
 	}
@@ -237,15 +245,15 @@ func (x *xmlWriter) scan(t *xdm.Tree, r int32) {
 			return
 		}
 		if xdm.Kind(c.Kind[p]) == xdm.TextNode {
-			s := t.Text(p)
+			s := next()
 			if !asJSON {
 				x.buf = appendEscaped(x.buf, s, false)
 			} else {
 				// encoding/json decodes a UTF-8 sequence cut between sibling
 				// texts (by CDATA or a comment) whole.
-				for p < end && xdm.Kind(c.Kind[p+1]) == xdm.TextNode && c.Parent[p+1] == open && runeSplit(s, t.Text(p+1)) {
+				for p < end && xdm.Kind(c.Kind[p+1]) == xdm.TextNode && c.Parent[p+1] == open && runeSplit(s, blob[off[ti]:off[ti+1]]) {
 					p++
-					s += t.Text(p)
+					s += next()
 				}
 				x.buf = appendJSONEscaped(x.buf, s, &jsonText)
 			}
@@ -260,9 +268,9 @@ func (x *xmlWriter) scan(t *xdm.Tree, r int32) {
 			for ; q <= last && xdm.Kind(c.Kind[q]) == xdm.AttributeNode; q++ {
 				x.buf = append(x.buf, ' ')
 				if asJSON {
-					x.jsonAttr(name(q), t.Text(q), plain)
+					x.jsonAttr(name(q), next(), plain)
 				} else {
-					x.buf = appendAttr(x.buf, name(q), t.Text(q))
+					x.buf = appendAttr(x.buf, name(q), next())
 				}
 			}
 			if q > last {

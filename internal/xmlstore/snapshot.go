@@ -760,20 +760,16 @@ func (ix *Index) readMemberInto(r *snapReader, d *memberDir) error {
 	if err != nil {
 		return err
 	}
-	syms, err := xdm.NewSymbols(names)
-	if err != nil {
-		return err
-	}
 	// Validate this member's corpus name-table column before anything is
 	// installed on the tree, so a corrupt cell cannot alias one name's
-	// stream to another's.
+	// stream to another's. (FillColumns rejects duplicate names.)
 	if l := ix.lazy; l != nil {
 		for i, name := range l.names {
 			sym := l.nameSyms[i*l.stride+l.member]
 			if sym == xdm.NoSym {
 				continue
 			}
-			if int(sym) >= syms.Len() || syms.Name(sym) != name {
+			if sym < 0 || int(sym) >= len(names) || names[sym] != name {
 				return fmt.Errorf("xmlstore: snapshot name table cell (%q) does not match the member's symbols", name)
 			}
 		}
@@ -858,7 +854,7 @@ func (ix *Index) readMemberInto(r *snapReader, d *memberDir) error {
 	if r.remaining() != 0 {
 		return fmt.Errorf("xmlstore: snapshot member has %d trailing bytes", r.remaining())
 	}
-	if err := ix.Tree.FillColumns(cols, syms, textOff, textBlob); err != nil {
+	if err := ix.Tree.FillColumns(cols, names, textOff, textBlob); err != nil {
 		return err
 	}
 	ix.elems = elems

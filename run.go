@@ -151,6 +151,7 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 		return nil, RunInfo{}, err
 	}
 	ec := execctx.From(ctx, opts.MaxRows, opts.MaxBytes)
+	defer ec.Release()
 	// The runtime and the default sink share one allocation, so a plain
 	// Query.Run allocates nothing for collecting its result; the run state
 	// comes from the plan's pool. Prepared joins belong to the corpus: each
