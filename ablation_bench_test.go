@@ -50,30 +50,6 @@ func BenchmarkAblationBulkConversion(b *testing.B) {
 	}
 }
 
-// BenchmarkStreaming compares the single-scan streaming evaluator (the
-// paper's future-work item) against the index-based algorithms on linear
-// paths, where it applies.
-func BenchmarkStreaming(b *testing.B) {
-	member := memberDoc(b, 1_000_000)
-	xmark := xmarkDoc(b, 1000)
-	queries := []struct {
-		name string
-		q    *Query
-		doc  *Document
-	}{
-		{"linear-desc", MustPrepare(`$input/desc::t01/desc::t02/desc::t03`), member},
-		{"linear-child", MustPrepare(`$input/site/people/person/name`), xmark},
-		{"deep-desc", MustPrepare(`$input//person//interest`), xmark},
-	}
-	for _, tc := range queries {
-		for _, alg := range []Algorithm{NestedLoop, Twig, Staircase, Streaming} {
-			b.Run(fmt.Sprintf("%s/%s", tc.name, alg), func(b *testing.B) {
-				runQuery(b, tc.q, tc.doc, alg)
-			})
-		}
-	}
-}
-
 // BenchmarkAuto compares Auto's rule against each fixed
 // algorithm on a mixed workload (bulk twigs + a selective positional
 // chain).

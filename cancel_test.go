@@ -443,7 +443,7 @@ func TestRunWithLiveContextEqualsRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pq.Name, err)
 		}
-		for _, alg := range []Algorithm{NestedLoop, Staircase, Twig, Auto, Streaming} {
+		for _, alg := range []Algorithm{NestedLoop, Staircase, Twig, Auto} {
 			want, err := q.Run(doc, alg)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", pq.Name, alg, err)

@@ -33,7 +33,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generator seed")
 		repeats  = flag.Int("repeats", 3, "timed runs per measurement (median reported)")
 		jsonPath = flag.String("json", "", "write the report as JSON to this file (table1 only)")
-		algsFlag = flag.String("algs", "", "comma-separated algorithms for table1/fig6 (nl, sc, twig, auto, stream; default nl,twig,sc)")
+		algsFlag = flag.String("algs", "", "comma-separated algorithms for table1/fig6 (nl, sc, twig, auto; default nl,twig,sc)")
 	)
 	flag.Parse()
 

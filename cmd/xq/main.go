@@ -49,7 +49,7 @@ func main() {
 		dir       = flag.String("dir", "", "load every *.xml file of a directory (sorted) into the collection")
 		workers   = flag.Int("workers", 0, "collection members ingested and queried at once (<= 0: one per CPU, capped at the member count)")
 		withURI   = flag.Bool("with-uri", false, "prefix every result line with the URI of the document holding it")
-		algName   = flag.String("alg", "sc", "tree-pattern algorithm: nl, sc, twig, auto, stream")
+		algName   = flag.String("alg", "sc", "tree-pattern algorithm: nl, sc, twig, auto")
 		snapshot  = flag.Bool("snapshot", false, "input is a binary corpus snapshot (see -save-snapshot, xmlgen -format snapshot)")
 		saveSnap  = flag.String("save-snapshot", "", "write the loaded input as a binary corpus snapshot to this path")
 		serialize = flag.Bool("serialize", false, "serialize node results as XML")

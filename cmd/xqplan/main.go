@@ -25,7 +25,7 @@ import (
 
 func main() {
 	trace := flag.Bool("trace", false, "show every intermediate rewriting step")
-	algName := flag.String("alg", "sc", "algorithm of the physical phase: nl, sc, twig, auto, stream")
+	algName := flag.String("alg", "sc", "algorithm of the physical phase: nl, sc, twig, auto")
 	file := flag.String("file", "", "XML document to annotate the -alg auto choice for")
 	dir := flag.String("dir", "", "directory of *.xml files: render the -alg auto choice per member")
 	flag.Parse()

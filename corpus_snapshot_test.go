@@ -74,7 +74,7 @@ func TestCorpusSnapshotQueryDifferential(t *testing.T) {
 	if loaded.NumNodes() != fresh.NumNodes() {
 		t.Fatalf("node count %d, want %d", loaded.NumNodes(), fresh.NumNodes())
 	}
-	algs := []Algorithm{Staircase, Twig, Auto, Streaming}
+	algs := []Algorithm{Staircase, Twig, Auto}
 	for _, pq := range corpusDiffQueries() {
 		q, err := Prepare(pq.Query)
 		if err != nil {
@@ -247,7 +247,7 @@ func TestCorpusFileQueryDifferential(t *testing.T) {
 	if loaded.NumNodes() != fresh.NumNodes() {
 		t.Fatalf("node count %d, want %d", loaded.NumNodes(), fresh.NumNodes())
 	}
-	algs := []Algorithm{Staircase, Twig, Auto, Streaming}
+	algs := []Algorithm{Staircase, Twig, Auto}
 	for _, pq := range corpusDiffQueries() {
 		q, err := Prepare(pq.Query)
 		if err != nil {

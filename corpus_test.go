@@ -50,14 +50,14 @@ func corpusDiffQueries() []PaperQuery {
 }
 
 // Corpus.Run over a mixed corpus equals the concatenation of per-member
-// nested-loop oracle runs, for every set-at-a-time algorithm, the chooser
-// and the streaming automaton — at one worker and at eight.
+// nested-loop oracle runs, for every set-at-a-time algorithm and the
+// chooser — at one worker and at eight.
 func TestCorpusDifferential(t *testing.T) {
 	corpus, err := LoadCorpus(genCorpusSources(12, 42), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	algs := []Algorithm{Staircase, Twig, Auto, Streaming}
+	algs := []Algorithm{Staircase, Twig, Auto}
 	for _, pq := range corpusDiffQueries() {
 		q, err := Prepare(pq.Query)
 		if err != nil {
@@ -287,8 +287,7 @@ func TestCorpusConcurrentExtend(t *testing.T) {
 
 // Every convenience entry point is RunWith under fixed options: each returns
 // item for item what its RunWith spelling returns, on the 12-member
-// MemBeR+XMark corpus under every set-at-a-time algorithm, the chooser and
-// the streaming automaton.
+// MemBeR+XMark corpus under every set-at-a-time algorithm and the chooser.
 func TestRunWrappersEqualRunWith(t *testing.T) {
 	corpus, err := LoadCorpus(genCorpusSources(12, 42), 4)
 	if err != nil {
@@ -299,7 +298,7 @@ func TestRunWrappersEqualRunWith(t *testing.T) {
 	root := Sequence{doc.Root()}
 	for _, pq := range corpusDiffQueries() {
 		q := MustPrepare(pq.Query)
-		for _, alg := range []Algorithm{Staircase, Twig, Auto, Streaming} {
+		for _, alg := range []Algorithm{Staircase, Twig, Auto} {
 			docWant, docInfo, err := q.RunWith(ctx, doc, alg, RunOptions{})
 			if err != nil {
 				t.Fatalf("%s/%v: Query.RunWith: %v", pq.Name, alg, err)

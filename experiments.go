@@ -134,6 +134,8 @@ func measureQuery(q *Query, doc *Document, alg Algorithm, repeats int) (time.Dur
 
 func seconds(d time.Duration) string { return fmt.Sprintf("%.5f", d.Seconds()) }
 
+func micros(d time.Duration) string { return fmt.Sprintf("%.1f", float64(d)/float64(time.Microsecond)) }
+
 // Table1Cell is one measurement of the Table 1 experiment.
 type Table1Cell struct {
 	Query         string  `json:"query"`
@@ -268,8 +270,6 @@ func shortAlg(a Algorithm) string {
 		return "SC"
 	case Auto:
 		return "auto"
-	case Streaming:
-		return "stream"
 	}
 	return "?"
 }
@@ -359,7 +359,7 @@ func RunFigure6(w io.Writer, opts ExperimentOptions) error {
 // cursor-style early exit beats the set-at-a-time algorithms.
 func RunSection53(w io.Writer, opts ExperimentOptions) error {
 	doc := NewDeepDocument(opts.Seed, opts.DeepNodes, opts.DeepDepth, "t1")
-	fmt.Fprintf(w, "Section 5.3: (/t1[1])^k on a %d-node depth-%d document (seconds)\n\n",
+	fmt.Fprintf(w, "Section 5.3: (/t1[1])^k on a %d-node depth-%d document (µs)\n\n",
 		opts.DeepNodes, opts.DeepDepth)
 	ks := []int{5, 10, 15}
 	if opts.DeepDepth < 15 {
@@ -384,7 +384,7 @@ func RunSection53(w io.Writer, opts ExperimentOptions) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%12s", seconds(d))
+			fmt.Fprintf(w, "%12s", micros(d))
 		}
 		fmt.Fprintln(w)
 	}

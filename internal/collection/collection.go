@@ -82,8 +82,8 @@ type Corpus struct {
 	docs   []*Doc
 	byURI  map[string]int
 	byTree map[*xdm.Tree]int
-	// catalog registers every member index so any engine run against the
-	// corpus resolves indexes without rebuilding them.
+	// catalog registers every member index, for callers that resolve an index
+	// by tree outside a run; runs find a member's joins through byTree.
 	catalog *xmlstore.Catalog
 	// names is the corpus name table: installed from a snapshot, grown from the
 	// parent's by Extend, or else built by the first Names call — so a

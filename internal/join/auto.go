@@ -17,10 +17,10 @@ import (
 //  3. otherwise SCJoin when the pattern is single-output and inside the
 //     staircase join's fragment (forward axes), NLJoin when it is not.
 //
-// TwigJoin and Streaming are never chosen: on the in-memory region encoding
-// child access is constant-time, so SCJoin is at least level with TwigJoin
-// in every measured cell (DESIGN §13 has the data and the condition that
-// would reopen the question). They stay selectable as explicit algorithms.
+// TwigJoin is never chosen: on the in-memory region encoding child access is
+// constant-time, so SCJoin is at least level with TwigJoin in every measured
+// cell (DESIGN §13 has the data and the condition that would reopen the
+// question). It stays selectable as an explicit algorithm.
 const Auto Algorithm = 255
 
 // Estimate is the rule's decision for one pattern on one document.

@@ -125,3 +125,12 @@ func TestParseAlgorithmAuto(t *testing.T) {
 		t.Errorf("Auto.String() = %q", Auto.String())
 	}
 }
+
+// "stream" and "streaming" name no algorithm: they parse like any unknown name.
+func TestParseAlgorithmRejectsStream(t *testing.T) {
+	for _, name := range []string{"stream", "streaming"} {
+		if a, err := ParseAlgorithm(name); err == nil {
+			t.Errorf("ParseAlgorithm(%q) = %v, want an error", name, a)
+		}
+	}
+}

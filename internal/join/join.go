@@ -35,6 +35,11 @@ const (
 	Twig
 )
 
+// Streaming names no algorithm. The benchmark module's per-kernel probe still
+// passes it to Prepare, which gives it the nested loop like any other
+// algorithm without a kernel; it stays for that caller only.
+const Streaming Algorithm = 254
+
 // String names the algorithm as in the paper's tables.
 func (a Algorithm) String() string {
 	switch a {
@@ -46,8 +51,6 @@ func (a Algorithm) String() string {
 		return "TwigJoin"
 	case Auto:
 		return "Auto"
-	case Streaming:
-		return "Streaming"
 	}
 	return "?"
 }
@@ -64,8 +67,6 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 		return Twig, nil
 	case "auto", "Auto":
 		return Auto, nil
-	case "stream", "streaming":
-		return Streaming, nil
 	}
 	return 0, fmt.Errorf("join: unknown algorithm %q", name)
 }

@@ -48,11 +48,7 @@ func checkMinimized(t *testing.T, label string, ix *xmlstore.Index, ctx *xdm.Nod
 	}
 
 	want := nlReference(t, ix, ctx, pat)
-	algs := []Algorithm{NestedLoop, Staircase, Twig, Auto}
-	if streamSupported(min) {
-		algs = append(algs, Streaming)
-	}
-	for _, alg := range algs {
+	for _, alg := range []Algorithm{NestedLoop, Staircase, Twig, Auto} {
 		p, err := Prepare(alg, ix, min)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", label, alg, err)

@@ -26,11 +26,11 @@ type nlState struct {
 
 var nlPool = sync.Pool{New: func() any { return new(nlState) }}
 
-// nlAppend is the nested-loop (navigational) evaluation of the pattern from
-// context rank ctx: rank-at-a-time recursion along the compiled spine through
-// xdm.EachStepRank, which is held to the pointer data model's step (xdm's
-// TestStepMatchesPointerReference), with existential early-exit checks for
-// predicate branches. It appends each binding's output ranks to dst and
+// nl takes from the pool a recursion state for a nested-loop (navigational)
+// evaluation of p. The evaluation (from) is rank-at-a-time recursion along
+// the compiled spine through xdm.EachStepRank, which is held to the pointer
+// data model's step (xdm's TestStepMatchesPointerReference), with existential
+// early-exit checks for predicate branches. It appends each binding's output ranks to dst and
 // builds no node. Bindings come out in lexical (context-major) order,
 // duplicates included; the TupleTreePattern operator establishes the output
 // order. A state taken with first set (AppendFirstFor) stops after the
@@ -39,14 +39,6 @@ var nlPool = sync.Pool{New: func() any { return new(nlState) }}
 //
 // A stop of ec cuts the recursion short: the bindings found so far stay
 // appended (AppendRanks' partial-result contract).
-func (p *Prepared) nlAppend(ec *execctx.Ctx, ctx int32, dst []int32) []int32 {
-	s := p.nl(ec, false)
-	dst = s.from(ctx, p.spine, dst)
-	s.release()
-	return dst
-}
-
-// nl takes a recursion state for an evaluation of p from the pool.
 func (p *Prepared) nl(ec *execctx.Ctx, first bool) *nlState {
 	s := nlPool.Get().(*nlState)
 	*s = nlState{ec: ec, cols: p.cols, first: first, outs: s.outs[:0]}

@@ -44,7 +44,6 @@ const (
 	nestedLoop kernel = iota // the nested loop (nl.go), which takes every pattern
 	staircase                // scFrom
 	twig                     // twigEval
-	streaming                // streamEval
 )
 
 // cstep is one compiled pattern step: the axis, the columnar node test, the
@@ -133,8 +132,6 @@ func Prepare(alg Algorithm, ix *xmlstore.Index, pat *pattern.Pattern) (*Prepared
 			p.kernel = staircase
 		case alg == Twig && twigSupported(pat.Root):
 			p.kernel = twig
-		case alg == Streaming && streamSupported(pat):
-			p.kernel = streaming
 		}
 	}
 	return p, nil
@@ -215,11 +212,7 @@ func (p *Prepared) appendFor(ec *execctx.Ctx, ctxs, dst, ends []int32, first boo
 		scArenaPool.Put(arena)
 	default:
 		for _, c := range ctxs {
-			if p.kernel == twig {
-				dst = twigEval(p, ec, c, dst)
-			} else {
-				dst = streamEval(p, ec, c, dst)
-			}
+			dst = twigEval(p, ec, c, dst)
 			ends = append(ends, int32(len(dst)))
 		}
 	}

@@ -17,7 +17,7 @@ func TestAppendRanksMultiOutput(t *testing.T) {
 	ix := mustIndex(t, twigDoc)
 	pat := chain("dot", st(xdm.AxisDescendant, "b"), st(xdm.AxisDescendant, "c"), st(xdm.AxisChild, "d"))
 	pat.Root.Out = "outer"
-	for _, alg := range []Algorithm{NestedLoop, Staircase, Twig, Streaming, Auto} {
+	for _, alg := range []Algorithm{NestedLoop, Staircase, Twig, Auto} {
 		p, err := Prepare(alg, ix, pat)
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +80,7 @@ func TestAppendRanksAllocatesNothing(t *testing.T) {
 // sets (nested contexts and repeats included), behind what dst already holds.
 func TestAppendRanksForEqualsPerContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	algs := []Algorithm{NestedLoop, Staircase, Twig, Streaming, Auto}
+	algs := []Algorithm{NestedLoop, Staircase, Twig, Auto}
 	for trial := 0; trial < 150; trial++ {
 		tr := randomTree(rng, 3+rng.Intn(80))
 		ix := xmlstore.BuildIndex(tr)

@@ -243,7 +243,7 @@ func TestFuzzPipeline(t *testing.T) {
 				}
 			}
 			check("raw", rawPlan, join.NestedLoop)
-			for _, alg := range []join.Algorithm{join.NestedLoop, join.Staircase, join.Twig, join.Auto, join.Streaming} {
+			for _, alg := range []join.Algorithm{join.NestedLoop, join.Staircase, join.Twig, join.Auto} {
 				check("opt/"+alg.String(), optPlan, alg)
 			}
 		}

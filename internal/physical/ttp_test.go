@@ -17,7 +17,7 @@ import (
 	"xqtp/internal/xmlstore"
 )
 
-var allAlgs = []join.Algorithm{join.NestedLoop, join.Staircase, join.Twig, join.Streaming, join.Auto}
+var allAlgs = []join.Algorithm{join.NestedLoop, join.Staircase, join.Twig, join.Auto}
 
 // patternOver builds MapToItem{dep}(TupleTreePattern[IN#dot/steps](MapFromItem{dot}($v))).
 func patternOver(dep algebra.Expr, steps ...*pattern.Step) algebra.Expr {

@@ -123,7 +123,7 @@ func TestLoweredPlansMatchOracle(t *testing.T) {
 	}
 	defer fresh.Close()
 
-	algs := []Algorithm{NestedLoop, Staircase, Twig, Streaming, Auto}
+	algs := []Algorithm{NestedLoop, Staircase, Twig, Auto}
 	check := func(label string, want []string, got Sequence, err error) {
 		t.Helper()
 		if err != nil {
@@ -238,7 +238,7 @@ func TestDependentPatternsOverNestingContexts(t *testing.T) {
 		if err != nil || len(want) == 0 {
 			t.Fatalf("oracle: %s: %d items, %v", tc.text, len(want), err)
 		}
-		for _, alg := range []Algorithm{NestedLoop, Staircase, Twig, Streaming, Auto} {
+		for _, alg := range []Algorithm{NestedLoop, Staircase, Twig, Auto} {
 			got, err := run(q, alg)
 			if err != nil {
 				t.Errorf("%s/%v: %v", tc.text, alg, err)

@@ -52,7 +52,7 @@ func TestPhysicalDifferentialCorpus(t *testing.T) {
 		{"xmark", NewXMarkDocument(7, 120)},
 		{"member", NewMemberDocument(7, 150_000)},
 	}
-	algs := []Algorithm{Staircase, Twig, Auto, Streaming}
+	algs := []Algorithm{Staircase, Twig, Auto}
 	for _, pq := range physicalDiffCorpus() {
 		q, err := Prepare(pq.Query)
 		if err != nil {
@@ -168,7 +168,7 @@ func TestFirstMatchIsDocumentOrderFirst(t *testing.T) {
 			t.Fatalf("%s: standard engine %v, %v", text, want, err)
 		}
 		q := MustPrepare(text)
-		for _, alg := range []Algorithm{NestedLoop, Staircase, Twig, Streaming, Auto} {
+		for _, alg := range []Algorithm{NestedLoop, Staircase, Twig, Auto} {
 			got, err := q.Run(doc, alg)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", text, alg, err)

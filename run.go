@@ -155,19 +155,15 @@ func run(ctx context.Context, q *Query, c *collection.Corpus, member int, alg Al
 	// The runtime and the default sink share one allocation, so a plain
 	// Query.Run allocates nothing for collecting its result; the run state
 	// comes from the plan's pool. Prepared joins belong to the corpus: each
-	// lives on the member it was prepared against (a bound node of some other
-	// document is prepared in the bindings that brought it, for this run only).
+	// lives on the member it was prepared against, which the owner finds by
+	// tree (a bound node of some other document is prepared in the bindings
+	// that brought it, for this run only).
 	var st struct {
 		m     memberRun
 		col   execctx.Collector
 		count countingSink
 	}
-	st.m.rt = physical.Runtime{
-		Catalog: c.Catalog(),
-		Preps:   c,
-		Docs:    c,
-		EC:      ec,
-	}
+	st.m.rt = physical.Runtime{Preps: c, Docs: c, EC: ec}
 	if opts.Vars != nil {
 		st.m.rt.Vars = p.BindVars(opts.Vars)
 	}

@@ -70,7 +70,6 @@ const (
 	Staircase  = join.Staircase  // SCJoin: staircase join over region-encoded streams
 	Twig       = join.Twig       // TwigJoin: holistic twig join
 	Auto       = join.Auto       // the rule: skip provably empty patterns, else SCJoin inside its fragment
-	Streaming  = join.Streaming  // single-scan stack automaton for linear paths
 )
 
 // Algorithms lists all physical algorithms, in the paper's table order
@@ -78,7 +77,7 @@ const (
 var Algorithms = []Algorithm{NestedLoop, Twig, Staircase}
 
 // ParseAlgorithm resolves an algorithm name ("nl", "sc", "twig"/"tj",
-// "stream", "auto", …) as accepted by the command-line tools.
+// "auto", …) as accepted by the command-line tools.
 func ParseAlgorithm(name string) (Algorithm, error) {
 	return join.ParseAlgorithm(name)
 }
