@@ -45,7 +45,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS) .
-	$(GO) test -race -count=50 -run 'Shutdown|SlowReader' ./internal/server
+	$(GO) test -race -count=50 -run 'Shutdown|SlowReader|Streamer' ./internal/server
 	$(GO) test -race -count=20 -run 'Prepared|Collectable|ForeignTree|ConcurrentRuns|ReuseStates|SteadyState|ConcurrentPrepare|BorrowedTuples|FirstTouch' ./internal/collection ./internal/physical ./internal/xdm .
 	$(GO) test -race -count=20 -run 'RunAllMergeOrder|RunAllSkip|RunAllError|OneWorkerFanOut|FanOutMember|FanOutFirstFailure' ./internal/collection .
 

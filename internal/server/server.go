@@ -142,7 +142,9 @@ func New(cfg Config) *Server {
 		s.cache = newResultCache(cfg.ResultCacheEntries, cfg.ResultCacheBytes)
 	}
 	s.base, s.baseCancel = context.WithCancel(context.Background())
-	s.hs = &http.Server{Handler: s.Handler()}
+	// Every connection's context, and so every request's, derives from base:
+	// cutting base cuts them all, with no registration per request.
+	s.hs = &http.Server{Handler: s.Handler(), BaseContext: func(net.Listener) context.Context { return s.base }}
 	return s
 }
 
@@ -437,21 +439,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
 			return
 		}
-		// The client gave up while queued; nothing useful to write.
+		// The client gave up while queued, or the drain deadline cut the
+		// base context under it; nothing useful to write.
 		s.metrics.refuse(outCanceled)
 		return
 	}
 	defer release()
 
 	// The run stops when the client disconnects, when the request deadline
-	// passes, or when the server's drain deadline cuts the base context.
+	// passes, or when the server's drain deadline cuts the base context, which
+	// r.Context() derives from on s.hs's connections.
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	stopAfter := context.AfterFunc(s.base, cancel)
-	defer stopAfter()
 	if s.base.Err() != nil {
-		// Already drained: AfterFunc fires asynchronously, so cancel here to
-		// guarantee the run observes it before its first checkpoint.
+		// Already drained: a handler mounted through Handler() on another
+		// http.Server has a request context that base does not reach.
 		cancel()
 	}
 

@@ -8,13 +8,12 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"xqtp"
 )
 
 // waitNoGoroutineLeak retries the goroutine count for a bounded time: the
@@ -172,9 +171,10 @@ func TestShutdownCutsStuckStreamAfterDrainDeadline(t *testing.T) {
 	waitNoGoroutineLeak(t, before)
 }
 
-// After Shutdown, the base context cancels every new evaluation through the
-// engine's cancellation protocol (xqtp.ErrCanceled), so nothing can sneak
-// past a drained server.
+// After Shutdown, every new evaluation is canceled through the engine's
+// cancellation protocol (xqtp.ErrCanceled, the "canceled" summary), so
+// nothing can sneak past a drained server: the context net/http gives a
+// connection of the server is cut, and a request on it runs canceled.
 func TestShutdownCancelsViaEngineProtocol(t *testing.T) {
 	s := newTestServer(t, Config{NoResultCache: true})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -183,20 +183,18 @@ func TestShutdownCancelsViaEngineProtocol(t *testing.T) {
 		t.Fatalf("Shutdown = %v", err)
 	}
 
-	corpus, _ := s.Corpus("main")
-	q, err := xqtp.Prepare(`$input//person/name`)
-	if err != nil {
-		t.Fatal(err)
+	connCtx := s.hs.BaseContext(nil)
+	if !errors.Is(connCtx.Err(), context.Canceled) {
+		t.Fatalf("connection context after Shutdown: err = %v, want context.Canceled", connCtx.Err())
 	}
-	reqCtx, reqCancel := context.WithCancel(context.Background())
-	defer reqCancel()
-	stop := context.AfterFunc(s.base, reqCancel)
-	defer stop()
-	if s.base.Err() != nil {
-		reqCancel() // the handler's synchronous already-drained check
+	req := httptest.NewRequest(http.MethodPost, "/query",
+		strings.NewReader(`{"query": "$input//person/name"}`)).WithContext(connCtx)
+	rec := httptest.NewRecorder()
+	s.hs.Handler.ServeHTTP(rec, req)
+	if items, sum := parseNDJSON(t, rec.Body.String()); sum.Status != statusCanceled || len(items) != 0 {
+		t.Fatalf("post-drain run: %d items, summary %+v, want none and %q", len(items), sum, statusCanceled)
 	}
-	_, _, runErr := corpus.RunWith(reqCtx, q, xqtp.Auto, xqtp.RunOptions{})
-	if !errors.Is(runErr, xqtp.ErrCanceled) {
-		t.Fatalf("post-drain run error = %v, want ErrCanceled", runErr)
+	if got := s.metrics.requests[outCanceled].Load(); got != 1 {
+		t.Fatalf("%d canceled requests counted, want 1", got)
 	}
 }

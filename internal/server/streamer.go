@@ -17,12 +17,28 @@ import (
 // flushBytes, when a Push finds its oldest item line older than flushAge, or
 // when the summary is written. The clock is read on the first Push into an
 // empty buffer and then once per clockStride appended bytes, not per item.
+//
+// flushBytes is the per-request memory bound, not a chunk size: an answer that
+// completes within flushAge and under it leaves in one Write with the summary.
+// 256 KiB is above every answer of the serve_twig mix (31–230 KB, 128 KB on
+// average). Each mid-stream Write plus Flush costs net/http about three sends
+// on the connection (the chunk header with the first 4 KiB through its
+// connection buffer, the rest of the chunk, the chunk's CRLF), and the client
+// wakes for each: at 32 KiB those answers left in ~4.7 chunks each.
 const (
-	flushBytes  = 32 << 10
+	flushBytes  = 256 << 10
 	flushAge    = 10 * time.Millisecond
 	clockStride = 2 << 10
-	// A buffer one huge item grew past maxPooledBuf is dropped, not pooled.
-	maxPooledBuf = 4 * flushBytes
+	// A fresh buffer holds smallBuf, so a pool miss for a short answer does
+	// not allocate the bound. An answer that outgrows it moves at once to
+	// fullBuf, the bound plus room for the line that crosses it, rather than
+	// through append's dozen 1.25× steps: after a GC has emptied the pool,
+	// those would allocate several times the bound per miss.
+	smallBuf = 16 << 10
+	fullBuf  = flushBytes + flushBytes/8
+	// A buffer that one huge item grew past maxPooledBuf is dropped, not
+	// pooled.
+	maxPooledBuf = 2 * flushBytes
 )
 
 // respBuf is the pooled per-request memory: out holds rendered response bytes
@@ -31,16 +47,17 @@ const (
 type respBuf struct{ out, prefix []byte }
 
 var respBufs = sync.Pool{New: func() any {
-	return &respBuf{out: make([]byte, 0, flushBytes+flushBytes/8)}
+	return &respBuf{out: make([]byte, 0, smallBuf)}
 }}
 
 // streamer is the execctx.RankSink behind a query response. Each push appends
 // the item line to one pooled buffer, written (and, mid-stream, flushed to the
-// wire) by the rule above: a response costs about one Write per flushBytes,
-// and a steady-state push allocates nothing. "Streaming" therefore means
-// bounded staleness: while items keep arriving none waits longer than
-// flushAge plus the time to produce clockStride more bytes; with no timer, a
-// run that goes quiet holds its buffered tail until its next item or its end.
+// wire) by the rule above: a response costs one Write per flushBytes (one in
+// all for most answers), and a steady-state push allocates nothing.
+// "Streaming" therefore means bounded staleness: while items keep arriving
+// none waits longer than flushAge plus the time to produce clockStride more
+// bytes; with no timer, a run that goes quiet holds its buffered tail until
+// its next item or its end.
 //
 // execctx.Deliver charges the row/byte budget per item *before* pushing, so
 // the budgets meter exactly what enters the buffer: a limit of K means the
@@ -173,6 +190,11 @@ func (st *streamer) renderPrefix(t *xdm.Tree) {
 
 // appended stores out, one item line longer, and applies the flush triggers.
 func (st *streamer) appended(out []byte) error {
+	// Nearly full and below fullBuf: move there before the next line makes
+	// append grow the buffer in its own small steps.
+	if cap(out)-len(out) < clockStride && cap(out) < fullBuf {
+		out = append(make([]byte, 0, fullBuf), out...)
+	}
 	st.out = out
 	switch n := len(out); {
 	case n >= flushBytes:

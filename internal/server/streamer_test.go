@@ -14,6 +14,7 @@ import (
 
 	"xqtp"
 	"xqtp/internal/execctx"
+	"xqtp/internal/gen"
 	"xqtp/internal/xmlstore"
 )
 
@@ -229,8 +230,9 @@ func manyPeople(n int) string {
 type countingWriter struct {
 	header          http.Header
 	writes, flushes int
-	bytes           int
+	bytes, maxWrite int
 	flushedAt       []int // bytes written before each Flush
+	body            []byte
 }
 
 func (c *countingWriter) Header() http.Header { return c.header }
@@ -238,6 +240,8 @@ func (c *countingWriter) WriteHeader(int)     {}
 func (c *countingWriter) Write(p []byte) (int, error) {
 	c.writes++
 	c.bytes += len(p)
+	c.maxWrite = max(c.maxWrite, len(p))
+	c.body = append(c.body, p...)
 	return len(p), nil
 }
 func (c *countingWriter) Flush() {
@@ -265,6 +269,155 @@ func TestResponseWriteCount(t *testing.T) {
 	}
 	if w, f := s.metrics.responseWrites.Load(), s.metrics.responseFlushes.Load(); int(w) != cw.writes || int(f) != cw.flushes {
 		t.Fatalf("metrics count %d writes, %d flushes; the writer saw %d, %d", w, f, cw.writes, cw.flushes)
+	}
+}
+
+// pushAll streams seq, reps times over, and the summary into a fresh
+// countingWriter without pause, and reports whether it finished within
+// flushAge: only then does the age trigger certainly not fire.
+func pushAll(t *testing.T, corpus *xqtp.Corpus, seq xqtp.Sequence, reps int) (*countingWriter, bool) {
+	t.Helper()
+	cw := &countingWriter{header: make(http.Header)}
+	st := newStreamer(cw, newMetrics(), "ndjson", corpus, 0)
+	defer st.close()
+	start := time.Now()
+	for range reps {
+		for _, it := range seq {
+			if err := st.Push(it); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st.writeSummary(wireSummary{Status: statusOK, Rows: int64(reps * len(seq))})
+	return cw, time.Since(start) < flushAge
+}
+
+// fastPush retries pushAll until one attempt finishes within flushAge, and
+// reports whether one did: a slow scheduler (a -race run on a busy host) may
+// fire the age trigger, which the write count must not pass off as the size
+// trigger's doing. The body is checked on every attempt.
+func fastPush(t *testing.T, corpus *xqtp.Corpus, seq xqtp.Sequence, reps int) (*countingWriter, bool) {
+	t.Helper()
+	want := strings.Repeat(referenceBody(t, corpus, seq, "ndjson"), reps)
+	var cw *countingWriter
+	fast := false
+	for range 5 {
+		cw, fast = pushAll(t, corpus, seq, reps)
+		if got := itemLines(t, string(cw.body), "ndjson"); got != want {
+			t.Fatalf("item lines differ from the reference (%d against %d bytes)", len(got), len(want))
+		}
+		if fast {
+			break
+		}
+	}
+	return cw, fast
+}
+
+// An answer above the old 32 KiB chunk size and below flushBytes reaches the
+// ResponseWriter in one Write, with the summary and no Flush: the size
+// trigger is a memory bound, not a chunk size.
+func TestStreamerOneWriteUnderBound(t *testing.T) {
+	corpus := testCorpus(t, manyPeople(2000))
+	q, _ := xqtp.Prepare(`$input//person/name`)
+	seq, err := corpus.Run(q, xqtp.Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(referenceBody(t, corpus, seq, "ndjson")); n <= 32<<10 || n >= flushBytes {
+		t.Fatalf("answer is %d bytes; the test wants one between 32 KiB and %d", n, flushBytes)
+	}
+	cw, fast := fastPush(t, corpus, seq, 1)
+	if !fast {
+		t.Skipf("no attempt pushed %d items within flushAge (%v)", len(seq), flushAge)
+	}
+	if cw.writes != 1 || cw.flushes != 0 {
+		t.Fatalf("%d bytes in %d writes and %d flushes, want 1 write and no flush", cw.bytes, cw.writes, cw.flushes)
+	}
+}
+
+// An answer of about three bounds leaves in at most one Write per flushBytes
+// plus the summary's, each flushed but the last, and no Write is larger than
+// the bound plus one item line.
+func TestStreamerLargeAnswerBoundedWrites(t *testing.T) {
+	corpus := testCorpus(t, manyPeople(2000))
+	q, _ := xqtp.Prepare(`$input//person`)
+	seq, err := corpus.Run(q, xqtp.Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceBody(t, corpus, seq, "ndjson")
+	reps := (3*flushBytes + len(ref) - 1) / len(ref)
+	longest := 0
+	for _, line := range strings.SplitAfter(ref, "\n") {
+		longest = max(longest, len(line))
+	}
+	cw, fast := fastPush(t, corpus, seq, reps)
+	if cw.maxWrite > flushBytes+longest {
+		t.Fatalf("a write of %d bytes; the bound is %d plus one %d-byte line", cw.maxWrite, flushBytes, longest)
+	}
+	if cw.flushes != cw.writes-1 {
+		t.Fatalf("%d flushes for %d writes: every write but the summary's flushes", cw.flushes, cw.writes)
+	}
+	if limit := (cw.bytes+flushBytes-1)/flushBytes + 1; fast && cw.writes > limit {
+		t.Fatalf("%d writes for %d bytes, want at most %d", cw.writes, cw.bytes, limit)
+	}
+}
+
+// serveTwigTexts are the 14 query texts of the serve_twig benchmark mix.
+func serveTwigTexts() []string {
+	var texts []string
+	for _, p := range xqtp.Figure6Queries {
+		texts = append(texts, p.Child, p.Descendant)
+	}
+	texts = append(texts, xqtp.Fig4Query)
+	for _, pq := range xqtp.XMarkQueries {
+		switch pq.Name {
+		case "XQ2", "XQ4", "XQ13", "XQ17", "XQ19":
+			texts = append(texts, pq.Query)
+		}
+	}
+	return texts
+}
+
+// Every answer of the serve_twig mix on its 2 000-person member, served
+// through the handler with the result cache off, reaches the writer in one
+// Write with no mid-stream Flush, and /metrics counts what the writer saw.
+func TestServeTwigTextsOneWrite(t *testing.T) {
+	data := xmlstore.AppendXML(nil, gen.XMarkRoot(gen.XMarkConfig{Seed: 1, People: 2000}))
+	corpus, err := xqtp.LoadCorpus([]xqtp.CorpusSource{{URI: "mem://xmark.xml", Data: data}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer corpus.Close()
+	s := New(Config{NoResultCache: true})
+	s.AddCorpus("main", corpus)
+	for _, text := range serveTwigTexts() {
+		body, _ := json.Marshal(queryRequest{Query: text})
+		var cw *countingWriter
+		fast := false
+		for range 20 {
+			w0, f0 := s.metrics.responseWrites.Load(), s.metrics.responseFlushes.Load()
+			cw = &countingWriter{header: make(http.Header)}
+			start := time.Now()
+			s.Handler().ServeHTTP(cw, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+			fast = time.Since(start) < flushAge
+			if w, f := s.metrics.responseWrites.Load()-w0, s.metrics.responseFlushes.Load()-f0; int(w) != cw.writes || int(f) != cw.flushes {
+				t.Fatalf("%s: metrics count %d writes, %d flushes; the writer saw %d, %d", text, w, f, cw.writes, cw.flushes)
+			}
+			if fast {
+				break
+			}
+		}
+		t.Logf("%7d bytes: %d writes, %d flushes: %s", cw.bytes, cw.writes, cw.flushes, text)
+		switch {
+		case cw.bytes >= flushBytes || cw.bytes < 1<<10:
+			t.Fatalf("%s: %d bytes, want an answer under the bound", text, cw.bytes)
+		case !fast:
+			// A -race run on a busy host: the age trigger may have fired.
+			t.Logf("%s: no request finished within flushAge; writes not checked", text)
+		case cw.writes != 1 || cw.flushes != 0:
+			t.Errorf("%s: %d bytes in %d writes and %d flushes, want 1 write and no flush", text, cw.bytes, cw.writes, cw.flushes)
+		}
 	}
 }
 
