@@ -51,9 +51,10 @@ race:
 
 check: build vet test race
 
-# Single-threaded paper benchmarks (Table 1, Fig. 4, ...).
+# The paper's §5 at paper scale: the §5.1 validation, Fig. 4, Table 1,
+# Fig. 6 and the §5.3 table, single-threaded (treebench -quick: smoke scale).
 bench:
-	$(GO) test -bench 'Table1|Figure4' -benchmem -benchtime 1x .
+	$(GO) run ./cmd/treebench -exp all
 
 # Concurrent serving benchmark; -cpu exercises the QPS scaling.
 serve:

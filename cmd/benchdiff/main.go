@@ -18,11 +18,11 @@ import (
 	"os"
 	"strings"
 
-	"xqtp"
+	"xqtp/internal/experiments"
 )
 
-func load(path string) (xqtp.Table1Report, error) {
-	var r xqtp.Table1Report
+func load(path string) (experiments.Table1Report, error) {
+	var r experiments.Table1Report
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return r, err
@@ -43,12 +43,12 @@ func pct(old, new float64) string {
 	return fmt.Sprintf("%+6.1f%%", (new-old)/old*100)
 }
 
-func diffTable1(old, new []xqtp.Table1Cell) {
+func diffTable1(old, new []experiments.Table1Cell) {
 	type key struct {
 		query, alg string
 		bytes      int
 	}
-	prev := make(map[key]xqtp.Table1Cell, len(old))
+	prev := make(map[key]experiments.Table1Cell, len(old))
 	for _, c := range old {
 		prev[key{c.Query, c.Algorithm, c.DocumentBytes}] = c
 	}
@@ -73,12 +73,12 @@ func diffTable1(old, new []xqtp.Table1Cell) {
 // from run to run of one binary on one Go version, so any rise is a change
 // in the code; ns/op does not repeat on shared machines (same-binary reruns
 // differ by tens of percent per cell) and is reported, never gated.
-func gateTable1(old, new []xqtp.Table1Cell, algs map[string]bool) error {
+func gateTable1(old, new []experiments.Table1Cell, algs map[string]bool) error {
 	type key struct {
 		query, alg string
 		bytes      int
 	}
-	prev := make(map[key]xqtp.Table1Cell, len(old))
+	prev := make(map[key]experiments.Table1Cell, len(old))
 	for _, c := range old {
 		prev[key{c.Query, c.Algorithm, c.DocumentBytes}] = c
 	}
@@ -129,7 +129,7 @@ func main() {
 	}
 	oldR, err := load(flag.Arg(0))
 	if err == nil {
-		var newR xqtp.Table1Report
+		var newR experiments.Table1Report
 		if newR, err = load(flag.Arg(1)); err == nil {
 			diffTable1(oldR.Cells, newR.Cells)
 			if *gateAllocs {

@@ -6,35 +6,35 @@ import (
 	"strings"
 	"testing"
 
-	"xqtp"
+	"xqtp/internal/experiments"
 )
 
-func cell(query, alg string, allocs, bytes int64) xqtp.Table1Cell {
-	return xqtp.Table1Cell{Query: query, Algorithm: alg, DocumentBytes: 200_000,
+func cell(query, alg string, allocs, bytes int64) experiments.Table1Cell {
+	return experiments.Table1Cell{Query: query, Algorithm: alg, DocumentBytes: 200_000,
 		NsPerOp: 1000, AllocsPerOp: allocs, BytesPerOp: bytes}
 }
 
 func TestGateTable1(t *testing.T) {
-	old := []xqtp.Table1Cell{
+	old := []experiments.Table1Cell{
 		cell("QE1", "SC", 3, 496),
 		cell("QE1", "NL", 14, 4984),
 		cell("QE1", "auto", 3, 496),
 	}
 	cases := []struct {
 		name    string
-		new     []xqtp.Table1Cell
+		new     []experiments.Table1Cell
 		algs    string
 		wantErr string // empty: no error
 	}{
 		{"unchanged", old, "SC", ""},
-		{"allocs rise in gated alg", []xqtp.Table1Cell{cell("QE1", "SC", 4, 496)}, "SC", "rose in 1 table1 cells"},
-		{"bytes rise in gated alg", []xqtp.Table1Cell{cell("QE1", "SC", 3, 512)}, "SC", "rose in 1 table1 cells"},
-		{"fall is fine", []xqtp.Table1Cell{cell("QE1", "SC", 2, 400)}, "SC", ""},
-		{"rise outside gate-algs", []xqtp.Table1Cell{cell("QE1", "SC", 3, 496), cell("QE1", "NL", 20, 9000)}, "SC", ""},
-		{"empty gate-algs gates every alg", []xqtp.Table1Cell{cell("QE1", "NL", 20, 4984)}, "", "rose in 1 table1 cells"},
-		{"gate-algs match labels case-insensitively", []xqtp.Table1Cell{cell("QE1", "auto", 5, 496)}, "AUTO", "rose in 1 table1 cells"},
-		{"no comparable cells", []xqtp.Table1Cell{cell("QE1", "TJ", 3, 496)}, "SC,TJ", "no comparable"},
-		{"new cell is skipped", []xqtp.Table1Cell{cell("QE1", "SC", 3, 496), cell("QE9", "SC", 99, 9999)}, "SC", ""},
+		{"allocs rise in gated alg", []experiments.Table1Cell{cell("QE1", "SC", 4, 496)}, "SC", "rose in 1 table1 cells"},
+		{"bytes rise in gated alg", []experiments.Table1Cell{cell("QE1", "SC", 3, 512)}, "SC", "rose in 1 table1 cells"},
+		{"fall is fine", []experiments.Table1Cell{cell("QE1", "SC", 2, 400)}, "SC", ""},
+		{"rise outside gate-algs", []experiments.Table1Cell{cell("QE1", "SC", 3, 496), cell("QE1", "NL", 20, 9000)}, "SC", ""},
+		{"empty gate-algs gates every alg", []experiments.Table1Cell{cell("QE1", "NL", 20, 4984)}, "", "rose in 1 table1 cells"},
+		{"gate-algs match labels case-insensitively", []experiments.Table1Cell{cell("QE1", "auto", 5, 496)}, "AUTO", "rose in 1 table1 cells"},
+		{"no comparable cells", []experiments.Table1Cell{cell("QE1", "TJ", 3, 496)}, "SC,TJ", "no comparable"},
+		{"new cell is skipped", []experiments.Table1Cell{cell("QE1", "SC", 3, 496), cell("QE9", "SC", 99, 9999)}, "SC", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 	"syscall"
 
 	"xqtp"
+	"xqtp/internal/experiments"
 )
 
 func main() {
@@ -48,9 +49,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opts := xqtp.DefaultExperimentOptions()
+	opts := experiments.DefaultExperimentOptions()
 	if *quick {
-		opts = xqtp.QuickExperimentOptions()
+		opts = experiments.QuickExperimentOptions()
 	}
 	opts.Seed = *seed
 	opts.Repeats = *repeats
@@ -72,17 +73,17 @@ func main() {
 	var err error
 	switch *exp {
 	case "validate":
-		err = xqtp.RunValidation(w)
+		err = experiments.RunValidation(w)
 	case "fig4":
-		err = xqtp.RunFigure4(w, opts)
+		err = experiments.RunFigure4(w, opts)
 	case "table1":
-		err = xqtp.RunTable1(w, opts, *jsonPath)
+		err = experiments.RunTable1(w, opts, *jsonPath)
 	case "fig6":
-		err = xqtp.RunFigure6(w, opts)
+		err = experiments.RunFigure6(w, opts)
 	case "sec53":
-		err = xqtp.RunSection53(w, opts)
+		err = experiments.RunSection53(w, opts)
 	case "all":
-		err = xqtp.RunAll(w, opts)
+		err = experiments.RunAll(w, opts)
 	default:
 		fmt.Fprintf(os.Stderr, "treebench: unknown experiment %q\n", *exp)
 		os.Exit(2)

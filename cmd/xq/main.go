@@ -53,7 +53,7 @@ func main() {
 		snapshot  = flag.Bool("snapshot", false, "input is a binary corpus snapshot (see -save-snapshot, xmlgen -format snapshot)")
 		saveSnap  = flag.String("save-snapshot", "", "write the loaded input as a binary corpus snapshot to this path")
 		serialize = flag.Bool("serialize", false, "serialize node results as XML")
-		noTP      = flag.Bool("no-tree-patterns", false, "disable tree-pattern detection (standard engine)")
+		noTP      = flag.Bool("no-tree-patterns", false, "compile with the standard engine: no TPNF′ rewrites, no tree-pattern detection")
 		explain   = flag.Bool("explain", false, "print the physical plan (with Auto's per-pattern choice under -alg auto) before the results")
 		timeout   = flag.Duration("timeout", 0, "abort the query after this wall-clock time (0: no limit)")
 		limit     = flag.Int64("limit", 0, "stop after this many result items, in document order (0: no limit)")
@@ -116,7 +116,9 @@ func main() {
 		fatal(err)
 	}
 	opts := xqtp.DefaultOptions
-	opts.TreePatterns = !*noTP
+	if *noTP {
+		opts = xqtp.StandardEngineOptions
+	}
 	q, err := xqtp.PrepareWithOptions(*query, opts)
 	if err != nil {
 		fatal(err)

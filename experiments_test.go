@@ -1,9 +1,14 @@
-package xqtp
+package xqtp_test
 
 import (
 	"strings"
 	"testing"
+
+	"xqtp/internal/experiments"
 )
+
+// The §5 harness (internal/experiments) times the engine through package
+// xqtp's public API only; its tests run here, with the engine's.
 
 // The experiment harness runs end to end at reduced scale, and the §5.3
 // shape holds: NLJoin is much faster than both set-at-a-time algorithms on
@@ -13,8 +18,8 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Skip("short mode")
 	}
 	var b strings.Builder
-	opts := QuickExperimentOptions()
-	if err := RunAll(&b, opts); err != nil {
+	opts := experiments.QuickExperimentOptions()
+	if err := experiments.RunAll(&b, opts); err != nil {
 		t.Fatalf("RunAll: %v\noutput so far:\n%s", err, b.String())
 	}
 	out := b.String()
@@ -31,7 +36,7 @@ func TestExperimentsSmoke(t *testing.T) {
 
 func TestValidationPasses(t *testing.T) {
 	var b strings.Builder
-	if err := RunValidation(&b); err != nil {
+	if err := experiments.RunValidation(&b); err != nil {
 		t.Fatalf("%v\n%s", err, b.String())
 	}
 }

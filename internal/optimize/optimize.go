@@ -14,15 +14,6 @@ type Options struct {
 	// bulk TreeJoin conversion.
 	SingletonVars map[string]bool
 
-	// DisablePositionalFirst turns off the Head rewrite (ablation: shows
-	// the value of the cursor-style early exit of §5.3).
-	DisablePositionalFirst bool
-
-	// DisableBulkConversion turns off rule (b), forcing every step through
-	// the per-tuple fallback (ablation: shows the value of bulk
-	// set-at-a-time pattern evaluation).
-	DisableBulkConversion bool
-
 	// Trace, if non-nil, receives the plan after every rule application.
 	Trace func(step int, plan algebra.Expr)
 }
@@ -38,8 +29,6 @@ type optimizer struct {
 	usedFields     map[string]bool
 	counter        int
 	enableFallback bool
-	noHead         bool
-	noBulk         bool
 }
 
 // Optimize applies the tree-pattern detection rules of Fig. 3 to a
@@ -52,8 +41,6 @@ func Optimize(plan algebra.Expr, opts Options) algebra.Expr {
 		singletons: opts.SingletonVars,
 		letNames:   map[string]bool{},
 		usedFields: map[string]bool{},
-		noHead:     opts.DisablePositionalFirst,
-		noBulk:     opts.DisableBulkConversion,
 	}
 	collectNames(plan, o.letNames, o.usedFields)
 	// Phase 1: bulk conversions and merges; phase 2: add the per-tuple

@@ -20,15 +20,11 @@ func (o *optimizer) tryRules(e algebra.Expr, tolerant bool) (algebra.Expr, *rena
 	if out, ok := o.ruleF(e); ok {
 		return out, nil, true
 	}
-	if !o.noHead {
-		if out, ok := o.ruleHead(e); ok {
-			return out, nil, true
-		}
+	if out, ok := o.ruleHead(e); ok {
+		return out, nil, true
 	}
-	if !o.noBulk {
-		if out, ok := o.ruleB(e, tolerant); ok {
-			return out, nil, true
-		}
+	if out, ok := o.ruleB(e, tolerant); ok {
+		return out, nil, true
 	}
 	// The per-tuple fallback (a) only runs once the bulk rules have reached
 	// a fixpoint: a premature per-tuple conversion would hide a bulk

@@ -330,6 +330,70 @@ func TestCacheKeyIgnoresWorkers(t *testing.T) {
 	}
 }
 
+// GET /corpora lists the registered corpora sorted by name, each with its
+// members, nodes and epoch; a POST /extend moves the grown corpus's epoch on
+// by one; a method other than GET gets 405 with Allow: GET.
+func TestCorporaEndpoint(t *testing.T) {
+	s := New(Config{})
+	zeta := testCorpus(t, fiveNames)
+	alpha := testCorpus(t, fiveNames, `<r><a/></r>`)
+	s.AddCorpus("zeta", zeta)
+	s.AddCorpus("alpha", alpha)
+	type corpusInfo struct {
+		Name    string `json:"name"`
+		Members int    `json:"members"`
+		Epoch   uint64 `json:"epoch"`
+		Nodes   int    `json:"nodes"`
+	}
+	list := func() []corpusInfo {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/corpora", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /corpora: %d %s", rec.Code, rec.Body.String())
+		}
+		var out []corpusInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("GET /corpora: %v in %s", err, rec.Body.String())
+		}
+		return out
+	}
+	got := list()
+	want := []corpusInfo{
+		{Name: "alpha", Members: 2, Epoch: alpha.Epoch(), Nodes: alpha.NumNodes()},
+		{Name: "zeta", Members: 1, Epoch: zeta.Epoch(), Nodes: zeta.NumNodes()},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("GET /corpora = %+v, want %+v", got, want)
+	}
+	if want[0].Nodes <= 0 || want[1].Nodes <= 0 {
+		t.Fatalf("corpora report no nodes: %+v", want)
+	}
+	got0 := got
+
+	ext := httptest.NewRecorder()
+	s.Handler().ServeHTTP(ext, httptest.NewRequest(http.MethodPost, "/extend", strings.NewReader(
+		`{"corpus": "zeta", "documents": [{"uri": "mem://more.xml", "xml": "<r><b/><b/></r>"}]}`)))
+	if ext.Code != http.StatusOK {
+		t.Fatalf("extend: %d %s", ext.Code, ext.Body.String())
+	}
+	grown, _ := s.Corpus("zeta")
+	got = list()
+	want[1] = corpusInfo{Name: "zeta", Members: 2, Epoch: want[1].Epoch + 1, Nodes: grown.NumNodes()}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after /extend GET /corpora = %+v, want %+v", got, want)
+	}
+	if want[1].Nodes <= got0[1].Nodes {
+		t.Fatalf("the grown corpus reports %d nodes, the original %d", want[1].Nodes, got0[1].Nodes)
+	}
+
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/corpora", nil))
+	if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != http.MethodGet {
+		t.Fatalf("POST /corpora: %d, Allow %q; want 405 and Allow: GET", rec.Code, rec.Header().Get("Allow"))
+	}
+}
+
 // An empty corpus name resolves if and only if exactly one corpus is
 // registered.
 func TestDefaultCorpusResolution(t *testing.T) {

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -568,5 +570,96 @@ func TestSlowReaderReleasesSlotAtDeadline(t *testing.T) {
 	rec := postQuery(t, s, `{"query": "$input//person", "limit": 1}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("next request: status %d, want 200 (slot not released?)", rec.Code)
+	}
+}
+
+// serveCount sends body to s's /query through a countingWriter and returns
+// the writer and the X-Result-Cache header it saw.
+func serveCount(s *Server, body string) (*countingWriter, string) {
+	cw := &countingWriter{header: make(http.Header)}
+	s.Handler().ServeHTTP(cw, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+	return cw, cw.header.Get("X-Result-Cache")
+}
+
+// unreplayed blanks what a replayed summary changes: the cached flag, and
+// NDJSON's elapsed time.
+func unreplayed(body []byte) string {
+	s := regexp.MustCompile(`"elapsed_ms":[^,]*,`).ReplaceAllString(string(body), "")
+	return strings.NewReplacer(`"cached":true`, `"cached":false`, `cached="true"`, `cached="false"`).Replace(s)
+}
+
+// A result-cache hit replays the miss's bytes apart from the summary's cached
+// flag and elapsed time, with no Flush. It leaves in one Write per part: the
+// buffered XML opener, the cached body and the summary. (Copying the body
+// into the buffer to send all three in one Write was measured slower by
+// BenchmarkCacheHit: the copy costs more than the writes it saves.)
+func TestCacheHitReplaysMissBytes(t *testing.T) {
+	s := New(Config{})
+	s.AddCorpus("main", testCorpus(t, manyPeople(1000)))
+	for _, format := range []string{"ndjson", "xml"} {
+		body := fmt.Sprintf(`{"query": "$input//person", "format": %q}`, format)
+		miss, mk := serveCount(s, body)
+		hit, hk := serveCount(s, body)
+		if mk != "miss" || hk != "hit" {
+			t.Fatalf("%s: X-Result-Cache %q then %q, want miss then hit", format, mk, hk)
+		}
+		if hit.bytes < 100<<10 || hit.bytes >= flushBytes {
+			t.Fatalf("%s: answer is %d bytes; the test wants one between 100 KiB and %d", format, hit.bytes, flushBytes)
+		}
+		parts := 2 // body, summary
+		if format == "xml" {
+			parts++ // the opener
+		}
+		if hit.writes != parts || hit.flushes != 0 {
+			t.Errorf("%s: hit left in %d writes and %d flushes, want %d writes and no flush", format, hit.writes, hit.flushes, parts)
+		}
+		if got, want := unreplayed(hit.body), unreplayed(miss.body); got != want {
+			t.Errorf("%s: hit body differs from the miss beyond the summary's cached flag and elapsed time:\n%s\nmiss:\n%s",
+				format, got[max(0, len(got)-300):], want[max(0, len(want)-300):])
+		}
+	}
+}
+
+// BenchmarkCacheHit measures one result-cache hit as a client sees it: a
+// 125 KB (XML) or 185 KB (NDJSON) answer replayed with its summary through
+// net/http over a loopback connection, read to the end. The writes a hit
+// makes cost here, in the server's chunking and the client's reads.
+//
+//	go test -bench CacheHit -benchmem -run XXX ./internal/server
+func BenchmarkCacheHit(b *testing.B) {
+	c, err := xqtp.LoadCorpus([]xqtp.CorpusSource{{URI: "mem://people.xml", Data: []byte(manyPeople(1000))}}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	s := New(Config{})
+	s.AddCorpus("main", c)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	post := func(body string) string {
+		resp, err := client.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			b.Fatal(err)
+		}
+		return resp.Header.Get("X-Result-Cache")
+	}
+	for _, format := range []string{"ndjson", "xml"} {
+		body := fmt.Sprintf(`{"query": "$input//person", "format": %q}`, format)
+		if k := post(body); k != "miss" {
+			b.Fatalf("%s: warm-up was a %q", format, k)
+		}
+		b.Run(format, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if k := post(body); k != "hit" {
+					b.Fatalf("%s: a %q, want a hit", format, k)
+				}
+			}
+		})
 	}
 }

@@ -13,7 +13,7 @@ import (
 //
 //	go test -bench Serve -cpu 1,4 -benchmem .
 func BenchmarkServe(b *testing.B) {
-	doc := xmarkDoc(b, 1000)
+	doc := NewXMarkDocument(1, 1000)
 	queries := make([]*Query, 0, len(Figure6Queries))
 	for _, pair := range Figure6Queries {
 		q, err := Prepare(pair.Child)
@@ -23,7 +23,7 @@ func BenchmarkServe(b *testing.B) {
 		queries = append(queries, q)
 	}
 	for _, alg := range Algorithms {
-		b.Run(shortAlg(alg), func(b *testing.B) {
+		b.Run(alg.String(), func(b *testing.B) {
 			// Warm the (query, document, algorithm) preparations so the
 			// timed region is pure evaluation.
 			for _, q := range queries {

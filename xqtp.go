@@ -262,29 +262,25 @@ func (d *Document) Closed() bool { return d.c.Closed() }
 // mmap-capable builds, before Close).
 func (d *Document) Mapped() bool { return d.c.Mapped() }
 
-// CompileOptions configures query preparation.
+// CompileOptions selects one of the two engines the paper compares: its
+// only values are DefaultOptions and StandardEngineOptions.
 type CompileOptions struct {
-	// TreePatterns enables the algebraic tree-pattern detection (Fig. 3
+	// treePatterns enables the algebraic tree-pattern detection (Fig. 3
 	// rules). Disabling it yields plans that keep their navigational maps.
-	TreePatterns bool
-	// Rewrites enables the TPNF′ core rewritings (§3). Disabling both
-	// Rewrites and TreePatterns reproduces the paper's "standard engine"
-	// baseline, whose plans depend on the syntactic form of the query.
-	Rewrites bool
-
-	// Ablation knobs (benchmarks measure the value of individual design
-	// choices; leave false for normal use).
-	DisablePositionalFirst bool // keep MapIndex/Select instead of Head (§5.3 early exit)
-	DisableBulkConversion  bool // force the per-tuple fallback instead of rule (b)
+	treePatterns bool
+	// rewrites enables the TPNF′ core rewritings (§3).
+	rewrites bool
 }
 
-// DefaultOptions is the configuration used by Prepare.
-var DefaultOptions = CompileOptions{TreePatterns: true, Rewrites: true}
+// DefaultOptions is the configuration used by Prepare: the TPNF′ rewrites
+// and tree-pattern detection of Fig. 2.
+var DefaultOptions = CompileOptions{treePatterns: true, rewrites: true}
 
 // StandardEngineOptions reproduces the paper's baseline engine: no core
 // rewritings, no tree-pattern detection — nested maps with navigational
-// TreeJoins and explicit ddo calls.
-var StandardEngineOptions = CompileOptions{TreePatterns: false, Rewrites: false}
+// TreeJoins and explicit ddo calls, whose plans depend on the syntactic form
+// of the query.
+var StandardEngineOptions = CompileOptions{}
 
 // Query is a compiled query, retaining every intermediate compilation phase
 // for inspection. A Query holds plans, never documents: what a run resolves
@@ -311,7 +307,8 @@ func Prepare(query string) (*Query, error) {
 	return PrepareWithOptions(query, DefaultOptions)
 }
 
-// PrepareWithOptions compiles a query through all phases of Fig. 2.
+// PrepareWithOptions compiles a query through all phases of Fig. 2 in one
+// of the two engines (DefaultOptions or StandardEngineOptions).
 func PrepareWithOptions(query string, opts CompileOptions) (*Query, error) {
 	return prepare(query, opts, nil)
 }
@@ -333,17 +330,13 @@ func prepare(query string, opts CompileOptions, tr *Trace) (*Query, error) {
 	// singleton assumption is discharged by construction.
 	singletons := rewrite.FreeVars(normalized)
 	ropts := rewrite.Options{SingletonVars: singletons}
-	oopts := optimize.Options{
-		SingletonVars:          singletons,
-		DisablePositionalFirst: opts.DisablePositionalFirst,
-		DisableBulkConversion:  opts.DisableBulkConversion,
-	}
+	oopts := optimize.Options{SingletonVars: singletons}
 	if tr != nil {
 		tr.Core = core.String(normalized)
 		ropts.Trace, oopts.Trace = tr.coreStep, tr.planStep
 	}
 	rewritten := normalized
-	if opts.Rewrites {
+	if opts.rewrites {
 		rewritten = rewrite.Rewrite(normalized, ropts)
 	}
 	plan, err := compile.Compile(rewritten)
@@ -361,7 +354,7 @@ func prepare(query string, opts CompileOptions, tr *Trace) (*Query, error) {
 		plan:      plan,
 		optimized: plan,
 	}
-	if opts.TreePatterns {
+	if opts.treePatterns {
 		q.optimized = optimize.Optimize(plan, oopts)
 	}
 	return q, nil

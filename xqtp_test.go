@@ -451,3 +451,25 @@ func TestAppendItemMatchesSerializeItem(t *testing.T) {
 		}
 	}
 }
+
+// Auto runs every Fig. 1 query correctly.
+func TestAutoAlgorithm(t *testing.T) {
+	doc, err := LoadXMLString(personDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pq := range Figure1Queries {
+		q := MustPrepare(pq.Query)
+		want, err := q.Run(doc, Staircase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := q.Run(doc, Auto)
+		if err != nil {
+			t.Fatalf("%s (Auto): %v", pq.Name, err)
+		}
+		if strings.Join(values(t, want), "|") != strings.Join(values(t, got), "|") {
+			t.Errorf("%s: Auto disagrees with Staircase", pq.Name)
+		}
+	}
+}
