@@ -52,6 +52,18 @@ func TestExtendedFragmentPlans(t *testing.T) {
 			1,
 			"fn:sum(",
 		},
+		{
+			`$d//person[boolean(emailaddress) and name = "John"]/name`,
+			2,
+			// Rule (e) merges the existence conjunct as a branch and keeps
+			// the value comparison in a residual Select, in either order.
+			`Select{TreeJoin[child::name](IN#out2) = "John"}(TupleTreePattern[IN#dot1/descendant::person{out2}[child::emailaddress]](`,
+		},
+		{
+			`$d//person[name = "John" and boolean(emailaddress)]/name`,
+			2,
+			`Select{TreeJoin[child::name](IN#out2) = "John"}(TupleTreePattern[IN#dot1/descendant::person{out2}[child::emailaddress]](`,
+		},
 	}
 	for _, tc := range cases {
 		p := planFor(t, tc.query)

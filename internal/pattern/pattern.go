@@ -102,22 +102,6 @@ func (p *Pattern) SingleOutput() (string, bool) {
 	return "", false
 }
 
-// Size returns the total number of steps including predicate branches.
-func (p *Pattern) Size() int {
-	var count func(*Step) int
-	count = func(s *Step) int {
-		if s == nil {
-			return 0
-		}
-		n := 1
-		for _, pr := range s.Preds {
-			n += count(pr)
-		}
-		return n + count(s.Next)
-	}
-	return count(p.Root)
-}
-
 // ClearOutputs removes all output annotations from a step chain (used when
 // a pattern becomes a predicate branch of another pattern).
 func (s *Step) ClearOutputs() *Step {
@@ -171,24 +155,4 @@ func (s *Step) String() string {
 		c.write(&b)
 	}
 	return b.String()
-}
-
-// Equal compares two patterns structurally.
-func (p *Pattern) Equal(q *Pattern) bool {
-	return p.Input == q.Input && stepEqual(p.Root, q.Root)
-}
-
-func stepEqual(a, b *Step) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.Axis != b.Axis || a.Test != b.Test || a.Out != b.Out || len(a.Preds) != len(b.Preds) {
-		return false
-	}
-	for i := range a.Preds {
-		if !stepEqual(a.Preds[i], b.Preds[i]) {
-			return false
-		}
-	}
-	return stepEqual(a.Next, b.Next)
 }

@@ -54,8 +54,8 @@ func TestExtractionPointAndOutputs(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	p := q1a()
 	c := p.Clone()
-	if !p.Equal(c) {
-		t.Fatal("clone not equal")
+	if c.String() != p.String() {
+		t.Fatalf("clone %s, original %s", c, p)
 	}
 	c.Root.Preds[0].Test = xdm.NameTest("phone")
 	if p.Root.Preds[0].Test.Name != "emailaddress" {
@@ -67,33 +67,10 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestSizeAndShape(t *testing.T) {
-	p := q1a()
-	if p.Size() != 3 {
-		t.Errorf("Size = %d", p.Size())
-	}
-}
-
 func TestClearOutputs(t *testing.T) {
 	p := q1a()
 	p.Root.ClearOutputs()
 	if len(p.OutputFields()) != 0 {
 		t.Errorf("outputs remain: %v", p.OutputFields())
-	}
-}
-
-func TestEqual(t *testing.T) {
-	if !q1a().Equal(q1a()) {
-		t.Error("identical patterns not equal")
-	}
-	other := q1a()
-	other.Input = "x"
-	if q1a().Equal(other) {
-		t.Error("different inputs equal")
-	}
-	other2 := q1a()
-	other2.ExtractionPoint().Test = xdm.StarTest()
-	if q1a().Equal(other2) {
-		t.Error("different tests equal")
 	}
 }

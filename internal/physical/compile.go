@@ -7,7 +7,6 @@ import (
 	"xqtp/internal/algebra"
 	"xqtp/internal/funcs"
 	"xqtp/internal/join"
-	"xqtp/internal/pattern"
 	"xqtp/internal/xdm"
 )
 
@@ -416,12 +415,7 @@ func (c *compiler) tuples(e algebra.Expr, en *env) (tupleOp, *env, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		// Logical minimization runs once here, the choke point every entry
-		// path compiles through: subsumed predicate branches and vacuous
-		// self steps are gone before any algorithm sees the pattern.
-		pat := pattern.Minimize(x.Pattern)
-		o := &opTTP{input: in, pat: pat, alg: c.p.alg, inSlot: -1, itemField: -1,
-			minimized: pat != x.Pattern, id: len(c.p.ttps)}
+		o := &opTTP{input: in, pat: x.Pattern, alg: c.p.alg, inSlot: -1, itemField: -1, id: len(c.p.ttps)}
 		if i, ok := in.(*opIn); ok && !i.unbound {
 			o.dependent = true
 		} else {
@@ -438,7 +432,7 @@ func (c *compiler) tuples(e algebra.Expr, en *env) (tupleOp, *env, error) {
 		}
 		c.inputs = append(c.inputs, scan)
 		outEnv := inEnv
-		for _, f := range pat.OutputFields() {
+		for _, f := range x.Pattern.OutputFields() {
 			slot := c.newSlot(f)
 			o.outSlots = append(o.outSlots, slot)
 			outEnv = outEnv.bind(f, slot)

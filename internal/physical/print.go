@@ -183,9 +183,6 @@ func (p *Plan) write(b *strings.Builder, o any, depth int, choice ChoiceFn) {
 				fmt.Fprintf(b, "→%s", ann)
 			}
 		}
-		if x.minimized {
-			b.WriteString(" minimized")
-		}
 		if x.first {
 			b.WriteString(" first-match")
 		}

@@ -69,6 +69,20 @@ func TestBorrowedTuples(t *testing.T) {
 		shape  []string // operator lines the lowered plan must show
 	}{
 		{
+			// Rule (e)'s residual conjunct: a Select between two patterns
+			// reads the lower one's output slot per tuple, and the upper
+			// pattern reads that slot after the Select's TreeJoin ran. The
+			// conjuncts' order does not change the plan.
+			name:   "residual Select between patterns",
+			oracle: `$d//person[boolean(emailaddress) and name = "John"]/name`,
+			shape:  []string{"  Select\n", "[child::emailaddress]] in@0 out{out2@1}"},
+		},
+		{
+			name:   "residual Select between patterns, conjuncts swapped",
+			oracle: `$d//person[name = "John" and boolean(emailaddress)]/name`,
+			shape:  []string{"  Select\n", "[child::emailaddress]] in@0 out{out2@1}"},
+		},
+		{
 			// A pattern streaming tuples over a Selected multi-tuple input: its
 			// consumer reads a field of the input tuple (p, kept per input
 			// tuple and written back beside each binding) and an output field.

@@ -57,9 +57,6 @@ type opTTP struct {
 	// plan root, whose table is delivered straight from the ranks.
 	itemField int
 	toSink    bool
-	// minimized records that logical minimization changed the pattern at
-	// lowering time (explain annotation only).
-	minimized bool
 
 	// Run-state layout: the operator's patState and its singleton cells —
 	// one per output slot, then one per kept slot.
